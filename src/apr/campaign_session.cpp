@@ -393,6 +393,23 @@ std::unique_ptr<CampaignSession> CampaignSession::resume(
   session->trajectory_fold_ = snap.trajectory_hash;
   session->working_pool_ = MutationPool::from_mutations(snap.working_pool);
 
+  const bool opens_oracle =
+      phase == Phase::kOnline ||
+      (phase == Phase::kBugStart && snap.bug_index < session->config_.bugs);
+  if (opens_oracle && services != nullptr) {
+    // A resumed session skips phase 1, so a freshly restored hub would
+    // hold no interned base pool and build this bug's oracle cold (no
+    // wave table, no primed cache — for every later tenant on it too).
+    // Re-interning the pool lets the hub prime the oracle as it would
+    // have before the restart.  The lease itself is dropped: the pool
+    // and precompute_runs come from the snapshot.  Best-effort — a
+    // failed warm-up leaves the cold oracle, which is merely slower.
+    try {
+      (void)services->base_pool(session->base_, session->config_.pool);
+    } catch (...) {
+    }
+  }
+
   if (phase == Phase::kOnline) {
     if (!snap.has_repair_state) {
       throw std::invalid_argument(

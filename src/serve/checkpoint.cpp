@@ -31,16 +31,18 @@ enum Section : std::int32_t {
 /// foreign ('CK').
 constexpr std::int32_t kSectionSource = 0x434b;
 
-void append_section(std::vector<std::uint8_t>& out, std::uint64_t campaign_id,
+/// The encoded section frames, joined only once their total size is known.
+using SectionFrames = std::vector<std::vector<std::uint8_t>>;
+
+void append_section(SectionFrames& out, std::uint64_t campaign_id,
                     Section section, std::vector<double> payload) {
   parallel::Message message;
   message.source = kSectionSource;
   message.tag = section;
   message.payload = parallel::PayloadVec(std::move(payload));
-  const auto bytes = core::serialize_message(
+  out.push_back(core::serialize_message(
       message, static_cast<int>(campaign_id & 0x7fffffffull),
-      /*tracked=*/false);
-  out.insert(out.end(), bytes.begin(), bytes.end());
+      /*tracked=*/false));
 }
 
 void write_bug(PayloadWriter& w, const apr::BugOutcome& bug) {
@@ -72,7 +74,7 @@ apr::BugOutcome read_bug(PayloadReader& r) {
 std::vector<std::uint8_t> encode_checkpoint(
     const CampaignCheckpoint& checkpoint) {
   const apr::CampaignSnapshot& snap = checkpoint.snapshot;
-  std::vector<std::uint8_t> out;
+  SectionFrames out;
 
   PayloadWriter header;
   header.u64(kFormatVersion);
@@ -132,7 +134,17 @@ std::vector<std::uint8_t> encode_checkpoint(
     for (const double v : repair.strategy) rs.f64(v);
     append_section(out, checkpoint.campaign_id, kRepair, rs.take());
   }
-  return out;
+
+  // Exact size: a queued checkpoint holds its buffer until the writer
+  // thread runs, so growth slack (up to half the capacity) would stay
+  // resident for every campaign while the writer lags.
+  std::size_t total = 0;
+  for (const std::vector<std::uint8_t>& frame : out) total += frame.size();
+  std::vector<std::uint8_t> bytes;
+  bytes.reserve(total);
+  for (const std::vector<std::uint8_t>& frame : out)
+    bytes.insert(bytes.end(), frame.begin(), frame.end());
+  return bytes;
 }
 
 CampaignCheckpoint decode_checkpoint(std::span<const std::uint8_t> bytes) {

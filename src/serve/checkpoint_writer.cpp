@@ -43,6 +43,11 @@ void CheckpointWriter::enqueue_remove(std::uint64_t id, std::string path) {
   work_cv_.notify_one();
 }
 
+bool CheckpointWriter::has_pending(std::uint64_t id) const {
+  util::MutexLock lock(mutex_);
+  return pending_.count(id) != 0;
+}
+
 void CheckpointWriter::flush() {
   util::MutexLock lock(mutex_);
   while (!fifo_.empty() || in_flight_) idle_cv_.wait(mutex_);

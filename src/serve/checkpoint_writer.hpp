@@ -66,6 +66,9 @@ class CheckpointWriter {
   /// Queues the removal of `path`, dropping any pending write for `id`
   /// (retire ordering: the campaign's file must not reappear).
   void enqueue_remove(std::uint64_t id, std::string path);
+  /// True while an operation for `id` is queued and the writer thread has
+  /// not yet taken it (an op already in flight no longer counts).
+  [[nodiscard]] bool has_pending(std::uint64_t id) const;
 
   /// Durability barrier: returns once every operation enqueued before
   /// the call has completed.  Throws std::runtime_error if any operation

@@ -80,6 +80,7 @@ OracleHub::OracleHub() {
   auto& metrics = obs::MetricsRegistry::global();
   oracle_builds_ = &metrics.counter("serve.hub.oracle_builds");
   oracle_hits_ = &metrics.counter("serve.hub.oracle_hits");
+  oracle_cold_builds_ = &metrics.counter("serve.hub.oracle_cold_builds");
   pool_builds_ = &metrics.counter("serve.hub.pool_builds");
   pool_hits_ = &metrics.counter("serve.hub.pool_hits");
 }
@@ -104,9 +105,10 @@ apr::ScenarioServices::OracleLease OracleHub::oracle_for(
     }
     entry = slot;
     if (builder) {
-      // Prefer priming the fresh oracle from an interned base pool of
-      // the same program (phase 1 has usually run by now): one batch of
-      // cache inserts instead of per-tenant cold misses.
+      // Prime the fresh oracle from an interned base pool of the same
+      // program: one batch of cache inserts instead of per-tenant cold
+      // misses.  Fresh campaigns ran phase 1 before their first bug, and
+      // resumed ones re-intern their pool first, so a miss here is rare.
       const std::uint64_t program = program_fingerprint(spec);
       for (const auto& [pool_key, pool_slot] : pools_) {
         (void)pool_key;
@@ -117,6 +119,10 @@ apr::ScenarioServices::OracleLease OracleHub::oracle_for(
         }
       }
       ++stats_.oracle_builds;
+      if (!warm) {
+        ++stats_.cold_oracle_builds;
+        oracle_cold_builds_->add(1);
+      }
     } else {
       while (!entry->ready) ready_cv_.wait(mutex_);
       if (entry->failed)

@@ -14,11 +14,18 @@
 //                   triple.  All tenants' probes land in that oracle's
 //                   sharded mutation-key cache, so "same scenario + same
 //                   mask" dedups across campaigns by construction.  The
-//                   hub primes a new oracle from an already-interned base
-//                   pool of the same program when one exists (the common
-//                   case: phase 1 runs before any bug starts), and marks
-//                   the lease shared so tenants never call prime_cache on
-//                   it — priming must not race concurrent evaluate()s.
+//                   hub primes a new oracle (prime_wave: cache plus eager
+//                   wave table) from an already-interned base pool of the
+//                   same program, and marks the lease shared so tenants
+//                   never call prime_cache on it — priming must not race
+//                   concurrent evaluate()s.  Invariant: a pool of the
+//                   program is interned before any of its oracles is
+//                   built.  Fresh campaigns run phase 1 before their first
+//                   bug; CampaignSession::resume re-interns the base pool
+//                   before opening an oracle, so a restored hub stays
+//                   warm.  Stats::cold_oracle_builds (and the
+//                   serve.hub.oracle_cold_builds counter) counts the
+//                   builds that found no such pool.
 //   base_pool()   — one phase-1 precompute per (spec, pool config).  The
 //                   lease carries the analytic construction cost
 //                   (suite runs == pool attempts) so each tenant's ledger
@@ -60,6 +67,9 @@ class OracleHub final : public apr::ScenarioServices {
   struct Stats {
     std::uint64_t oracle_builds = 0;
     std::uint64_t oracle_hits = 0;
+    /// Builds that found no interned pool of the same program, so the
+    /// oracle has no wave table (every tenant on it probes slowly).
+    std::uint64_t cold_oracle_builds = 0;
     std::uint64_t pool_builds = 0;
     std::uint64_t pool_hits = 0;
   };
@@ -89,6 +99,7 @@ class OracleHub final : public apr::ScenarioServices {
 
   obs::Counter* oracle_builds_;
   obs::Counter* oracle_hits_;
+  obs::Counter* oracle_cold_builds_;
   obs::Counter* pool_builds_;
   obs::Counter* pool_hits_;
 };

@@ -269,7 +269,7 @@ bool CampaignServer::run_epoch() {
     // queue the writes, keep scheduling.  No flush — durability at the
     // periodic cadence is best-effort by design; the explicit
     // checkpoint_all is the barrier.
-    checkpoint_bytes_->add(enqueue_dirty_checkpoints());
+    checkpoint_bytes_->add(enqueue_dirty_checkpoints(/*periodic=*/true));
   }
   return true;
 }
@@ -380,7 +380,7 @@ std::string CampaignServer::checkpoint_path(std::uint64_t campaign_id) const {
          ".ckpt";
 }
 
-std::uint64_t CampaignServer::enqueue_dirty_checkpoints() {
+std::uint64_t CampaignServer::enqueue_dirty_checkpoints(bool periodic) {
   // The critical path pays only for campaigns that progressed since
   // their last checkpoint: serialize the snapshot into a buffer and
   // queue it.  The encoded bytes are identical to the synchronous
@@ -391,6 +391,11 @@ std::uint64_t CampaignServer::enqueue_dirty_checkpoints() {
   CheckpointWriter& w = writer();
   for (auto& [id, campaign] : running_) {
     if (campaign.checkpointed_units == campaign.online_cycles) continue;
+    // A periodic pass leaves a campaign whose previous write is still
+    // queued dirty: encoding it now would only replace (coalesce) that
+    // buffer, churning the heap for bytes that never reach disk.  The
+    // next pass after the writer takes the old op encodes it.
+    if (periodic && w.has_pending(id)) continue;
     CampaignCheckpoint checkpoint;
     checkpoint.campaign_id = id;
     checkpoint.request = campaign.request;
@@ -408,7 +413,7 @@ CheckpointReply CampaignServer::checkpoint_all() {
   if (config_.checkpoint_dir.empty())
     throw std::logic_error("CampaignServer: no checkpoint_dir configured");
   CheckpointReply reply;
-  reply.bytes = enqueue_dirty_checkpoints();
+  reply.bytes = enqueue_dirty_checkpoints(/*periodic=*/false);
   // Every resident campaign is covered after the flush: dirty ones by
   // the writes just queued, clean ones by the file already on disk.
   reply.campaigns = running_.size();

@@ -36,7 +36,8 @@
 //                in-memory buffers and hands them to the CheckpointWriter
 //                thread, which does tmp + fsync + rename off the critical
 //                path.  An explicit checkpoint_all flushes the writer
-//                before replying; periodic epoch checkpoints do not.  A
+//                before replying; periodic epoch checkpoints do not, and
+//                skip campaigns whose previous write is still queued.  A
 //                fresh daemon reloads the directory and resumes every
 //                campaign bit-identically (the trajectory-hash pin).
 //
@@ -209,8 +210,10 @@ class CampaignServer {
   /// The async writer (created on first use; also makes checkpoint_dir).
   CheckpointWriter& writer();
   /// Serializes dirty campaigns and queues their writes (no flush).
-  /// Returns the bytes serialized; accumulates the critical-path timer.
-  std::uint64_t enqueue_dirty_checkpoints();
+  /// `periodic` skips campaigns whose previous write is still queued;
+  /// they stay dirty for the next pass.  Returns the bytes serialized;
+  /// accumulates the critical-path timer.
+  std::uint64_t enqueue_dirty_checkpoints(bool periodic);
   void record_probe_latency(double seconds);
 
   ServerConfig config_;

@@ -360,6 +360,8 @@ TEST(OracleHub, SharesPoolsAndOraclesAcrossTenants) {
   EXPECT_EQ(stats.pool_hits, 1u);
   EXPECT_EQ(stats.oracle_builds, 2u);
   EXPECT_EQ(stats.oracle_hits, 1u);
+  EXPECT_EQ(stats.cold_oracle_builds, 0u);  // the pool was interned first.
+  EXPECT_TRUE(lease_a.oracle->wave_ready());
 }
 
 TEST(OracleHub, FailedBuildsAreRetriedNotCachedForever) {
@@ -405,6 +407,53 @@ TEST(OracleHub, SharedServicesPreserveTheSingleTenantTrajectory) {
   EXPECT_EQ(tenant_b.trajectory_hash(), isolated.trajectory_hash());
   EXPECT_EQ(apr::outcome_to_json(tenant_a.outcome()).dump(2),
             apr::outcome_to_json(isolated.outcome()).dump(2));
+}
+
+TEST(OracleHub, ResumeReinternsThePoolSoRestoredOraclesStayWarm) {
+  const CampaignPlan plan = plan_campaign(small_request("Chart26", 21));
+  datasets::ScenarioSpec first_bug = plan.spec;
+  first_bug.bug_id = 0;
+
+  // An oracle requested before any pool of its program is interned is
+  // built cold: no wave table, so its tenants lose the fast path.
+  {
+    OracleHub hub;
+    const auto lease = hub.oracle_for(first_bug);
+    EXPECT_FALSE(lease.oracle->wave_ready());
+    EXPECT_EQ(hub.stats().cold_oracle_builds, 1u);
+  }
+
+  OracleHub reference_hub;
+  apr::CampaignSession reference(plan.spec, plan.config, &reference_hub);
+  while (!reference.done())
+    (void)reference.step(std::numeric_limits<std::size_t>::max());
+
+  // Precompute, bug start, two online cycles; then a "restart": resume
+  // on a fresh hub that has never run phase 1.
+  OracleHub first_hub;
+  apr::CampaignSession first(plan.spec, plan.config, &first_hub);
+  (void)first.step(4);
+  const apr::CampaignSnapshot snapshot = first.snapshot();
+  ASSERT_TRUE(snapshot.has_repair_state);
+
+  OracleHub restored_hub;
+  const std::unique_ptr<apr::CampaignSession> resumed =
+      apr::CampaignSession::resume(snapshot, plan.spec, plan.config,
+                                   &restored_hub);
+  const OracleHub::Stats stats = restored_hub.stats();
+  EXPECT_EQ(stats.pool_builds, 1u);
+  EXPECT_EQ(stats.oracle_builds, 1u);
+  EXPECT_EQ(stats.cold_oracle_builds, 0u);
+  EXPECT_TRUE(restored_hub.oracle_for(first_bug).oracle->wave_ready());
+
+  // The warm oracle changes speed only: the ledger (precompute_runs
+  // included) and the trajectory match the uninterrupted campaign.
+  while (!resumed->done())
+    (void)resumed->step(std::numeric_limits<std::size_t>::max());
+  EXPECT_EQ(resumed->trajectory_hash(), reference.trajectory_hash());
+  EXPECT_EQ(apr::outcome_to_json(resumed->outcome()).dump(2),
+            apr::outcome_to_json(reference.outcome()).dump(2));
+  EXPECT_EQ(restored_hub.stats().cold_oracle_builds, 0u);
 }
 
 // --- the server ---------------------------------------------------------
@@ -581,6 +630,9 @@ TEST(CampaignServer, CheckpointRestoreResumesBitIdentically) {
     EXPECT_EQ(restored, families.size());
     second_life.drain();
     EXPECT_EQ(second_life.starved_epochs(), 0u);
+    // Resume re-interned each campaign's base pool before opening its
+    // oracle, so no restored oracle lost the probe-wave fast path.
+    EXPECT_EQ(second_life.hub().stats().cold_oracle_builds, 0u);
 
     for (std::size_t i = 0; i < families.size(); ++i) {
       const std::uint64_t id = i + 1;  // ids are stable across lives
@@ -590,7 +642,10 @@ TEST(CampaignServer, CheckpointRestoreResumesBitIdentically) {
           << "campaign " << id << " diverged after resume";
       EXPECT_EQ(second_life.result(id).outcome_json, reference_json[i]);
     }
-    // Finished campaigns clean their checkpoint files up.
+    // Finished campaigns clean their checkpoint files up.  The unlinks
+    // are queued on the async writer; the explicit checkpoint is the
+    // barrier that makes them visible.
+    (void)second_life.checkpoint_all();
     std::size_t remaining = 0;
     for (const auto& entry : std::filesystem::directory_iterator(dir))
       remaining += entry.path().extension() == ".ckpt" ? 1u : 0u;
@@ -688,26 +743,28 @@ TEST(CampaignServer, AsyncCheckpointsRaceRetirementWithoutResurrection) {
       std::filesystem::temp_directory_path() / "mwr-serve-churn-test";
   std::filesystem::remove_all(dir);
 
-  ServerConfig config;
-  config.workers = 2;
-  config.quantum = 4;
-  config.checkpoint_dir = dir.string();
-  config.checkpoint_every = 1;  // every epoch queues dirty writes...
-  CampaignServer server(config);
-  for (std::uint64_t seed = 0; seed < 6; ++seed)
-    ASSERT_TRUE(server.submit(small_request("units", seed)).has_value());
-  // ...and every retirement queues a remove that must cancel any write
-  // still in flight for that campaign.  Drain under maximum churn.
-  while (server.resident() > 0) (void)server.run_epoch();
-  EXPECT_EQ(server.completed(), 6u);
-  EXPECT_EQ(server.failed_campaigns(), 0u);
+  {
+    ServerConfig config;
+    config.workers = 2;
+    config.quantum = 4;
+    config.checkpoint_dir = dir.string();
+    config.checkpoint_every = 1;  // every epoch queues dirty writes...
+    CampaignServer server(config);
+    for (std::uint64_t seed = 0; seed < 6; ++seed)
+      ASSERT_TRUE(server.submit(small_request("units", seed)).has_value());
+    // ...and every retirement queues a remove that must cancel any write
+    // still in flight for that campaign.  Drain under maximum churn.
+    while (server.resident() > 0) (void)server.run_epoch();
+    EXPECT_EQ(server.completed(), 6u);
+    EXPECT_EQ(server.failed_campaigns(), 0u);
 
-  // The explicit checkpoint is the durability barrier: after it, no
-  // retired campaign's file may have been resurrected by a stale write.
-  const CheckpointReply reply = server.checkpoint_all();
-  EXPECT_EQ(reply.campaigns, 0u);
-  EXPECT_EQ(reply.bytes, 0u);
-  EXPECT_EQ(count_ckpt_files(dir), 0u);
+    // The explicit checkpoint is the durability barrier: after it, no
+    // retired campaign's file may have been resurrected by a stale write.
+    const CheckpointReply reply = server.checkpoint_all();
+    EXPECT_EQ(reply.campaigns, 0u);
+    EXPECT_EQ(reply.bytes, 0u);
+    EXPECT_EQ(count_ckpt_files(dir), 0u);
+  }  // the writer thread joins before the directory goes away.
   std::filesystem::remove_all(dir);
 }
 
@@ -736,15 +793,17 @@ TEST(CampaignServer, StrayTmpFromKilledFlushIsIgnoredOnRestore) {
   }
 
   // Second life: the stray tmp is not a checkpoint; the real one resumes.
-  ServerConfig config;
-  config.workers = 2;
-  config.checkpoint_dir = dir.string();
-  CampaignServer second_life(config);
-  EXPECT_EQ(second_life.restore_from_dir(), 1u);
-  EXPECT_EQ(second_life.resident(), 1u);
-  second_life.drain();
-  EXPECT_EQ(second_life.completed(), 1u);
-  EXPECT_EQ(second_life.failed_campaigns(), 0u);
+  {
+    ServerConfig config;
+    config.workers = 2;
+    config.checkpoint_dir = dir.string();
+    CampaignServer second_life(config);
+    EXPECT_EQ(second_life.restore_from_dir(), 1u);
+    EXPECT_EQ(second_life.resident(), 1u);
+    second_life.drain();
+    EXPECT_EQ(second_life.completed(), 1u);
+    EXPECT_EQ(second_life.failed_campaigns(), 0u);
+  }  // joins the writer: its queued unlink must not race remove_all.
   std::filesystem::remove_all(dir);
 }
 
@@ -753,49 +812,100 @@ TEST(CampaignServer, DirtyTrackingSkipsCleanCampaignsAndMatchesSyncBytes) {
       std::filesystem::temp_directory_path() / "mwr-serve-dirty-test";
   std::filesystem::remove_all(dir);
 
-  ServerConfig config;
-  config.workers = 2;
-  config.quantum = 1;
-  config.checkpoint_dir = dir.string();
-  CampaignServer server(config);
-  ASSERT_TRUE(server.submit(small_request("units", 5)).has_value());
-  ASSERT_TRUE(server.submit(small_request("Math80", 6)).has_value());
-  for (int epoch = 0; epoch < 3; ++epoch) (void)server.run_epoch();
-  ASSERT_EQ(server.resident(), 2u);
+  {
+    ServerConfig config;
+    config.workers = 2;
+    config.quantum = 1;
+    config.checkpoint_dir = dir.string();
+    CampaignServer server(config);
+    ASSERT_TRUE(server.submit(small_request("units", 5)).has_value());
+    ASSERT_TRUE(server.submit(small_request("Math80", 6)).has_value());
+    for (int epoch = 0; epoch < 3; ++epoch) (void)server.run_epoch();
+    ASSERT_EQ(server.resident(), 2u);
 
-  const CheckpointReply first = server.checkpoint_all();
-  EXPECT_EQ(first.campaigns, 2u);
-  EXPECT_GT(first.bytes, 0u);
-  const std::vector<std::uint8_t> bytes_1 =
-      read_file_bytes(dir / "campaign-1.ckpt");
-  const std::vector<std::uint8_t> bytes_2 =
-      read_file_bytes(dir / "campaign-2.ckpt");
-  ASSERT_FALSE(bytes_1.empty());
-  ASSERT_FALSE(bytes_2.empty());
+    const CheckpointReply first = server.checkpoint_all();
+    EXPECT_EQ(first.campaigns, 2u);
+    EXPECT_GT(first.bytes, 0u);
+    const std::vector<std::uint8_t> bytes_1 =
+        read_file_bytes(dir / "campaign-1.ckpt");
+    const std::vector<std::uint8_t> bytes_2 =
+        read_file_bytes(dir / "campaign-2.ckpt");
+    ASSERT_FALSE(bytes_1.empty());
+    ASSERT_FALSE(bytes_2.empty());
 
-  // No progress since: both campaigns are clean.  The reply still covers
-  // them (their files are current) but serializes nothing, and the files
-  // are untouched byte for byte.
-  const CheckpointReply second = server.checkpoint_all();
-  EXPECT_EQ(second.campaigns, 2u);
-  EXPECT_EQ(second.bytes, 0u);
-  EXPECT_EQ(read_file_bytes(dir / "campaign-1.ckpt"), bytes_1);
-  EXPECT_EQ(read_file_bytes(dir / "campaign-2.ckpt"), bytes_2);
+    // No progress since: both campaigns are clean.  The reply still covers
+    // them (their files are current) but serializes nothing, and the files
+    // are untouched byte for byte.
+    const CheckpointReply second = server.checkpoint_all();
+    EXPECT_EQ(second.campaigns, 2u);
+    EXPECT_EQ(second.bytes, 0u);
+    EXPECT_EQ(read_file_bytes(dir / "campaign-1.ckpt"), bytes_1);
+    EXPECT_EQ(read_file_bytes(dir / "campaign-2.ckpt"), bytes_2);
 
-  // The async writer's file equals the synchronous write path's, byte
-  // for byte: round-trip the decoded checkpoint through
-  // write_checkpoint_file and compare.
-  const CampaignCheckpoint decoded =
-      read_checkpoint_file((dir / "campaign-1.ckpt").string());
-  const std::string sync_path = (dir / "sync-copy.bin").string();
-  (void)write_checkpoint_file(decoded, sync_path);
-  EXPECT_EQ(read_file_bytes(sync_path), bytes_1);
+    // The async writer's file equals the synchronous write path's, byte
+    // for byte: round-trip the decoded checkpoint through
+    // write_checkpoint_file and compare.
+    const CampaignCheckpoint decoded =
+        read_checkpoint_file((dir / "campaign-1.ckpt").string());
+    const std::string sync_path = (dir / "sync-copy.bin").string();
+    (void)write_checkpoint_file(decoded, sync_path);
+    EXPECT_EQ(read_file_bytes(sync_path), bytes_1);
 
-  // One more epoch re-dirties both; the next checkpoint pays again.
-  (void)server.run_epoch();
-  const CheckpointReply third = server.checkpoint_all();
-  EXPECT_EQ(third.campaigns, 2u);
-  EXPECT_GT(third.bytes, 0u);
+    // One more epoch re-dirties both; the next checkpoint pays again.
+    (void)server.run_epoch();
+    const CheckpointReply third = server.checkpoint_all();
+    EXPECT_EQ(third.campaigns, 2u);
+    EXPECT_GT(third.bytes, 0u);
+  }  // the writer thread joins before the directory goes away.
+  std::filesystem::remove_all(dir);
+}
+
+TEST(CampaignServer, PeriodicCheckpointsSkipQueuedWritesYetStayDirty) {
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "mwr-serve-skip-test";
+  std::filesystem::remove_all(dir);
+
+  // First life: every epoch runs a periodic pass while the writer (one
+  // fsync per file) lags behind, so later passes find writes still
+  // queued and skip those campaigns.  A skipped campaign must stay
+  // dirty — the explicit barrier then encodes it; had the pass marked
+  // it clean, its file would keep the older queued state.
+  std::vector<std::uint64_t> live_hashes;
+  {
+    ServerConfig config;
+    config.workers = 2;
+    config.quantum = 1;
+    config.checkpoint_dir = dir.string();
+    config.checkpoint_every = 1;
+    CampaignServer first_life(config);
+    for (std::uint64_t seed = 0; seed < 8; ++seed) {
+      SubmitRequest request = small_request("Math80", 200 + seed);
+      request.max_iterations = 200;
+      ASSERT_TRUE(first_life.submit(request).has_value());
+    }
+    for (int epoch = 0; epoch < 24; ++epoch) (void)first_life.run_epoch();
+    ASSERT_EQ(first_life.resident(), 8u);
+    const CheckpointReply reply = first_life.checkpoint_all();
+    EXPECT_EQ(reply.campaigns, 8u);
+    for (std::uint64_t id = 1; id <= 8; ++id)
+      live_hashes.push_back(first_life.status(id).trajectory_hash);
+  }
+
+  // Second life: every file holds exactly the state at the barrier.
+  {
+    ServerConfig config;
+    config.workers = 2;
+    config.checkpoint_dir = dir.string();
+    CampaignServer second_life(config);
+    ASSERT_EQ(second_life.restore_from_dir(), 8u);
+    for (std::uint64_t id = 1; id <= 8; ++id) {
+      EXPECT_EQ(second_life.status(id).trajectory_hash, live_hashes[id - 1])
+          << "campaign " << id << " restored from a stale checkpoint";
+    }
+    second_life.drain();
+    EXPECT_EQ(second_life.completed(), 8u);
+    EXPECT_EQ(second_life.failed_campaigns(), 0u);
+  }
   std::filesystem::remove_all(dir);
 }
 
