@@ -250,56 +250,32 @@ void CampaignSession::finalize() {
 std::size_t CampaignSession::step(std::size_t budget,
                                   parallel::ThreadPool* workers) {
   std::size_t used = 0;
-  probes_last_step_ = 0;
-  while (phase_ != Phase::kDone && used < budget) {
+  std::size_t probes = 0;
+  while (used < budget) {
+    std::size_t staged = 0;
+    const std::size_t charge = stage_unit(staged, workers);
+    if (charge == 0) break;
+    used += charge;
+    if (!unit_staged_) continue;
     // obs::ScopedTimer is the only clock apr may touch (bit-identity lint
-    // domain); cancel() detaches it so we can accumulate elapsed time
-    // manually across steps into one per-bug observation.
-    obs::ScopedTimer unit_timer(*bug_seconds_hist_);
-    unit_timer.cancel();
-    switch (phase_) {
-      case Phase::kPrecompute:
-        do_precompute();
-        phase_ = Phase::kBugStart;
-        ++used;
-        break;
-      case Phase::kBugStart:
-        if (bug_index_ >= config_.bugs) {
-          // bugs == 0 (or a snapshot taken at the boundary): nothing to
-          // start — finalize instead of marching bug_index_ forever.
-          finalize();
-          ++used;
-          break;
-        }
-        start_bug(workers);
-        bug_seconds_ += unit_timer.elapsed_seconds();
-        ++used;
-        break;
-      case Phase::kOnline: {
-        const bool finished = repair_->step(workers);
-        probes_last_step_ += repair_->probes_last_cycle();
-        if (scope_) {
-          scoped_cycles_->add(1);
-          scoped_probes_->add(repair_->probes_last_cycle());
-        }
-        bug_seconds_ += unit_timer.elapsed_seconds();
-        if (finished) finish_bug();
-        ++used;
-        break;
-      }
-      case Phase::kFinishBug:
-        // Never a resting state (finish_bug runs inline above); kept so a
-        // snapshot's phase value space is total.
-        finish_bug();
-        break;
-      case Phase::kDone:
-        break;
+    // domain); cancelled, it is a plain stopwatch.
+    obs::ScopedTimer wave_timer(*bug_seconds_hist_);
+    wave_timer.cancel();
+    if (workers != nullptr) {
+      workers->parallel_for_index(staged,
+                                  [&](std::size_t j) { evaluate_staged(j); });
+    } else {
+      for (std::size_t j = 0; j < staged; ++j) evaluate_staged(j);
     }
+    complete_unit(wave_timer.elapsed_seconds());
+    probes += probes_last_step_;
   }
+  probes_last_step_ = probes;
   return used;
 }
 
-std::size_t CampaignSession::stage_unit(std::size_t& staged_probes) {
+std::size_t CampaignSession::stage_unit(std::size_t& staged_probes,
+                                        parallel::ThreadPool* workers) {
   staged_probes = 0;
   probes_last_step_ = 0;
   while (phase_ != Phase::kDone) {
@@ -312,20 +288,22 @@ std::size_t CampaignSession::stage_unit(std::size_t& staged_probes) {
         return 1;
       case Phase::kBugStart:
         if (bug_index_ >= config_.bugs) {
+          // bugs == 0 (or a snapshot taken at the boundary): nothing to
+          // start — finalize instead of marching bug_index_ forever.
           finalize();
           return 1;
         }
-        start_bug(nullptr);
+        start_bug(workers);
         bug_seconds_ += unit_timer.elapsed_seconds();
         return 1;
       case Phase::kOnline:
         staged_probes = repair_->begin_cycle();
         unit_staged_ = true;
-        bug_seconds_ += unit_timer.elapsed_seconds();
+        staged_seconds_ = unit_timer.elapsed_seconds();
         return 1;
       case Phase::kFinishBug:
         // Never a resting state (complete_unit closes bugs inline); kept
-        // for snapshot-phase totality, exactly as in step().
+        // so a snapshot's phase value space is total.
         finish_bug();
         break;
       case Phase::kDone:
@@ -342,13 +320,14 @@ void CampaignSession::evaluate_staged(std::size_t j) {
 void CampaignSession::complete_unit(double elapsed_seconds) {
   if (!unit_staged_) return;
   unit_staged_ = false;
-  const bool finished = repair_->finish_cycle(elapsed_seconds);
-  probes_last_step_ += repair_->probes_last_cycle();
+  const double cycle_seconds = staged_seconds_ + elapsed_seconds;
+  const bool finished = repair_->finish_cycle(cycle_seconds);
+  probes_last_step_ = repair_->probes_last_cycle();
   if (scope_) {
     scoped_cycles_->add(1);
-    scoped_probes_->add(repair_->probes_last_cycle());
+    scoped_probes_->add(probes_last_step_);
   }
-  bug_seconds_ += elapsed_seconds;
+  bug_seconds_ += cycle_seconds;
   if (finished) finish_bug();
 }
 

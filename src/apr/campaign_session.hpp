@@ -115,33 +115,40 @@ class CampaignSession {
   /// the units consumed (>= 1 while not done; 0 once done).  One unit is
   /// one online MWU update cycle or one setup phase (precompute / bug
   /// start); the return value is the deficit-round-robin charge.
-  /// `workers` optionally fans out suite runs inside a unit.
+  /// The serial driver of the staged calls below: each unit is
+  /// stage_unit(), then evaluate_staged() over every staged probe — fanned
+  /// out over `workers` when given, inline otherwise — then
+  /// complete_unit().  `workers` also splits a bug start's interference
+  /// graph build.
   std::size_t step(std::size_t budget,
                    parallel::ThreadPool* workers = nullptr);
 
   // --- staged execution (the serve probe wave, DESIGN.md §14) ---
   //
-  // The pipeline twin of step(): the server stages one unit per campaign,
-  // batches every staged probe into one deterministic parallel sweep, then
-  // completes the units.  Unit-for-unit identical to step()'s loop — setup
-  // units run inline during staging; an online unit splits around the
-  // evaluation sweep.
+  // The calls step() is made of.  The server stages one unit per
+  // campaign, batches every staged probe into one deterministic parallel
+  // sweep, then completes the units; step() runs the same calls for one
+  // campaign, so the two cannot diverge.
 
   /// Stages the next work unit.  Setup units (precompute, bug start,
   /// finalize) execute inline and complete immediately; an online unit
   /// begins one MWU cycle and leaves its probes staged (`staged_probes`)
   /// for evaluate_staged() + complete_unit().  Returns the DRR charge:
-  /// 1 per unit, 0 once the campaign is done.
-  std::size_t stage_unit(std::size_t& staged_probes);
+  /// 1 per unit, 0 once the campaign is done.  `workers` (may be null)
+  /// splits a bug start's interference-graph build.
+  std::size_t stage_unit(std::size_t& staged_probes,
+                         parallel::ThreadPool* workers = nullptr);
   /// True while an online cycle is staged and awaiting complete_unit().
   [[nodiscard]] bool unit_staged() const noexcept { return unit_staged_; }
   /// Evaluates staged probe `j` — safe to run concurrently for distinct j
   /// and interleaved with other campaigns' staged probes.
   void evaluate_staged(std::size_t j);
   /// Completes the staged online unit: rewards, MWU update, and — when the
-  /// cycle ends the bug — ledger close / campaign finalization, exactly as
-  /// step() would have.  `elapsed_seconds` attributes wall time to the
-  /// bug's telemetry (never trajectory-relevant).
+  /// cycle ends the bug — ledger close / campaign finalization.
+  /// `elapsed_seconds` is the caller-measured wall time of the unit's
+  /// probe evaluation; the cycle's wall time (its staging time plus that)
+  /// goes to the bug's and the online phase's telemetry, never to a
+  /// trajectory-relevant value.
   void complete_unit(double elapsed_seconds = 0.0);
 
   [[nodiscard]] bool done() const noexcept { return phase_ == Phase::kDone; }
@@ -229,6 +236,7 @@ class CampaignSession {
   std::unique_ptr<RepairSession> repair_;
   BugOutcome current_bug_;
   double bug_seconds_ = 0.0;  // accumulated across steps for this bug.
+  double staged_seconds_ = 0.0;  // staging time of the staged online unit.
 
   CampaignOutcome outcome_;
 

@@ -159,6 +159,7 @@ bool RepairSession::finish_cycle(double elapsed_seconds) {
   const MwRepairConfig& cfg = repair_.config();
   const auto max_count = static_cast<double>(cfg.max_count);
   online_seconds_ += elapsed_seconds;
+  cycle_seconds_->observe(elapsed_seconds);
 
   const std::size_t n = staged_arms_.size();
   rewards_.assign(n, 0.0);
@@ -223,7 +224,9 @@ bool RepairSession::finish_cycle(double elapsed_seconds) {
 
 bool RepairSession::step(parallel::ThreadPool* workers) {
   if (done_) return true;
-  const obs::ScopedTimer cycle_timer(*cycle_seconds_);
+  // Cancelled: finish_cycle() records the cycle time it is handed.
+  obs::ScopedTimer cycle_timer(*cycle_seconds_);
+  cycle_timer.cancel();
   const std::size_t n = begin_cycle();
   if (workers != nullptr) {
     workers->parallel_for_index(n, [&](std::size_t j) { evaluate_staged(j); });

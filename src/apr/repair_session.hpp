@@ -66,8 +66,8 @@ class RepairSession {
   /// is done (repair found or iteration budget exhausted); further calls
   /// are no-ops returning true.  `workers` optionally fans the suite runs
   /// out (bit-identical for any worker count, as in MwRepair::run).
-  /// Implemented as begin_cycle / evaluate_staged / finish_cycle below, so
-  /// the stepped and staged paths are one code path.
+  /// The serial driver of the staged calls below: begin_cycle, every
+  /// evaluate_staged, then finish_cycle with the cycle's wall time.
   bool step(parallel::ThreadPool* workers = nullptr);
 
   // --- staged execution (the serve probe wave, DESIGN.md §14) ---
@@ -78,15 +78,15 @@ class RepairSession {
   //   begin_cycle()       all of the cycle's stochastic draws (arm sample,
   //                       patch draws, acceptance) plus their trajectory
   //                       folds — everything RNG-ordered happens here, in
-  //                       the same order as the monolithic step().
+  //                       the same order as the historical loop.
   //   evaluate_staged(j)  evaluates staged probe j.  Pure and memoized:
   //                       callable concurrently for distinct j, in any
   //                       order, interleaved with other sessions' probes.
   //   finish_cycle()      rewards, MWU update, early-repair exit, budget
-  //                       check — bit-identical to step()'s tail.
+  //                       check.
   //
-  // step() == begin_cycle + evaluate all + finish_cycle, so the two
-  // shapes cannot diverge.
+  // step() drives these three calls for one session; the server drives
+  // them for many sessions at once.
 
   /// Stages one cycle's probes; returns how many (0 when already done).
   /// Every call must be matched by finish_cycle() after all staged
@@ -97,8 +97,9 @@ class RepairSession {
   /// sharing an oracle.
   void evaluate_staged(std::size_t j);
   /// Completes the staged cycle; returns true when the session finished.
-  /// `elapsed_seconds` is the caller-attributed wall time of the cycle
-  /// (telemetry only — never trajectory-relevant).
+  /// `elapsed_seconds` is the caller-attributed wall time of the cycle,
+  /// observed once into repair.online.cycle_seconds and accumulated into
+  /// phase.online.seconds (telemetry only — never trajectory-relevant).
   bool finish_cycle(double elapsed_seconds = 0.0);
 
   /// True when this session evaluates probes through the oracle's eager

@@ -45,11 +45,11 @@ struct ParallelMwuResult {
 /// the allreduced reward counts.  The oracle must be safe for concurrent
 /// sampling (distinct RngStreams per rank).
 ///
-/// `policy` selects the execution substrate (thread-per-rank or the bounded
-/// superstep engine); the trajectory is bit-identical either way because
-/// every recv is (source, tag)-filtered over non-overtaking channels and
-/// all randomness lives in per-rank streams — the schedule cannot reorder
-/// what any rank observes.
+/// `policy` selects the execution substrate (the bounded superstep engine
+/// by default, or the thread-per-rank reference); the trajectory is
+/// bit-identical either way because every recv is (source, tag)-filtered
+/// over non-overtaking channels and all randomness lives in per-rank
+/// streams — the schedule cannot reorder what any rank observes.
 [[nodiscard]] ParallelMwuResult run_standard_spmd(
     const CostOracle& oracle, const MwuConfig& config, std::uint64_t seed,
     parallel::RunPolicy policy = {});
@@ -57,9 +57,9 @@ struct ParallelMwuResult {
 /// Runs Distributed MWU with one rank per population member.  Population is
 /// taken from config via distributed_population() unless
 /// `population_override` is nonzero (tests keep it small).  Under the
-/// default (auto) policy, populations beyond the worker pool run on the
-/// superstep engine — thousands of logical ranks on hardware_concurrency
-/// OS threads — with the same bit-identical-trajectory guarantee as above.
+/// default policy every population runs on the superstep engine —
+/// thousands of logical ranks on hardware_concurrency OS threads — with
+/// the same bit-identical-trajectory guarantee as above.
 /// Only observation requests are congestion-tracked; replies and
 /// convergence snapshots are harness bookkeeping.
 [[nodiscard]] ParallelMwuResult run_distributed_spmd(

@@ -38,12 +38,6 @@ CommMetrics& comm_metrics() {
   static CommMetrics metrics;
   return metrics;
 }
-
-std::size_t resolved_worker_count(const RunPolicy& policy) {
-  if (policy.workers != 0) return policy.workers;
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : static_cast<std::size_t>(hw);
-}
 }  // namespace
 
 std::size_t WorldLayout::block_begin(std::size_t global_size,
@@ -399,24 +393,10 @@ void CommWorld::run(const std::function<void(Comm&)>& body) {
     run_multiprocess(body);
     return;
   }
-  switch (policy_.mode) {
-    case RunPolicy::Mode::kThreadPerRank:
-      run_thread_per_rank(body);
-      return;
-    case RunPolicy::Mode::kSuperstep:
-      run_superstep(body);
-      return;
-    case RunPolicy::Mode::kAuto:
-      // Small worlds fit the worker pool one-to-one: spawning real threads
-      // is no more oversubscribed than the engine's pool and skips the
-      // fiber machinery.  Beyond that, thread-per-rank degrades (and
-      // eventually fails to spawn) — multiplex.
-      if (layout_.local_count() > resolved_worker_count(policy_)) {
-        run_superstep(body);
-      } else {
-        run_thread_per_rank(body);
-      }
-      return;
+  if (policy_.mode == RunPolicy::Mode::kThreadPerRank) {
+    run_thread_per_rank(body);
+  } else {
+    run_superstep(body);
   }
 }
 

@@ -3,16 +3,17 @@
 //
 // Substitution note (DESIGN.md §2): the paper's Distributed MWU targets
 // distributed-memory clusters.  This container has no MPI runtime, so we
-// provide an MPI-shaped substrate with two interchangeable execution
-// modes: classic one-OS-thread-per-rank, and the bounded-thread superstep
-// engine (parallel/superstep.hpp) that multiplexes logical ranks as
-// cooperative fibers over a fixed worker pool.  Point-to-point send/recv
-// (non-overtaking per channel), barrier, broadcast, gather, and
-// allreduce(sum) behave identically in both modes — seeded SPMD
-// trajectories are bit-identical, pinned by tests — but the engine scales
-// to thousands of ranks on a handful of hardware threads.  Every delivered
-// message is attributed to its destination in a CongestionTracker, which
-// is the quantity the paper's communication analysis is actually about.
+// provide an MPI-shaped substrate that runs on the bounded-thread
+// superstep engine (parallel/superstep.hpp), which multiplexes logical
+// ranks as cooperative fibers over a fixed worker pool and scales to
+// thousands of ranks on a handful of hardware threads.  Classic
+// one-OS-thread-per-rank survives only as an explicit reference policy:
+// point-to-point send/recv (non-overtaking per channel), barrier,
+// broadcast, gather, and allreduce(sum) behave identically on both, and
+// seeded SPMD trajectories are bit-identical, pinned by tests.  Every
+// delivered message is attributed to its destination in a
+// CongestionTracker, which is the quantity the paper's communication
+// analysis is actually about.
 //
 // Usage follows the SPMD pattern of the LLNL MPI tutorial: construct a
 // CommWorld of `size` ranks, then run one function per rank, each receiving
@@ -87,20 +88,21 @@ struct WorldLayout {
   }
 };
 
-/// How CommWorld::run maps logical ranks onto OS threads.
+/// How CommWorld::run maps logical ranks onto OS threads.  Every world
+/// runs on the superstep engine unless the caller asks for the
+/// thread-per-rank reference, so every default world gets deadlock
+/// detection and the SuperstepAbort unwind.
 struct RunPolicy {
   enum class Mode {
-    /// Superstep engine when the world outnumbers the worker pool,
-    /// thread-per-rank otherwise (small worlds carry no oversubscription
-    /// risk and skip the fiber machinery).
-    kAuto,
-    /// One OS thread per rank — the historical substrate.
-    kThreadPerRank,
-    /// Cooperative fibers on a bounded worker pool, always.
+    /// Cooperative fibers on a bounded worker pool — the default.
     kSuperstep,
+    /// One OS thread per rank: the historical substrate, kept only as the
+    /// explicit reference identity tests and benches compare against.
+    /// No deadlock detection: a blocked world hangs.
+    kThreadPerRank,
   };
 
-  Mode mode = Mode::kAuto;
+  Mode mode = Mode::kSuperstep;
   /// Superstep worker threads; 0 = hardware_concurrency.
   std::size_t workers = 0;
   /// Per-fiber stack reservation (committed lazily by the kernel).

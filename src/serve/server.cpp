@@ -98,10 +98,10 @@ bool CampaignServer::run_epoch() {
   if (grants.empty()) return false;
 
   // The epoch pipeline: stage / wave / complete rounds until every
-  // grant's budget is consumed.  Per campaign the unit sequence is
-  // exactly step(budget)'s — only the interleaving across campaigns
-  // changes, and the batched evaluations are pure and order-free, so
-  // trajectories are bit-identical to the unpipelined server's.
+  // grant's budget is consumed.  Per campaign these are the staged calls
+  // step(budget) drives serially — only the interleaving across
+  // campaigns changes, and the batched evaluations are pure and
+  // order-free, so trajectories match step(budget)'s.
   const std::size_t n = grants.size();
   std::vector<apr::CampaignSession*> sessions(n);
   std::vector<std::size_t> remaining(n);

@@ -13,9 +13,7 @@
 //                  stage    — in ascending grant order, each campaign
 //                             advances through setup units inline until
 //                             it stages one online MWU cycle's probes,
-//                             finishes, or exhausts its DRR budget.  The
-//                             unit sequence per campaign is exactly
-//                             step(budget)'s.
+//                             finishes, or exhausts its DRR budget.
 //                  wave     — every staged probe across every campaign
 //                             is batched into one deterministic parallel
 //                             sweep (split before fan-out; evaluations
@@ -24,8 +22,11 @@
 //                  complete — in ascending grant order, each staged
 //                             campaign applies rewards and its MWU
 //                             update; rounds repeat until every grant's
-//                             budget is consumed.  Trajectories are
-//                             bit-identical to the unpipelined server's.
+//                             budget is consumed.
+//                These are the staged calls CampaignSession::step() drives
+//                serially for one campaign; the epoch only interleaves
+//                them across campaigns, and the batched evaluations are
+//                pure, so trajectories match step(budget)'s.
 //                Campaigns that finish are retired: result JSON rendered
 //                (the same mwr-campaign-outcome-v1 document repair_tool
 //                emits), scheduler slot released, checkpoint removal

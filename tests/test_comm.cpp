@@ -4,7 +4,9 @@
 
 #include <atomic>
 #include <numeric>
+#include <stdexcept>
 
+#include "obs/registry.hpp"
 #include "parallel/comm.hpp"
 
 namespace mwr::parallel {
@@ -183,6 +185,28 @@ TEST(CommWorld, ExplicitPoliciesRunAllRanks) {
     });
     EXPECT_EQ(mask.load(), 0b11111);
   }
+}
+
+TEST(CommWorld, DefaultPolicyRunsSmallWorldsOnTheEngine) {
+  // Two ranks fit any worker pool, yet the default policy still runs them
+  // as engine fibers.  Asserted first: on thread-per-rank the second world
+  // below would hang instead of failing.
+  obs::Counter& slices =
+      obs::MetricsRegistry::global().counter("spmd.engine.fiber_slices");
+  const std::uint64_t before = slices.value();
+  CommWorld benign(2);
+  benign.run([](Comm& comm) { comm.barrier(); });
+  ASSERT_GT(slices.value(), before) << "a default 2-rank world ran "
+                                       "thread-per-rank";
+
+  // Rank 0 throws while rank 1 waits for a message rank 0 never sends: the
+  // engine unwinds rank 1 and run() rethrows rank 0's exception.
+  CommWorld failing(2);
+  EXPECT_THROW(failing.run([](Comm& comm) {
+    if (comm.rank() == 0) throw std::logic_error("rank 0 failed");
+    (void)comm.recv(0, 7);
+  }),
+               std::logic_error);
 }
 
 TEST(Comm, UntrackedSendSkipsCongestion) {

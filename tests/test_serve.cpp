@@ -19,6 +19,7 @@
 #include "apr/campaign_session.hpp"
 #include "apr/outcome_json.hpp"
 #include "obs/registry.hpp"
+#include "parallel/thread_pool.hpp"
 #include "serve/checkpoint.hpp"
 #include "serve/checkpoint_writer.hpp"
 #include "serve/control.hpp"
@@ -236,6 +237,46 @@ TEST(CampaignSessionServe, BudgetPartitioningDoesNotChangeTheTrajectory) {
   EXPECT_EQ(one_shot.trajectory_hash(), chunked.trajectory_hash());
   EXPECT_EQ(apr::outcome_to_json(one_shot.outcome()).dump(2),
             apr::outcome_to_json(drip.outcome()).dump(2));
+}
+
+TEST(CampaignSessionServe, PooledStepMatchesTheStagedCallsAndRunCampaign) {
+  // One bug repaired mid-budget, one exhausting it: both cycle endings.
+  const CampaignPlan plan =
+      plan_campaign(small_request("libtiff-2005-12-14", 17));
+
+  // The staged calls driven by hand, serially, the way the server drives
+  // them for one campaign.
+  apr::CampaignSession staged(plan.spec, plan.config);
+  while (!staged.done()) {
+    std::size_t probes = 0;
+    if (staged.stage_unit(probes) == 0) break;
+    if (!staged.unit_staged()) continue;
+    for (std::size_t j = 0; j < probes; ++j) staged.evaluate_staged(j);
+    staged.complete_unit();
+  }
+  ASSERT_TRUE(staged.done());
+  // Enough online cycles that budgets 1 and 3 split the campaign.
+  std::size_t online_cycles = 0;
+  for (const apr::BugOutcome& bug : staged.outcome().bugs)
+    online_cycles += bug.online_cycles;
+  ASSERT_GT(online_cycles, 3u);
+  const std::string staged_json =
+      apr::outcome_to_json(staged.outcome()).dump(2);
+  EXPECT_EQ(staged_json,
+            apr::outcome_to_json(apr::run_campaign(plan.spec, plan.config))
+                .dump(2));
+
+  parallel::ThreadPool workers(2);
+  for (const std::size_t budget :
+       {std::size_t{1}, std::size_t{3},
+        std::numeric_limits<std::size_t>::max()}) {
+    apr::CampaignSession pooled(plan.spec, plan.config);
+    while (!pooled.done()) (void)pooled.step(budget, &workers);
+    EXPECT_EQ(pooled.trajectory_hash(), staged.trajectory_hash())
+        << "budget " << budget;
+    EXPECT_EQ(apr::outcome_to_json(pooled.outcome()).dump(2), staged_json)
+        << "budget " << budget;
+  }
 }
 
 // --- checkpoint codec ---------------------------------------------------
@@ -595,6 +636,28 @@ TEST(CampaignServer, ScopedMetricsExposePerCampaignViews) {
       obs::MetricsRegistry::global().to_json_string();
   EXPECT_NE(all.find("serve.epochs"), std::string::npos);
   EXPECT_NE(all.find("serve.starved_epochs"), std::string::npos);
+}
+
+TEST(CampaignServer, ServedCyclesObserveTheCycleTimeHistogram) {
+  // Served campaigns complete their cycles through the staged calls, not
+  // RepairSession::step; every cycle must still land in the histogram.
+  auto& registry = obs::MetricsRegistry::global();
+  const obs::Histogram& cycle_seconds =
+      registry.histogram("repair.online.cycle_seconds");
+  const obs::Counter& cycles = registry.counter("repair.online.cycles");
+  const std::uint64_t observed_before = cycle_seconds.count();
+  const std::uint64_t cycles_before = cycles.value();
+
+  ServerConfig config;
+  config.workers = 2;
+  CampaignServer server(config);
+  ASSERT_TRUE(server.submit(small_request("units", 5)).has_value());
+  ASSERT_TRUE(server.submit(small_request("Math8", 6)).has_value());
+  server.drain();
+
+  const std::uint64_t served_cycles = cycles.value() - cycles_before;
+  EXPECT_GT(served_cycles, 0u);
+  EXPECT_EQ(cycle_seconds.count() - observed_before, served_cycles);
 }
 
 TEST(CampaignServer, CheckpointRestoreResumesBitIdentically) {
