@@ -80,6 +80,14 @@ def main():
              f"{counters['oracle.interference_graph_builds']} interference "
              "graphs, expected 1")
 
+    # Every multi-member probe of a campaign evaluates through its bug's
+    # wave table; a hashed pair means a phase-2 probe fell off the wave.
+    if "oracle.pair_cache_misses" not in counters:
+        fail("missing counter oracle.pair_cache_misses")
+    if counters["oracle.pair_cache_misses"] != 0:
+        fail(f"{counters['oracle.pair_cache_misses']} safe pairs were "
+             "hashed, expected 0 (every pooled probe through the wave)")
+
     if gauges["campaign.converged"] != 1.0:
         fail("smoke campaign did not converge (campaign.converged != 1)")
 

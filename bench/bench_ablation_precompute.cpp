@@ -52,6 +52,8 @@ int main(int argc, char** argv) {
   pool_config.seed = seed;
   const auto pool = apr::MutationPool::precompute(pooled_oracle, pool_config);
   const std::uint64_t precompute_runs = pooled_oracle.suite_runs();
+  // Phase-2 probes re-draw from the pool: evaluate them through the wave.
+  pooled_oracle.prime_wave(pool.mutations());
   std::uint64_t pooled_probe_runs = 0;
   util::RunningStats pooled_critical_path;
   for (std::size_t c = 0; c < cycles; ++c) {

@@ -5,8 +5,8 @@
 //                   RngStream::weighted_choice scan vs the Fenwick-tree
 //                   binary descent (util::FenwickSampler).
 //   oracle        — one MWRepair phase-2 probe (evaluate() of a pooled
-//                   32-edit patch): uncached re-hashing vs the primed
-//                   OracleCache (flat semantics + pair-interference cache).
+//                   32-edit patch): uncached re-hashing vs the oracle's
+//                   probe wave (primed semantics + interference CSR).
 //   table2_cycle  — one full Standard-MWU bandit cycle at Table II scale
 //                   (k = 2^14, n = 64 agents): per-agent linear scans vs
 //                   the sampler-backed StandardMwu::sample.
@@ -151,7 +151,7 @@ Section bench_oracle(std::size_t pool_size, std::size_t patch_size,
   pool_config.target_size = pool_size;
   pool_config.seed = seed;
   const auto pool = apr::MutationPool::precompute(uncached, pool_config);
-  cached.prime_cache(pool.mutations());
+  cached.prime_wave(pool.mutations());
 
   // One shared probe schedule (the same patches, in the same order, for
   // both oracles) drawn the way MWRepair phase 2 draws them.

@@ -13,9 +13,10 @@ ArmProbeOracle::ArmProbeOracle(const TestOracle& oracle,
     : oracle_(&oracle), pool_(&pool), repair_(config) {
   if (pool.empty())
     throw std::invalid_argument("ArmProbeOracle: empty mutation pool");
-  // Warm the pooled fast path before any fork: workers then share the
-  // memoized semantics read-only (copy-on-write) instead of re-hashing.
-  oracle.prime_cache(pool.mutations());
+  // Build the probe wave before any fork: workers then share it read-only
+  // (copy-on-write), and every sampled pooled patch evaluates through it
+  // instead of re-hashing its pairs.
+  oracle.prime_wave(pool.mutations());
 }
 
 double ArmProbeOracle::sample(std::size_t option, util::RngStream& rng) const {

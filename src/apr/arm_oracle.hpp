@@ -11,10 +11,10 @@
 // early-exit on repair (the SPMD drivers converge on arm popularity
 // instead).
 //
-// Multi-process worlds fork after construction; the constructor primes
-// the TestOracle's pooled cache so every worker inherits the warmed
-// memoization read-only through copy-on-write pages instead of
-// re-deriving mutation semantics per process.
+// Multi-process worlds fork after construction; the constructor builds
+// the TestOracle's probe wave over the pool, so every worker inherits it
+// read-only through copy-on-write pages instead of re-deriving mutation
+// semantics and pair interference per process.
 #pragma once
 
 #include <cstddef>
@@ -28,9 +28,9 @@ namespace mwr::apr {
 
 class ArmProbeOracle final : public core::CostOracle {
  public:
-  /// Both referents must outlive the oracle.  Primes `oracle`'s cache with
-  /// the pool (one-time cost; no suite runs).  Throws std::invalid_argument
-  /// on an empty pool.
+  /// Both referents must outlive the oracle.  Primes `oracle`'s probe wave
+  /// with the pool (one-time cost; no suite runs).  Throws
+  /// std::invalid_argument on an empty pool.
   ArmProbeOracle(const TestOracle& oracle, const MutationPool& pool,
                  const MwRepairConfig& config);
 

@@ -138,7 +138,7 @@ void CampaignSession::open_repair(parallel::ThreadPool* workers) {
     // later bug's wave: only the per-member masks, the relevance bits and
     // the suite-size-dependent broken test are redone per bug.
     const std::span<const Mutation> pool = working_pool_.mutations();
-    if (!graph_ && pool.size() <= OracleCache::kMaxPairDimension) {
+    if (!graph_ && pool.size() <= OracleCache::kMaxWavePool) {
       graph_ = std::make_unique<const InterferenceGraph>(
           bug_lease_.oracle->interference_graph(pool, workers));
     }

@@ -4,20 +4,6 @@
 
 namespace mwr::apr {
 
-std::optional<MutationSemantics> OracleCache::lookup(std::uint64_t key) const {
-  Shard& shard = shard_for(key);
-  const util::MutexLock lock(shard.mutex);
-  const auto it = shard.map.find(key);
-  if (it == shard.map.end()) return std::nullopt;
-  return it->second;
-}
-
-void OracleCache::store(std::uint64_t key, MutationSemantics value) {
-  Shard& shard = shard_for(key);
-  const util::MutexLock lock(shard.mutex);
-  shard.map.emplace(key, value);
-}
-
 void OracleCache::prime(std::vector<std::uint64_t> sorted_keys,
                         std::vector<MutationSemantics> semantics) {
   if (primed() && sorted_keys == pool_keys_) return;
@@ -41,12 +27,6 @@ void OracleCache::prime(std::vector<std::uint64_t> sorted_keys,
     index_table_[slot] =
         IndexEntry{pool_keys_[i], static_cast<std::uint32_t>(i + 1)};
   }
-  pair_dimension_ = std::min(pool_keys_.size(), kMaxPairDimension);
-  const std::size_t slots =
-      pair_dimension_ * (pair_dimension_ > 0 ? pair_dimension_ - 1 : 0) / 2;
-  // vector<atomic> cannot be resized through assignment; construct fresh
-  // (zero-initialized == kPairUnknown).
-  pairs_ = std::vector<std::atomic<std::uint8_t>>(slots);
   primed_.store(true, std::memory_order_release);
 }
 

@@ -6,40 +6,32 @@
 // key): the broken-test mask costs T stable hashes per mutation (T up to
 // 64) and each unordered pair of safe mutations costs another hash in the
 // O(x^2) interference pass.  During MWRepair phase 2 every probe re-draws
-// from the same precomputed pool, so the same masks and the same pairs are
-// recomputed thousands of times.  This cache stores them once:
+// from the same precomputed pool, so the cache is built over that pool
+// once, in two layers:
 //
-//   mutation-key cache  — sharded (mutex-striped) hash map from the 64-bit
-//                         mutation key to {broken mask, repair-relevance},
-//                         safe for concurrent insert from the precompute
-//                         thread pool;
-//   primed fast path    — after a pool is known, prime() freezes its
-//                         members into a flat array indexed by pool
-//                         position (key lookup = binary search over the
-//                         pool's sorted keys), read lock-free;
-//   pair cache          — bounded triangular array of atomic bytes over
-//                         pool-index pairs, recording "no interference" or
-//                         the broken test bit.  Exact by construction (the
-//                         index pair *is* the identity — no hash
-//                         collisions), lock-free, and capped at
-//                         kMaxPairDimension pool members (~2 MiB).
+//   primed semantics — prime() freezes the pool members' semantics into a
+//                      flat array indexed by pool position (key lookup =
+//                      one probe of an open-addressing table), read
+//                      lock-free;
+//   probe-wave table — install_wave() adds the eager evaluation operands
+//                      (flat masks, safe / relevant bitsets, the CSR of
+//                      interfering safe pairs) for pools of at most
+//                      kMaxWavePool members; TestOracle evaluates pooled
+//                      patches against it without hashing.
 //
-// Everything cached is deterministic, so cached and uncached evaluation are
+// Both layers are written only between phases and read-only while probes
+// run, so concurrent evaluate()s share them without locks.  Everything
+// cached is deterministic, so cached and uncached evaluation are
 // bit-identical — the golden tests in tests/test_oracle_cache.cpp compare
 // the two paths directly.
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <cstdint>
-#include <optional>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "apr/mutation.hpp"
-#include "util/sync.hpp"
-#include "util/thread_annotations.hpp"
 
 namespace mwr::apr {
 
@@ -58,29 +50,17 @@ struct MutationSemantics {
 
 class OracleCache {
  public:
-  /// Pool members beyond this bound fall back to the sharded map and
-  /// direct pair computation; the triangular pair array for the bound is
-  /// kMaxPairDimension^2 / 2 bytes (~2 MiB).
-  static constexpr std::size_t kMaxPairDimension = 2048;
-
-  /// Pair-outcome encoding inside the triangular byte array.
-  static constexpr std::uint8_t kPairUnknown = 0;
-  static constexpr std::uint8_t kPairClean = 1;   ///< no interference.
-  static constexpr std::uint8_t kPairBitBase = 2; ///< broken bit = v - 2.
+  /// Pools larger than this get no wave table (its eager pair pass
+  /// would not amortize); their pooled patches take the reference path.
+  static constexpr std::size_t kMaxWavePool = 2048;
 
   OracleCache() = default;
   OracleCache(const OracleCache&) = delete;
   OracleCache& operator=(const OracleCache&) = delete;
 
-  // --- sharded mutation-key cache (any mutation, any thread) ---
+  // --- primed semantics index ---
 
-  [[nodiscard]] std::optional<MutationSemantics> lookup(
-      std::uint64_t key) const;
-  void store(std::uint64_t key, MutationSemantics value);
-
-  // --- primed pooled-mutation fast path ---
-
-  /// Freezes the pooled mutations' semantics into the flat fast path.
+  /// Freezes the pooled mutations' semantics into the flat index.
   /// `sorted_keys` must be ascending and unique (the MutationPool
   /// invariant) and aligned with `semantics`.  Must not race evaluate():
   /// call between phases, as MutationPool::precompute and MwRepair::run
@@ -120,71 +100,6 @@ class OracleCache {
   /// Key of the primed pool member at `index`.
   [[nodiscard]] std::uint64_t pool_key(std::size_t index) const {
     return pool_keys_[index];
-  }
-
-  // --- bounded pair-interference cache (pool indices, lock-free) ---
-
-  /// Whether the pair (i, j) of pool indices is cacheable (both below the
-  /// dimension bound).
-  [[nodiscard]] bool pair_cacheable(std::size_t i, std::size_t j) const {
-    return i < pair_dimension_ && j < pair_dimension_;
-  }
-
-  /// Encoded pair outcome, kPairUnknown when never stored.
-  [[nodiscard]] std::uint8_t lookup_pair(std::size_t i, std::size_t j) const {
-    return pairs_[pair_slot(i, j)].load(std::memory_order_relaxed);
-  }
-
-  void store_pair(std::size_t i, std::size_t j, std::uint8_t encoded) {
-    pairs_[pair_slot(i, j)].store(encoded, std::memory_order_relaxed);
-  }
-
-  /// Encodes a pair-interference outcome for store_pair.
-  [[nodiscard]] static std::uint8_t encode_pair(bool interferes,
-                                                std::uint32_t broken_bit) {
-    return interferes ? static_cast<std::uint8_t>(kPairBitBase + broken_bit)
-                      : kPairClean;
-  }
-
-  /// Decodes lookup_pair's value into the broken-test mask contribution.
-  [[nodiscard]] static std::uint64_t decode_pair_mask(std::uint8_t encoded) {
-    return encoded >= kPairBitBase
-               ? (std::uint64_t{1} << (encoded - kPairBitBase))
-               : 0;
-  }
-
-  /// ORs the interference masks of every unordered pair among
-  /// `sorted_indices` (strictly ascending pool indices, all below the
-  /// pair-cache dimension).  The hot path of a phase-2 probe: with the
-  /// indices sorted, each row's cached slots are contiguous bytes, so a
-  /// warm probe is a sequential scan rather than per-pair index
-  /// arithmetic.  Unknown slots are resolved through `miss(i, j)` (which
-  /// returns the encoded outcome) and recorded.  `hits`/`misses`
-  /// accumulate counter deltas for the caller to flush.
-  template <typename MissFn>
-  std::uint64_t fold_pair_masks(std::span<const std::size_t> sorted_indices,
-                                MissFn&& miss, std::uint64_t& hits,
-                                std::uint64_t& misses) {
-    std::uint64_t mask = 0;
-    for (std::size_t a = 0; a + 1 < sorted_indices.size(); ++a) {
-      const std::size_t i = sorted_indices[a];
-      // pair_slot(i, j) = base + j for every j > i in this row.
-      const std::size_t base =
-          i * (2 * pair_dimension_ - i - 1) / 2 - i - 1;
-      for (std::size_t b = a + 1; b < sorted_indices.size(); ++b) {
-        const std::size_t j = sorted_indices[b];
-        std::uint8_t v = pairs_[base + j].load(std::memory_order_relaxed);
-        if (v == kPairUnknown) {
-          ++misses;
-          v = miss(i, j);
-          pairs_[base + j].store(v, std::memory_order_relaxed);
-        } else {
-          ++hits;
-        }
-        mask |= decode_pair_mask(v);
-      }
-    }
-    return mask;
   }
 
   // --- probe-wave table (eager per-oracle evaluation operands) ---
@@ -236,35 +151,10 @@ class OracleCache {
     std::uint32_t index_plus_one = 0;
   };
 
-  [[nodiscard]] std::size_t pair_slot(std::size_t i, std::size_t j) const {
-    // Upper-triangular (i < j) row-major index.
-    if (i > j) std::swap(i, j);
-    return i * (2 * pair_dimension_ - i - 1) / 2 + (j - i - 1);
-  }
-
-  static constexpr std::size_t kShards = 16;
-  struct Shard {
-    mutable util::Mutex mutex;
-    // Keyed lookup/insert only — never iterated, so the unordered layout
-    // can't leak nondeterminism into probe results (mwr_lint's
-    // unordered-iteration rule keeps it that way).
-    std::unordered_map<std::uint64_t, MutationSemantics> map
-        MWR_GUARDED_BY(mutex);
-  };
-  [[nodiscard]] Shard& shard_for(std::uint64_t key) const {
-    // Mutation keys concentrate their entropy in the low bits (donor) and
-    // bits 31.. (target); fold before striping.
-    return shards_[(key ^ (key >> 31)) % kShards];
-  }
-
-  mutable std::array<Shard, kShards> shards_;
-
   std::vector<std::uint64_t> pool_keys_;
   std::vector<MutationSemantics> pool_semantics_;
   std::vector<IndexEntry> index_table_;
   std::size_t table_mask_ = 0;
-  std::size_t pair_dimension_ = 0;
-  std::vector<std::atomic<std::uint8_t>> pairs_;
   std::atomic<bool> primed_{false};
 
   WaveTable wave_;

@@ -59,26 +59,23 @@ RepairSession::RepairSession(const MwRepairConfig& config,
   repaired_gauge_ = &metrics.gauge("repair.repaired");
 
   // Wave fast path: usable when the oracle carries an eager wave table
-  // and every working-pool member is byte-equal to the primed pool
-  // member its key names.  Key equality alone is not enough — a swap's
-  // key orders its operands, and the wave's relevance bits bake in the
-  // coverage of the pool member's concrete target.  The map is monotone
-  // (both pools are key-sorted), so ascending working indices translate
-  // to ascending primed indices and the canonical patch order survives.
+  // and every working-pool member is a wave-pool member (wave_index_of).
+  // The map is monotone (both pools are key-sorted), so ascending working
+  // indices translate to ascending primed indices and the canonical patch
+  // order survives.
   if (oracle.wave_ready()) {
-    const std::span<const Mutation> wave_pool = oracle.wave_pool();
     wave_map_.reserve(pool.size());
     bool mapped = true;
     for (const Mutation& m : pool.mutations()) {
-      const std::size_t idx = oracle.pool_index_of(m);
-      if (idx == OracleCache::npos || !(wave_pool[idx] == m)) {
+      const std::size_t idx = oracle.wave_index_of(m);
+      if (idx == OracleCache::npos) {
         mapped = false;
         break;
       }
       wave_map_.push_back(static_cast<std::uint32_t>(idx));
     }
     wave_fast_path_ = mapped;
-    wave_identity_ = mapped && wave_map_.size() == wave_pool.size();
+    wave_identity_ = mapped && wave_map_.size() == oracle.wave_pool().size();
     if (!mapped) wave_map_.clear();
   }
 }

@@ -91,21 +91,13 @@ MutationSemantics TestOracle::compute_semantics(const Mutation& m) const {
 
 MutationSemantics TestOracle::semantics_for(const Mutation& m) const {
   if (!cache_) return compute_semantics(m);
-  const std::uint64_t key = m.key();
-  // Lock-free pooled fast path first, sharded map second.
-  const std::size_t idx = cache_->pool_index(key);
+  const std::size_t idx = cache_->pool_index(m.key());
   if (idx != OracleCache::npos) {
     mask_hits_->add(1);
     return cache_->pooled(idx);
   }
-  if (const auto hit = cache_->lookup(key)) {
-    mask_hits_->add(1);
-    return *hit;
-  }
   mask_misses_->add(1);
-  const MutationSemantics s = compute_semantics(m);
-  cache_->store(key, s);
-  return s;
+  return compute_semantics(m);
 }
 
 std::uint64_t TestOracle::pair_hash(std::uint64_t lo,
@@ -120,139 +112,66 @@ std::uint64_t TestOracle::pair_interference_mask(std::uint64_t lo,
 }
 
 Evaluation TestOracle::evaluate(std::span<const Mutation> patch) const {
+  // Wave path: every member is a distinct wave-pool member, so the patch
+  // is a set of pool indices.  Per-thread scratch: evaluate() runs
+  // millions of times from the probe thread pool.
+  if (wave_ready()) {
+    thread_local std::vector<std::uint32_t> indices;
+    indices.clear();
+    for (const Mutation& m : patch) {
+      const std::size_t idx = wave_index_of(m);
+      if (idx == OracleCache::npos) break;
+      indices.push_back(static_cast<std::uint32_t>(idx));
+    }
+    if (indices.size() == patch.size()) {
+      std::sort(indices.begin(), indices.end());
+      if (std::adjacent_find(indices.begin(), indices.end()) ==
+          indices.end()) {
+        return evaluate_pooled(indices);
+      }
+    }
+  }
+
+  // Reference path: each member's semantics from the primed index when
+  // pooled, computed otherwise; then every pair of safe members hashed
+  // (Fig 4a's mechanism).  Counters are accumulated in locals and flushed
+  // once per call.
   suite_runs_.fetch_add(1, std::memory_order_relaxed);
   const auto& spec = program_->spec();
-
-  // Per-mutation breakage first (cached: two probes; uncached: O(T)
-  // hashes), so the pair loop below can test safety as a flag lookup
-  // instead of re-hashing the suite.  Cache counters are accumulated in
-  // locals and flushed once per call — per-pair atomic increments would
-  // cost more than the cached lookups they measure.
-  // Per-thread scratch: evaluate() runs millions of times from the probe
-  // thread pool, so its working vectors are reused across calls instead of
-  // reallocated.
-  thread_local std::vector<unsigned char> safe;
-  thread_local std::vector<MutationSemantics> semantics;
-  thread_local std::vector<std::size_t> pool_idx;
-  thread_local std::vector<std::size_t> cacheable;  // sorted pool indices
-  thread_local std::vector<std::size_t> rest;       // patch positions
-
+  thread_local std::vector<std::uint64_t> safe_keys;
+  safe_keys.clear();
   std::uint64_t broken = 0;
-  safe.assign(patch.size(), 0);
-  semantics.assign(patch.size(), MutationSemantics{});
-  const bool primed = cache_ && cache_->primed();
-  if (primed) pool_idx.assign(patch.size(), OracleCache::npos);
-  std::uint64_t mask_hits = 0;
-  std::uint64_t mask_misses = 0;
-  for (std::size_t i = 0; i < patch.size(); ++i) {
-    if (cache_) {
-      const std::uint64_t key = patch[i].key();
-      const std::size_t idx = primed ? cache_->pool_index(key)
-                                     : OracleCache::npos;
-      if (idx != OracleCache::npos) {
-        pool_idx[i] = idx;
-        semantics[i] = cache_->pooled(idx);
-        ++mask_hits;
-      } else if (const auto hit = cache_->lookup(key)) {
-        semantics[i] = *hit;
-        ++mask_hits;
-      } else {
-        ++mask_misses;
-        semantics[i] = compute_semantics(patch[i]);
-        cache_->store(key, semantics[i]);
-      }
-    } else {
-      semantics[i] = compute_semantics(patch[i]);
-    }
-    broken |= semantics[i].broken_mask;
-    safe[i] = (semantics[i].broken_mask == 0);
-  }
-  if (cache_) {
-    if (mask_hits) mask_hits_->add(mask_hits);
-    if (mask_misses) mask_misses_->add(mask_misses);
-  }
-
   std::size_t relevant = 0;
-  for (std::size_t i = 0; i < patch.size(); ++i) {
-    if (safe[i] && semantics[i].relevance_hash_pass &&
-        (!spec.relevance_localized ||
-         failing_test_covers(spec, patch[i].target))) {
+  std::uint64_t mask_hits = 0;
+  for (const Mutation& m : patch) {
+    const std::size_t idx =
+        cache_ ? cache_->pool_index(m.key()) : OracleCache::npos;
+    MutationSemantics s;
+    if (idx != OracleCache::npos) {
+      s = cache_->pooled(idx);
+      ++mask_hits;
+    } else {
+      s = compute_semantics(m);
+    }
+    broken |= s.broken_mask;
+    if (s.broken_mask != 0) continue;
+    safe_keys.push_back(m.key());
+    if (s.relevance_hash_pass &&
+        (!spec.relevance_localized || failing_test_covers(spec, m.target))) {
       ++relevant;
     }
   }
-
-  // Pairwise interference among safe mutations (Fig 4a's mechanism).
-  // Safe members split into the pair-cacheable set (pooled, below the
-  // cache's dimension bound) and the rest; cacheable-vs-cacheable pairs go
-  // through the lock-free triangular byte cache — exact, since the
-  // pool-index pair *is* the identity — and every pair touching the rest
-  // is hashed directly, as before.  A duplicate pool index (a degenerate
-  // non-canonical patch) disables the cached split so the hash count stays
-  // identical to the reference path.
-  std::uint64_t pair_hits = 0;
-  std::uint64_t pair_misses = 0;
-  cacheable.clear();
-  rest.clear();
-  bool degenerate = false;
-  if (primed) {
-    for (std::size_t i = 0; i < patch.size(); ++i) {
-      if (!safe[i]) continue;
-      if (pool_idx[i] != OracleCache::npos &&
-          cache_->pair_cacheable(pool_idx[i], pool_idx[i])) {
-        cacheable.push_back(pool_idx[i]);
-      } else {
-        rest.push_back(i);
-      }
-    }
-    std::sort(cacheable.begin(), cacheable.end());
-    degenerate = std::adjacent_find(cacheable.begin(), cacheable.end()) !=
-                 cacheable.end();
-  }
-  if (primed && !degenerate) {
-    broken |= cache_->fold_pair_masks(
-        cacheable,
-        [&](std::size_t i, std::size_t j) {
-          // Pool indices ascend with keys, so (i, j) is already (lo, hi).
-          const std::uint64_t pair_mask =
-              pair_interference_mask(cache_->pool_key(i),
-                                     cache_->pool_key(j));
-          return OracleCache::encode_pair(
-              pair_mask != 0,
-              static_cast<std::uint32_t>(std::countr_zero(
-                  pair_mask | (std::uint64_t{1} << 63))));
-        },
-        pair_hits, pair_misses);
-    // Pairs with at least one non-cacheable member.
-    for (std::size_t a = 0; a < rest.size(); ++a) {
-      const std::uint64_t key_a = patch[rest[a]].key();
-      for (const std::size_t i : cacheable) {
-        std::uint64_t lo = key_a;
-        std::uint64_t hi = cache_->pool_key(i);
-        if (hi < lo) std::swap(lo, hi);
-        broken |= pair_interference_mask(lo, hi);
-      }
-      for (std::size_t b = a + 1; b < rest.size(); ++b) {
-        std::uint64_t lo = key_a;
-        std::uint64_t hi = patch[rest[b]].key();
-        if (hi < lo) std::swap(lo, hi);
-        broken |= pair_interference_mask(lo, hi);
-      }
-    }
-  } else {
-    for (std::size_t i = 0; i < patch.size(); ++i) {
-      if (!safe[i]) continue;
-      for (std::size_t j = i + 1; j < patch.size(); ++j) {
-        if (!safe[j]) continue;
-        std::uint64_t lo = patch[i].key();
-        std::uint64_t hi = patch[j].key();
-        if (hi < lo) std::swap(lo, hi);
-        broken |= pair_interference_mask(lo, hi);
-      }
+  for (std::size_t i = 0; i < safe_keys.size(); ++i) {
+    for (std::size_t j = i + 1; j < safe_keys.size(); ++j) {
+      broken |= pair_interference_mask(std::min(safe_keys[i], safe_keys[j]),
+                                        std::max(safe_keys[i], safe_keys[j]));
     }
   }
-  if (cache_ && (pair_hits || pair_misses)) {
-    if (pair_hits) pair_hits_->add(pair_hits);
-    if (pair_misses) pair_misses_->add(pair_misses);
+  if (cache_) {
+    const std::size_t n_safe = safe_keys.size();
+    if (mask_hits) mask_hits_->add(mask_hits);
+    if (patch.size() > mask_hits) mask_misses_->add(patch.size() - mask_hits);
+    if (n_safe >= 2) pair_misses_->add(n_safe * (n_safe - 1) / 2);
   }
 
   Evaluation result;
@@ -409,7 +328,7 @@ void TestOracle::prime_wave(std::span<const Mutation> pool,
   if (!cache_ || pool.empty()) return;
   prime_cache(pool);
   if (cache_->wave_ready()) return;  // same pool: prime_cache kept the wave.
-  if (pool.size() > OracleCache::kMaxPairDimension) return;
+  if (pool.size() > OracleCache::kMaxWavePool) return;
   InterferenceGraph own;
   if (graph == nullptr) {
     own = interference_graph(pool);

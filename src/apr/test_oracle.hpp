@@ -26,16 +26,17 @@
 //
 // Because the semantics are a pure function of (spec, mutation key), the
 // oracle memoizes them in an OracleCache (on by default; construct with
-// enable_cache = false for the uncached reference path): per-mutation
-// masks and relevance are computed once, and after prime_cache() installs
-// a mutation pool, phase-2 probes skip all per-mutation re-hashing and
-// resolve pair interference through a lock-free bounded cache.
-// prime_wave() goes further: it flattens the pool into the probe-wave
-// table that phase-2 probes (single-shot and served alike) evaluate
-// through evaluate_pooled().  Cache traffic is exported as the obs
-// counters oracle.mask_cache_{hits,misses} and
-// oracle.pair_cache_{hits,misses}.  Cached, waved and uncached evaluation
-// are bit-identical (golden-tested).
+// enable_cache = false for the uncached reference path).  prime_cache()
+// freezes a mutation pool's per-member masks and relevance; prime_wave()
+// adds the probe-wave table.  evaluate() then has two paths: a patch whose
+// members are all distinct wave-pool members is evaluated through
+// evaluate_pooled() without hashing; any other patch takes the reference
+// path, which reads pooled members' semantics from the primed index,
+// computes the rest, and hashes every safe pair.  Cache traffic is
+// exported as the obs counters oracle.mask_cache_{hits,misses} (pooled /
+// computed members) and oracle.pair_cache_{hits,misses} (safe pairs
+// resolved by the wave / hashed).  Waved and uncached evaluation are
+// bit-identical (golden-tested).
 //
 // Every evaluate() call counts one test-suite run — the unit in which the
 // paper measures APR cost (§IV-G) — via a relaxed atomic, so concurrent
@@ -84,7 +85,10 @@ class TestOracle {
   /// the golden equivalence tests and the hot-path bench compare against.
   explicit TestOracle(const ProgramModel& program, bool enable_cache = true);
 
-  /// Runs the (simulated) suite on original-program-plus-patch.
+  /// Runs the (simulated) suite on original-program-plus-patch: through
+  /// evaluate_pooled() when the oracle is wave_ready() and every member is
+  /// a distinct wave-pool member (key and full Mutation equality, in any
+  /// order), the reference path otherwise.  Either way one suite run.
   [[nodiscard]] Evaluation evaluate(std::span<const Mutation> patch) const;
 
   /// Fitness of the unpatched program: passes all required tests, fails the
@@ -101,10 +105,10 @@ class TestOracle {
   [[nodiscard]] bool is_safe(const Mutation& m) const;
   [[nodiscard]] bool is_repair_relevant(const Mutation& m) const;
 
-  /// Eagerly memoizes the pooled mutations' masks/relevance and installs
-  /// the lock-free pooled fast path (flat semantics array + bounded pair
-  /// cache).  No-op when the cache is disabled or the same pool is already
-  /// primed.  Must not race evaluate(); does not count suite runs.
+  /// Eagerly memoizes the pooled mutations' masks/relevance into the
+  /// lock-free primed index the reference path reads.  No-op when the
+  /// cache is disabled or the same pool is already primed.  Must not race
+  /// evaluate(); does not count suite runs.
   void prime_cache(std::span<const Mutation> pool) const;
 
   /// The interference graph of `pool` (key-sorted and unique): every
@@ -125,7 +129,7 @@ class TestOracle {
   /// `graph`, which must be this program's graph of a superset of `pool`
   /// (std::invalid_argument otherwise), so a graph built once serves many
   /// oracles at O(n + edges) each; with no graph one is built over `pool`.
-  /// Pools larger than OracleCache::kMaxPairDimension skip the wave (the
+  /// Pools larger than OracleCache::kMaxWavePool skip the wave (the
   /// eager pair pass would not amortize); evaluate() works identically
   /// either way.  Same no-race contract as prime_cache; no suite runs
   /// counted.  RepairSession calls it for its pool unless the oracle's
@@ -138,8 +142,7 @@ class TestOracle {
     return cache_ && cache_->wave_ready();
   }
 
-  /// The wave's primed pool members (valid only while wave_ready()) —
-  /// what mappers compare against for full-equality verification.
+  /// The wave's primed pool members (valid only while wave_ready()).
   [[nodiscard]] std::span<const Mutation> wave_pool() const noexcept {
     return cache_->wave().pool;
   }
@@ -147,20 +150,23 @@ class TestOracle {
   /// Pooled twin of evaluate() for wave-ready oracles: `pool_indices`
   /// names the patch as strictly ascending positions in the primed pool
   /// (the canonical patch in index space — see sample_from_pool_indexed).
-  /// Bit-identical to evaluate() over the same mutations, counts one
-  /// suite run, and books the same mask/pair cache-hit deltas a fully
-  /// warm evaluate() would, so ledgers and telemetry cannot tell the
-  /// paths apart.
+  /// evaluate() routes pooled patches here; bit-identical to the
+  /// reference path over the same mutations.  Counts one suite run and
+  /// books one mask hit per member and one pair hit per safe pair.
   [[nodiscard]] Evaluation evaluate_pooled(
       std::span<const std::uint32_t> pool_indices) const;
 
-  /// Pool position of `m` in the primed pool, or OracleCache::npos when
-  /// not primed / not pooled.  Key lookup only — callers mapping working
-  /// sets must verify full Mutation equality against the pool member (a
-  /// swap's key orders its operands; coverage depends on the concrete
-  /// target).
-  [[nodiscard]] std::size_t pool_index_of(const Mutation& m) const {
-    return cache_ ? cache_->pool_index(m.key()) : OracleCache::npos;
+  /// Position of `m` in the wave's pool, or OracleCache::npos when the
+  /// oracle is not wave_ready() or `m` is not a wave-pool member.  Key
+  /// lookup, then full Mutation equality: a swap's key orders its
+  /// operands, and the wave's relevance bits bake in the coverage of the
+  /// pool member's concrete target.
+  [[nodiscard]] std::size_t wave_index_of(const Mutation& m) const {
+    if (!wave_ready()) return OracleCache::npos;
+    const std::size_t idx = cache_->pool_index(m.key());
+    return idx != OracleCache::npos && cache_->wave().pool[idx] == m
+               ? idx
+               : OracleCache::npos;
   }
 
   [[nodiscard]] bool cache_enabled() const noexcept {
@@ -180,7 +186,8 @@ class TestOracle {
   /// The raw (uncached) semantics computations.
   [[nodiscard]] std::uint64_t broken_mask_single(const Mutation& m) const;
   [[nodiscard]] MutationSemantics compute_semantics(const Mutation& m) const;
-  /// Cached when possible; counts one mask-cache hit or miss.
+  /// From the primed index when pooled, computed otherwise; counts one
+  /// mask-cache hit or miss.
   [[nodiscard]] MutationSemantics semantics_for(const Mutation& m) const;
   [[nodiscard]] std::uint64_t pair_hash(std::uint64_t lo,
                                         std::uint64_t hi) const noexcept;
@@ -208,8 +215,8 @@ class TestOracle {
   mutable std::atomic<std::uint64_t> suite_runs_{0};
 
   // Memoization (null when disabled).  The cache only ever stores pure
-  // functions of the spec, so mutating it from const evaluate() preserves
-  // logical constness.
+  // functions of the spec, so filling it from the const prime_cache() and
+  // prime_wave() preserves logical constness; evaluate() only reads it.
   mutable std::unique_ptr<OracleCache> cache_;
   obs::Counter* mask_hits_ = nullptr;
   obs::Counter* mask_misses_ = nullptr;

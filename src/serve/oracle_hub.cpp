@@ -210,7 +210,7 @@ apr::ScenarioServices::PoolLease OracleHub::base_pool(
     auto pool = std::make_shared<const apr::MutationPool>(
         apr::MutationPool::precompute(oracle, config));
     lease.precompute_runs = oracle.suite_runs();
-    if (pool->size() <= apr::OracleCache::kMaxPairDimension) {
+    if (pool->size() <= apr::OracleCache::kMaxWavePool) {
       lease.graph = std::make_shared<const apr::InterferenceGraph>(
           oracle.interference_graph(pool->mutations()));
     }

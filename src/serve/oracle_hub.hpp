@@ -4,16 +4,17 @@
 // thousand-tenant load over ten named scenarios means ~a hundred
 // campaigns per (program, suite, bug) triple.  Building a private
 // ProgramModel + TestOracle per campaign would duplicate both the model
-// memory and — far worse — the oracle's sharded mask cache, so identical
-// probes paid for by one tenant would be re-paid by every other.
+// memory and — far worse — the oracle's primed semantics and wave table,
+// so the pool precompute paid for by one tenant would be re-paid by every
+// other.
 //
 // OracleHub is the ScenarioServices implementation the server hands its
 // sessions.  It interns, keyed by a fingerprint of every spec field:
 //
 //   oracle_for()  — one shared TestOracle per exact (spec, bug, suite)
-//                   triple.  All tenants' probes land in that oracle's
-//                   sharded mutation-key cache, so "same scenario + same
-//                   mask" dedups across campaigns by construction.  The
+//                   triple.  All tenants' probes read that oracle's
+//                   primed semantics and wave table, so "same scenario +
+//                   same mask" dedups across campaigns by construction.  The
 //                   hub primes a new oracle (prime_wave: cache plus eager
 //                   wave table) from an already-interned base pool of the
 //                   same program, and marks the lease shared so tenants

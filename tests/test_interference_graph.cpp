@@ -1,7 +1,8 @@
 // Interference-graph tests: one graph per program, hashed over the base
 // pool, must give the probe wave of every (bug, suite) oracle the uncached
 // reference's answers — in the oracle, a single-shot session, and a
-// campaign.
+// campaign.  evaluate() on a wave oracle must route every patch shape to
+// the path that gives those answers, from one thread or several.
 //
 // These live in their own test binary.  The ScenarioOracleSweep names in
 // mwr_test_apr embed a byte dump of a heap-allocated parameter, so every
@@ -11,6 +12,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <stdexcept>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "apr/campaign.hpp"
@@ -179,6 +182,149 @@ TEST(OracleCache, PrimeWaveRejectsAForeignOrPartialGraph) {
   const InterferenceGraph full = oracle.interference_graph(pool.mutations());
   oracle.prime_wave(half, &full);
   EXPECT_TRUE(oracle.wave_ready());
+}
+
+// Fisher-Yates over the repo's RngStream, so shuffled patches are the
+// same on every standard library.
+void shuffle_patch(Patch& patch, util::RngStream& rng) {
+  for (std::size_t i = patch.size(); i > 1; --i) {
+    std::swap(patch[i - 1], patch[rng.uniform_index(i)]);
+  }
+}
+
+TEST(OracleCache, EvaluateRoutesPooledPatchesThroughTheWave) {
+  // evaluate() on a wave-ready oracle must give the uncached reference's
+  // answer for every patch shape: through the wave when each member is a
+  // distinct pool member, by hashing pairs otherwise.
+  auto& metrics = obs::MetricsRegistry::global();
+  obs::Counter& pair_hits = metrics.counter("oracle.pair_cache_hits");
+  obs::Counter& pair_misses = metrics.counter("oracle.pair_cache_misses");
+  for (const bool localized : {false, true}) {
+    const ProgramModel program(cache_spec(localized));
+    const TestOracle uncached(program, false);
+    const TestOracle waved(program, true);
+    PoolConfig config;
+    config.target_size = 300;
+    config.seed = 5;
+    const auto pool = MutationPool::precompute(uncached, config);
+    waved.prime_wave(pool.mutations());
+    ASSERT_TRUE(waved.wave_ready());
+    const std::uint64_t runs_before = waved.suite_runs();
+    std::uint64_t evaluations = 0;
+    const auto expect_reference = [&](const Patch& patch, const char* shape,
+                                      int trial) {
+      ++evaluations;
+      EXPECT_EQ(uncached.evaluate(patch), waved.evaluate(patch))
+          << shape << " localized=" << localized << " trial=" << trial;
+    };
+
+    util::RngStream rng(61);
+    std::vector<Patch> canonical;
+    for (int trial = 0; trial < 200; ++trial) {
+      canonical.push_back(
+          sample_from_pool(pool.mutations(), 2 + rng.uniform_index(30), rng));
+    }
+    const std::uint64_t hits_before = pair_hits.value();
+    const std::uint64_t misses_before = pair_misses.value();
+    for (int trial = 0; trial < 200; ++trial) {
+      expect_reference(canonical[trial], "canonical", trial);
+    }
+    EXPECT_GT(pair_hits.value(), hits_before);
+    EXPECT_EQ(pair_misses.value(), misses_before);
+
+    // Member order does not matter to the wave...
+    for (int trial = 0; trial < 200; ++trial) {
+      Patch shuffled = canonical[trial];
+      shuffle_patch(shuffled, rng);
+      expect_reference(shuffled, "shuffled", trial);
+    }
+    EXPECT_EQ(pair_misses.value(), misses_before);
+    // ...but a repeated member is not a set of pool indices: it takes the
+    // reference path, which hashes the member's pair with itself.
+    for (int trial = 0; trial < 200; ++trial) {
+      Patch duplicated = canonical[trial];
+      const Mutation twin = duplicated[rng.uniform_index(duplicated.size())];
+      duplicated.push_back(twin);
+      shuffle_patch(duplicated, rng);
+      expect_reference(duplicated, "duplicated", trial);
+    }
+    EXPECT_GT(pair_misses.value(), misses_before);
+
+    // A swap whose key is pooled, named with the operands the other way
+    // round: the wave's relevance bit belongs to the pooled orientation.
+    std::size_t reversed_swaps = 0;
+    for (const Mutation& m : pool.mutations()) {
+      if (m.kind != MutationKind::kSwap || m.target == m.donor) continue;
+      const Mutation reversed{MutationKind::kSwap, m.donor, m.target};
+      ASSERT_EQ(reversed.key(), m.key());
+      Patch patch = sample_from_pool(pool.mutations(), 6, rng);
+      std::erase(patch, m);
+      patch.push_back(reversed);
+      expect_reference(patch, "reversed-swap",
+                       static_cast<int>(reversed_swaps++));
+    }
+    EXPECT_GT(reversed_swaps, 0u);
+
+    const std::uint64_t mixed_misses_before = pair_misses.value();
+    for (int trial = 0; trial < 200; ++trial) {
+      Patch patch = sample_from_pool(pool.mutations(), 6, rng);
+      for (int extra = 0; extra < 4; ++extra) {
+        patch.push_back(random_mutation(program, rng));
+      }
+      canonicalize(patch);
+      expect_reference(patch, "mixed", trial);
+    }
+    EXPECT_GT(pair_misses.value(), mixed_misses_before);
+    // Whichever path it takes, every evaluate() is one suite run.
+    EXPECT_EQ(waved.suite_runs() - runs_before, evaluations);
+  }
+}
+
+TEST(OracleCache, ConcurrentEvaluateOnOneWaveOracle) {
+  // One wave oracle shared by four probe threads answers exactly as a
+  // serial pass does, on both the wave and the reference path.
+  const ProgramModel program(cache_spec(true));
+  const TestOracle oracle(program, true);
+  PoolConfig config;
+  config.target_size = 300;
+  config.seed = 5;
+  const auto pool = MutationPool::precompute(oracle, config);
+  oracle.prime_wave(pool.mutations());
+  ASSERT_TRUE(oracle.wave_ready());
+
+  util::RngStream rng(77);
+  std::vector<Patch> probes;
+  for (int trial = 0; trial < 400; ++trial) {
+    Patch patch =
+        sample_from_pool(pool.mutations(), 2 + rng.uniform_index(30), rng);
+    if (trial % 4 == 1) shuffle_patch(patch, rng);
+    if (trial % 4 == 2) {
+      patch.push_back(random_mutation(program, rng));
+      canonicalize(patch);
+    }
+    probes.push_back(std::move(patch));
+  }
+  const std::uint64_t runs_before = oracle.suite_runs();
+  std::vector<Evaluation> serial;
+  for (const Patch& patch : probes) serial.push_back(oracle.evaluate(patch));
+
+  constexpr std::size_t kThreads = 4;
+  std::vector<Evaluation> concurrent(probes.size());
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      const std::size_t begin = probes.size() * t / kThreads;
+      const std::size_t end = probes.size() * (t + 1) / kThreads;
+      for (std::size_t i = begin; i < end; ++i) {
+        concurrent[i] = oracle.evaluate(probes[i]);
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (std::size_t i = 0; i < probes.size(); ++i) {
+    EXPECT_EQ(serial[i], concurrent[i]) << "probe " << i;
+  }
+  EXPECT_EQ(oracle.suite_runs() - runs_before, 2 * probes.size());
 }
 
 TEST(MwRepair, SingleShotSessionsProbeThroughTheWaveBitIdentically) {

@@ -103,8 +103,8 @@ int run(int argc, char** argv) {
     repair_config.arms = options;
     repair_config.max_count = std::max<std::size_t>(options, 64);
     repair_config.seed = seed;
-    // Priming happens here, pre-fork: workers inherit the warmed oracle
-    // cache through copy-on-write instead of re-deriving semantics.
+    // Priming happens here, pre-fork: workers inherit the oracle's probe
+    // wave through copy-on-write instead of re-deriving semantics.
     const apr::ArmProbeOracle arm_oracle(oracle, pool, repair_config);
     config.num_options = arm_oracle.num_options();
     result = core::run_distributed_spmd_multiprocess(arm_oracle, config, seed,
