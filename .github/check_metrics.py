@@ -88,6 +88,15 @@ def main():
         fail(f"{counters['oracle.pair_cache_misses']} safe pairs were "
              "hashed, expected 0 (every pooled probe through the wave)")
 
+    # A single-shot campaign draws its pool and every bug's oracle from
+    # one hub: one phase-1 build, and no oracle built without a wave.
+    for name, expected in (("serve.hub.pool_builds", 1),
+                           ("serve.hub.oracle_cold_builds", 0)):
+        if name not in counters:
+            fail(f"missing counter {name}")
+        if counters[name] != expected:
+            fail(f"counter {name} is {counters[name]}, expected {expected}")
+
     if gauges["campaign.converged"] != 1.0:
         fail("smoke campaign did not converge (campaign.converged != 1)")
 

@@ -75,11 +75,11 @@ std::uint64_t campaign_fingerprint(const datasets::ScenarioSpec& spec,
 }  // namespace
 
 CampaignSession::CampaignSession(datasets::ScenarioSpec base,
-                                 CampaignConfig config,
-                                 ScenarioServices* services)
+                                 CampaignConfig config, OracleHub* hub)
     : base_(std::move(base)),
       config_(config),
-      services_(services),
+      own_hub_(hub == nullptr ? std::make_unique<OracleHub>() : nullptr),
+      hub_(hub == nullptr ? own_hub_.get() : hub),
       fingerprint_(campaign_fingerprint(base_, config_)),
       current_tests_(base_.tests),
       trajectory_fold_(kFnvOffset) {
@@ -119,51 +119,22 @@ MwRepairConfig CampaignSession::bug_repair_config() const {
 }
 
 void CampaignSession::open_bug_oracle() {
-  const datasets::ScenarioSpec spec = bug_spec();
-  if (services_ != nullptr) {
-    bug_lease_ = services_->oracle_for(spec);
-    return;
-  }
-  auto program = std::make_shared<const ProgramModel>(spec);
-  auto oracle = std::make_shared<const TestOracle>(*program);
-  bug_lease_ =
-      ScenarioServices::OracleLease{std::move(program), std::move(oracle),
-                                    /*shared=*/false};
+  bug_lease_ = hub_->oracle_for(bug_spec());
 }
 
-void CampaignSession::open_repair(parallel::ThreadPool* workers) {
-  if (!bug_lease_.shared) {
-    // A private oracle is this session's to prime.  Interference is a
-    // program property, so the graph built at the first bug serves every
-    // later bug's wave: only the per-member masks, the relevance bits and
-    // the suite-size-dependent broken test are redone per bug.
-    const std::span<const Mutation> pool = working_pool_.mutations();
-    if (!graph_ && pool.size() <= OracleCache::kMaxWavePool) {
-      graph_ = std::make_unique<const InterferenceGraph>(
-          bug_lease_.oracle->interference_graph(pool, workers));
-    }
-    bug_lease_.oracle->prime_wave(pool, graph_.get());
-  }
+void CampaignSession::open_repair() {
   repair_ = std::make_unique<RepairSession>(bug_repair_config(),
-                                            *bug_lease_.oracle, working_pool_,
-                                            /*prime=*/!bug_lease_.shared);
+                                            *bug_lease_.oracle, working_pool_);
 }
 
-void CampaignSession::do_precompute() {
-  if (services_ != nullptr) {
-    const auto lease = services_->base_pool(base_, config_.pool);
-    working_pool_ = *lease.pool;
-    outcome_.precompute_runs = lease.precompute_runs;
-  } else {
-    const ProgramModel program(base_);
-    const TestOracle oracle(program);
-    working_pool_ = MutationPool::precompute(oracle, config_.pool);
-    outcome_.precompute_runs = oracle.suite_runs();
-  }
+void CampaignSession::do_precompute(parallel::ThreadPool* workers) {
+  const auto lease = hub_->base_pool(base_, config_.pool, workers);
+  working_pool_ = *lease.pool;
+  outcome_.precompute_runs = lease.precompute_runs;
   outcome_.initial_pool_size = working_pool_.size();
 }
 
-void CampaignSession::start_bug(parallel::ThreadPool* workers) {
+void CampaignSession::start_bug() {
   bugs_attempted_->add(1);
   if (scope_) scope_->counter("bugs_attempted").add(1);
   current_bug_ = BugOutcome{};
@@ -188,7 +159,7 @@ void CampaignSession::start_bug(parallel::ThreadPool* workers) {
   current_bug_.pool_size = working_pool_.size();
 
   if (!working_pool_.empty()) {
-    open_repair(workers);
+    open_repair();
     phase_ = Phase::kOnline;
   } else {
     finish_bug();
@@ -228,7 +199,7 @@ void CampaignSession::finish_bug() {
       trajectory_fold_, static_cast<std::uint64_t>(current_bug_.pool_size));
   bug_seconds_hist_->observe(bug_seconds_);
   outcome_.bugs.push_back(current_bug_);
-  bug_lease_ = ScenarioServices::OracleLease{};
+  bug_lease_ = OracleHub::OracleLease{};
   ++bug_index_;
   if (bug_index_ >= config_.bugs) {
     finalize();
@@ -283,7 +254,7 @@ std::size_t CampaignSession::stage_unit(std::size_t& staged_probes,
     unit_timer.cancel();
     switch (phase_) {
       case Phase::kPrecompute:
-        do_precompute();
+        do_precompute(workers);
         phase_ = Phase::kBugStart;
         return 1;
       case Phase::kBugStart:
@@ -293,7 +264,7 @@ std::size_t CampaignSession::stage_unit(std::size_t& staged_probes,
           finalize();
           return 1;
         }
-        start_bug(workers);
+        start_bug();
         bug_seconds_ += unit_timer.elapsed_seconds();
         return 1;
       case Phase::kOnline:
@@ -366,9 +337,9 @@ CampaignSnapshot CampaignSession::snapshot() const {
 
 std::unique_ptr<CampaignSession> CampaignSession::resume(
     const CampaignSnapshot& snap, datasets::ScenarioSpec base,
-    CampaignConfig config, ScenarioServices* services) {
+    CampaignConfig config, OracleHub* hub) {
   auto session = std::make_unique<CampaignSession>(std::move(base),
-                                                   std::move(config), services);
+                                                   std::move(config), hub);
   if (snap.fingerprint != session->fingerprint_) {
     throw std::invalid_argument(
         "CampaignSession::resume: snapshot fingerprint mismatch (different "
@@ -391,16 +362,17 @@ std::unique_ptr<CampaignSession> CampaignSession::resume(
   const bool opens_oracle =
       phase == Phase::kOnline ||
       (phase == Phase::kBugStart && snap.bug_index < session->config_.bugs);
-  if (opens_oracle && services != nullptr) {
-    // A resumed session skips phase 1, so a freshly restored hub would
-    // hold no interned base pool and build this bug's oracle cold (no
-    // wave table, no primed cache — for every later tenant on it too).
-    // Re-interning the pool lets the hub prime the oracle as it would
-    // have before the restart.  The lease itself is dropped: the pool
-    // and precompute_runs come from the snapshot.  Best-effort — a
-    // failed warm-up leaves the cold oracle, which is merely slower.
+  if (opens_oracle) {
+    // A resumed session skips phase 1, so a fresh hub (a restored
+    // server's, or the session's private one) would hold no interned
+    // base pool and build this bug's oracle cold (no wave table, no
+    // primed cache — for every later tenant on it too).  Re-interning
+    // the pool lets the hub prime the oracle as it would have before the
+    // restart.  The lease itself is dropped: the pool and precompute_runs
+    // come from the snapshot.  Best-effort — a failed warm-up leaves the
+    // cold oracle, which is merely slower.
     try {
-      (void)services->base_pool(session->base_, session->config_.pool);
+      (void)session->hub_->base_pool(session->base_, session->config_.pool);
     } catch (...) {
     }
   }
@@ -411,7 +383,7 @@ std::unique_ptr<CampaignSession> CampaignSession::resume(
           "CampaignSession::resume: online phase without repair state");
     }
     session->open_bug_oracle();
-    session->open_repair(nullptr);
+    session->open_repair();
     session->repair_->restore(snap.repair);
   }
   return session;

@@ -18,14 +18,15 @@
 // session stepped to completion produces the same CampaignOutcome —
 // run_campaign is now implemented as exactly that loop.
 //
-// Sharing seam: by default a session builds private programs, oracles,
-// and pools, and primes each bug's private oracle with the probe-wave
-// table, deriving every bug's from one interference graph per campaign.
-// A ScenarioServices implementation (serve/oracle_hub.hpp) lets
-// co-resident campaigns on the same scenario share them; suite-run
-// accounting is analytic (precompute = pool attempts, maintenance = pool
-// size per revalidation — both exact identities of the implementations),
-// so a shared oracle's global counter never pollutes a tenant's ledger.
+// Resources: every session draws its base pool, the pool's interference
+// graph, and each bug's warmed oracle from an OracleHub
+// (apr/oracle_hub.hpp).  A server hands all of its sessions one hub so
+// co-resident campaigns on the same scenario share them; a session
+// constructed without a hub makes a private one, so a single-shot
+// campaign takes the same path with one tenant.  Suite-run accounting is
+// analytic (precompute = pool attempts, maintenance = pool size per
+// revalidation — both exact identities of the implementations), so a
+// shared oracle's global counter never pollutes a tenant's ledger.
 #pragma once
 
 #include <cstdint>
@@ -34,6 +35,7 @@
 #include <vector>
 
 #include "apr/campaign.hpp"
+#include "apr/oracle_hub.hpp"
 #include "apr/repair_session.hpp"
 #include "datasets/scenario.hpp"
 
@@ -42,43 +44,6 @@ class ScopedMetrics;
 }  // namespace mwr::obs
 
 namespace mwr::apr {
-
-/// Provider of the heavyweight per-scenario resources a campaign needs.
-/// Implementations may dedup across campaigns (the server's oracle hub);
-/// the default used when none is supplied builds private instances,
-/// reproducing single-tenant run_campaign exactly.
-class ScenarioServices {
- public:
-  /// A program + oracle pair; `program` owns the model `oracle` points
-  /// into, so holders keep both alive together.  When `shared` is true
-  /// the oracle is visible to other tenants: the lease owner has already
-  /// primed its cache, and the tenant must not re-prime it (prime_cache
-  /// racing evaluate() is undefined).
-  struct OracleLease {
-    std::shared_ptr<const ProgramModel> program;
-    std::shared_ptr<const TestOracle> oracle;
-    bool shared = false;
-  };
-  /// A base (phase-1) pool plus the suite runs its construction cost.
-  /// `graph`, when set, is the pool's interference graph: the provider
-  /// primes every oracle it warms from this pool with it.
-  struct PoolLease {
-    std::shared_ptr<const MutationPool> pool;
-    std::uint64_t precompute_runs = 0;
-    std::shared_ptr<const InterferenceGraph> graph;
-  };
-
-  virtual ~ScenarioServices() = default;
-
-  /// Program + oracle for `spec` (the full spec, bug_id and grown test
-  /// count included).
-  virtual OracleLease oracle_for(const datasets::ScenarioSpec& spec) = 0;
-
-  /// The precomputed base pool for (spec, config).  Called once per
-  /// campaign with the campaign's base spec.
-  virtual PoolLease base_pool(const datasets::ScenarioSpec& spec,
-                              const PoolConfig& config) = 0;
-};
 
 /// Everything needed to rebuild a mid-campaign session, as plain numbers
 /// and mutation triples (serve/checkpoint.hpp encodes it into wire
@@ -102,10 +67,10 @@ struct CampaignSnapshot {
 
 class CampaignSession {
  public:
-  /// `services` may be null (private resources) and must otherwise
-  /// outlive the session.
+  /// `hub` must outlive the session; when null the session makes a
+  /// private hub.
   CampaignSession(datasets::ScenarioSpec base, CampaignConfig config,
-                  ScenarioServices* services = nullptr);
+                  OracleHub* hub = nullptr);
   ~CampaignSession();
 
   CampaignSession(const CampaignSession&) = delete;
@@ -118,7 +83,7 @@ class CampaignSession {
   /// The serial driver of the staged calls below: each unit is
   /// stage_unit(), then evaluate_staged() over every staged probe — fanned
   /// out over `workers` when given, inline otherwise — then
-  /// complete_unit().  `workers` also splits a bug start's interference
+  /// complete_unit().  `workers` also splits the base pool's interference
   /// graph build.
   std::size_t step(std::size_t budget,
                    parallel::ThreadPool* workers = nullptr);
@@ -135,7 +100,7 @@ class CampaignSession {
   /// begins one MWU cycle and leaves its probes staged (`staged_probes`)
   /// for evaluate_staged() + complete_unit().  Returns the DRR charge:
   /// 1 per unit, 0 once the campaign is done.  `workers` (may be null)
-  /// splits a bug start's interference-graph build.
+  /// splits the base pool's interference-graph build.
   std::size_t stage_unit(std::size_t& staged_probes,
                          parallel::ThreadPool* workers = nullptr);
   /// True while an online cycle is staged and awaiting complete_unit().
@@ -186,7 +151,7 @@ class CampaignSession {
   /// config).  Throws std::invalid_argument on fingerprint mismatch.
   static std::unique_ptr<CampaignSession> resume(
       const CampaignSnapshot& snap, datasets::ScenarioSpec base,
-      CampaignConfig config, ScenarioServices* services = nullptr);
+      CampaignConfig config, OracleHub* hub = nullptr);
 
   /// Extra per-campaign metric scope (e.g. "campaign/7"): when set, the
   /// session mirrors its cycle/probe/bug counters under that prefix in
@@ -202,20 +167,19 @@ class CampaignSession {
     kDone = 4,
   };
 
-  void do_precompute();
-  void start_bug(parallel::ThreadPool* workers);
+  void do_precompute(parallel::ThreadPool* workers);
+  void start_bug();
   void finish_bug();
   void finalize();
   void open_bug_oracle();  // (re)acquire program/oracle for bug_index_.
-  // The bug's RepairSession over working_pool_; `workers` (may be null)
-  // share the campaign's one interference-graph build.
-  void open_repair(parallel::ThreadPool* workers);
+  void open_repair();      // the bug's RepairSession over working_pool_.
   [[nodiscard]] datasets::ScenarioSpec bug_spec() const;
   [[nodiscard]] MwRepairConfig bug_repair_config() const;
 
   datasets::ScenarioSpec base_;
   CampaignConfig config_;
-  ScenarioServices* services_;  // null => private resources.
+  std::unique_ptr<OracleHub> own_hub_;  // set when built without a hub.
+  OracleHub* hub_;
   std::uint64_t fingerprint_;
 
   Phase phase_ = Phase::kPrecompute;
@@ -227,12 +191,7 @@ class CampaignSession {
   std::size_t probes_last_step_ = 0;
 
   MutationPool working_pool_;
-  // Private path only: the interference graph of the first working pool
-  // this session opened a bug on.  Later working pools are revalidated
-  // subsets of it, so every bug's probe wave derives from this one graph
-  // instead of re-hashing C(n, 2) pairs per bug.
-  std::unique_ptr<const InterferenceGraph> graph_;
-  ScenarioServices::OracleLease bug_lease_;
+  OracleHub::OracleLease bug_lease_;
   std::unique_ptr<RepairSession> repair_;
   BugOutcome current_bug_;
   double bug_seconds_ = 0.0;  // accumulated across steps for this bug.

@@ -41,7 +41,9 @@ RepairOutcome MwRepair::run(const TestOracle& oracle,
   // run() is the batch driver: construct a session and step it to
   // completion.  The session performs every stochastic draw in the same
   // order this function historically did, so batch and stepped
-  // trajectories are bit-identical.
+  // trajectories are bit-identical.  Priming first gives the search the
+  // probe-wave fast path (a no-op when the pool is already primed).
+  oracle.prime_wave(pool.mutations());
   RepairSession session(config_, oracle, pool);
 
   // The expensive suite runs fan out over the worker pool; everything

@@ -25,7 +25,7 @@ std::uint64_t fnv_fold(std::uint64_t h, std::uint64_t v) noexcept {
 
 RepairSession::RepairSession(const MwRepairConfig& config,
                              const TestOracle& oracle,
-                             const MutationPool& pool, bool prime)
+                             const MutationPool& pool)
     : repair_(config),
       oracle_(&oracle),
       pool_(&pool),
@@ -34,13 +34,6 @@ RepairSession::RepairSession(const MwRepairConfig& config,
       trajectory_hash_(kFnvOffset) {
   if (pool.empty())
     throw std::invalid_argument("RepairSession: empty mutation pool");
-  // Single-tenant path: memoize the pool's semantics and build its probe
-  // wave up front (a no-op when the owner already primed this pool, as
-  // CampaignSession does from its campaign-wide interference graph).
-  // Multi-tenant oracles are primed once by their owner instead
-  // (prime == false) because priming must not race concurrent evaluate()
-  // calls.
-  if (prime) oracle.prime_wave(pool.mutations());
 
   const MwRepairConfig& cfg = repair_.config();
   core::MwuConfig mwu_config;

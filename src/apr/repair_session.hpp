@@ -51,15 +51,13 @@ class RepairSession {
     std::uint64_t trajectory_hash = 0;
   };
 
-  /// `oracle` and `pool` must outlive the session.  When `prime` is true
-  /// (the single-tenant default) the session primes the oracle's probe
-  /// wave for `pool` (TestOracle::prime_wave: memoized semantics plus the
-  /// eager wave table), so single-shot runs take the same fast path as
-  /// served ones; servers sharing one oracle across tenants pass false
-  /// and prime once centrally (re-priming with a diverged working pool
-  /// would race concurrent evaluations — see serve/oracle_hub.hpp).
+  /// `oracle` and `pool` must outlive the session.  The session never
+  /// primes the oracle (priming must not race other sessions' probes on
+  /// a shared one): whoever owns it does, before the session exists —
+  /// the OracleHub for campaigns, MwRepair::run for a single search.  It
+  /// takes the probe-wave fast path when the oracle's wave covers `pool`.
   RepairSession(const MwRepairConfig& config, const TestOracle& oracle,
-                const MutationPool& pool, bool prime = true);
+                const MutationPool& pool);
 
   /// Runs one MWU update cycle (sample -> probe -> reward -> update), or
   /// finishes early when a probe repairs.  Returns true when the session

@@ -132,8 +132,8 @@ class TestOracle {
   /// Pools larger than OracleCache::kMaxWavePool skip the wave (the
   /// eager pair pass would not amortize); evaluate() works identically
   /// either way.  Same no-race contract as prime_cache; no suite runs
-  /// counted.  RepairSession calls it for its pool unless the oracle's
-  /// owner primes it (serve's OracleHub, CampaignSession).
+  /// counted.  The oracle's owner calls it: the OracleHub for every
+  /// campaign's oracles, MwRepair::run for a single search.
   void prime_wave(std::span<const Mutation> pool,
                   const InterferenceGraph* graph = nullptr) const;
 

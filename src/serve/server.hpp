@@ -64,8 +64,8 @@
 #include <vector>
 
 #include "apr/campaign_session.hpp"
+#include "apr/oracle_hub.hpp"
 #include "serve/control.hpp"
-#include "serve/oracle_hub.hpp"
 #include "serve/scheduler.hpp"
 
 namespace mwr::obs {
@@ -169,7 +169,7 @@ class CampaignServer {
   [[nodiscard]] const ServerConfig& config() const noexcept {
     return config_;
   }
-  [[nodiscard]] const OracleHub& hub() const noexcept { return hub_; }
+  [[nodiscard]] const apr::OracleHub& hub() const noexcept { return hub_; }
 
  private:
   struct Campaign {
@@ -218,7 +218,7 @@ class CampaignServer {
   void record_probe_latency(double seconds);
 
   ServerConfig config_;
-  OracleHub hub_;
+  apr::OracleHub hub_;
   DeficitScheduler scheduler_;
   std::map<std::uint64_t, Campaign> running_;
   std::map<std::uint64_t, Campaign> finished_;

@@ -146,6 +146,49 @@ TEST(Campaign, ZeroBugCampaignFinalizesInsteadOfRunningForever) {
   EXPECT_TRUE(session.outcome().bugs.empty());
 }
 
+TEST(Campaign, SingleShotCampaignsDrawEverythingFromOneHub) {
+  // run_campaign's session makes a private hub: one phase-1 pool, and one
+  // oracle per bug warmed from it.
+  auto& metrics = obs::MetricsRegistry::global();
+  obs::Counter& pools = metrics.counter("serve.hub.pool_builds");
+  obs::Counter& oracles = metrics.counter("serve.hub.oracle_builds");
+  obs::Counter& cold = metrics.counter("serve.hub.oracle_cold_builds");
+  const std::uint64_t pools_before = pools.value();
+  const std::uint64_t oracles_before = oracles.value();
+  const std::uint64_t cold_before = cold.value();
+  const CampaignConfig config = fast_config();
+  const auto outcome = run_campaign(toy_spec(), config);
+  ASSERT_EQ(outcome.bugs.size(), config.bugs);
+  EXPECT_EQ(pools.value() - pools_before, 1u);
+  EXPECT_EQ(oracles.value() - oracles_before, config.bugs);
+  EXPECT_EQ(cold.value() - cold_before, 0u);
+}
+
+TEST(Campaign, ResumingWithoutAHubKeepsTheOracleWarm) {
+  // A session resumed mid-bug with no hub re-interns its base pool in its
+  // private hub, so the bug's oracle is built warm; the trajectory is
+  // the uninterrupted campaign's.
+  CampaignSession reference(toy_spec(), fast_config());
+  while (!reference.done()) (void)reference.step(1 << 20);
+
+  CampaignSession first(toy_spec(), fast_config());
+  (void)first.step(4);  // precompute, bug start, two online cycles
+  const CampaignSnapshot snapshot = first.snapshot();
+  ASSERT_TRUE(snapshot.has_repair_state);
+
+  auto& metrics = obs::MetricsRegistry::global();
+  obs::Counter& pools = metrics.counter("serve.hub.pool_builds");
+  obs::Counter& cold = metrics.counter("serve.hub.oracle_cold_builds");
+  const std::uint64_t pools_before = pools.value();
+  const std::uint64_t cold_before = cold.value();
+  const auto resumed =
+      CampaignSession::resume(snapshot, toy_spec(), fast_config());
+  EXPECT_EQ(pools.value() - pools_before, 1u);
+  while (!resumed->done()) (void)resumed->step(1 << 20);
+  EXPECT_EQ(cold.value() - cold_before, 0u);
+  EXPECT_EQ(resumed->trajectory_hash(), reference.trajectory_hash());
+}
+
 TEST(Campaign, SuiteSizeIsCappedAtTheOracleLimit) {
   auto spec = toy_spec();
   spec.tests = 62;  // two repairs away from the 64-test model cap

@@ -3,10 +3,6 @@
 // reference's answers — in the oracle, a single-shot session, and a
 // campaign.  evaluate() on a wave oracle must route every patch shape to
 // the path that gives those answers, from one thread or several.
-//
-// These live in their own test binary.  The ScenarioOracleSweep names in
-// mwr_test_apr embed a byte dump of a heap-allocated parameter, so every
-// TEST registered in that binary shifts them.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -328,9 +324,9 @@ TEST(OracleCache, ConcurrentEvaluateOnOneWaveOracle) {
 }
 
 TEST(MwRepair, SingleShotSessionsProbeThroughTheWaveBitIdentically) {
-  // A session that primes its own oracle takes the probe-wave fast path;
-  // over the uncached reference oracle it cannot.  Both searches must
-  // make the same draws, rewards and outcome.
+  // A session over a primed oracle takes the probe-wave fast path; over
+  // the uncached reference oracle it cannot.  Both searches must make
+  // the same draws, rewards and outcome.
   const ProgramModel program(easy_spec());
   const TestOracle cached(program);
   const TestOracle reference(program, /*enable_cache=*/false);
@@ -343,6 +339,7 @@ TEST(MwRepair, SingleShotSessionsProbeThroughTheWaveBitIdentically) {
   config.agents = 16;
   config.max_iterations = 120;
   config.seed = 14;
+  cached.prime_wave(pool.mutations());
   RepairSession waved(config, cached, pool);
   RepairSession lazy(config, reference, pool);
   EXPECT_TRUE(waved.wave_fast_path());
@@ -359,8 +356,8 @@ TEST(MwRepair, SingleShotSessionsProbeThroughTheWaveBitIdentically) {
 }
 
 TEST(Campaign, OneInterferenceGraphPerCampaignAndAWaveForEveryBug) {
-  // Every bug's private oracle gets the probe wave, and all of them derive
-  // it from the one graph hashed at the first bug.
+  // Every bug's oracle gets the probe wave, and all of them derive it
+  // from the one graph hashed with the campaign's base pool.
   auto& metrics = obs::MetricsRegistry::global();
   obs::Counter& graphs = metrics.counter("oracle.interference_graph_builds");
   obs::Counter& waves = metrics.counter("oracle.wave_builds");

@@ -3,9 +3,20 @@
 // figure and table reproductions rest on.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "apr/mutation_pool.hpp"
 #include "apr/test_oracle.hpp"
 #include "datasets/scenario.hpp"
+
+namespace mwr::datasets {
+
+// gtest prints each case's parameter into its name.  Without this it
+// dumps the spec's bytes, which start with a heap pointer, so the names
+// would change whenever the binary's allocations before registration do.
+void PrintTo(const ScenarioSpec& spec, std::ostream* os) { *os << spec.name; }
+
+}  // namespace mwr::datasets
 
 namespace mwr::apr {
 namespace {

@@ -17,19 +17,21 @@
 
 #include "apr/campaign.hpp"
 #include "apr/campaign_session.hpp"
+#include "apr/oracle_hub.hpp"
 #include "apr/outcome_json.hpp"
 #include "obs/registry.hpp"
 #include "parallel/thread_pool.hpp"
 #include "serve/checkpoint.hpp"
 #include "serve/checkpoint_writer.hpp"
 #include "serve/control.hpp"
-#include "serve/oracle_hub.hpp"
 #include "serve/payload_codec.hpp"
 #include "serve/scheduler.hpp"
 #include "serve/server.hpp"
 
 namespace mwr::serve {
 namespace {
+
+using apr::OracleHub;
 
 // A small but real campaign over a named scenario: completes in tens of
 // milliseconds yet exercises precompute, revalidation, and online MWU.
@@ -389,7 +391,6 @@ TEST(OracleHub, SharesPoolsAndOraclesAcrossTenants) {
   bug.bug_id = 0;
   const auto lease_a = hub.oracle_for(bug);
   const auto lease_b = hub.oracle_for(bug);
-  EXPECT_TRUE(lease_a.shared);
   EXPECT_EQ(lease_a.oracle.get(), lease_b.oracle.get());
 
   bug.bug_id = 1;  // a different bug is a different oracle
@@ -471,6 +472,25 @@ TEST(OracleHub, SharedServicesPreserveTheSingleTenantTrajectory) {
   EXPECT_EQ(tenant_b.trajectory_hash(), isolated.trajectory_hash());
   EXPECT_EQ(apr::outcome_to_json(tenant_a.outcome()).dump(2),
             apr::outcome_to_json(isolated.outcome()).dump(2));
+}
+
+TEST(OracleHub, PoolsBuiltWithDifferentThreadCountsAreNotShared) {
+  // Precompute sizes its validation rounds by pool.threads, so the
+  // pool's attempts — the tenant's precompute_runs — depend on it.  A
+  // tenant must be charged what its own run_campaign would charge.
+  const CampaignPlan plan = plan_campaign(small_request("units", 8));
+  OracleHub hub;
+  for (const std::size_t threads : {1u, 4u}) {
+    apr::CampaignConfig config = plan.config;
+    config.pool.threads = threads;
+    apr::CampaignSession tenant(plan.spec, config, &hub);
+    while (!tenant.done())
+      (void)tenant.step(std::numeric_limits<std::size_t>::max());
+    EXPECT_EQ(tenant.outcome().precompute_runs,
+              apr::run_campaign(plan.spec, config).precompute_runs)
+        << threads << " threads";
+  }
+  EXPECT_EQ(hub.stats().pool_builds, 2u);
 }
 
 TEST(OracleHub, ResumeReinternsThePoolSoRestoredOraclesStayWarm) {
