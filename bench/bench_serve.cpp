@@ -5,8 +5,9 @@
 //   load       — campaigns/sec through submit -> DRR epochs -> retire,
 //                plus admission-control rejects from a deliberate
 //                overflow beyond the resident cap;
-//   probes     — p50/p99 per-probe latency (wave wall seconds over
-//                probes issued, sampled every campaign-epoch);
+//   probes     — p50/p99 per-probe latency (a campaign's evaluation
+//                wall seconds over its probes, sampled every
+//                campaign-epoch that probed);
 //   checkpoint — bytes written by a mid-flight checkpoint_all(), the
 //                critical-path vs async-writer wall-time split, and
 //                resume_ok: a kill/restore cycle must reproduce the

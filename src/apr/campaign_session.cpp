@@ -88,6 +88,7 @@ CampaignSession::CampaignSession(datasets::ScenarioSpec base,
   bugs_repaired_ = &metrics.counter("campaign.bugs_repaired");
   maintenance_runs_ = &metrics.counter("campaign.maintenance_runs");
   bug_seconds_hist_ = &metrics.histogram("campaign.bug_seconds");
+  converged_ = &metrics.gauge("campaign.converged");
 }
 
 CampaignSession::~CampaignSession() = default;
@@ -97,6 +98,10 @@ void CampaignSession::set_metric_scope(const std::string& prefix) {
       obs::MetricsRegistry::global().scoped(prefix));
   scoped_cycles_ = &scope_->counter("online.cycles");
   scoped_probes_ = &scope_->counter("online.probes");
+  scoped_bugs_attempted_ = &scope_->counter("bugs_attempted");
+  scoped_bugs_repaired_ = &scope_->counter("bugs_repaired");
+  scoped_maintenance_runs_ = &scope_->counter("maintenance_runs");
+  scoped_done_ = &scope_->gauge("done");
 }
 
 datasets::ScenarioSpec CampaignSession::bug_spec() const {
@@ -136,7 +141,7 @@ void CampaignSession::do_precompute(parallel::ThreadPool* workers) {
 
 void CampaignSession::start_bug() {
   bugs_attempted_->add(1);
-  if (scope_) scope_->counter("bugs_attempted").add(1);
+  if (scope_) scoped_bugs_attempted_->add(1);
   current_bug_ = BugOutcome{};
   current_bug_.bug_id = bug_index_;
   bug_seconds_ = 0.0;
@@ -179,12 +184,10 @@ void CampaignSession::finish_bug() {
   }
   if (current_bug_.repaired) {
     bugs_repaired_->add(1);
-    if (scope_) scope_->counter("bugs_repaired").add(1);
+    if (scope_) scoped_bugs_repaired_->add(1);
   }
   maintenance_runs_->add(current_bug_.maintenance_runs);
-  if (scope_) {
-    scope_->counter("maintenance_runs").add(current_bug_.maintenance_runs);
-  }
+  if (scope_) scoped_maintenance_runs_->add(current_bug_.maintenance_runs);
   // The campaign-level fingerprint also pins the maintenance ledger.
   trajectory_fold_ = fnv_fold(trajectory_fold_, current_bug_.bug_id);
   trajectory_fold_ =
@@ -209,12 +212,10 @@ void CampaignSession::finish_bug() {
 }
 
 void CampaignSession::finalize() {
-  obs::MetricsRegistry::global()
-      .gauge("campaign.converged")
-      .set(repaired_so_far_ == config_.bugs ? 1.0 : 0.0);
+  converged_->set(repaired_so_far_ == config_.bugs ? 1.0 : 0.0);
   trajectory_fold_ =
       fnv_fold(trajectory_fold_, static_cast<std::uint64_t>(repaired_so_far_));
-  if (scope_) scope_->gauge("done").set(1.0);
+  if (scope_) scoped_done_->set(1.0);
   phase_ = Phase::kDone;
 }
 
@@ -222,6 +223,7 @@ std::size_t CampaignSession::step(std::size_t budget,
                                   parallel::ThreadPool* workers) {
   std::size_t used = 0;
   std::size_t probes = 0;
+  double probe_seconds = 0.0;
   while (used < budget) {
     std::size_t staged = 0;
     const std::size_t charge = stage_unit(staged, workers);
@@ -238,10 +240,13 @@ std::size_t CampaignSession::step(std::size_t budget,
     } else {
       for (std::size_t j = 0; j < staged; ++j) evaluate_staged(j);
     }
-    complete_unit(wave_timer.elapsed_seconds());
+    const double elapsed = wave_timer.elapsed_seconds();
+    complete_unit(elapsed);
     probes += probes_last_step_;
+    probe_seconds += elapsed;
   }
   probes_last_step_ = probes;
+  probe_seconds_last_step_ = probe_seconds;
   return used;
 }
 
@@ -312,7 +317,7 @@ CampaignSnapshot CampaignSession::snapshot() const {
     // Snapshots are cycle-boundary artifacts; a staged cycle has drawn
     // RNG state the snapshot cannot represent mid-flight.
     throw std::logic_error(
-        "CampaignSession::snapshot: probe wave in flight — complete the "
+        "CampaignSession::snapshot: staged cycle in flight — complete the "
         "staged unit first");
   }
   CampaignSnapshot snap;

@@ -88,12 +88,12 @@ class CampaignSession {
   std::size_t step(std::size_t budget,
                    parallel::ThreadPool* workers = nullptr);
 
-  // --- staged execution (the serve probe wave, DESIGN.md §14) ---
+  // --- staged execution ---
   //
-  // The calls step() is made of.  The server stages one unit per
-  // campaign, batches every staged probe into one deterministic parallel
-  // sweep, then completes the units; step() runs the same calls for one
-  // campaign, so the two cannot diverge.
+  // The calls step() is made of.  The campaign server steps each of its
+  // campaigns on its own engine worker (DESIGN.md §14), so it runs these
+  // only through step(); they stay public for callers that drive the
+  // units by hand (the staged-call cross-checks and bench replays).
 
   /// Stages the next work unit.  Setup units (precompute, bug start,
   /// finalize) execute inline and complete immediately; an online unit
@@ -124,6 +124,11 @@ class CampaignSession {
   /// Suite-run probes issued by the most recent step() call.
   [[nodiscard]] std::size_t probes_last_step() const noexcept {
     return probes_last_step_;
+  }
+  /// Wall seconds the most recent step() call spent evaluating its
+  /// units' probes (telemetry only, never trajectory-relevant).
+  [[nodiscard]] double probe_seconds_last_step() const noexcept {
+    return probe_seconds_last_step_;
   }
   /// Bugs whose ledgers have closed so far (== bugs attempted when done).
   [[nodiscard]] std::size_t bugs_completed() const noexcept {
@@ -189,6 +194,7 @@ class CampaignSession {
   std::size_t current_tests_;  // suite size the working pool is valid for.
   std::uint64_t trajectory_fold_;
   std::size_t probes_last_step_ = 0;
+  double probe_seconds_last_step_ = 0.0;
 
   MutationPool working_pool_;
   OracleHub::OracleLease bug_lease_;
@@ -204,11 +210,17 @@ class CampaignSession {
   obs::Counter* bugs_repaired_;
   obs::Counter* maintenance_runs_;
   obs::Histogram* bug_seconds_hist_;
+  obs::Gauge* converged_;
   std::unique_ptr<obs::ScopedMetrics> scope_;
-  // Per-cycle scoped counters, resolved once at set_metric_scope: the
-  // string-keyed registry lookup is far too slow for the online loop.
+  // Scoped handles, resolved once at set_metric_scope: the string-keyed
+  // registry lookup takes the registry mutex, which concurrently stepped
+  // campaigns would contend on.
   obs::Counter* scoped_cycles_ = nullptr;
   obs::Counter* scoped_probes_ = nullptr;
+  obs::Counter* scoped_bugs_attempted_ = nullptr;
+  obs::Counter* scoped_bugs_repaired_ = nullptr;
+  obs::Counter* scoped_maintenance_runs_ = nullptr;
+  obs::Gauge* scoped_done_ = nullptr;
 };
 
 }  // namespace mwr::apr

@@ -68,10 +68,10 @@ class RepairSession {
   /// evaluate_staged, then finish_cycle with the cycle's wall time.
   bool step(parallel::ThreadPool* workers = nullptr);
 
-  // --- staged execution (the serve probe wave, DESIGN.md §14) ---
+  // --- staged execution (DESIGN.md §14) ---
   //
-  // A cycle splits into three phases so a server can batch the probe
-  // evaluations of many campaigns into one parallel sweep:
+  // A cycle splits into three phases so its probe evaluations can fan
+  // out over a worker pool between the draws and the update:
   //
   //   begin_cycle()       all of the cycle's stochastic draws (arm sample,
   //                       patch draws, acceptance) plus their trajectory
@@ -83,8 +83,8 @@ class RepairSession {
   //   finish_cycle()      rewards, MWU update, early-repair exit, budget
   //                       check.
   //
-  // step() drives these three calls for one session; the server drives
-  // them for many sessions at once.
+  // step() drives these three calls for one session; CampaignSession's
+  // staged calls wrap them one unit at a time.
 
   /// Stages one cycle's probes; returns how many (0 when already done).
   /// Every call must be matched by finish_cycle() after all staged

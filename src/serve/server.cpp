@@ -11,7 +11,6 @@
 #include "parallel/superstep.hpp"
 #include "serve/checkpoint.hpp"
 #include "serve/checkpoint_writer.hpp"
-#include "util/sync.hpp"
 #include "util/timer.hpp"
 
 namespace mwr::serve {
@@ -36,7 +35,7 @@ CampaignServer::~CampaignServer() = default;
 parallel::SuperstepEngine& CampaignServer::engine() {
   if (!engine_) {
     // One rank is a placeholder — epochs drive the engine exclusively
-    // through parallel_for, whose geometry is the wave size.  The worker
+    // through parallel_for, one body per granted campaign.  The worker
     // pool persists for the server's lifetime: no per-epoch spawn/join.
     engine_ = std::make_unique<parallel::SuperstepEngine>(
         1, parallel::SuperstepEngine::Config{config_.workers});
@@ -97,135 +96,33 @@ bool CampaignServer::run_epoch() {
       scheduler_.begin_epoch();
   if (grants.empty()) return false;
 
-  // The epoch pipeline: stage / wave / complete rounds until every
-  // grant's budget is consumed.  Per campaign these are the staged calls
-  // step(budget) drives serially — only the interleaving across
-  // campaigns changes, and the batched evaluations are pure and
-  // order-free, so trajectories match step(budget)'s.
+  // Campaign-level fan-out: one engine sweep per epoch, each body running
+  // its grant's step(budget) and writing only its own slots.  A session
+  // touches only its own state, the mutex-guarded hub and atomic metrics,
+  // and evaluations are pure, so trajectories do not depend on the worker
+  // count or the interleaving.  A throwing session fails only itself.
   const std::size_t n = grants.size();
-  std::vector<apr::CampaignSession*> sessions(n);
-  std::vector<std::size_t> remaining(n);
   std::vector<std::size_t> used(n, 0);
   std::vector<std::size_t> probes(n, 0);
+  std::vector<double> probe_seconds(n, 0.0);
   std::vector<std::string> errors(n);
-  std::vector<char> active(n, 1);
-  std::vector<char> staged(n, 0);
-  std::vector<std::size_t> staged_probes(n, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    sessions[i] = running_.at(grants[i].id).session.get();
-    remaining[i] = grants[i].budget;
-  }
-
-  struct WaveEntry {
-    std::uint32_t campaign;
-    std::uint32_t probe;
-  };
-  std::vector<WaveEntry> wave;
-  util::Mutex error_mutex;  // only touched on the (cold) eval-error path.
-  double wave_seconds_total = 0.0;
-  std::uint64_t wave_probes_total = 0;
-
-  for (;;) {
-    // Stage: ascending grant order.  Setup units (precompute, bug start,
-    // finalize) run inline; a campaign pauses once it has one online
-    // cycle's probes staged, so each round contributes at most one MWU
-    // cycle per campaign to the wave.
-    wave.clear();
-    for (std::size_t i = 0; i < n; ++i) {
-      if (!active[i]) continue;
-      try {
-        while (remaining[i] > 0) {
-          std::size_t nprobes = 0;
-          const std::size_t charge = sessions[i]->stage_unit(nprobes);
-          if (charge == 0) {  // campaign finished during a setup unit.
-            active[i] = 0;
-            break;
-          }
-          used[i] += charge;
-          remaining[i] -= charge;
-          if (sessions[i]->unit_staged()) {
-            staged[i] = 1;
-            staged_probes[i] = nprobes;
-            probes[i] += nprobes;
-            for (std::size_t j = 0; j < nprobes; ++j) {
-              wave.push_back({static_cast<std::uint32_t>(i),
-                              static_cast<std::uint32_t>(j)});
-            }
-            break;
-          }
-          if (sessions[i]->done()) {
-            active[i] = 0;
-            break;
-          }
-        }
-        if (active[i] && !staged[i] && remaining[i] == 0) active[i] = 0;
-      } catch (const std::exception& error) {
-        errors[i] = error.what();
-        if (errors[i].empty()) errors[i] = "campaign stage failed";
-        active[i] = 0;
-      } catch (...) {
-        errors[i] = "campaign stage failed";
-        active[i] = 0;
-      }
+  engine().parallel_for(n, [&](std::size_t i) {
+    apr::CampaignSession& session = *running_.at(grants[i].id).session;
+    try {
+      used[i] = session.step(grants[i].budget);
+      probes[i] = session.probes_last_step();
+      probe_seconds[i] = session.probe_seconds_last_step();
+    } catch (const std::exception& error) {
+      errors[i] = error.what();
+      if (errors[i].empty()) errors[i] = "campaign step failed";
+    } catch (...) {
+      errors[i] = "campaign step failed";
     }
-    if (wave.empty()) break;  // nothing staged: every budget drained.
+  });
 
-    // Wave: the whole cross-campaign batch in one deterministic parallel
-    // sweep (the split happened above, before fan-out).  A throwing
-    // evaluation fails only its own campaign, never the sweep.
-    const util::WallTimer wave_timer;
-    engine().parallel_for(wave.size(), [&](std::size_t k) {
-      const WaveEntry entry = wave[k];
-      try {
-        sessions[entry.campaign]->evaluate_staged(entry.probe);
-      } catch (const std::exception& error) {
-        util::MutexLock lock(error_mutex);
-        std::string& slot = errors[entry.campaign];
-        if (slot.empty()) slot = error.what();
-        if (slot.empty()) slot = "campaign probe failed";
-      } catch (...) {
-        util::MutexLock lock(error_mutex);
-        std::string& slot = errors[entry.campaign];
-        if (slot.empty()) slot = "campaign probe failed";
-      }
-    });
-    const double wave_seconds = wave_timer.elapsed_seconds();
-    wave_seconds_total += wave_seconds;
-    wave_probes_total += wave.size();
-
-    // Complete: ascending grant order; rewards + MWU update, with wall
-    // time attributed to each campaign in proportion to its probes
-    // (telemetry only — never trajectory-relevant).
-    for (std::size_t i = 0; i < n; ++i) {
-      if (!staged[i]) continue;
-      staged[i] = 0;
-      if (!errors[i].empty()) {
-        active[i] = 0;  // evaluation failed: do not complete on garbage.
-        continue;
-      }
-      const double share =
-          wave_seconds * static_cast<double>(staged_probes[i]) /
-          static_cast<double>(wave.size());
-      try {
-        sessions[i]->complete_unit(share);
-        if (sessions[i]->done() || remaining[i] == 0) active[i] = 0;
-      } catch (const std::exception& error) {
-        errors[i] = error.what();
-        if (errors[i].empty()) errors[i] = "campaign update failed";
-        active[i] = 0;
-      } catch (...) {
-        errors[i] = "campaign update failed";
-        active[i] = 0;
-      }
-    }
-  }
-
-  // Settle and retire.  Per-probe latency is the epoch's aggregate wave
-  // rate, sampled once per campaign-epoch that issued probes.
-  const double per_probe =
-      wave_probes_total != 0
-          ? wave_seconds_total / static_cast<double>(wave_probes_total)
-          : 0.0;
+  // Settle and retire, in grant order.  Per-probe latency is one
+  // campaign's evaluation seconds over its probes, sampled once per
+  // campaign-epoch that issued probes.
   std::vector<std::uint64_t> retired;
   std::vector<std::uint64_t> failed;
   for (std::size_t i = 0; i < n; ++i) {
@@ -234,7 +131,8 @@ bool CampaignServer::run_epoch() {
     Campaign& campaign = running_.at(grant.id);
     campaign.online_cycles += used[i];
     campaign.online_probes += probes[i];
-    if (probes[i] > 0) record_probe_latency(per_probe);
+    if (probes[i] > 0)
+      record_probe_latency(probe_seconds[i] / static_cast<double>(probes[i]));
     if (!errors[i].empty()) {
       campaign.error = errors[i];
       failed.push_back(grant.id);

@@ -7,26 +7,16 @@
 //                resident count is below the configured cap, planned via
 //                plan_campaign(), given "campaign/<id>/" scoped metrics,
 //                and registered with the deficit-round-robin scheduler.
-//   run_epoch()  one scheduling epoch, pipelined in stage/wave/complete
-//                rounds over the resident SuperstepEngine (persistent
-//                workers; no per-epoch thread spawn/join):
-//                  stage    — in ascending grant order, each campaign
-//                             advances through setup units inline until
-//                             it stages one online MWU cycle's probes,
-//                             finishes, or exhausts its DRR budget.
-//                  wave     — every staged probe across every campaign
-//                             is batched into one deterministic parallel
-//                             sweep (split before fan-out; evaluations
-//                             are pure and order-free) over the shared
-//                             workers and OracleHub caches.
-//                  complete — in ascending grant order, each staged
-//                             campaign applies rewards and its MWU
-//                             update; rounds repeat until every grant's
-//                             budget is consumed.
-//                These are the staged calls CampaignSession::step() drives
-//                serially for one campaign; the epoch only interleaves
-//                them across campaigns, and the batched evaluations are
-//                pure, so trajectories match step(budget)'s.
+//   run_epoch()  one scheduling epoch: a single parallel_for over the
+//                granted campaigns on the resident SuperstepEngine
+//                (persistent workers; no per-epoch thread spawn/join).
+//                Each body runs its campaign's step(budget) and writes
+//                only that campaign's slots (units used, probes, probe
+//                seconds, error).  Sessions share only the internally
+//                synchronized OracleHub and metrics, and evaluations are
+//                pure, so trajectories do not depend on the worker count
+//                or the interleaving.  Settling, retirement and the
+//                periodic checkpoint then run serially in grant order.
 //                Campaigns that finish are retired: result JSON rendered
 //                (the same mwr-campaign-outcome-v1 document repair_tool
 //                emits), scheduler slot released, checkpoint removal
@@ -44,8 +34,8 @@
 //
 // The server itself is single-threaded: submit/run_epoch/checkpoint are
 // called from the daemon's control loop, never concurrently.  The only
-// intra-epoch concurrency is the engine's probe sweep, which touches
-// disjoint staged evaluations plus the internally-synchronized hub and
+// intra-epoch concurrency is the engine's campaign sweep, whose bodies
+// touch disjoint sessions plus the internally-synchronized hub and
 // metrics registry — plus the writer thread, which only ever sees byte
 // buffers the critical path has already sealed.
 //
@@ -85,7 +75,8 @@ class CheckpointWriter;
 struct ServerConfig {
   std::size_t max_resident = 256;   ///< admission-control cap.
   std::size_t quantum = 8;          ///< DRR work units per campaign-epoch.
-  std::size_t workers = 0;          ///< engine workers; 0 = hardware.
+  std::size_t workers = 0;          ///< campaigns stepped at once (engine
+                                    ///< workers); 0 = hardware.
   std::string checkpoint_dir;       ///< empty = durability disabled.
   std::size_t checkpoint_every = 0; ///< epochs between auto-checkpoints;
                                     ///< 0 = only explicit checkpoint_all().
@@ -135,9 +126,10 @@ class CampaignServer {
   /// for unknown ids).
   [[nodiscard]] ResultReply result(std::uint64_t campaign_id) const;
 
-  /// Wave wall seconds divided by wave probes, one sample per
-  /// campaign-epoch that issued probes — the distribution behind the
-  /// bench's p50/p99 probe latency.  Returns the rolling window's
+  /// A campaign's probe-evaluation wall seconds in an epoch divided by
+  /// its probes, one sample per campaign-epoch that issued probes — the
+  /// per-probe evaluation time on one worker thread, behind the bench's
+  /// p50/p99 probe latency.  Returns the rolling window's
   /// contents (at most kLatencyWindowCapacity samples; order is not
   /// meaningful — consumers compute percentiles).
   [[nodiscard]] std::vector<double> probe_latency_seconds() const;

@@ -9,10 +9,13 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <latch>
 #include <limits>
+#include <map>
 #include <memory>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "apr/campaign.hpp"
@@ -540,6 +543,44 @@ TEST(OracleHub, ResumeReinternsThePoolSoRestoredOraclesStayWarm) {
   EXPECT_EQ(restored_hub.stats().cold_oracle_builds, 0u);
 }
 
+TEST(OracleHub, ConcurrentTenantsShareOneBuildPerKey) {
+  // Campaigns stepped on different engine workers race the hub for the
+  // same key: exactly one build each, no cold oracle, one shared lease.
+  constexpr std::size_t kThreads = 4;
+  const CampaignPlan plan = plan_campaign(small_request("gzip-2009-08-16", 3));
+  datasets::ScenarioSpec bug = plan.spec;
+  bug.bug_id = 0;
+
+  OracleHub hub;
+  std::vector<OracleHub::PoolLease> pools(kThreads);
+  std::vector<OracleHub::OracleLease> oracles(kThreads);
+  std::latch start(kThreads);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      pools[t] = hub.base_pool(plan.spec, plan.config.pool);
+      oracles[t] = hub.oracle_for(bug);
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+
+  const OracleHub::Stats stats = hub.stats();
+  EXPECT_EQ(stats.pool_builds, 1u);
+  EXPECT_EQ(stats.pool_hits, kThreads - 1);
+  EXPECT_EQ(stats.oracle_builds, 1u);
+  EXPECT_EQ(stats.oracle_hits, kThreads - 1);
+  EXPECT_EQ(stats.cold_oracle_builds, 0u);
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(pools[t].pool.get(), pools[0].pool.get()) << "thread " << t;
+    EXPECT_EQ(pools[t].graph.get(), pools[0].graph.get()) << "thread " << t;
+    EXPECT_EQ(pools[t].precompute_runs, pools[0].precompute_runs);
+    EXPECT_EQ(oracles[t].program.get(), oracles[0].program.get());
+    EXPECT_EQ(oracles[t].oracle.get(), oracles[0].oracle.get());
+  }
+  EXPECT_TRUE(oracles[0].oracle->wave_ready());
+}
+
 // --- the server ---------------------------------------------------------
 
 TEST(CampaignServer, MultiplexesMixedFamiliesToCompletionWithoutStarvation) {
@@ -603,6 +644,33 @@ TEST(CampaignServer, ServedResultMatchesSingleShotByteForByte) {
   const CampaignPlan plan = plan_campaign(request);
   const apr::CampaignOutcome solo = apr::run_campaign(plan.spec, plan.config);
   EXPECT_EQ(served.outcome_json, apr::outcome_to_json(solo).dump(2) + "\n");
+}
+
+TEST(CampaignServer, TenantsSharingAPoolKeyMatchTheirSingleShotRuns) {
+  // Same scenario and pool knobs, different search seeds: the two
+  // campaigns share one pool key and are admitted in the same epoch, so
+  // on four workers they race the hub for it.  Each result must still be
+  // its own run_campaign document.
+  const std::vector<SubmitRequest> requests = {small_request("Math8", 61),
+                                               small_request("Math8", 62)};
+  ServerConfig config;
+  config.workers = 4;
+  CampaignServer server(config);
+  std::vector<std::uint64_t> ids;
+  for (const SubmitRequest& request : requests)
+    ids.push_back(*server.submit(request));
+  server.drain();
+  EXPECT_EQ(server.failed_campaigns(), 0u);
+  EXPECT_EQ(server.hub().stats().pool_builds, 1u);
+  EXPECT_EQ(server.hub().stats().cold_oracle_builds, 0u);
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    const CampaignPlan plan = plan_campaign(requests[i]);
+    EXPECT_EQ(server.result(ids[i]).outcome_json,
+              apr::outcome_to_json(apr::run_campaign(plan.spec, plan.config))
+                      .dump(2) +
+                  "\n")
+        << "campaign " << ids[i];
+  }
 }
 
 TEST(CampaignServer, AdmissionControlRejectsBeyondTheCap) {
@@ -801,6 +869,76 @@ TEST(CampaignServer, ProbeLatencyWindowStaysBounded) {
   const std::vector<double> window = server.probe_latency_seconds();
   EXPECT_EQ(window.size(), CampaignServer::kLatencyWindowCapacity);
   for (const double seconds : window) EXPECT_GE(seconds, 0.0);
+}
+
+// Everything one served run exposes that must not depend on how many
+// campaigns the engine steps at once.
+struct ServedRun {
+  /// Per epoch, per campaign (in id order): trajectory hash and units.
+  std::vector<std::vector<std::pair<std::uint64_t, std::uint64_t>>> epochs;
+  /// Checkpoint file name -> bytes, after a mid-run checkpoint_all.
+  std::map<std::string, std::vector<std::uint8_t>> checkpoints;
+  std::vector<std::string> outcomes;
+};
+
+ServedRun serve_mixed_families(std::size_t workers) {
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("mwr-serve-workers-test-" + std::to_string(workers));
+  std::filesystem::remove_all(dir);
+  const std::vector<std::string> families = {
+      "units", "gzip-2009-08-16", "Chart26", "Math80", "libtiff-2005-12-14",
+      "units"};
+  ServedRun run;
+  {
+    ServerConfig config;
+    config.workers = workers;
+    config.quantum = 2;
+    config.checkpoint_dir = dir.string();
+    CampaignServer server(config);
+    std::vector<std::uint64_t> ids;
+    for (std::size_t i = 0; i < families.size(); ++i) {
+      SubmitRequest request = small_request(families[i], 300 + i);
+      request.mwu = static_cast<std::uint8_t>(i % 4);
+      ids.push_back(*server.submit(request));
+    }
+    while (server.run_epoch()) {
+      auto& epoch = run.epochs.emplace_back();
+      for (const std::uint64_t id : ids) {
+        const StatusReply status = server.status(id);
+        epoch.emplace_back(status.trajectory_hash, status.online_cycles);
+      }
+      if (run.epochs.size() == 3) {
+        EXPECT_EQ(server.checkpoint_all().campaigns, server.resident());
+        for (const auto& entry : std::filesystem::directory_iterator(dir))
+          run.checkpoints[entry.path().filename().string()] =
+              read_file_bytes(entry.path());
+      }
+    }
+    EXPECT_EQ(server.failed_campaigns(), 0u);
+    EXPECT_EQ(server.starved_epochs(), 0u);
+    for (const std::uint64_t id : ids)
+      run.outcomes.push_back(server.result(id).outcome_json);
+  }  // the writer thread joins before the directory goes away.
+  std::filesystem::remove_all(dir);
+  return run;
+}
+
+TEST(CampaignServer, WorkerCountDoesNotChangeAnyServedByte) {
+  const ServedRun serial = serve_mixed_families(1);
+  ASSERT_GT(serial.epochs.size(), 3u);
+  ASSERT_GE(serial.checkpoints.size(), 4u);  // most are still mid-flight.
+  for (const std::size_t workers : {2u, 4u}) {
+    const ServedRun parallel = serve_mixed_families(workers);
+    ASSERT_EQ(parallel.epochs.size(), serial.epochs.size())
+        << workers << " workers";
+    for (std::size_t e = 0; e < serial.epochs.size(); ++e)
+      EXPECT_EQ(parallel.epochs[e], serial.epochs[e])
+          << workers << " workers, epoch " << e;
+    EXPECT_EQ(parallel.checkpoints, serial.checkpoints)
+        << workers << " workers";
+    EXPECT_EQ(parallel.outcomes, serial.outcomes) << workers << " workers";
+  }
 }
 
 TEST(CheckpointWriter, LatestWinsCoalescingAndRemoveOrdering) {
