@@ -91,7 +91,15 @@ CampaignSession::CampaignSession(datasets::ScenarioSpec base,
   converged_ = &metrics.gauge("campaign.converged");
 }
 
-CampaignSession::~CampaignSession() = default;
+CampaignSession::~CampaignSession() { flush_telemetry(); }
+
+void CampaignSession::flush_telemetry() {
+  if (repair_) repair_->flush_telemetry();
+  if (pending_cycles_ != 0) scoped_cycles_->add(pending_cycles_);
+  if (pending_probes_ != 0) scoped_probes_->add(pending_probes_);
+  pending_cycles_ = 0;
+  pending_probes_ = 0;
+}
 
 void CampaignSession::set_metric_scope(const std::string& prefix) {
   scope_ = std::make_unique<obs::ScopedMetrics>(
@@ -172,6 +180,7 @@ void CampaignSession::start_bug() {
 }
 
 void CampaignSession::finish_bug() {
+  flush_telemetry();
   if (repair_) {
     const RepairOutcome& result = repair_->outcome();
     current_bug_.repaired = result.repaired;
@@ -241,10 +250,11 @@ std::size_t CampaignSession::step(std::size_t budget,
       for (std::size_t j = 0; j < staged; ++j) evaluate_staged(j);
     }
     const double elapsed = wave_timer.elapsed_seconds();
-    complete_unit(elapsed);
+    complete_staged(elapsed);
     probes += probes_last_step_;
     probe_seconds += elapsed;
   }
+  flush_telemetry();
   probes_last_step_ = probes;
   probe_seconds_last_step_ = probe_seconds;
   return used;
@@ -294,14 +304,19 @@ void CampaignSession::evaluate_staged(std::size_t j) {
 }
 
 void CampaignSession::complete_unit(double elapsed_seconds) {
+  complete_staged(elapsed_seconds);
+  flush_telemetry();
+}
+
+void CampaignSession::complete_staged(double elapsed_seconds) {
   if (!unit_staged_) return;
   unit_staged_ = false;
   const double cycle_seconds = staged_seconds_ + elapsed_seconds;
   const bool finished = repair_->finish_cycle(cycle_seconds);
   probes_last_step_ = repair_->probes_last_cycle();
   if (scope_) {
-    scoped_cycles_->add(1);
-    scoped_probes_->add(probes_last_step_);
+    ++pending_cycles_;
+    pending_probes_ += probes_last_step_;
   }
   bug_seconds_ += cycle_seconds;
   if (finished) finish_bug();

@@ -116,6 +116,13 @@ class CampaignSession {
   /// trajectory-relevant value.
   void complete_unit(double elapsed_seconds = 0.0);
 
+  // Telemetry: step() counts its units' cycles and probes, the oracle's
+  // suite runs and cache hits, and the scoped campaign/<id>/online.*
+  // counters in the session, and flushes them to the shared registry
+  // once, when it returns; a bug's end and destruction flush too.  The
+  // staged calls above flush after every completed unit.  Either way the
+  // totals are exact whenever control is back with the caller.
+
   [[nodiscard]] bool done() const noexcept { return phase_ == Phase::kDone; }
   /// Valid once done().
   [[nodiscard]] const CampaignOutcome& outcome() const noexcept {
@@ -172,6 +179,9 @@ class CampaignSession {
     kDone = 4,
   };
 
+  /// complete_unit() without the telemetry flush (step() flushes once).
+  void complete_staged(double elapsed_seconds);
+  void flush_telemetry();
   void do_precompute(parallel::ThreadPool* workers);
   void start_bug();
   void finish_bug();
@@ -217,6 +227,8 @@ class CampaignSession {
   // campaigns would contend on.
   obs::Counter* scoped_cycles_ = nullptr;
   obs::Counter* scoped_probes_ = nullptr;
+  std::uint64_t pending_cycles_ = 0;  // scoped online.cycles to flush.
+  std::uint64_t pending_probes_ = 0;  // scoped online.probes to flush.
   obs::Counter* scoped_bugs_attempted_ = nullptr;
   obs::Counter* scoped_bugs_repaired_ = nullptr;
   obs::Counter* scoped_maintenance_runs_ = nullptr;

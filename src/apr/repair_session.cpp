@@ -73,8 +73,21 @@ RepairSession::RepairSession(const MwRepairConfig& config,
   }
 }
 
+RepairSession::~RepairSession() { flush_telemetry(); }
+
+void RepairSession::flush_telemetry() {
+  if (pending_cycles_ != 0) cycle_counter_->add(pending_cycles_);
+  if (pending_probes_ != 0) probe_counter_->add(pending_probes_);
+  cycle_seconds_->observe(pending_cycle_seconds_);
+  oracle_->book(pending_tally_);
+  pending_cycles_ = 0;
+  pending_probes_ = 0;
+  pending_cycle_seconds_.clear();
+}
+
 void RepairSession::finish(bool repaired) {
   done_ = true;
+  flush_telemetry();
   phase_seconds_->observe(online_seconds_);
   repaired_gauge_->set(repaired ? 1.0 : 0.0);
 }
@@ -121,9 +134,10 @@ std::size_t RepairSession::begin_cycle() {
     }
   }
   evaluations_.assign(n, Evaluation{});
+  if (wave_fast_path_) tallies_.assign(n, TestOracle::ProbeTally{});
   outcome_.probes += n;
   probes_last_cycle_ = n;
-  probe_counter_->add(n);
+  pending_probes_ += n;
   return n;
 }
 
@@ -133,7 +147,7 @@ void RepairSession::evaluate_staged(std::size_t j) {
     return;
   }
   if (wave_identity_) {
-    evaluations_[j] = oracle_->evaluate_pooled(index_patches_[j]);
+    evaluations_[j] = oracle_->evaluate_pooled(index_patches_[j], tallies_[j]);
     return;
   }
   // Translate working-pool positions to primed positions (monotone map:
@@ -142,14 +156,21 @@ void RepairSession::evaluate_staged(std::size_t j) {
   const std::vector<std::uint32_t>& widx = index_patches_[j];
   mapped.resize(widx.size());
   for (std::size_t i = 0; i < widx.size(); ++i) mapped[i] = wave_map_[widx[i]];
-  evaluations_[j] = oracle_->evaluate_pooled(mapped);
+  evaluations_[j] = oracle_->evaluate_pooled(mapped, tallies_[j]);
 }
 
 bool RepairSession::finish_cycle(double elapsed_seconds) {
   const MwRepairConfig& cfg = repair_.config();
   const auto max_count = static_cast<double>(cfg.max_count);
   online_seconds_ += elapsed_seconds;
-  cycle_seconds_->observe(elapsed_seconds);
+  pending_cycle_seconds_.push_back(elapsed_seconds);
+  ++pending_cycles_;
+  for (const TestOracle::ProbeTally& t : tallies_) {
+    pending_tally_.runs += t.runs;
+    pending_tally_.mask_hits += t.mask_hits;
+    pending_tally_.pair_hits += t.pair_hits;
+  }
+  tallies_.clear();
 
   const std::size_t n = staged_arms_.size();
   rewards_.assign(n, 0.0);
@@ -172,7 +193,6 @@ bool RepairSession::finish_cycle(double elapsed_seconds) {
       outcome_.iterations += 1;
       outcome_.preferred_count = patch_size;
       outcome_.arm_probabilities = strategy_->probabilities();
-      cycle_counter_->add(1);
       trajectory_hash_ = fnv_fold(trajectory_hash_, 0x5245504152ull);  // tag
       trajectory_hash_ = fnv_fold(trajectory_hash_, j);
       finish(true);
@@ -200,7 +220,6 @@ bool RepairSession::finish_cycle(double elapsed_seconds) {
   }
   strategy_->update(staged_arms_, rewards_, rng_);       // MWU_Update
   ++outcome_.iterations;
-  cycle_counter_->add(1);
 
   if (outcome_.iterations >= cfg.max_iterations) {
     // Budget exhausted (Fig 6: return null).
@@ -223,7 +242,9 @@ bool RepairSession::step(parallel::ThreadPool* workers) {
   } else {
     for (std::size_t j = 0; j < n; ++j) evaluate_staged(j);
   }
-  return finish_cycle(cycle_timer.elapsed_seconds());
+  const bool finished = finish_cycle(cycle_timer.elapsed_seconds());
+  flush_telemetry();
+  return finished;
 }
 
 RepairSession::State RepairSession::save() const {

@@ -58,6 +58,11 @@ class RepairSession {
   /// takes the probe-wave fast path when the oracle's wave covers `pool`.
   RepairSession(const MwRepairConfig& config, const TestOracle& oracle,
                 const MutationPool& pool);
+  /// Flushes pending telemetry (see flush_telemetry).
+  ~RepairSession();
+
+  RepairSession(const RepairSession&) = delete;
+  RepairSession& operator=(const RepairSession&) = delete;
 
   /// Runs one MWU update cycle (sample -> probe -> reward -> update), or
   /// finishes early when a probe repairs.  Returns true when the session
@@ -85,6 +90,13 @@ class RepairSession {
   //
   // step() drives these three calls for one session; CampaignSession's
   // staged calls wrap them one unit at a time.
+  //
+  // Telemetry: the staged calls count cycles, probes, cycle seconds and
+  // the oracle's suite runs and cache hits into the session, not into
+  // the shared registry.  step(), the end of the search and destruction
+  // flush them, and so does flush_telemetry(); the totals are then exact.
+  // Concurrently stepped sessions thus write the shared atomics once per
+  // step instead of once per probe.
 
   /// Stages one cycle's probes; returns how many (0 when already done).
   /// Every call must be matched by finish_cycle() after all staged
@@ -99,6 +111,11 @@ class RepairSession {
   /// observed once into repair.online.cycle_seconds and accumulated into
   /// phase.online.seconds (telemetry only — never trajectory-relevant).
   bool finish_cycle(double elapsed_seconds = 0.0);
+
+  /// Adds the staged calls' pending counts to repair.online.{cycles,
+  /// probes,cycle_seconds} and to the oracle's suite runs and cache
+  /// counters.  Not concurrently with evaluate_staged().
+  void flush_telemetry();
 
   /// True when this session evaluates probes through the oracle's eager
   /// wave table (index-space sampling, no per-patch sort or cache
@@ -166,6 +183,14 @@ class RepairSession {
   std::vector<double> acceptance_;
   std::vector<Evaluation> evaluations_;
   std::vector<double> rewards_;
+
+  // Telemetry pending a flush_telemetry(); tallies_ holds one slot per
+  // staged wave probe so concurrent evaluate_staged calls never share one.
+  std::vector<TestOracle::ProbeTally> tallies_;
+  TestOracle::ProbeTally pending_tally_;
+  std::uint64_t pending_cycles_ = 0;
+  std::uint64_t pending_probes_ = 0;
+  std::vector<double> pending_cycle_seconds_;
 
   // Global telemetry handles, fetched once (same names as MwRepair::run).
   obs::Counter* cycle_counter_;

@@ -185,7 +185,14 @@ Evaluation TestOracle::evaluate(std::span<const Mutation> patch) const {
 
 Evaluation TestOracle::evaluate_pooled(
     std::span<const std::uint32_t> pool_indices) const {
-  suite_runs_.fetch_add(1, std::memory_order_relaxed);
+  ProbeTally tally;
+  const Evaluation result = evaluate_pooled(pool_indices, tally);
+  book(tally);
+  return result;
+}
+
+Evaluation TestOracle::evaluate_pooled(
+    std::span<const std::uint32_t> pool_indices, ProbeTally& tally) const {
   const auto& spec = program_->spec();
   const OracleCache::WaveTable& wave = cache_->wave();
   const util::simd::WeightKernels& kernels = util::simd::active();
@@ -197,9 +204,13 @@ Evaluation TestOracle::evaluate_pooled(
   std::uint64_t broken = kernels.mask_or_gather(
       wave.masks.data(), pool_indices.data(), pool_indices.size());
 
-  thread_local std::vector<std::uint64_t> member_words;
+  // The wave never exceeds kMaxWavePool members, so the bitmap fits on
+  // the stack.
+  static_assert(OracleCache::kMaxWavePool <= 2048);
+  constexpr std::size_t kMaxWords = OracleCache::kMaxWavePool / 64;
+  std::array<std::uint64_t, kMaxWords> member_words;
   const std::size_t words = wave.safe_words.size();
-  member_words.assign(words, 0);
+  std::fill_n(member_words.begin(), words, std::uint64_t{0});
   for (const std::uint32_t i : pool_indices) {
     member_words[i >> 6] |= std::uint64_t{1} << (i & 63);
   }
@@ -209,24 +220,26 @@ Evaluation TestOracle::evaluate_pooled(
       wave.relevant_words.data(), member_words.data(), words);
 
   // Pairwise interference: walk each safe member's precomputed partner
-  // row and OR the masks of partners that are also in the patch.  The
-  // CSR is symmetric, so every interfering pair is visited twice — OR is
-  // idempotent, and the double visit beats a per-edge direction test.
+  // row and OR the masks of partners that are also in the patch — masked
+  // by the partner's membership bit, not branched on, since membership is
+  // a coin flip the predictor cannot learn.  The CSR is symmetric, so
+  // every interfering pair is visited twice — OR is idempotent, and the
+  // double visit beats a per-edge direction test.
   for (const std::uint32_t i : pool_indices) {
     if (((wave.safe_words[i >> 6] >> (i & 63)) & 1) == 0) continue;
     const std::uint32_t end = wave.partner_offsets[i + 1];
     for (std::uint32_t o = wave.partner_offsets[i]; o < end; ++o) {
       const std::uint32_t j = wave.partner_idx[o];
-      if ((member_words[j >> 6] >> (j & 63)) & 1) {
-        broken |= wave.partner_masks[o];
-      }
+      const std::uint64_t member = (member_words[j >> 6] >> (j & 63)) & 1;
+      broken |= wave.partner_masks[o] & (std::uint64_t{0} - member);
     }
   }
 
   // Book the exact cache traffic a fully warm evaluate() of this patch
   // would: one mask hit per member, one pair hit per safe pair.
-  mask_hits_->add(pool_indices.size());
-  if (n_safe >= 2) pair_hits_->add(n_safe * (n_safe - 1) / 2);
+  ++tally.runs;
+  tally.mask_hits += pool_indices.size();
+  if (n_safe >= 2) tally.pair_hits += n_safe * (n_safe - 1) / 2;
 
   Evaluation result;
   result.required_total = required_tests_;
@@ -235,6 +248,14 @@ Evaluation TestOracle::evaluate_pooled(
   result.bug_test_passed =
       relevant >= spec.min_repair_edits && spec.min_repair_edits > 0;
   return result;
+}
+
+void TestOracle::book(ProbeTally& tally) const {
+  if (tally.runs != 0)
+    suite_runs_.fetch_add(tally.runs, std::memory_order_relaxed);
+  if (tally.mask_hits != 0) mask_hits_->add(tally.mask_hits);
+  if (tally.pair_hits != 0) pair_hits_->add(tally.pair_hits);
+  tally = ProbeTally{};
 }
 
 InterferenceGraph TestOracle::interference_graph(

@@ -40,7 +40,9 @@
 //
 // Every evaluate() call counts one test-suite run — the unit in which the
 // paper measures APR cost (§IV-G) — via a relaxed atomic, so concurrent
-// probes from the thread pool can share one oracle.
+// probes from the thread pool can share one oracle.  The staged path of
+// a RepairSession counts its probes into a ProbeTally instead and books
+// them once per step, so suite_runs() is exact between steps.
 #pragma once
 
 #include <atomic>
@@ -155,6 +157,22 @@ class TestOracle {
   /// books one mask hit per member and one pair hit per safe pair.
   [[nodiscard]] Evaluation evaluate_pooled(
       std::span<const std::uint32_t> pool_indices) const;
+
+  /// Suite runs and cache hits counted by a caller instead of on the
+  /// shared counters, then added to them at once by book().
+  struct ProbeTally {
+    std::uint64_t runs = 0;
+    std::uint64_t mask_hits = 0;
+    std::uint64_t pair_hits = 0;
+  };
+  /// evaluate_pooled() that counts its suite run and cache hits into
+  /// `tally`: suite_runs() and the cache counters see them only at
+  /// book().  The hot staged path uses it so concurrent sessions do not
+  /// write shared atomics once per probe.
+  [[nodiscard]] Evaluation evaluate_pooled(
+      std::span<const std::uint32_t> pool_indices, ProbeTally& tally) const;
+  /// Adds `tally` to suite_runs() and the cache counters; zeroes it.
+  void book(ProbeTally& tally) const;
 
   /// Position of `m` in the wave's pool, or OracleCache::npos when the
   /// oracle is not wave_ready() or `m` is not a wave-pool member.  Key

@@ -33,6 +33,33 @@ void Histogram::observe(double v) noexcept {
   detail::atomic_max(max_, v);
 }
 
+void Histogram::observe(std::span<const double> values) noexcept {
+  if (values.empty()) return;
+  double sum = 0.0;
+  double lo = values.front();
+  double hi = values.front();
+  std::size_t run_index = 0;
+  std::uint64_t run = 0;
+  for (const double v : values) {
+    const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), v);
+    const auto index = static_cast<std::size_t>(it - bounds_.begin());
+    if (run != 0 && index != run_index) {
+      buckets_[run_index].fetch_add(run, std::memory_order_relaxed);
+      run = 0;
+    }
+    run_index = index;
+    ++run;
+    sum += v;
+    lo = std::min(lo, v);
+    hi = std::max(hi, v);
+  }
+  buckets_[run_index].fetch_add(run, std::memory_order_relaxed);
+  count_.fetch_add(values.size(), std::memory_order_relaxed);
+  detail::atomic_add(sum_, sum);
+  detail::atomic_min(min_, lo);
+  detail::atomic_max(max_, hi);
+}
+
 std::uint64_t Histogram::bucket_count(std::size_t i) const {
   if (i > bounds_.size())
     throw std::out_of_range("Histogram::bucket_count: bad bucket index");

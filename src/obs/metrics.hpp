@@ -19,6 +19,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 namespace mwr::obs {
@@ -93,6 +94,10 @@ class Histogram {
   explicit Histogram(std::vector<double> upper_bounds);
 
   void observe(double v) noexcept;
+  /// Observes every value in `values`: one atomic update per run of
+  /// values in the same bucket and one per summary field, where observing
+  /// them one by one would pay all of them per value.
+  void observe(std::span<const double> values) noexcept;
 
   [[nodiscard]] const std::vector<double>& upper_bounds() const noexcept {
     return bounds_;

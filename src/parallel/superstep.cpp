@@ -323,12 +323,24 @@ void SuperstepEngine::run(const std::function<void(int)>& body) {
 }
 
 void SuperstepEngine::parallel_for(
-    std::size_t count, const std::function<void(std::size_t)>& fn) {
+    std::size_t count, const std::function<void(std::size_t)>& fn,
+    const std::function<void()>& caller_hook) {
   Impl& impl = *impl_;
-  if (count == 0) return;
-  if (impl.nworkers <= 1) {
-    // Inline: no wakeups, no cursor, exceptions propagate naturally.
+  // The hook's exception waits for the sweep: it must not cancel it.
+  const auto run_hook = [&caller_hook]() -> std::exception_ptr {
+    if (!caller_hook) return nullptr;
+    try {
+      caller_hook();
+    } catch (...) {
+      return std::current_exception();
+    }
+    return nullptr;
+  };
+  if (count == 0 || impl.nworkers <= 1) {
+    // Inline: no wakeups, no cursor, fn exceptions propagate naturally.
+    const std::exception_ptr hook_error = run_hook();
     for (std::size_t i = 0; i < count; ++i) fn(i);
+    if (hook_error) std::rethrow_exception(hook_error);
     return;
   }
   std::size_t chunk = 1;
@@ -352,7 +364,9 @@ void SuperstepEngine::parallel_for(
     impl.remaining = impl.threads.size();
     impl.cv.notify_all();
   }
-  // The caller participates instead of idling behind the pool.
+  // The hook overlaps the workers' share; then the caller participates
+  // instead of idling behind the pool.
+  const std::exception_ptr hook_error = run_hook();
   impl.drain_parallel_for(fn, count, chunk);
   {
     util::MutexLock lock(impl.mutex);
@@ -362,6 +376,7 @@ void SuperstepEngine::parallel_for(
     first_error = impl.first_error;
   }
   if (first_error) std::rethrow_exception(first_error);
+  if (hook_error) std::rethrow_exception(hook_error);
 }
 
 void SuperstepEngine::suspend_current() {

@@ -79,8 +79,17 @@ class SuperstepEngine final : public CoopScheduler {
   /// inline on the caller with no wakeups.  Rethrows the first exception
   /// any fn call threw, after the sweep drains.  Same no-overlap rule as
   /// run().
+  ///
+  /// `caller_hook`, when set, runs exactly once on the calling thread:
+  /// after the workers are woken and before the caller joins the drain,
+  /// so it overlaps the sweep (the campaign server answers control frames
+  /// there).  With workers() <= 1, or nothing to sweep, it runs inline
+  /// before the loop.  It must not touch state fn writes.  An exception
+  /// from the hook does not cancel the sweep; it is rethrown after the
+  /// drain unless an fn call threw first.
   void parallel_for(std::size_t count,
-                    const std::function<void(std::size_t)>& fn);
+                    const std::function<void(std::size_t)>& fn,
+                    const std::function<void()>& caller_hook = {});
 
   [[nodiscard]] std::size_t ranks() const noexcept;
   [[nodiscard]] std::size_t workers() const noexcept;

@@ -3,6 +3,7 @@
 // call here; the rest of the subsystem trades in WireFrames.
 #include "serve/control_socket.hpp"
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -21,6 +22,8 @@ using parallel::transport::WireFrame;
 namespace {
 
 constexpr std::size_t kReadChunkBytes = 64 * 1024;
+/// Outbound capacity a drained connection keeps for its next replies.
+constexpr std::size_t kRetainedOutboundBytes = 64 * 1024;
 
 [[noreturn]] void raise_errno(const std::string& what) {
   throw std::runtime_error("serve control socket: " + what + ": " +
@@ -61,46 +64,101 @@ bool ControlConn::send_frame(const WireFrame& frame) {
   return true;
 }
 
+void ControlConn::queue_frame(const WireFrame& frame) {
+  parallel::transport::encode_frame(frame, outbound_);
+}
+
+bool ControlConn::flush() {
+  while (sent_ < outbound_.size()) {
+    const ssize_t n = ::send(fd_, outbound_.data() + sent_,
+                             outbound_.size() - sent_,
+                             MSG_NOSIGNAL | MSG_DONTWAIT);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      if (errno == EAGAIN || errno == EWOULDBLOCK) break;
+      if (errno == EPIPE || errno == ECONNRESET) return false;
+      raise_errno("send");
+    }
+    sent_ += static_cast<std::size_t>(n);
+  }
+  if (sent_ == outbound_.size()) {
+    // Drained.  A burst of large replies leaves a large buffer behind;
+    // give it back rather than hold it for the connection's lifetime.
+    if (outbound_.capacity() > kRetainedOutboundBytes) {
+      std::vector<std::uint8_t>().swap(outbound_);
+    } else {
+      outbound_.clear();
+    }
+    sent_ = 0;
+  } else if (sent_ > outbound_.size() / 2) {
+    // Mostly written: drop the written prefix so a queue that never
+    // fully drains does not keep growing at the front.
+    outbound_.erase(outbound_.begin(),
+                    outbound_.begin() + static_cast<std::ptrdiff_t>(sent_));
+    sent_ = 0;
+  }
+  return true;
+}
+
 bool ControlConn::fill_buffer(bool blocking) {
-  if (consumed_ == staged_.size()) {
-    staged_.clear();
+  if (consumed_ == filled_) {
+    consumed_ = 0;
+    filled_ = 0;
+  } else if (consumed_ > 0 && staged_.size() - filled_ < kReadChunkBytes) {
+    // Keep only the partial frame: the decoded prefix is dead weight.
+    std::memmove(staged_.data(), staged_.data() + consumed_,
+                 filled_ - consumed_);
+    filled_ -= consumed_;
     consumed_ = 0;
   }
-  const std::size_t old = staged_.size();
-  staged_.resize(old + kReadChunkBytes);
+  // Grows (and zero-fills) only when a frame outgrows the buffer; every
+  // other read reuses it as is.
+  if (staged_.size() - filled_ < kReadChunkBytes)
+    staged_.resize(filled_ + kReadChunkBytes);
   for (;;) {
-    const ssize_t n = ::recv(fd_, staged_.data() + old, kReadChunkBytes,
+    const ssize_t n = ::recv(fd_, staged_.data() + filled_,
+                             staged_.size() - filled_,
                              blocking ? 0 : MSG_DONTWAIT);
     if (n > 0) {
-      staged_.resize(old + static_cast<std::size_t>(n));
+      filled_ += static_cast<std::size_t>(n);
       return true;
     }
-    if (n == 0) {
-      staged_.resize(old);
-      return false;  // orderly EOF
-    }
+    if (n == 0) return false;  // orderly EOF
     if (errno == EINTR) continue;
-    if (!blocking && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      staged_.resize(old);
+    if (!blocking && (errno == EAGAIN || errno == EWOULDBLOCK))
       return true;  // nothing buffered right now
-    }
-    staged_.resize(old);
     if (errno == ECONNRESET) return false;
     raise_errno("recv");
   }
 }
 
-std::optional<WireFrame> ControlConn::recv_frame() {
+std::optional<WireFrame> ControlConn::recv_frame(int timeout_ms) {
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::milliseconds(std::max(timeout_ms, 0));
   for (;;) {
     WireFrame frame;
     const std::size_t used = parallel::transport::decode_frame(
-        staged_.data() + consumed_, staged_.size() - consumed_, frame);
+        staged_.data() + consumed_, filled_ - consumed_, frame);
     if (used != 0) {
       consumed_ += used;
       return frame;
     }
+    if (timeout_ms >= 0) {
+      const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+          deadline - std::chrono::steady_clock::now());
+      pollfd readable{fd_, POLLIN, 0};
+      int n;
+      do {
+        n = ::poll(&readable, 1, static_cast<int>(std::max<long long>(
+                                     left.count(), 0)));
+      } while (n < 0 && errno == EINTR);
+      if (n < 0) raise_errno("poll");
+      if (n == 0)
+        throw std::runtime_error("serve control socket: no frame within " +
+                                 std::to_string(timeout_ms) + " ms");
+    }
     if (!fill_buffer(/*blocking=*/true)) {
-      if (consumed_ != staged_.size())
+      if (consumed_ != filled_)
         throw std::runtime_error(
             "serve control socket: EOF mid-frame (peer died)");
       return std::nullopt;
@@ -113,7 +171,7 @@ bool ControlConn::pump(std::vector<WireFrame>& out) {
   for (;;) {
     WireFrame frame;
     const std::size_t used = parallel::transport::decode_frame(
-        staged_.data() + consumed_, staged_.size() - consumed_, frame);
+        staged_.data() + consumed_, filled_ - consumed_, frame);
     if (used == 0) break;
     consumed_ += used;
     out.push_back(std::move(frame));
@@ -127,7 +185,8 @@ bool ControlConn::pump(std::vector<WireFrame>& out) {
 
 ControlListener::ControlListener(const std::string& path) : path_(path) {
   // SOCK_NONBLOCK on the listener makes accept_one() poll-friendly; the
-  // accepted connections themselves stay blocking.
+  // accepted connections themselves stay blocking (pump and flush pass
+  // MSG_DONTWAIT per call).
   fd_ = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC | SOCK_NONBLOCK, 0);
   if (fd_ < 0) raise_errno("socket");
   ::unlink(path.c_str());  // stale socket from a killed daemon
@@ -163,13 +222,17 @@ std::unique_ptr<ControlConn> ControlListener::accept_one() {
   }
 }
 
-bool ControlListener::wait_readable(const std::vector<ControlConn*>& conns,
-                                    int timeout_ms) const {
+bool ControlListener::wait_ready(const std::vector<ControlConn*>& conns,
+                                 int timeout_ms) const {
   std::vector<pollfd> fds;
   fds.reserve(conns.size() + 1);
   fds.push_back(pollfd{fd_, POLLIN, 0});
-  for (const ControlConn* conn : conns)
-    fds.push_back(pollfd{conn->fd(), POLLIN, 0});
+  for (const ControlConn* conn : conns) {
+    const short events = conn->outbound_bytes() > 0
+                             ? static_cast<short>(POLLIN | POLLOUT)
+                             : static_cast<short>(POLLIN);
+    fds.push_back(pollfd{conn->fd(), events, 0});
+  }
   for (;;) {
     const int n = ::poll(fds.data(), fds.size(), timeout_ms);
     if (n >= 0) return n > 0;

@@ -9,8 +9,11 @@
 // Framing: the stream carries back-to-back MWRW frames.  ControlConn
 // accumulates bytes per connection and yields whole decoded frames;
 // partial frames stay staged until more bytes arrive (decode_frame's
-// zero-consumed contract).  Writes are blocking write-all with
-// MSG_NOSIGNAL so a vanished peer surfaces as an error, not SIGPIPE.
+// zero-consumed contract).  Two ways out: clients use send_frame, a
+// blocking write-all; the daemon queues replies with queue_frame and
+// writes them with flush, which never blocks, so one peer that does not
+// read cannot stall the others.  Both use MSG_NOSIGNAL so a vanished
+// peer surfaces as an error, not SIGPIPE.
 #pragma once
 
 #include <cstdint>
@@ -33,13 +36,31 @@ class ControlConn {
   ControlConn(const ControlConn&) = delete;
   ControlConn& operator=(const ControlConn&) = delete;
 
+  /// Queued reply bytes a peer may leave unread.  The daemon drops a
+  /// connection whose outbound queue grows past it (a client that keeps
+  /// sending requests but never reads the replies).
+  static constexpr std::size_t kMaxOutboundBytes = std::size_t{4} << 20;
+
   /// Blocking write-all of one encoded frame.  Returns false when the
   /// peer is gone (EPIPE/ECONNRESET); throws on other errors.
   bool send_frame(const parallel::transport::WireFrame& frame);
 
+  /// Appends one encoded frame to the outbound queue; no I/O.
+  void queue_frame(const parallel::transport::WireFrame& frame);
+  /// Writes as much of the outbound queue as the socket takes without
+  /// blocking.  A fully drained queue gives back its buffer.  Returns
+  /// false when the peer is gone; throws on other errors.
+  bool flush();
+  /// Queued bytes not yet written.
+  [[nodiscard]] std::size_t outbound_bytes() const noexcept {
+    return outbound_.size() - sent_;
+  }
+
   /// Blocks until one whole frame arrives; nullopt on orderly EOF.
-  /// Throws std::runtime_error on a mid-frame EOF or a socket error.
-  std::optional<parallel::transport::WireFrame> recv_frame();
+  /// Throws std::runtime_error on a mid-frame EOF, a socket error, or
+  /// when `timeout_ms` (>= 0) passes without a whole frame.
+  std::optional<parallel::transport::WireFrame> recv_frame(
+      int timeout_ms = -1);
 
   /// Non-blocking drain: appends every frame currently decodable from
   /// the kernel buffer to `out`.  Returns false when the peer closed —
@@ -54,8 +75,11 @@ class ControlConn {
   bool fill_buffer(bool blocking);  ///< false on EOF.
 
   int fd_;
-  std::vector<std::uint8_t> staged_;
-  std::size_t consumed_ = 0;
+  std::vector<std::uint8_t> staged_;  ///< read buffer; [0, filled_) valid.
+  std::size_t filled_ = 0;
+  std::size_t consumed_ = 0;          ///< staged_ bytes already decoded.
+  std::vector<std::uint8_t> outbound_;
+  std::size_t sent_ = 0;  ///< outbound_ bytes already written.
 };
 
 /// The daemon's listening socket.  Binding unlinks any stale socket file
@@ -71,10 +95,11 @@ class ControlListener {
   /// Accepts one pending connection, or nullptr when none is queued.
   std::unique_ptr<ControlConn> accept_one();
 
-  /// Sleeps until the listener or one of `conns` is readable, or
-  /// `timeout_ms` elapses.  Returns true when anything is readable.
-  bool wait_readable(const std::vector<ControlConn*>& conns,
-                     int timeout_ms) const;
+  /// Sleeps until the listener or one of `conns` is readable, a
+  /// connection with queued replies is writable, or `timeout_ms`
+  /// elapses.  Returns true when anything is ready.
+  bool wait_ready(const std::vector<ControlConn*>& conns,
+                  int timeout_ms) const;
 
   [[nodiscard]] const std::string& path() const noexcept { return path_; }
 

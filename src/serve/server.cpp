@@ -1,6 +1,7 @@
 #include "serve/server.hpp"
 
 #include <algorithm>
+#include <exception>
 #include <filesystem>
 #include <stdexcept>
 #include <utility>
@@ -84,6 +85,7 @@ std::optional<std::uint64_t> CampaignServer::submit(
   campaign.session = std::make_unique<apr::CampaignSession>(
       std::move(plan.spec), plan.config, &hub_);
   campaign.session->set_metric_scope("campaign/" + std::to_string(id));
+  sync_progress(campaign);
   running_.emplace(id, std::move(campaign));
   scheduler_.admit(id);
   submitted_->add(1);
@@ -91,7 +93,7 @@ std::optional<std::uint64_t> CampaignServer::submit(
   return id;
 }
 
-bool CampaignServer::run_epoch() {
+bool CampaignServer::run_epoch(const std::function<void()>& during_sweep) {
   const std::vector<DeficitScheduler::Grant> grants =
       scheduler_.begin_epoch();
   if (grants.empty()) return false;
@@ -101,24 +103,42 @@ bool CampaignServer::run_epoch() {
   // touches only its own state, the mutex-guarded hub and atomic metrics,
   // and evaluations are pure, so trajectories do not depend on the worker
   // count or the interleaving.  A throwing session fails only itself.
+  // The campaigns are resolved before the sweep: `during_sweep` may
+  // submit (insert into running_) while the workers step.
   const std::size_t n = grants.size();
+  std::vector<Campaign*> campaigns(n);
+  for (std::size_t i = 0; i < n; ++i)
+    campaigns[i] = &running_.at(grants[i].id);
   std::vector<std::size_t> used(n, 0);
   std::vector<std::size_t> probes(n, 0);
   std::vector<double> probe_seconds(n, 0.0);
   std::vector<std::string> errors(n);
-  engine().parallel_for(n, [&](std::size_t i) {
-    apr::CampaignSession& session = *running_.at(grants[i].id).session;
-    try {
-      used[i] = session.step(grants[i].budget);
-      probes[i] = session.probes_last_step();
-      probe_seconds[i] = session.probe_seconds_last_step();
-    } catch (const std::exception& error) {
-      errors[i] = error.what();
-      if (errors[i].empty()) errors[i] = "campaign step failed";
-    } catch (...) {
-      errors[i] = "campaign step failed";
-    }
-  });
+  std::exception_ptr hook_error;
+  engine().parallel_for(
+      n,
+      [&](std::size_t i) {
+        apr::CampaignSession& session = *campaigns[i]->session;
+        try {
+          used[i] = session.step(grants[i].budget);
+          probes[i] = session.probes_last_step();
+          probe_seconds[i] = session.probe_seconds_last_step();
+        } catch (const std::exception& error) {
+          errors[i] = error.what();
+          if (errors[i].empty()) errors[i] = "campaign step failed";
+        } catch (...) {
+          errors[i] = "campaign step failed";
+        }
+      },
+      [&] {
+        // The epoch settles whatever the hook does; its error surfaces
+        // once the server is consistent again.
+        if (!during_sweep) return;
+        try {
+          during_sweep();
+        } catch (...) {
+          hook_error = std::current_exception();
+        }
+      });
 
   // Settle and retire, in grant order.  Per-probe latency is one
   // campaign's evaluation seconds over its probes, sampled once per
@@ -128,9 +148,10 @@ bool CampaignServer::run_epoch() {
   for (std::size_t i = 0; i < n; ++i) {
     const DeficitScheduler::Grant& grant = grants[i];
     scheduler_.settle(grant.id, used[i]);
-    Campaign& campaign = running_.at(grant.id);
+    Campaign& campaign = *campaigns[i];
     campaign.online_cycles += used[i];
     campaign.online_probes += probes[i];
+    sync_progress(campaign);
     if (probes[i] > 0)
       record_probe_latency(probe_seconds[i] / static_cast<double>(probes[i]));
     if (!errors[i].empty()) {
@@ -169,6 +190,7 @@ bool CampaignServer::run_epoch() {
     // checkpoint_all is the barrier.
     checkpoint_bytes_->add(enqueue_dirty_checkpoints(/*periodic=*/true));
   }
+  if (hook_error) std::rethrow_exception(hook_error);
   return true;
 }
 
@@ -177,13 +199,16 @@ void CampaignServer::drain() {
   }
 }
 
+void CampaignServer::sync_progress(Campaign& campaign) {
+  campaign.bugs_done = campaign.session->bugs_completed();
+  campaign.repaired = campaign.session->bugs_repaired();
+  campaign.trajectory_hash = campaign.session->trajectory_hash();
+}
+
 void CampaignServer::finish_campaign(Campaign&& campaign) {
-  const apr::CampaignOutcome& outcome = campaign.session->outcome();
-  campaign.final_hash = campaign.session->trajectory_hash();
-  campaign.repaired = outcome.repaired();
-  campaign.bugs_done = outcome.bugs.size();
   // Keep the outcome; result() renders the document on first fetch.
-  campaign.outcome = std::make_unique<apr::CampaignOutcome>(outcome);
+  campaign.outcome =
+      std::make_unique<apr::CampaignOutcome>(campaign.session->outcome());
   campaign.session.reset();  // drop pool/lease memory; keep the ledger.
   scheduler_.remove(campaign.id);
   if (!config_.checkpoint_dir.empty()) {
@@ -202,9 +227,6 @@ void CampaignServer::fail_campaign(Campaign&& campaign) {
   root.set("error", campaign.error);
   campaign.result_json = root.dump(/*indent=*/2);
   campaign.result_json += "\n";
-  campaign.final_hash = campaign.session->trajectory_hash();
-  campaign.repaired = campaign.session->bugs_repaired();
-  campaign.bugs_done = campaign.session->bugs_completed();
   campaign.session.reset();
   scheduler_.remove(campaign.id);
   if (!config_.checkpoint_dir.empty()) {
@@ -227,20 +249,13 @@ std::size_t CampaignServer::completed() const noexcept {
 void CampaignServer::fill_status(const Campaign& campaign,
                                  StatusReply& reply) const {
   reply.known = true;
+  reply.done = campaign.session == nullptr;
+  reply.bug_index = campaign.bugs_done;
   reply.bugs_total = campaign.request.bugs;
   reply.online_cycles = campaign.online_cycles;
   reply.online_probes = campaign.online_probes;
-  if (campaign.session) {
-    reply.done = false;
-    reply.bug_index = campaign.session->bugs_completed();
-    reply.repaired = campaign.session->bugs_repaired();
-    reply.trajectory_hash = campaign.session->trajectory_hash();
-  } else {
-    reply.done = true;
-    reply.bug_index = campaign.bugs_done;
-    reply.repaired = campaign.repaired;
-    reply.trajectory_hash = campaign.final_hash;
-  }
+  reply.repaired = campaign.repaired;
+  reply.trajectory_hash = campaign.trajectory_hash;
 }
 
 StatusReply CampaignServer::status(std::uint64_t campaign_id) const {
@@ -346,6 +361,7 @@ std::size_t CampaignServer::restore_from_dir() {
                                      plan.config, &hub_);
     campaign.session->set_metric_scope("campaign/" +
                                        std::to_string(campaign.id));
+    sync_progress(campaign);
     // The file just read IS the current state: clean until it progresses.
     campaign.checkpointed_units = campaign.online_cycles;
     next_id_ = std::max(next_id_, campaign.id + 1);

@@ -32,12 +32,21 @@
 //                fresh daemon reloads the directory and resumes every
 //                campaign bit-identically (the trajectory-hash pin).
 //
-// The server itself is single-threaded: submit/run_epoch/checkpoint are
-// called from the daemon's control loop, never concurrently.  The only
-// intra-epoch concurrency is the engine's campaign sweep, whose bodies
-// touch disjoint sessions plus the internally-synchronized hub and
-// metrics registry — plus the writer thread, which only ever sees byte
-// buffers the critical path has already sealed.
+// The server is driven from one thread, the daemon's control loop
+// (serve/control_loop.hpp).  The engine's campaign sweep runs beside it:
+// its bodies touch disjoint sessions plus the internally-synchronized hub
+// and metrics registry.  While the sweep runs, the loop may call the
+// server from run_epoch's `during_sweep` hook, which overlaps the sweep,
+// but only through submit(), status(), result(), resident() and
+// completed().  They read and write the campaign maps, the scheduler's
+// admission table and the progress each campaign caches when it is
+// admitted, restored or settled, never a session the workers are
+// stepping: a STATUS mid-sweep reports the campaign as of the previous
+// epoch, byte for byte what it would report between the epochs.  A
+// campaign submitted mid-sweep is first stepped in the next epoch.
+// checkpoint_all() serializes sessions, so it waits for the join (the
+// loop parks a CHECKPOINT request until then).  The writer thread only
+// ever sees byte buffers the critical path has already sealed.
 //
 // Fairness telemetry: serve.starved_epochs counts campaigns that ended
 // an epoch with zero units consumed while unfinished.  The DRR invariant
@@ -47,6 +56,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -101,8 +111,12 @@ class CampaignServer {
   std::optional<std::uint64_t> submit(const SubmitRequest& request);
 
   /// Runs one DRR epoch over the resident campaigns.  Returns false when
-  /// there was nothing to run.
-  bool run_epoch();
+  /// there was nothing to run (the hook is not called then).
+  /// `during_sweep`, when set, runs once on the calling thread while the
+  /// engine steps the epoch's campaigns, under the rules in the header
+  /// comment above.  If it throws, the epoch still settles and the
+  /// exception is rethrown after.
+  bool run_epoch(const std::function<void()>& during_sweep = {});
 
   /// Steps epochs until every resident campaign has finished.
   void drain();
@@ -174,15 +188,19 @@ class CampaignServer {
     /// measurable).  Null for failed campaigns, which render their
     /// error document eagerly.
     std::unique_ptr<apr::CampaignOutcome> outcome;
-    /// Result document; lazily rendered from `outcome` (single-threaded
-    /// server, so the mutable cache is unsynchronized by design).
+    /// Result document; lazily rendered from `outcome` (only the
+    /// control loop's thread calls result(), so the mutable cache is
+    /// unsynchronized by design).
     mutable std::string result_json;
     std::string error;              ///< non-empty = campaign failed.
-    std::uint64_t final_hash = 0;
     std::uint64_t online_cycles = 0;
     std::uint64_t online_probes = 0;
-    std::uint64_t repaired = 0;   ///< filled at completion.
-    std::uint64_t bugs_done = 0;  ///< filled at completion.
+    /// The session's progress as of the last settle (or admission /
+    /// restore): what status() reports, so it never reads a session
+    /// the engine may be stepping.
+    std::uint64_t bugs_done = 0;
+    std::uint64_t repaired = 0;
+    std::uint64_t trajectory_hash = 0;
     /// online_cycles value at the last checkpoint of this campaign; the
     /// dirty predicate is checkpointed_units != online_cycles (units
     /// strictly increase every granted epoch while unfinished).  ~0 =
@@ -190,6 +208,9 @@ class CampaignServer {
     std::uint64_t checkpointed_units = ~0ull;
   };
 
+  /// Copies the session's bug counts and trajectory hash into the
+  /// campaign's status cache.  Never called while the session steps.
+  static void sync_progress(Campaign& campaign);
   void finish_campaign(Campaign&& campaign);
   /// Retires a campaign whose session threw (campaign.error holds the
   /// message): the result frame becomes an mwr-campaign-error-v1

@@ -1,6 +1,7 @@
 // The socket layer of the campaign server: MWRW frames over a real
-// Unix-domain stream socket, the daemon request loop, and ServeClient.
-// (Everything socket-free about the server lives in test_serve.cpp.)
+// Unix-domain stream socket, the daemon's control loop (serve/
+// control_loop.hpp), and ServeClient.  (Everything socket-free about the
+// server lives in test_serve.cpp.)
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
@@ -8,13 +9,19 @@
 
 #include <atomic>
 #include <filesystem>
+#include <functional>
+#include <optional>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "parallel/superstep.hpp"
 #include "parallel/transport/wire.hpp"
 #include "serve/client.hpp"
 #include "serve/control.hpp"
+#include "serve/checkpoint.hpp"
+#include "serve/control_loop.hpp"
 #include "serve/control_socket.hpp"
 #include "serve/server.hpp"
 
@@ -35,7 +42,7 @@ TEST(ControlSocket, FramesRoundTripIncludingLargePayloads) {
   ControlListener listener(path);
 
   std::unique_ptr<ControlConn> client = connect_control(path);
-  ASSERT_TRUE(listener.wait_readable({}, 1000));
+  ASSERT_TRUE(listener.wait_ready({}, 1000));
   std::unique_ptr<ControlConn> served = listener.accept_one();
   ASSERT_NE(served, nullptr);
 
@@ -70,7 +77,7 @@ TEST(ControlSocket, PumpDrainsWithoutBlocking) {
   std::unique_ptr<ControlConn> client = connect_control(path);
   std::unique_ptr<ControlConn> served;
   for (int i = 0; i < 100 && !served; ++i) {
-    (void)listener.wait_readable({}, 50);
+    (void)listener.wait_ready({}, 50);
     served = listener.accept_one();
   }
   ASSERT_NE(served, nullptr);
@@ -82,7 +89,7 @@ TEST(ControlSocket, PumpDrainsWithoutBlocking) {
   ASSERT_TRUE(client->send_frame(encode_status_request(7)));
   ASSERT_TRUE(client->send_frame(encode_checkpoint_request()));
   for (int i = 0; i < 100 && frames.size() < 2; ++i) {
-    (void)listener.wait_readable({served.get()}, 50);
+    (void)listener.wait_ready({served.get()}, 50);
     ASSERT_TRUE(served->pump(frames));
   }
   ASSERT_EQ(frames.size(), 2u);
@@ -96,7 +103,7 @@ TEST(ControlSocket, PumpReportsDeadPeerAfterMidFrameEof) {
   std::unique_ptr<ControlConn> client = connect_control(path);
   std::unique_ptr<ControlConn> served;
   for (int i = 0; i < 100 && !served; ++i) {
-    (void)listener.wait_readable({}, 50);
+    (void)listener.wait_ready({}, 50);
     served = listener.accept_one();
   }
   ASSERT_NE(served, nullptr);
@@ -120,7 +127,7 @@ TEST(ControlSocket, PumpReportsDeadPeerAfterMidFrameEof) {
   std::vector<WireFrame> frames;
   bool alive = true;
   for (int i = 0; i < 100 && alive; ++i) {
-    (void)listener.wait_readable({served.get()}, 50);
+    (void)listener.wait_ready({served.get()}, 50);
     alive = served->pump(frames);
   }
   EXPECT_FALSE(alive);
@@ -128,76 +135,19 @@ TEST(ControlSocket, PumpReportsDeadPeerAfterMidFrameEof) {
   EXPECT_EQ(frames[0], whole);
 }
 
-// A miniature mwr_served loop: accept one client, service requests
-// between scheduling epochs, exit on drain-complete after shutdown.
-void daemon_loop(const std::string& path, std::atomic<bool>* failed) {
+// mwr_served's control loop on a thread: serves until a SHUTDOWN has
+// drained the server, then leaves the loop's counts in `stats`.
+void daemon_loop(const std::string& path, std::size_t workers,
+                 std::atomic<bool>* failed, ControlLoopStats* stats) {
   try {
     ServerConfig config;
-    config.workers = 2;
+    config.workers = workers;
     config.quantum = 8;
     CampaignServer server(config);
     ControlListener listener(path);
-    std::vector<std::unique_ptr<ControlConn>> conns;
-    bool shutting_down = false;
-    for (;;) {
-      while (auto conn = listener.accept_one()) conns.push_back(std::move(conn));
-      for (auto it = conns.begin(); it != conns.end();) {
-        std::vector<WireFrame> frames;
-        bool alive = (*it)->pump(frames);
-        for (const WireFrame& frame : frames) {
-          WireFrame reply;
-          switch (frame.kind) {
-            case FrameKind::kSubmit: {
-              SubmitReply out;
-              if (!shutting_down) {
-                try {
-                  if (const auto id =
-                          server.submit(decode_submit_request(frame))) {
-                    out.accepted = true;
-                    out.campaign_id = *id;
-                  }
-                } catch (const std::invalid_argument&) {
-                  // Unknown scenario et al.: reject, keep serving.
-                }
-              }
-              out.resident = server.resident();
-              reply = encode_submit_reply(out);
-              break;
-            }
-            case FrameKind::kStatus:
-              reply = encode_status_reply(
-                  frame.value, server.status(decode_status_request(frame)));
-              break;
-            case FrameKind::kResult:
-              reply =
-                  encode_result_reply(server.result(decode_result_request(frame)));
-              break;
-            case FrameKind::kCheckpoint:
-              reply = encode_checkpoint_reply(CheckpointReply{});
-              break;
-            case FrameKind::kShutdown:
-              shutting_down = true;
-              reply = encode_shutdown_reply(server.resident());
-              break;
-            default:
-              throw std::runtime_error("unexpected frame");
-          }
-          if (!(*it)->send_frame(reply)) {
-            alive = false;
-            break;
-          }
-        }
-        it = alive ? it + 1 : conns.erase(it);
-      }
-      if (shutting_down && server.resident() == 0) break;
-      if (server.resident() > 0) {
-        (void)server.run_epoch();
-        continue;
-      }
-      std::vector<ControlConn*> raw;
-      for (const auto& conn : conns) raw.push_back(conn.get());
-      (void)listener.wait_readable(raw, 20);
-    }
+    ControlLoop loop(server, listener);
+    loop.run();
+    if (stats != nullptr) *stats = loop.stats();
     if (server.starved_epochs() != 0) *failed = true;
   } catch (...) {
     *failed = true;
@@ -223,7 +173,9 @@ struct DaemonHandle {
 TEST(ServeClient, SubmitsPollsAndFetchesResultsOverTheWire) {
   const std::string path = unique_socket_path("ctl-e2e");
   std::atomic<bool> daemon_failed{false};
-  DaemonHandle daemon{path, std::thread(daemon_loop, path, &daemon_failed)};
+  DaemonHandle daemon{
+      path, std::thread(daemon_loop, path, std::size_t{2}, &daemon_failed,
+                        nullptr)};
 
   {
     ServeClient client(path);
@@ -275,6 +227,325 @@ TEST(ServeClient, SubmitsPollsAndFetchesResultsOverTheWire) {
 
   daemon.thread.join();
   EXPECT_FALSE(daemon_failed.load());
+}
+
+// --- the control loop --------------------------------------------------
+
+SubmitRequest loop_request(std::uint64_t seed) {
+  SubmitRequest request;
+  request.scenario = seed % 2 == 0 ? "units" : "Math8";
+  request.bugs = 2;
+  request.pool_target = 120;
+  request.pool_attempts = 10000;
+  request.arms = 16;
+  request.agents = 4;
+  request.max_iterations = 50;
+  request.repair_seed = seed;
+  return request;
+}
+
+/// The next frame on `conn`; throws when none arrives within 10 s, so a
+/// hung daemon fails the test instead of hanging it.
+std::optional<WireFrame> recv_within(ControlConn& conn) {
+  return conn.recv_frame(/*timeout_ms=*/10000);
+}
+
+WireFrame request_reply(ControlConn& conn, const WireFrame& request) {
+  if (!conn.send_frame(request)) throw std::runtime_error("daemon gone");
+  std::optional<WireFrame> reply = recv_within(conn);
+  if (!reply) throw std::runtime_error("daemon closed the connection");
+  return *std::move(reply);
+}
+
+/// Submits one campaign on `conn` and polls it to completion; returns
+/// its id.
+std::uint64_t run_one_campaign(ControlConn& conn, std::uint64_t seed) {
+  const SubmitReply submitted = decode_submit_reply(
+      request_reply(conn, encode_submit_request(loop_request(seed))));
+  if (!submitted.accepted) throw std::runtime_error("submission rejected");
+  for (int i = 0; i < 100000; ++i) {
+    if (decode_status_reply(request_reply(
+                                conn, encode_status_request(
+                                          submitted.campaign_id)))
+            .done)
+      return submitted.campaign_id;
+  }
+  throw std::runtime_error("campaign never finished");
+}
+
+TEST(ControlLoop, EngineCallerHookRunsExactlyOnce) {
+  for (const std::size_t workers : {1, 2, 4}) {
+    parallel::SuperstepEngine engine(1, {workers});
+    for (const std::size_t count : {0, 1, 3, 100}) {
+      std::atomic<std::size_t> calls{0};
+      std::atomic<std::size_t> swept{0};
+      std::thread::id hook_thread;
+      engine.parallel_for(
+          count, [&](std::size_t) { swept.fetch_add(1); },
+          [&] {
+            calls.fetch_add(1);
+            hook_thread = std::this_thread::get_id();
+          });
+      EXPECT_EQ(calls.load(), 1u) << workers << " workers, " << count;
+      EXPECT_EQ(swept.load(), count);
+      EXPECT_EQ(hook_thread, std::this_thread::get_id());
+    }
+    // A throwing hook neither cancels the sweep nor wedges the engine.
+    std::atomic<std::size_t> swept{0};
+    EXPECT_THROW(engine.parallel_for(
+                     64, [&](std::size_t) { swept.fetch_add(1); },
+                     [] { throw std::runtime_error("hook"); }),
+                 std::runtime_error);
+    EXPECT_EQ(swept.load(), 64u);
+    engine.parallel_for(8, [&](std::size_t) { swept.fetch_add(1); });
+    EXPECT_EQ(swept.load(), 72u);
+  }
+}
+
+TEST(ControlLoop, KeepsServingOneReaderWhileItsOtherConnectionsStall) {
+  const std::string path = unique_socket_path("loop-slow-reader");
+  std::atomic<bool> daemon_failed{false};
+  ControlLoopStats stats;
+  DaemonHandle daemon{
+      path, std::thread(daemon_loop, path, std::size_t{2}, &daemon_failed,
+                        &stats)};
+
+  // One client, three connections.  The first runs a campaign; the other
+  // two ask for its result, many times over, and do not read.
+  std::unique_ptr<ControlConn> reader = connect_control(path);
+  std::unique_ptr<ControlConn> idle_a = connect_control(path);
+  std::unique_ptr<ControlConn> idle_b = connect_control(path);
+  const std::uint64_t id = run_one_campaign(*reader, 4);
+  const ResultReply expected = decode_result_reply(
+      request_reply(*reader, encode_result_request(id)));
+  ASSERT_TRUE(expected.ready);
+
+  // Far more reply bytes than the socket buffers hold, far fewer than
+  // the outbound bound.
+  constexpr std::size_t kUnread = 200;
+  ASSERT_LT(kUnread * parallel::transport::encoded_size(
+                          encode_result_reply(expected)),
+            ControlConn::kMaxOutboundBytes);
+  for (std::size_t i = 0; i < kUnread; ++i) {
+    ASSERT_TRUE(idle_a->send_frame(encode_result_request(id)));
+    ASSERT_TRUE(idle_b->send_frame(encode_result_request(id)));
+  }
+
+  // With blocking sends the daemon would now sit in send() on one of the
+  // stalled connections, and this reader would wait forever.
+  for (int i = 0; i < 50; ++i) {
+    const StatusReply status = decode_status_reply(
+        request_reply(*reader, encode_status_request(id)));
+    ASSERT_TRUE(status.done);
+  }
+  const std::uint64_t second = run_one_campaign(*reader, 5);
+  EXPECT_NE(second, id);
+
+  // Then the stalled connections drain, every reply intact and in order.
+  for (ControlConn* conn : {idle_a.get(), idle_b.get()}) {
+    for (std::size_t i = 0; i < kUnread; ++i) {
+      const std::optional<WireFrame> reply = recv_within(*conn);
+      ASSERT_TRUE(reply.has_value()) << "reply " << i << " never came";
+      EXPECT_EQ(decode_result_reply(*reply), expected);
+    }
+  }
+
+  (void)decode_shutdown_reply(
+      request_reply(*reader, encode_shutdown_request()));
+  daemon.thread.join();
+  EXPECT_FALSE(daemon_failed.load());
+  EXPECT_EQ(stats.peers_dropped, 0u);
+}
+
+TEST(ControlLoop, DropsAPeerPastTheOutboundBoundAndServesTheRest) {
+  const std::string path = unique_socket_path("loop-bound");
+  std::atomic<bool> daemon_failed{false};
+  ControlLoopStats stats;
+  DaemonHandle daemon{
+      path, std::thread(daemon_loop, path, std::size_t{2}, &daemon_failed,
+                        &stats)};
+
+  std::unique_ptr<ControlConn> good = connect_control(path);
+  std::unique_ptr<ControlConn> hog = connect_control(path);
+  const std::uint64_t id = run_one_campaign(*good, 6);
+  const WireFrame result =
+      request_reply(*good, encode_result_request(id));
+  ASSERT_TRUE(decode_result_reply(result).ready);
+
+  // Requests whose replies add up to twice the bound, none read.
+  const std::size_t requests =
+      2 * ControlConn::kMaxOutboundBytes /
+          parallel::transport::encoded_size(result) +
+      1;
+  std::size_t sent = 0;
+  while (sent < requests && hog->send_frame(encode_result_request(id)))
+    ++sent;
+
+  // The hog is cut off: what it reads ends early, in EOF or a reset (the
+  // daemon closed with replies still queued).
+  std::size_t received = 0;
+  try {
+    while (recv_within(*hog).has_value()) ++received;
+  } catch (const std::runtime_error&) {
+  }
+  EXPECT_LT(received, requests);
+
+  // Everyone else is still served.
+  const StatusReply status = decode_status_reply(
+      request_reply(*good, encode_status_request(id)));
+  EXPECT_TRUE(status.done);
+  EXPECT_NE(run_one_campaign(*good, 7), id);
+
+  (void)decode_shutdown_reply(
+      request_reply(*good, encode_shutdown_request()));
+  daemon.thread.join();
+  EXPECT_FALSE(daemon_failed.load());
+  EXPECT_EQ(stats.peers_dropped, 1u);
+}
+
+/// STATUS and RESULT for every id, in one batch.
+std::vector<WireFrame> status_and_result_requests(
+    const std::vector<std::uint64_t>& ids) {
+  std::vector<WireFrame> requests;
+  for (const std::uint64_t id : ids) {
+    requests.push_back(encode_status_request(id));
+    requests.push_back(encode_result_request(id));
+  }
+  return requests;
+}
+
+/// The encoded reply bytes to `requests`, answered by `answer_now`.
+std::vector<std::uint8_t> replies_to(ControlConn& client,
+                                     const std::vector<WireFrame>& requests,
+                                     const std::function<void()>& answer_now) {
+  for (const WireFrame& request : requests) {
+    if (!client.send_frame(request)) throw std::runtime_error("daemon gone");
+  }
+  answer_now();
+  std::vector<std::uint8_t> bytes;
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    const std::optional<WireFrame> reply = recv_within(client);
+    if (!reply) throw std::runtime_error("no reply");
+    parallel::transport::encode_frame(*reply, bytes);
+  }
+  return bytes;
+}
+
+TEST(ControlLoop, RepliesDuringASweepMatchRepliesBetweenEpochs) {
+  // Per epoch: the replies to one batch answered between epochs, then to
+  // the same batch answered while the next epoch's campaigns step.  Both
+  // describe the campaigns as of the last join, at any worker count.
+  std::vector<std::vector<std::uint8_t>> reference;
+  for (const std::size_t workers : {1, 2, 4}) {
+    const std::string path = unique_socket_path(
+        "loop-mid-sweep-" + std::to_string(workers));
+    ServerConfig config;
+    config.workers = workers;
+    config.quantum = 3;
+    CampaignServer server(config);
+    ControlListener listener(path);
+    ControlLoop loop(server, listener);
+    std::unique_ptr<ControlConn> client = connect_control(path);
+    (void)loop.serve_pending();  // accepts the client
+
+    std::vector<std::uint64_t> ids;
+    for (std::uint64_t seed = 20; seed < 24; ++seed)
+      ASSERT_TRUE(client->send_frame(encode_submit_request(loop_request(seed))));
+    (void)loop.serve_pending();
+    for (int i = 0; i < 4; ++i) {
+      const std::optional<WireFrame> reply = recv_within(*client);
+      ASSERT_TRUE(reply.has_value());
+      const SubmitReply submitted = decode_submit_reply(*reply);
+      ASSERT_TRUE(submitted.accepted);
+      ids.push_back(submitted.campaign_id);
+    }
+
+    const std::vector<WireFrame> batch = status_and_result_requests(ids);
+    std::vector<std::vector<std::uint8_t>> per_epoch;
+    while (server.resident() > 0) {
+      const std::vector<std::uint8_t> between =
+          replies_to(*client, batch, [&] { (void)loop.serve_pending(); });
+      const std::vector<std::uint8_t> mid_sweep =
+          replies_to(*client, batch, [&] { ASSERT_TRUE(loop.run_epoch()); });
+      ASSERT_EQ(mid_sweep, between) << "epoch " << per_epoch.size();
+      per_epoch.push_back(between);
+      ASSERT_LT(per_epoch.size(), 10000u);
+    }
+    per_epoch.push_back(
+        replies_to(*client, batch, [&] { (void)loop.serve_pending(); }));
+
+    EXPECT_GT(per_epoch.size(), 3u);
+    EXPECT_EQ(loop.stats().frames_mid_sweep,
+              (per_epoch.size() - 1) * batch.size());
+    EXPECT_EQ(loop.stats().peers_dropped, 0u);
+    std::vector<std::uint8_t> all;
+    for (const auto& bytes : per_epoch)
+      all.insert(all.end(), bytes.begin(), bytes.end());
+    if (reference.empty()) {
+      reference.push_back(std::move(all));
+    } else {
+      EXPECT_EQ(all, reference.front()) << workers << " workers";
+    }
+  }
+}
+
+TEST(ControlLoop, CheckpointMidSweepWaitsForTheJoinInRequestOrder) {
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("mwr-loop-ckpt-" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  const std::string path = unique_socket_path("loop-ckpt");
+  ServerConfig config;
+  config.workers = 2;
+  config.quantum = 1;
+  config.checkpoint_dir = dir.string();
+  CampaignServer server(config);
+  ControlListener listener(path);
+  ControlLoop loop(server, listener);
+  std::unique_ptr<ControlConn> client = connect_control(path);
+  (void)loop.serve_pending();
+
+  std::vector<std::uint64_t> ids;
+  for (std::uint64_t seed = 30; seed < 32; ++seed) {
+    ASSERT_TRUE(client->send_frame(encode_submit_request(loop_request(seed))));
+    (void)loop.serve_pending();
+    const std::optional<WireFrame> reply = recv_within(*client);
+    ASSERT_TRUE(reply.has_value());
+    ids.push_back(decode_submit_reply(*reply).campaign_id);
+  }
+  for (int epoch = 0; epoch < 3; ++epoch) ASSERT_TRUE(loop.run_epoch());
+  const std::uint64_t cycles_before = server.status(ids[0]).online_cycles;
+
+  // STATUS, CHECKPOINT, STATUS on one connection, all read by the hook.
+  ASSERT_TRUE(client->send_frame(encode_status_request(ids[0])));
+  ASSERT_TRUE(client->send_frame(encode_checkpoint_request()));
+  ASSERT_TRUE(client->send_frame(encode_status_request(ids[0])));
+  ASSERT_TRUE(loop.run_epoch());
+  EXPECT_EQ(loop.stats().checkpoints_parked, 1u);
+
+  std::vector<WireFrame> replies;
+  for (int i = 0; i < 3; ++i) {
+    std::optional<WireFrame> reply = recv_within(*client);
+    ASSERT_TRUE(reply.has_value());
+    replies.push_back(*std::move(reply));
+  }
+  ASSERT_EQ(replies[0].kind, FrameKind::kStatus);
+  ASSERT_EQ(replies[1].kind, FrameKind::kCheckpoint);
+  ASSERT_EQ(replies[2].kind, FrameKind::kStatus);
+  // The first STATUS was answered mid-sweep, the rest after the join.
+  EXPECT_EQ(decode_status_reply(replies[0]).online_cycles, cycles_before);
+  EXPECT_EQ(decode_status_reply(replies[2]).online_cycles, cycles_before + 1);
+  const CheckpointReply checkpoint = decode_checkpoint_reply(replies[1]);
+  EXPECT_EQ(checkpoint.campaigns, 2u);
+  EXPECT_GT(checkpoint.bytes, 0u);
+  // It captured the joined epoch: nothing has progressed since.
+  EXPECT_EQ(server.checkpoint_all().bytes, 0u);
+  for (const std::uint64_t id : ids) {
+    const CampaignCheckpoint restored = read_checkpoint_file(
+        (dir / ("campaign-" + std::to_string(id) + ".ckpt")).string());
+    EXPECT_EQ(restored.campaign_id, id);
+  }
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -3,10 +3,11 @@
 // Listens on a Unix-domain control socket for MWRW control frames
 // (serve/control.hpp): clients submit campaigns, poll status, fetch
 // results, request checkpoints, and ask for a drain-and-exit shutdown.
-// Resident campaigns advance between control-plane services, one
-// deficit-round-robin epoch at a time, as fibers on the bounded
-// superstep engine — thousands of tenants, a fixed worker pool, and
-// no tenant starved (serve/scheduler.hpp).
+// Resident campaigns advance one deficit-round-robin epoch at a time on
+// the bounded superstep engine — thousands of tenants, a fixed worker
+// pool, and no tenant starved (serve/scheduler.hpp).  The control loop
+// (serve/control_loop.hpp) answers requests while each epoch's campaigns
+// step, and never blocks on a client that does not read.
 //
 // Durability: with --checkpoint-dir the daemon persists every resident
 // campaign's snapshot (each --checkpoint-every epochs and on demand);
@@ -17,76 +18,20 @@
 //
 // Exit codes: 0 orderly shutdown (drain command or idle timeout),
 // 1 configuration or runtime failure.
+#include <cstdint>
 #include <cstdio>
 #include <exception>
 #include <fstream>
-#include <memory>
 #include <stdexcept>
 #include <string>
-#include <utility>
-#include <vector>
 
 #include "obs/registry.hpp"
-#include "parallel/transport/wire.hpp"
-#include "serve/control.hpp"
+#include "serve/control_loop.hpp"
 #include "serve/control_socket.hpp"
 #include "serve/server.hpp"
 #include "util/cli.hpp"
-#include "util/timer.hpp"
 
 namespace {
-
-using mwr::parallel::transport::FrameKind;
-using mwr::parallel::transport::WireFrame;
-
-struct Daemon {
-  mwr::serve::CampaignServer* server = nullptr;
-  bool shutting_down = false;
-};
-
-/// Services one decoded request frame; returns the reply to send.
-WireFrame handle_frame(Daemon& daemon, const WireFrame& frame) {
-  using namespace mwr::serve;
-  switch (frame.kind) {
-    case FrameKind::kSubmit: {
-      const SubmitRequest request = decode_submit_request(frame);
-      SubmitReply reply;
-      if (!daemon.shutting_down) {
-        try {
-          if (const auto id = daemon.server->submit(request)) {
-            reply.accepted = true;
-            reply.campaign_id = *id;
-          }
-        } catch (const std::invalid_argument& error) {
-          std::fprintf(stderr, "mwr_served: rejecting submission: %s\n",
-                       error.what());
-        }
-      }
-      reply.resident = daemon.server->resident();
-      return encode_submit_reply(reply);
-    }
-    case FrameKind::kStatus: {
-      const std::uint64_t id = decode_status_request(frame);
-      return encode_status_reply(id, daemon.server->status(id));
-    }
-    case FrameKind::kResult: {
-      const std::uint64_t id = decode_result_request(frame);
-      return encode_result_reply(daemon.server->result(id));
-    }
-    case FrameKind::kCheckpoint: {
-      CheckpointReply reply;
-      if (!daemon.server->config().checkpoint_dir.empty())
-        reply = daemon.server->checkpoint_all();
-      return encode_checkpoint_reply(reply);
-    }
-    case FrameKind::kShutdown: {
-      daemon.shutting_down = true;
-      return encode_shutdown_reply(daemon.server->resident());
-    }
-    default:
-      throw std::runtime_error("mwr_served: unexpected control frame kind");
-  }
-}
 
 int run(int argc, char** argv) {
   using namespace mwr;
@@ -136,67 +81,11 @@ int run(int argc, char** argv) {
               socket_path.c_str(), config.max_resident, config.quantum);
   std::fflush(stdout);
 
-  std::vector<std::unique_ptr<serve::ControlConn>> conns;
-  Daemon daemon;
-  daemon.server = &server;
-  const double idle_exit = cli.get_double("idle-exit-seconds");
-  const auto stall_after =
+  serve::ControlLoopOptions options;
+  options.idle_exit_seconds = cli.get_double("idle-exit-seconds");
+  options.stall_after_epochs =
       static_cast<std::uint64_t>(cli.get_int("stall-after-epochs"));
-  bool stall_announced = false;
-  util::WallTimer idle_timer;
-
-  for (;;) {
-    while (auto conn = listener.accept_one()) {
-      conns.push_back(std::move(conn));
-      idle_timer.restart();
-    }
-
-    // Service every connection's pending requests in arrival order.
-    for (auto it = conns.begin(); it != conns.end();) {
-      std::vector<WireFrame> frames;
-      bool alive;
-      try {
-        alive = (*it)->pump(frames);
-        for (const WireFrame& frame : frames) {
-          idle_timer.restart();
-          if (!(*it)->send_frame(handle_frame(daemon, frame))) {
-            alive = false;
-            break;
-          }
-        }
-      } catch (const std::exception& error) {
-        // A malformed control stream (garbage bytes, implausible frame
-        // length, bad payload shape) poisons only its own connection:
-        // drop it and keep every resident campaign running.
-        std::fprintf(stderr, "mwr_served: dropping connection: %s\n",
-                     error.what());
-        alive = false;
-      }
-      it = alive ? it + 1 : conns.erase(it);
-    }
-
-    if (daemon.shutting_down && server.resident() == 0) break;
-
-    const bool stalled = stall_after != 0 && server.epochs() >= stall_after;
-    if (server.resident() > 0 && !stalled) {
-      server.run_epoch();
-      idle_timer.restart();
-      continue;  // poll the control plane again between epochs.
-    }
-    if (stalled && server.resident() > 0 && !stall_announced) {
-      std::printf("mwr_served: stalled after %llu epochs (%zu resident)\n",
-                  static_cast<unsigned long long>(server.epochs()),
-                  server.resident());
-      std::fflush(stdout);
-      stall_announced = true;
-    }
-
-    if (idle_exit > 0.0 && idle_timer.elapsed_seconds() >= idle_exit) break;
-    std::vector<serve::ControlConn*> raw;
-    raw.reserve(conns.size());
-    for (const auto& conn : conns) raw.push_back(conn.get());
-    listener.wait_readable(raw, /*timeout_ms=*/50);
-  }
+  serve::ControlLoop(server, listener, options).run();
 
   std::printf(
       "mwr_served: exiting — %zu completed, %llu epochs, %llu starved\n",
