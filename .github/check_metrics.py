@@ -17,7 +17,7 @@ REQUIRED_COUNTERS = [
     "repair.online.probes",       # Table IV: oracle probes
     "pool.candidates_tried",      # phase-1 precompute volume
     "campaign.bugs_attempted",
-    "thread_pool.tasks_executed",
+    "spmd.engine.sweeps",         # the smoke fanned out over the engine
     "oracle.interference_graph_builds",  # pair hashes, once per campaign
     "oracle.wave_builds",         # every bug probes through a wave table
 ]

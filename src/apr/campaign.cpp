@@ -2,10 +2,9 @@
 
 #include <algorithm>
 #include <limits>
-#include <optional>
 
 #include "apr/campaign_session.hpp"
-#include "parallel/thread_pool.hpp"
+#include "parallel/superstep.hpp"
 
 namespace mwr::apr {
 
@@ -37,11 +36,11 @@ CampaignOutcome run_campaign(const datasets::ScenarioSpec& base,
   // Servers drive the same session a few cycles at a time instead
   // (serve/server.hpp).
   CampaignSession session(base, config);
-  std::optional<parallel::ThreadPool> workers;
-  if (config.repair.eval_threads > 1) workers.emplace(config.repair.eval_threads);
+  parallel::SuperstepEngine workers(
+      1, parallel::SuperstepEngine::Config{
+             std::max<std::size_t>(1, config.repair.eval_threads)});
   while (!session.done()) {
-    session.step(std::numeric_limits<std::size_t>::max(),
-                 workers ? &*workers : nullptr);
+    session.step(std::numeric_limits<std::size_t>::max(), &workers);
   }
   return session.outcome();
 }

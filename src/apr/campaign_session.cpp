@@ -6,7 +6,7 @@
 #include <utility>
 
 #include "obs/registry.hpp"
-#include "parallel/thread_pool.hpp"
+#include "parallel/superstep.hpp"
 
 namespace mwr::apr {
 
@@ -140,7 +140,7 @@ void CampaignSession::open_repair() {
                                             *bug_lease_.oracle, working_pool_);
 }
 
-void CampaignSession::do_precompute(parallel::ThreadPool* workers) {
+void CampaignSession::do_precompute(parallel::SuperstepEngine* workers) {
   const auto lease = hub_->base_pool(base_, config_.pool, workers);
   working_pool_ = *lease.pool;
   outcome_.precompute_runs = lease.precompute_runs;
@@ -229,7 +229,7 @@ void CampaignSession::finalize() {
 }
 
 std::size_t CampaignSession::step(std::size_t budget,
-                                  parallel::ThreadPool* workers) {
+                                  parallel::SuperstepEngine* workers) {
   std::size_t used = 0;
   std::size_t probes = 0;
   double probe_seconds = 0.0;
@@ -244,8 +244,8 @@ std::size_t CampaignSession::step(std::size_t budget,
     obs::ScopedTimer wave_timer(*bug_seconds_hist_);
     wave_timer.cancel();
     if (workers != nullptr) {
-      workers->parallel_for_index(staged,
-                                  [&](std::size_t j) { evaluate_staged(j); });
+      workers->parallel_for(staged,
+                            [&](std::size_t j) { evaluate_staged(j); });
     } else {
       for (std::size_t j = 0; j < staged; ++j) evaluate_staged(j);
     }
@@ -261,7 +261,7 @@ std::size_t CampaignSession::step(std::size_t budget,
 }
 
 std::size_t CampaignSession::stage_unit(std::size_t& staged_probes,
-                                        parallel::ThreadPool* workers) {
+                                        parallel::SuperstepEngine* workers) {
   staged_probes = 0;
   probes_last_step_ = 0;
   while (phase_ != Phase::kDone) {

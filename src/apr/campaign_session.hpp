@@ -86,7 +86,7 @@ class CampaignSession {
   /// complete_unit().  `workers` also splits the base pool's interference
   /// graph build.
   std::size_t step(std::size_t budget,
-                   parallel::ThreadPool* workers = nullptr);
+                   parallel::SuperstepEngine* workers = nullptr);
 
   // --- staged execution ---
   //
@@ -102,7 +102,7 @@ class CampaignSession {
   /// 1 per unit, 0 once the campaign is done.  `workers` (may be null)
   /// splits the base pool's interference-graph build.
   std::size_t stage_unit(std::size_t& staged_probes,
-                         parallel::ThreadPool* workers = nullptr);
+                         parallel::SuperstepEngine* workers = nullptr);
   /// True while an online cycle is staged and awaiting complete_unit().
   [[nodiscard]] bool unit_staged() const noexcept { return unit_staged_; }
   /// Evaluates staged probe `j` — safe to run concurrently for distinct j
@@ -182,7 +182,7 @@ class CampaignSession {
   /// complete_unit() without the telemetry flush (step() flushes once).
   void complete_staged(double elapsed_seconds);
   void flush_telemetry();
-  void do_precompute(parallel::ThreadPool* workers);
+  void do_precompute(parallel::SuperstepEngine* workers);
   void start_bug();
   void finish_bug();
   void finalize();

@@ -4,7 +4,7 @@
 #include <unordered_set>
 
 #include "obs/registry.hpp"
-#include "parallel/thread_pool.hpp"
+#include "parallel/superstep.hpp"
 
 namespace mwr::apr {
 
@@ -21,7 +21,9 @@ MutationPool MutationPool::precompute(const TestOracle& oracle,
   MutationPool pool;
   std::unordered_set<std::uint64_t> seen;
   util::RngStream master(config.seed);
-  parallel::ThreadPool workers(config.threads);
+  parallel::SuperstepEngine workers(
+      1, parallel::SuperstepEngine::Config{
+             std::max<std::size_t>(1, config.threads)});
 
   // Validate candidates in parallel rounds sized to overshoot the expected
   // yield slightly, then merge; duplicates are skipped *before* validation
@@ -38,7 +40,7 @@ MutationPool MutationPool::precompute(const TestOracle& oracle,
                                 static_cast<std::size_t>(pool.attempts_));
 
     // Candidate generation is sequential (cheap, keeps determinism simple);
-    // validation — the expensive suite runs — fans out over the pool.
+    // validation — the expensive suite runs — fans out over the engine.
     std::vector<Mutation> candidates;
     candidates.reserve(round);
     while (candidates.size() < round) {
@@ -46,7 +48,7 @@ MutationPool MutationPool::precompute(const TestOracle& oracle,
       if (seen.insert(m.key()).second) candidates.push_back(m);
     }
     std::vector<char> safe(candidates.size(), 0);
-    workers.parallel_for_index(candidates.size(), [&](std::size_t i) {
+    workers.parallel_for(candidates.size(), [&](std::size_t i) {
       const Mutation& m = candidates[i];
       const Evaluation e = oracle.evaluate({&m, 1});
       safe[i] = (e.required_passed == e.required_total) ? 1 : 0;
@@ -93,21 +95,15 @@ std::size_t MutationPool::revalidate(const TestOracle& oracle,
                                      std::size_t threads) {
   const std::size_t before = pool_.size();
   // Verdicts are independent per member, so fan the suite runs out over
-  // the pool and erase serially afterwards — same survivors, same order,
-  // as the historical serial erase_if.
+  // the engine (inline at one thread) and erase serially afterwards — same
+  // survivors, same order, as the historical serial erase_if.
   std::vector<char> keep(pool_.size(), 1);
-  if (threads > 1 && pool_.size() > 1) {
-    parallel::ThreadPool workers(threads);
-    workers.parallel_for_index(pool_.size(), [&](std::size_t i) {
-      const Evaluation e = oracle.evaluate({&pool_[i], 1});
-      keep[i] = (e.required_passed == e.required_total) ? 1 : 0;
-    });
-  } else {
-    for (std::size_t i = 0; i < pool_.size(); ++i) {
-      const Evaluation e = oracle.evaluate({&pool_[i], 1});
-      keep[i] = (e.required_passed == e.required_total) ? 1 : 0;
-    }
-  }
+  parallel::SuperstepEngine workers(
+      1, parallel::SuperstepEngine::Config{std::max<std::size_t>(1, threads)});
+  workers.parallel_for(pool_.size(), [&](std::size_t i) {
+    const Evaluation e = oracle.evaluate({&pool_[i], 1});
+    keep[i] = (e.required_passed == e.required_total) ? 1 : 0;
+  });
   std::size_t write = 0;
   for (std::size_t i = 0; i < pool_.size(); ++i) {
     if (keep[i]) pool_[write++] = pool_[i];

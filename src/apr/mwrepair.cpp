@@ -2,11 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <optional>
 #include <stdexcept>
 
 #include "apr/repair_session.hpp"
-#include "parallel/thread_pool.hpp"
+#include "parallel/superstep.hpp"
 
 namespace mwr::apr {
 
@@ -46,13 +45,14 @@ RepairOutcome MwRepair::run(const TestOracle& oracle,
   oracle.prime_wave(pool.mutations());
   RepairSession session(config_, oracle, pool);
 
-  // The expensive suite runs fan out over the worker pool; everything
-  // stochastic (patch draws, proxy-acceptance draws) happens sequentially
-  // first, so the outcome is identical for any eval_threads value.
-  std::optional<parallel::ThreadPool> workers;
-  if (config_.eval_threads > 1) workers.emplace(config_.eval_threads);
-
-  while (!session.step(workers ? &*workers : nullptr)) {
+  // The expensive suite runs fan out over the engine (inline at one
+  // thread); everything stochastic (patch draws, proxy-acceptance draws)
+  // happens sequentially first, so the outcome is identical for any
+  // eval_threads value.
+  parallel::SuperstepEngine workers(
+      1, parallel::SuperstepEngine::Config{
+             std::max<std::size_t>(1, config_.eval_threads)});
+  while (!session.step(&workers)) {
   }
   return session.outcome();
 }

@@ -6,7 +6,7 @@
 #include <utility>
 
 #include "obs/registry.hpp"
-#include "parallel/thread_pool.hpp"
+#include "parallel/superstep.hpp"
 
 namespace mwr::apr {
 
@@ -176,7 +176,7 @@ OracleHub::OracleLease OracleHub::oracle_for(
 
 OracleHub::PoolLease OracleHub::base_pool(const datasets::ScenarioSpec& spec,
                                           const PoolConfig& config,
-                                          parallel::ThreadPool* workers) {
+                                          parallel::SuperstepEngine* workers) {
   const std::uint64_t key = pool_fingerprint(spec, config);
   std::shared_ptr<PoolEntry> entry;
   bool builder = false;

@@ -60,7 +60,7 @@ class Counter;
 }  // namespace mwr::obs
 
 namespace mwr::parallel {
-class ThreadPool;
+class SuperstepEngine;
 }  // namespace mwr::parallel
 
 namespace mwr::apr {
@@ -96,7 +96,7 @@ class OracleHub {
   /// null) splits the interference-graph build of a pool built here.
   PoolLease base_pool(const datasets::ScenarioSpec& spec,
                       const PoolConfig& config,
-                      parallel::ThreadPool* workers = nullptr);
+                      parallel::SuperstepEngine* workers = nullptr);
 
   struct Stats {
     std::uint64_t oracle_builds = 0;

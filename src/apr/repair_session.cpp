@@ -6,7 +6,7 @@
 
 #include "core/serialization.hpp"
 #include "obs/registry.hpp"
-#include "parallel/thread_pool.hpp"
+#include "parallel/superstep.hpp"
 
 namespace mwr::apr {
 
@@ -231,14 +231,14 @@ bool RepairSession::finish_cycle(double elapsed_seconds) {
   return false;
 }
 
-bool RepairSession::step(parallel::ThreadPool* workers) {
+bool RepairSession::step(parallel::SuperstepEngine* workers) {
   if (done_) return true;
   // Cancelled: finish_cycle() records the cycle time it is handed.
   obs::ScopedTimer cycle_timer(*cycle_seconds_);
   cycle_timer.cancel();
   const std::size_t n = begin_cycle();
   if (workers != nullptr) {
-    workers->parallel_for_index(n, [&](std::size_t j) { evaluate_staged(j); });
+    workers->parallel_for(n, [&](std::size_t j) { evaluate_staged(j); });
   } else {
     for (std::size_t j = 0; j < n; ++j) evaluate_staged(j);
   }

@@ -33,7 +33,7 @@
 #include "obs/metrics.hpp"
 
 namespace mwr::parallel {
-class ThreadPool;
+class SuperstepEngine;
 }  // namespace mwr::parallel
 
 namespace mwr::apr {
@@ -71,7 +71,7 @@ class RepairSession {
   /// out (bit-identical for any worker count, as in MwRepair::run).
   /// The serial driver of the staged calls below: begin_cycle, every
   /// evaluate_staged, then finish_cycle with the cycle's wall time.
-  bool step(parallel::ThreadPool* workers = nullptr);
+  bool step(parallel::SuperstepEngine* workers = nullptr);
 
   // --- staged execution (DESIGN.md §14) ---
   //

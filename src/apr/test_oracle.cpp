@@ -2,7 +2,7 @@
 
 #include "apr/fault_localization.hpp"
 #include "obs/registry.hpp"
-#include "parallel/thread_pool.hpp"
+#include "parallel/superstep.hpp"
 #include "util/simd/weight_kernels.hpp"
 
 #include <algorithm>
@@ -114,7 +114,7 @@ std::uint64_t TestOracle::pair_interference_mask(std::uint64_t lo,
 Evaluation TestOracle::evaluate(std::span<const Mutation> patch) const {
   // Wave path: every member is a distinct wave-pool member, so the patch
   // is a set of pool indices.  Per-thread scratch: evaluate() runs
-  // millions of times from the probe thread pool.
+  // millions of times from the engine's probe sweeps.
   if (wave_ready()) {
     thread_local std::vector<std::uint32_t> indices;
     indices.clear();
@@ -259,7 +259,7 @@ void TestOracle::book(ProbeTally& tally) const {
 }
 
 InterferenceGraph TestOracle::interference_graph(
-    std::span<const Mutation> pool, parallel::ThreadPool* workers) const {
+    std::span<const Mutation> pool, parallel::SuperstepEngine* workers) const {
   InterferenceGraph graph;
   graph.seed = program_->spec().seed;
   graph.interference = interference_;
@@ -282,7 +282,8 @@ InterferenceGraph TestOracle::interference_graph(
     std::vector<std::array<std::uint32_t, 2>> edges;
     std::vector<std::uint64_t> hashes;
   };
-  const std::size_t blocks = workers != nullptr && n > 1 ? workers->size() : 1;
+  const std::size_t blocks =
+      workers != nullptr && n > 1 ? workers->workers() : 1;
   std::vector<std::size_t> bounds(blocks + 1, n);
   bounds[0] = 0;
   const std::size_t pairs = n * (n > 0 ? n - 1 : 0) / 2;
@@ -309,7 +310,7 @@ InterferenceGraph TestOracle::interference_graph(
     }
   };
   if (blocks > 1) {
-    workers->parallel_for_index(blocks, hash_rows);
+    workers->parallel_for(blocks, hash_rows);
   } else {
     hash_rows(0);
   }

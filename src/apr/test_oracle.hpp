@@ -40,7 +40,7 @@
 //
 // Every evaluate() call counts one test-suite run — the unit in which the
 // paper measures APR cost (§IV-G) — via a relaxed atomic, so concurrent
-// probes from the thread pool can share one oracle.  The staged path of
+// probes from parallel sweeps can share one oracle.  The staged path of
 // a RepairSession counts its probes into a ProbeTally instead and books
 // them once per step, so suite_runs() is exact between steps.
 #pragma once
@@ -57,7 +57,7 @@
 #include "obs/metrics.hpp"
 
 namespace mwr::parallel {
-class ThreadPool;
+class SuperstepEngine;
 }  // namespace mwr::parallel
 
 namespace mwr::apr {
@@ -121,7 +121,7 @@ class TestOracle {
   /// oracle.interference_graph_builds.
   [[nodiscard]] InterferenceGraph interference_graph(
       std::span<const Mutation> pool,
-      parallel::ThreadPool* workers = nullptr) const;
+      parallel::SuperstepEngine* workers = nullptr) const;
 
   /// Builds the eager probe-wave table over `pool` (implies prime_cache):
   /// per-member broken masks flattened for the SIMD gather kernel,

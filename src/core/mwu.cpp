@@ -9,7 +9,7 @@
 #include "core/slate_mwu.hpp"
 #include "core/standard_mwu.hpp"
 #include "obs/registry.hpp"
-#include "parallel/thread_pool.hpp"
+#include "parallel/superstep.hpp"
 
 namespace mwr::core {
 
@@ -66,12 +66,13 @@ MwuResult run_mwu(MwuStrategy& strategy, const CostOracle& oracle,
   obs::Counter& probe_counter = metrics.counter("mwu.probes");
   obs::Histogram& cycle_seconds = metrics.histogram("mwu.cycle_seconds");
 
-  // Batched parallel probe evaluation (eval_threads >= 2): the pool lives
+  // Batched parallel probe evaluation (eval_threads >= 2): the engine lives
   // for the whole run; each cycle splits one child stream per probe off the
   // master stream *before* the fan-out, so rewards are a pure function of
   // the seed regardless of thread count (see MwuConfig::eval_threads).
-  std::optional<parallel::ThreadPool> workers;
-  if (config.eval_threads > 1) workers.emplace(config.eval_threads);
+  std::optional<parallel::SuperstepEngine> workers;
+  if (config.eval_threads > 1)
+    workers.emplace(1, parallel::SuperstepEngine::Config{config.eval_threads});
 
   std::vector<double> rewards;
   for (std::size_t t = 0; t < config.max_iterations; ++t) {
@@ -80,7 +81,7 @@ MwuResult run_mwu(MwuStrategy& strategy, const CostOracle& oracle,
     rewards.resize(probes.size());
     if (workers) {
       auto streams = rng.split_n(probes.size());
-      workers->parallel_for_index(probes.size(), [&](std::size_t j) {
+      workers->parallel_for(probes.size(), [&](std::size_t j) {
         rewards[j] = counted.sample(probes[j], streams[j]);
       });
     } else {

@@ -57,7 +57,7 @@ struct MwuConfig {
   /// Worker threads for oracle-probe evaluation inside run_mwu.  1 (the
   /// default) keeps the historical fully-serial loop, bit-identical to all
   /// prior releases.  >= 2 evaluates the cycle's probes as a parallel batch
-  /// over a thread pool: before the fan-out the master stream deterministically
+  /// on a SuperstepEngine: before the fan-out the master stream deterministically
   /// split()s one child stream per probe (in probe order), so the rewards —
   /// and therefore the whole run — depend only on the seed, not on the
   /// thread count or interleaving.  Any two values >= 2 produce identical

@@ -1,8 +1,9 @@
 #include "costmodel/evaluation.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
-#include "parallel/thread_pool.hpp"
+#include "parallel/superstep.hpp"
 
 namespace mwr::costmodel {
 
@@ -49,7 +50,7 @@ std::vector<EvalCell> run_evaluation(const EvalConfig& config) {
                                             core::MwuKind::kSlate};
 
   // Lay the cells out first (dataset-major, paper column order), then fill
-  // them — serially or fanned out over the worker pool.
+  // them on the engine (inline at one thread).
   std::vector<EvalCell> cells;
   cells.reserve(suite.size() * 3);
   for (const auto& dataset : suite) {
@@ -83,12 +84,10 @@ std::vector<EvalCell> run_evaluation(const EvalConfig& config) {
     outcomes[unit] =
         run_replication(suite[index / 3], config, cell.kind, unit % seeds);
   };
-  if (config.threads > 1) {
-    parallel::ThreadPool workers(config.threads);
-    workers.parallel_for_index(outcomes.size(), compute);
-  } else {
-    for (std::size_t u = 0; u < outcomes.size(); ++u) compute(u);
-  }
+  parallel::SuperstepEngine workers(
+      1, parallel::SuperstepEngine::Config{
+             std::max<std::size_t>(1, config.threads)});
+  workers.parallel_for(outcomes.size(), compute);
   for (std::size_t index = 0; index < cells.size(); ++index) {
     EvalCell& cell = cells[index];
     if (cell.intractable) continue;

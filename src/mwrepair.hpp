@@ -41,6 +41,6 @@
 #include "obs/registry.hpp"           // IWYU pragma: export
 #include "obs/serialization.hpp"      // IWYU pragma: export
 #include "parallel/comm.hpp"          // IWYU pragma: export
-#include "parallel/thread_pool.hpp"   // IWYU pragma: export
+#include "parallel/superstep.hpp"     // IWYU pragma: export
 #include "util/rng.hpp"               // IWYU pragma: export
 #include "util/stats.hpp"             // IWYU pragma: export

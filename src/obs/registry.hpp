@@ -7,7 +7,7 @@
 // which is the machine-readable artifact the CI pipeline gates on.
 //
 // Naming convention: dot-separated "<subsystem>.<quantity>[_<unit>]",
-// e.g. "repair.online.probes", "thread_pool.queue_wait_seconds".
+// e.g. "repair.online.probes", "spmd.engine.sweeps".
 // DESIGN.md §7 maps the names onto the paper's Table II/IV quantities.
 #pragma once
 

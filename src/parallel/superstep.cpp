@@ -18,11 +18,13 @@ namespace mwr::parallel {
 namespace {
 // Engine telemetry across every engine in the process: superstep (barrier)
 // boundaries crossed, the deepest runnable backlog (how much logical
-// parallelism the bounded pool had to absorb), and total fiber slices.
+// parallelism the bounded pool had to absorb), total fiber slices, and
+// parallel_for sweeps that fanned out to the workers.
 struct EngineMetrics {
   obs::Counter& supersteps;
   obs::Gauge& runnable_ranks;
   obs::Counter& fiber_slices;
+  obs::Counter& sweeps;
 
   EngineMetrics()
       : supersteps(obs::MetricsRegistry::global().counter(
@@ -30,7 +32,9 @@ struct EngineMetrics {
         runnable_ranks(obs::MetricsRegistry::global().gauge(
             "spmd.engine.runnable_ranks")),
         fiber_slices(obs::MetricsRegistry::global().counter(
-            "spmd.engine.fiber_slices")) {}
+            "spmd.engine.fiber_slices")),
+        sweeps(obs::MetricsRegistry::global().counter(
+            "spmd.engine.sweeps")) {}
 };
 
 EngineMetrics& engine_metrics() {
@@ -364,6 +368,7 @@ void SuperstepEngine::parallel_for(
     impl.remaining = impl.threads.size();
     impl.cv.notify_all();
   }
+  engine_metrics().sweeps.add(1);
   // The hook overlaps the workers' share; then the caller participates
   // instead of idling behind the pool.
   const std::exception_ptr hook_error = run_hook();

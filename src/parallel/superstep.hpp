@@ -40,7 +40,7 @@ namespace mwr::parallel {
 /// cannot swallow the unwind.
 struct SuperstepAbort {};
 
-class SuperstepEngine final : public CoopScheduler {
+class SuperstepEngine : public CoopScheduler {
  public:
   struct Config {
     std::size_t workers = 0;  ///< 0 = hardware_concurrency.
@@ -66,7 +66,9 @@ class SuperstepEngine final : public CoopScheduler {
   /// threads are spawned once on first use and parked between jobs, and
   /// each rank's fiber stack is allocated once and recycled across runs
   /// (the epoch-pipeline contract, DESIGN.md §14).  Calls must not overlap
-  /// or nest; a body must not call run()/parallel_for() on its own engine.
+  /// or nest; a body must not call run()/parallel_for() on its own engine
+  /// (such a call throws std::logic_error, except that a one-worker
+  /// parallel_for runs inline).
   void run(const std::function<void(int)>& body);
 
   /// Fiberless data-parallel sweep: runs fn(i) for every i in [0, count)

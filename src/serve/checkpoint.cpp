@@ -92,21 +92,8 @@ std::vector<std::uint8_t> encode_checkpoint(
   header.u64(snap.working_pool.size());
   append_section(out, checkpoint.campaign_id, kHeader, header.take());
 
-  const SubmitRequest& request = checkpoint.request;
   PayloadWriter req;
-  req.str(request.scenario);
-  req.u64(request.bugs);
-  req.u64(request.tests);
-  req.u64(request.pool_target);
-  req.u64(request.pool_attempts);
-  req.u64(request.pool_seed);
-  req.u64(request.mwu);
-  req.u64(request.arms);
-  req.u64(request.max_count);
-  req.u64(request.agents);
-  req.u64(request.max_iterations);
-  req.u64(request.repair_seed);
-  req.boolean(request.grow_suite);
+  write_request(req, checkpoint.request);
   append_section(out, checkpoint.campaign_id, kRequest, req.take());
 
   PayloadWriter bugs;
@@ -196,20 +183,7 @@ CampaignCheckpoint decode_checkpoint(std::span<const std::uint8_t> bytes) {
         break;
       }
       case kRequest: {
-        SubmitRequest& request = checkpoint.request;
-        request.scenario = r.str();
-        request.bugs = static_cast<std::uint32_t>(r.u64());
-        request.tests = static_cast<std::uint32_t>(r.u64());
-        request.pool_target = static_cast<std::uint32_t>(r.u64());
-        request.pool_attempts = static_cast<std::uint32_t>(r.u64());
-        request.pool_seed = r.u64();
-        request.mwu = static_cast<std::uint8_t>(r.u64());
-        request.arms = static_cast<std::uint32_t>(r.u64());
-        request.max_count = static_cast<std::uint32_t>(r.u64());
-        request.agents = static_cast<std::uint32_t>(r.u64());
-        request.max_iterations = static_cast<std::uint32_t>(r.u64());
-        request.repair_seed = r.u64();
-        request.grow_suite = r.boolean();
+        checkpoint.request = read_request(r);
         have_request = true;
         break;
       }

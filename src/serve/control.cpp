@@ -83,8 +83,7 @@ CampaignPlan plan_campaign(const SubmitRequest& request) {
   return plan;
 }
 
-WireFrame encode_submit_request(const SubmitRequest& request) {
-  PayloadWriter w;
+void write_request(PayloadWriter& w, const SubmitRequest& request) {
   w.str(request.scenario);
   w.u64(request.bugs);
   w.u64(request.tests);
@@ -98,12 +97,9 @@ WireFrame encode_submit_request(const SubmitRequest& request) {
   w.u64(request.max_iterations);
   w.u64(request.repair_seed);
   w.boolean(request.grow_suite);
-  return control_frame(FrameKind::kSubmit, kRequest, 0, w.take());
 }
 
-SubmitRequest decode_submit_request(const WireFrame& frame) {
-  expect(frame, FrameKind::kSubmit, kRequest, "submit request");
-  PayloadReader r(frame.payload);
+SubmitRequest read_request(PayloadReader& r) {
   SubmitRequest request;
   request.scenario = r.str();
   request.bugs = static_cast<std::uint32_t>(r.u64());
@@ -118,6 +114,19 @@ SubmitRequest decode_submit_request(const WireFrame& frame) {
   request.max_iterations = static_cast<std::uint32_t>(r.u64());
   request.repair_seed = r.u64();
   request.grow_suite = r.boolean();
+  return request;
+}
+
+WireFrame encode_submit_request(const SubmitRequest& request) {
+  PayloadWriter w;
+  write_request(w, request);
+  return control_frame(FrameKind::kSubmit, kRequest, 0, w.take());
+}
+
+SubmitRequest decode_submit_request(const WireFrame& frame) {
+  expect(frame, FrameKind::kSubmit, kRequest, "submit request");
+  PayloadReader r(frame.payload);
+  SubmitRequest request = read_request(r);
   expect_drained(r, "submit request");
   return request;
 }

@@ -35,7 +35,7 @@ namespace mwr::serve {
 /// A campaign submission: a named scenario plus the knobs a tenant may
 /// turn.  Defaults are sized for serving (small pools, short online
 /// budgets, single-threaded phases — concurrency comes from running many
-/// campaigns as fibers, not from intra-campaign thread pools).
+/// campaigns as fibers, not from intra-campaign fan-out).
 struct SubmitRequest {
   std::string scenario = "gzip-2009-08-16";  ///< scenario_by_name key.
   std::uint32_t bugs = 2;          ///< defects repaired in sequence.
@@ -111,6 +111,15 @@ struct CheckpointReply {
 // and throw std::runtime_error on anything malformed.
 
 using parallel::transport::WireFrame;
+
+class PayloadWriter;
+class PayloadReader;
+
+/// The SubmitRequest fields in payload order: the SUBMIT frame's whole
+/// payload and the checkpoint's request section.  read_request throws
+/// std::runtime_error on a truncated or malformed payload.
+void write_request(PayloadWriter& w, const SubmitRequest& request);
+[[nodiscard]] SubmitRequest read_request(PayloadReader& r);
 
 [[nodiscard]] WireFrame encode_submit_request(const SubmitRequest& request);
 [[nodiscard]] SubmitRequest decode_submit_request(const WireFrame& frame);

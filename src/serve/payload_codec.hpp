@@ -62,10 +62,7 @@ class PayloadReader {
   [[nodiscard]] std::uint64_t u64() {
     const double lo = f64();
     const double hi = f64();
-    if (lo < 0.0 || lo > 4294967295.0 || lo != static_cast<double>(
-                                                   static_cast<std::uint64_t>(lo)) ||
-        hi < 0.0 || hi > 4294967295.0 ||
-        hi != static_cast<double>(static_cast<std::uint64_t>(hi)))
+    if (!is_integer_in(lo, 4294967295.0) || !is_integer_in(hi, 4294967295.0))
       throw std::runtime_error("serve payload: malformed u64 halves");
     return static_cast<std::uint64_t>(lo) |
            (static_cast<std::uint64_t>(hi) << 32);
@@ -81,8 +78,7 @@ class PayloadReader {
     s.reserve(static_cast<std::size_t>(n));
     for (std::uint64_t i = 0; i < n; ++i) {
       const double c = f64();
-      if (c < 0.0 || c > 255.0 || c != static_cast<double>(
-                                           static_cast<std::uint32_t>(c)))
+      if (!is_integer_in(c, 255.0))
         throw std::runtime_error("serve payload: malformed str code unit");
       s.push_back(static_cast<char>(static_cast<unsigned char>(c)));
     }
@@ -95,6 +91,14 @@ class PayloadReader {
   [[nodiscard]] bool done() const noexcept { return pos_ == in_.size(); }
 
  private:
+  // True when v is an integer in [0, max].  The range test comes first and
+  // fails for NaN, so the integer cast only ever sees an in-range value
+  // (casting NaN or an out-of-range double is undefined behaviour).
+  static bool is_integer_in(double v, double max) noexcept {
+    return v >= 0.0 && v <= max &&
+           v == static_cast<double>(static_cast<std::uint64_t>(v));
+  }
+
   std::span<const double> in_;
   std::size_t pos_ = 0;
 };

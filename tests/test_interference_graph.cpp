@@ -19,7 +19,7 @@
 #include "apr/test_oracle.hpp"
 #include "datasets/scenario.hpp"
 #include "obs/registry.hpp"
-#include "parallel/thread_pool.hpp"
+#include "parallel/superstep.hpp"
 
 namespace mwr::apr {
 namespace {
@@ -137,7 +137,8 @@ TEST(OracleCache, InterferenceGraphIsTheSameForAnyWorkerCount) {
   const auto pool = MutationPool::precompute(oracle, config);
   const InterferenceGraph serial = oracle.interference_graph(pool.mutations());
   for (const std::size_t threads : {2u, 3u}) {
-    parallel::ThreadPool workers(threads);
+    parallel::SuperstepEngine workers(
+        1, parallel::SuperstepEngine::Config{threads});
     const InterferenceGraph split =
         oracle.interference_graph(pool.mutations(), &workers);
     EXPECT_EQ(split.offsets, serial.offsets) << threads;

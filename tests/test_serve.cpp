@@ -14,6 +14,7 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -23,7 +24,7 @@
 #include "apr/oracle_hub.hpp"
 #include "apr/outcome_json.hpp"
 #include "obs/registry.hpp"
-#include "parallel/thread_pool.hpp"
+#include "parallel/superstep.hpp"
 #include "serve/checkpoint.hpp"
 #include "serve/checkpoint_writer.hpp"
 #include "serve/control.hpp"
@@ -87,6 +88,16 @@ TEST(PayloadCodec, ThrowsOnTruncationAndMalformedHalves) {
   const std::vector<double> bad_half = {1.5, 0.0};
   PayloadReader r(bad_half);
   EXPECT_THROW((void)r.u64(), std::runtime_error);
+
+  // NaN passes both `< 0` and `> max`; it must still be refused, and
+  // before any integer cast (UB for NaN).
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<double> nan_half = {nan, 0.0};
+  PayloadReader n(nan_half);
+  EXPECT_THROW((void)n.u64(), std::runtime_error);
+  const std::vector<double> nan_unit = {1.0, 0.0, nan};
+  PayloadReader u(nan_unit);
+  EXPECT_THROW((void)u.str(), std::runtime_error);
 
   PayloadWriter w;
   w.u64(100);  // announces a 100-char string that is not there
@@ -271,7 +282,7 @@ TEST(CampaignSessionServe, PooledStepMatchesTheStagedCallsAndRunCampaign) {
             apr::outcome_to_json(apr::run_campaign(plan.spec, plan.config))
                 .dump(2));
 
-  parallel::ThreadPool workers(2);
+  parallel::SuperstepEngine workers(1, parallel::SuperstepEngine::Config{2});
   for (const std::size_t budget :
        {std::size_t{1}, std::size_t{3},
         std::numeric_limits<std::size_t>::max()}) {
@@ -316,6 +327,65 @@ TEST(Checkpoint, CodecRoundTripsAMidCampaignSnapshot) {
   EXPECT_EQ(a.repair.rng_state, b.repair.rng_state);
   EXPECT_EQ(a.repair.strategy, b.repair.strategy);  // bit-exact doubles
   EXPECT_EQ(a.repair.iterations, b.repair.iterations);
+}
+
+// FNV-1a over a byte string: a compact pin for encoded bytes.
+std::uint64_t fnv1a(std::span<const std::uint8_t> bytes) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (const std::uint8_t b : bytes) {
+    h ^= b;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+TEST(Checkpoint, SubmitFrameAndCheckpointBytesArePinned) {
+  // A fixed request and a hand-built snapshot, so the pin covers the
+  // codecs alone and not any campaign's trajectory.
+  SubmitRequest request = small_request("Closure13", 0x123456789abcdefull);
+  request.tests = 24;
+  request.mwu = 2;
+  request.grow_suite = false;
+
+  CampaignCheckpoint checkpoint;
+  checkpoint.campaign_id = 0x1'0000'002aull;
+  checkpoint.request = request;
+  apr::CampaignSnapshot& snap = checkpoint.snapshot;
+  snap.fingerprint = 0xfeedfacecafebeefull;
+  snap.phase = 2;
+  snap.bug_index = 1;
+  snap.repaired_so_far = 1;
+  snap.current_tests = 25;
+  snap.precompute_runs = 4321;
+  snap.initial_pool_size = 3;
+  snap.trajectory_hash = 0x0123456789abcdefull;
+  apr::BugOutcome bug;
+  bug.bug_id = 0;
+  bug.repaired = true;
+  bug.patch_edits = 5;
+  bug.maintenance_runs = 3;
+  bug.pool_dropped = 1;
+  bug.pool_size = 3;
+  bug.online_probes = 640;
+  bug.online_cycles = 80;
+  snap.finished_bugs.push_back(bug);
+  snap.current_bug.bug_id = 1;
+  snap.current_bug.pool_size = 2;
+  snap.working_pool = {{apr::MutationKind::kDelete, 7, 0},
+                       {apr::MutationKind::kSwap, 11, 13}};
+  snap.has_repair_state = true;
+  snap.repair.strategy = {0.25, 1.0 / 3.0, -0.0, 1e-300};
+  snap.repair.rng_seed = 99;
+  snap.repair.rng_state = {1, 0xffffffffffffffffull, 3, 4};
+  snap.repair.iterations = 17;
+  snap.repair.probes = 136;
+  snap.repair.trajectory_hash = 0xdeadbeefull;
+
+  std::vector<std::uint8_t> frame;
+  parallel::transport::encode_frame(encode_submit_request(request), frame);
+  EXPECT_EQ(fnv1a(frame), 0xda27f21818259095ull);
+  const std::vector<std::uint8_t> bytes = encode_checkpoint(checkpoint);
+  EXPECT_EQ(fnv1a(bytes), 0xb88d8383bf405b85ull);
 }
 
 TEST(Checkpoint, DecoderRejectsCorruption) {

@@ -1,12 +1,16 @@
 // Tests for the bounded-thread superstep engine: rank multiplexing,
 // schedule-independence of communicating programs, exception propagation
 // out of a mid-superstep failure, deadlock detection with clean unwinding,
-// and the engine's observability counters.
+// the fiberless parallel_for sweep, and the engine's observability
+// counters.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <cstdint>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "obs/registry.hpp"
@@ -187,10 +191,11 @@ TEST(SuperstepEngine, IsReusableAcrossRuns) {
 }
 
 TEST(SuperstepEngine, ParallelForCoversEveryIndexOnce) {
-  for (const std::size_t workers : {1u, 2u, 4u}) {
+  for (const std::size_t workers : {1u, 2u, 3u, 4u, 8u}) {
     SuperstepEngine::Config config;
     config.workers = workers;
     SuperstepEngine engine(1, config);
+    EXPECT_EQ(engine.workers(), workers);
     constexpr std::size_t kCount = 1000;
     std::vector<std::atomic<int>> hits(kCount);
     for (auto& h : hits) h.store(0, std::memory_order_relaxed);
@@ -206,8 +211,28 @@ TEST(SuperstepEngine, ParallelForCoversEveryIndexOnce) {
           << "workers=" << workers << " i=" << i;
     }
     engine.parallel_for(0, [&](std::size_t) { FAIL() << "count == 0 ran"; });
+    // Fewer indices than workers: the idle participants find no chunk.
+    std::atomic<int> few{0};
+    engine.parallel_for(
+        3, [&](std::size_t) { few.fetch_add(1, std::memory_order_relaxed); });
+    EXPECT_EQ(few.load(std::memory_order_relaxed), 3) << "workers=" << workers;
   }
 }
+
+class ParallelForSweep : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(ParallelForSweep, SumOfIndicesIsCorrect) {
+  SuperstepEngine engine(1, SuperstepEngine::Config{GetParam()});
+  std::atomic<std::int64_t> sum{0};
+  constexpr std::size_t kCount = 2000;
+  engine.parallel_for(kCount, [&](std::size_t i) {
+    sum.fetch_add(static_cast<std::int64_t>(i));
+  });
+  EXPECT_EQ(sum.load(), static_cast<std::int64_t>(kCount * (kCount - 1) / 2));
+}
+
+INSTANTIATE_TEST_SUITE_P(Workers, ParallelForSweep,
+                         ::testing::Values(1, 2, 4, 8));
 
 TEST(SuperstepEngine, ParallelForInterleavesWithFiberRuns) {
   SuperstepEngine::Config config;
@@ -238,6 +263,146 @@ TEST(SuperstepEngine, ParallelForRethrowsFirstBodyError) {
         16, [&](std::size_t) { ran.fetch_add(1, std::memory_order_relaxed); });
     EXPECT_EQ(ran.load(std::memory_order_relaxed), 16);
   }
+}
+
+TEST(SuperstepEngine, ParallelForWaitsForEveryParticipantBeforeRethrowing) {
+  // fn lives in the caller's frame: a throwing index must not hand control
+  // back while another participant is still inside fn.  The calling
+  // thread throws on its first index, once a worker has entered fn; each
+  // worker index stays in fn for a while.
+  SuperstepEngine engine(1, SuperstepEngine::Config{2});
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<int> entered{0};
+  std::atomic<int> left{0};
+  const auto body = [&](std::size_t) {
+    if (std::this_thread::get_id() == caller) {
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      while (entered.load() == 0 && std::chrono::steady_clock::now() < deadline)
+        std::this_thread::yield();
+      throw std::runtime_error("fails");
+    }
+    entered.fetch_add(1);
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    left.fetch_add(1);
+  };
+  EXPECT_THROW(engine.parallel_for(64, body), std::runtime_error);
+  EXPECT_GE(entered.load(), 1);
+  EXPECT_EQ(left.load(), entered.load());
+}
+
+TEST(SuperstepEngine, NestedParallelForThrowsInsteadOfDeadlocking) {
+  // A sweep nested on its own engine finds the engine busy: it throws
+  // std::logic_error out of the outer sweep instead of waiting on workers
+  // that are all inside the outer fn.
+  for (const std::size_t workers : {2u, 4u}) {
+    SuperstepEngine engine(1, SuperstepEngine::Config{workers});
+    std::atomic<int> inner{0};
+    EXPECT_THROW(engine.parallel_for(8,
+                                     [&](std::size_t) {
+                                       engine.parallel_for(8, [&](std::size_t) {
+                                         inner.fetch_add(1);
+                                       });
+                                     }),
+                 std::logic_error)
+        << "workers=" << workers;
+    EXPECT_EQ(inner.load(), 0);
+    // The engine stays usable.
+    std::atomic<int> ran{0};
+    engine.parallel_for(16, [&](std::size_t) { ran.fetch_add(1); });
+    EXPECT_EQ(ran.load(), 16);
+  }
+}
+
+// The data-parallel contract parallel::ThreadPool carried before every
+// sweep moved onto the engine, checked on the engine under the pool's
+// test names.
+
+TEST(ThreadPool, ReportsItsSize) {
+  SuperstepEngine engine(1, SuperstepEngine::Config{3});
+  EXPECT_EQ(engine.workers(), 3u);
+}
+
+TEST(ThreadPool, WorkersSurviveAFailedTask) {
+  for (const std::size_t workers : {1u, 2u}) {
+    SuperstepEngine engine(1, SuperstepEngine::Config{workers});
+    EXPECT_THROW(engine.parallel_for(
+                     1, [](std::size_t) { throw std::runtime_error("boom"); }),
+                 std::runtime_error);
+    std::atomic<int> good{0};
+    engine.parallel_for(1, [&](std::size_t) { good.store(1); });
+    EXPECT_EQ(good.load(), 1) << "workers=" << workers;
+  }
+}
+
+TEST(ThreadPool, ParallelForCoversEveryIndexExactlyOnce) {
+  SuperstepEngine engine(1, SuperstepEngine::Config{4});
+  std::vector<std::atomic<int>> hits(1000);
+  for (auto& h : hits) h.store(0);
+  engine.parallel_for(1000, [&](std::size_t i) { hits[i].fetch_add(1); });
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(ThreadPool, ParallelForZeroCountIsNoop) {
+  SuperstepEngine engine(1, SuperstepEngine::Config{2});
+  engine.parallel_for(0, [](std::size_t) { FAIL() << "must not run"; });
+}
+
+TEST(ThreadPool, ParallelForFewerItemsThanWorkers) {
+  SuperstepEngine engine(1, SuperstepEngine::Config{8});
+  std::atomic<int> counter{0};
+  engine.parallel_for(3, [&](std::size_t) { counter.fetch_add(1); });
+  EXPECT_EQ(counter.load(), 3);
+}
+
+TEST(ThreadPool, ParallelForPropagatesExceptions) {
+  SuperstepEngine engine(1, SuperstepEngine::Config{2});
+  EXPECT_THROW(engine.parallel_for(10,
+                                   [](std::size_t i) {
+                                     if (i == 5)
+                                       throw std::runtime_error("bad index");
+                                   }),
+               std::runtime_error);
+}
+
+TEST(ThreadPool, NestedParallelForRunsInlineWithoutDeadlock) {
+  // A one-worker engine runs a sweep nested on itself inline on the
+  // calling thread: no wakeup, so nothing waits on a busy worker.
+  SuperstepEngine engine(1, SuperstepEngine::Config{1});
+  std::vector<std::atomic<int>> hits(64);
+  for (auto& h : hits) h.store(0);
+  engine.parallel_for(1, [&](std::size_t) {
+    engine.parallel_for(hits.size(),
+                        [&](std::size_t i) { hits[i].fetch_add(1); });
+  });
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(ThreadPool, NestedParallelForStillPropagatesExceptions) {
+  SuperstepEngine engine(1, SuperstepEngine::Config{1});
+  EXPECT_THROW(engine.parallel_for(1,
+                                   [&](std::size_t) {
+                                     engine.parallel_for(4, [](std::size_t i) {
+                                       if (i == 2)
+                                         throw std::runtime_error(
+                                             "nested failure");
+                                     });
+                                   }),
+               std::runtime_error);
+}
+
+TEST(SuperstepEngine, CountsOnlySweepsThatFanOut) {
+  obs::Counter& sweeps =
+      obs::MetricsRegistry::global().counter("spmd.engine.sweeps");
+  SuperstepEngine inline_engine(1, SuperstepEngine::Config{1});
+  SuperstepEngine pooled(1, SuperstepEngine::Config{2});
+  const std::uint64_t before = sweeps.value();
+  inline_engine.parallel_for(8, [](std::size_t) {});
+  pooled.parallel_for(0, [](std::size_t) {});
+  EXPECT_EQ(sweeps.value(), before);
+  pooled.parallel_for(8, [](std::size_t) {});
+  pooled.parallel_for(8, [](std::size_t) {});
+  EXPECT_EQ(sweeps.value(), before + 2);
 }
 
 TEST(SuperstepEngine, CountsSuperstepsAndRunnableRanks) {
