@@ -28,19 +28,24 @@ core::MwuKind parse_mwu(const std::string& name) {
       "--mwu must be standard|slate|distributed|exp3, got: " + name);
 }
 
-[[nodiscard]] apr::EndToEndOutcome repair_one(
-    const datasets::ScenarioSpec& spec,
-    const apr::MwRepairConfig& repair_config,
-    const apr::PoolConfig& pool_config, util::Table& table) {
+// A single-shot repair is a one-bug campaign.  Per-scenario seeds derive
+// from the master seed the way the IV-G harness does, so the CLI
+// reproduces the bench's outcomes.
+[[nodiscard]] apr::CampaignOutcome repair_one(
+    const datasets::ScenarioSpec& spec, apr::CampaignConfig config,
+    std::uint64_t master, util::Table& table) {
   util::WallTimer timer;
-  auto outcome = apr::repair_scenario(spec, repair_config, pool_config);
+  config.bugs = 1;
+  config.pool.seed = master ^ spec.seed;
+  config.repair.seed = master ^ (spec.seed * 3);
+  auto outcome = apr::run_campaign(spec, config);
+  const apr::BugOutcome& bug = outcome.bugs.front();
   table.add_row(
-      {spec.name, spec.language, outcome.repair.repaired ? "yes" : "no",
-       std::to_string(outcome.pool_size),
-       std::to_string(outcome.precompute_attempts),
-       std::to_string(outcome.repair.probes),
-       std::to_string(outcome.repair.iterations),
-       std::to_string(outcome.repair.patch.size()),
+      {spec.name, spec.language, bug.repaired ? "yes" : "no",
+       std::to_string(outcome.initial_pool_size),
+       std::to_string(outcome.precompute_runs),
+       std::to_string(bug.online_probes), std::to_string(bug.online_cycles),
+       std::to_string(bug.patch_edits),
        util::fmt_fixed(timer.elapsed_seconds(), 2) + "s"});
   return outcome;
 }
@@ -70,27 +75,25 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  apr::PoolConfig pool_config;
-  pool_config.target_size = static_cast<std::size_t>(cli.get_int("pool"));
-  pool_config.max_attempts = 8 * pool_config.target_size;
-  pool_config.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
-
-  apr::MwRepairConfig repair_config;
+  const std::uint64_t master = static_cast<std::uint64_t>(cli.get_int("seed"));
+  apr::CampaignConfig campaign_config;
+  campaign_config.pool.target_size =
+      static_cast<std::size_t>(cli.get_int("pool"));
+  campaign_config.pool.max_attempts = 8 * campaign_config.pool.target_size;
+  campaign_config.pool.seed = master;
+  apr::MwRepairConfig& repair_config = campaign_config.repair;
   repair_config.mwu = parse_mwu(cli.get_string("mwu"));
   repair_config.agents = static_cast<std::size_t>(cli.get_int("agents"));
   repair_config.max_iterations =
       static_cast<std::size_t>(cli.get_int("iterations"));
   repair_config.eval_threads =
       static_cast<std::size_t>(cli.get_int("eval-threads"));
-  repair_config.seed = pool_config.seed ^ 0xBEEF;
+  repair_config.seed = master ^ 0xBEEF;
 
   // Campaign mode: a sequence of bugs in one program, one shared pool.
   if (cli.get_int("campaign") > 0) {
     const auto spec = datasets::scenario_by_name(cli.get_string("scenario"));
-    apr::CampaignConfig campaign_config;
     campaign_config.bugs = static_cast<std::size_t>(cli.get_int("campaign"));
-    campaign_config.pool = pool_config;
-    campaign_config.repair = repair_config;
     const auto campaign = apr::run_campaign(spec, campaign_config);
     util::Table table("Campaign: " + std::to_string(campaign_config.bugs) +
                       " bugs in " + spec.name);
@@ -117,30 +120,23 @@ int main(int argc, char** argv) {
   util::Table table("MWRepair (" + cli.get_string("mwu") + " backend)");
   table.set_header({"scenario", "lang", "repaired", "pool", "precompute",
                     "online probes", "cycles", "patch edits", "time"});
-  // Derive per-scenario seeds the same way the IV-G harness does, so the
-  // CLI reproduces the bench's outcomes.
-  const std::uint64_t master = static_cast<std::uint64_t>(cli.get_int("seed"));
-  const auto run_scenario = [&](const datasets::ScenarioSpec& spec) {
-    auto pool = pool_config;
-    pool.seed = master ^ spec.seed;
-    auto repair = repair_config;
-    repair.seed = master ^ (spec.seed * 3);
-    return repair_one(spec, repair, pool, table);
-  };
   bool all_repaired = true;
   if (cli.get_flag("all")) {
     for (const auto& family :
          {datasets::c_scenarios(), datasets::java_scenarios()}) {
       for (const auto& spec : family) {
-        all_repaired &= run_scenario(spec).repair.repaired;
+        all_repaired &=
+            repair_one(spec, campaign_config, master, table).repaired() == 1;
       }
     }
   } else {
     const auto outcome =
-        run_scenario(datasets::scenario_by_name(cli.get_string("scenario")));
-    all_repaired = outcome.repair.repaired;
+        repair_one(datasets::scenario_by_name(cli.get_string("scenario")),
+                   campaign_config, master, table);
+    all_repaired = outcome.repaired() == 1;
     if (!outcome_out.empty())
-      apr::write_outcome_json(apr::outcome_to_json(outcome), outcome_out);
+      apr::write_outcome_json(apr::outcome_to_json(outcome, "single"),
+                              outcome_out);
   }
   table.emit(std::cout);
   util::write_metrics_if_requested(cli);

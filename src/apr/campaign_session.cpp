@@ -1,38 +1,22 @@
 #include "apr/campaign_session.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <stdexcept>
 #include <utility>
 
 #include "obs/registry.hpp"
 #include "parallel/superstep.hpp"
+#include "util/fnv.hpp"
 
 namespace mwr::apr {
 
 namespace {
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
+using util::fnv_fold;
+using util::fnv_fold_double;
 
-std::uint64_t fnv_fold(std::uint64_t h, std::uint64_t v) noexcept {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xff;
-    h *= kFnvPrime;
-  }
-  return h;
-}
-
-std::uint64_t fnv_fold(std::uint64_t h, double v) noexcept {
-  return fnv_fold(h, std::bit_cast<std::uint64_t>(v));
-}
-
-std::uint64_t fnv_fold(std::uint64_t h, const std::string& s) noexcept {
-  h = fnv_fold(h, static_cast<std::uint64_t>(s.size()));
-  for (const char c : s) {
-    h ^= static_cast<std::uint8_t>(c);
-    h *= kFnvPrime;
-  }
-  return h;
+/// Folds a string as its length and then its raw bytes.
+std::uint64_t fnv_fold_string(std::uint64_t h, const std::string& s) noexcept {
+  return util::fnv_fold_bytes(fnv_fold(h, s.size()), s);
 }
 
 /// Identity of the campaign definition: every field of the base spec and
@@ -41,18 +25,18 @@ std::uint64_t fnv_fold(std::uint64_t h, const std::string& s) noexcept {
 /// fingerprint turns that into a loud error.
 std::uint64_t campaign_fingerprint(const datasets::ScenarioSpec& spec,
                                    const CampaignConfig& config) {
-  std::uint64_t h = kFnvOffset;
-  h = fnv_fold(h, spec.name);
-  h = fnv_fold(h, spec.language);
+  std::uint64_t h = util::kFnvOffset;
+  h = fnv_fold_string(h, spec.name);
+  h = fnv_fold_string(h, spec.language);
   h = fnv_fold(h, static_cast<std::uint64_t>(spec.options));
   h = fnv_fold(h, static_cast<std::uint64_t>(spec.statements));
   h = fnv_fold(h, static_cast<std::uint64_t>(spec.tests));
-  h = fnv_fold(h, spec.coverage);
-  h = fnv_fold(h, spec.safe_rate);
-  h = fnv_fold(h, spec.repair_rate);
+  h = fnv_fold_double(h, spec.coverage);
+  h = fnv_fold_double(h, spec.safe_rate);
+  h = fnv_fold_double(h, spec.repair_rate);
   h = fnv_fold(h, static_cast<std::uint64_t>(spec.optimum));
   h = fnv_fold(h, static_cast<std::uint64_t>(spec.min_repair_edits));
-  h = fnv_fold(h, spec.value_noise);
+  h = fnv_fold_double(h, spec.value_noise);
   h = fnv_fold(h, spec.seed);
   h = fnv_fold(h, static_cast<std::uint64_t>(spec.bug_id));
   h = fnv_fold(h, static_cast<std::uint64_t>(spec.relevance_localized));
@@ -67,8 +51,8 @@ std::uint64_t campaign_fingerprint(const datasets::ScenarioSpec& spec,
   h = fnv_fold(h, static_cast<std::uint64_t>(config.repair.agents));
   h = fnv_fold(h, static_cast<std::uint64_t>(config.repair.max_iterations));
   h = fnv_fold(h, static_cast<std::uint64_t>(config.repair.reward));
-  h = fnv_fold(h, config.repair.learning_rate);
-  h = fnv_fold(h, config.repair.exploration);
+  h = fnv_fold_double(h, config.repair.learning_rate);
+  h = fnv_fold_double(h, config.repair.exploration);
   h = fnv_fold(h, config.repair.seed);
   return h;
 }
@@ -82,7 +66,7 @@ CampaignSession::CampaignSession(datasets::ScenarioSpec base,
       hub_(hub == nullptr ? own_hub_.get() : hub),
       fingerprint_(campaign_fingerprint(base_, config_)),
       current_tests_(base_.tests),
-      trajectory_fold_(kFnvOffset) {
+      trajectory_fold_(util::kFnvOffset) {
   auto& metrics = obs::MetricsRegistry::global();
   bugs_attempted_ = &metrics.counter("campaign.bugs_attempted");
   bugs_repaired_ = &metrics.counter("campaign.bugs_repaired");

@@ -57,22 +57,4 @@ RepairOutcome MwRepair::run(const TestOracle& oracle,
   return session.outcome();
 }
 
-EndToEndOutcome repair_scenario(const datasets::ScenarioSpec& spec,
-                                const MwRepairConfig& repair_config,
-                                const PoolConfig& pool_config) {
-  const ProgramModel program(spec);
-  const TestOracle oracle(program);
-  const MutationPool pool = MutationPool::precompute(oracle, pool_config);
-
-  EndToEndOutcome outcome;
-  outcome.precompute_attempts = pool.attempts();
-  outcome.pool_size = pool.size();
-  if (!pool.empty()) {
-    const MwRepair repair(repair_config);
-    outcome.repair = repair.run(oracle, pool);
-  }
-  outcome.total_suite_runs = oracle.suite_runs();
-  return outcome;
-}
-
 }  // namespace mwr::apr

@@ -84,17 +84,11 @@ class MwRepair {
   MwRepairConfig config_;
 };
 
-/// End-to-end convenience: precompute a pool for the scenario, then run the
-/// online phase.  Returns the outcome plus the pool statistics.
-struct EndToEndOutcome {
-  RepairOutcome repair;
-  std::uint64_t precompute_attempts = 0;
-  std::size_t pool_size = 0;
-  std::uint64_t total_suite_runs = 0;   ///< precompute + online probes.
-};
-
-[[nodiscard]] EndToEndOutcome repair_scenario(
-    const datasets::ScenarioSpec& spec, const MwRepairConfig& repair_config,
-    const PoolConfig& pool_config);
+// A whole repair — precompute a pool for a scenario, then search it — is a
+// one-bug apr::run_campaign (apr/campaign.hpp), the one driver repair_tool
+// and the campaign server share.  MwRepair::run stays the research API
+// over a pool the caller built.  The two agree field for field when the
+// pool holds at least max_count members; below that a campaign clamps
+// max_count to its working pool, which reshapes the arm grid.
 
 }  // namespace mwr::apr

@@ -1,36 +1,25 @@
 #include "apr/oracle_hub.hpp"
 
-#include <bit>
 #include <stdexcept>
 #include <string>
 #include <utility>
 
 #include "obs/registry.hpp"
 #include "parallel/superstep.hpp"
+#include "util/fnv.hpp"
 
 namespace mwr::apr {
 
 namespace {
 
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
+using util::fnv_fold;
+using util::fnv_fold_double;
 
-std::uint64_t fnv_fold(std::uint64_t h, std::uint64_t v) noexcept {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xff;
-    h *= kFnvPrime;
-  }
-  return h;
-}
-
+/// Folds a string as its length and then each byte as a whole u64.
 std::uint64_t fnv_fold_string(std::uint64_t h, const std::string& s) noexcept {
   h = fnv_fold(h, s.size());
   for (const char c : s) h = fnv_fold(h, static_cast<unsigned char>(c));
   return h;
-}
-
-std::uint64_t fnv_fold_double(std::uint64_t h, double v) noexcept {
-  return fnv_fold(h, std::bit_cast<std::uint64_t>(v));
 }
 
 /// Identity of the *program*: every spec field except the bug targeted
@@ -39,7 +28,7 @@ std::uint64_t fnv_fold_double(std::uint64_t h, double v) noexcept {
 /// safety, and interference are program properties — the invariant the
 /// whole amortization story rests on).
 std::uint64_t program_fingerprint(const datasets::ScenarioSpec& spec) {
-  std::uint64_t h = kFnvOffset;
+  std::uint64_t h = util::kFnvOffset;
   h = fnv_fold_string(h, spec.name);
   h = fnv_fold_string(h, spec.language);
   h = fnv_fold(h, spec.options);

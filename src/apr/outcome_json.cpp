@@ -22,8 +22,10 @@ obs::JsonValue bug_to_json(const BugOutcome& bug) {
   b.set("suite_runs", static_cast<double>(bug.suite_runs()));
   return b;
 }
+}  // namespace
 
-obs::JsonValue root_for(const CampaignOutcome& outcome, const char* mode) {
+obs::JsonValue outcome_to_json(const CampaignOutcome& outcome,
+                               const char* mode) {
   obs::JsonValue root = obs::JsonValue::object();
   root.set("schema", kSchema);
   root.set("mode", mode);
@@ -37,29 +39,6 @@ obs::JsonValue root_for(const CampaignOutcome& outcome, const char* mode) {
   for (const BugOutcome& bug : outcome.bugs) bugs.push_back(bug_to_json(bug));
   root.set("bugs", std::move(bugs));
   return root;
-}
-}  // namespace
-
-obs::JsonValue outcome_to_json(const CampaignOutcome& outcome) {
-  return root_for(outcome, "campaign");
-}
-
-obs::JsonValue outcome_to_json(const EndToEndOutcome& outcome) {
-  // A single-shot run is a one-bug campaign with no maintenance history;
-  // mapping it through CampaignOutcome keeps the two modes field-for-field
-  // comparable (satellite requirement: one schema for both).
-  CampaignOutcome campaign;
-  campaign.precompute_runs = outcome.precompute_attempts;
-  campaign.initial_pool_size = outcome.pool_size;
-  BugOutcome bug;
-  bug.bug_id = 0;
-  bug.repaired = outcome.repair.repaired;
-  bug.patch_edits = outcome.repair.patch.size();
-  bug.pool_size = outcome.pool_size;
-  bug.online_probes = outcome.repair.probes;
-  bug.online_cycles = outcome.repair.iterations;
-  campaign.bugs.push_back(std::move(bug));
-  return root_for(campaign, "single");
 }
 
 void write_outcome_json(const obs::JsonValue& outcome,

@@ -15,20 +15,21 @@
 //
 // Every field is a deterministic function of (scenario, config, seed) —
 // no wall times — so the export is golden-testable byte for byte.
-// Single-shot mode (repair_tool without --campaign) maps EndToEndOutcome
-// into the same shape as a one-bug campaign.
+// Single-shot mode (repair_tool without --campaign) is a one-bug
+// campaign; only its "mode" label differs.
 #pragma once
 
 #include <string>
 
 #include "apr/campaign.hpp"
-#include "apr/mwrepair.hpp"
 #include "obs/serialization.hpp"
 
 namespace mwr::apr {
 
-[[nodiscard]] obs::JsonValue outcome_to_json(const CampaignOutcome& outcome);
-[[nodiscard]] obs::JsonValue outcome_to_json(const EndToEndOutcome& outcome);
+/// `mode` is the document's "mode" label: "campaign", or "single" for
+/// repair_tool's single-shot run.
+[[nodiscard]] obs::JsonValue outcome_to_json(const CampaignOutcome& outcome,
+                                             const char* mode = "campaign");
 
 /// Pretty-prints (2-space indent, trailing newline) to `path`; throws
 /// std::runtime_error on I/O failure.  This is what --outcome-out writes.

@@ -7,21 +7,11 @@
 #include "core/serialization.hpp"
 #include "obs/registry.hpp"
 #include "parallel/superstep.hpp"
+#include "util/fnv.hpp"
 
 namespace mwr::apr {
 
-namespace {
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-
-std::uint64_t fnv_fold(std::uint64_t h, std::uint64_t v) noexcept {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xff;
-    h *= kFnvPrime;
-  }
-  return h;
-}
-}  // namespace
+using util::fnv_fold;
 
 RepairSession::RepairSession(const MwRepairConfig& config,
                              const TestOracle& oracle,
@@ -31,7 +21,7 @@ RepairSession::RepairSession(const MwRepairConfig& config,
       pool_(&pool),
       rng_(repair_.config().seed),
       baseline_(oracle.baseline_fitness()),
-      trajectory_hash_(kFnvOffset) {
+      trajectory_hash_(util::kFnvOffset) {
   if (pool.empty())
     throw std::invalid_argument("RepairSession: empty mutation pool");
 
@@ -95,42 +85,28 @@ void RepairSession::finish(bool repaired) {
 std::size_t RepairSession::begin_cycle() {
   if (done_) return 0;
   staged_arms_ = strategy_->sample(rng_);                // MWU_Sample
-  patches_.clear();
-  index_patches_.clear();
+  const std::size_t n = staged_arms_.size();
+  index_patches_.resize(n);
   acceptance_.clear();
-  for (const std::size_t arm : staged_arms_) {
+  for (std::size_t j = 0; j < n; ++j) {
     const std::size_t count =
-        std::min(repair_.count_for_arm(arm), pool_->size());
-    if (wave_fast_path_) {
-      // Identical without-replacement draws, sorted in index space: pool
-      // order is key order, so this names exactly the canonical patch
-      // sample_from_pool would materialize (same RNG consumption, same
-      // patch bytes) without constructing Mutations or sorting them.
-      index_patches_.emplace_back();
-      sample_from_pool_indexed(pool_->size(), count, rng_,
-                               index_patches_.back());
-    } else {
-      patches_.push_back(sample_from_pool(pool_->mutations(), count, rng_));
-    }
+        std::min(repair_.count_for_arm(staged_arms_[j]), pool_->size());
+    // Without-replacement draws, ascending in index space: pool order is
+    // key order, so the indices name exactly the canonical patch
+    // sample_from_pool would build, with the same RNG consumption.
+    sample_from_pool_indexed(pool_->size(), count, rng_, index_patches_[j]);
     acceptance_.push_back(rng_.uniform());
   }
   // Fold this cycle's draws into the trajectory fingerprint before the
   // (order-free) evaluations, so the hash pins the stochastic sequence.
-  const std::size_t n = staged_arms_.size();
   trajectory_hash_ = fnv_fold(trajectory_hash_, outcome_.iterations);
   for (std::size_t j = 0; j < n; ++j) {
     trajectory_hash_ = fnv_fold(trajectory_hash_, staged_arms_[j]);
     trajectory_hash_ = fnv_fold(trajectory_hash_,
                                 std::bit_cast<std::uint64_t>(acceptance_[j]));
-    if (wave_fast_path_) {
-      for (const std::uint32_t w : index_patches_[j]) {
-        trajectory_hash_ =
-            fnv_fold(trajectory_hash_, pool_->mutations()[w].key());
-      }
-    } else {
-      for (const Mutation& m : patches_[j]) {
-        trajectory_hash_ = fnv_fold(trajectory_hash_, m.key());
-      }
+    for (const std::uint32_t w : index_patches_[j]) {
+      trajectory_hash_ =
+          fnv_fold(trajectory_hash_, pool_->mutations()[w].key());
     }
   }
   evaluations_.assign(n, Evaluation{});
@@ -142,18 +118,24 @@ std::size_t RepairSession::begin_cycle() {
 }
 
 void RepairSession::evaluate_staged(std::size_t j) {
+  const std::vector<std::uint32_t>& widx = index_patches_[j];
   if (!wave_fast_path_) {
-    evaluations_[j] = oracle_->evaluate(patches_[j]);
+    // No wave covers the pool (it is past OracleCache::kMaxWavePool, or
+    // the oracle is unprimed): materialize the canonical patch for the
+    // reference path.
+    thread_local Patch patch;
+    patch.clear();
+    for (const std::uint32_t w : widx) patch.push_back(pool_->mutations()[w]);
+    evaluations_[j] = oracle_->evaluate(patch);
     return;
   }
   if (wave_identity_) {
-    evaluations_[j] = oracle_->evaluate_pooled(index_patches_[j], tallies_[j]);
+    evaluations_[j] = oracle_->evaluate_pooled(widx, tallies_[j]);
     return;
   }
   // Translate working-pool positions to primed positions (monotone map:
   // ascending stays ascending).
   thread_local std::vector<std::uint32_t> mapped;
-  const std::vector<std::uint32_t>& widx = index_patches_[j];
   mapped.resize(widx.size());
   for (std::size_t i = 0; i < widx.size(); ++i) mapped[i] = wave_map_[widx[i]];
   evaluations_[j] = oracle_->evaluate_pooled(mapped, tallies_[j]);
@@ -176,19 +158,13 @@ bool RepairSession::finish_cycle(double elapsed_seconds) {
   rewards_.assign(n, 0.0);
   for (std::size_t j = 0; j < n; ++j) {
     const Evaluation& e = evaluations_[j];
-    const std::size_t patch_size =
-        wave_fast_path_ ? index_patches_[j].size() : patches_[j].size();
+    const std::size_t patch_size = index_patches_[j].size();
     if (e.is_repair()) {                                 // terminate early
       outcome_.repaired = true;
-      if (wave_fast_path_) {
-        // Materialize the winning patch (ascending indices over the
-        // key-sorted pool == the canonical Patch).
-        outcome_.patch.clear();
-        for (const std::uint32_t w : index_patches_[j]) {
-          outcome_.patch.push_back(pool_->mutations()[w]);
-        }
-      } else {
-        outcome_.patch = patches_[j];
+      // Ascending indices over the key-sorted pool: the canonical Patch.
+      outcome_.patch.clear();
+      for (const std::uint32_t w : index_patches_[j]) {
+        outcome_.patch.push_back(pool_->mutations()[w]);
       }
       outcome_.iterations += 1;
       outcome_.preferred_count = patch_size;

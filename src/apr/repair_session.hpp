@@ -118,9 +118,10 @@ class RepairSession {
   void flush_telemetry();
 
   /// True when this session evaluates probes through the oracle's eager
-  /// wave table (index-space sampling, no per-patch sort or cache
-  /// probing).  Purely an execution detail: trajectories are
-  /// bit-identical either way.
+  /// wave table (no per-patch materialization or cache probing).  Every
+  /// session samples in index space; without the wave, evaluate_staged
+  /// materializes each patch for TestOracle::evaluate.  Purely an
+  /// execution detail: trajectories are bit-identical either way.
   [[nodiscard]] bool wave_fast_path() const noexcept {
     return wave_fast_path_;
   }
@@ -176,9 +177,9 @@ class RepairSession {
   bool wave_identity_ = false;  ///< map is the identity — skip translation.
   std::vector<std::uint32_t> wave_map_;
 
-  // Scratch reused across cycles (same vectors the monolithic loop kept).
-  std::vector<Patch> patches_;
-  std::vector<std::vector<std::uint32_t>> index_patches_;  // wave path.
+  // Scratch reused across cycles.  Each staged patch is its ascending
+  // working-pool indices (the canonical patch in index space).
+  std::vector<std::vector<std::uint32_t>> index_patches_;
   std::vector<std::size_t> staged_arms_;
   std::vector<double> acceptance_;
   std::vector<Evaluation> evaluations_;

@@ -7,6 +7,7 @@
 #include "core/distributed_mwu.hpp"
 #include "core/standard_mwu.hpp"
 #include "obs/registry.hpp"
+#include "util/fnv.hpp"
 
 namespace mwr::core {
 
@@ -40,15 +41,8 @@ constexpr int kTagObserveReply = 101;
 // 32-bit FNV-1a over (rank, choice); summed across ranks it is the
 // order-independent trajectory fingerprint (ParallelMwuResult docs).
 std::uint32_t rank_choice_hash(std::size_t rank, std::size_t choice) noexcept {
-  std::uint64_t h = 1469598103934665603ull;
-  const auto mix = [&h](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xff;
-      h *= 1099511628211ull;
-    }
-  };
-  mix(rank);
-  mix(choice);
+  const std::uint64_t h =
+      util::fnv_fold(util::fnv_fold(util::kFnvOffset, rank), choice);
   return static_cast<std::uint32_t>(h & 0xffffffffull);
 }
 

@@ -2,6 +2,8 @@
 
 #include <cstring>
 
+#include "util/fnv.hpp"
+
 namespace mwr::parallel::transport {
 
 namespace {
@@ -84,17 +86,9 @@ std::uint64_t geometry_fingerprint(std::size_t global_ranks,
   // FNV-1a over the two geometry words plus the wire version, so a HELLO
   // from a world with different shape (or a future incompatible format)
   // is rejected before any payload is trusted.
-  std::uint64_t h = 1469598103934665603ull;
-  const auto mix = [&h](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xff;
-      h *= 1099511628211ull;
-    }
-  };
-  mix(global_ranks);
-  mix(processes);
-  mix(kWireVersion);
-  return h;
+  std::uint64_t h = util::fnv_fold(util::kFnvOffset, global_ranks);
+  h = util::fnv_fold(h, processes);
+  return util::fnv_fold(h, kWireVersion);
 }
 
 }  // namespace mwr::parallel::transport

@@ -15,7 +15,7 @@
 // and drained on POLLOUT, so a client that stops reading one connection
 // cannot stall the others.  A peer whose queue passes
 // ControlConn::kMaxOutboundBytes is dropped, as is a peer that sends a
-// malformed stream.  Diagnostics (rejected submissions, dropped peers,
+// malformed stream or announces a frame larger than that bound.  Diagnostics (rejected submissions, dropped peers,
 // the stall notice) go to stderr.
 #pragma once
 

@@ -38,6 +38,19 @@ void fill_addr(const std::string& path, sockaddr_un& addr) {
   std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
 }
 
+/// Throws once `size` staged bytes start with a length prefix larger than
+/// ControlConn::kMaxOutboundBytes, before the frame's body is buffered.
+void check_announced_length(const std::uint8_t* data, std::size_t size) {
+  if (size < 4) return;
+  std::uint32_t body;
+  std::memcpy(&body, data, sizeof(body));
+  if (body > ControlConn::kMaxOutboundBytes)
+    throw std::runtime_error("serve control socket: peer announced a " +
+                             std::to_string(body) + "-byte frame (bound " +
+                             std::to_string(ControlConn::kMaxOutboundBytes) +
+                             ")");
+}
+
 }  // namespace
 
 ControlConn::ControlConn(int fd) : fd_(fd) {}
@@ -143,6 +156,7 @@ std::optional<WireFrame> ControlConn::recv_frame(int timeout_ms) {
       consumed_ += used;
       return frame;
     }
+    check_announced_length(staged_.data() + consumed_, filled_ - consumed_);
     if (timeout_ms >= 0) {
       const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
           deadline - std::chrono::steady_clock::now());
@@ -176,6 +190,7 @@ bool ControlConn::pump(std::vector<WireFrame>& out) {
     consumed_ += used;
     out.push_back(std::move(frame));
   }
+  check_announced_length(staged_.data() + consumed_, filled_ - consumed_);
   // On EOF the decoded frames above still get serviced by the caller,
   // but any bytes left over are a mid-frame truncation from a dead peer
   // and can never complete — report the connection dead rather than let

@@ -38,7 +38,10 @@ class ControlConn {
 
   /// Queued reply bytes a peer may leave unread.  The daemon drops a
   /// connection whose outbound queue grows past it (a client that keeps
-  /// sending requests but never reads the replies).
+  /// sending requests but never reads the replies).  It also bounds one
+  /// inbound frame: recv_frame and pump throw as soon as a length prefix
+  /// announces more, so a peer cannot pin a large read buffer by
+  /// announcing a big frame and trickling it in.
   static constexpr std::size_t kMaxOutboundBytes = std::size_t{4} << 20;
 
   /// Blocking write-all of one encoded frame.  Returns false when the
@@ -57,13 +60,15 @@ class ControlConn {
   }
 
   /// Blocks until one whole frame arrives; nullopt on orderly EOF.
-  /// Throws std::runtime_error on a mid-frame EOF, a socket error, or
-  /// when `timeout_ms` (>= 0) passes without a whole frame.
+  /// Throws std::runtime_error on a mid-frame EOF, a socket error, a
+  /// frame announced past kMaxOutboundBytes, or when `timeout_ms` (>= 0)
+  /// passes without a whole frame.
   std::optional<parallel::transport::WireFrame> recv_frame(
       int timeout_ms = -1);
 
   /// Non-blocking drain: appends every frame currently decodable from
-  /// the kernel buffer to `out`.  Returns false when the peer closed —
+  /// the kernel buffer to `out`; throws, like recv_frame, on a malformed
+  /// or oversized frame.  Returns false when the peer closed —
   /// including a close mid-frame, whose truncated tail can never
   /// complete; frames appended in the same call are still valid and
   /// should be serviced before dropping the connection.

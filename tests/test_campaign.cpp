@@ -132,6 +132,48 @@ TEST(Campaign, DeterministicPerSeeds) {
   }
 }
 
+TEST(Campaign, OneBugCampaignMatchesMwRepairRun) {
+  // A single repair is a one-bug campaign (repair_tool's single-shot
+  // mode); MwRepair::run over a pool the caller precomputed is the
+  // research API.  They must run the same search.  The pool holds at
+  // least max_count members: below that the campaign clamps max_count
+  // to its working pool and the arm grid differs.
+  for (const char* name : {"units", "Math8"}) {
+    const datasets::ScenarioSpec spec = datasets::scenario_by_name(name);
+    for (const core::MwuKind kind :
+         {core::MwuKind::kStandard, core::MwuKind::kSlate,
+          core::MwuKind::kDistributed, core::MwuKind::kExp3}) {
+      CampaignConfig config;
+      config.bugs = 1;
+      config.pool.target_size = 300;
+      config.pool.max_attempts = 8 * config.pool.target_size;
+      config.pool.seed = 11 ^ spec.seed;
+      config.repair.mwu = kind;
+      config.repair.agents = 16;
+      config.repair.max_iterations = 60;
+      config.repair.seed = 11 ^ (spec.seed * 3);
+      ASSERT_GE(config.pool.target_size, config.repair.max_count);
+
+      const CampaignOutcome campaign = run_campaign(spec, config);
+      const ProgramModel program(spec);
+      const TestOracle oracle(program);
+      const MutationPool pool = MutationPool::precompute(oracle, config.pool);
+      const RepairOutcome direct = MwRepair(config.repair).run(oracle, pool);
+
+      const std::string label = std::string(name) + " " + core::to_string(kind);
+      ASSERT_EQ(campaign.bugs.size(), 1u) << label;
+      const BugOutcome& bug = campaign.bugs.front();
+      EXPECT_EQ(campaign.precompute_runs, pool.attempts()) << label;
+      EXPECT_EQ(campaign.initial_pool_size, pool.size()) << label;
+      EXPECT_EQ(bug.pool_size, pool.size()) << label;
+      EXPECT_EQ(bug.repaired, direct.repaired) << label;
+      EXPECT_EQ(bug.online_probes, direct.probes) << label;
+      EXPECT_EQ(bug.online_cycles, direct.iterations) << label;
+      EXPECT_EQ(bug.patch_edits, direct.patch.size()) << label;
+    }
+  }
+}
+
 TEST(Campaign, ZeroBugCampaignFinalizesInsteadOfRunningForever) {
   // bugs == 0 must reach kDone after precompute: the finish_bug boundary
   // check (`bug_index_ >= bugs`) can never fire for it, so without the

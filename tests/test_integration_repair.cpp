@@ -2,6 +2,7 @@
 // scenarios, and the §IV-G structural claims.
 #include <gtest/gtest.h>
 
+#include "apr/campaign.hpp"
 #include "apr/mwrepair.hpp"
 #include "baselines/comparison.hpp"
 #include "datasets/scenario.hpp"
@@ -15,19 +16,18 @@ TEST(IntegrationRepair, MwRepairRepairsEveryNamedScenario) {
   for (const auto& family :
        {datasets::c_scenarios(), datasets::java_scenarios()}) {
     for (const auto& spec : family) {
-      apr::MwRepairConfig repair_config;
-      repair_config.agents = 64;
-      repair_config.max_iterations = 160;
-      repair_config.seed = 5;
-      apr::PoolConfig pool_config;
+      apr::CampaignConfig config;
+      config.bugs = 1;
+      config.repair.agents = 64;
+      config.repair.max_iterations = 160;
+      config.repair.seed = 5;
       // Sparse-repair scenarios (lighttpd) need the large amortized pool to
       // contain any repair-relevant mutation at all (§III-C).
-      pool_config.target_size = 12000;
-      pool_config.max_attempts = 96000;
-      pool_config.seed = 6 ^ spec.seed;
-      const auto outcome =
-          apr::repair_scenario(spec, repair_config, pool_config);
-      EXPECT_TRUE(outcome.repair.repaired) << spec.name;
+      config.pool.target_size = 12000;
+      config.pool.max_attempts = 96000;
+      config.pool.seed = 6 ^ spec.seed;
+      const auto outcome = apr::run_campaign(spec, config);
+      EXPECT_EQ(outcome.repaired(), 1u) << spec.name;
     }
   }
 }

@@ -2,6 +2,7 @@
 // early termination, reward modes, and the end-to-end pipeline.
 #include <gtest/gtest.h>
 
+#include "apr/campaign.hpp"
 #include "apr/mwrepair.hpp"
 
 namespace mwr::apr {
@@ -200,20 +201,26 @@ TEST(MwRepair, ParallelEvaluationIsBitIdenticalToSerial) {
 }
 
 TEST(RepairScenario, EndToEndPipelineRepairsAndAccounts) {
-  MwRepairConfig repair_config;
-  repair_config.agents = 16;
-  repair_config.max_iterations = 300;
-  repair_config.seed = 11;
-  PoolConfig pool_config;
-  pool_config.target_size = 800;
-  pool_config.seed = 12;
-  const auto outcome =
-      repair_scenario(easy_spec(), repair_config, pool_config);
-  EXPECT_TRUE(outcome.repair.repaired);
-  EXPECT_EQ(outcome.pool_size, 800u);
-  EXPECT_GE(outcome.precompute_attempts, outcome.pool_size);
-  EXPECT_EQ(outcome.total_suite_runs,
-            outcome.precompute_attempts + outcome.repair.probes);
+  // The end-to-end pipeline is a one-bug campaign: precompute once, then
+  // search; its ledger is precompute plus the online probes.
+  CampaignConfig config;
+  config.bugs = 1;
+  config.repair.agents = 16;
+  config.repair.max_iterations = 300;
+  config.repair.seed = 11;
+  config.pool.target_size = 800;
+  config.pool.seed = 12;
+  const CampaignOutcome outcome = run_campaign(easy_spec(), config);
+  ASSERT_EQ(outcome.bugs.size(), 1u);
+  const BugOutcome& bug = outcome.bugs.front();
+  EXPECT_TRUE(bug.repaired);
+  EXPECT_EQ(outcome.initial_pool_size, 800u);
+  EXPECT_EQ(bug.pool_size, 800u);
+  EXPECT_GE(outcome.precompute_runs, outcome.initial_pool_size);
+  EXPECT_EQ(bug.maintenance_runs, 0u);
+  EXPECT_EQ(bug.suite_runs(), bug.online_probes);
+  EXPECT_EQ(outcome.amortized_bug_cost(),
+            static_cast<double>(outcome.precompute_runs + bug.online_probes));
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <cstring>
 #include <filesystem>
 #include <functional>
 #include <optional>
@@ -133,6 +134,37 @@ TEST(ControlSocket, PumpReportsDeadPeerAfterMidFrameEof) {
   EXPECT_FALSE(alive);
   ASSERT_EQ(frames.size(), 1u);
   EXPECT_EQ(frames[0], whole);
+}
+
+/// The first bytes of a frame whose length prefix announces `body`
+/// bytes: the prefix and the magic, nothing more.
+std::vector<std::uint8_t> announce_frame(std::uint32_t body) {
+  std::vector<std::uint8_t> bytes(8);
+  std::memcpy(bytes.data(), &body, 4);
+  std::memcpy(bytes.data() + 4, &parallel::transport::kWireMagic, 4);
+  return bytes;
+}
+
+TEST(ControlSocket, RecvRejectsAFrameAnnouncedPastTheBound) {
+  const std::string path = unique_socket_path("ctl-oversized");
+  ControlListener listener(path);
+  std::unique_ptr<ControlConn> client = connect_control(path);
+  ASSERT_TRUE(listener.wait_ready({}, 1000));
+  std::unique_ptr<ControlConn> served = listener.accept_one();
+  ASSERT_NE(served, nullptr);
+
+  // Announced one byte past the bound; only the prefix ever arrives.
+  const std::vector<std::uint8_t> bytes = announce_frame(
+      static_cast<std::uint32_t>(ControlConn::kMaxOutboundBytes + 1));
+  ASSERT_EQ(::send(client->fd(), bytes.data(), bytes.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(bytes.size()));
+  try {
+    (void)served->recv_frame(/*timeout_ms=*/10000);
+    ADD_FAILURE() << "recv_frame accepted an oversized frame";
+  } catch (const std::runtime_error& error) {
+    EXPECT_NE(std::string(error.what()).find("announced"), std::string::npos)
+        << error.what();
+  }
 }
 
 // mwr_served's control loop on a thread: serves until a SHUTDOWN has
@@ -395,6 +427,43 @@ TEST(ControlLoop, DropsAPeerPastTheOutboundBoundAndServesTheRest) {
       request_reply(*good, encode_status_request(id)));
   EXPECT_TRUE(status.done);
   EXPECT_NE(run_one_campaign(*good, 7), id);
+
+  (void)decode_shutdown_reply(
+      request_reply(*good, encode_shutdown_request()));
+  daemon.thread.join();
+  EXPECT_FALSE(daemon_failed.load());
+  EXPECT_EQ(stats.peers_dropped, 1u);
+}
+
+TEST(ControlLoop, DropsAPeerThatAnnouncesAnOversizedFrame) {
+  const std::string path = unique_socket_path("loop-oversized");
+  std::atomic<bool> daemon_failed{false};
+  ControlLoopStats stats;
+  DaemonHandle daemon{
+      path, std::thread(daemon_loop, path, std::size_t{2}, &daemon_failed,
+                        &stats)};
+
+  std::unique_ptr<ControlConn> good = connect_control(path);
+  std::unique_ptr<ControlConn> trickler = connect_control(path);
+
+  // A 5 MiB frame is announced and a few of its bytes sent.  Unbounded,
+  // the daemon would keep buffering it as long as the peer trickles.
+  constexpr std::uint32_t kAnnounced = 5u << 20;
+  ASSERT_GT(kAnnounced, ControlConn::kMaxOutboundBytes);
+  std::vector<std::uint8_t> bytes = announce_frame(kAnnounced);
+  bytes.resize(bytes.size() + 16, 0);
+  ASSERT_EQ(::send(trickler->fd(), bytes.data(), bytes.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(bytes.size()));
+
+  // The daemon closes that connection: the peer reads EOF (or a reset),
+  // not a timeout.
+  EXPECT_FALSE(recv_within(*trickler).has_value());
+
+  // Everyone else is still served, SUBMIT through RESULT.
+  const std::uint64_t id = run_one_campaign(*good, 8);
+  EXPECT_TRUE(
+      decode_result_reply(request_reply(*good, encode_result_request(id)))
+          .ready);
 
   (void)decode_shutdown_reply(
       request_reply(*good, encode_shutdown_request()));
