@@ -349,6 +349,13 @@ std::unique_ptr<CampaignSession> CampaignSession::resume(
         "CampaignSession::resume: snapshot fingerprint mismatch (different "
         "scenario or configuration)");
   }
+  // The snapshot may come from an untrusted file: refuse state the
+  // session could never have produced before acting on it.
+  if (snap.phase > static_cast<std::uint32_t>(Phase::kDone) ||
+      snap.bug_index > session->config_.bugs) {
+    throw std::invalid_argument(
+        "CampaignSession::resume: phase or bug index out of range");
+  }
   const auto phase = static_cast<Phase>(snap.phase);
   if (phase == Phase::kPrecompute) return session;  // nothing ran yet.
 

@@ -1,23 +1,15 @@
 #include "core/serialization.hpp"
 
-#include <fstream>
-#include <iomanip>
-#include <istream>
-#include <limits>
-#include <ostream>
+#include <cmath>
+#include <cstdint>
 #include <stdexcept>
 
 #include "core/distributed_mwu.hpp"
 #include "core/exp3_mwu.hpp"
 #include "core/slate_mwu.hpp"
 #include "core/standard_mwu.hpp"
-#include "parallel/transport/wire.hpp"
 
 namespace mwr::core {
-
-namespace {
-constexpr const char* kMagic = "mwr-mwu-state v1";
-}  // namespace
 
 std::vector<double> export_state(const MwuStrategy& strategy) {
   if (const auto* standard = dynamic_cast<const StandardMwu*>(&strategy)) {
@@ -38,10 +30,14 @@ std::vector<double> export_state(const MwuStrategy& strategy) {
     }
     return state;
   }
-  throw std::invalid_argument("save_state: unknown strategy type");
+  throw std::invalid_argument("export_state: unknown strategy type");
 }
 
 void import_state(MwuStrategy& strategy, const std::vector<double>& state) {
+  for (const double v : state) {
+    if (!std::isfinite(v))
+      throw std::invalid_argument("import_state: non-finite state value");
+  }
   if (auto* standard = dynamic_cast<StandardMwu*>(&strategy)) {
     standard->set_weights(state);
     return;
@@ -55,85 +51,22 @@ void import_state(MwuStrategy& strategy, const std::vector<double>& state) {
     return;
   }
   if (auto* distributed = dynamic_cast<DistributedMwu*>(&strategy)) {
+    // Range first: casting a double outside [0, 2^32) to uint32_t is
+    // undefined behaviour, and the vector may come from disk.
+    const auto options =
+        static_cast<double>(distributed->probabilities().size());
     std::vector<std::uint32_t> choices;
     choices.reserve(state.size());
     for (const double v : state) {
+      if (!(v >= 0.0 && v < options) || v != std::floor(v))
+        throw std::invalid_argument(
+            "import_state: Distributed choice is not an option index");
       choices.push_back(static_cast<std::uint32_t>(v));
     }
     distributed->set_choices(choices);
     return;
   }
-  throw std::invalid_argument("load_state: unknown strategy type");
-}
-
-void save_state(const MwuStrategy& strategy, std::ostream& os) {
-  const auto state = export_state(strategy);
-  os << kMagic << "\n"
-     << to_string(strategy.kind()) << " "
-     << strategy.probabilities().size() << " " << state.size() << "\n"
-     << std::setprecision(std::numeric_limits<double>::max_digits10);
-  for (const double v : state) os << v << "\n";
-  if (!os) throw std::runtime_error("save_state: stream write failed");
-}
-
-void load_state(MwuStrategy& strategy, std::istream& is) {
-  std::string magic;
-  std::getline(is, magic);
-  if (magic != kMagic)
-    throw std::runtime_error("load_state: bad magic line: " + magic);
-  std::string kind;
-  std::size_t options = 0;
-  std::size_t size = 0;
-  if (!(is >> kind >> options >> size))
-    throw std::runtime_error("load_state: malformed header");
-  if (kind != to_string(strategy.kind()))
-    throw std::runtime_error("load_state: kind mismatch: file has " + kind +
-                             ", strategy is " + to_string(strategy.kind()));
-  if (options != strategy.probabilities().size())
-    throw std::runtime_error("load_state: option-count mismatch");
-  std::vector<double> state(size);
-  for (auto& v : state) {
-    if (!(is >> v)) throw std::runtime_error("load_state: truncated state");
-  }
-  import_state(strategy, state);
-}
-
-void save_state_file(const MwuStrategy& strategy, const std::string& path) {
-  std::ofstream f(path);
-  if (!f) throw std::runtime_error("save_state_file: cannot open " + path);
-  save_state(strategy, f);
-}
-
-void load_state_file(MwuStrategy& strategy, const std::string& path) {
-  std::ifstream f(path);
-  if (!f) throw std::runtime_error("load_state_file: cannot open " + path);
-  load_state(strategy, f);
-}
-
-std::vector<std::uint8_t> serialize_message(const parallel::Message& message,
-                                            int dest_rank, bool tracked) {
-  std::vector<std::uint8_t> out;
-  parallel::transport::encode_frame(
-      parallel::transport::WireFrame::message(message.source, dest_rank,
-                                              message.tag,
-                                              message.payload.to_vector(),
-                                              tracked),
-      out);
-  return out;
-}
-
-parallel::Message deserialize_message(const std::uint8_t* data,
-                                      std::size_t size, int* dest_rank,
-                                      bool* tracked) {
-  parallel::transport::WireFrame frame;
-  const std::size_t used = parallel::transport::decode_frame(data, size, frame);
-  if (used == 0)
-    throw std::runtime_error("deserialize_message: incomplete frame");
-  if (frame.kind != parallel::transport::FrameKind::kMessage)
-    throw std::runtime_error("deserialize_message: not a message frame");
-  if (dest_rank != nullptr) *dest_rank = frame.dest;
-  if (tracked != nullptr) *tracked = frame.tracked;
-  return parallel::Message{frame.source, frame.tag, std::move(frame.payload)};
+  throw std::invalid_argument("import_state: unknown strategy type");
 }
 
 }  // namespace mwr::core

@@ -2,70 +2,29 @@
 //
 // An APR campaign can run for hours against an expensive test suite;
 // losing learned weights to a restart wastes every probe paid for so far.
-// These functions serialize a strategy's learned state (weights for the
-// global-memory variants, the choice vector for Distributed) to a
-// versioned, line-oriented text format and restore it into a freshly
-// constructed strategy of the same kind and shape.
-//
-// The format is deliberately human-readable:
-//   mwr-mwu-state v1
-//   <kind> <num_options> <state_size>
-//   <state values, one per line, full double precision>
-// Message payloads crossing a process boundary go through the same seam:
-// serialize_message / deserialize_message wrap the transport wire codec
-// (parallel/transport/wire.hpp) so the versioned on-the-wire frame format
-// is the single encoding for both live traffic and captured traces.
+// These functions capture a strategy's learned state (weights for the
+// global-memory variants, the choice vector for Distributed) as a flat
+// double vector and restore it into a freshly constructed strategy of the
+// same kind and shape.  The campaign checkpoint (serve/checkpoint.hpp)
+// stores that vector bit-exactly in its repair section.
 #pragma once
 
-#include <cstdint>
-#include <iosfwd>
-#include <string>
 #include <vector>
 
 #include "core/mwu.hpp"
-#include "parallel/mailbox.hpp"
 
 namespace mwr::core {
 
-/// Writes the strategy's learned state.  Throws std::runtime_error on I/O
-/// failure and std::invalid_argument for strategies with no serializable
-/// state representation.
-void save_state(const MwuStrategy& strategy, std::ostream& os);
-
-/// Restores state saved by save_state into `strategy`.  The stream must
-/// describe the same kind and option count; throws std::runtime_error on
-/// format/compatibility mismatch.
-void load_state(MwuStrategy& strategy, std::istream& is);
-
-/// Convenience file-path wrappers.
-void save_state_file(const MwuStrategy& strategy, const std::string& path);
-void load_state_file(MwuStrategy& strategy, const std::string& path);
-
 /// The strategy's learned state as a flat double vector — weights for the
-/// global-memory variants, the choice vector for Distributed.  This is the
-/// in-memory half of save_state/load_state, exposed so binary checkpoint
-/// writers (serve/checkpoint.hpp) can embed strategy state in wire frames
-/// without round-tripping through the text format.  Throws
+/// global-memory variants, the choice vector for Distributed.  Throws
 /// std::invalid_argument for unknown strategy types.
 [[nodiscard]] std::vector<double> export_state(const MwuStrategy& strategy);
 
 /// Restores a vector captured by export_state into a freshly constructed
-/// strategy of the same kind and shape.
+/// strategy of the same kind and shape.  The vector may come from an
+/// untrusted checkpoint: throws std::invalid_argument for a non-finite
+/// value, a width that does not fit the strategy, invalid weights, or a
+/// Distributed choice that is not an integer in [0, num_options).
 void import_state(MwuStrategy& strategy, const std::vector<double>& state);
-
-/// Encodes one Message as a self-delimiting versioned wire frame — byte-for
-/// byte what the shm-ring and UDS transports put on the wire for the same
-/// (message, dest, tracked) triple.  Deterministic: equal inputs produce
-/// equal byte streams on every backend and platform (fixed-width
-/// little-endian fields, IEEE-754 payload bits).
-[[nodiscard]] std::vector<std::uint8_t> serialize_message(
-    const parallel::Message& message, int dest_rank, bool tracked);
-
-/// Decodes a frame produced by serialize_message.  Throws
-/// std::runtime_error on a short/corrupt buffer or a non-message frame.
-/// `dest_rank` / `tracked` receive the envelope fields when non-null.
-[[nodiscard]] parallel::Message deserialize_message(
-    const std::uint8_t* data, std::size_t size, int* dest_rank = nullptr,
-    bool* tracked = nullptr);
 
 }  // namespace mwr::core

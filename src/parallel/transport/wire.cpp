@@ -1,42 +1,39 @@
 #include "parallel/transport/wire.hpp"
 
-#include <cstring>
-
 #include "util/fnv.hpp"
 
 namespace mwr::parallel::transport {
 
 namespace {
 // Frames above this are protocol errors, not big payloads: the largest
-// legitimate payload is one collective contribution (num_options doubles),
-// orders of magnitude below this.
+// legitimate payload is one collective contribution (num_options doubles)
+// or one outcome document, orders of magnitude below this.
 constexpr std::size_t kMaxFrameBytes = 64u << 20;
 
-template <typename T>
-void put(std::vector<std::uint8_t>& out, T value) {
-  std::uint8_t bytes[sizeof(T)];
-  std::memcpy(bytes, &value, sizeof(T));
-  out.insert(out.end(), bytes, bytes + sizeof(T));
+/// Bytes per counted payload unit: a double for kMessage, a byte else.
+constexpr std::size_t unit_bytes(FrameKind kind) noexcept {
+  return kind == FrameKind::kMessage ? 8 : 1;
 }
 
-template <typename T>
-T get(const std::uint8_t*& p) {
-  T value;
-  std::memcpy(&value, p, sizeof(T));
-  p += sizeof(T);
-  return value;
+std::size_t payload_count(const WireFrame& frame) noexcept {
+  return frame.kind == FrameKind::kMessage ? frame.payload.size()
+                                           : frame.bytes.size();
 }
 }  // namespace
 
 std::size_t encoded_size(const WireFrame& frame) noexcept {
-  return 4 + kFrameHeaderBytes + 8 * frame.payload.size();
+  return 4 + kFrameHeaderBytes + unit_bytes(frame.kind) * payload_count(frame);
 }
 
 void encode_frame(const WireFrame& frame, std::vector<std::uint8_t>& out) {
+  if (frame.kind == FrameKind::kMessage ? !frame.bytes.empty()
+                                        : !frame.payload.empty())
+    throw std::invalid_argument(
+        "encode_frame: kMessage carries doubles, every other kind bytes");
   out.reserve(out.size() + encoded_size(frame));
-  const auto body =
-      static_cast<std::uint32_t>(kFrameHeaderBytes + 8 * frame.payload.size());
-  put(out, body);
+  const std::size_t count = payload_count(frame);
+  put(out, static_cast<std::uint32_t>(kFrameHeaderBytes +
+                                      unit_bytes(frame.kind) * count));
   put(out, kWireMagic);
   put(out, kWireVersion);
   put(out, static_cast<std::uint8_t>(frame.kind));
@@ -45,8 +42,12 @@ void encode_frame(const WireFrame& frame, std::vector<std::uint8_t>& out) {
   put(out, frame.dest);
   put(out, frame.tag);
   put(out, frame.value);
-  put(out, static_cast<std::uint32_t>(frame.payload.size()));
-  for (const double v : frame.payload) put(out, v);
+  put(out, static_cast<std::uint32_t>(count));
+  if (frame.kind == FrameKind::kMessage) {
+    for (const double v : frame.payload) put(out, v);
+  } else {
+    out.insert(out.end(), frame.bytes.begin(), frame.bytes.end());
+  }
 }
 
 std::size_t decode_frame(const std::uint8_t* data, std::size_t size,
@@ -74,10 +75,17 @@ std::size_t decode_frame(const std::uint8_t* data, std::size_t size,
   out.tag = get<std::int32_t>(p);
   out.value = get<std::uint64_t>(p);
   const auto count = get<std::uint32_t>(p);
-  if (kFrameHeaderBytes + 8ull * count != body)
+  const std::size_t payload_bytes = unit_bytes(out.kind) * count;
+  if (kFrameHeaderBytes + payload_bytes != body)
     throw WireFormatError("payload count disagrees with frame length");
-  out.payload.resize(count);
-  if (count != 0) std::memcpy(out.payload.data(), p, 8ull * count);
+  if (out.kind == FrameKind::kMessage) {
+    out.payload.resize(count);
+    if (count != 0) std::memcpy(out.payload.data(), p, payload_bytes);
+    out.bytes.clear();
+  } else {
+    out.bytes.assign(p, p + payload_bytes);
+    out.payload.clear();
+  }
   return 4 + static_cast<std::size_t>(body);
 }
 

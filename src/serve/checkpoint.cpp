@@ -9,16 +9,19 @@
 #include <stdexcept>
 #include <utility>
 
-#include "core/serialization.hpp"
 #include "serve/payload_codec.hpp"
 
 namespace mwr::serve {
 
 namespace {
 
-constexpr std::uint64_t kFormatVersion = 1;
+using parallel::transport::FrameKind;
+using parallel::transport::WireFrame;
 
-enum Section : std::int32_t {
+constexpr std::uint32_t kFormatVersion = 2;
+
+/// The section tag each frame carries in its `value` field.
+enum Section : std::uint64_t {
   kHeader = 0,
   kRequest = 1,
   kBugs = 2,
@@ -26,23 +29,21 @@ enum Section : std::int32_t {
   kRepair = 4,
 };
 
-/// The frame's source field for checkpoint sections — a marker so a
-/// checkpoint frame pasted into a live transport stream is recognizably
-/// foreign ('CK').
+/// The frame's source field for checkpoint sections — a marker that
+/// tells them apart from kCheckpoint control frames (source 0 or 1) and
+/// makes a section pasted into a live stream recognizably foreign ('CK').
 constexpr std::int32_t kSectionSource = 0x434b;
 
-/// The encoded section frames, joined only once their total size is known.
-using SectionFrames = std::vector<std::vector<std::uint8_t>>;
+/// Smallest encodings of one bug ledger and one pool triple, for
+/// PayloadReader::count.
+constexpr std::size_t kBugBytes = 1 + 7 * 8;
+constexpr std::size_t kMutationBytes = 1 + 4 + 4;
 
-void append_section(SectionFrames& out, std::uint64_t campaign_id,
-                    Section section, std::vector<double> payload) {
-  parallel::Message message;
-  message.source = kSectionSource;
-  message.tag = section;
-  message.payload = parallel::PayloadVec(std::move(payload));
-  out.push_back(core::serialize_message(
-      message, static_cast<int>(campaign_id & 0x7fffffffull),
-      /*tracked=*/false));
+WireFrame section(Section tag, PayloadWriter& w) {
+  WireFrame f = WireFrame::control(FrameKind::kCheckpoint, tag);
+  f.source = kSectionSource;
+  f.bytes = w.take();
+  return f;
 }
 
 void write_bug(PayloadWriter& w, const apr::BugOutcome& bug) {
@@ -58,14 +59,14 @@ void write_bug(PayloadWriter& w, const apr::BugOutcome& bug) {
 
 apr::BugOutcome read_bug(PayloadReader& r) {
   apr::BugOutcome bug;
-  bug.bug_id = static_cast<std::size_t>(r.u64());
+  bug.bug_id = r.u64();
   bug.repaired = r.boolean();
-  bug.patch_edits = static_cast<std::size_t>(r.u64());
+  bug.patch_edits = r.u64();
   bug.maintenance_runs = r.u64();
-  bug.pool_dropped = static_cast<std::size_t>(r.u64());
-  bug.pool_size = static_cast<std::size_t>(r.u64());
+  bug.pool_dropped = r.u64();
+  bug.pool_size = r.u64();
   bug.online_probes = r.u64();
-  bug.online_cycles = static_cast<std::size_t>(r.u64());
+  bug.online_cycles = r.u64();
   return bug;
 }
 
@@ -74,13 +75,13 @@ apr::BugOutcome read_bug(PayloadReader& r) {
 std::vector<std::uint8_t> encode_checkpoint(
     const CampaignCheckpoint& checkpoint) {
   const apr::CampaignSnapshot& snap = checkpoint.snapshot;
-  SectionFrames out;
+  std::vector<WireFrame> sections;
 
   PayloadWriter header;
-  header.u64(kFormatVersion);
+  header.u32(kFormatVersion);
   header.u64(checkpoint.campaign_id);
   header.u64(snap.fingerprint);
-  header.u64(snap.phase);
+  header.u32(snap.phase);
   header.u64(snap.bug_index);
   header.u64(snap.repaired_so_far);
   header.u64(snap.current_tests);
@@ -88,26 +89,26 @@ std::vector<std::uint8_t> encode_checkpoint(
   header.u64(snap.initial_pool_size);
   header.u64(snap.trajectory_hash);
   header.boolean(snap.has_repair_state);
-  header.u64(snap.finished_bugs.size());
-  header.u64(snap.working_pool.size());
-  append_section(out, checkpoint.campaign_id, kHeader, header.take());
+  sections.push_back(section(kHeader, header));
 
   PayloadWriter req;
   write_request(req, checkpoint.request);
-  append_section(out, checkpoint.campaign_id, kRequest, req.take());
+  sections.push_back(section(kRequest, req));
 
   PayloadWriter bugs;
+  bugs.count(snap.finished_bugs.size());
   for (const apr::BugOutcome& bug : snap.finished_bugs) write_bug(bugs, bug);
   write_bug(bugs, snap.current_bug);
-  append_section(out, checkpoint.campaign_id, kBugs, bugs.take());
+  sections.push_back(section(kBugs, bugs));
 
   PayloadWriter pool;
+  pool.count(snap.working_pool.size());
   for (const apr::Mutation& m : snap.working_pool) {
-    pool.u64(static_cast<std::uint64_t>(m.kind));
-    pool.u64(m.target);
-    pool.u64(m.donor);
+    pool.u8(static_cast<std::uint8_t>(m.kind));
+    pool.u32(m.target);
+    pool.u32(m.donor);
   }
-  append_section(out, checkpoint.campaign_id, kPool, pool.take());
+  sections.push_back(section(kPool, pool));
 
   if (snap.has_repair_state) {
     const apr::RepairSession::State& repair = snap.repair;
@@ -117,20 +118,20 @@ std::vector<std::uint8_t> encode_checkpoint(
     rs.u64(repair.iterations);
     rs.u64(repair.probes);
     rs.u64(repair.trajectory_hash);
-    rs.u64(repair.strategy.size());
+    rs.count(repair.strategy.size());
     for (const double v : repair.strategy) rs.f64(v);
-    append_section(out, checkpoint.campaign_id, kRepair, rs.take());
+    sections.push_back(section(kRepair, rs));
   }
 
   // Exact size: a queued checkpoint holds its buffer until the writer
   // thread runs, so growth slack (up to half the capacity) would stay
   // resident for every campaign while the writer lags.
   std::size_t total = 0;
-  for (const std::vector<std::uint8_t>& frame : out) total += frame.size();
+  for (const WireFrame& f : sections)
+    total += parallel::transport::encoded_size(f);
   std::vector<std::uint8_t> bytes;
   bytes.reserve(total);
-  for (const std::vector<std::uint8_t>& frame : out)
-    bytes.insert(bytes.end(), frame.begin(), frame.end());
+  for (const WireFrame& f : sections) parallel::transport::encode_frame(f, bytes);
   return bytes;
 }
 
@@ -142,34 +143,32 @@ CampaignCheckpoint decode_checkpoint(std::span<const std::uint8_t> bytes) {
   bool have_bugs = false;
   bool have_pool = false;
   bool have_repair = false;
-  std::uint64_t want_bugs = 0;
-  std::uint64_t want_pool = 0;
 
   std::size_t offset = 0;
   while (offset < bytes.size()) {
-    parallel::transport::WireFrame frame;
+    WireFrame frame;
     const std::size_t used =
         parallel::transport::decode_frame(bytes.data() + offset,
                                           bytes.size() - offset, frame);
     if (used == 0)
       throw std::runtime_error("checkpoint: truncated section frame");
     offset += used;
-    if (frame.kind != parallel::transport::FrameKind::kMessage ||
+    if (frame.kind != FrameKind::kCheckpoint ||
         frame.source != kSectionSource)
       throw std::runtime_error("checkpoint: not a checkpoint section frame");
-    if (!have_header && frame.tag != kHeader)
+    if (!have_header && frame.value != kHeader)
       throw std::runtime_error("checkpoint: header section must come first");
 
-    PayloadReader r(frame.payload);
-    switch (frame.tag) {
+    PayloadReader r(frame.bytes);
+    switch (frame.value) {
       case kHeader: {
-        const std::uint64_t version = r.u64();
+        const std::uint32_t version = r.u32();
         if (version != kFormatVersion)
           throw std::runtime_error("checkpoint: unsupported format version " +
                                    std::to_string(version));
         checkpoint.campaign_id = r.u64();
         snap.fingerprint = r.u64();
-        snap.phase = static_cast<std::uint32_t>(r.u64());
+        snap.phase = r.u32();
         snap.bug_index = r.u64();
         snap.repaired_so_far = r.u64();
         snap.current_tests = r.u64();
@@ -177,8 +176,6 @@ CampaignCheckpoint decode_checkpoint(std::span<const std::uint8_t> bytes) {
         snap.initial_pool_size = r.u64();
         snap.trajectory_hash = r.u64();
         snap.has_repair_state = r.boolean();
-        want_bugs = r.u64();
-        want_pool = r.u64();
         have_header = true;
         break;
       }
@@ -188,24 +185,27 @@ CampaignCheckpoint decode_checkpoint(std::span<const std::uint8_t> bytes) {
         break;
       }
       case kBugs: {
+        const std::size_t n = r.count(kBugBytes);
         snap.finished_bugs.clear();
-        for (std::uint64_t i = 0; i < want_bugs; ++i)
+        snap.finished_bugs.reserve(n);
+        for (std::size_t i = 0; i < n; ++i)
           snap.finished_bugs.push_back(read_bug(r));
         snap.current_bug = read_bug(r);
         have_bugs = true;
         break;
       }
       case kPool: {
+        const std::size_t n = r.count(kMutationBytes);
         snap.working_pool.clear();
-        snap.working_pool.reserve(static_cast<std::size_t>(want_pool));
-        for (std::uint64_t i = 0; i < want_pool; ++i) {
-          const std::uint64_t kind = r.u64();
-          if (kind > static_cast<std::uint64_t>(apr::MutationKind::kSwap))
+        snap.working_pool.reserve(n);
+        for (std::size_t i = 0; i < n; ++i) {
+          const std::uint8_t kind = r.u8();
+          if (kind > static_cast<std::uint8_t>(apr::MutationKind::kSwap))
             throw std::runtime_error("checkpoint: bad mutation kind");
           apr::Mutation m;
           m.kind = static_cast<apr::MutationKind>(kind);
-          m.target = static_cast<std::uint32_t>(r.u64());
-          m.donor = static_cast<std::uint32_t>(r.u64());
+          m.target = r.u32();
+          m.donor = r.u32();
           snap.working_pool.push_back(m);
         }
         have_pool = true;
@@ -218,23 +218,20 @@ CampaignCheckpoint decode_checkpoint(std::span<const std::uint8_t> bytes) {
         repair.iterations = r.u64();
         repair.probes = r.u64();
         repair.trajectory_hash = r.u64();
-        const std::uint64_t n = r.u64();
-        if (n > r.remaining())
-          throw std::runtime_error("checkpoint: truncated strategy state");
+        const std::size_t n = r.count(sizeof(double));
         repair.strategy.clear();
-        repair.strategy.reserve(static_cast<std::size_t>(n));
-        for (std::uint64_t i = 0; i < n; ++i)
-          repair.strategy.push_back(r.f64());
+        repair.strategy.reserve(n);
+        for (std::size_t i = 0; i < n; ++i) repair.strategy.push_back(r.f64());
         have_repair = true;
         break;
       }
       default:
         throw std::runtime_error("checkpoint: unknown section tag " +
-                                 std::to_string(frame.tag));
+                                 std::to_string(frame.value));
     }
     if (!r.done())
       throw std::runtime_error("checkpoint: trailing bytes in section " +
-                               std::to_string(frame.tag));
+                               std::to_string(frame.value));
   }
 
   if (!have_header || !have_request || !have_bugs || !have_pool)

@@ -9,25 +9,33 @@
 // would have produced, verified end-to-end by the trajectory-hash pin in
 // tests/test_serve.cpp.
 //
-// The encoding deliberately reuses the core::serialize_message seam —
-// the checkpoint file is a sequence of ordinary versioned MWRW message
-// frames, one per section, with the section id in the message tag and
-// the campaign id in the frame's dest field:
+// The file is a sequence of MWRW kCheckpoint frames, one per section,
+// built directly on the wire codec (parallel/transport/wire.hpp): source
+// 'CK' marks a section, `value` carries its tag, and `bytes` its fields
+// at their declared widths (serve/payload_codec.hpp):
 //
-//   tag 0 header   — format version, campaign id, snapshot scalars;
-//   tag 1 request  — the original SubmitRequest (the campaign definition,
-//                    so resume needs no side channel);
-//   tag 2 bugs     — finished-bug ledgers plus the in-flight bug's;
-//   tag 3 pool     — the working pool as (kind, target, donor) triples;
-//   tag 4 repair   — RNG stream state, MWU strategy state (bit-exact
-//                    doubles), online counters; present only when a
-//                    RepairSession was live.
+//   0 header   — u32 format version (2), u64 campaign id, then the
+//                snapshot scalars: u64 fingerprint, u32 phase, u64
+//                bug_index / repaired_so_far / current_tests /
+//                precompute_runs / initial_pool_size / trajectory_hash,
+//                bool has_repair_state;
+//   1 request  — the original SubmitRequest (the campaign definition,
+//                so resume needs no side channel; write_request's layout);
+//   2 bugs     — u32 count, that many finished-bug ledgers, then the
+//                in-flight bug's (each u64 id, bool repaired, six u64
+//                counters);
+//   3 pool     — u32 count, then (u8 kind, u32 target, u32 donor) triples;
+//   4 repair   — u64 RNG seed, 4 x u64 RNG state, u64 iterations /
+//                probes / trajectory hash, u32 count plus that many f64
+//                strategy values (bit-exact); present only when a
+//                RepairSession was live.
 //
-// Using message frames means the bytes inherit the wire format's
-// versioning, endianness discipline, and length-prefixed framing for
-// free, and any tooling that can read a transport trace can read a
-// checkpoint.  Fields wider than a double use the payload_codec.hpp
-// conventions (u64 as two u32 halves, strings char-per-double).
+// The header comes first.  The bytes inherit the wire format's version
+// check, endianness discipline and length-prefixed framing, so any
+// tooling that can read a transport trace can read a checkpoint.  There
+// is no checksum: a truncated file or a malformed field fails to decode
+// (restore_from_dir skips the file), but a flipped bit inside a field's
+// value goes undetected.
 #pragma once
 
 #include <cstdint>
@@ -51,8 +59,8 @@ struct CampaignCheckpoint {
     const CampaignCheckpoint& checkpoint);
 
 /// Decodes a byte sequence produced by encode_checkpoint.  Throws
-/// std::runtime_error on truncation, unknown sections, or a format
-/// version from the future.
+/// std::runtime_error on truncation, unknown sections, or any format
+/// version but 2.
 [[nodiscard]] CampaignCheckpoint decode_checkpoint(
     std::span<const std::uint8_t> bytes);
 

@@ -14,12 +14,13 @@ constexpr std::int32_t kRequest = 0;
 constexpr std::int32_t kReply = 1;
 
 WireFrame control_frame(FrameKind kind, std::int32_t direction,
-                        std::uint64_t value, std::vector<double> payload) {
+                        std::uint64_t value,
+                        std::vector<std::uint8_t> bytes) {
   WireFrame f;
   f.kind = kind;
   f.source = direction;
   f.value = value;
-  f.payload = std::move(payload);
+  f.bytes = std::move(bytes);
   return f;
 }
 
@@ -85,16 +86,16 @@ CampaignPlan plan_campaign(const SubmitRequest& request) {
 
 void write_request(PayloadWriter& w, const SubmitRequest& request) {
   w.str(request.scenario);
-  w.u64(request.bugs);
-  w.u64(request.tests);
-  w.u64(request.pool_target);
-  w.u64(request.pool_attempts);
+  w.u32(request.bugs);
+  w.u32(request.tests);
+  w.u32(request.pool_target);
+  w.u32(request.pool_attempts);
   w.u64(request.pool_seed);
-  w.u64(request.mwu);
-  w.u64(request.arms);
-  w.u64(request.max_count);
-  w.u64(request.agents);
-  w.u64(request.max_iterations);
+  w.u8(request.mwu);
+  w.u32(request.arms);
+  w.u32(request.max_count);
+  w.u32(request.agents);
+  w.u32(request.max_iterations);
   w.u64(request.repair_seed);
   w.boolean(request.grow_suite);
 }
@@ -102,16 +103,16 @@ void write_request(PayloadWriter& w, const SubmitRequest& request) {
 SubmitRequest read_request(PayloadReader& r) {
   SubmitRequest request;
   request.scenario = r.str();
-  request.bugs = static_cast<std::uint32_t>(r.u64());
-  request.tests = static_cast<std::uint32_t>(r.u64());
-  request.pool_target = static_cast<std::uint32_t>(r.u64());
-  request.pool_attempts = static_cast<std::uint32_t>(r.u64());
+  request.bugs = r.u32();
+  request.tests = r.u32();
+  request.pool_target = r.u32();
+  request.pool_attempts = r.u32();
   request.pool_seed = r.u64();
-  request.mwu = static_cast<std::uint8_t>(r.u64());
-  request.arms = static_cast<std::uint32_t>(r.u64());
-  request.max_count = static_cast<std::uint32_t>(r.u64());
-  request.agents = static_cast<std::uint32_t>(r.u64());
-  request.max_iterations = static_cast<std::uint32_t>(r.u64());
+  request.mwu = r.u8();
+  request.arms = r.u32();
+  request.max_count = r.u32();
+  request.agents = r.u32();
+  request.max_iterations = r.u32();
   request.repair_seed = r.u64();
   request.grow_suite = r.boolean();
   return request;
@@ -125,7 +126,7 @@ WireFrame encode_submit_request(const SubmitRequest& request) {
 
 SubmitRequest decode_submit_request(const WireFrame& frame) {
   expect(frame, FrameKind::kSubmit, kRequest, "submit request");
-  PayloadReader r(frame.payload);
+  PayloadReader r(frame.bytes);
   SubmitRequest request = read_request(r);
   expect_drained(r, "submit request");
   return request;
@@ -141,7 +142,7 @@ WireFrame encode_submit_reply(const SubmitReply& reply) {
 
 SubmitReply decode_submit_reply(const WireFrame& frame) {
   expect(frame, FrameKind::kSubmit, kReply, "submit reply");
-  PayloadReader r(frame.payload);
+  PayloadReader r(frame.bytes);
   SubmitReply reply;
   reply.campaign_id = frame.value;
   reply.accepted = r.boolean();
@@ -175,7 +176,7 @@ WireFrame encode_status_reply(std::uint64_t campaign_id,
 
 StatusReply decode_status_reply(const WireFrame& frame) {
   expect(frame, FrameKind::kStatus, kReply, "status reply");
-  PayloadReader r(frame.payload);
+  PayloadReader r(frame.bytes);
   StatusReply reply;
   reply.known = r.boolean();
   reply.done = r.boolean();
@@ -208,7 +209,7 @@ WireFrame encode_result_reply(const ResultReply& reply) {
 
 ResultReply decode_result_reply(const WireFrame& frame) {
   expect(frame, FrameKind::kResult, kReply, "result reply");
-  PayloadReader r(frame.payload);
+  PayloadReader r(frame.bytes);
   ResultReply reply;
   reply.campaign_id = frame.value;
   reply.ready = r.boolean();
@@ -229,7 +230,7 @@ WireFrame encode_checkpoint_reply(const CheckpointReply& reply) {
 
 CheckpointReply decode_checkpoint_reply(const WireFrame& frame) {
   expect(frame, FrameKind::kCheckpoint, kReply, "checkpoint reply");
-  PayloadReader r(frame.payload);
+  PayloadReader r(frame.bytes);
   CheckpointReply reply;
   reply.bytes = frame.value;
   reply.campaigns = r.u64();

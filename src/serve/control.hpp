@@ -3,8 +3,10 @@
 //
 // Clients talk to mwr_served over a Unix-domain stream socket carrying
 // ordinary MWRW frames (parallel/transport/wire.hpp) — the same
-// length-prefixed, versioned codec the SPMD transports use, extended
-// with four additive kinds:
+// length-prefixed, versioned header the SPMD transports use — with four
+// control kinds whose payload is the frame's `bytes`, each field at its
+// declared width (serve/payload_codec.hpp: u8/u32/u64/f64 little-endian,
+// bool as one 0/1 byte, strings as a u32 length plus raw bytes):
 //
 //   kSubmit      submit a campaign / admission verdict;
 //   kStatus      poll one campaign's progress (value = campaign id);
@@ -115,9 +117,10 @@ using parallel::transport::WireFrame;
 class PayloadWriter;
 class PayloadReader;
 
-/// The SubmitRequest fields in payload order: the SUBMIT frame's whole
-/// payload and the checkpoint's request section.  read_request throws
-/// std::runtime_error on a truncated or malformed payload.
+/// The SubmitRequest fields in declaration order, each at its declared
+/// width: the SUBMIT frame's whole payload and the checkpoint's request
+/// section.  read_request throws std::runtime_error on a truncated or
+/// malformed payload.
 void write_request(PayloadWriter& w, const SubmitRequest& request);
 [[nodiscard]] SubmitRequest read_request(PayloadReader& r);
 

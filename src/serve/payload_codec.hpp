@@ -1,15 +1,13 @@
-// Typed accessors over a WireFrame's double payload.
+// Typed little-endian fields over a WireFrame's byte payload.
 //
-// The MWRW wire format carries exactly one payload shape — a vector of
-// IEEE-754 doubles — because that is what substrate messages are.  The
-// campaign-server control plane and the checkpoint files reuse the same
-// frames (one codec, one fuzz surface, one version field), so every
-// richer field they need is spelled in doubles:
+// The control plane and the checkpoint files lay their fields out in the
+// `bytes` of ordinary MWRW frames (one codec, one fuzz surface, one
+// version field), each at its declared width:
 //
-//   f64  — as is (bit-exact; strategy weights round-trip unchanged);
-//   u64  — two u32 halves, low then high (each half is exactly
-//          representable; the full 64-bit range round-trips);
-//   str  — u64 length, then one code unit per double.
+//   u8 / u32 / u64 / f64 — little-endian, sizeof(T) bytes (doubles are
+//                          bit-exact, so strategy weights round-trip);
+//   bool                 — one byte, 0 or 1;
+//   str                  — u32 length, then the raw bytes.
 //
 // Readers bounds-check every access and throw std::runtime_error on
 // truncated or malformed payloads — control frames arrive from other
@@ -18,71 +16,74 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "parallel/transport/wire.hpp"
+
 namespace mwr::serve {
 
 class PayloadWriter {
  public:
-  void f64(double v) { out_.push_back(v); }
+  void u8(std::uint8_t v) { parallel::transport::put(out_, v); }
+  void u32(std::uint32_t v) { parallel::transport::put(out_, v); }
+  void u64(std::uint64_t v) { parallel::transport::put(out_, v); }
+  void f64(double v) { parallel::transport::put(out_, v); }
+  void boolean(bool v) { u8(v ? 1 : 0); }
 
-  void u64(std::uint64_t v) {
-    out_.push_back(static_cast<double>(v & 0xffffffffull));
-    out_.push_back(static_cast<double>(v >> 32));
+  /// An element or byte count as a u32.  Throws std::length_error past
+  /// what a u32 can count.
+  void count(std::size_t n) {
+    if (n > std::numeric_limits<std::uint32_t>::max())
+      throw std::length_error("serve payload: count exceeds u32");
+    u32(static_cast<std::uint32_t>(n));
   }
-
-  void boolean(bool v) { out_.push_back(v ? 1.0 : 0.0); }
 
   void str(const std::string& s) {
-    u64(s.size());
-    for (const char c : s)
-      out_.push_back(static_cast<double>(static_cast<unsigned char>(c)));
+    count(s.size());
+    out_.insert(out_.end(), s.begin(), s.end());
   }
 
-  [[nodiscard]] std::vector<double> take() { return std::move(out_); }
+  [[nodiscard]] std::vector<std::uint8_t> take() { return std::move(out_); }
 
  private:
-  std::vector<double> out_;
+  std::vector<std::uint8_t> out_;
 };
 
 class PayloadReader {
  public:
-  explicit PayloadReader(std::span<const double> in) : in_(in) {}
+  explicit PayloadReader(std::span<const std::uint8_t> in) : in_(in) {}
 
-  [[nodiscard]] double f64() {
-    if (pos_ >= in_.size())
-      throw std::runtime_error("serve payload: truncated (f64)");
-    return in_[pos_++];
+  [[nodiscard]] std::uint8_t u8() { return take<std::uint8_t>("u8"); }
+  [[nodiscard]] std::uint32_t u32() { return take<std::uint32_t>("u32"); }
+  [[nodiscard]] std::uint64_t u64() { return take<std::uint64_t>("u64"); }
+  [[nodiscard]] double f64() { return take<double>("f64"); }
+
+  [[nodiscard]] bool boolean() {
+    const std::uint8_t v = u8();
+    if (v > 1) throw std::runtime_error("serve payload: malformed bool");
+    return v == 1;
   }
-
-  [[nodiscard]] std::uint64_t u64() {
-    const double lo = f64();
-    const double hi = f64();
-    if (!is_integer_in(lo, 4294967295.0) || !is_integer_in(hi, 4294967295.0))
-      throw std::runtime_error("serve payload: malformed u64 halves");
-    return static_cast<std::uint64_t>(lo) |
-           (static_cast<std::uint64_t>(hi) << 32);
-  }
-
-  [[nodiscard]] bool boolean() { return f64() != 0.0; }
 
   [[nodiscard]] std::string str() {
-    const std::uint64_t n = u64();
-    if (n > remaining())
-      throw std::runtime_error("serve payload: truncated (str)");
-    std::string s;
-    s.reserve(static_cast<std::size_t>(n));
-    for (std::uint64_t i = 0; i < n; ++i) {
-      const double c = f64();
-      if (!is_integer_in(c, 255.0))
-        throw std::runtime_error("serve payload: malformed str code unit");
-      s.push_back(static_cast<char>(static_cast<unsigned char>(c)));
-    }
+    const std::size_t n = count(1);
+    std::string s(reinterpret_cast<const char*>(in_.data() + pos_), n);
+    pos_ += n;
     return s;
+  }
+
+  /// A u32 element count, checked against the bytes left so a hostile
+  /// count cannot drive a huge allocation: `min_item_bytes` is the
+  /// smallest encoding of one element.
+  [[nodiscard]] std::size_t count(std::size_t min_item_bytes) {
+    const std::uint32_t n = u32();
+    if (n > remaining() / min_item_bytes)
+      throw std::runtime_error("serve payload: truncated (count)");
+    return n;
   }
 
   [[nodiscard]] std::size_t remaining() const noexcept {
@@ -91,15 +92,17 @@ class PayloadReader {
   [[nodiscard]] bool done() const noexcept { return pos_ == in_.size(); }
 
  private:
-  // True when v is an integer in [0, max].  The range test comes first and
-  // fails for NaN, so the integer cast only ever sees an in-range value
-  // (casting NaN or an out-of-range double is undefined behaviour).
-  static bool is_integer_in(double v, double max) noexcept {
-    return v >= 0.0 && v <= max &&
-           v == static_cast<double>(static_cast<std::uint64_t>(v));
+  template <typename T>
+  T take(const char* what) {
+    if (remaining() < sizeof(T))
+      throw std::runtime_error(std::string("serve payload: truncated (") +
+                               what + ")");
+    const std::uint8_t* p = in_.data() + pos_;
+    pos_ += sizeof(T);
+    return parallel::transport::get<T>(p);
   }
 
-  std::span<const double> in_;
+  std::span<const std::uint8_t> in_;
   std::size_t pos_ = 0;
 };
 

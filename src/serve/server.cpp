@@ -12,6 +12,7 @@
 #include "parallel/superstep.hpp"
 #include "serve/checkpoint.hpp"
 #include "serve/checkpoint_writer.hpp"
+#include "util/log.hpp"
 #include "util/timer.hpp"
 
 namespace mwr::serve {
@@ -27,6 +28,7 @@ CampaignServer::CampaignServer(ServerConfig config)
   starved_counter_ = &metrics.counter("serve.starved_epochs");
   failed_counter_ = &metrics.counter("serve.failed_campaigns");
   checkpoint_bytes_ = &metrics.counter("serve.checkpoint_bytes");
+  restore_rejected_ = &metrics.counter("serve.restore.rejected");
   resident_gauge_ = &metrics.gauge("serve.resident");
   probe_seconds_ = &metrics.histogram("serve.probe_seconds");
 }
@@ -351,14 +353,27 @@ std::size_t CampaignServer::restore_from_dir() {
 
   std::size_t restored = 0;
   for (const std::filesystem::path& path : files) {
-    CampaignCheckpoint checkpoint = read_checkpoint_file(path.string());
-    CampaignPlan plan = plan_campaign(checkpoint.request);
+    // One unreadable file must not cost the others their restore: a
+    // file that fails to decode, plan or resume is logged, counted and
+    // left on disk for inspection.
     Campaign campaign;
-    campaign.id = checkpoint.campaign_id;
-    campaign.request = checkpoint.request;
-    campaign.session =
-        apr::CampaignSession::resume(checkpoint.snapshot, std::move(plan.spec),
-                                     plan.config, &hub_);
+    try {
+      CampaignCheckpoint checkpoint = read_checkpoint_file(path.string());
+      if (running_.contains(checkpoint.campaign_id) ||
+          finished_.contains(checkpoint.campaign_id))
+        throw std::runtime_error("duplicate campaign id " +
+                                 std::to_string(checkpoint.campaign_id));
+      CampaignPlan plan = plan_campaign(checkpoint.request);
+      campaign.id = checkpoint.campaign_id;
+      campaign.request = checkpoint.request;
+      campaign.session = apr::CampaignSession::resume(
+          checkpoint.snapshot, std::move(plan.spec), plan.config, &hub_);
+    } catch (const std::exception& e) {
+      MWR_LOG(kWarn, "serve") << "restore: skipped " << path.string()
+                              << ": " << e.what();
+      restore_rejected_->add(1);
+      continue;
+    }
     campaign.session->set_metric_scope("campaign/" +
                                        std::to_string(campaign.id));
     sync_progress(campaign);

@@ -169,7 +169,10 @@ class CampaignServer {
   CheckpointReply checkpoint_all();
   /// Loads every "*.ckpt" in checkpoint_dir and resumes the campaigns;
   /// returns how many were restored.  Stray "*.ckpt.tmp" files (a crash
-  /// mid-flush) are ignored.
+  /// mid-flush) are ignored.  A file that fails to decode or resume (or
+  /// repeats a campaign id already restored) is skipped: its path and
+  /// the reason are logged, serve.restore.rejected counts it, and the
+  /// file stays on disk.
   std::size_t restore_from_dir();
 
   [[nodiscard]] const ServerConfig& config() const noexcept {
@@ -253,6 +256,7 @@ class CampaignServer {
   obs::Counter* starved_counter_;
   obs::Counter* failed_counter_;
   obs::Counter* checkpoint_bytes_;
+  obs::Counter* restore_rejected_;
   obs::Gauge* resident_gauge_;
   obs::Histogram* probe_seconds_;
 };

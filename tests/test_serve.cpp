@@ -5,6 +5,7 @@
 // trajectory hash is bit-identical to the uninterrupted run.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -62,48 +63,61 @@ TEST(PayloadCodec, RoundTripsScalarsStringsAndExtremes) {
   w.u64(0);
   w.u64(std::numeric_limits<std::uint64_t>::max());
   w.u64(0x123456789abcdef0ull);
+  w.u32(0xfedcba98u);
+  w.u8(0xff);
   w.f64(-0.0);
   w.f64(1.0 / 3.0);
   w.boolean(true);
   w.str("");
-  w.str("gzip-2009-08-16 \x01\x7f");
-  const std::vector<double> payload = w.take();
+  w.str("gzip-2009-08-16 \x01\x7f\xff");
+  const std::vector<std::uint8_t> payload = w.take();
+  // Every field at its declared width; a string is a u32 length + bytes.
+  EXPECT_EQ(payload.size(), 3 * 8 + 4 + 1 + 2 * 8 + 1 + 4 + (4 + 19));
 
   PayloadReader r(payload);
   EXPECT_EQ(r.u64(), 0u);
   EXPECT_EQ(r.u64(), std::numeric_limits<std::uint64_t>::max());
   EXPECT_EQ(r.u64(), 0x123456789abcdef0ull);
-  EXPECT_EQ(r.f64(), -0.0);
+  EXPECT_EQ(r.u32(), 0xfedcba98u);
+  EXPECT_EQ(r.u8(), 0xff);
+  const double negative_zero = r.f64();
+  EXPECT_EQ(negative_zero, 0.0);
+  EXPECT_TRUE(std::signbit(negative_zero));
   EXPECT_EQ(r.f64(), 1.0 / 3.0);
   EXPECT_TRUE(r.boolean());
   EXPECT_EQ(r.str(), "");
-  EXPECT_EQ(r.str(), "gzip-2009-08-16 \x01\x7f");
+  EXPECT_EQ(r.str(), "gzip-2009-08-16 \x01\x7f\xff");
   EXPECT_TRUE(r.done());
 }
 
-TEST(PayloadCodec, ThrowsOnTruncationAndMalformedHalves) {
+TEST(PayloadCodec, ThrowsOnTruncationAndMalformedBool) {
   PayloadReader empty({});
   EXPECT_THROW((void)empty.u64(), std::runtime_error);
 
-  const std::vector<double> bad_half = {1.5, 0.0};
-  PayloadReader r(bad_half);
-  EXPECT_THROW((void)r.u64(), std::runtime_error);
+  const std::vector<std::uint8_t> seven(7, 0);
+  PayloadReader short_u64(seven);
+  EXPECT_THROW((void)short_u64.u64(), std::runtime_error);
+  EXPECT_EQ(short_u64.remaining(), 7u);  // a failed read consumes nothing
 
-  // NaN passes both `< 0` and `> max`; it must still be refused, and
-  // before any integer cast (UB for NaN).
-  const double nan = std::numeric_limits<double>::quiet_NaN();
-  const std::vector<double> nan_half = {nan, 0.0};
-  PayloadReader n(nan_half);
-  EXPECT_THROW((void)n.u64(), std::runtime_error);
-  const std::vector<double> nan_unit = {1.0, 0.0, nan};
-  PayloadReader u(nan_unit);
-  EXPECT_THROW((void)u.str(), std::runtime_error);
+  // A bool is exactly 0 or 1.
+  const std::vector<std::uint8_t> two = {2};
+  PayloadReader b(two);
+  EXPECT_THROW((void)b.boolean(), std::runtime_error);
 
   PayloadWriter w;
-  w.u64(100);  // announces a 100-char string that is not there
-  const std::vector<double> truncated = w.take();  // keep the span alive
+  w.u32(100);  // announces a 100-byte string that is not there
+  const std::vector<std::uint8_t> truncated = w.take();  // keep it alive
   PayloadReader s(truncated);
   EXPECT_THROW((void)s.str(), std::runtime_error);
+
+  // A count larger than the bytes left could ever hold is refused
+  // before anyone reserves memory for it.
+  PayloadWriter c;
+  c.u32(0xffffffffu);
+  c.u64(0);
+  const std::vector<std::uint8_t> huge = c.take();
+  PayloadReader n(huge);
+  EXPECT_THROW((void)n.count(8 + 1), std::runtime_error);
 }
 
 // --- control-plane codecs -----------------------------------------------
@@ -381,11 +395,14 @@ TEST(Checkpoint, SubmitFrameAndCheckpointBytesArePinned) {
   snap.repair.probes = 136;
   snap.repair.trajectory_hash = 0xdeadbeefull;
 
+  // Wire format 2, checkpoint format 2: every field at its declared width.
   std::vector<std::uint8_t> frame;
   parallel::transport::encode_frame(encode_submit_request(request), frame);
-  EXPECT_EQ(fnv1a(frame), 0xda27f21818259095ull);
+  EXPECT_EQ(frame.size(), 99u);
+  EXPECT_EQ(fnv1a(frame), 0x15eb6b244a791969ull);
   const std::vector<std::uint8_t> bytes = encode_checkpoint(checkpoint);
-  EXPECT_EQ(fnv1a(bytes), 0xb88d8383bf405b85ull);
+  EXPECT_EQ(bytes.size(), 556u);
+  EXPECT_EQ(fnv1a(bytes), 0xaece6f1ccaef5f5aull);
 }
 
 TEST(Checkpoint, DecoderRejectsCorruption) {
@@ -445,6 +462,24 @@ TEST(Checkpoint, ResumeRejectsTheWrongCampaignDefinition) {
   CampaignPlan other = plan_campaign(small_request("Math80", 3));
   EXPECT_THROW((void)apr::CampaignSession::resume(snapshot, other.spec,
                                                   other.config),
+               std::invalid_argument);
+}
+
+TEST(Checkpoint, ResumeRejectsOutOfRangePhaseAndBugIndex) {
+  const SubmitRequest request = small_request("units", 3);
+  const CampaignPlan plan = plan_campaign(request);
+  apr::CampaignSession session(plan.spec, plan.config);
+  (void)session.step(1);
+
+  apr::CampaignSnapshot bad_phase = session.snapshot();
+  bad_phase.phase = 5;  // one past kDone
+  EXPECT_THROW((void)apr::CampaignSession::resume(bad_phase, plan.spec,
+                                                  plan.config),
+               std::invalid_argument);
+  apr::CampaignSnapshot bad_bug = session.snapshot();
+  bad_bug.bug_index = request.bugs + 1;
+  EXPECT_THROW((void)apr::CampaignSession::resume(bad_bug, plan.spec,
+                                                  plan.config),
                std::invalid_argument);
 }
 
@@ -1118,6 +1153,88 @@ TEST(CampaignServer, StrayTmpFromKilledFlushIsIgnoredOnRestore) {
     EXPECT_EQ(second_life.completed(), 1u);
     EXPECT_EQ(second_life.failed_campaigns(), 0u);
   }  // joins the writer: its queued unlink must not race remove_all.
+  std::filesystem::remove_all(dir);
+}
+
+// Runs one campaign two epochs into a fresh `dir`, checkpoints it, and
+// returns the bytes of the one checkpoint file written.
+std::vector<std::uint8_t> checkpoint_one_campaign(
+    const std::filesystem::path& dir) {
+  std::filesystem::remove_all(dir);
+  {
+    ServerConfig config;
+    config.workers = 2;
+    config.quantum = 1;
+    config.checkpoint_dir = dir.string();
+    CampaignServer first_life(config);
+    EXPECT_TRUE(first_life.submit(small_request("units", 13)).has_value());
+    for (int epoch = 0; epoch < 2; ++epoch) (void)first_life.run_epoch();
+    EXPECT_EQ(first_life.resident(), 1u);
+    (void)first_life.checkpoint_all();
+  }
+  std::vector<std::filesystem::path> files;
+  for (const auto& entry : std::filesystem::directory_iterator(dir))
+    files.push_back(entry.path());
+  EXPECT_EQ(files.size(), 1u);
+  std::ifstream in(files.at(0), std::ios::binary);
+  return {std::istreambuf_iterator<char>(in),
+          std::istreambuf_iterator<char>()};
+}
+
+void write_file(const std::filesystem::path& path,
+                const std::vector<std::uint8_t>& bytes) {
+  std::ofstream out(path, std::ios::binary);
+  out.write(reinterpret_cast<const char*>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
+}
+
+// Restores `dir` into a fresh server and drains it; returns how many
+// files restore_from_dir rejected.
+std::uint64_t restore_and_drain(const std::filesystem::path& dir) {
+  obs::Counter& rejected =
+      obs::MetricsRegistry::global().counter("serve.restore.rejected");
+  const std::uint64_t before = rejected.value();
+  ServerConfig config;
+  config.workers = 2;
+  config.checkpoint_dir = dir.string();
+  CampaignServer second_life(config);
+  EXPECT_EQ(second_life.restore_from_dir(), 1u);
+  EXPECT_EQ(second_life.resident(), 1u);
+  second_life.drain();
+  EXPECT_EQ(second_life.completed(), 1u);
+  EXPECT_EQ(second_life.failed_campaigns(), 0u);
+  return rejected.value() - before;
+}
+
+TEST(CampaignServer, UnreadableCheckpointsAreSkippedOnRestore) {
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "mwr-serve-reject-test";
+  const std::vector<std::uint8_t> valid = checkpoint_one_campaign(dir);
+
+  // Beside the valid checkpoint: a truncated copy, and a copy whose
+  // first frame claims wire version 1.
+  write_file(dir / "aa-truncated.ckpt",
+             {valid.begin(), valid.begin() + valid.size() / 2});
+  std::vector<std::uint8_t> version_1 = valid;
+  version_1[8] = 1;  // the u16 version field, after length and magic
+  version_1[9] = 0;
+  write_file(dir / "zz-version-1.ckpt", version_1);
+
+  EXPECT_EQ(restore_and_drain(dir), 2u);
+  // Rejected files are left for inspection.
+  EXPECT_TRUE(std::filesystem::exists(dir / "aa-truncated.ckpt"));
+  EXPECT_TRUE(std::filesystem::exists(dir / "zz-version-1.ckpt"));
+  std::filesystem::remove_all(dir);
+}
+
+TEST(CampaignServer, DuplicateCampaignIdIsSkippedOnRestore) {
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "mwr-serve-duplicate-test";
+  const std::vector<std::uint8_t> valid = checkpoint_one_campaign(dir);
+  // A second copy decodes and resumes, but its campaign is already
+  // resident: admitting it twice would corrupt the scheduler.
+  write_file(dir / "zz-copy.ckpt", valid);
+  EXPECT_EQ(restore_and_drain(dir), 1u);
   std::filesystem::remove_all(dir);
 }
 

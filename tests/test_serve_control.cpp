@@ -55,7 +55,7 @@ TEST(ControlSocket, FramesRoundTripIncludingLargePayloads) {
   small.value = 42;
   WireFrame large;
   large.kind = FrameKind::kSubmit;
-  large.payload.assign(12000, 0.5);
+  large.bytes.assign(96000, 0x5a);
 
   ASSERT_TRUE(client->send_frame(small));
   ASSERT_TRUE(client->send_frame(large));

@@ -1,6 +1,6 @@
 // Transport-layer tests: the versioned wire codec (round-trip, determinism,
-// partial-buffer and corruption behavior), the core/serialization Message
-// seam, process-world smoke runs over both multi-process fabrics, and
+// partial-buffer and corruption behavior, f64 Message and byte payloads),
+// process-world smoke runs over both multi-process fabrics, and
 // kill-a-worker abort propagation (a SIGKILLed worker must fail the world
 // instead of hanging it).
 #include <gtest/gtest.h>
@@ -9,7 +9,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/serialization.hpp"
 #include "parallel/transport/process_world.hpp"
 #include "parallel/transport/wire.hpp"
 #include "util/rng.hpp"
@@ -43,6 +42,21 @@ TEST(WireCodec, ControlFramesRoundTrip) {
     ASSERT_EQ(decode_frame(bytes.data(), bytes.size(), decoded), bytes.size());
     EXPECT_EQ(decoded, frame);
   }
+}
+
+TEST(WireCodec, ByteFramesCountBytesNotDoubles) {
+  WireFrame frame = WireFrame::control(FrameKind::kResult, 17);
+  frame.source = 1;
+  for (int i = 0; i < 300; ++i)
+    frame.bytes.push_back(static_cast<std::uint8_t>(i));
+  std::vector<std::uint8_t> bytes;
+  encode_frame(frame, bytes);
+  EXPECT_EQ(bytes.size(), 4 + kFrameHeaderBytes + 300);
+  EXPECT_EQ(bytes.size(), encoded_size(frame));
+
+  WireFrame decoded = WireFrame::message(0, 0, 0, {9.0}, false);
+  ASSERT_EQ(decode_frame(bytes.data(), bytes.size(), decoded), bytes.size());
+  EXPECT_EQ(decoded, frame);  // the stale doubles are gone too
 }
 
 TEST(WireCodec, EncodingAppendsWithoutDisturbingPriorBytes) {
@@ -99,7 +113,17 @@ TEST(WireCodec, GeometryFingerprintSeparatesWorldShapes) {
   EXPECT_EQ(fp, geometry_fingerprint(1024, 4));
 }
 
-// --- core/serialization Message seam ---------------------------------------
+// --- substrate Messages on the wire ---------------------------------------
+
+// Encodes `message` as the kMessage frame the transports put on the wire.
+std::vector<std::uint8_t> message_frame(const Message& message, int dest,
+                                        bool tracked) {
+  std::vector<std::uint8_t> bytes;
+  encode_frame(WireFrame::message(message.source, dest, message.tag,
+                                  message.payload.to_vector(), tracked),
+               bytes);
+  return bytes;
+}
 
 TEST(MessageSerialization, RoundTripsEnvelopeAndPayload) {
   Message message;
@@ -107,17 +131,15 @@ TEST(MessageSerialization, RoundTripsEnvelopeAndPayload) {
   message.tag = 101;
   message.payload = PayloadVec({0.5, -3.25, 7.0});
 
-  const auto bytes = core::serialize_message(message, /*dest_rank=*/99,
-                                             /*tracked=*/true);
-  int dest = -1;
-  bool tracked = false;
-  const Message back =
-      core::deserialize_message(bytes.data(), bytes.size(), &dest, &tracked);
+  const auto bytes = message_frame(message, /*dest=*/99, /*tracked=*/true);
+  WireFrame back;
+  ASSERT_EQ(decode_frame(bytes.data(), bytes.size(), back), bytes.size());
+  EXPECT_EQ(back.kind, FrameKind::kMessage);
   EXPECT_EQ(back.source, 12);
   EXPECT_EQ(back.tag, 101);
-  EXPECT_EQ(back.payload.to_vector(), message.payload.to_vector());
-  EXPECT_EQ(dest, 99);
-  EXPECT_TRUE(tracked);
+  EXPECT_EQ(back.payload, message.payload.to_vector());
+  EXPECT_EQ(back.dest, 99);
+  EXPECT_TRUE(back.tracked);
 }
 
 // Same seed => identical byte streams.  The codec is a pure function of the
@@ -136,7 +158,7 @@ TEST(MessageSerialization, SameSeedYieldsIdenticalByteStreams) {
           static_cast<std::size_t>(rng.uniform_int(0, 8)));
       for (double& x : payload) x = rng.uniform();
       message.payload = PayloadVec(std::move(payload));
-      const auto frame = core::serialize_message(
+      const auto frame = message_frame(
           message, static_cast<int>(rng.uniform_int(0, 511)),
           rng.bernoulli(0.5));
       bytes.insert(bytes.end(), frame.begin(), frame.end());
@@ -150,16 +172,25 @@ TEST(MessageSerialization, SameSeedYieldsIdenticalByteStreams) {
 TEST(MessageSerialization, RejectsTruncatedAndNonMessageFrames) {
   Message message;
   message.payload = PayloadVec({1.0});
-  const auto bytes = core::serialize_message(message, 0, false);
-  EXPECT_THROW(
-      (void)core::deserialize_message(bytes.data(), bytes.size() - 1),
-      std::runtime_error);
+  const auto bytes = message_frame(message, 0, false);
+  WireFrame decoded;
+  EXPECT_EQ(decode_frame(bytes.data(), bytes.size() - 1, decoded), 0u);
 
-  std::vector<std::uint8_t> control;
-  encode_frame(WireFrame::control(FrameKind::kBarrierMarker, 1), control);
-  EXPECT_THROW(
-      (void)core::deserialize_message(control.data(), control.size()),
-      std::runtime_error);
+  // A frame whose count disagrees with its length is corrupt, not short.
+  std::vector<std::uint8_t> bad = bytes;
+  bad[32] ^= 0x01;  // low byte of the u32 payload count
+  EXPECT_THROW(decode_frame(bad.data(), bad.size(), decoded),
+               WireFormatError);
+
+  // The f64 payload belongs to kMessage alone; every other kind is bytes.
+  WireFrame marker = WireFrame::control(FrameKind::kBarrierMarker, 1);
+  marker.payload = {1.0};
+  std::vector<std::uint8_t> out;
+  EXPECT_THROW(encode_frame(marker, out), std::invalid_argument);
+  WireFrame with_bytes = WireFrame::message(0, 0, 0, {}, false);
+  with_bytes.bytes = {1};
+  EXPECT_THROW(encode_frame(with_bytes, out), std::invalid_argument);
+  EXPECT_TRUE(out.empty());
 }
 
 // --- process worlds --------------------------------------------------------

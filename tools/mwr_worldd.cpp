@@ -29,10 +29,10 @@
 #include "apr/test_oracle.hpp"
 #include "core/option_set.hpp"
 #include "core/parallel_driver.hpp"
-#include "core/serialization.hpp"
 #include "datasets/scenario.hpp"
 #include "obs/registry.hpp"
 #include "parallel/congestion.hpp"
+#include "parallel/transport/wire.hpp"
 #include "util/cli.hpp"
 
 namespace {
@@ -166,12 +166,12 @@ int run(int argc, char** argv) {
   if (!cli.get_string("state-out").empty()) {
     // The final popularity vector as one versioned wire frame — the same
     // bytes the transports move, reusable as a cross-run checkpoint.
-    parallel::Message state;
-    state.source = 0;
-    state.tag = 0;
-    state.payload = result.result.probabilities;
-    const auto bytes = core::serialize_message(state, /*dest_rank=*/0,
-                                               /*tracked=*/false);
+    std::vector<std::uint8_t> bytes;
+    parallel::transport::encode_frame(
+        parallel::transport::WireFrame::message(
+            /*source=*/0, /*dest=*/0, /*tag=*/0, result.result.probabilities,
+            /*tracked=*/false),
+        bytes);
     std::ofstream out(cli.get_string("state-out"), std::ios::binary);
     if (!out) throw std::runtime_error("cannot open --state-out path");
     out.write(reinterpret_cast<const char*>(bytes.data()),
