@@ -18,7 +18,9 @@
 //  - payload counters: the small-buffer message statistics
 //    (mailbox.payload_inline_msgs / payload_spilled_msgs) across one
 //    engine run, i.e. how many per-message heap allocations the inline
-//    representation removed vs how many still spill.
+//    representation removed vs how many still spill.  Every payload
+//    wider than the inline buffer counts as spilled, the collective
+//    fan-out copies included: each destination gets its own heap copy.
 //
 // Results are emitted as a table and as JSON (--json, default
 // BENCH_spmd_scale.json) with schema "mwr-bench-spmd-scale-v1"; CI's

@@ -109,9 +109,7 @@ int main(int argc, char** argv) {
   tree_world.run([&](parallel::Comm& comm) {
     for (int cycle = 0; cycle < 10; ++cycle) {
       (void)comm.allreduce_sum_tree({1.0});
-      comm.barrier();
-      if (comm.rank() == 0) comm.close_congestion_cycle();
-      comm.barrier();
+      comm.barrier_close_cycle();
     }
   });
   empirical.add_row(

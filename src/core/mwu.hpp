@@ -39,9 +39,10 @@ struct MwuConfig {
   std::size_t num_options = 0;      ///< k — set per dataset.
   std::size_t num_agents = 64;      ///< n — parallel threads for Standard.
   std::size_t max_iterations = 10000;
-  double learning_rate = 0.025;     ///< eta <= 1/2; eta = epsilon/2 (§IV-B).
+  /// eta <= 1/2; eta = epsilon/2 for the error threshold epsilon = 0.05
+  /// (§IV-B), which enters only through this value.
+  double learning_rate = 0.025;
   double exploration = 0.05;        ///< mu (Distributed) = gamma (Slate).
-  double epsilon = 0.05;            ///< error threshold (fixes eta's scale).
   double convergence_tol = 1e-5;    ///< Standard/Slate: gap to max probability.
   double plurality_threshold = 0.30;///< Distributed: plurality fraction.
   double adopt_success = 0.90;      ///< beta — adopt a successful observation.

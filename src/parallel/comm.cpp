@@ -70,108 +70,37 @@ std::size_t WorldLayout::owner_of(std::size_t global_size,
 int Comm::size() const noexcept { return static_cast<int>(world_->size()); }
 
 void Comm::send(int destination, int tag, PayloadVec payload) {
-  auto dst = static_cast<std::size_t>(destination);
-  if (dst >= world_->size()) throw std::out_of_range("send: bad destination");
-  comm_metrics().messages_sent.add(1);
-  if (!world_->multiprocess()) {
-    // Historical in-process path, bit-for-bit untouched.
-    world_->tracker_.record(dst);
-    world_->mailboxes_[dst].push(Message{rank_, tag, std::move(payload)});
-    return;
-  }
-  const WorldLayout& layout = world_->layout_;
-  const std::size_t owner =
-      WorldLayout::owner_of(layout.global_size, layout.processes, dst);
-  if (owner == layout.process_index) {
-    const std::size_t local = world_->local_index(destination);
-    world_->tracker_.record(local);
-    world_->mailboxes_[local].push(Message{rank_, tag, std::move(payload)});
-    return;
-  }
-  // Remote rank: congestion is recorded by the destination process's drain
-  // thread when the tracked frame is delivered — same count, same cycle
-  // (the barrier-close marker round fences delivery).
-  world_->endpoint_->send(
-      owner, transport::WireFrame::message(rank_, destination, tag,
-                                           std::move(payload).to_vector(),
-                                           /*tracked=*/true));
+  deliver(destination, tag, std::move(payload), /*tracked=*/true);
 }
 
 void Comm::send_untracked(int destination, int tag, PayloadVec payload) {
-  auto dst = static_cast<std::size_t>(destination);
-  if (dst >= world_->size()) throw std::out_of_range("send: bad destination");
-  comm_metrics().messages_sent_untracked.add(1);
-  if (!world_->multiprocess()) {
-    world_->mailboxes_[dst].push(Message{rank_, tag, std::move(payload)});
-    return;
-  }
-  const WorldLayout& layout = world_->layout_;
-  const std::size_t owner =
-      WorldLayout::owner_of(layout.global_size, layout.processes, dst);
-  if (owner == layout.process_index) {
-    world_->mailboxes_[world_->local_index(destination)].push(
-        Message{rank_, tag, std::move(payload)});
-    return;
-  }
-  world_->endpoint_->send(
-      owner, transport::WireFrame::message(rank_, destination, tag,
-                                           std::move(payload).to_vector(),
-                                           /*tracked=*/false));
+  deliver(destination, tag, std::move(payload), /*tracked=*/false);
 }
 
-void Comm::send_copy(int destination, int tag,
-                     std::span<const double> values) {
-  auto dst = static_cast<std::size_t>(destination);
+void Comm::deliver(int destination, int tag, PayloadVec payload,
+                   bool tracked) {
+  const auto dst = static_cast<std::size_t>(destination);
   if (dst >= world_->size()) throw std::out_of_range("send: bad destination");
-  comm_metrics().messages_sent.add(1);
-  if (!world_->multiprocess()) {
-    world_->tracker_.record(dst);
-    world_->mailboxes_[dst].push(
-        Message{rank_, tag, PayloadVec(values, world_->arena_)});
-    return;
+  CommMetrics& metrics = comm_metrics();
+  (tracked ? metrics.messages_sent : metrics.messages_sent_untracked).add(1);
+  if (world_->multiprocess()) {
+    const WorldLayout& layout = world_->layout_;
+    const std::size_t owner =
+        WorldLayout::owner_of(layout.global_size, layout.processes, dst);
+    if (owner != layout.process_index) {
+      // Remote rank: congestion is recorded by the destination process's
+      // drain thread when a tracked frame is delivered — same count, same
+      // cycle (the barrier-close marker round fences delivery).
+      world_->endpoint_->send(
+          owner, transport::WireFrame::message(rank_, destination, tag,
+                                               std::move(payload).to_vector(),
+                                               tracked));
+      return;
+    }
   }
-  const WorldLayout& layout = world_->layout_;
-  const std::size_t owner =
-      WorldLayout::owner_of(layout.global_size, layout.processes, dst);
-  if (owner == layout.process_index) {
-    const std::size_t local = world_->local_index(destination);
-    world_->tracker_.record(local);
-    world_->mailboxes_[local].push(
-        Message{rank_, tag, PayloadVec(values, world_->arena_)});
-    return;
-  }
-  // The wire path marshals payloads into its own frame buffer, so arena
-  // backing buys nothing across the seam — copy into the frame directly.
-  world_->endpoint_->send(
-      owner, transport::WireFrame::message(
-                 rank_, destination, tag,
-                 std::vector<double>(values.begin(), values.end()),
-                 /*tracked=*/true));
-}
-
-void Comm::send_copy_untracked(int destination, int tag,
-                               std::span<const double> values) {
-  auto dst = static_cast<std::size_t>(destination);
-  if (dst >= world_->size()) throw std::out_of_range("send: bad destination");
-  comm_metrics().messages_sent_untracked.add(1);
-  if (!world_->multiprocess()) {
-    world_->mailboxes_[dst].push(
-        Message{rank_, tag, PayloadVec(values, world_->arena_)});
-    return;
-  }
-  const WorldLayout& layout = world_->layout_;
-  const std::size_t owner =
-      WorldLayout::owner_of(layout.global_size, layout.processes, dst);
-  if (owner == layout.process_index) {
-    world_->mailboxes_[world_->local_index(destination)].push(
-        Message{rank_, tag, PayloadVec(values, world_->arena_)});
-    return;
-  }
-  world_->endpoint_->send(
-      owner, transport::WireFrame::message(
-                 rank_, destination, tag,
-                 std::vector<double>(values.begin(), values.end()),
-                 /*tracked=*/false));
+  const std::size_t local = world_->local_index(destination);
+  if (tracked) world_->tracker_.record(local);
+  world_->mailboxes_[local].push(Message{rank_, tag, std::move(payload)});
 }
 
 Message Comm::recv(int source, int tag) {
@@ -200,43 +129,29 @@ void Comm::barrier() {
   world_->throw_if_aborted();
 }
 
-void Comm::close_congestion_cycle() {
-  if (world_->multiprocess())
-    throw std::logic_error(
-        "close_congestion_cycle: multi-process worlds close cycles only "
-        "via barrier_close_cycle (the close needs the cross-process maxima "
-        "reduction)");
-  CommMetrics& metrics = comm_metrics();
-  metrics.congestion_max_per_cycle.record_max(
-      static_cast<double>(world_->tracker_.current_max()));
-  metrics.congestion_cycles.add(1);
-  world_->tracker_.end_cycle();
-  // All of the cycle's messages are delivered and (in the common pattern)
-  // consumed; rewind the payload arena for the next cycle.  A payload still
-  // parked in a mailbox keeps the count nonzero and simply defers the
-  // rewind to a later close.
-  (void)world_->arena_->try_reset();
-}
-
 void Comm::barrier_close_cycle() {
   // The last arriver closes the cycle inside the barrier's completion slot:
   // every rank's sends of the cycle are already recorded (they arrived),
   // none can send for the next one (none is released), so the captured
-  // per-cycle maximum is identical to the barrier/close/barrier bracket —
-  // at one synchronization instead of two.
-  if (!world_->multiprocess()) {
-    world_->barrier_.arrive_and_wait([this] { close_congestion_cycle(); });
+  // per-cycle maximum is exactly that of a barrier / close / barrier
+  // bracket — at one synchronization instead of two.
+  CommWorld* w = world_;
+  if (!w->multiprocess()) {
+    w->barrier_.arrive_and_wait([w] { w->close_local_cycle(); });
     return;
   }
-  world_->barrier_.arrive_and_wait([w = world_] { w->exchange_cycle_close(); });
-  world_->throw_if_aborted();
+  w->barrier_.arrive_and_wait([w] { w->exchange_cycle_close(); });
+  w->throw_if_aborted();
 }
 
 std::vector<double> Comm::broadcast(int root, std::vector<double> payload) {
+  // Checked on every rank: non-roots only recv(root), so a bad root would
+  // otherwise leave them blocked on a sender that does not exist.
+  if (root < 0 || root >= size())
+    throw std::out_of_range("broadcast: bad root");
   if (rank_ == root) {
-    // One arena-backed copy per destination instead of one heap vector.
     for (int r = 0; r < size(); ++r) {
-      if (r != root) send_copy(r, kTagBroadcast, payload);
+      if (r != root) send(r, kTagBroadcast, payload);
     }
     return payload;
   }
@@ -276,7 +191,7 @@ std::vector<double> Comm::allreduce_sum(std::vector<double> payload) {
       throw std::invalid_argument("allreduce_sum: mismatched payload widths");
     for (std::size_t i = 0; i < sum.size(); ++i) sum[i] += m.payload[i];
   }
-  for (int r = 1; r < size(); ++r) send_copy(r, kTagAllreduce, sum);
+  for (int r = 1; r < size(); ++r) send(r, kTagAllreduce, sum);
   return sum;
 }
 
@@ -295,25 +210,10 @@ std::vector<double> Comm::allreduce_tree_impl(std::vector<double> payload,
   // rank whose bit r is set sends its partial sum to rank ^ mask and goes
   // passive; otherwise it receives from rank + mask if that peer exists.
   const auto n = static_cast<int>(world_->size());
-  const auto emit = [&](int destination, int tag, std::vector<double> data) {
-    if (tracked) {
-      send(destination, tag, std::move(data));
-    } else {
-      send_untracked(destination, tag, std::move(data));
-    }
-  };
-  const auto emit_copy = [&](int destination, int tag,
-                             std::span<const double> data) {
-    if (tracked) {
-      send_copy(destination, tag, data);
-    } else {
-      send_copy_untracked(destination, tag, data);
-    }
-  };
   std::vector<double> sum = std::move(payload);
   for (int mask = 1; mask < n; mask <<= 1) {
     if (rank_ & mask) {
-      emit(rank_ ^ mask, kTagTreeReduce, std::move(sum));
+      deliver(rank_ ^ mask, kTagTreeReduce, std::move(sum), tracked);
       break;  // passive for the rest of the reduce phase
     }
     const int peer = rank_ | mask;
@@ -333,9 +233,7 @@ std::vector<double> Comm::allreduce_tree_impl(std::vector<double> payload,
     const int period = 2 * mask;
     if (rank_ % period == 0) {
       const int peer = rank_ + mask;
-      // The holder keeps forwarding `sum` down the tree: arena copies, not
-      // per-destination vectors (the reduce phase above still moves).
-      if (peer < n) emit_copy(peer, kTagTreeBcast, sum);
+      if (peer < n) deliver(peer, kTagTreeBcast, sum, tracked);
     } else if (rank_ % period == mask) {
       sum = recv(rank_ - mask, kTagTreeBcast).payload;
     }
@@ -353,8 +251,7 @@ CommWorld::CommWorld(const WorldLayout& layout,
       endpoint_(endpoint),
       mailboxes_(layout.local_count()),
       barrier_(layout.local_count()),
-      tracker_(layout.local_count()),
-      arena_(std::make_shared<PayloadArena>()) {
+      tracker_(layout.local_count()) {
   if (layout_.global_size == 0)
     throw std::invalid_argument("CommWorld needs >= 1 rank");
   if (layout_.processes == 0 || layout_.process_index >= layout_.processes)
@@ -539,6 +436,14 @@ void CommWorld::exchange_barrier_round() noexcept {
   }
 }
 
+void CommWorld::close_local_cycle() {
+  CommMetrics& metrics = comm_metrics();
+  metrics.congestion_max_per_cycle.record_max(
+      static_cast<double>(tracker_.current_max()));
+  metrics.congestion_cycles.add(1);
+  tracker_.end_cycle();
+}
+
 void CommWorld::exchange_cycle_close() noexcept {
   try {
     // Round 1: after this, every cycle message world-wide sits in its
@@ -569,9 +474,6 @@ void CommWorld::exchange_cycle_close() noexcept {
         static_cast<double>(global_max));
     metrics.congestion_cycles.add(1);
     tracker_.end_cycle(global_max);
-    // Local arena payloads of the cycle are consumed by now in the common
-    // pattern; a straggler just defers the rewind (see close_congestion_cycle).
-    (void)arena_->try_reset();
     // Round 2: no process releases its ranks into the next cycle until
     // every process finished recording this one — otherwise an early
     // peer's next-cycle messages could leak into our still-open counters.

@@ -1,5 +1,5 @@
-// In-process message-passing communicator, modeled on the MPI subset the
-// paper's algorithms need.
+// Message-passing communicator, modeled on the MPI subset the paper's
+// algorithms need.
 //
 // Substitution note (DESIGN.md §2): the paper's Distributed MWU targets
 // distributed-memory clusters.  This container has no MPI runtime, so we
@@ -21,19 +21,21 @@
 //
 //   CommWorld world(8);
 //   world.run([&](Comm& comm) { ... comm.rank() ... comm.barrier(); ... });
+//
 // Multi-process worlds (the pluggable transport seam, DESIGN.md §11):
 // the same CommWorld can be one *process's share* of a larger world.  A
 // WorldLayout names the global size and this process's contiguous rank
 // block; a transport::Endpoint (shm ring or UDS, parallel/transport/)
 // carries frames to the sibling processes.  Local ranks run as superstep
-// fibers exactly as before; sends to remote ranks are encoded as
-// WireFrames and batched across the seam, and one drain thread per peer
-// feeds remote messages into the local mailboxes.  Barriers extend across
-// processes via a marker exchange performed in the local barrier's
-// completion slot, and barrier_close_cycle() additionally reduces the
-// per-process congestion maxima so every process records the identical
-// world-wide per-cycle maximum.  A world with no endpoint is the
-// historical in-process substrate, bit-identical and untouched.
+// fibers; sends to remote ranks are encoded as WireFrames and batched
+// across the seam, and one drain thread per peer feeds remote messages
+// into the local mailboxes.  Barriers extend across processes via a marker
+// exchange performed in the local barrier's completion slot, and
+// barrier_close_cycle() additionally reduces the per-process congestion
+// maxima so every process records the identical world-wide per-cycle
+// maximum.  An in-process world is simply the one-process layout with no
+// endpoint: every rank is local, and every send takes the same route into
+// a local mailbox that a multi-process world uses for its own block.
 #pragma once
 
 #include <atomic>
@@ -41,8 +43,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <memory>
-#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -136,20 +136,6 @@ class Comm {
   /// tracker measures only the algorithm's own communication pattern.
   void send_untracked(int destination, int tag, PayloadVec payload);
 
-  /// Fan-out send: copies `values` into the world's per-superstep payload
-  /// arena (DESIGN.md §12) instead of a per-destination heap vector.
-  /// Semantically identical to send() with a vector copy of `values` —
-  /// same congestion accounting, same delivery order — but the collectives
-  /// that send one payload to many destinations (broadcast, the allreduce
-  /// reply wave, the tree broadcast phase) stop paying one allocation per
-  /// destination.  Named distinctly (not an overload) because PayloadVec's
-  /// implicit vector conversion would make a span overload ambiguous.
-  void send_copy(int destination, int tag, std::span<const double> values);
-
-  /// send_copy() without congestion accounting.
-  void send_copy_untracked(int destination, int tag,
-                           std::span<const double> values);
-
   /// Blocking receive with optional source/tag filters.
   [[nodiscard]] Message recv(int source = kAnySource, int tag = kAnyTag);
 
@@ -160,23 +146,15 @@ class Comm {
   /// Global synchronization (pure barrier; no congestion bookkeeping).
   void barrier();
 
-  /// Closes the current congestion cycle: captures the heaviest-hit node's
-  /// message count into the tracker statistics and resets the counters.
-  /// Call from exactly one rank, bracketed by barriers so no send() races
-  /// the capture:  barrier(); if (rank()==0) close_congestion_cycle();
-  /// barrier();  — or use barrier_close_cycle(), which pays a single
-  /// synchronization for the same effect.
-  void close_congestion_cycle();
-
   /// Barrier whose completion closes the congestion cycle: the last
-  /// arriving rank performs the close after every rank's sends of the
-  /// cycle are recorded and before any rank can send for the next one.
-  /// All ranks call this once per cycle; it replaces the
-  /// barrier/close/barrier bracket at half the synchronization cost and
-  /// with identical congestion statistics.
+  /// arriving rank captures the heaviest-hit node's message count into the
+  /// tracker statistics and resets the counters, after every rank's sends
+  /// of the cycle are recorded and before any rank can send for the next
+  /// one.  All ranks call this once per cycle.
   void barrier_close_cycle();
 
   /// Root's payload is distributed to every rank; all ranks return it.
+  /// Throws std::out_of_range on every rank when `root` is not a rank.
   [[nodiscard]] std::vector<double> broadcast(int root,
                                               std::vector<double> payload);
 
@@ -207,6 +185,12 @@ class Comm {
       std::vector<double> payload);
 
  private:
+  /// The one delivery route behind every send: bounds check, sent-message
+  /// telemetry, then a WireFrame when another process owns `destination`,
+  /// else a push into the local mailbox (recorded in the congestion
+  /// tracker when `tracked`).
+  void deliver(int destination, int tag, PayloadVec payload, bool tracked);
+
   [[nodiscard]] std::vector<double> allreduce_tree_impl(
       std::vector<double> payload, bool tracked);
 
@@ -226,8 +210,8 @@ class CommWorld {
   /// agree with `layout` on the process count.  Multi-process worlds
   /// always execute on the superstep engine: its blocked-world unwinding
   /// is what turns a peer death into clean exception propagation instead
-  /// of a hang.  Passing nullptr with a single-process layout degenerates
-  /// to the in-process substrate.
+  /// of a hang.  Passing nullptr with a single-process layout is the
+  /// in-process world that CommWorld(size, policy) builds.
   CommWorld(const WorldLayout& layout, transport::Endpoint* endpoint,
             RunPolicy policy = {});
 
@@ -235,7 +219,7 @@ class CommWorld {
   CommWorld(const CommWorld&) = delete;
   CommWorld& operator=(const CommWorld&) = delete;
 
-  /// Global world size (== local size for in-process worlds).
+  /// Global world size (== local size for one-process worlds).
   [[nodiscard]] std::size_t size() const noexcept {
     return layout_.global_size;
   }
@@ -257,14 +241,6 @@ class CommWorld {
     return tracker_;
   }
 
-  /// The per-superstep bump arena backing send_copy payloads.  Rewound at
-  /// cycle-close barriers once no payload references it; shared_ptr so
-  /// in-flight payloads keep the storage alive past world teardown.
-  [[nodiscard]] const std::shared_ptr<PayloadArena>& payload_arena()
-      const noexcept {
-    return arena_;
-  }
-
  private:
   friend class Comm;
   void run_thread_per_rank(const std::function<void(Comm&)>& body);
@@ -273,6 +249,10 @@ class CommWorld {
   [[nodiscard]] std::size_t local_index(int global_rank) const noexcept {
     return static_cast<std::size_t>(global_rank) - layout_.local_begin();
   }
+
+  /// Completion-slot body of a one-process barrier_close_cycle(): records
+  /// the cycle's maximum and resets the counters.
+  void close_local_cycle();
 
   // Multi-process machinery (all no-ops when endpoint_ == nullptr).
   void run_multiprocess(const std::function<void(Comm&)>& body);
@@ -298,7 +278,6 @@ class CommWorld {
   std::vector<Mailbox> mailboxes_;
   CountingBarrier barrier_;
   CongestionTracker tracker_;
-  std::shared_ptr<PayloadArena> arena_;
 
   // Cross-process barrier/close bookkeeping, fed by the drain threads.
   mutable util::Mutex exchange_mutex_;

@@ -11,13 +11,11 @@ namespace {
 // counters split enqueued messages by representation: inline payloads are
 // exactly the messages that would have paid a heap allocation under the
 // old vector-payload envelope (empty payloads never allocated and still
-// don't), arena payloads were carved from the per-superstep bump arena
-// instead, and spilled payloads still pay a per-message heap vector.
+// don't), and spilled payloads pay a per-message heap vector.
 struct MailboxMetrics {
   obs::Counter& messages_delivered;
   obs::Gauge& queue_depth_hwm;
   obs::Counter& payload_inline_msgs;
-  obs::Counter& payload_arena_msgs;
   obs::Counter& payload_spilled_msgs;
 
   MailboxMetrics()
@@ -27,8 +25,6 @@ struct MailboxMetrics {
             "mailbox.queue_depth_hwm")),
         payload_inline_msgs(obs::MetricsRegistry::global().counter(
             "mailbox.payload_inline_msgs")),
-        payload_arena_msgs(obs::MetricsRegistry::global().counter(
-            "mailbox.payload_arena_msgs")),
         payload_spilled_msgs(obs::MetricsRegistry::global().counter(
             "mailbox.payload_spilled_msgs")) {}
 };
@@ -42,9 +38,7 @@ MailboxMetrics& mailbox_metrics() {
 void Mailbox::push(Message message) {
   MailboxMetrics& metrics = mailbox_metrics();
   if (!message.payload.empty()) {
-    if (message.payload.arena_backed()) {
-      metrics.payload_arena_msgs.add(1);
-    } else if (message.payload.spilled()) {
+    if (message.payload.spilled()) {
       metrics.payload_spilled_msgs.add(1);
     } else {
       metrics.payload_inline_msgs.add(1);

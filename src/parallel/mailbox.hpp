@@ -1,5 +1,5 @@
 // Multi-producer single-consumer mailbox: the per-rank receive queue of the
-// in-process communicator.
+// communicator (parallel/comm.hpp).
 //
 // Payloads are small sequences of doubles plus a small integer tag, which
 // covers everything the MWU algorithms exchange (weights, results, adopted
@@ -21,15 +21,13 @@
 #include <cstdint>
 #include <deque>
 #include <initializer_list>
-#include <memory>
 #include <optional>
-#include <span>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "parallel/coop.hpp"
-#include "parallel/payload_arena.hpp"
 #include "util/sync.hpp"
 #include "util/thread_annotations.hpp"
 
@@ -39,80 +37,33 @@ namespace mwr::parallel {
 inline constexpr int kAnySource = -1;
 inline constexpr int kAnyTag = -1;
 
-/// Message payload with a small-buffer optimization: up to kInlineDoubles
-/// values are stored inline, longer payloads spill to a heap vector (whose
-/// buffer is stolen when constructed from a vector rvalue) — or, on the
-/// collective fan-out path, into a per-superstep PayloadArena whose bump
-/// allocation replaces the per-destination vector copy.  Arena-backed
-/// payloads pin the arena through a shared_ptr and release their doubles on
-/// destruction, which is what lets the communicator rewind the arena at
-/// cycle-close barriers.  Exposes the subset of the vector interface the
-/// substrate and its callers use, plus implicit conversion back to
-/// std::vector<double> at collective boundaries.
+/// Message payload with a small-buffer optimization.  It has two
+/// representations: up to kInlineDoubles values are stored inline, and
+/// longer payloads spill to a heap vector (whose buffer is stolen when
+/// constructed from a vector rvalue).  Exposes the subset of the vector
+/// interface the substrate and its callers use, plus implicit conversion
+/// back to std::vector<double> at collective boundaries.
 class PayloadVec {
  public:
   static constexpr std::size_t kInlineDoubles = 4;
 
   PayloadVec() noexcept = default;
+  PayloadVec(const PayloadVec&) = default;
+  PayloadVec& operator=(const PayloadVec&) = default;
 
-  ~PayloadVec() {
-    if (arena_ptr_ != nullptr) arena_->release(size_);
-  }
-
+  // A moved-from payload is empty, never a size over a stolen heap buffer.
   PayloadVec(PayloadVec&& other) noexcept
-      : size_(other.size_),
+      : size_(std::exchange(other.size_, 0)),
         inline_(other.inline_),
-        heap_(std::move(other.heap_)),
-        arena_(std::move(other.arena_)),
-        arena_ptr_(other.arena_ptr_) {
-    other.arena_ptr_ = nullptr;
-    other.size_ = 0;
-  }
+        heap_(std::move(other.heap_)) {}
 
   PayloadVec& operator=(PayloadVec&& other) noexcept {
     if (this != &other) {
-      if (arena_ptr_ != nullptr) arena_->release(size_);
-      size_ = other.size_;
+      size_ = std::exchange(other.size_, 0);
       inline_ = other.inline_;
       heap_ = std::move(other.heap_);
-      arena_ = std::move(other.arena_);
-      arena_ptr_ = other.arena_ptr_;
-      other.arena_ptr_ = nullptr;
-      other.size_ = 0;
     }
     return *this;
-  }
-
-  /// Copies are deep and arena-free: a copied payload owns its doubles on
-  /// the heap, so copies never extend the arena's outstanding window.
-  PayloadVec(const PayloadVec& other) : size_(other.size_) {
-    if (size_ <= kInlineDoubles) {
-      inline_ = other.inline_;
-    } else {
-      heap_.assign(other.data(), other.data() + size_);
-    }
-  }
-
-  PayloadVec& operator=(const PayloadVec& other) {
-    if (this != &other) {
-      PayloadVec copy(other);
-      *this = std::move(copy);
-    }
-    return *this;
-  }
-
-  /// Arena-backed copy of `values`: inline when it fits, otherwise the
-  /// doubles land in `arena` and the payload keeps the arena alive.
-  PayloadVec(std::span<const double> values,
-             const std::shared_ptr<PayloadArena>& arena) {
-    size_ = values.size();
-    if (size_ <= kInlineDoubles) {
-      for (std::size_t i = 0; i < size_; ++i) inline_[i] = values[i];
-      return;
-    }
-    arena_ = arena;
-    arena_ptr_ = arena_->allocate(size_);
-    for (std::size_t i = 0; i < size_; ++i) arena_ptr_[i] = values[i];
   }
 
   PayloadVec(std::initializer_list<double> values) {
@@ -139,22 +90,16 @@ class PayloadVec {
 
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
   [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
-  /// True when the payload owns a per-message heap vector (neither inline
-  /// nor arena-backed) — the allocation the arena exists to avoid.
+  /// True when the payload owns a per-message heap vector.
   [[nodiscard]] bool spilled() const noexcept {
-    return size_ > kInlineDoubles && arena_ptr_ == nullptr;
-  }
-  [[nodiscard]] bool arena_backed() const noexcept {
-    return arena_ptr_ != nullptr;
+    return size_ > kInlineDoubles;
   }
 
   [[nodiscard]] const double* data() const noexcept {
-    if (arena_ptr_ != nullptr) return arena_ptr_;
-    return size_ > kInlineDoubles ? heap_.data() : inline_.data();
+    return spilled() ? heap_.data() : inline_.data();
   }
   [[nodiscard]] double* data() noexcept {
-    if (arena_ptr_ != nullptr) return arena_ptr_;
-    return size_ > kInlineDoubles ? heap_.data() : inline_.data();
+    return spilled() ? heap_.data() : inline_.data();
   }
 
   [[nodiscard]] const double* begin() const noexcept { return data(); }
@@ -185,8 +130,6 @@ class PayloadVec {
   std::size_t size_ = 0;
   std::array<double, kInlineDoubles> inline_{};
   std::vector<double> heap_;  ///< engaged iff spilled().
-  std::shared_ptr<PayloadArena> arena_;  ///< keeps arena storage alive.
-  double* arena_ptr_ = nullptr;  ///< engaged iff arena_backed().
 };
 
 /// One message envelope: who sent it, what kind it is, and its payload.

@@ -99,10 +99,6 @@ int child_main(const ProcessWorldConfig& config, std::size_t index,
 
 ProcessWorldOutcome run_process_world(const ProcessWorldConfig& config,
                                       const ProcessBody& body) {
-  if (config.kind == TransportKind::kInProcess)
-    throw TransportError(
-        "run_process_world: in-process worlds need no launcher (construct "
-        "CommWorld directly)");
   if (config.processes < 2)
     throw TransportError("run_process_world needs >= 2 processes");
   if (config.global_ranks < config.processes)

@@ -63,7 +63,8 @@ using ProcessBody = std::function<std::vector<double>(
 /// Forks config.processes workers, runs `body` in each, and supervises to
 /// completion.  Never throws for worker failures (they land in the
 /// outcome); throws TransportError only when the fabric itself cannot be
-/// set up.  kInProcess is rejected — an in-process world needs no launcher.
+/// set up, or when fewer than two processes are asked for — a one-process
+/// world needs no launcher (construct CommWorld directly).
 ProcessWorldOutcome run_process_world(const ProcessWorldConfig& config,
                                       const ProcessBody& body);
 

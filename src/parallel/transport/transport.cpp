@@ -34,8 +34,6 @@ TransportMetrics& transport_metrics() {
 
 std::string to_string(TransportKind kind) {
   switch (kind) {
-    case TransportKind::kInProcess:
-      return "inproc";
     case TransportKind::kShmRing:
       return "shm";
     case TransportKind::kUds:
@@ -45,13 +43,10 @@ std::string to_string(TransportKind kind) {
 }
 
 TransportKind parse_transport_kind(const std::string& name) {
-  if (name == "inproc" || name == "in-process") {
-    return TransportKind::kInProcess;
-  }
   if (name == "shm" || name == "shm-ring") return TransportKind::kShmRing;
   if (name == "uds" || name == "socket") return TransportKind::kUds;
   throw std::invalid_argument("unknown transport kind: " + name +
-                              " (expected inproc, shm, or uds)");
+                              " (expected shm or uds)");
 }
 
 BufferedEndpoint::BufferedEndpoint(std::size_t processes, std::size_t index)

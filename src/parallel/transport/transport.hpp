@@ -1,10 +1,8 @@
 // The transport seam under CommWorld: how one process of a multi-process
 // world exchanges WireFrames with its peers.
 //
-// Three backends implement it (DESIGN.md §11):
-//   in-process  — no Endpoint at all: CommWorld without a transport is the
-//                 historical single-address-space substrate, kept
-//                 bit-identical as the reference;
+// Two backends implement it (DESIGN.md §11); an in-process world has no
+// Endpoint at all — it is the one-process layout, every rank local:
 //   shm ring    — SPSC byte rings in a MAP_SHARED segment with futex
 //                 wake-up, one per ordered process pair (shm_ring.hpp);
 //   UDS         — AF_UNIX stream sockets, one per unordered process pair
@@ -33,11 +31,15 @@
 
 namespace mwr::parallel::transport {
 
-/// Which fabric a multi-process world runs on.
-enum class TransportKind { kInProcess, kShmRing, kUds };
+/// Which fabric a multi-process world runs on.  There is no in-process
+/// kind: an in-process world is a CommWorld with no endpoint.  The values
+/// keep the numbering they had when 0 was the in-process kind, so a
+/// printed or logged kind means the same fabric as before.
+enum class TransportKind { kShmRing = 1, kUds = 2 };
 
 [[nodiscard]] std::string to_string(TransportKind kind);
-/// Parses "inproc" / "shm" / "uds"; throws std::invalid_argument otherwise.
+/// Parses "shm" / "uds" (and their aliases); throws std::invalid_argument
+/// otherwise, "inproc" included.
 [[nodiscard]] TransportKind parse_transport_kind(const std::string& name);
 
 /// Raised when the fabric fails or a peer process dies: blocked barrier

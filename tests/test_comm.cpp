@@ -5,6 +5,7 @@
 #include <atomic>
 #include <numeric>
 #include <stdexcept>
+#include <vector>
 
 #include "obs/registry.hpp"
 #include "parallel/comm.hpp"
@@ -72,7 +73,34 @@ TEST(Comm, BroadcastDeliversRootPayloadEverywhere) {
     ASSERT_EQ(result.size(), 2u);
     EXPECT_DOUBLE_EQ(result[0], 4.0);
     EXPECT_DOUBLE_EQ(result[1], 5.0);
+
+    // 16 doubles overflow PayloadVec's inline buffer, so every destination
+    // receives its own heap copy of the root's payload.
+    std::vector<double> wide;
+    if (comm.rank() == 2) {
+      for (int i = 0; i < 16; ++i) wide.push_back(0.5 * i);
+    }
+    const auto wide_result = comm.broadcast(2, std::move(wide));
+    ASSERT_EQ(wide_result.size(), 16u);
+    for (int i = 0; i < 16; ++i) {
+      EXPECT_DOUBLE_EQ(wide_result[static_cast<std::size_t>(i)], 0.5 * i);
+    }
   });
+}
+
+TEST(Comm, BroadcastFromBadRootThrowsOnEveryPolicy) {
+  // Non-roots only recv(root): without an up-front check a root outside
+  // [0, size) leaves every rank blocked on a sender that does not exist.
+  for (const RunPolicy policy :
+       {RunPolicy::superstep(), RunPolicy::thread_per_rank()}) {
+    for (const int root : {99, 4, -1}) {
+      CommWorld world(4, policy);
+      EXPECT_THROW(world.run([&](Comm& comm) {
+        (void)comm.broadcast(root, {1.0});
+      }),
+                   std::out_of_range);
+    }
+  }
 }
 
 TEST(Comm, GatherCollectsByRank) {
@@ -121,56 +149,43 @@ TEST(Comm, CongestionAttributesToDestination) {
     if (comm.rank() == 0) {
       while (comm.try_recv()) {
       }
-      comm.close_congestion_cycle();
     }
-    comm.barrier();
+    comm.barrier_close_cycle();
   });
   EXPECT_EQ(world.congestion().total_messages(), 2u);
   EXPECT_DOUBLE_EQ(world.congestion().max_per_cycle().mean(), 2.0);
 }
 
 TEST(Comm, BarrierCloseCycleMatchesBracketedClose) {
-  // The fused barrier_close_cycle must produce exactly the congestion
-  // statistics of the historical barrier / rank-0 close / barrier bracket,
-  // while completing one barrier generation per cycle instead of two.
+  // barrier_close_cycle must record exactly the per-cycle maxima of a
+  // barrier / rank-0 close / barrier bracket.  In cycle c rank r sends r + c
+  // messages to (r + c) % size: each rank has exactly one sender, so the
+  // heaviest-hit rank absorbs 5 + c messages — the maxima 5, 6, 7, 8 the
+  // bracketed close records.
   constexpr std::size_t kRanks = 6;
   constexpr int kCycles = 4;
-  const auto pattern = [](Comm& comm, int cycle) {
-    // Deterministic skew: in cycle c, rank r sends r + c messages to rank
-    // (r + c) % size, so per-cycle maxima vary across cycles.
-    for (int i = 0; i < comm.rank() + cycle; ++i) {
-      comm.send((comm.rank() + cycle) % comm.size(), 1, {});
-    }
-    while (comm.try_recv()) {
-    }
-  };
-
-  CommWorld bracketed(kRanks);
-  bracketed.run([&](Comm& comm) {
+  std::vector<double> maxima;
+  CommWorld world(kRanks);
+  world.run([&](Comm& comm) {
     for (int c = 0; c < kCycles; ++c) {
-      pattern(comm, c);
-      comm.barrier();
-      if (comm.rank() == 0) comm.close_congestion_cycle();
-      comm.barrier();
-    }
-  });
-
-  CommWorld fused(kRanks);
-  fused.run([&](Comm& comm) {
-    for (int c = 0; c < kCycles; ++c) {
-      pattern(comm, c);
+      for (int i = 0; i < comm.rank() + c; ++i) {
+        comm.send((comm.rank() + c) % comm.size(), 1, {});
+      }
+      while (comm.try_recv()) {
+      }
       comm.barrier_close_cycle();
+      // The running max rises every cycle, so it is this cycle's maximum;
+      // the next close waits for rank 0, so the read cannot race it.
+      if (comm.rank() == 0) {
+        maxima.push_back(world.congestion().max_per_cycle().max());
+      }
     }
   });
 
-  EXPECT_EQ(fused.congestion().total_messages(),
-            bracketed.congestion().total_messages());
-  EXPECT_EQ(fused.congestion().max_per_cycle().count(),
-            bracketed.congestion().max_per_cycle().count());
-  EXPECT_DOUBLE_EQ(fused.congestion().max_per_cycle().mean(),
-                   bracketed.congestion().max_per_cycle().mean());
-  EXPECT_DOUBLE_EQ(fused.congestion().max_per_cycle().max(),
-                   bracketed.congestion().max_per_cycle().max());
+  EXPECT_EQ(maxima, (std::vector<double>{5.0, 6.0, 7.0, 8.0}));
+  EXPECT_EQ(world.congestion().total_messages(), 96u);
+  EXPECT_EQ(world.congestion().max_per_cycle().count(), 4u);
+  EXPECT_DOUBLE_EQ(world.congestion().max_per_cycle().mean(), 6.5);
 }
 
 TEST(CommWorld, ExplicitPoliciesRunAllRanks) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "parallel/comm.hpp"
 
@@ -42,6 +43,20 @@ TEST_P(TreeAllreduceSweep, RepeatedCallsStayConsistent) {
 INSTANTIATE_TEST_SUITE_P(WorldSizes, TreeAllreduceSweep,
                          ::testing::Values(1, 2, 3, 5, 6, 8, 13, 16, 31));
 
+// A width past PayloadVec's inline buffer: every tree hop, reduce and
+// broadcast, carries a heap payload, and the world closes its cycle after.
+TEST(CommArena, TreeAllreduceWithArenaBcastStaysCorrect) {
+  CommWorld world(8);
+  world.run([&](Comm& comm) {
+    std::vector<double> mine(40, static_cast<double>(comm.rank() + 1));
+    const std::vector<double> sum = comm.allreduce_sum_tree(mine);
+    ASSERT_EQ(sum.size(), 40u);
+    for (const double s : sum) ASSERT_DOUBLE_EQ(s, 36.0);  // 1+2+...+8
+    comm.barrier_close_cycle();
+  });
+  EXPECT_EQ(world.congestion().max_per_cycle().count(), 1u);
+}
+
 TEST(TreeAllreduce, CongestionIsLogarithmicNotLinear) {
   constexpr std::size_t kRanks = 32;
 
@@ -49,18 +64,14 @@ TEST(TreeAllreduce, CongestionIsLogarithmicNotLinear) {
   CommWorld central(kRanks);
   central.run([&](Comm& comm) {
     (void)comm.allreduce_sum({1.0});
-    comm.barrier();
-    if (comm.rank() == 0) comm.close_congestion_cycle();
-    comm.barrier();
+    comm.barrier_close_cycle();
   });
 
   // Tree: any node absorbs at most ceil(log2 n) messages.
   CommWorld tree(kRanks);
   tree.run([&](Comm& comm) {
     (void)comm.allreduce_sum_tree({1.0});
-    comm.barrier();
-    if (comm.rank() == 0) comm.close_congestion_cycle();
-    comm.barrier();
+    comm.barrier_close_cycle();
   });
 
   const double central_max = central.congestion().max_per_cycle().max();

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "parallel/mailbox.hpp"
@@ -113,6 +114,20 @@ TEST(PayloadVec, LargePayloadsSpillToHeap) {
   EXPECT_EQ(large.size(), 5u);
   EXPECT_TRUE(large.spilled());
   EXPECT_DOUBLE_EQ(large[4], 5.0);
+
+  // Copies are deep; a move steals the heap buffer and leaves the source
+  // empty rather than sized over a buffer it no longer owns.
+  PayloadVec copy(large);
+  EXPECT_NE(copy.data(), large.data());
+  EXPECT_EQ(copy.to_vector(), large.to_vector());
+  const double* buffer = copy.data();
+  PayloadVec moved(std::move(copy));
+  EXPECT_EQ(moved.data(), buffer);
+  EXPECT_TRUE(copy.empty());  // NOLINT(bugprone-use-after-move)
+  PayloadVec assigned;
+  assigned = std::move(moved);
+  EXPECT_EQ(assigned.data(), buffer);
+  EXPECT_TRUE(moved.empty());  // NOLINT(bugprone-use-after-move)
 }
 
 TEST(PayloadVec, RoundTripsThroughVectorAtEitherSize) {

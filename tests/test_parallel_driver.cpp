@@ -122,6 +122,23 @@ TEST(StandardSpmd, SuperstepEngineIsBitIdenticalToThreadPerRank) {
       expect_same_run(reference, engine, "standard");
     }
   }
+
+  // k = 16 overflows PayloadVec's inline buffer, so the allreduce's gather
+  // and reply wave carry heap payloads on every substrate.
+  std::vector<double> wide_rates(16, 0.2);
+  wide_rates[11] = 0.8;
+  OptionSet wide("wide", wide_rates);
+  const BernoulliOracle wide_oracle(wide);
+  config.num_options = 16;
+  for (const std::uint64_t seed : {11u, 29u}) {
+    const auto reference = run_standard_spmd(
+        wide_oracle, config, seed, parallel::RunPolicy::thread_per_rank());
+    for (const std::size_t workers : {1u, 2u, 4u}) {
+      const auto engine = run_standard_spmd(
+          wide_oracle, config, seed, parallel::RunPolicy::superstep(workers));
+      expect_same_run(reference, engine, "standard k=16");
+    }
+  }
 }
 
 TEST(DistributedSpmd, SuperstepEngineIsBitIdenticalToThreadPerRank) {

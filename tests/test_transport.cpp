@@ -7,6 +7,7 @@
 
 #include <csignal>
 #include <cstdint>
+#include <stdexcept>
 #include <vector>
 
 #include "parallel/transport/process_world.hpp"
@@ -278,8 +279,11 @@ INSTANTIATE_TEST_SUITE_P(Fabrics, ProcessWorldSmoke,
                          });
 
 TEST(ProcessWorld, RejectsInProcessKind) {
+  // There is no in-process transport kind: a launcher config cannot name
+  // one, and a one-process world is refused — it needs no launcher.
+  EXPECT_THROW((void)parse_transport_kind("inproc"), std::invalid_argument);
   ProcessWorldConfig config;
-  config.kind = TransportKind::kInProcess;
+  config.processes = 1;
   EXPECT_THROW(run_process_world(config,
                                  [](CommWorld&, const WorldLayout&,
                                     std::uint32_t*) {
@@ -289,12 +293,13 @@ TEST(ProcessWorld, RejectsInProcessKind) {
 }
 
 TEST(TransportKindParsing, AcceptsAliasesAndRejectsGarbage) {
-  EXPECT_EQ(parse_transport_kind("inproc"), TransportKind::kInProcess);
-  EXPECT_EQ(parse_transport_kind("in-process"), TransportKind::kInProcess);
   EXPECT_EQ(parse_transport_kind("shm"), TransportKind::kShmRing);
   EXPECT_EQ(parse_transport_kind("shm-ring"), TransportKind::kShmRing);
   EXPECT_EQ(parse_transport_kind("uds"), TransportKind::kUds);
   EXPECT_EQ(parse_transport_kind("socket"), TransportKind::kUds);
+  EXPECT_THROW((void)parse_transport_kind("inproc"), std::invalid_argument);
+  EXPECT_THROW((void)parse_transport_kind("in-process"),
+               std::invalid_argument);
   EXPECT_THROW((void)parse_transport_kind("carrier-pigeon"),
                std::invalid_argument);
 }
