@@ -1,7 +1,6 @@
 #include "core/mwu.hpp"
 
 #include <cmath>
-#include <optional>
 #include <stdexcept>
 
 #include "core/distributed_mwu.hpp"
@@ -9,7 +8,6 @@
 #include "core/slate_mwu.hpp"
 #include "core/standard_mwu.hpp"
 #include "obs/registry.hpp"
-#include "parallel/superstep.hpp"
 
 namespace mwr::core {
 
@@ -52,7 +50,8 @@ std::unique_ptr<MwuStrategy> make_mwu(MwuKind kind, const MwuConfig& config) {
 }
 
 MwuResult run_mwu(MwuStrategy& strategy, const CostOracle& oracle,
-                  const MwuConfig& config, util::RngStream rng) {
+                  const MwuConfig& config, util::RngStream rng,
+                  const CycleObserver& on_cycle) {
   if (oracle.num_options() != config.num_options)
     throw std::invalid_argument("run_mwu: oracle/config option count mismatch");
   const CountingOracle counted(oracle);
@@ -66,30 +65,16 @@ MwuResult run_mwu(MwuStrategy& strategy, const CostOracle& oracle,
   obs::Counter& probe_counter = metrics.counter("mwu.probes");
   obs::Histogram& cycle_seconds = metrics.histogram("mwu.cycle_seconds");
 
-  // Batched parallel probe evaluation (eval_threads >= 2): the engine lives
-  // for the whole run; each cycle splits one child stream per probe off the
-  // master stream *before* the fan-out, so rewards are a pure function of
-  // the seed regardless of thread count (see MwuConfig::eval_threads).
-  std::optional<parallel::SuperstepEngine> workers;
-  if (config.eval_threads > 1)
-    workers.emplace(1, parallel::SuperstepEngine::Config{config.eval_threads});
-
   std::vector<double> rewards;
   for (std::size_t t = 0; t < config.max_iterations; ++t) {
     const obs::ScopedTimer cycle_timer(cycle_seconds);
     const auto probes = strategy.sample(rng);
     rewards.resize(probes.size());
-    if (workers) {
-      auto streams = rng.split_n(probes.size());
-      workers->parallel_for(probes.size(), [&](std::size_t j) {
-        rewards[j] = counted.sample(probes[j], streams[j]);
-      });
-    } else {
-      for (std::size_t j = 0; j < probes.size(); ++j) {
-        rewards[j] = counted.sample(probes[j], rng);
-      }
+    for (std::size_t j = 0; j < probes.size(); ++j) {
+      rewards[j] = counted.sample(probes[j], rng);
     }
     strategy.update(probes, rewards, rng);
+    if (on_cycle) on_cycle(probes, rewards, strategy);
     ++result.iterations;
     cycle_counter.add(1);
     probe_counter.add(probes.size());
@@ -108,7 +93,8 @@ MwuResult run_mwu(MwuStrategy& strategy, const CostOracle& oracle,
 }
 
 MwuResult run_mwu(MwuKind kind, const CostOracle& oracle,
-                  const MwuConfig& config, util::RngStream rng) {
+                  const MwuConfig& config, util::RngStream rng,
+                  const CycleObserver& on_cycle) {
   if (kind == MwuKind::kDistributed &&
       distributed_population(config) > config.max_population) {
     MwuResult result;
@@ -117,7 +103,7 @@ MwuResult run_mwu(MwuKind kind, const CostOracle& oracle,
     return result;
   }
   const auto strategy = make_mwu(kind, config);
-  return run_mwu(*strategy, oracle, config, std::move(rng));
+  return run_mwu(*strategy, oracle, config, std::move(rng), on_cycle);
 }
 
 }  // namespace mwr::core

@@ -9,11 +9,14 @@
 //                   binary reward;
 //   3. update()   — the algorithm folds the rewards back into its state.
 // converged() is checked after every update; Table II counts the number of
-// completed cycles, Table IV multiplies by cpus_per_cycle().
+// completed cycles, Table IV multiplies by cpus_per_cycle().  run_mwu is the
+// one loop that drives these steps; instrumentation (the regret trace of
+// core/regret) attaches to it through a CycleObserver instead of copying it.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <span>
 #include <string>
@@ -55,22 +58,6 @@ struct MwuConfig {
   /// Populations above this are declared intractable, reproducing the two
   /// "—" cells of Tables II-IV.
   std::size_t max_population = 1'000'000;
-  /// Worker threads for oracle-probe evaluation inside run_mwu.  1 (the
-  /// default) keeps the historical fully-serial loop, bit-identical to all
-  /// prior releases.  >= 2 evaluates the cycle's probes as a parallel batch
-  /// on a SuperstepEngine: before the fan-out the master stream deterministically
-  /// split()s one child stream per probe (in probe order), so the rewards —
-  /// and therefore the whole run — depend only on the seed, not on the
-  /// thread count or interleaving.  Any two values >= 2 produce identical
-  /// results.
-  std::size_t eval_threads = 1;
-  /// Standard only: textbook weighted-majority mode.  The paper notes that
-  /// "Standard assumes full visibility of the quality of each option on
-  /// each iteration" (§II-B); with this flag every option is evaluated once
-  /// per cycle (the cycle costs k CPUs instead of num_agents) and weights
-  /// take the classic penalty update w_i *= (1 - eta)^cost_i.  Off by
-  /// default: the bandit-feedback mode is what the evaluation uses.
-  bool full_information = false;
 };
 
 /// Outcome of one complete run.
@@ -128,16 +115,28 @@ class MwuStrategy {
 [[nodiscard]] std::unique_ptr<MwuStrategy> make_mwu(MwuKind kind,
                                                     const MwuConfig& config);
 
+/// Per-cycle hook for run_mwu: called once per completed cycle with the
+/// cycle's probes and rewards, after update() and before the convergence
+/// test, so `strategy` already holds the post-update state.  It sees the
+/// strategy as const and never the run's stream, so it cannot change the
+/// trajectory.
+using CycleObserver =
+    std::function<void(std::span<const std::size_t> probes,
+                       std::span<const double> rewards,
+                       const MwuStrategy& strategy)>;
+
 /// Runs a strategy against an oracle to convergence or the iteration cap.
 /// This is the loop the evaluation harness (Tables II-IV) executes.
 [[nodiscard]] MwuResult run_mwu(MwuStrategy& strategy, const CostOracle& oracle,
-                                const MwuConfig& config, util::RngStream rng);
+                                const MwuConfig& config, util::RngStream rng,
+                                const CycleObserver& on_cycle = {});
 
 /// Convenience: construct + run, handling the Distributed intractability
 /// case (population over config.max_population) by returning an
-/// `intractable` result without executing.
+/// `intractable` result without executing (`on_cycle` never fires).
 [[nodiscard]] MwuResult run_mwu(MwuKind kind, const CostOracle& oracle,
-                                const MwuConfig& config, util::RngStream rng);
+                                const MwuConfig& config, util::RngStream rng,
+                                const CycleObserver& on_cycle = {});
 
 /// The Distributed population size for a given configuration.
 [[nodiscard]] std::size_t distributed_population(const MwuConfig& config);

@@ -16,39 +16,21 @@ double RegretTrace::at_cycle(std::size_t cycle) const noexcept {
 RegretTrace run_mwu_with_regret(MwuKind kind, const OptionSet& options,
                                 const MwuConfig& config, util::RngStream rng) {
   RegretTrace trace;
-  if (kind == MwuKind::kDistributed &&
-      distributed_population(config) > config.max_population) {
-    trace.result.intractable = true;
-    return trace;
-  }
-  const auto strategy = make_mwu(kind, config);
   const BernoulliOracle oracle(options);
-  trace.probes_per_cycle = strategy->cpus_per_cycle();
-  trace.result.cpus_per_cycle = trace.probes_per_cycle;
-
   const double best = options.best_value();
   double cumulative = 0.0;
-  std::vector<double> rewards;
-  for (std::size_t t = 0; t < config.max_iterations; ++t) {
-    const auto probes = strategy->sample(rng);
-    rewards.resize(probes.size());
-    for (std::size_t j = 0; j < probes.size(); ++j) {
-      rewards[j] = oracle.sample(probes[j], rng);
-      cumulative += best - options.value(probes[j]);
-      trace.result.evaluations += 1;
-    }
-    strategy->update(probes, rewards, rng);
-    trace.cumulative.push_back(cumulative);
-    const auto p = strategy->probabilities();
-    trace.max_probability.push_back(*std::max_element(p.begin(), p.end()));
-    ++trace.result.iterations;
-    if (strategy->converged()) {
-      trace.result.converged = true;
-      break;
-    }
-  }
-  trace.result.best_option = strategy->best_option();
-  trace.result.probabilities = strategy->probabilities();
+  trace.result = run_mwu(
+      kind, oracle, config, std::move(rng),
+      [&](std::span<const std::size_t> probes, std::span<const double>,
+          const MwuStrategy& strategy) {
+        for (const std::size_t probe : probes) {
+          cumulative += best - options.value(probe);
+        }
+        trace.cumulative.push_back(cumulative);
+        const auto p = strategy.probabilities();
+        trace.max_probability.push_back(*std::max_element(p.begin(), p.end()));
+      });
+  trace.probes_per_cycle = trace.result.cpus_per_cycle;
   return trace;
 }
 

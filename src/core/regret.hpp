@@ -8,7 +8,9 @@
 // cycle, the expected regret its probes incurred —
 //   regret_t = sum over this cycle's probes of (v* - v_probe)
 // — plus the cumulative curve, so benches can compare the realizations'
-// regret growth against the classic O(sqrt(T k ln k)) shape.
+// regret growth against the classic O(sqrt(T k ln k)) shape.  The trace is
+// a CycleObserver on run_mwu, not a second copy of its loop, so a traced
+// run follows exactly the trajectory of an untraced one.
 #pragma once
 
 #include <cstdint>
@@ -37,8 +39,10 @@ struct RegretTrace {
   [[nodiscard]] double at_cycle(std::size_t cycle) const noexcept;
 };
 
-/// Runs the realization exactly as run_mwu does, additionally charging each
-/// probe its expected regret against the best option in hindsight.
+/// Runs the realization through run_mwu with a BernoulliOracle over
+/// `options`, charging each probe its expected regret against the best
+/// option in hindsight.  An intractable Distributed run returns an empty
+/// trace whose result is run_mwu's `intractable` one.
 [[nodiscard]] RegretTrace run_mwu_with_regret(MwuKind kind,
                                               const OptionSet& options,
                                               const MwuConfig& config,

@@ -47,22 +47,6 @@ std::vector<double> SlateMwu::probabilities() const {
 std::vector<std::size_t> SlateMwu::sample(util::RngStream& rng) {
   const auto p = probabilities();
   const auto q = cap_to_slate_marginals(p, slate_size_);
-  if (sampler_ == Sampler::kDecomposition) {
-    // The paper's construction: decompose q into a convex combination of
-    // slate vertices and draw one vertex by its coefficient.
-    const auto components = decompose_into_slates(q, slate_size_);
-    std::vector<double> coefficients;
-    coefficients.reserve(components.size());
-    for (const auto& component : components) {
-      coefficients.push_back(component.coefficient);
-    }
-    // Same one-uniform draw as weighted_choice; routed through the Fenwick
-    // sampler so every MWU realization shares one weighted-draw code path
-    // (the decomposition can yield up to 2k components).
-    coefficient_sampler_.rebuild(coefficients);
-    const std::size_t pick = coefficient_sampler_.sample(rng);
-    return components[std::min(pick, components.size() - 1)].members;
-  }
   return systematic_sample(q, slate_size_, rng);
 }
 

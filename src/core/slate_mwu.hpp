@@ -11,12 +11,17 @@
 // how much probability the leader can accumulate; both effects make Slate
 // the slowest variant in update cycles (Table II) while the persistent
 // exploration gives it the consistently high accuracy of Table III.
+//
+// sample() draws the slate by systematic sampling of the capped marginals
+// (core/slate_projection), O(k) per cycle.  The paper's §II-C construction,
+// an explicit O(k^2) convex decomposition into slates, realizes the same
+// marginals; it stays as decompose_into_slates (tested, and timed by
+// bench_mwu_micro), which sample() does not call.
 #pragma once
 
 #include <vector>
 
 #include "core/mwu.hpp"
-#include "util/fenwick_sampler.hpp"
 
 namespace mwr::core {
 
@@ -43,15 +48,6 @@ class SlateMwu final : public MwuStrategy {
   [[nodiscard]] static std::size_t slate_size_for(std::size_t num_options,
                                                   double gamma);
 
-  /// Selects the sampler realizing the capped marginals.  Systematic
-  /// sampling (default) is O(k) per cycle; the explicit convex
-  /// decomposition is the O(k^2) construction the paper describes in
-  /// §II-C — build the mixture of slate vertices, then draw one component
-  /// by its coefficient.  Both realize identical inclusion marginals.
-  enum class Sampler { kSystematic, kDecomposition };
-  void set_sampler(Sampler sampler) noexcept { sampler_ = sampler; }
-  [[nodiscard]] Sampler sampler() const noexcept { return sampler_; }
-
   /// Highest probability any single option can reach given the gamma floor:
   /// (1 - gamma) + gamma / k.  Convergence is measured against this.
   [[nodiscard]] double max_achievable_probability() const noexcept;
@@ -68,10 +64,6 @@ class SlateMwu final : public MwuStrategy {
   std::size_t slate_size_ = 1;
   std::vector<double> weights_;
   double total_weight_ = 0.0;
-  Sampler sampler_ = Sampler::kSystematic;
-  /// Decomposition mode's coefficient draw (kept as a member so repeated
-  /// sample() calls reuse its storage).
-  util::FenwickSampler coefficient_sampler_;
 };
 
 }  // namespace mwr::core

@@ -1,7 +1,5 @@
 #include "core/standard_mwu.hpp"
 
-#include <cmath>
-#include <numeric>
 #include <stdexcept>
 
 #include "util/simd/weight_kernels.hpp"
@@ -25,12 +23,6 @@ void StandardMwu::init() {
 }
 
 std::vector<std::size_t> StandardMwu::sample(util::RngStream& rng) {
-  if (config_.full_information) {
-    // Weighted majority proper: one probe per option, every cycle.
-    std::vector<std::size_t> assigned(config_.num_options);
-    std::iota(assigned.begin(), assigned.end(), std::size_t{0});
-    return assigned;
-  }
   // O(log k) per draw instead of the O(k) linear scan; the sampler tracks
   // the weights exactly, so the draw distribution is unchanged.
   std::vector<std::size_t> assigned(config_.num_agents);
@@ -45,25 +37,9 @@ void StandardMwu::update(std::span<const std::size_t> options,
                          util::RngStream& /*rng*/) {
   if (options.size() != rewards.size())
     throw std::invalid_argument("StandardMwu::update: size mismatch");
-  const auto& kernels = util::simd::active();
-  if (config_.full_information) {
-    // Classic penalty update on the full cost vector: w *= (1 - eta)^cost.
-    // The probe list may index options sparsely and repeatedly, so the
-    // update stays a scalar scatter; max + renormalize + tree rebuild run
-    // through the fused kernel pass.
-    const double decay = 1.0 - config_.learning_rate;
-    const std::span<double> w = sampler_.mutable_weights();
-    for (std::size_t j = 0; j < options.size(); ++j) {
-      const double cost = 1.0 - rewards[j];
-      if (cost > 0.0) w[options[j]] *= std::pow(decay, cost);
-    }
-    const double max_weight = kernels.max_reduce(w.data(), w.size());
-    sampler_.rebuild_in_place(max_weight);
-    return;
-  }
-  // Bandit path: accumulate this cycle's rewards sparsely into the
-  // persistent scratch (same index order as the historical dense pass),
-  // apply, then clear only the touched entries — no O(k) memset per cycle.
+  // Accumulate this cycle's rewards sparsely into the persistent scratch
+  // (same index order as the historical dense pass), apply, then clear only
+  // the touched entries — no O(k) memset per cycle.
   for (std::size_t j = 0; j < options.size(); ++j) {
     counts_scratch_[options[j]] += rewards[j];
   }

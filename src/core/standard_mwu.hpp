@@ -27,8 +27,7 @@ class StandardMwu final : public MwuStrategy {
   explicit StandardMwu(const MwuConfig& config);
 
   void init() override;
-  /// Bandit mode: num_agents weight-proportional draws.  Full-information
-  /// mode: every option exactly once (0, 1, ..., k-1).
+  /// num_agents weight-proportional draws.
   [[nodiscard]] std::vector<std::size_t> sample(util::RngStream& rng) override;
   void update(std::span<const std::size_t> options,
               std::span<const double> rewards, util::RngStream& rng) override;
@@ -36,8 +35,7 @@ class StandardMwu final : public MwuStrategy {
   [[nodiscard]] bool converged() const override;
   [[nodiscard]] std::size_t best_option() const override;
   [[nodiscard]] std::size_t cpus_per_cycle() const override {
-    return config_.full_information ? config_.num_options
-                                    : config_.num_agents;
+    return config_.num_agents;
   }
   [[nodiscard]] MwuKind kind() const override { return MwuKind::kStandard; }
 
@@ -62,7 +60,7 @@ class StandardMwu final : public MwuStrategy {
   /// The fused rebuild_in_place() pass renormalizes and reconstructs the
   /// tree in one sweep, so weights are touched once per cycle.
   util::FenwickSampler sampler_;
-  /// Persistent per-cycle reward-count scratch (bandit path): accumulated
+  /// Persistent per-cycle reward-count scratch: accumulated
   /// sparsely, cleared sparsely, never reallocated after the first cycle.
   std::vector<double> counts_scratch_;
 };

@@ -70,6 +70,15 @@ apr::BugOutcome read_bug(PayloadReader& r) {
   return bug;
 }
 
+/// A failed write leaves no tmp file behind: closes `fd` (unless it is -1,
+/// already closed), unlinks `tmp`, then throws.
+[[noreturn]] void discard_and_throw(int fd, const std::string& tmp,
+                                    const std::string& what) {
+  if (fd >= 0) ::close(fd);
+  ::unlink(tmp.c_str());
+  throw std::runtime_error("checkpoint: " + what);
+}
+
 }  // namespace
 
 std::vector<std::uint8_t> encode_checkpoint(
@@ -242,7 +251,7 @@ CampaignCheckpoint decode_checkpoint(std::span<const std::uint8_t> bytes) {
 }
 
 std::size_t write_checkpoint_bytes(std::span<const std::uint8_t> bytes,
-                                   const std::string& path, bool sync) {
+                                   const std::string& path) {
   const std::string tmp = path + ".tmp";
   const int fd =
       ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
@@ -253,28 +262,17 @@ std::size_t write_checkpoint_bytes(std::span<const std::uint8_t> bytes,
         ::write(fd, bytes.data() + written, bytes.size() - written);
     if (n < 0) {
       if (errno == EINTR) continue;
-      ::close(fd);
-      throw std::runtime_error("checkpoint: write failed: " + tmp);
+      discard_and_throw(fd, tmp, "write failed: " + tmp);
     }
     written += static_cast<std::size_t>(n);
   }
   // Durability before visibility: the rename must never publish a file
   // whose data is still only in the page cache.
-  if (sync && ::fsync(fd) != 0) {
-    ::close(fd);
-    throw std::runtime_error("checkpoint: fsync failed: " + tmp);
-  }
-  if (::close(fd) != 0)
-    throw std::runtime_error("checkpoint: close failed: " + tmp);
+  if (::fsync(fd) != 0) discard_and_throw(fd, tmp, "fsync failed: " + tmp);
+  if (::close(fd) != 0) discard_and_throw(-1, tmp, "close failed: " + tmp);
   if (std::rename(tmp.c_str(), path.c_str()) != 0)
-    throw std::runtime_error("checkpoint: rename failed: " + path);
+    discard_and_throw(-1, tmp, "rename failed: " + path);
   return bytes.size();
-}
-
-std::size_t write_checkpoint_file(const CampaignCheckpoint& checkpoint,
-                                  const std::string& path) {
-  const std::vector<std::uint8_t> bytes = encode_checkpoint(checkpoint);
-  return write_checkpoint_bytes(bytes, path, /*sync=*/false);
 }
 
 CampaignCheckpoint read_checkpoint_file(const std::string& path) {

@@ -64,20 +64,14 @@ struct CampaignCheckpoint {
 [[nodiscard]] CampaignCheckpoint decode_checkpoint(
     std::span<const std::uint8_t> bytes);
 
-/// Atomic-ish file write: encodes to `path + ".tmp"` then renames over
+/// Writes `bytes` to `path + ".tmp"`, fsyncs it, then renames it over
 /// `path`, so a crash mid-write never leaves a torn checkpoint under the
-/// canonical name.  Returns the encoded size in bytes.  Throws
-/// std::runtime_error on I/O failure.
-std::size_t write_checkpoint_file(const CampaignCheckpoint& checkpoint,
-                                  const std::string& path);
-
-/// The raw byte layer of write_checkpoint_file: writes `bytes` to
-/// `path + ".tmp"` (fsync'd before the rename when `sync` — the async
-/// writer's durability discipline; a kill -9 mid-flush leaves only the
-/// tmp file, which restore_from_dir ignores), then renames over `path`.
-/// Returns bytes.size().  Throws std::runtime_error on I/O failure.
+/// canonical name (a kill -9 mid-flush leaves only the tmp file, which
+/// restore_from_dir ignores).  Returns bytes.size().  Throws
+/// std::runtime_error on I/O failure; a failure after the tmp file is
+/// opened unlinks it first.
 std::size_t write_checkpoint_bytes(std::span<const std::uint8_t> bytes,
-                                   const std::string& path, bool sync);
+                                   const std::string& path);
 
 /// Reads and decodes one checkpoint file.
 [[nodiscard]] CampaignCheckpoint read_checkpoint_file(const std::string& path);

@@ -85,7 +85,7 @@ void CheckpointWriter::writer_loop() {
         // Best-effort unlink (the file may never have been written).
         std::remove(op.path.c_str());
       } else {
-        written = write_checkpoint_bytes(op.bytes, op.path, /*sync=*/true);
+        written = write_checkpoint_bytes(op.bytes, op.path);
       }
     } catch (const std::exception& e) {
       failed = true;

@@ -298,9 +298,8 @@ std::string CampaignServer::checkpoint_path(std::uint64_t campaign_id) const {
 std::uint64_t CampaignServer::enqueue_dirty_checkpoints(bool periodic) {
   // The critical path pays only for campaigns that progressed since
   // their last checkpoint: serialize the snapshot into a buffer and
-  // queue it.  The encoded bytes are identical to the synchronous
-  // write_checkpoint_file path — the writer adds durability (fsync), not
-  // format.
+  // queue it.  The writer adds durability (tmp + fsync + rename), not
+  // format: the file holds exactly encode_checkpoint's bytes.
   const util::WallTimer timer;
   std::uint64_t bytes = 0;
   CheckpointWriter& w = writer();

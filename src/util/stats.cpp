@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 #include <stdexcept>
+#include <vector>
 
 namespace mwr::util {
 
@@ -66,45 +66,6 @@ double stddev_of(std::span<const double> xs) noexcept {
   RunningStats rs;
   for (double x : xs) rs.add(x);
   return rs.stddev();
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), counts_(bins, 0) {
-  if (bins == 0) throw std::invalid_argument("Histogram needs >= 1 bin");
-  if (!(lo < hi)) throw std::invalid_argument("Histogram needs lo < hi");
-}
-
-void Histogram::add(double x) noexcept {
-  const double t = (x - lo_) / (hi_ - lo_);
-  auto bin = static_cast<std::ptrdiff_t>(t * static_cast<double>(counts_.size()));
-  bin = std::clamp<std::ptrdiff_t>(bin, 0,
-                                   static_cast<std::ptrdiff_t>(counts_.size()) - 1);
-  ++counts_[static_cast<std::size_t>(bin)];
-  ++total_;
-}
-
-std::size_t Histogram::bin_count(std::size_t bin) const { return counts_.at(bin); }
-
-double Histogram::bin_center(std::size_t bin) const {
-  const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  return lo_ + (static_cast<double>(bin) + 0.5) * width;
-}
-
-double Histogram::bin_fraction(std::size_t bin) const {
-  if (total_ == 0) return 0.0;
-  return static_cast<double>(bin_count(bin)) / static_cast<double>(total_);
-}
-
-std::string Histogram::render(std::size_t width) const {
-  const std::size_t peak = *std::max_element(counts_.begin(), counts_.end());
-  std::ostringstream out;
-  for (std::size_t b = 0; b < counts_.size(); ++b) {
-    const std::size_t bar =
-        peak == 0 ? 0 : counts_[b] * width / std::max<std::size_t>(peak, 1);
-    out << "[" << bin_center(b) << "] " << std::string(bar, '#') << " "
-        << counts_[b] << "\n";
-  }
-  return out.str();
 }
 
 }  // namespace mwr::util

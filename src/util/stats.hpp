@@ -6,10 +6,7 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <span>
-#include <string>
-#include <vector>
 
 namespace mwr::util {
 
@@ -66,29 +63,5 @@ class RunningStats {
 
 /// Sample standard deviation of a span (0 for fewer than two samples).
 [[nodiscard]] double stddev_of(std::span<const double> xs) noexcept;
-
-/// Fixed-width histogram over [lo, hi); samples outside the range clamp to
-/// the edge bins.  Used by the congestion validation and Fig 4 benches.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x) noexcept;
-  [[nodiscard]] std::size_t bin_count(std::size_t bin) const;
-  [[nodiscard]] std::size_t bins() const noexcept { return counts_.size(); }
-  [[nodiscard]] std::size_t total() const noexcept { return total_; }
-  /// Center of the given bin.
-  [[nodiscard]] double bin_center(std::size_t bin) const;
-  /// Fraction of mass in the given bin (0 when empty).
-  [[nodiscard]] double bin_fraction(std::size_t bin) const;
-  /// Renders a terminal bar chart, `width` characters at the widest bar.
-  [[nodiscard]] std::string render(std::size_t width = 50) const;
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
-};
 
 }  // namespace mwr::util

@@ -1,5 +1,6 @@
-// Unit tests for core/mwu: the factory, the run driver, the intractability
-// path, and the MwuResult bookkeeping that feeds Tables II-IV.
+// Unit tests for core/mwu: the factory, the run driver and its per-cycle
+// hook, the intractability path, and the MwuResult bookkeeping that feeds
+// Tables II-IV.
 #include <gtest/gtest.h>
 
 #include "core/mwu.hpp"
@@ -89,6 +90,41 @@ TEST(RunMwu, DeterministicForFixedSeed) {
   EXPECT_EQ(a.iterations, b.iterations);
   EXPECT_EQ(a.best_option, b.best_option);
   EXPECT_EQ(a.probabilities, b.probabilities);
+}
+
+TEST(RunMwu, CycleObserverWatchesWithoutChangingTheRun) {
+  const auto options = datasets::make_unimodal(32, 9);
+  const BernoulliOracle oracle(options);
+  auto config = config_for(32);
+  config.num_agents = 8;
+  config.max_iterations = 400;
+  for (const auto kind : {MwuKind::kStandard, MwuKind::kSlate,
+                          MwuKind::kDistributed, MwuKind::kExp3}) {
+    const auto plain = run_mwu(kind, oracle, config, util::RngStream(10));
+    std::size_t cycles = 0;
+    std::uint64_t probes_seen = 0;
+    std::vector<double> last_probabilities;
+    const auto hooked = run_mwu(
+        kind, oracle, config, util::RngStream(10),
+        [&](std::span<const std::size_t> probes,
+            std::span<const double> rewards, const MwuStrategy& strategy) {
+          EXPECT_EQ(probes.size(), rewards.size());
+          ++cycles;
+          probes_seen += probes.size();
+          last_probabilities = strategy.probabilities();
+        });
+    EXPECT_EQ(hooked.converged, plain.converged) << to_string(kind);
+    EXPECT_EQ(hooked.intractable, plain.intractable) << to_string(kind);
+    EXPECT_EQ(hooked.iterations, plain.iterations) << to_string(kind);
+    EXPECT_EQ(hooked.best_option, plain.best_option) << to_string(kind);
+    EXPECT_EQ(hooked.cpus_per_cycle, plain.cpus_per_cycle) << to_string(kind);
+    EXPECT_EQ(hooked.evaluations, plain.evaluations) << to_string(kind);
+    EXPECT_EQ(hooked.probabilities, plain.probabilities) << to_string(kind);
+    EXPECT_EQ(cycles, hooked.iterations) << to_string(kind);
+    EXPECT_EQ(probes_seen, hooked.evaluations) << to_string(kind);
+    // The hook runs after update(): the last cycle's state is the result's.
+    EXPECT_EQ(last_probabilities, hooked.probabilities) << to_string(kind);
+  }
 }
 
 // Every algorithm must find the clearly-best option of an easy instance.

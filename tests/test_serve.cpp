@@ -483,6 +483,22 @@ TEST(Checkpoint, ResumeRejectsOutOfRangePhaseAndBugIndex) {
                std::invalid_argument);
 }
 
+TEST(Checkpoint, FailedRenameLeavesNoTmpFile) {
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "mwr-ckpt-failed-rename-test";
+  std::filesystem::remove_all(dir);
+  // The target is an existing directory, so the final rename fails after
+  // the tmp file was written and fsynced.
+  const std::filesystem::path path = dir / "campaign-1.ckpt";
+  std::filesystem::create_directories(path);
+  const std::vector<std::uint8_t> bytes(32, 0x5a);
+  EXPECT_THROW((void)write_checkpoint_bytes(bytes, path.string()),
+               std::runtime_error);
+  EXPECT_FALSE(std::filesystem::exists(path.string() + ".tmp"));
+  EXPECT_TRUE(std::filesystem::is_directory(path));
+  std::filesystem::remove_all(dir);
+}
+
 // --- oracle hub ---------------------------------------------------------
 
 TEST(OracleHub, SharesPoolsAndOraclesAcrossTenants) {
@@ -1273,14 +1289,11 @@ TEST(CampaignServer, DirtyTrackingSkipsCleanCampaignsAndMatchesSyncBytes) {
     EXPECT_EQ(read_file_bytes(dir / "campaign-1.ckpt"), bytes_1);
     EXPECT_EQ(read_file_bytes(dir / "campaign-2.ckpt"), bytes_2);
 
-    // The async writer's file equals the synchronous write path's, byte
-    // for byte: round-trip the decoded checkpoint through
-    // write_checkpoint_file and compare.
+    // The async writer's file holds exactly the encoder's bytes: decoding
+    // it and encoding again reproduces the file byte for byte.
     const CampaignCheckpoint decoded =
         read_checkpoint_file((dir / "campaign-1.ckpt").string());
-    const std::string sync_path = (dir / "sync-copy.bin").string();
-    (void)write_checkpoint_file(decoded, sync_path);
-    EXPECT_EQ(read_file_bytes(sync_path), bytes_1);
+    EXPECT_EQ(encode_checkpoint(decoded), bytes_1);
 
     // One more epoch re-dirties both; the next checkpoint pays again.
     (void)server.run_epoch();

@@ -78,7 +78,8 @@ TEST(DecomposeIntoSlates, IntegralInputIsASingleSlate) {
 }
 
 // The decomposition's defining property: coefficients sum to 1, every
-// component is a distinct s-subset, and the mixture reproduces q exactly.
+// component is an s-subset of distinct in-range options, and the mixture
+// reproduces q exactly.
 class DecompositionSweep
     : public ::testing::TestWithParam<std::tuple<std::size_t, std::size_t>> {};
 
@@ -99,6 +100,7 @@ TEST_P(DecompositionSweep, MixtureReproducesMarginals) {
       EXPECT_EQ(unique.size(), slate) << "slate members must be distinct";
       coefficient_sum += component.coefficient;
       for (const std::size_t i : component.members) {
+        ASSERT_LT(i, k) << "slate members must index the option set";
         reconstructed[i] += component.coefficient;
       }
     }

@@ -1,5 +1,5 @@
-// Unit tests for util/stats: Welford accumulation, merging, percentiles,
-// and the histogram used by the congestion and Fig 4 benches.
+// Unit tests for util/stats: Welford accumulation, merging, percentiles
+// and the span helpers.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -107,45 +107,6 @@ TEST(SpanHelpers, MeanAndStddev) {
   EXPECT_NEAR(stddev_of(xs), std::sqrt(5.0 / 3.0), 1e-12);
   EXPECT_EQ(mean_of({}), 0.0);
   EXPECT_EQ(stddev_of({}), 0.0);
-}
-
-TEST(Histogram, BinsAndClamping) {
-  Histogram h(0.0, 10.0, 5);
-  h.add(0.5);    // bin 0
-  h.add(9.5);    // bin 4
-  h.add(-100.0); // clamps to bin 0
-  h.add(100.0);  // clamps to bin 4
-  h.add(5.0);    // bin 2
-  EXPECT_EQ(h.total(), 5u);
-  EXPECT_EQ(h.bin_count(0), 2u);
-  EXPECT_EQ(h.bin_count(2), 1u);
-  EXPECT_EQ(h.bin_count(4), 2u);
-  EXPECT_EQ(h.bin_count(1), 0u);
-}
-
-TEST(Histogram, BinCentersAndFractions) {
-  Histogram h(0.0, 10.0, 5);
-  EXPECT_DOUBLE_EQ(h.bin_center(0), 1.0);
-  EXPECT_DOUBLE_EQ(h.bin_center(4), 9.0);
-  EXPECT_EQ(h.bin_fraction(0), 0.0);  // empty histogram
-  h.add(1.0);
-  EXPECT_DOUBLE_EQ(h.bin_fraction(0), 1.0);
-}
-
-TEST(Histogram, RejectsDegenerateConstruction) {
-  EXPECT_THROW(Histogram(0.0, 1.0, 0), std::invalid_argument);
-  EXPECT_THROW(Histogram(1.0, 1.0, 4), std::invalid_argument);
-  EXPECT_THROW(Histogram(2.0, 1.0, 4), std::invalid_argument);
-}
-
-TEST(Histogram, RenderMentionsEveryBin) {
-  Histogram h(0.0, 4.0, 4);
-  h.add(0.5);
-  h.add(0.6);
-  h.add(3.5);
-  const std::string rendered = h.render(10);
-  EXPECT_NE(rendered.find('#'), std::string::npos);
-  EXPECT_EQ(std::count(rendered.begin(), rendered.end(), '\n'), 4);
 }
 
 // Property: Welford mean/stddev of uniform samples converge to theory.

@@ -1,9 +1,7 @@
 // Cross-cutting tests: the umbrella header compiles and exposes the API;
-// the decomposition-based slate sampler matches the systematic one; the
-// evaluation sweep is thread-count invariant.
+// the evaluation sweep is thread-count invariant; run_mwu's loop consumes
+// the master stream exactly as the historical serial loop did.
 #include <gtest/gtest.h>
-
-#include <set>
 
 #include "mwrepair.hpp"
 
@@ -26,74 +24,6 @@ TEST(UmbrellaHeader, ExposesTheWholeApi) {
             "O(k)");
 }
 
-TEST(SlateSamplers, DecompositionSamplerReturnsValidSlates) {
-  core::MwuConfig config;
-  config.num_options = 30;
-  config.exploration = 0.2;  // slate of 6
-  core::SlateMwu mwu(config);
-  mwu.set_sampler(core::SlateMwu::Sampler::kDecomposition);
-  EXPECT_EQ(mwu.sampler(), core::SlateMwu::Sampler::kDecomposition);
-  util::RngStream rng(2);
-  for (int trial = 0; trial < 100; ++trial) {
-    const auto slate = mwu.sample(rng);
-    ASSERT_EQ(slate.size(), 6u);
-    std::set<std::size_t> unique(slate.begin(), slate.end());
-    EXPECT_EQ(unique.size(), 6u);
-    for (const auto i : slate) EXPECT_LT(i, 30u);
-  }
-}
-
-TEST(SlateSamplers, BothSamplersRealizeTheSameMarginals) {
-  // Run a few update cycles to skew the weights, then compare inclusion
-  // frequencies between the two samplers on the frozen state.
-  core::MwuConfig config;
-  config.num_options = 12;
-  config.exploration = 0.25;  // slate of 3
-  core::SlateMwu mwu(config);
-  util::RngStream rng(3);
-  for (int cycle = 0; cycle < 50; ++cycle) {
-    const auto slate = mwu.sample(rng);
-    std::vector<double> rewards(slate.size());
-    for (std::size_t j = 0; j < slate.size(); ++j) {
-      rewards[j] = slate[j] < 4 ? 1.0 : 0.0;
-    }
-    mwu.update(slate, rewards, rng);
-  }
-
-  constexpr int kTrials = 40000;
-  std::vector<int> systematic_counts(12, 0);
-  std::vector<int> decomposition_counts(12, 0);
-  mwu.set_sampler(core::SlateMwu::Sampler::kSystematic);
-  for (int t = 0; t < kTrials; ++t) {
-    for (const auto i : mwu.sample(rng)) ++systematic_counts[i];
-  }
-  mwu.set_sampler(core::SlateMwu::Sampler::kDecomposition);
-  for (int t = 0; t < kTrials; ++t) {
-    for (const auto i : mwu.sample(rng)) ++decomposition_counts[i];
-  }
-  for (std::size_t i = 0; i < 12; ++i) {
-    EXPECT_NEAR(static_cast<double>(systematic_counts[i]) / kTrials,
-                static_cast<double>(decomposition_counts[i]) / kTrials, 0.02)
-        << "option " << i;
-  }
-}
-
-TEST(SlateSamplers, DecompositionSamplerStillConverges) {
-  core::OptionSet options("easy", {0.05, 0.9, 0.05, 0.05, 0.05, 0.05, 0.05,
-                                   0.05, 0.05, 0.05});
-  const core::BernoulliOracle oracle(options);
-  core::MwuConfig config;
-  config.num_options = 10;
-  config.exploration = 0.2;
-  config.learning_rate = 0.2;
-  config.max_iterations = 5000;
-  core::SlateMwu mwu(config);
-  mwu.set_sampler(core::SlateMwu::Sampler::kDecomposition);
-  const auto result = core::run_mwu(mwu, oracle, config, util::RngStream(4));
-  EXPECT_TRUE(result.converged);
-  EXPECT_EQ(result.best_option, 1u);
-}
-
 TEST(ParallelEvaluation, ThreadCountDoesNotChangeTheCells) {
   costmodel::EvalConfig config;
   config.seeds = 2;
@@ -114,39 +44,10 @@ TEST(ParallelEvaluation, ThreadCountDoesNotChangeTheCells) {
   }
 }
 
-TEST(ParallelEvaluation, BatchedProbeEvaluationIsDeterministicAcrossThreadCounts) {
-  // run_mwu's batched probe evaluation splits one child stream per probe
-  // (in probe order) before fanning out, so the trajectory depends only on
-  // the seed: any two eval_threads >= 2 values are identical, for every
-  // algorithm.
-  const auto options = datasets::make_unimodal(48, 9);
-  const core::BernoulliOracle oracle(options);
-  for (const auto kind : {core::MwuKind::kStandard, core::MwuKind::kSlate,
-                          core::MwuKind::kDistributed}) {
-    core::MwuConfig config;
-    config.num_options = 48;
-    config.num_agents = 16;
-    config.max_iterations = 3000;
-    config.eval_threads = 2;
-    const auto two =
-        core::run_mwu(kind, oracle, config, util::RngStream(11));
-    config.eval_threads = 4;
-    const auto four =
-        core::run_mwu(kind, oracle, config, util::RngStream(11));
-    EXPECT_EQ(two.converged, four.converged);
-    EXPECT_EQ(two.iterations, four.iterations);
-    EXPECT_EQ(two.best_option, four.best_option);
-    ASSERT_EQ(two.probabilities.size(), four.probabilities.size());
-    for (std::size_t i = 0; i < two.probabilities.size(); ++i) {
-      EXPECT_EQ(two.probabilities[i], four.probabilities[i]);
-    }
-  }
-}
-
 TEST(ParallelEvaluation, SerialPathIsTheHistoricalTrajectory) {
-  // eval_threads == 1 must consume the master stream exactly as the
-  // pre-batching serial loop did (no split() calls), so seeded runs
-  // reproduce historical results bit-for-bit.
+  // run_mwu must consume the master stream exactly as the pre-batching
+  // serial loop did (no split() calls), so seeded runs reproduce
+  // historical results bit-for-bit.
   const auto options = datasets::make_unimodal(32, 3);
   const core::BernoulliOracle oracle(options);
   core::MwuConfig config;
@@ -174,7 +75,6 @@ TEST(ParallelEvaluation, SerialPathIsTheHistoricalTrajectory) {
     }
   }
 
-  config.eval_threads = 1;
   const auto result = core::run_mwu(core::MwuKind::kStandard, oracle, config,
                                     util::RngStream(17));
   EXPECT_EQ(result.converged, converged);

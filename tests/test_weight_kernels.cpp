@@ -303,18 +303,6 @@ TEST(DispatchTrajectoryIdentity, StandardMwu) {
   }
 }
 
-TEST(DispatchTrajectoryIdentity, StandardMwuFullInformation) {
-  DispatchRestore restore;
-  for (const std::size_t k : {std::size_t{127}, std::size_t{129}}) {
-    core::MwuConfig config;
-    config.num_options = k;
-    config.num_agents = 16;
-    config.full_information = true;
-    expect_identical_trajectories(
-        k, [&] { return std::make_unique<core::StandardMwu>(config); });
-  }
-}
-
 TEST(DispatchTrajectoryIdentity, Exp3Mwu) {
   DispatchRestore restore;
   for (const std::size_t k :
