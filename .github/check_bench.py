@@ -24,7 +24,7 @@ mwr-bench-spmd-scale-v1 (bench_spmd_scale --json):
   more than 3x against the committed baseline.
 
 mwr-bench-transport-v1 (bench_transport --json):
-  every Comm backend (in-process mailbox, shm ring, UDS) must clear an
+  every Comm backend (in-process mailbox, UDS) must clear an
   absolute throughput floor and a p99 round-trip-latency ceiling, and must
   not regress more than 5x in either metric against the committed baseline
   (process forking on shared CI runners is noisy, hence the allowance).
@@ -80,7 +80,7 @@ SPMD_MIN_LARGE_POPULATION = 4096  # engine must complete at least this
 SPMD_MAX_ABS_REGRESSION = 3.0   # throughput, cross-machine, loose
 
 TRANSPORT_SCHEMA = "mwr-bench-transport-v1"
-TRANSPORT_SECTIONS = ["in_process", "shm", "uds"]
+TRANSPORT_SECTIONS = ["in_process", "uds"]
 # Absolute floors/ceilings: an order of magnitude under the measured
 # numbers on the slowest CI runner, so they catch pathological regressions
 # (a backend falling back to sleeps, a per-message allocation storm)

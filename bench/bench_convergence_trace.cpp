@@ -30,8 +30,12 @@ int main(int argc, char** argv) {
   core::MwuConfig config;
   config.num_options = k;
   config.max_iterations = static_cast<std::size_t>(cli.get_int("cycles"));
-  config.convergence_tol = 0.0;       // trace the full horizon...
-  config.plurality_threshold = 1.1;   // ...for Distributed too
+  // Trace the full horizon.  A tolerance of 0 does not stop Standard from
+  // converging: its p_max reaches exactly 1.0, which passes p >= 1 - 0.  A
+  // negative tolerance can never be met.  Distributed has its own
+  // plurality test, which a threshold above 1 disables.
+  config.convergence_tol = -1.0;
+  config.plurality_threshold = 1.1;
 
   const core::MwuKind kinds[] = {core::MwuKind::kStandard,
                                  core::MwuKind::kExp3, core::MwuKind::kSlate,
@@ -41,6 +45,12 @@ int main(int argc, char** argv) {
     traces.push_back(core::run_mwu_with_regret(
         kind, options, config,
         util::RngStream(static_cast<std::uint64_t>(cli.get_int("seed")))));
+    if (traces.back().max_probability.size() < config.max_iterations) {
+      std::cerr << "bench_convergence_trace: " << core::to_string(kind)
+                << " stopped after " << traces.back().max_probability.size()
+                << " of " << config.max_iterations << " cycles\n";
+      return 1;
+    }
   }
 
   util::Table table("p_max trajectories on unimodal" + std::to_string(k) +
@@ -56,12 +66,7 @@ int main(int argc, char** argv) {
     if (cycle > config.max_iterations) break;
     std::vector<std::string> row{std::to_string(cycle)};
     for (const auto& trace : traces) {
-      const std::size_t index =
-          std::min(cycle, trace.max_probability.size()) - 1;
-      row.push_back(
-          trace.max_probability.empty()
-              ? "-"
-              : util::fmt_fixed(trace.max_probability[index], 4));
+      row.push_back(util::fmt_fixed(trace.max_probability[cycle - 1], 4));
     }
     table.add_row(std::move(row));
   }

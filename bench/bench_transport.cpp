@@ -1,16 +1,16 @@
 // Transport microbench — message throughput and round-trip latency for the
-// three Comm substrates: the in-process mailbox path, the shared-memory
-// ring, and the Unix-domain-socket fabric.
+// two Comm substrates: the in-process mailbox path and the
+// Unix-domain-socket fabric of multi-process worlds.
 //
 // Two ranks, two measurements per backend:
 //   burst      — rank 0 streams `burst` one-double messages to rank 1 and
 //                waits for a single ack; msgs/sec over the whole exchange.
 //   ping-pong  — `pingpong` request/reply round trips; per-trip wall
 //                latencies, reported at p99.
-// The multi-process backends place one rank per process, so every message
-// actually crosses the fabric (encode → ring/socket → drain thread →
-// mailbox); the in-process numbers are the mailbox-only reference the
-// transports are compared against.
+// The multi-process world places one rank per process, so every message
+// actually crosses the fabric (encode → socket → drain thread → mailbox);
+// the in-process numbers are the mailbox-only reference the fabric is
+// compared against.
 //
 // Emits a table and JSON (--json, default BENCH_transport.json) with
 // schema "mwr-bench-transport-v1"; CI's bench-smoke job gates the file
@@ -92,18 +92,16 @@ BackendResult bench_in_process(std::size_t burst, std::size_t pingpong) {
   return result;
 }
 
-BackendResult bench_transport(parallel::transport::TransportKind kind,
-                              std::size_t burst, std::size_t pingpong) {
+BackendResult bench_uds(std::size_t burst, std::size_t pingpong) {
   BackendResult result;
-  result.name = to_string(kind);
+  result.name = "uds";
   parallel::transport::ProcessWorldConfig config;
   config.global_ranks = 2;
   config.processes = 2;
-  config.kind = kind;
+  config.result_width = 2;
   const auto outcome = parallel::transport::run_process_world(
       config, [burst, pingpong](parallel::CommWorld& world,
-                                const parallel::WorldLayout& /*layout*/,
-                                std::uint32_t* /*rank_state*/) {
+                                const parallel::WorldLayout& /*layout*/) {
         std::vector<double> rank0{0.0, 0.0};
         world.run([&](parallel::Comm& comm) {
           auto r = bench_body(comm, burst, pingpong);
@@ -135,7 +133,7 @@ void emit_json_section(std::ofstream& os, const BackendResult& result,
 int main(int argc, char** argv) {
   util::Cli cli(
       "bench_transport — message throughput and round-trip latency across "
-      "the in-process, shm-ring, and UDS Comm backends");
+      "the in-process and UDS Comm backends");
   cli.add_int("burst", 20000, "messages in the one-way throughput burst");
   cli.add_int("pingpong", 2000, "request/reply round trips for latency");
   cli.add_string("json", "BENCH_transport.json",
@@ -148,10 +146,7 @@ int main(int argc, char** argv) {
 
   const std::vector<BackendResult> results = {
       bench_in_process(burst, pingpong),
-      bench_transport(parallel::transport::TransportKind::kShmRing, burst,
-                      pingpong),
-      bench_transport(parallel::transport::TransportKind::kUds, burst,
-                      pingpong),
+      bench_uds(burst, pingpong),
   };
 
   util::Table table("Transport backends (" + std::to_string(burst) +

@@ -71,7 +71,11 @@ SearchOutcome run_genprog(const apr::TestOracle& oracle,
       };
       Variant child;
       if (rng.bernoulli(config.crossover_rate)) {
-        child.patch = crossover(pick().patch, pick().patch, rng);
+        // Named draws fix the order the two tournaments consume the
+        // stream: the second parent is drawn first, on every compiler.
+        const Variant& second = pick();
+        const Variant& first = pick();
+        child.patch = crossover(first.patch, second.patch, rng);
       } else {
         child.patch = pick().patch;
       }

@@ -52,19 +52,15 @@ std::uint32_t rank_choice_hash(std::size_t rank, std::size_t choice) noexcept {
 // messages — that sharing is what makes cross-backend bit-identity hold
 // by construction.  `report_rank` is the global rank that fills `out`
 // (rank 0 in-process; each process's lowest rank under a transport, where
-// every rank derives identical values anyway).  `rank_state`, when
-// non-null, is the shared per-global-rank u32 array this rank publishes
-// its current choice into.
+// every rank derives identical values anyway).
 void distributed_rank_body(parallel::Comm& comm, const MwuConfig& config,
                            std::uint64_t seed, const CostOracle& counted,
                            SpmdMetrics& metrics, std::size_t population,
-                           int report_rank, ParallelMwuResult& out,
-                           std::uint32_t* rank_state) {
+                           int report_rank, ParallelMwuResult& out) {
   const auto rank = static_cast<std::size_t>(comm.rank());
   util::RngStream rng(seed + 0x51ed * static_cast<std::uint64_t>(rank));
   // Round-robin initial choice, as in the sequential implementation.
   std::size_t choice = rank % config.num_options;
-  if (rank_state != nullptr) rank_state[rank] = static_cast<std::uint32_t>(choice);
 
   std::size_t iterations = 0;
   std::uint64_t rank_probes = 0;
@@ -108,8 +104,6 @@ void distributed_rank_body(parallel::Comm& comm, const MwuConfig& config,
     const double adopt_probability =
         success ? config.adopt_success : config.adopt_failure;
     if (rng.bernoulli(adopt_probability)) choice = observed;
-    if (rank_state != nullptr)
-      rank_state[rank] = static_cast<std::uint32_t>(choice);
 
     // --- Convergence snapshot (bookkeeping, untracked): every rank
     // contributes a one-hot choice vector to a binomial-tree allreduce,
@@ -246,7 +240,7 @@ ParallelMwuResult run_distributed_spmd(const CostOracle& oracle,
 
   world.run([&](parallel::Comm& comm) {
     distributed_rank_body(comm, config, seed, counted, metrics, population,
-                          /*report_rank=*/0, out, /*rank_state=*/nullptr);
+                          /*report_rank=*/0, out);
   });
 
   out.result.evaluations = counted.evaluations();
@@ -280,23 +274,21 @@ ParallelMwuResult run_distributed_spmd_multiprocess(
   tp::ProcessWorldConfig pw;
   pw.global_ranks = population;
   pw.processes = options.processes;
-  pw.kind = options.kind;
   pw.policy = options.policy;
-  pw.ring_bytes = options.ring_bytes;
+  pw.result_width = kProbs + num_options;
   pw.timeout_seconds = options.timeout_seconds;
 
   const auto outcome = tp::run_process_world(
       pw,
       [&config, seed, &oracle, population, num_options](
-          parallel::CommWorld& world, const parallel::WorldLayout& layout,
-          std::uint32_t* rank_state) {
+          parallel::CommWorld& world, const parallel::WorldLayout& layout) {
         const CountingOracle counted(oracle);
         ParallelMwuResult local;
         SpmdMetrics metrics("distributed");
         const int report_rank = static_cast<int>(layout.local_begin());
         world.run([&](parallel::Comm& comm) {
           distributed_rank_body(comm, config, seed, counted, metrics,
-                                population, report_rank, local, rank_state);
+                                population, report_rank, local);
         });
         const auto& congestion = world.congestion().max_per_cycle();
         std::vector<double> packed(kProbs + num_options, 0.0);

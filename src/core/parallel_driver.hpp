@@ -67,21 +67,18 @@ struct ParallelMwuResult {
     std::size_t population_override = 0, parallel::RunPolicy policy = {});
 
 /// How run_distributed_spmd_multiprocess splits the population across
-/// worker processes and which fabric carries the cross-process traffic.
+/// worker processes (over the socketpair fabric, parallel/transport/).
 struct MultiprocessOptions {
   std::size_t processes = 2;
-  parallel::transport::TransportKind kind =
-      parallel::transport::TransportKind::kShmRing;
   parallel::RunPolicy policy{};
-  std::size_t ring_bytes = parallel::transport::ShmFabric::kDefaultRingBytes;
   double timeout_seconds = 120.0;
 };
 
 /// Distributed MWU across forked worker processes: the identical per-rank
 /// program as run_distributed_spmd — same per-rank RngStreams, same
-/// message pattern — executed over the shm-ring or UDS transport, one
-/// contiguous rank block per process.  Congestion statistics are the
-/// world-wide per-cycle maxima (every process records the same reduction),
+/// message pattern — executed over the socketpair fabric, one contiguous
+/// rank block per process.  Congestion statistics are the world-wide
+/// per-cycle maxima (every process records the same reduction),
 /// evaluations and total_messages are summed across processes, and the
 /// trajectory_hash is pinned equal to the in-process run by test.  The
 /// oracle must be process-independent (pure function of (option, rng)) —

@@ -22,10 +22,10 @@
 //   CommWorld world(8);
 //   world.run([&](Comm& comm) { ... comm.rank() ... comm.barrier(); ... });
 //
-// Multi-process worlds (the pluggable transport seam, DESIGN.md §11):
-// the same CommWorld can be one *process's share* of a larger world.  A
+// Multi-process worlds (the transport seam, DESIGN.md §11): the same
+// CommWorld can be one *process's share* of a larger world.  A
 // WorldLayout names the global size and this process's contiguous rank
-// block; a transport::Endpoint (shm ring or UDS, parallel/transport/)
+// block; a transport::Endpoint (UDS socketpairs, parallel/transport/)
 // carries frames to the sibling processes.  Local ranks run as superstep
 // fibers; sends to remote ranks are encoded as WireFrames and batched
 // across the seam, and one drain thread per peer feeds remote messages

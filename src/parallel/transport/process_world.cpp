@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <cstring>
 #include <memory>
 #include <thread>
@@ -11,20 +12,18 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include "parallel/transport/uds.hpp"
-
 namespace mwr::parallel::transport {
 
 namespace {
 
-// One per worker process in the MAP_SHARED result arena.  `status` is the
-// publication point: the child stores it (release) last, the parent loads
-// it (acquire) before trusting the rest of the slot.
+// One per worker process in the MAP_SHARED result arena, followed by the
+// bytes of `result_width` doubles.  `status` is the publication point:
+// the child stores it (release) last, the parent loads it (acquire)
+// before trusting the rest of the slot.
 struct ResultSlot {
   std::atomic<std::uint32_t> status;  // 0 pending, 1 ok, 2 failed
   std::uint32_t value_count;
   char error[240];
-  double values[kMaxResultDoubles];
 };
 
 constexpr std::uint32_t kPending = 0;
@@ -34,26 +33,33 @@ constexpr std::uint32_t kFailed = 2;
 struct Arena {
   void* base = nullptr;
   std::size_t bytes = 0;
-  ResultSlot* slots = nullptr;
-  std::uint32_t* rank_state = nullptr;
+  std::size_t stride = 0;
 
   ~Arena() {
     if (base != nullptr) ::munmap(base, bytes);
   }
+
+  ResultSlot& slot(std::size_t process) noexcept {
+    return *reinterpret_cast<ResultSlot*>(static_cast<std::uint8_t*>(base) +
+                                          stride * process);
+  }
+  /// The value bytes that follow process `process`'s slot header.
+  std::uint8_t* values(std::size_t process) noexcept {
+    return static_cast<std::uint8_t*>(base) + stride * process +
+           sizeof(ResultSlot);
+  }
 };
 
-void map_arena(Arena& arena, std::size_t processes, std::size_t ranks) {
-  arena.bytes = sizeof(ResultSlot) * processes + sizeof(std::uint32_t) * ranks;
+void map_arena(Arena& arena, std::size_t processes, std::size_t width) {
+  arena.stride = sizeof(ResultSlot) + sizeof(double) * width;
+  arena.bytes = arena.stride * processes;
   arena.base = ::mmap(nullptr, arena.bytes, PROT_READ | PROT_WRITE,
                       MAP_SHARED | MAP_ANONYMOUS, -1, 0);
   if (arena.base == MAP_FAILED) {
     arena.base = nullptr;
     throw TransportError("mmap of result arena failed");
   }
-  arena.slots = static_cast<ResultSlot*>(arena.base);
-  for (std::size_t p = 0; p < processes; ++p) new (&arena.slots[p]) ResultSlot{};
-  arena.rank_state = reinterpret_cast<std::uint32_t*>(
-      static_cast<std::uint8_t*>(arena.base) + sizeof(ResultSlot) * processes);
+  for (std::size_t p = 0; p < processes; ++p) new (&arena.slot(p)) ResultSlot{};
 }
 
 void write_slot_failed(ResultSlot& slot, const char* what) noexcept {
@@ -65,25 +71,21 @@ void write_slot_failed(ResultSlot& slot, const char* what) noexcept {
 /// Runs in the forked worker; must not return into the caller's stack
 /// frames beyond this function (the caller _exits with the result).
 int child_main(const ProcessWorldConfig& config, std::size_t index,
-               const std::shared_ptr<ShmFabric>& shm,
-               const std::shared_ptr<UdsFabric>& uds, Arena& arena,
+               const std::shared_ptr<UdsFabric>& fabric, Arena& arena,
                const ProcessBody& body) noexcept {
-  ResultSlot& slot = arena.slots[index];
+  ResultSlot& slot = arena.slot(index);
   try {
-    std::unique_ptr<Endpoint> endpoint;
-    if (config.kind == TransportKind::kShmRing) {
-      endpoint = std::make_unique<ShmEndpoint>(shm, index);
-    } else {
-      endpoint = std::make_unique<UdsEndpoint>(uds, index);
-    }
+    Endpoint endpoint(fabric, index);
     const WorldLayout layout{config.global_ranks, config.processes, index};
-    CommWorld world(layout, endpoint.get(), config.policy);
-    std::vector<double> values = body(world, layout, arena.rank_state);
-    if (values.size() > kMaxResultDoubles)
+    CommWorld world(layout, &endpoint, config.policy);
+    const std::vector<double> values = body(world, layout);
+    if (values.size() > config.result_width)
       throw TransportError("process body returned more than " +
-                           std::to_string(kMaxResultDoubles) + " values");
+                           std::to_string(config.result_width) + " values");
     slot.value_count = static_cast<std::uint32_t>(values.size());
-    for (std::size_t i = 0; i < values.size(); ++i) slot.values[i] = values[i];
+    if (!values.empty())
+      std::memcpy(arena.values(index), values.data(),
+                  values.size() * sizeof(double));
     slot.status.store(kOk, std::memory_order_release);
     return 0;
   } catch (const std::exception& e) {
@@ -105,21 +107,20 @@ ProcessWorldOutcome run_process_world(const ProcessWorldConfig& config,
     throw TransportError("run_process_world: fewer ranks than processes");
 
   // Everything shared is created before the first fork so children inherit
-  // it: the fabric, the result slots, and the per-rank state array.
-  std::shared_ptr<ShmFabric> shm;
-  std::shared_ptr<UdsFabric> uds;
-  if (config.kind == TransportKind::kShmRing) {
-    shm = ShmFabric::create(config.processes, config.global_ranks,
-                            config.ring_bytes);
-  } else {
-    uds = UdsFabric::create(config.processes, config.global_ranks);
-  }
+  // it: the fabric and the result slots.
+  const auto fabric = UdsFabric::create(config.processes, config.global_ranks);
   Arena arena;
-  map_arena(arena, config.processes, config.global_ranks);
+  map_arena(arena, config.processes, config.result_width);
 
   ProcessWorldOutcome outcome;
   const auto fail = [&outcome](const std::string& why) {
     if (outcome.error.empty()) outcome.error = why;
+  };
+  const auto fail_from_slot = [&](std::size_t p) {
+    char buffer[sizeof(ResultSlot::error)];
+    std::memcpy(buffer, arena.slot(p).error, sizeof(buffer));
+    buffer[sizeof(buffer) - 1] = '\0';
+    fail("worker " + std::to_string(p) + ": " + buffer);
   };
 
   std::vector<pid_t> pids(config.processes, -1);
@@ -132,29 +133,23 @@ ProcessWorldOutcome run_process_world(const ProcessWorldConfig& config,
     if (pid == 0) {
       // Worker process.  _exit (not exit): do not run the parent's atexit
       // chain or flush its stdio buffers twice.
-      ::_exit(child_main(config, p, shm, uds, arena, body));
+      ::_exit(child_main(config, p, fabric, arena, body));
     }
     pids[p] = pid;
   }
 
-  // The launcher must not keep socket ends open: a dead worker's peers
-  // learn of its death through EOF, which the parent's copies would mask.
-  if (uds) uds->close_all();
-
-  const auto abort_world = [&](const std::string& why) {
-    if (shm) shm->abort_world(why.c_str());
-    // UDS needs nothing: a failed worker's sockets are already closed.
-  };
-  if (!outcome.error.empty()) abort_world(outcome.error);
+  // The launcher must not keep socket ends open: a dead (or never forked)
+  // worker's peers learn of its absence through EOF, which the parent's
+  // copies would mask.
+  fabric->close_all();
 
   using Clock = std::chrono::steady_clock;
   const auto deadline =
       Clock::now() + std::chrono::duration_cast<Clock::duration>(
                          std::chrono::duration<double>(config.timeout_seconds));
-  // After the deadline the world gets a short grace window to unwind off
-  // the abort flag before the launcher resorts to SIGKILL.
+  // After the deadline the workers get a short grace window to finish
+  // before the launcher resorts to SIGKILL.
   const auto kill_deadline = deadline + std::chrono::seconds(5);
-  bool abort_sent = !outcome.error.empty();
   bool killed = false;
 
   std::size_t live = 0;
@@ -173,30 +168,20 @@ ProcessWorldOutcome run_process_world(const ProcessWorldConfig& config,
       if (WIFSIGNALED(status)) {
         fail("worker " + std::to_string(p) + " killed by signal " +
              std::to_string(WTERMSIG(status)));
-      } else if (arena.slots[p].status.load(std::memory_order_acquire) ==
+      } else if (arena.slot(p).status.load(std::memory_order_acquire) ==
                  kFailed) {
-        char buffer[sizeof(ResultSlot::error)];
-        std::memcpy(buffer, arena.slots[p].error, sizeof(buffer));
-        buffer[sizeof(buffer) - 1] = '\0';
-        fail("worker " + std::to_string(p) + ": " + buffer);
+        fail_from_slot(p);
       } else {
         fail("worker " + std::to_string(p) + " failed");
-      }
-      if (!abort_sent) {
-        abort_world(outcome.error);
-        abort_sent = true;
       }
     }
     if (live == 0) break;
     const auto now = Clock::now();
-    if (now > deadline && !abort_sent) {
+    if (now > deadline) {
       fail("process world timed out after " +
            std::to_string(config.timeout_seconds) + "s");
-      abort_world(outcome.error);
-      abort_sent = true;
     }
     if (now > kill_deadline && !killed) {
-      fail("process world timed out; killing stragglers");
       for (const pid_t pid : pids) {
         if (pid > 0) ::kill(pid, SIGKILL);
       }
@@ -207,21 +192,19 @@ ProcessWorldOutcome run_process_world(const ProcessWorldConfig& config,
 
   outcome.values.resize(config.processes);
   for (std::size_t p = 0; p < config.processes; ++p) {
-    ResultSlot& slot = arena.slots[p];
+    ResultSlot& slot = arena.slot(p);
     const std::uint32_t status = slot.status.load(std::memory_order_acquire);
     if (status == kOk) {
-      outcome.values[p].assign(slot.values, slot.values + slot.value_count);
+      outcome.values[p].resize(slot.value_count);
+      if (slot.value_count != 0)
+        std::memcpy(outcome.values[p].data(), arena.values(p),
+                    slot.value_count * sizeof(double));
     } else if (status == kFailed) {
-      char buffer[sizeof(slot.error)];
-      std::memcpy(buffer, slot.error, sizeof(buffer));
-      buffer[sizeof(buffer) - 1] = '\0';
-      fail("worker " + std::to_string(p) + ": " + buffer);
+      fail_from_slot(p);
     } else if (status == kPending) {
       fail("worker " + std::to_string(p) + " never reported");
     }
   }
-  outcome.rank_state.assign(arena.rank_state,
-                            arena.rank_state + config.global_ranks);
   outcome.ok = outcome.error.empty();
   return outcome;
 }

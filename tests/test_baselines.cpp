@@ -2,6 +2,9 @@
 // search, and AE's pruned deterministic enumeration.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "baselines/ae.hpp"
 #include "baselines/genprog.hpp"
 #include "baselines/rsrepair.hpp"
@@ -68,6 +71,29 @@ TEST(GenProg, DeterministicPerSeed) {
   const auto b = run_genprog(oracle_b, config);
   EXPECT_EQ(a.repaired, b.repaired);
   EXPECT_EQ(a.suite_runs, b.suite_runs);
+}
+
+// Pins one fixed-seed search end to end.  GenProg's crossover draws two
+// tournament parents from one stream, so this catches any change to the
+// order of draws, including one that only a different compiler makes.
+TEST(GenProg, FixedSeedSearchIsPinned) {
+  const apr::ProgramModel program(multi_edit_spec());
+  const apr::TestOracle oracle(program);
+  GenProgConfig config;
+  config.max_suite_runs = 30000;
+  config.max_generations = 800;
+  config.seed = 6;
+  const auto outcome = run_genprog(oracle, config);
+  EXPECT_TRUE(outcome.repaired);
+  EXPECT_EQ(outcome.suite_runs, 1326u);
+  std::vector<std::uint64_t> keys;
+  for (const auto& mutation : outcome.patch) keys.push_back(mutation.key());
+  const std::vector<std::uint64_t> expected = {
+      0x21e80000000ull,        0x27080000000ull,
+      0x28780000000ull,        0x400003ba800001aeull,
+      0x80000048800000f3ull,   0x800000c780000661ull,
+      0x8000018b80000434ull,   0x8000031a000007b4ull};
+  EXPECT_EQ(keys, expected);
 }
 
 TEST(RsRepair, RepairsADenseScenario) {

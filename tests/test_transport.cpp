@@ -1,13 +1,15 @@
 // Transport-layer tests: the versioned wire codec (round-trip, determinism,
 // partial-buffer and corruption behavior, f64 Message and byte payloads),
-// process-world smoke runs over both multi-process fabrics, and
-// kill-a-worker abort propagation (a SIGKILLed worker must fail the world
-// instead of hanging it).
+// process-world smoke runs over the socketpair fabric, and kill-a-worker
+// abort propagation (a SIGKILLed worker must fail the world instead of
+// hanging it).
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <csignal>
 #include <cstdint>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "parallel/transport/process_world.hpp"
@@ -198,62 +200,81 @@ TEST(MessageSerialization, RejectsTruncatedAndNonMessageFrames) {
 
 // Every rank sends its rank to the next rank around the world ring (always
 // crossing the process boundary for ranks at block edges), then allreduces
-// a one-hot; each rank also stamps its shared rank_state slot.
+// a one-hot.  Each process returns the allreduced total and the sum of
+// the ranks its block received.
 std::vector<double> ring_smoke_body(CommWorld& world,
-                                    const WorldLayout& layout,
-                                    std::uint32_t* rank_state) {
+                                    const WorldLayout& layout) {
   const int n = static_cast<int>(layout.global_size);
-  double received_sum = 0.0;
+  const auto begin = static_cast<int>(layout.local_begin());
+  double total_ranks = 0.0;
+  // One slot per local rank: ranks write only their own.
+  std::vector<double> received(layout.local_count(), 0.0);
   world.run([&](Comm& comm) {
     const int next = (comm.rank() + 1) % n;
     const int prev = (comm.rank() + n - 1) % n;
     comm.send(next, /*tag=*/7, {static_cast<double>(comm.rank())});
     const Message m = comm.recv(prev, 7);
-    rank_state[comm.rank()] = static_cast<std::uint32_t>(m.payload[0]);
+    received[static_cast<std::size_t>(comm.rank() - begin)] = m.payload[0];
 
     std::vector<double> one(1, 1.0);
     const auto total = comm.allreduce_sum(std::move(one));
-    if (comm.rank() == static_cast<int>(layout.local_begin())) {
-      received_sum = total.at(0);
-    }
+    if (comm.rank() == begin) total_ranks = total.at(0);
     comm.barrier();
   });
-  return {received_sum};
+  double received_sum = 0.0;
+  for (const double rank : received) received_sum += rank;
+  return {total_ranks, received_sum};
 }
 
-class ProcessWorldSmoke : public ::testing::TestWithParam<TransportKind> {};
-
-TEST_P(ProcessWorldSmoke, RingExchangeAndSharedState) {
+TEST(ProcessWorldSmoke, RingExchangeAcrossUnevenBlocks) {
   ProcessWorldConfig config;
   config.global_ranks = 10;  // uneven blocks: 4 + 3 + 3
   config.processes = 3;
-  config.kind = GetParam();
+  config.result_width = 2;
   config.timeout_seconds = 60.0;
 
   const auto outcome = run_process_world(config, ring_smoke_body);
   ASSERT_TRUE(outcome.ok) << outcome.error;
   ASSERT_EQ(outcome.values.size(), 3u);
-  for (const auto& values : outcome.values) {
-    ASSERT_EQ(values.size(), 1u);
-    EXPECT_DOUBLE_EQ(values[0], 10.0);  // allreduce of one-hot ones
-  }
-  ASSERT_EQ(outcome.rank_state.size(), 10u);
-  for (std::uint32_t rank = 0; rank < 10; ++rank) {
-    EXPECT_EQ(outcome.rank_state[rank], (rank + 10 - 1) % 10) << rank;
+  // Block p holds ranks [begin, end) and receives ranks [begin-1, end-1)
+  // around the ring: 9+0+1+2, 3+4+5, 6+7+8.
+  const double expected_received[] = {12.0, 12.0, 21.0};
+  for (std::size_t p = 0; p < 3; ++p) {
+    ASSERT_EQ(outcome.values[p].size(), 2u);
+    EXPECT_DOUBLE_EQ(outcome.values[p][0], 10.0);  // allreduce of ones
+    EXPECT_DOUBLE_EQ(outcome.values[p][1], expected_received[p]) << p;
   }
 }
 
-TEST_P(ProcessWorldSmoke, KilledWorkerFailsTheWorldInsteadOfHanging) {
+TEST(ProcessWorldSmoke, BodyWiderThanItsResultSlotFailsTheWorld) {
   ProcessWorldConfig config;
-  config.global_ranks = 8;
+  config.global_ranks = 4;
   config.processes = 2;
-  config.kind = GetParam();
-  // Backstop only; abort propagation must beat it by a wide margin.
+  config.result_width = 3;
   config.timeout_seconds = 60.0;
 
   const auto outcome = run_process_world(
-      config, [](CommWorld& world, const WorldLayout& layout,
-                 std::uint32_t* /*rank_state*/) -> std::vector<double> {
+      config, [](CommWorld& world, const WorldLayout&) {
+        world.run([](Comm& comm) { comm.barrier(); });
+        return std::vector<double>(4, 1.0);
+      });
+  EXPECT_FALSE(outcome.ok);
+  EXPECT_NE(outcome.error.find("more than 3 values"), std::string::npos)
+      << outcome.error;
+}
+
+TEST(ProcessWorldSmoke, KilledWorkerFailsTheWorldInsteadOfHanging) {
+  ProcessWorldConfig config;
+  config.global_ranks = 8;
+  config.processes = 2;
+  config.result_width = 1;
+  // Backstop only; abort propagation must beat it by a wide margin.
+  config.timeout_seconds = 60.0;
+
+  const auto started = std::chrono::steady_clock::now();
+  const auto outcome = run_process_world(
+      config,
+      [](CommWorld& world, const WorldLayout& layout) -> std::vector<double> {
         world.run([&](Comm& comm) {
           comm.barrier();  // everyone reaches the same point first
           if (layout.process_index == 1 &&
@@ -267,41 +288,23 @@ TEST_P(ProcessWorldSmoke, KilledWorkerFailsTheWorldInsteadOfHanging) {
         });
         return {1.0};
       });
+  const std::chrono::duration<double> elapsed =
+      std::chrono::steady_clock::now() - started;
   EXPECT_FALSE(outcome.ok);
   EXPECT_FALSE(outcome.error.empty());
+  EXPECT_LT(elapsed.count(), 30.0);
 }
 
-INSTANTIATE_TEST_SUITE_P(Fabrics, ProcessWorldSmoke,
-                         ::testing::Values(TransportKind::kShmRing,
-                                           TransportKind::kUds),
-                         [](const auto& info) {
-                           return std::string(to_string(info.param));
-                         });
-
 TEST(ProcessWorld, RejectsInProcessKind) {
-  // There is no in-process transport kind: a launcher config cannot name
-  // one, and a one-process world is refused — it needs no launcher.
-  EXPECT_THROW((void)parse_transport_kind("inproc"), std::invalid_argument);
+  // A one-process world is refused: it needs no launcher (construct
+  // CommWorld directly).
   ProcessWorldConfig config;
   config.processes = 1;
   EXPECT_THROW(run_process_world(config,
-                                 [](CommWorld&, const WorldLayout&,
-                                    std::uint32_t*) {
+                                 [](CommWorld&, const WorldLayout&) {
                                    return std::vector<double>{};
                                  }),
                TransportError);
-}
-
-TEST(TransportKindParsing, AcceptsAliasesAndRejectsGarbage) {
-  EXPECT_EQ(parse_transport_kind("shm"), TransportKind::kShmRing);
-  EXPECT_EQ(parse_transport_kind("shm-ring"), TransportKind::kShmRing);
-  EXPECT_EQ(parse_transport_kind("uds"), TransportKind::kUds);
-  EXPECT_EQ(parse_transport_kind("socket"), TransportKind::kUds);
-  EXPECT_THROW((void)parse_transport_kind("inproc"), std::invalid_argument);
-  EXPECT_THROW((void)parse_transport_kind("in-process"),
-               std::invalid_argument);
-  EXPECT_THROW((void)parse_transport_kind("carrier-pigeon"),
-               std::invalid_argument);
 }
 
 }  // namespace

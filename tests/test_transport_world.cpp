@@ -1,5 +1,5 @@
 // Cross-backend trajectory bit-identity: run_distributed_spmd_multiprocess
-// over the shm ring and over UDS must reproduce the in-process Distributed
+// over the socketpair fabric must reproduce the in-process Distributed
 // MWU run exactly — same convergence cycle, same winner, same per-rank
 // final choices (trajectory_hash), same tracked-message count, and the
 // same per-cycle congestion maxima.  The per-rank program is seeded RNG +
@@ -9,15 +9,13 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <tuple>
+#include <string>
 
 #include "core/option_set.hpp"
 #include "core/parallel_driver.hpp"
 
 namespace mwr::core {
 namespace {
-
-using parallel::transport::TransportKind;
 
 MwuConfig config_for(std::size_t options) {
   MwuConfig config;
@@ -33,13 +31,10 @@ OptionSet bimodal_options(std::size_t k) {
   return OptionSet("transport-world", values);
 }
 
-class CrossBackendIdentity
-    : public ::testing::TestWithParam<std::tuple<TransportKind, std::size_t>> {
-};
-
-TEST_P(CrossBackendIdentity, MultiprocessTrajectoryMatchesInProcess) {
-  const auto [kind, population] = GetParam();
-  const auto options = bimodal_options(6);
+// Runs `options` in process and across three processes (uneven blocks
+// whenever population % 3 != 0) and pins every trajectory statistic equal.
+void expect_multiprocess_matches_in_process(const OptionSet& options,
+                                            std::size_t population) {
   const BernoulliOracle oracle(options);
   const auto config = config_for(options.size());
   constexpr std::uint64_t kSeed = 2026;
@@ -48,8 +43,7 @@ TEST_P(CrossBackendIdentity, MultiprocessTrajectoryMatchesInProcess) {
       run_distributed_spmd(oracle, config, kSeed, population);
 
   MultiprocessOptions mp;
-  mp.kind = kind;
-  mp.processes = 3;  // uneven blocks whenever population % 3 != 0
+  mp.processes = 3;
   const ParallelMwuResult mirrored = run_distributed_spmd_multiprocess(
       oracle, config, kSeed, population, mp);
 
@@ -68,20 +62,35 @@ TEST_P(CrossBackendIdentity, MultiprocessTrajectoryMatchesInProcess) {
                    reference.max_congestion_per_cycle.mean());
   EXPECT_DOUBLE_EQ(mirrored.max_congestion_per_cycle.max(),
                    reference.max_congestion_per_cycle.max());
+  ASSERT_EQ(mirrored.result.probabilities.size(),
+            reference.result.probabilities.size());
+  for (std::size_t i = 0; i < reference.result.probabilities.size(); ++i) {
+    EXPECT_DOUBLE_EQ(mirrored.result.probabilities[i],
+                     reference.result.probabilities[i])
+        << i;
+  }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    FabricsAndPopulations, CrossBackendIdentity,
-    ::testing::Combine(::testing::Values(TransportKind::kShmRing,
-                                         TransportKind::kUds),
-                       ::testing::Values(std::size_t{1} << 4,
-                                         std::size_t{1} << 6,
-                                         std::size_t{1} << 8)),
-    [](const auto& info) {
-      return std::string(
-                 parallel::transport::to_string(std::get<0>(info.param))) +
-             "_pop" + std::to_string(std::get<1>(info.param));
-    });
+class CrossBackendIdentity : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(CrossBackendIdentity, MultiprocessTrajectoryMatchesInProcess) {
+  expect_multiprocess_matches_in_process(bimodal_options(6), GetParam());
+}
+
+INSTANTIATE_TEST_SUITE_P(FabricsAndPopulations, CrossBackendIdentity,
+                         ::testing::Values(std::size_t{1} << 4,
+                                           std::size_t{1} << 6,
+                                           std::size_t{1} << 8),
+                         [](const auto& info) {
+                           return "uds_pop" + std::to_string(info.param);
+                         });
+
+// Paper Table II's largest datasets have k = 256 options: each worker's
+// result (eleven statistics plus k popularity fractions) must fit its
+// result slot.
+TEST(CrossBackendIdentity, TableTwoWidthOptionSetMatchesInProcess) {
+  expect_multiprocess_matches_in_process(bimodal_options(256), 64);
+}
 
 // Probabilities reported by the multiprocess run are the rank-0 snapshot
 // of the identical replicated popularity vector.
@@ -92,7 +101,6 @@ TEST(CrossBackendIdentity, ProbabilitiesMatchInProcess) {
 
   const auto reference = run_distributed_spmd(oracle, config, 5, 48);
   MultiprocessOptions mp;
-  mp.kind = TransportKind::kShmRing;
   const auto mirrored =
       run_distributed_spmd_multiprocess(oracle, config, 5, 48, mp);
 

@@ -1,6 +1,6 @@
 // mwr_worldd — multi-process Distributed MWU world launcher.
 //
-// Forks N worker processes over the shm-ring or UDS transport and runs the
+// Forks N worker processes over the socketpair fabric and runs the
 // Distributed MWU driver at population scales the CI machines cannot reach
 // with OS threads (2^15 ranks and beyond: fibers inside each process,
 // processes across the fabric).  The trajectory is bit-identical to the
@@ -32,7 +32,6 @@
 #include "datasets/scenario.hpp"
 #include "obs/registry.hpp"
 #include "parallel/congestion.hpp"
-#include "parallel/transport/wire.hpp"
 #include "util/cli.hpp"
 
 namespace {
@@ -45,21 +44,15 @@ constexpr double kCongestionSlack = 4.0;
 int run(int argc, char** argv) {
   using namespace mwr;
 
-  util::Cli cli(
-      "mwr_worldd: multi-process Distributed MWU world launcher "
-      "(shm ring / UDS transports)");
+  util::Cli cli("mwr_worldd: multi-process Distributed MWU world launcher");
   cli.add_int("ranks", 1 << 15, "global ranks (population size)");
   cli.add_int("processes", 2, "worker processes to fork");
-  cli.add_string("backend", "shm", "transport: shm | uds");
   cli.add_int("options", 8, "options k (synthetic mode) / bandit arms cap");
   cli.add_int("max-iterations", 8, "MWU update cycles to run");
   cli.add_double("plurality", 0.95, "plurality stop threshold");
   cli.add_int("seed", 7, "master seed");
   cli.add_double("timeout", 600.0, "launcher watchdog seconds");
   cli.add_string("metrics-out", "", "write a JSON run/metrics snapshot here");
-  cli.add_string("state-out", "",
-                 "write the final popularity vector as one versioned wire "
-                 "frame (core/serialization message codec)");
   cli.add_flag("check-congestion",
                "fail (exit 2) unless the mean per-cycle max load is within "
                "the balls-into-bins bound");
@@ -74,8 +67,6 @@ int run(int argc, char** argv) {
 
   core::MultiprocessOptions mp;
   mp.processes = processes;
-  mp.kind = parallel::transport::parse_transport_kind(
-      cli.get_string("backend"));
   mp.timeout_seconds = cli.get_double("timeout");
 
   core::MwuConfig config;
@@ -123,9 +114,8 @@ int run(int argc, char** argv) {
 
   const double bound = parallel::balls_into_bins_bound(ranks);
   const auto& congestion = result.max_congestion_per_cycle;
-  std::printf("mwr_worldd: backend=%s ranks=%zu processes=%zu options=%zu\n",
-              cli.get_string("backend").c_str(), ranks, processes,
-              config.num_options);
+  std::printf("mwr_worldd: ranks=%zu processes=%zu options=%zu\n", ranks,
+              processes, config.num_options);
   std::printf("  cycles=%zu converged=%d best=%zu evaluations=%llu\n",
               result.result.iterations,
               static_cast<int>(result.result.converged),
@@ -148,7 +138,6 @@ int run(int argc, char** argv) {
     std::ofstream out(cli.get_string("metrics-out"));
     if (!out) throw std::runtime_error("cannot open --metrics-out path");
     out << "{\n  \"run\": {\n"
-        << "    \"backend\": \"" << cli.get_string("backend") << "\",\n"
         << "    \"ranks\": " << ranks << ",\n"
         << "    \"processes\": " << processes << ",\n"
         << "    \"cycles\": " << result.result.iterations << ",\n"
@@ -161,21 +150,6 @@ int run(int argc, char** argv) {
         << "    \"balls_into_bins_bound\": " << bound << "\n  },\n"
         << "  \"launcher_metrics\": "
         << mwr::obs::MetricsRegistry::global().to_json_string() << "\n}\n";
-  }
-
-  if (!cli.get_string("state-out").empty()) {
-    // The final popularity vector as one versioned wire frame — the same
-    // bytes the transports move, reusable as a cross-run checkpoint.
-    std::vector<std::uint8_t> bytes;
-    parallel::transport::encode_frame(
-        parallel::transport::WireFrame::message(
-            /*source=*/0, /*dest=*/0, /*tag=*/0, result.result.probabilities,
-            /*tracked=*/false),
-        bytes);
-    std::ofstream out(cli.get_string("state-out"), std::ios::binary);
-    if (!out) throw std::runtime_error("cannot open --state-out path");
-    out.write(reinterpret_cast<const char*>(bytes.data()),
-              static_cast<std::streamsize>(bytes.size()));
   }
 
   if (cli.get_flag("check-congestion")) {
