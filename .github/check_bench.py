@@ -6,7 +6,8 @@ Dispatches on the artifact's "schema" field:
 mwr-bench-hot-paths-v2 (bench_hot_paths --json):
   the hot-path optimizations must still pay for themselves — the Fenwick
   sampler at least 5x over the linear scan, cached oracle probes at least
-  3x over uncached, the full Table-II cycle at least 4x — and absolute
+  3x over uncached, the full Table-II cycle at least 4x, the Slate cycle's
+  compacted cap fixpoint at least 1.5x over the full walk — and absolute
   sampler cost must not regress more than 2x against the committed
   baseline.  The per-kernel rows (scalar vs runtime dispatch) carry no
   speedup floor: on a non-AVX2 runner both sides are the same code and the
@@ -60,6 +61,7 @@ HOT_PATHS_SECTIONS = [
     "sampler",
     "oracle",
     "table2_cycle",
+    "slate_cycle",
     "kernel_update",
     "kernel_normalize",
     "kernel_materialize",
@@ -68,6 +70,7 @@ HOT_PATHS_SPEEDUP_FLOORS = {
     "sampler": 5.0,       # Fenwick draw vs linear scan at k = 2^14
     "oracle": 3.0,        # cached vs uncached phase-2 probe
     "table2_cycle": 4.0,  # full SoA-kernel cycle (n draws + fused update)
+    "slate_cycle": 1.5,   # compacted cap fixpoint; ~2.2x measured (1.9x scalar)
     # kernel_* rows: no floor — scalar == dispatched on non-AVX2 runners.
 }
 # Absolute ns-per-op may regress at most this factor vs the committed

@@ -10,6 +10,10 @@
 //   table2_cycle  — one full Standard-MWU bandit cycle at Table II scale
 //                   (k = 2^14, n = 64 agents): per-agent linear scans vs
 //                   the sampler-backed StandardMwu::sample.
+//   slate_cycle   — one full Slate-MWU cycle at k = 256, gamma = 0.05
+//                   (slate size 13): the capping fixpoint that allocates
+//                   and re-walks all k entries every round vs
+//                   SlateMwu::sample's compacted, allocation-free one.
 //
 // Plus one row per SoA weight kernel (DESIGN.md §12), measuring the scalar
 // implementation against the runtime-dispatched one over the same k-element
@@ -38,10 +42,13 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <span>
 #include <vector>
 
 #include "apr/mutation_pool.hpp"
 #include "apr/test_oracle.hpp"
+#include "core/slate_mwu.hpp"
+#include "core/slate_projection.hpp"
 #include "core/standard_mwu.hpp"
 #include "datasets/scenario.hpp"
 #include "util/cli.hpp"
@@ -249,6 +256,118 @@ Section bench_table2_cycle(std::size_t k, std::size_t agents,
   return out;
 }
 
+// --- slate_cycle: full Slate-MWU cycle at k = 256, gamma = 0.05 ---------
+
+constexpr std::size_t kSlateOptions = 256;
+constexpr std::size_t kSlateCycles = 20000;
+
+// The capping fixpoint before the compacted index list, kept verbatim as
+// the reference: q and a bit-packed capped mask are allocated per call,
+// and every round re-walks all k entries, capped ones included.
+std::vector<double> full_walk_cap_to_slate_marginals(std::span<const double> p,
+                                                     std::size_t slate_size) {
+  const std::size_t k = p.size();
+  const auto s = static_cast<double>(slate_size);
+  std::vector<double> q(p.begin(), p.end());
+  std::vector<bool> capped(k, false);
+  std::size_t num_capped = 0;
+  for (;;) {
+    double uncapped_mass = 0.0;
+    for (std::size_t i = 0; i < k; ++i) {
+      if (!capped[i]) uncapped_mass += q[i];
+    }
+    const double target = s - static_cast<double>(num_capped);
+    if (target <= 0.0) {
+      for (std::size_t i = 0; i < k; ++i) {
+        if (!capped[i]) q[i] = 0.0;
+      }
+      break;
+    }
+    if (uncapped_mass <= 0.0) {
+      const double fill = target / static_cast<double>(k - num_capped);
+      for (std::size_t i = 0; i < k; ++i) {
+        if (!capped[i]) q[i] = fill;
+      }
+      break;
+    }
+    const double scale = target / uncapped_mass;
+    bool newly_capped = false;
+    for (std::size_t i = 0; i < k; ++i) {
+      if (capped[i]) continue;
+      const double scaled = q[i] * scale;
+      if (scaled >= 1.0) {
+        q[i] = 1.0;
+        capped[i] = true;
+        ++num_capped;
+        newly_capped = true;
+      }
+    }
+    if (!newly_capped) {
+      for (std::size_t i = 0; i < k; ++i) {
+        if (!capped[i]) q[i] *= scale;
+      }
+      break;
+    }
+  }
+  return q;
+}
+
+Section bench_slate_cycle(std::size_t cycles, std::uint64_t seed) {
+  core::MwuConfig config;
+  config.num_options = kSlateOptions;
+  config.exploration = 0.05;
+  const auto reward = [](std::size_t option) {
+    return option * 2 < kSlateOptions ? 1.0 : 0.0;
+  };
+
+  // Both sides run the same trajectory; the checksum folds every slate
+  // member and the leader after every update.
+  const auto side = [&](auto&& sample, double& timing) {
+    core::SlateMwu mwu(config);
+    util::RngStream rng(seed ^ 0x6666);
+    std::vector<double> rewards;
+    util::WallTimer timer;
+    std::uint64_t acc = 0;
+    for (std::size_t c = 0; c < cycles; ++c) {
+      const std::vector<std::size_t>& slate = sample(mwu, rng);
+      rewards.resize(slate.size());
+      for (std::size_t j = 0; j < slate.size(); ++j) {
+        rewards[j] = reward(slate[j]);
+        acc += slate[j];
+      }
+      mwu.update(slate, rewards, rng);
+      acc += mwu.best_option();
+    }
+    timing = timer.elapsed_seconds() * 1e9 / static_cast<double>(cycles);
+    return acc;
+  };
+
+  Section out;
+  std::vector<std::size_t> held;
+  // Before: the per-call allocating pipeline — probabilities(), the full
+  // walk above, then the value-returning systematic_sample.
+  const std::uint64_t before = side(
+      [&](core::SlateMwu& mwu, util::RngStream& rng)
+          -> const std::vector<std::size_t>& {
+        const auto p = mwu.probabilities();
+        const auto q = full_walk_cap_to_slate_marginals(p, mwu.slate_size());
+        held = core::systematic_sample(q, mwu.slate_size(), rng);
+        return held;
+      },
+      out.before_ns);
+  // After: SlateMwu::sample over its member scratch.
+  const std::uint64_t after = side(
+      [](core::SlateMwu& mwu, util::RngStream& rng)
+          -> const std::vector<std::size_t>& { return mwu.sample(rng); },
+      out.after_ns);
+  if (before != after) {
+    std::cerr << "FATAL: slate_cycle diverged from the full-walk fixpoint\n";
+    std::exit(1);
+  }
+  out.checksum = before;
+  return out;
+}
+
 // --- per-kernel rows: scalar implementation vs runtime dispatch ---------
 
 namespace simd = util::simd;
@@ -373,7 +492,8 @@ void emit_json(const std::string& path, std::size_t k, std::size_t agents,
                std::size_t pool_size, std::size_t patch_size,
                std::size_t repeat, const Section& sampler,
                const Section& oracle, const Section& cycle,
-               const Section& kernel_update, const Section& kernel_normalize,
+               const Section& slate_cycle, const Section& kernel_update,
+               const Section& kernel_normalize,
                const Section& kernel_materialize) {
   const auto section = [](std::ostream& os, const char* name,
                           const Section& s, bool last) {
@@ -392,10 +512,12 @@ void emit_json(const std::string& path, std::size_t k, std::size_t agents,
      << "  \"schema\": \"mwr-bench-hot-paths-v2\",\n"
      << "  \"params\": {\"options\": " << k << ", \"agents\": " << agents
      << ", \"pool\": " << pool_size << ", \"patch\": " << patch_size
-     << ", \"repeat\": " << repeat << "},\n";
+     << ", \"slate_options\": " << kSlateOptions << ", \"repeat\": " << repeat
+     << "},\n";
   section(os, "sampler", sampler, false);
   section(os, "oracle", oracle, false);
   section(os, "table2_cycle", cycle, false);
+  section(os, "slate_cycle", slate_cycle, false);
   section(os, "kernel_update", kernel_update, false);
   section(os, "kernel_normalize", kernel_normalize, false);
   section(os, "kernel_materialize", kernel_materialize, true);
@@ -406,7 +528,8 @@ void emit_json(const std::string& path, std::size_t k, std::size_t agents,
 
 int main(int argc, char** argv) {
   util::Cli cli("bench_hot_paths — before/after ns-per-op for the Fenwick "
-                "sampler, the oracle cache, and the full Table-II cycle");
+                "sampler, the oracle cache, and the Standard and Slate "
+                "Table-II cycles");
   util::add_standard_bench_flags(cli);
   cli.add_int("options", 1 << 14, "weighted-draw options (k)");
   cli.add_int("agents", 64, "agents per cycle (n)");
@@ -443,6 +566,8 @@ int main(int argc, char** argv) {
     return bench_table2_cycle(
         k, agents, static_cast<std::size_t>(cli.get_int("cycles")), seed);
   });
+  const Section slate_cycle = median_of(
+      repeat, [&] { return bench_slate_cycle(kSlateCycles, seed); });
   const Section kernel_update = median_of(
       repeat, [&] { return bench_kernel_update(k, kernel_iters, seed); });
   const Section kernel_normalize = median_of(
@@ -462,14 +587,15 @@ int main(int argc, char** argv) {
   row("weighted draw (linear -> Fenwick)", sampler);
   row("phase-2 probe (uncached -> cached)", oracle);
   row("Standard-MWU cycle", cycle);
+  row("Slate-MWU cycle (full walk -> compacted)", slate_cycle);
   row("kernel pow_update (scalar -> simd)", kernel_update);
   row("kernel fenwick_rebuild (scalar -> simd)", kernel_normalize);
   row("kernel materialize (scalar -> simd)", kernel_materialize);
   table.emit(std::cout, cli.get_string("csv"));
 
   emit_json(cli.get_string("json"), k, agents, pool_size, patch_size, repeat,
-            sampler, oracle, cycle, kernel_update, kernel_normalize,
-            kernel_materialize);
+            sampler, oracle, cycle, slate_cycle, kernel_update,
+            kernel_normalize, kernel_materialize);
   std::cout << "wrote " << cli.get_string("json") << "\n";
   return 0;
 }

@@ -84,7 +84,7 @@ void RepairSession::finish(bool repaired) {
 
 std::size_t RepairSession::begin_cycle() {
   if (done_) return 0;
-  staged_arms_ = strategy_->sample(rng_);                // MWU_Sample
+  staged_arms_ = strategy_->sample(rng_);  // MWU_Sample; copy reuses capacity
   const std::size_t n = staged_arms_.size();
   index_patches_.resize(n);
   acceptance_.clear();

@@ -49,9 +49,9 @@ void DistributedMwu::set_choices(const std::vector<std::uint32_t>& choices) {
   for (const auto c : choices_) ++popularity_[c];
 }
 
-std::vector<std::size_t> DistributedMwu::sample(util::RngStream& rng) {
-  std::vector<std::size_t> observed(choices_.size());
-  for (auto& option : observed) {
+const std::vector<std::size_t>& DistributedMwu::sample(util::RngStream& rng) {
+  probes_.resize(choices_.size());
+  for (auto& option : probes_) {
     if (rng.bernoulli(config_.exploration)) {
       option = rng.uniform_index(config_.num_options);  // random option
     } else {
@@ -59,7 +59,7 @@ std::vector<std::size_t> DistributedMwu::sample(util::RngStream& rng) {
       option = choices_[neighbor];  // observe a random neighbor
     }
   }
-  return observed;
+  return probes_;
 }
 
 void DistributedMwu::update(std::span<const std::size_t> options,

@@ -37,7 +37,8 @@ class DistributedMwu final : public MwuStrategy {
   explicit DistributedMwu(const MwuConfig& config);
 
   void init() override;
-  [[nodiscard]] std::vector<std::size_t> sample(util::RngStream& rng) override;
+  [[nodiscard]] const std::vector<std::size_t>& sample(
+      util::RngStream& rng) override;
   void update(std::span<const std::size_t> options,
               std::span<const double> rewards, util::RngStream& rng) override;
   [[nodiscard]] std::vector<double> probabilities() const override;
@@ -66,6 +67,7 @@ class DistributedMwu final : public MwuStrategy {
   MwuConfig config_;
   std::vector<std::uint32_t> choices_;       // C_j: agent j's current option
   std::vector<std::uint32_t> popularity_;    // count of agents per option
+  std::vector<std::size_t> probes_;          // sample()'s returned buffer
 };
 
 }  // namespace mwr::core

@@ -41,17 +41,17 @@ std::vector<double> Exp3Mwu::probabilities() const {
   return p;
 }
 
-std::vector<std::size_t> Exp3Mwu::sample(util::RngStream& rng) {
+const std::vector<std::size_t>& Exp3Mwu::sample(util::RngStream& rng) {
   // One O(k) sampler build amortized over the n agent draws, each O(log k)
   // instead of the O(k) linear scan over the probability vector.  The
   // probabilities land in persistent scratch — no per-call allocation.
   materialize_probabilities(prob_scratch_);
   sampler_.rebuild(prob_scratch_);
-  std::vector<std::size_t> probes(config_.num_agents);
-  for (auto& option : probes) {
+  probes_.resize(config_.num_agents);
+  for (auto& option : probes_) {
     option = sampler_.sample(rng);
   }
-  return probes;
+  return probes_;
 }
 
 void Exp3Mwu::update(std::span<const std::size_t> options,

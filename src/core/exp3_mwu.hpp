@@ -26,7 +26,8 @@ class Exp3Mwu final : public MwuStrategy {
   explicit Exp3Mwu(const MwuConfig& config);
 
   void init() override;
-  [[nodiscard]] std::vector<std::size_t> sample(util::RngStream& rng) override;
+  [[nodiscard]] const std::vector<std::size_t>& sample(
+      util::RngStream& rng) override;
   void update(std::span<const std::size_t> options,
               std::span<const double> rewards, util::RngStream& rng) override;
   [[nodiscard]] std::vector<double> probabilities() const override;
@@ -63,6 +64,8 @@ class Exp3Mwu final : public MwuStrategy {
   /// sparsely).  Never reallocated after init().
   std::vector<double> prob_scratch_;
   std::vector<double> exp_scratch_;
+  /// The buffer sample() fills and returns.
+  std::vector<std::size_t> probes_;
 };
 
 }  // namespace mwr::core

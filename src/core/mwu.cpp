@@ -68,7 +68,7 @@ MwuResult run_mwu(MwuStrategy& strategy, const CostOracle& oracle,
   std::vector<double> rewards;
   for (std::size_t t = 0; t < config.max_iterations; ++t) {
     const obs::ScopedTimer cycle_timer(cycle_seconds);
-    const auto probes = strategy.sample(rng);
+    const auto& probes = strategy.sample(rng);
     rewards.resize(probes.size());
     for (std::size_t j = 0; j < probes.size(); ++j) {
       rewards[j] = counted.sample(probes[j], rng);

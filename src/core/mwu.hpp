@@ -86,10 +86,18 @@ class MwuStrategy {
   virtual void init() = 0;
 
   /// Names the options to probe this cycle (size == cpus_per_cycle()).
-  [[nodiscard]] virtual std::vector<std::size_t> sample(util::RngStream& rng) = 0;
+  ///
+  /// The vector belongs to the strategy: each variant refills one member
+  /// buffer per call, so a cycle allocates nothing once the buffer has
+  /// reached its size.  The reference (and the buffer's data) stays valid
+  /// until the next sample() or init() on this strategy; a caller that
+  /// keeps the probes longer copies them (`const auto probes = ...`).
+  [[nodiscard]] virtual const std::vector<std::size_t>& sample(
+      util::RngStream& rng) = 0;
 
   /// Folds this cycle's binary rewards back in.  `options` must be the
-  /// vector returned by the immediately-preceding sample().
+  /// vector returned by the immediately-preceding sample() (update() may be
+  /// handed that very buffer).
   virtual void update(std::span<const std::size_t> options,
                       std::span<const double> rewards,
                       util::RngStream& rng) = 0;

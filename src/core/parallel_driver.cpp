@@ -184,7 +184,7 @@ ParallelMwuResult run_standard_spmd(const CostOracle& oracle,
     std::uint64_t rank_probes = 0;
     bool converged = false;
     for (std::size_t t = 0; t < config.max_iterations; ++t) {
-      const auto probe = replica.sample(rng);
+      const auto& probe = replica.sample(rng);
       std::vector<double> counts(config.num_options, 0.0);
       counts[probe[0]] += counted.sample(probe[0], rng);
       ++rank_probes;

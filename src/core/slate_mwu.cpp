@@ -32,22 +32,30 @@ void SlateMwu::init() {
   total_weight_ = static_cast<double>(config_.num_options);
 }
 
-std::vector<double> SlateMwu::probabilities() const {
+void SlateMwu::materialize_probabilities(std::vector<double>& p) const {
   const double gamma = config_.exploration;
   const double floor = gamma / static_cast<double>(weights_.size());
-  std::vector<double> p(weights_.size());
+  p.resize(weights_.size());
   // p[i] = (1 - gamma) * w[i] / total + floor, via the dispatched kernel
   // (same operation order as the historical scalar loop, no contraction).
   util::simd::active().materialize_affine(p.data(), weights_.data(),
                                           weights_.size(), 1.0 - gamma,
                                           total_weight_, floor);
+}
+
+std::vector<double> SlateMwu::probabilities() const {
+  std::vector<double> p;
+  materialize_probabilities(p);
   return p;
 }
 
-std::vector<std::size_t> SlateMwu::sample(util::RngStream& rng) {
-  const auto p = probabilities();
-  const auto q = cap_to_slate_marginals(p, slate_size_);
-  return systematic_sample(q, slate_size_, rng);
+const std::vector<std::size_t>& SlateMwu::sample(util::RngStream& rng) {
+  // The same three steps as probabilities() -> cap_to_slate_marginals ->
+  // systematic_sample, each writing into a member buffer.
+  materialize_probabilities(p_);
+  cap_to_slate_marginals(p_, slate_size_, q_, uncapped_);
+  systematic_sample(q_, slate_size_, rng, probes_);
+  return probes_;
 }
 
 void SlateMwu::update(std::span<const std::size_t> options,

@@ -13,12 +13,19 @@
 // exploration gives it the consistently high accuracy of Table III.
 //
 // sample() draws the slate by systematic sampling of the capped marginals
-// (core/slate_projection), O(k) per cycle.  The paper's §II-C construction,
-// an explicit O(k^2) convex decomposition into slates, realizes the same
-// marginals; it stays as decompose_into_slates (tested, and timed by
-// bench_mwu_micro), which sample() does not call.
+// (core/slate_projection), O(k) per cycle.  It runs the buffer-taking forms
+// of cap_to_slate_marginals and systematic_sample over member scratch, so
+// after the first cycle it allocates nothing; the capping fixpoint walks a
+// compacted, index-ordered list of the uncapped entries, which keeps every
+// sum's terms and order, hence the trajectory, bit-identical.
+//
+// The paper's §II-C construction, an explicit O(k^2) convex decomposition
+// into slates, realizes the same marginals; it stays as
+// decompose_into_slates (tested, and timed by bench_mwu_micro), which
+// sample() does not call.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "core/mwu.hpp"
@@ -30,7 +37,8 @@ class SlateMwu final : public MwuStrategy {
   explicit SlateMwu(const MwuConfig& config);
 
   void init() override;
-  [[nodiscard]] std::vector<std::size_t> sample(util::RngStream& rng) override;
+  [[nodiscard]] const std::vector<std::size_t>& sample(
+      util::RngStream& rng) override;
   void update(std::span<const std::size_t> options,
               std::span<const double> rewards, util::RngStream& rng) override;
   [[nodiscard]] std::vector<double> probabilities() const override;
@@ -60,10 +68,21 @@ class SlateMwu final : public MwuStrategy {
   void set_weights(std::vector<double> weights);
 
  private:
+  /// Materializes the exploration-floored probabilities into `p` (resized
+  /// to k) without allocating after the first call.
+  void materialize_probabilities(std::vector<double>& p) const;
+
   MwuConfig config_;
   std::size_t slate_size_ = 1;
   std::vector<double> weights_;
   double total_weight_ = 0.0;
+  /// Per-cycle scratch for sample(): the probabilities, the capped
+  /// marginals, the fixpoint's uncapped-index list and the returned slate.
+  /// Never serialized; sized on the first cycle and reused after it.
+  std::vector<double> p_;
+  std::vector<double> q_;
+  std::vector<std::uint32_t> uncapped_;
+  std::vector<std::size_t> probes_;
 };
 
 }  // namespace mwr::core

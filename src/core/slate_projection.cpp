@@ -7,61 +7,61 @@
 
 namespace mwr::core {
 
-std::vector<double> cap_to_slate_marginals(std::span<const double> p,
-                                           std::size_t slate_size) {
+void cap_to_slate_marginals(std::span<const double> p,
+                            std::size_t slate_size, std::vector<double>& q,
+                            std::vector<std::uint32_t>& uncapped) {
   const std::size_t k = p.size();
   const auto s = static_cast<double>(slate_size);
   if (slate_size == 0 || slate_size > k)
     throw std::invalid_argument("cap_to_slate_marginals: bad slate size");
 
-  std::vector<double> q(p.begin(), p.end());
-  std::vector<bool> capped(k, false);
-  std::size_t num_capped = 0;
-  // Fixpoint: scale the uncapped mass to fill (s - num_capped), cap anything
-  // that overflows 1, repeat.  Each round caps at least one new entry, so at
-  // most k rounds run.
+  q.assign(p.begin(), p.end());
+  // The uncapped indices, ascending.  Capping only removes entries, so the
+  // list stays in index order and every sum below adds the same terms in
+  // the same order as a walk over all k entries that skips capped ones.
+  uncapped.resize(k);
+  std::iota(uncapped.begin(), uncapped.end(), std::uint32_t{0});
+  // Fixpoint: scale the uncapped mass to fill the slots the capped entries
+  // leave, cap anything that overflows 1, repeat.  Each round caps at least one new entry, so at
+  // most k rounds run, and each round touches only the entries still live.
   for (;;) {
     double uncapped_mass = 0.0;
-    for (std::size_t i = 0; i < k; ++i) {
-      if (!capped[i]) uncapped_mass += q[i];
-    }
-    const double target = s - static_cast<double>(num_capped);
+    for (const std::uint32_t i : uncapped) uncapped_mass += q[i];
+    const double target = s - static_cast<double>(k - uncapped.size());
     if (target <= 0.0) {
       // All slate slots are consumed by capped entries; zero the rest.
-      for (std::size_t i = 0; i < k; ++i) {
-        if (!capped[i]) q[i] = 0.0;
-      }
-      break;
+      for (const std::uint32_t i : uncapped) q[i] = 0.0;
+      return;
     }
     if (uncapped_mass <= 0.0) {
       // Degenerate distribution (all mass capped or zero): spread the
       // remaining slots uniformly over uncapped entries.
-      const double fill =
-          target / static_cast<double>(k - num_capped);
-      for (std::size_t i = 0; i < k; ++i) {
-        if (!capped[i]) q[i] = fill;
-      }
-      break;
+      const double fill = target / static_cast<double>(uncapped.size());
+      for (const std::uint32_t i : uncapped) q[i] = fill;
+      return;
     }
     const double scale = target / uncapped_mass;
-    bool newly_capped = false;
-    for (std::size_t i = 0; i < k; ++i) {
-      if (capped[i]) continue;
-      const double scaled = q[i] * scale;
-      if (scaled >= 1.0) {
+    std::size_t live = 0;
+    for (const std::uint32_t i : uncapped) {
+      if (q[i] * scale >= 1.0) {
         q[i] = 1.0;
-        capped[i] = true;
-        ++num_capped;
-        newly_capped = true;
+      } else {
+        uncapped[live++] = i;
       }
     }
-    if (!newly_capped) {
-      for (std::size_t i = 0; i < k; ++i) {
-        if (!capped[i]) q[i] *= scale;
-      }
-      break;
+    if (live == uncapped.size()) {
+      for (const std::uint32_t i : uncapped) q[i] *= scale;
+      return;
     }
+    uncapped.resize(live);
   }
+}
+
+std::vector<double> cap_to_slate_marginals(std::span<const double> p,
+                                           std::size_t slate_size) {
+  std::vector<double> q;
+  std::vector<std::uint32_t> uncapped;
+  cap_to_slate_marginals(p, slate_size, q, uncapped);
   return q;
 }
 
@@ -122,13 +122,13 @@ std::vector<SlateComponent> decompose_into_slates(std::span<const double> q,
   return components;
 }
 
-std::vector<std::size_t> systematic_sample(std::span<const double> q,
-                                           std::size_t slate_size,
-                                           util::RngStream& rng) {
+void systematic_sample(std::span<const double> q, std::size_t slate_size,
+                       util::RngStream& rng,
+                       std::vector<std::size_t>& selected) {
   const std::size_t k = q.size();
   if (slate_size == 0 || slate_size > k)
     throw std::invalid_argument("systematic_sample: bad slate size");
-  std::vector<std::size_t> selected;
+  selected.clear();
   selected.reserve(slate_size);
   // Thresholds u, u+1, ..., u+s-1 walked against the cumulative sum of q.
   // Because each q_i <= 1, at most one threshold falls inside any item, so
@@ -159,6 +159,13 @@ std::vector<std::size_t> systematic_sample(std::span<const double> q,
     }
     std::sort(selected.begin(), selected.end());
   }
+}
+
+std::vector<std::size_t> systematic_sample(std::span<const double> q,
+                                           std::size_t slate_size,
+                                           util::RngStream& rng) {
+  std::vector<std::size_t> selected;
+  systematic_sample(q, slate_size, rng, selected);
   return selected;
 }
 

@@ -15,9 +15,15 @@
 //     mixture itself;
 //   - systematic_sample: the O(k) sampler equivalent to drawing one slate
 //     from that mixture, used in the hot loop.
+//
+// The hot-loop pair each come in a buffer-taking form, the one
+// implementation, which reuses the caller's vectors so a Slate cycle
+// allocates nothing after its first; the value-returning forms are thin
+// wrappers for tests and one-off callers.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -32,9 +38,21 @@ struct SlateComponent {
 };
 
 /// Caps and renormalizes a probability distribution `p` (sum 1) into slate
-/// inclusion marginals `q`: q_i in [0, 1], sum(q) = s, and q proportional
-/// to p below the cap.  Requires 1 <= s <= p.size().  Iterates the
-/// cap-and-rescale fixpoint, which terminates in at most k rounds.
+/// inclusion marginals `q` (resized to k): q_i in [0, 1], sum(q) = s, and q
+/// proportional to p below the cap.  Requires 1 <= s <= p.size() <= 2^32-1.
+///
+/// Iterates the cap-and-rescale fixpoint, which terminates in at most k
+/// rounds.  `uncapped` is scratch: the compacted list of still-uncapped
+/// indices, in ascending order.  Each round sums, scales and caps only the
+/// entries on it, then drops the newly capped ones, so a round costs the
+/// live entries rather than all k.  Because the list keeps index order,
+/// every sum adds exactly the terms a full walk skipping capped entries
+/// would add, in the same order, and q is bit-identical to that walk's.
+void cap_to_slate_marginals(std::span<const double> p, std::size_t slate_size,
+                            std::vector<double>& q,
+                            std::vector<std::uint32_t>& uncapped);
+
+/// Value-returning form of the above, with its own scratch.
 [[nodiscard]] std::vector<double> cap_to_slate_marginals(
     std::span<const double> p, std::size_t slate_size);
 
@@ -47,8 +65,13 @@ struct SlateComponent {
 
 /// Draws one s-subset whose inclusion probabilities equal q, using circular
 /// systematic sampling (equivalent to sampling a component of the convex
-/// decomposition by its coefficient).  Always returns exactly s distinct
-/// indices.
+/// decomposition by its coefficient).  Replaces `selected` with exactly s
+/// distinct indices, ascending, and draws one uniform from `rng`.
+void systematic_sample(std::span<const double> q, std::size_t slate_size,
+                       util::RngStream& rng,
+                       std::vector<std::size_t>& selected);
+
+/// Value-returning form of the above.
 [[nodiscard]] std::vector<std::size_t> systematic_sample(
     std::span<const double> q, std::size_t slate_size, util::RngStream& rng);
 

@@ -22,14 +22,14 @@ void StandardMwu::init() {
   counts_scratch_.assign(config_.num_options, 0.0);
 }
 
-std::vector<std::size_t> StandardMwu::sample(util::RngStream& rng) {
+const std::vector<std::size_t>& StandardMwu::sample(util::RngStream& rng) {
   // O(log k) per draw instead of the O(k) linear scan; the sampler tracks
   // the weights exactly, so the draw distribution is unchanged.
-  std::vector<std::size_t> assigned(config_.num_agents);
-  for (auto& option : assigned) {
+  probes_.resize(config_.num_agents);
+  for (auto& option : probes_) {
     option = sampler_.sample(rng);
   }
-  return assigned;
+  return probes_;
 }
 
 void StandardMwu::update(std::span<const std::size_t> options,

@@ -28,7 +28,8 @@ class StandardMwu final : public MwuStrategy {
 
   void init() override;
   /// num_agents weight-proportional draws.
-  [[nodiscard]] std::vector<std::size_t> sample(util::RngStream& rng) override;
+  [[nodiscard]] const std::vector<std::size_t>& sample(
+      util::RngStream& rng) override;
   void update(std::span<const std::size_t> options,
               std::span<const double> rewards, util::RngStream& rng) override;
   [[nodiscard]] std::vector<double> probabilities() const override;
@@ -63,6 +64,8 @@ class StandardMwu final : public MwuStrategy {
   /// Persistent per-cycle reward-count scratch: accumulated
   /// sparsely, cleared sparsely, never reallocated after the first cycle.
   std::vector<double> counts_scratch_;
+  /// The buffer sample() fills and returns.
+  std::vector<std::size_t> probes_;
 };
 
 }  // namespace mwr::core

@@ -62,6 +62,13 @@ CampaignPlan plan_campaign(const SubmitRequest& request) {
         "plan_campaign: tests > 64 (oracle bitmask limit)");
   if (request.mwu > static_cast<std::uint8_t>(core::MwuKind::kExp3))
     throw std::invalid_argument("plan_campaign: unknown MWU kind index");
+  // The pool precompute runs as one non-preemptible unit inside the epoch
+  // sweep, so every tenant waits at the join for it: bound its budget.
+  if (request.pool_attempts > kMaxPoolAttempts)
+    throw std::invalid_argument("plan_campaign: pool_attempts > " +
+                                std::to_string(kMaxPoolAttempts));
+  if (request.pool_target > request.pool_attempts)
+    throw std::invalid_argument("plan_campaign: pool_target > pool_attempts");
 
   CampaignPlan plan;
   plan.spec = datasets::scenario_by_name(request.scenario);

@@ -56,6 +56,12 @@ struct SubmitRequest {
   bool operator==(const SubmitRequest&) const = default;
 };
 
+/// The largest `pool_attempts` a SUBMIT may ask for: MutationPool's default
+/// candidate budget.  plan_campaign also refuses a `pool_target` above
+/// `pool_attempts`, since each attempt yields at most one safe mutation.
+inline constexpr std::uint32_t kMaxPoolAttempts = 200000;
+static_assert(apr::PoolConfig{}.max_attempts == kMaxPoolAttempts);
+
 /// The resolved execution plan for a submission.
 struct CampaignPlan {
   datasets::ScenarioSpec spec;
@@ -69,7 +75,9 @@ struct CampaignPlan {
 /// an unknown scenario name, an unknown MWU kind, or degenerate repair
 /// knobs (zero bugs/arms/max_count/agents/max_iterations, tests > 64) —
 /// everything a later phase would throw on must be rejected at SUBMIT so
-/// a malformed request can never detonate inside an epoch fiber.
+/// a malformed request can never detonate inside an epoch fiber.  It also
+/// refuses a pool budget past kMaxPoolAttempts and a pool target past its
+/// budget, whose precompute would stall every tenant at the epoch join.
 [[nodiscard]] CampaignPlan plan_campaign(const SubmitRequest& request);
 
 struct SubmitReply {

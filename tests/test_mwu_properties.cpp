@@ -105,6 +105,37 @@ TEST_P(MwuInvariants, RunsAreReproducibleAcrossIdenticalSeeds) {
   EXPECT_EQ(a.probabilities, b.probabilities);
 }
 
+// sample() hands out a buffer the strategy owns: the same object every
+// cycle, whose storage is reused once it has reached its size.
+TEST(MwuStrategy, SampleReusesItsBuffer) {
+  for (const MwuKind kind : {MwuKind::kStandard, MwuKind::kSlate,
+                             MwuKind::kDistributed, MwuKind::kExp3}) {
+    SCOPED_TRACE(to_string(kind));
+    MwuConfig config;
+    config.num_options = 32;
+    config.num_agents = 8;
+    const auto strategy = make_mwu(kind, config);
+    util::RngStream rng(21);
+    const std::vector<std::size_t>* buffer = nullptr;
+    const std::size_t* data = nullptr;
+    std::vector<double> rewards;
+    for (int cycle = 0; cycle < 50; ++cycle) {
+      const auto& probes = strategy->sample(rng);
+      ASSERT_EQ(probes.size(), strategy->cpus_per_cycle());
+      if (cycle == 0) {
+        buffer = &probes;
+        data = probes.data();
+      } else {
+        EXPECT_EQ(&probes, buffer) << "cycle " << cycle;
+        EXPECT_EQ(probes.data(), data) << "cycle " << cycle;
+      }
+      rewards.resize(probes.size());
+      for (auto& r : rewards) r = rng.bernoulli(0.5) ? 1.0 : 0.0;
+      strategy->update(probes, rewards, rng);
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Grid, MwuInvariants,
     ::testing::Combine(::testing::Values(MwuKind::kStandard, MwuKind::kSlate,

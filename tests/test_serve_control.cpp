@@ -1,6 +1,7 @@
 // The socket layer of the campaign server: MWRW frames over a real
 // Unix-domain stream socket, the daemon's control loop (serve/
-// control_loop.hpp), and ServeClient.  (Everything socket-free about the
+// control_loop.hpp), and ServeClient; plus the bound plan_campaign puts
+// on a SUBMIT's pool precompute.  (Everything else socket-free about the
 // server lives in test_serve.cpp.)
 #include <gtest/gtest.h>
 
@@ -259,6 +260,47 @@ TEST(ServeClient, SubmitsPollsAndFetchesResultsOverTheWire) {
 
   daemon.thread.join();
   EXPECT_FALSE(daemon_failed.load());
+}
+
+// --- the precompute bound ----------------------------------------------
+
+// A SUBMIT's pool precompute runs unpreempted inside the epoch sweep, so
+// its budget is capped at admission: past kMaxPoolAttempts, or a target
+// past the budget, is refused; the serving sizes stay admitted.
+SubmitRequest pool_request(std::uint32_t target, std::uint32_t attempts) {
+  SubmitRequest request;
+  request.scenario = "units";
+  request.pool_target = target;
+  request.pool_attempts = attempts;
+  return request;
+}
+
+TEST(PlanCampaign, RejectsAPoolBudgetPastTheDefault) {
+  EXPECT_NO_THROW((void)plan_campaign(pool_request(150, kMaxPoolAttempts)));
+  EXPECT_THROW((void)plan_campaign(pool_request(150, kMaxPoolAttempts + 1)),
+               std::invalid_argument);
+}
+
+TEST(PlanCampaign, RejectsAPoolTargetPastItsBudget) {
+  EXPECT_NO_THROW((void)plan_campaign(pool_request(10000, 10000)));
+  EXPECT_THROW((void)plan_campaign(pool_request(10001, 10000)),
+               std::invalid_argument);
+}
+
+TEST(PlanCampaign, RejectsMaximalPoolFieldsAndAdmitsServingSizes) {
+  constexpr std::uint32_t kMax = 0xffffffffu;
+  EXPECT_THROW((void)plan_campaign(pool_request(kMax, kMax)),
+               std::invalid_argument);
+  EXPECT_THROW((void)plan_campaign(pool_request(150, kMax)),
+               std::invalid_argument);
+  EXPECT_THROW((void)plan_campaign(pool_request(kMax, 10000)),
+               std::invalid_argument);
+  // The sizes the serve bench, the end-to-end fleets and these tests use.
+  const CampaignPlan plan = plan_campaign(pool_request(150, 10000));
+  EXPECT_EQ(plan.config.pool.target_size, 150u);
+  EXPECT_EQ(plan.config.pool.max_attempts, 10000u);
+  EXPECT_NO_THROW((void)plan_campaign(pool_request(120, 10000)));
+  EXPECT_NO_THROW((void)plan_campaign(SubmitRequest{}));
 }
 
 // --- the control loop --------------------------------------------------

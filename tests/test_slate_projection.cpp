@@ -4,6 +4,9 @@
 // weight vector into a convex combination of slates).
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
 #include <numeric>
 #include <set>
 
@@ -56,6 +59,139 @@ TEST(CapToSlateMarginals, CascadingCaps) {
   EXPECT_DOUBLE_EQ(q[1], 1.0);
   EXPECT_NEAR(q[2] + q[3], 1.0, 1e-9);
   EXPECT_NEAR(q[2], 0.5, 1e-9);
+}
+
+// The capping fixpoint as it stood before the compacted index list: every
+// round walks all k entries and skips the capped ones.  It is the bit-level
+// reference the compacted fixpoint must reproduce.  `rounds` counts the
+// rounds run and `exit` names the branch that ended the loop.
+enum class FixpointExit { kNoNewCap, kZeroTarget, kUniformFill };
+
+struct ReferenceFixpoint {
+  std::vector<double> q;
+  std::size_t rounds = 0;
+  FixpointExit exit = FixpointExit::kNoNewCap;
+};
+
+ReferenceFixpoint reference_cap_to_slate_marginals(
+    const std::vector<double>& p, std::size_t slate_size) {
+  const std::size_t k = p.size();
+  const auto s = static_cast<double>(slate_size);
+  ReferenceFixpoint out;
+  std::vector<double>& q = out.q;
+  q = p;
+  std::vector<bool> capped(k, false);
+  std::size_t num_capped = 0;
+  for (;;) {
+    ++out.rounds;
+    double uncapped_mass = 0.0;
+    for (std::size_t i = 0; i < k; ++i) {
+      if (!capped[i]) uncapped_mass += q[i];
+    }
+    const double target = s - static_cast<double>(num_capped);
+    if (target <= 0.0) {
+      for (std::size_t i = 0; i < k; ++i) {
+        if (!capped[i]) q[i] = 0.0;
+      }
+      out.exit = FixpointExit::kZeroTarget;
+      break;
+    }
+    if (uncapped_mass <= 0.0) {
+      const double fill = target / static_cast<double>(k - num_capped);
+      for (std::size_t i = 0; i < k; ++i) {
+        if (!capped[i]) q[i] = fill;
+      }
+      out.exit = FixpointExit::kUniformFill;
+      break;
+    }
+    const double scale = target / uncapped_mass;
+    bool newly_capped = false;
+    for (std::size_t i = 0; i < k; ++i) {
+      if (capped[i]) continue;
+      const double scaled = q[i] * scale;
+      if (scaled >= 1.0) {
+        q[i] = 1.0;
+        capped[i] = true;
+        ++num_capped;
+        newly_capped = true;
+      }
+    }
+    if (!newly_capped) {
+      for (std::size_t i = 0; i < k; ++i) {
+        if (!capped[i]) q[i] *= scale;
+      }
+      out.exit = FixpointExit::kNoNewCap;
+      break;
+    }
+  }
+  return out;
+}
+
+TEST(CapToSlateMarginals, MatchesReferenceFixpointBitForBit) {
+  // One scratch pair across every case, so the buffer-taking form also
+  // runs on buffers left dirty (and larger) by the previous call.
+  std::vector<double> q;
+  std::vector<std::uint32_t> uncapped;
+  const auto check = [&](const std::vector<double>& p, std::size_t slate,
+                         const char* what) {
+    SCOPED_TRACE(::testing::Message()
+                 << what << ": k=" << p.size() << " s=" << slate);
+    const ReferenceFixpoint reference =
+        reference_cap_to_slate_marginals(p, slate);
+    const auto returned = cap_to_slate_marginals(p, slate);
+    cap_to_slate_marginals(p, slate, q, uncapped);
+    EXPECT_EQ(returned.size(), p.size());
+    EXPECT_EQ(q.size(), p.size());
+    for (std::size_t i = 0; i < p.size(); ++i) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(returned[i]),
+                std::bit_cast<std::uint64_t>(reference.q[i]))
+          << "value form, option " << i;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(q[i]),
+                std::bit_cast<std::uint64_t>(reference.q[i]))
+          << "buffer form, option " << i;
+    }
+    return reference;
+  };
+
+  // Random distributions over the sizes the sweep meets, at the Slate
+  // sizes gamma = 0.05 implies and at the extremes s = 1 and s = k.
+  for (const std::size_t k : {std::size_t{1}, std::size_t{2}, std::size_t{13},
+                              std::size_t{256}, std::size_t{4096}}) {
+    const auto gamma_slate = std::max<std::size_t>(
+        1, static_cast<std::size_t>(
+               std::lround(0.05 * static_cast<double>(k))));
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      const auto p = normalized_random(k, 100 * k + seed);
+      for (const std::size_t slate :
+           {std::size_t{1}, gamma_slate, (k + 1) / 2, k}) {
+        check(p, slate, "random");
+      }
+    }
+  }
+
+  // One dominant leader over a flat tail.
+  std::vector<double> leader(256, 0.1 / 255.0);
+  leader[17] = 0.9;
+  EXPECT_GE(check(leader, 13, "leader").rounds, 2u);
+
+  // Several near-cap entries of decreasing size: each round's rescale
+  // pushes the next one over the cap.
+  std::vector<double> cascade(64, 0.0);
+  double total = 0.0;
+  for (std::size_t i = 0; i < cascade.size(); ++i) {
+    total += (cascade[i] = std::pow(0.8, static_cast<double>(i)));
+  }
+  for (auto& v : cascade) v /= total;
+  EXPECT_GE(check(cascade, 8, "cascade").rounds, 3u);
+
+  // Capped entries consume every slot: the zero-target branch.
+  const std::vector<double> exact = {0.5, 0.0, 0.5, 0.0, 0.0};
+  EXPECT_EQ(check(exact, 2, "zero target").exit, FixpointExit::kZeroTarget);
+
+  // An all-zero tail left once the head is capped: the uniform-fill branch.
+  const std::vector<double> zero_tail = {0.6, 0.4, 0.0, 0.0, 0.0, 0.0};
+  EXPECT_EQ(check(zero_tail, 3, "zero tail").exit,
+            FixpointExit::kUniformFill);
 }
 
 TEST(DecomposeIntoSlates, RejectsInfeasibleInput) {

@@ -17,9 +17,11 @@
 // Exit codes: 0 success, 1 launch/worker failure, 2 congestion-bound
 // violation.
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <exception>
 #include <fstream>
+#include <iomanip>
 #include <string>
 #include <vector>
 
@@ -134,17 +136,20 @@ int run(int argc, char** argv) {
 
   if (!cli.get_string("metrics-out").empty()) {
     // Run summary first (the fields CI greps), then the parent process's
-    // metrics registry snapshot.
+    // metrics registry snapshot.  The hash is a sum of 32-bit values, an
+    // integer-valued double, so it is written as the exact integer stdout
+    // prints; the other doubles round-trip at 17 significant digits.
     std::ofstream out(cli.get_string("metrics-out"));
     if (!out) throw std::runtime_error("cannot open --metrics-out path");
-    out << "{\n  \"run\": {\n"
+    out << std::setprecision(17) << "{\n  \"run\": {\n"
         << "    \"ranks\": " << ranks << ",\n"
         << "    \"processes\": " << processes << ",\n"
         << "    \"cycles\": " << result.result.iterations << ",\n"
         << "    \"converged\": " << (result.result.converged ? "true" : "false")
         << ",\n"
         << "    \"tracked_messages\": " << result.total_messages << ",\n"
-        << "    \"trajectory_hash\": " << result.trajectory_hash << ",\n"
+        << "    \"trajectory_hash\": "
+        << static_cast<std::uint64_t>(result.trajectory_hash) << ",\n"
         << "    \"congestion_mean\": " << congestion.mean() << ",\n"
         << "    \"congestion_max\": " << congestion.max() << ",\n"
         << "    \"balls_into_bins_bound\": " << bound << "\n  },\n"
