@@ -98,7 +98,6 @@ BackendResult bench_uds(std::size_t burst, std::size_t pingpong) {
   parallel::transport::ProcessWorldConfig config;
   config.global_ranks = 2;
   config.processes = 2;
-  config.result_width = 2;
   const auto outcome = parallel::transport::run_process_world(
       config, [burst, pingpong](parallel::CommWorld& world,
                                 const parallel::WorldLayout& /*layout*/) {

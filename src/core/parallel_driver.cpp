@@ -261,7 +261,7 @@ ParallelMwuResult run_distributed_spmd_multiprocess(
         "run_distributed_spmd_multiprocess: empty population");
   const std::size_t num_options = config.num_options;
 
-  // Result-slot layout (doubles), written by each worker's report rank:
+  // Report layout (doubles), returned by each worker's report rank:
   //   [0] evaluations   [1] total tracked messages
   //   [2..6] congestion count/mean/m2/min/max (identical in every process:
   //          all of them record the same global per-cycle maxima)
@@ -275,7 +275,6 @@ ParallelMwuResult run_distributed_spmd_multiprocess(
   pw.global_ranks = population;
   pw.processes = options.processes;
   pw.policy = options.policy;
-  pw.result_width = kProbs + num_options;
   pw.timeout_seconds = options.timeout_seconds;
 
   const auto outcome = tp::run_process_world(

@@ -1,14 +1,15 @@
 #include "parallel/transport/process_world.hpp"
 
-#include <atomic>
+#include <cerrno>
 #include <chrono>
-#include <cstdint>
 #include <cstring>
 #include <memory>
-#include <thread>
+#include <optional>
+#include <string>
+#include <tuple>
+#include <vector>
 
 #include <csignal>
-#include <sys/mman.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -16,85 +17,39 @@ namespace mwr::parallel::transport {
 
 namespace {
 
-// One per worker process in the MAP_SHARED result arena, followed by the
-// bytes of `result_width` doubles.  `status` is the publication point:
-// the child stores it (release) last, the parent loads it (acquire)
-// before trusting the rest of the slot.
-struct ResultSlot {
-  std::atomic<std::uint32_t> status;  // 0 pending, 1 ok, 2 failed
-  std::uint32_t value_count;
-  char error[240];
-};
+/// poll() timeout of one supervision round.
+constexpr int kSuperviseMs = 5;
+/// How long the parent waits for a reaped worker's unread report.
+constexpr int kReportGraceMs = 1000;
 
-constexpr std::uint32_t kPending = 0;
-constexpr std::uint32_t kOk = 1;
-constexpr std::uint32_t kFailed = 2;
-
-struct Arena {
-  void* base = nullptr;
-  std::size_t bytes = 0;
-  std::size_t stride = 0;
-
-  ~Arena() {
-    if (base != nullptr) ::munmap(base, bytes);
-  }
-
-  ResultSlot& slot(std::size_t process) noexcept {
-    return *reinterpret_cast<ResultSlot*>(static_cast<std::uint8_t*>(base) +
-                                          stride * process);
-  }
-  /// The value bytes that follow process `process`'s slot header.
-  std::uint8_t* values(std::size_t process) noexcept {
-    return static_cast<std::uint8_t*>(base) + stride * process +
-           sizeof(ResultSlot);
-  }
-};
-
-void map_arena(Arena& arena, std::size_t processes, std::size_t width) {
-  arena.stride = sizeof(ResultSlot) + sizeof(double) * width;
-  arena.bytes = arena.stride * processes;
-  arena.base = ::mmap(nullptr, arena.bytes, PROT_READ | PROT_WRITE,
-                      MAP_SHARED | MAP_ANONYMOUS, -1, 0);
-  if (arena.base == MAP_FAILED) {
-    arena.base = nullptr;
-    throw TransportError("mmap of result arena failed");
-  }
-  for (std::size_t p = 0; p < processes; ++p) new (&arena.slot(p)) ResultSlot{};
-}
-
-void write_slot_failed(ResultSlot& slot, const char* what) noexcept {
-  std::strncpy(slot.error, what, sizeof(slot.error) - 1);
-  slot.error[sizeof(slot.error) - 1] = '\0';
-  slot.status.store(kFailed, std::memory_order_release);
+WireFrame failure_report(const std::string& what) {
+  WireFrame frame = WireFrame::control(FrameKind::kShutdown, 0);
+  frame.bytes.assign(what.begin(), what.end());
+  return frame;
 }
 
 /// Runs in the forked worker; must not return into the caller's stack
 /// frames beyond this function (the caller _exits with the result).
 int child_main(const ProcessWorldConfig& config, std::size_t index,
-               const std::shared_ptr<UdsFabric>& fabric, Arena& arena,
-               const ProcessBody& body) noexcept {
-  ResultSlot& slot = arena.slot(index);
+               const std::shared_ptr<UdsFabric>& fabric,
+               FrameStream& results, const ProcessBody& body) noexcept {
+  WireFrame report;
   try {
     Endpoint endpoint(fabric, index);
     const WorldLayout layout{config.global_ranks, config.processes, index};
     CommWorld world(layout, &endpoint, config.policy);
-    const std::vector<double> values = body(world, layout);
-    if (values.size() > config.result_width)
-      throw TransportError("process body returned more than " +
-                           std::to_string(config.result_width) + " values");
-    slot.value_count = static_cast<std::uint32_t>(values.size());
-    if (!values.empty())
-      std::memcpy(arena.values(index), values.data(),
-                  values.size() * sizeof(double));
-    slot.status.store(kOk, std::memory_order_release);
-    return 0;
+    report = WireFrame::message(0, 0, 0, body(world, layout), false);
   } catch (const std::exception& e) {
-    write_slot_failed(slot, e.what());
-    return 1;
+    report = failure_report(e.what());
   } catch (...) {
-    write_slot_failed(slot, "unknown error in worker");
-    return 1;
+    report = failure_report("unknown error in worker");
   }
+  try {
+    results.queue_frame(report);
+    if (results.write_all() && report.kind == FrameKind::kMessage) return 0;
+  } catch (...) {
+  }
+  return 1;
 }
 
 }  // namespace
@@ -107,23 +62,26 @@ ProcessWorldOutcome run_process_world(const ProcessWorldConfig& config,
     throw TransportError("run_process_world: fewer ranks than processes");
 
   // Everything shared is created before the first fork so children inherit
-  // it: the fabric and the result slots.
+  // it: the fabric and each worker's result channel.
   const auto fabric = UdsFabric::create(config.processes, config.global_ranks);
-  Arena arena;
-  map_arena(arena, config.processes, config.result_width);
+  struct Worker {
+    pid_t pid = -1;
+    std::unique_ptr<FrameStream> results;  ///< parent's end; null once done.
+    std::unique_ptr<FrameStream> child_end;
+    std::optional<WireFrame> report;
+  };
+  std::vector<Worker> workers(config.processes);
+  for (Worker& w : workers)
+    std::tie(w.results, w.child_end) = FrameStream::connected_pair();
 
   ProcessWorldOutcome outcome;
   const auto fail = [&outcome](const std::string& why) {
     if (outcome.error.empty()) outcome.error = why;
   };
-  const auto fail_from_slot = [&](std::size_t p) {
-    char buffer[sizeof(ResultSlot::error)];
-    std::memcpy(buffer, arena.slot(p).error, sizeof(buffer));
-    buffer[sizeof(buffer) - 1] = '\0';
-    fail("worker " + std::to_string(p) + ": " + buffer);
+  const auto report_text = [](const WireFrame& report) {
+    return std::string(report.bytes.begin(), report.bytes.end());
   };
 
-  std::vector<pid_t> pids(config.processes, -1);
   for (std::size_t p = 0; p < config.processes; ++p) {
     const pid_t pid = ::fork();
     if (pid < 0) {
@@ -131,17 +89,37 @@ ProcessWorldOutcome run_process_world(const ProcessWorldConfig& config,
       break;
     }
     if (pid == 0) {
-      // Worker process.  _exit (not exit): do not run the parent's atexit
-      // chain or flush its stdio buffers twice.
-      ::_exit(child_main(config, p, fabric, arena, body));
+      // Worker process: keep only its own end of its own channel, so the
+      // parent sees EOF on a channel exactly when its worker is gone.
+      // _exit (not exit): do not run the parent's atexit chain or flush
+      // its stdio buffers twice.
+      std::unique_ptr<FrameStream> mine = std::move(workers[p].child_end);
+      workers.clear();
+      ::_exit(child_main(config, p, fabric, *mine, body));
     }
-    pids[p] = pid;
+    workers[p].pid = pid;
   }
 
   // The launcher must not keep socket ends open: a dead (or never forked)
   // worker's peers learn of its absence through EOF, which the parent's
   // copies would mask.
   fabric->close_all();
+  for (Worker& w : workers) w.child_end.reset();
+
+  // Reads what worker p's channel holds and keeps its first frame as the
+  // report.  A channel at EOF, or carrying garbage, is closed.
+  const auto pump_report = [&](std::size_t p) {
+    Worker& w = workers[p];
+    std::vector<WireFrame> frames;
+    bool open = false;
+    try {
+      open = w.results->pump(frames);
+    } catch (const std::exception& e) {
+      fail("worker " + std::to_string(p) + ": " + e.what());
+    }
+    if (!frames.empty()) w.report = std::move(frames.front());
+    if (!open) w.results.reset();
+  };
 
   using Clock = std::chrono::steady_clock;
   const auto deadline =
@@ -153,24 +131,39 @@ ProcessWorldOutcome run_process_world(const ProcessWorldConfig& config,
   bool killed = false;
 
   std::size_t live = 0;
-  for (const pid_t pid : pids) {
-    if (pid > 0) ++live;
+  for (const Worker& w : workers) {
+    if (w.pid > 0) ++live;
   }
   while (live > 0) {
+    std::vector<const FrameStream*> waiting;
+    for (const Worker& w : workers) {
+      if (w.results && !w.report) waiting.push_back(w.results.get());
+    }
+    (void)wait_ready(waiting, kSuperviseMs);
     for (std::size_t p = 0; p < config.processes; ++p) {
-      if (pids[p] <= 0) continue;
+      if (workers[p].results && !workers[p].report) pump_report(p);
+    }
+    for (std::size_t p = 0; p < config.processes; ++p) {
+      Worker& w = workers[p];
+      if (w.pid <= 0) continue;
       int status = 0;
-      const pid_t r = ::waitpid(pids[p], &status, WNOHANG);
-      if (r == 0) continue;
-      pids[p] = -1;
+      if (::waitpid(w.pid, &status, WNOHANG) == 0) continue;
+      w.pid = -1;
       --live;
+      if (!w.report && w.results) {
+        try {
+          w.report = w.results->recv_frame(kReportGraceMs);
+        } catch (const std::exception& e) {
+          fail("worker " + std::to_string(p) + ": " + e.what());
+        }
+      }
+      w.results.reset();
       if (WIFEXITED(status) && WEXITSTATUS(status) == 0) continue;
       if (WIFSIGNALED(status)) {
         fail("worker " + std::to_string(p) + " killed by signal " +
              std::to_string(WTERMSIG(status)));
-      } else if (arena.slot(p).status.load(std::memory_order_acquire) ==
-                 kFailed) {
-        fail_from_slot(p);
+      } else if (w.report && w.report->kind == FrameKind::kShutdown) {
+        fail("worker " + std::to_string(p) + ": " + report_text(*w.report));
       } else {
         fail("worker " + std::to_string(p) + " failed");
       }
@@ -182,27 +175,22 @@ ProcessWorldOutcome run_process_world(const ProcessWorldConfig& config,
            std::to_string(config.timeout_seconds) + "s");
     }
     if (now > kill_deadline && !killed) {
-      for (const pid_t pid : pids) {
-        if (pid > 0) ::kill(pid, SIGKILL);
+      for (const Worker& w : workers) {
+        if (w.pid > 0) ::kill(w.pid, SIGKILL);
       }
       killed = true;
     }
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
 
   outcome.values.resize(config.processes);
   for (std::size_t p = 0; p < config.processes; ++p) {
-    ResultSlot& slot = arena.slot(p);
-    const std::uint32_t status = slot.status.load(std::memory_order_acquire);
-    if (status == kOk) {
-      outcome.values[p].resize(slot.value_count);
-      if (slot.value_count != 0)
-        std::memcpy(outcome.values[p].data(), arena.values(p),
-                    slot.value_count * sizeof(double));
-    } else if (status == kFailed) {
-      fail_from_slot(p);
-    } else if (status == kPending) {
+    std::optional<WireFrame>& report = workers[p].report;
+    if (!report) {
       fail("worker " + std::to_string(p) + " never reported");
+    } else if (report->kind == FrameKind::kMessage) {
+      outcome.values[p] = std::move(report->payload);
+    } else {
+      fail("worker " + std::to_string(p) + ": " + report_text(*report));
     }
   }
   outcome.ok = outcome.error.empty();

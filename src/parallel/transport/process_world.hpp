@@ -1,14 +1,18 @@
 // Fork-based launcher for multi-process worlds.
 //
-// run_process_world() builds the socketpair fabric and a small MAP_SHARED
-// result arena *before* forking, forks one worker process per layout
-// block, and supervises them: each child constructs its endpoint and
-// CommWorld, runs the caller's body over its rank block, and reports
-// through its result slot; the parent reaps with a deadline and SIGKILLs
-// stragglers rather than hang.  A worker that dies closes its sockets,
-// so its peers read EOF and abort the world themselves.  The parent hosts
-// no ranks — it is pure supervision, which keeps test harnesses and the
-// mwr_worldd launcher out of the world's communication.
+// run_process_world() builds the socketpair fabric and one result channel
+// per worker (a socketpair to the parent) *before* forking, forks one
+// worker process per layout block, and supervises them: each child
+// constructs its endpoint and CommWorld, runs the caller's body over its
+// rank block, and reports on its result channel — its values as one
+// kMessage frame, or its error text as the bytes of one kShutdown frame.
+// The parent pumps the result channels while it reaps (so a report larger
+// than a socket buffer cannot deadlock the worker), with a deadline after
+// which it SIGKILLs stragglers rather than hang.  A worker that dies
+// closes its sockets, so its peers read EOF and abort the world
+// themselves.  The parent hosts no ranks — it is pure supervision, which
+// keeps test harnesses and the mwr_worldd launcher out of the world's
+// communication.
 #pragma once
 
 #include <cstddef>
@@ -25,9 +29,6 @@ struct ProcessWorldConfig {
   std::size_t global_ranks = 2;
   std::size_t processes = 2;
   RunPolicy policy{};
-  /// Doubles each worker's body may return: the width of its result slot.
-  /// A body that returns more fails its worker.
-  std::size_t result_width = 0;
   /// Wall-clock budget for the whole world; on expiry the world fails and
   /// the workers are killed after a short grace window.
   double timeout_seconds = 120.0;
@@ -41,8 +42,9 @@ struct ProcessWorldOutcome {
   std::vector<std::vector<double>> values;
 };
 
-/// The function each worker process runs.  The returned doubles (at most
-/// ProcessWorldConfig::result_width) land in the process's result slot.
+/// The function each worker process runs.  The returned doubles land in
+/// ProcessWorldOutcome::values; one report frame carries them, so they are
+/// bounded by FrameStream::kMaxFrameBytes (about 512Ki doubles).
 using ProcessBody = std::function<std::vector<double>(
     CommWorld& world, const WorldLayout& layout)>;
 

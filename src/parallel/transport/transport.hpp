@@ -9,41 +9,34 @@
 // child claims its own row (closing every fd that belongs to a sibling);
 // the launcher releases the whole fabric once all children are running.
 //
-// Stream semantics give the two properties CommWorld needs for free:
-// per-peer FIFO delivery (the non-overtaking mailbox guarantee) and a
-// definite end-of-stream — a dead peer's sockets read EOF, which recv()
-// turns into a TransportError the drain thread makes a world abort.  A
-// local abort calls shutdown(SHUT_RDWR) on every owned fd, which both
-// wakes this process's blocked reads and shows peers the same EOF.
-//
-// Sends are *batched across the seam*: frames accumulate in a per-peer
-// buffer and reach the socket on flush() — callers flush before every
-// blocking point (Comm::recv, barrier marker exchange), so a burst of
-// probe/observe traffic between two barriers crosses the process boundary
-// in a handful of writes instead of one syscall per message.
+// Each channel is one FrameStream (frame_stream.hpp).  Stream semantics
+// give CommWorld per-peer FIFO delivery (the non-overtaking mailbox
+// guarantee) and a definite end-of-stream: a dead peer's sockets read
+// EOF, which recv() turns into a TransportError the drain thread makes a
+// world abort.  Endpoint adds the geometry handshake, kShutdown as
+// orderly end-of-stream, and abort: shutdown(SHUT_RDWR) on every owned
+// socket both wakes this process's blocked reads and shows peers the same
+// EOF.  Sends are batched across the seam: frames accumulate in the
+// peer's outbound queue and reach the socket on flush() — callers flush
+// before every blocking point (Comm::recv, barrier marker exchange), so a
+// burst of probe/observe traffic between two barriers crosses the process
+// boundary in a handful of writes instead of one syscall per message.  A
+// frame announced past FrameStream::kMaxFrameBytes (4 MiB) fails the
+// world.
 #pragma once
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "parallel/transport/wire.hpp"
+#include "parallel/transport/frame_stream.hpp"
 #include "util/sync.hpp"
 #include "util/thread_annotations.hpp"
 
 namespace mwr::parallel::transport {
-
-/// Raised when the fabric fails or a peer process dies: blocked barrier
-/// exchanges and sends throw it so the world unwinds instead of hanging.
-class TransportError : public std::runtime_error {
- public:
-  explicit TransportError(const std::string& what)
-      : std::runtime_error("transport: " + what) {}
-};
 
 /// The pre-fork half: owns one socketpair per unordered process pair.
 class UdsFabric {
@@ -52,36 +45,31 @@ class UdsFabric {
   static std::shared_ptr<UdsFabric> create(std::size_t processes,
                                            std::size_t global_ranks);
 
-  ~UdsFabric();
   UdsFabric(const UdsFabric&) = delete;
   UdsFabric& operator=(const UdsFabric&) = delete;
 
   [[nodiscard]] std::size_t processes() const noexcept { return processes_; }
 
-  /// Closes every fd this copy of the fabric still holds.  The launcher
-  /// calls this after forking all children: once the parent's ends are
-  /// gone, a dead child's sockets read EOF at its peers — the launcher
-  /// holding them open would mask worker deaths.
-  void close_all() noexcept;
+  /// Closes every socket this copy of the fabric still holds.  The
+  /// launcher calls this after forking all children: once the parent's
+  /// ends are gone, a dead child's sockets read EOF at its peers — the
+  /// launcher holding them open would mask worker deaths.
+  void close_all() noexcept { streams_.clear(); }
 
  private:
   friend class Endpoint;
 
   UdsFabric() = default;
 
-  /// fd process `self` uses to exchange frames with `peer`, or -1 once
-  /// closed.  Row `self` is that process's end of each pair.
-  [[nodiscard]] int fd(std::size_t self, std::size_t peer) const noexcept {
-    return fds_[self * processes_ + peer];
-  }
-
-  /// Closes every fd that does not belong to process `index`.  Called by
-  /// the claiming endpoint right after fork.
-  void claim(std::size_t index) noexcept;
+  /// Hands process `index` its row — its end of each pair, null for
+  /// itself — and closes every other socket.  Called by the claiming
+  /// endpoint right after fork.
+  std::vector<std::unique_ptr<FrameStream>> claim(std::size_t index);
 
   std::size_t processes_ = 0;
   std::size_t global_ranks_ = 0;
-  std::vector<int> fds_;
+  /// Row-major [self][peer]: process `self`'s end of its pair with `peer`.
+  std::vector<std::unique_ptr<FrameStream>> streams_;
 };
 
 /// One process's handle onto a UdsFabric.  Construct after fork with that
@@ -121,27 +109,26 @@ class Endpoint {
   void abort(const std::string& reason);
 
  private:
-  // The per-peer lock also serializes the socket writes, so frames never
-  // interleave mid-record.
-  struct PeerBuffer {
-    util::Mutex mutex;
-    std::vector<std::uint8_t> bytes MWR_GUARDED_BY(mutex);
+  // One per peer.  The write half of `stream` is used under `write_mutex`
+  // (which also keeps frames from interleaving mid-record); the read half
+  // belongs to the peer's drain thread alone.
+  struct Peer {
+    explicit Peer(std::unique_ptr<FrameStream> s) : stream(std::move(s)) {}
+    util::Mutex write_mutex;
+    std::unique_ptr<FrameStream> stream;
+    bool hello_seen = false;  ///< drain thread only.
   };
-  struct PeerDecode;
 
-  void flush_peer(PeerBuffer& buffer, std::size_t peer);
-  /// Writes `size` bytes (whole frames) to the socket self->peer, all of
-  /// them or a TransportError.  Called with the peer's batch lock held.
-  void write_bytes(std::size_t peer, const std::uint8_t* data,
-                   std::size_t size);
+  /// Writes the peer's queued frames, all of them or a TransportError.
+  void flush_peer(Peer& channel, std::size_t peer)
+      MWR_REQUIRES(channel.write_mutex);
   /// Throws TransportError with the first abort reason once abort() ran.
   void throw_if_aborted() const;
 
-  std::shared_ptr<UdsFabric> fabric_;
   std::size_t processes_;
   std::size_t index_;
-  std::vector<std::unique_ptr<PeerBuffer>> buffers_;
-  std::vector<std::unique_ptr<PeerDecode>> decode_;
+  std::uint64_t hello_;  ///< the geometry fingerprint both ends must share.
+  std::vector<std::unique_ptr<Peer>> peers_;  ///< null at index_.
   std::atomic<bool> abort_requested_{false};
   mutable util::Mutex abort_mutex_;
   std::string abort_reason_ MWR_GUARDED_BY(abort_mutex_);

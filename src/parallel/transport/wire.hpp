@@ -26,7 +26,7 @@
 // Encoding is a pure function of the frame — no clocks, no addresses, no
 // ambient state — so two processes that serialize the same frame produce
 // identical byte streams (pinned by the round-trip property tests).  The
-// format is same-host by design (shm ring / UDS): both ends share
+// format is same-host by design (AF_UNIX sockets): both ends share
 // endianness and IEEE-754 layout, which the HELLO handshake re-checks via
 // kWireMagic.
 #pragma once
@@ -59,7 +59,9 @@ enum class FrameKind : std::uint8_t {
   kMessage = 1,        ///< a substrate Message for a remote rank's mailbox.
   kBarrierMarker = 2,  ///< "my ranks reached global phase `value`".
   kCycleMax = 3,       ///< my local per-cycle congestion max for `value`.
-  kShutdown = 4,       ///< orderly end of this sender's stream.
+  kShutdown = 4,       ///< orderly end of this sender's stream; a
+                       ///< process-world worker's failure report
+                       ///< carries its error text as bytes.
   // Campaign-server control plane (src/serve): the daemon speaks these
   // only on its control socket and in its checkpoint files.
   kSubmit = 5,         ///< submit a campaign; payload = encoded request.

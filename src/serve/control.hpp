@@ -21,8 +21,8 @@
 // is strictly request/reply; the daemon never pushes unsolicited frames.
 //
 // This header is IPC-free (pure structs + codecs) — the socket calls
-// live only in serve/control_socket.cpp, the one file the raw-ipc lint
-// whitelists for this subsystem.
+// live in parallel/transport/frame_stream.cpp, under serve's
+// control_socket.hpp names.
 #pragma once
 
 #include <cstdint>

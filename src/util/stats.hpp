@@ -22,7 +22,7 @@ class RunningStats {
 
   /// Rebuilds an accumulator from its exported moments (m2 = variance *
   /// (count - 1)).  Used to carry statistics across process boundaries —
-  /// a worker exports count/mean/m2/min/max through its result slot and
+  /// a worker exports count/mean/m2/min/max through its report frame and
   /// the launcher reconstructs the identical accumulator.
   [[nodiscard]] static RunningStats from_moments(std::size_t count,
                                                 double mean, double m2,

@@ -1,8 +1,8 @@
-// Fixture: the raw-ipc whitelist for the campaign server covers exactly
-// one file — src/serve/control_socket.cpp.  A naked socket anywhere else
-// in src/serve (here, a hypothetical side-channel in the server proper)
-// must still be a finding: the subsystem's control plane funnels every
-// byte through that one audited seam.
+// Fixture: the raw-ipc whitelist covers exactly one file of the campaign
+// server — src/serve/checkpoint.cpp, for its durable writes.  A naked
+// socket anywhere in src/serve (here, a hypothetical side-channel in the
+// server proper) must be a finding: the control plane funnels every byte
+// through parallel::transport::FrameStream.
 extern "C" {
 int socket(int, int, int);
 int bind(int, const void*, unsigned int);

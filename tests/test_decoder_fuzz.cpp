@@ -11,17 +11,27 @@
 // iteration budget.  Every input must either decode or throw an
 // exception derived from std::exception; anything else (a crash, a
 // foreign exception, an ASan/UBSan report in the sanitizer lane) fails.
+// The same hostile inputs are also written into a socketpair in
+// random-sized pieces and drained through FrameStream, the one code that
+// reassembles frames from a socket.
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
+
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <exception>
 #include <memory>
+#include <optional>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "apr/campaign_session.hpp"
 #include "apr/oracle_hub.hpp"
+#include "parallel/transport/frame_stream.hpp"
 #include "serve/checkpoint.hpp"
 #include "serve/control.hpp"
 #include "util/rng.hpp"
@@ -31,6 +41,7 @@ namespace {
 
 using parallel::transport::decode_frame;
 using parallel::transport::encode_frame;
+using parallel::transport::FrameStream;
 
 constexpr std::uint64_t kFuzzSeed = 0x5eedf022;
 constexpr int kFrameIterations = 20000;
@@ -232,6 +243,170 @@ TEST(DecoderFuzz, CheckpointsDecodeAndResumeOrThrowStdExceptions) {
   EXPECT_LT(decoded, kCheckpointIterations);
   EXPECT_GT(resumed, 0);
   EXPECT_LT(resumed, decoded);
+}
+
+// --- the same inputs over a socket -----------------------------------------
+
+/// What a byte sequence yields: its frames in order, and whether reading
+/// it ended in a std::runtime_error.
+struct Drained {
+  std::vector<WireFrame> frames;
+  bool threw = false;
+};
+
+/// decode_frame walked over the whole input, the reference.
+Drained walk(const std::vector<std::uint8_t>& input) {
+  Drained out;
+  std::size_t offset = 0;
+  try {
+    for (;;) {
+      WireFrame frame;
+      const std::size_t used =
+          decode_frame(input.data() + offset, input.size() - offset, frame);
+      if (used == 0) break;
+      offset += used;
+      out.frames.push_back(std::move(frame));
+    }
+  } catch (const std::runtime_error&) {
+    out.threw = true;
+  }
+  return out;
+}
+
+/// Cut points splitting `size` bytes into random pieces of 1..4096 bytes.
+std::vector<std::size_t> random_cuts(std::size_t size, util::RngStream& rng) {
+  std::vector<std::size_t> cuts;
+  for (std::size_t at = 0; at < size;) {
+    at = std::min(size, at + 1 + rng.uniform_index(4096));
+    cuts.push_back(at);
+  }
+  return cuts;
+}
+
+bool send_all(int fd, const std::uint8_t* data, std::size_t size) {
+  while (size > 0) {
+    const ssize_t n = ::send(fd, data, size, MSG_NOSIGNAL);
+    if (n <= 0) return false;
+    data += n;
+    size -= static_cast<std::size_t>(n);
+  }
+  return true;
+}
+
+/// One piece at a time, each followed by one non-blocking pump; then EOF
+/// and pumps until the stream reports it.
+Drained drain_by_pump(const std::vector<std::uint8_t>& input,
+                      const std::vector<std::size_t>& cuts) {
+  auto [writer, reader] = FrameStream::connected_pair();
+  Drained out;
+  try {
+    std::size_t from = 0;
+    for (const std::size_t to : cuts) {
+      EXPECT_TRUE(send_all(writer->fd(), input.data() + from, to - from));
+      from = to;
+      (void)reader->pump(out.frames);
+    }
+    writer->shutdown();
+    int pumps = 0;
+    while (reader->pump(out.frames)) {
+      if (++pumps > 1000) {
+        ADD_FAILURE() << "pump never reported the closed peer";
+        break;
+      }
+    }
+  } catch (const std::runtime_error&) {
+    out.threw = true;
+  }
+  return out;
+}
+
+/// A writer thread sends the pieces while recv_frame (with a timeout)
+/// reads until EOF.
+Drained drain_by_recv(const std::vector<std::uint8_t>& input,
+                      const std::vector<std::size_t>& cuts) {
+  auto [writer, reader] = FrameStream::connected_pair();
+  std::thread producer([&, stream = writer.get()] {
+    std::size_t from = 0;
+    for (const std::size_t to : cuts) {
+      if (!send_all(stream->fd(), input.data() + from, to - from)) return;
+      from = to;
+      std::this_thread::yield();
+    }
+    ::shutdown(stream->fd(), SHUT_WR);
+  });
+  Drained out;
+  try {
+    while (std::optional<WireFrame> frame = reader->recv_frame(10000))
+      out.frames.push_back(*std::move(frame));
+  } catch (const std::runtime_error&) {
+    out.threw = true;
+  }
+  reader.reset();  // a producer still writing sees EPIPE and stops
+  producer.join();
+  return out;
+}
+
+/// A socket drain must yield exactly the walk's frames, or a prefix of
+/// them and then a std::runtime_error (it also refuses frames announced
+/// past FrameStream::kMaxFrameBytes, which a bare walk only waits for).
+void expect_agrees(const Drained& reference, const Drained& drained,
+                   const char* how, int iteration) {
+  ASSERT_LE(drained.frames.size(), reference.frames.size())
+      << how << " at iteration " << iteration;
+  for (std::size_t i = 0; i < drained.frames.size(); ++i)
+    ASSERT_EQ(drained.frames[i], reference.frames[i])
+        << how << " frame " << i << " at iteration " << iteration;
+  if (!drained.threw) {
+    EXPECT_EQ(drained.frames.size(), reference.frames.size())
+        << how << " at iteration " << iteration;
+    EXPECT_FALSE(reference.threw) << how << " at iteration " << iteration;
+  }
+}
+
+TEST(DecoderFuzz, SocketStreamsYieldTheDirectWalkOrThrow) {
+  // The inputs of the two tests above, regenerated from their seeds.
+  std::vector<std::vector<std::uint8_t>> inputs;
+  {
+    const std::vector<std::vector<std::uint8_t>> corpus = frame_corpus();
+    util::RngStream rng(kFuzzSeed);
+    for (int it = 0; it < kFrameIterations; ++it) {
+      const std::vector<std::uint8_t>& seed = corpus[it % corpus.size()];
+      inputs.push_back(mutate(seed, length_fields(seed), rng));
+    }
+  }
+  {
+    apr::OracleHub hub;
+    std::vector<std::vector<std::uint8_t>> corpus;
+    for (const core::MwuKind kind :
+         {core::MwuKind::kStandard, core::MwuKind::kSlate,
+          core::MwuKind::kDistributed, core::MwuKind::kExp3})
+      corpus.push_back(mid_campaign_checkpoint(kind, hub));
+    util::RngStream rng(kFuzzSeed + 1);
+    for (int it = 0; it < kCheckpointIterations; ++it) {
+      const std::vector<std::uint8_t>& seed = corpus[it % corpus.size()];
+      inputs.push_back(mutate(seed, length_fields(seed), rng));
+    }
+  }
+
+  util::RngStream pieces(kFuzzSeed + 2);
+  int rejected = 0;
+  int multi_frame = 0;
+  for (int it = 0; it < static_cast<int>(inputs.size()); ++it) {
+    const std::vector<std::uint8_t>& input = inputs[static_cast<std::size_t>(it)];
+    const Drained reference = walk(input);
+    const Drained pumped = drain_by_pump(input, random_cuts(input.size(), pieces));
+    expect_agrees(reference, pumped, "pump", it);
+    const Drained received =
+        drain_by_recv(input, random_cuts(input.size(), pieces));
+    expect_agrees(reference, received, "recv_frame", it);
+    rejected += pumped.threw;
+    multi_frame += reference.frames.size() > 1;
+    if (HasFatalFailure()) return;
+  }
+  // The inputs reach both outcomes, and some carry several frames.
+  EXPECT_GT(rejected, 0);
+  EXPECT_LT(rejected, static_cast<int>(inputs.size()));
+  EXPECT_GT(multi_frame, 0);
 }
 
 }  // namespace

@@ -27,8 +27,8 @@ BAD_CASES = {
     "unordered-iteration": ("unordered-iteration", 2),
     "naked-mutex": ("naked-mutex", 4),
     "raw-ipc": ("raw-ipc", 9),
-    # The serve whitelist names exactly one file; a rogue socket anywhere
-    # else in src/serve must still fail.
+    # The serve whitelist names only the checkpoint writer; a rogue socket
+    # anywhere in src/serve must fail.
     "raw-ipc-serve": ("raw-ipc", 6),
     "raw-simd": ("raw-simd", 5),
     "bad-suppression": ("bad-suppression", 2),

@@ -1,8 +1,9 @@
 // Transport-layer tests: the versioned wire codec (round-trip, determinism,
 // partial-buffer and corruption behavior, f64 Message and byte payloads),
-// process-world smoke runs over the socketpair fabric, and kill-a-worker
-// abort propagation (a SIGKILLed worker must fail the world instead of
-// hanging it).
+// process-world smoke runs over the socketpair fabric, worker reports
+// (untruncated error text, values wider than a socket buffer), and
+// kill-a-worker abort propagation (a SIGKILLed worker must fail the world
+// instead of hanging it).
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -230,7 +231,6 @@ TEST(ProcessWorldSmoke, RingExchangeAcrossUnevenBlocks) {
   ProcessWorldConfig config;
   config.global_ranks = 10;  // uneven blocks: 4 + 3 + 3
   config.processes = 3;
-  config.result_width = 2;
   config.timeout_seconds = 60.0;
 
   const auto outcome = run_process_world(config, ring_smoke_body);
@@ -246,28 +246,59 @@ TEST(ProcessWorldSmoke, RingExchangeAcrossUnevenBlocks) {
   }
 }
 
-TEST(ProcessWorldSmoke, BodyWiderThanItsResultSlotFailsTheWorld) {
+TEST(ProcessWorldSmoke, LongWorkerErrorIsReportedInFull) {
   ProcessWorldConfig config;
   config.global_ranks = 4;
   config.processes = 2;
-  config.result_width = 3;
+  config.timeout_seconds = 60.0;
+
+  std::string message = "worker body failed:";
+  while (message.size() < 1000) message += " and the reason goes on";
+  message += " [end]";
+  const auto outcome = run_process_world(
+      config, [&message](CommWorld& world, const WorldLayout& layout) {
+        world.run([](Comm& comm) { comm.barrier(); });
+        if (layout.process_index == 1) throw std::runtime_error(message);
+        return std::vector<double>{1.0};
+      });
+  EXPECT_FALSE(outcome.ok);
+  EXPECT_EQ(outcome.error, "worker 1: " + message);
+}
+
+TEST(ProcessWorldSmoke, ValuesWiderThanASocketBufferComeBackIntact) {
+  // 200k doubles (1.6 MB) cannot sit in a socket buffer: the worker's
+  // report completes only because the parent drains while it reaps.
+  constexpr std::size_t kValues = 200000;
+  ProcessWorldConfig config;
+  config.global_ranks = 4;
+  config.processes = 2;
   config.timeout_seconds = 60.0;
 
   const auto outcome = run_process_world(
-      config, [](CommWorld& world, const WorldLayout&) {
+      config, [](CommWorld& world, const WorldLayout& layout) {
         world.run([](Comm& comm) { comm.barrier(); });
-        return std::vector<double>(4, 1.0);
+        std::vector<double> values(kValues);
+        for (std::size_t i = 0; i < kValues; ++i)
+          values[i] = static_cast<double>(layout.process_index) * 1e6 +
+                      static_cast<double>(i) + 0.25;
+        return values;
       });
-  EXPECT_FALSE(outcome.ok);
-  EXPECT_NE(outcome.error.find("more than 3 values"), std::string::npos)
-      << outcome.error;
+  ASSERT_TRUE(outcome.ok) << outcome.error;
+  ASSERT_EQ(outcome.values.size(), 2u);
+  for (std::size_t p = 0; p < 2; ++p) {
+    ASSERT_EQ(outcome.values[p].size(), kValues) << p;
+    bool intact = true;
+    for (std::size_t i = 0; i < kValues; ++i)
+      intact &= outcome.values[p][i] ==
+                static_cast<double>(p) * 1e6 + static_cast<double>(i) + 0.25;
+    EXPECT_TRUE(intact) << p;
+  }
 }
 
 TEST(ProcessWorldSmoke, KilledWorkerFailsTheWorldInsteadOfHanging) {
   ProcessWorldConfig config;
   config.global_ranks = 8;
   config.processes = 2;
-  config.result_width = 1;
   // Backstop only; abort propagation must beat it by a wide margin.
   config.timeout_seconds = 60.0;
 

@@ -153,9 +153,9 @@ RULES = [
     Rule(
         "raw-ipc",
         "naked OS IPC/process primitive outside the transport layer; route "
-        "process boundaries through parallel::transport (Transport / "
-        "run_process_world) so wire format, abort propagation, and "
-        "congestion accounting stay centralized",
+        "process boundaries through parallel::transport (FrameStream, "
+        "Endpoint, run_process_world) so wire format, abort propagation, "
+        "and congestion accounting stay centralized",
         [
             r"\bmmap\s*\(",
             r"\bmunmap\s*\(",
@@ -185,15 +185,14 @@ RULES = [
             r"\b_exit\s*\(",
         ],
         bit_identity_only=False,
-        # The fabric itself (rings, sockets, fork-based launcher) plus the
-        # campaign server's two audited OS seams: the control socket, and
-        # the checkpoint codec's durable-write path (tmp + ::write + fsync
-        # + rename — durability needs raw fds; iostreams cannot fsync).
-        # The rest of the subsystem (payload codecs, scheduler, the server
-        # itself) must stay IPC-free.
+        # The transport layer itself (FrameStream — every socket the
+        # repository opens, the control socket included — Endpoint, and
+        # the fork-based run_process_world) plus the checkpoint codec's
+        # durable-write path (tmp + ::write + fsync + rename — durability
+        # needs raw fds; iostreams cannot fsync).  The rest of src/serve
+        # must stay IPC-free.
         whitelist=(
             "src/parallel/transport/",
-            "src/serve/control_socket.cpp",
             "src/serve/checkpoint.cpp",
         ),
     ),
