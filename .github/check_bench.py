@@ -49,6 +49,11 @@ Speedup floors and the bit-identity bit are measured within one run, so
 they are immune to runner-speed variance; only the absolute-regression
 checks compare across machines, hence their generous allowances.
 
+Every row is evaluated and every failure printed before the gate exits
+non-zero, so one failing row does not hide the others.  A malformed
+artifact (a missing section or a non-numeric field) is reported field by
+field the same way, and no row is gated on it.
+
 Usage: check_bench.py <current.json> <baseline.json>
 """
 import json
@@ -101,9 +106,20 @@ SERVE_MAX_P99_PROBE_US = 10_000.0
 SERVE_MAX_ABS_REGRESSION = 5.0  # campaigns/sec vs baseline, cross-machine
 
 
+FAILURES = []
+
+
 def fail(message):
+    """Fatal: the gate cannot go on (bad usage, unreadable artifact)."""
     print(f"bench gate: FAIL: {message}", file=sys.stderr)
     sys.exit(1)
+
+
+def flag(message):
+    """Records one failed row or field; the gate exits non-zero once every
+    row has been evaluated."""
+    print(f"bench gate: FAIL: {message}", file=sys.stderr)
+    FAILURES.append(message)
 
 
 def load(path):
@@ -146,28 +162,31 @@ def validate_hot_paths(path, doc):
     for name in HOT_PATHS_SECTIONS:
         section = doc.get(name)
         if not isinstance(section, dict):
-            fail(f"{path}: missing section {name}")
+            flag(f"{path}: missing section {name}")
+            continue
         for field in ("before_ns_per_op", "after_ns_per_op", "speedup"):
             value = section.get(field)
             if not isinstance(value, (int, float)) or value <= 0:
-                fail(f"{path}: {name}.{field} is {value!r}, expected > 0")
+                flag(f"{path}: {name}.{field} is {value!r}, expected > 0")
 
 
 def check_hot_paths(current, baseline):
     for name, floor in HOT_PATHS_SPEEDUP_FLOORS.items():
         speedup = current[name]["speedup"]
         if speedup < floor:
-            fail(f"{name} speedup {speedup:.2f}x is below the {floor}x floor")
+            flag(f"{name} speedup {speedup:.2f}x is below the {floor}x floor")
 
     for name in HOT_PATHS_REGRESSION_CHECKED:
         now = current[name]["after_ns_per_op"]
         then = baseline[name]["after_ns_per_op"]
         if now > then * HOT_PATHS_MAX_ABS_REGRESSION:
-            fail(
+            flag(
                 f"{name} ns-per-op regressed: {now:.1f} vs baseline "
                 f"{then:.1f} (allowed {HOT_PATHS_MAX_ABS_REGRESSION}x)"
             )
 
+    if FAILURES:
+        return
     print(
         "bench gate: OK ("
         + ", ".join(
@@ -180,20 +199,21 @@ def check_hot_paths(current, baseline):
 
 def validate_spmd_scale(path, doc):
     if not isinstance(doc.get("bit_identical"), bool):
-        fail(f"{path}: bit_identical missing or not a bool")
+        flag(f"{path}: bit_identical missing or not a bool")
     speedup = doc.get("speedup_at_crossover")
     if not isinstance(speedup, (int, float)) or speedup <= 0:
-        fail(f"{path}: speedup_at_crossover is {speedup!r}, expected > 0")
+        flag(f"{path}: speedup_at_crossover is {speedup!r}, expected > 0")
     scale = doc.get("scale")
     if not isinstance(scale, list) or not scale:
-        fail(f"{path}: scale missing or empty")
+        flag(f"{path}: scale missing or empty")
+        return
     for point in scale:
         population = point.get("population")
         throughput = point.get("engine_ranks_per_sec")
         if not isinstance(population, int) or population <= 0:
-            fail(f"{path}: scale point population is {population!r}")
+            flag(f"{path}: scale point population is {population!r}")
         if not isinstance(throughput, (int, float)) or throughput <= 0:
-            fail(
+            flag(
                 f"{path}: engine_ranks_per_sec at population "
                 f"{population} is {throughput!r}, expected > 0"
             )
@@ -204,35 +224,40 @@ def crossover_throughput(doc):
     for point in doc["scale"]:
         if point["population"] == crossover:
             return point["engine_ranks_per_sec"]
-    fail(f"no scale point at the crossover population {crossover!r}")
+    flag(f"no scale point at the crossover population {crossover!r}")
+    return None
 
 
 def check_spmd_scale(current, baseline):
     if not current["bit_identical"]:
-        fail("engine trajectories are not bit-identical to thread-per-rank")
+        flag("engine trajectories are not bit-identical to thread-per-rank")
 
     speedup = current["speedup_at_crossover"]
     if speedup < SPMD_SPEEDUP_FLOOR:
-        fail(
+        flag(
             f"engine speedup at crossover {speedup:.2f}x is below the "
             f"{SPMD_SPEEDUP_FLOOR}x floor"
         )
 
     largest = max(p["population"] for p in current["scale"])
     if largest < SPMD_MIN_LARGE_POPULATION:
-        fail(
+        flag(
             f"largest engine population {largest} is below "
             f"{SPMD_MIN_LARGE_POPULATION}"
         )
 
     now = crossover_throughput(current)
     then = crossover_throughput(baseline)
+    if now is None or then is None:
+        return
     if now * SPMD_MAX_ABS_REGRESSION < then:
-        fail(
+        flag(
             f"engine throughput at crossover regressed: {now:.0f} ranks/s "
             f"vs baseline {then:.0f} (allowed {SPMD_MAX_ABS_REGRESSION}x)"
         )
 
+    if FAILURES:
+        return
     print(
         f"bench gate: OK (bit-identical, {speedup:.2f}x at crossover, "
         f"population up to {largest}, {now:.0f} ranks/s)"
@@ -243,11 +268,12 @@ def validate_transport(path, doc):
     for name in TRANSPORT_SECTIONS:
         section = doc.get(name)
         if not isinstance(section, dict):
-            fail(f"{path}: missing section {name}")
+            flag(f"{path}: missing section {name}")
+            continue
         for field in ("msgs_per_sec", "p99_latency_us"):
             value = section.get(field)
             if not isinstance(value, (int, float)) or value <= 0:
-                fail(f"{path}: {name}.{field} is {value!r}, expected > 0")
+                flag(f"{path}: {name}.{field} is {value!r}, expected > 0")
 
 
 def check_transport(current, baseline):
@@ -255,30 +281,32 @@ def check_transport(current, baseline):
         throughput = current[name]["msgs_per_sec"]
         latency = current[name]["p99_latency_us"]
         if throughput < TRANSPORT_MIN_MSGS_PER_SEC:
-            fail(
+            flag(
                 f"{name} throughput {throughput:.0f} msgs/s is below the "
                 f"{TRANSPORT_MIN_MSGS_PER_SEC:.0f} floor"
             )
         if latency > TRANSPORT_MAX_P99_LATENCY_US:
-            fail(
+            flag(
                 f"{name} p99 latency {latency:.1f} us exceeds the "
                 f"{TRANSPORT_MAX_P99_LATENCY_US:.0f} us ceiling"
             )
         base_throughput = baseline[name]["msgs_per_sec"]
         base_latency = baseline[name]["p99_latency_us"]
         if throughput * TRANSPORT_MAX_ABS_REGRESSION < base_throughput:
-            fail(
+            flag(
                 f"{name} throughput regressed: {throughput:.0f} msgs/s vs "
                 f"baseline {base_throughput:.0f} "
                 f"(allowed {TRANSPORT_MAX_ABS_REGRESSION}x)"
             )
         if latency > base_latency * TRANSPORT_MAX_ABS_REGRESSION:
-            fail(
+            flag(
                 f"{name} p99 latency regressed: {latency:.1f} us vs "
                 f"baseline {base_latency:.1f} "
                 f"(allowed {TRANSPORT_MAX_ABS_REGRESSION}x)"
             )
 
+    if FAILURES:
+        return
     print(
         "bench gate: OK ("
         + ", ".join(
@@ -315,53 +343,59 @@ def validate_serve(path, doc):
     for name, fields in SERVE_NUMERIC_FIELDS.items():
         section = doc.get(name)
         if not isinstance(section, dict):
-            fail(f"{path}: missing section {name}")
+            flag(f"{path}: missing section {name}")
+            continue
         for field, minimum in fields.items():
             value = section.get(field)
             if isinstance(value, bool) or not isinstance(value, (int, float)):
-                fail(f"{path}: {name}.{field} is {value!r}, expected a number")
-            if value < minimum:
-                fail(f"{path}: {name}.{field} is {value!r}, expected >= {minimum}")
-    if not isinstance(doc["checkpoint"].get("resume_ok"), bool):
-        fail(f"{path}: checkpoint.resume_ok missing or not a bool")
+                flag(f"{path}: {name}.{field} is {value!r}, expected a number")
+            elif value < minimum:
+                flag(f"{path}: {name}.{field} is {value!r}, expected >= {minimum}")
+    checkpoint = doc.get("checkpoint")
+    if isinstance(checkpoint, dict) and not isinstance(
+        checkpoint.get("resume_ok"), bool
+    ):
+        flag(f"{path}: checkpoint.resume_ok missing or not a bool")
 
 
 def check_serve(current, baseline):
     load = current["load"]
     if load["completed"] != load["campaigns"]:
-        fail(
+        flag(
             f"only {load['completed']} of {load['campaigns']} admitted "
             f"campaigns completed"
         )
     if current["fairness"]["starved_epochs"] != 0:
-        fail(
+        flag(
             f"{current['fairness']['starved_epochs']} starved campaign-epochs "
             f"(DRR must starve no one)"
         )
     if not current["checkpoint"]["resume_ok"]:
-        fail("checkpoint/kill/restore cycle did not reproduce the trajectories")
+        flag("checkpoint/kill/restore cycle did not reproduce the trajectories")
     if load["admission_rejects"] < 1:
-        fail("overflow submissions were not rejected (admission control dead)")
+        flag("overflow submissions were not rejected (admission control dead)")
 
     throughput = load["campaigns_per_sec"]
     if throughput < SERVE_MIN_CAMPAIGNS_PER_SEC:
-        fail(
+        flag(
             f"throughput {throughput:.1f} campaigns/s is below the "
             f"{SERVE_MIN_CAMPAIGNS_PER_SEC:.0f} floor"
         )
     p99 = current["probes"]["p99_us"]
     if p99 > SERVE_MAX_P99_PROBE_US:
-        fail(
+        flag(
             f"p99 probe latency {p99:.1f} us exceeds the "
             f"{SERVE_MAX_P99_PROBE_US:.0f} us ceiling"
         )
     base_throughput = baseline["load"]["campaigns_per_sec"]
     if throughput * SERVE_MAX_ABS_REGRESSION < base_throughput:
-        fail(
+        flag(
             f"throughput regressed: {throughput:.1f} campaigns/s vs baseline "
             f"{base_throughput:.1f} (allowed {SERVE_MAX_ABS_REGRESSION}x)"
         )
 
+    if FAILURES:
+        return
     print(
         f"bench gate: OK ({load['campaigns']} campaigns "
         f"{throughput:.1f}/s, probe p99 {p99:.1f}us, "
@@ -397,7 +431,11 @@ def main():
     validate(sys.argv[1], current)
     validate(sys.argv[2], baseline)
     report_deltas(current, baseline)
-    check(current, baseline)
+    if not FAILURES:
+        check(current, baseline)
+    if FAILURES:
+        print(f"bench gate: {len(FAILURES)} failure(s)", file=sys.stderr)
+        sys.exit(1)
 
 
 if __name__ == "__main__":

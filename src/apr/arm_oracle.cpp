@@ -28,21 +28,9 @@ double ArmProbeOracle::sample(std::size_t option, util::RngStream& rng) const {
   const Patch patch = sample_from_pool(pool_->mutations(), count, rng);
   const double acceptance = rng.uniform();
   const Evaluation evaluation = oracle_->evaluate(patch);
-  const bool fitness_kept =
-      evaluation.fitness() >= oracle_->baseline_fitness();
-  switch (config.reward) {
-    case RewardMode::kFitnessNonDecrease:
-      return fitness_kept ? 1.0 : 0.0;
-    case RewardMode::kSafeDensityProxy:
-      // E[reward | arm x] proportional to x * P(pass | x): accept in
-      // proportion to the validated combination size (MwRepair's rule).
-      return (fitness_kept &&
-              acceptance < static_cast<double>(patch.size()) /
-                               static_cast<double>(config.max_count))
-                 ? 1.0
-                 : 0.0;
-  }
-  return 0.0;
+  return probe_reward(config.reward,
+                      evaluation.fitness() >= oracle_->baseline_fitness(),
+                      acceptance, patch.size(), config.max_count);
 }
 
 }  // namespace mwr::apr

@@ -22,6 +22,7 @@
 // ablation bench.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -36,6 +37,29 @@ enum class RewardMode {
   kSafeDensityProxy,     ///< E[reward | arm x] proportional to x * P(pass | x).
   kFitnessNonDecrease,   ///< literal Fig 6: reward = [f(P') >= f(P)].
 };
+
+/// The reward of one probe that did not repair: 1.0 or 0.0 by `mode`.
+/// `fitness_kept` is f(P') >= f(P), `acceptance` the probe's uniform draw
+/// in [0, 1) and `patch_size` the number of mutations it combined.  The
+/// one rule RepairSession's online cycle and ArmProbeOracle both apply;
+/// inline because it runs once per probe on the online path.
+[[nodiscard]] inline double probe_reward(RewardMode mode, bool fitness_kept,
+                                         double acceptance,
+                                         std::size_t patch_size,
+                                         std::size_t max_count) noexcept {
+  switch (mode) {
+    case RewardMode::kFitnessNonDecrease:
+      return fitness_kept ? 1.0 : 0.0;
+    case RewardMode::kSafeDensityProxy:
+      // Accept in proportion to the validated combination size, making
+      // E[reward | x] proportional to x * P(pass | x).
+      return (fitness_kept && acceptance < static_cast<double>(patch_size) /
+                                               static_cast<double>(max_count))
+                 ? 1.0
+                 : 0.0;
+  }
+  return 0.0;
+}
 
 struct MwRepairConfig {
   core::MwuKind mwu = core::MwuKind::kStandard;

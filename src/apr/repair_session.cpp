@@ -143,7 +143,6 @@ void RepairSession::evaluate_staged(std::size_t j) {
 
 bool RepairSession::finish_cycle(double elapsed_seconds) {
   const MwRepairConfig& cfg = repair_.config();
-  const auto max_count = static_cast<double>(cfg.max_count);
   online_seconds_ += elapsed_seconds;
   pending_cycle_seconds_.push_back(elapsed_seconds);
   ++pending_cycles_;
@@ -174,21 +173,8 @@ bool RepairSession::finish_cycle(double elapsed_seconds) {
       finish(true);
       return true;
     }
-    const bool fitness_kept = e.fitness() >= baseline_;
-    switch (cfg.reward) {
-      case RewardMode::kFitnessNonDecrease:
-        rewards_[j] = fitness_kept ? 1.0 : 0.0;
-        break;
-      case RewardMode::kSafeDensityProxy:
-        // Accept in proportion to the validated combination size, making
-        // E[reward | x] proportional to x * P(pass | x).
-        rewards_[j] =
-            (fitness_kept &&
-             acceptance_[j] < static_cast<double>(patch_size) / max_count)
-                ? 1.0
-                : 0.0;
-        break;
-    }
+    rewards_[j] = probe_reward(cfg.reward, e.fitness() >= baseline_,
+                               acceptance_[j], patch_size, cfg.max_count);
   }
   for (const double r : rewards_) {
     trajectory_hash_ =

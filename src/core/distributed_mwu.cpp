@@ -49,6 +49,25 @@ void DistributedMwu::set_choices(const std::vector<std::uint32_t>& choices) {
   for (const auto c : choices_) ++popularity_[c];
 }
 
+std::vector<double> DistributedMwu::export_state() const {
+  return std::vector<double>(choices_.begin(), choices_.end());
+}
+
+void DistributedMwu::import_state(std::span<const double> state) {
+  // Range first: casting a double outside [0, 2^32) to uint32_t is
+  // undefined behaviour.
+  const auto options = static_cast<double>(config_.num_options);
+  std::vector<std::uint32_t> choices;
+  choices.reserve(state.size());
+  for (const double v : state) {
+    if (!(v >= 0.0 && v < options) || v != std::floor(v))
+      throw std::invalid_argument(
+          "import_state: Distributed choice is not an option index");
+    choices.push_back(static_cast<std::uint32_t>(v));
+  }
+  set_choices(choices);
+}
+
 const std::vector<std::size_t>& DistributedMwu::sample(util::RngStream& rng) {
   probes_.resize(choices_.size());
   for (auto& option : probes_) {

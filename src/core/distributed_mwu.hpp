@@ -48,6 +48,11 @@ class DistributedMwu final : public MwuStrategy {
     return choices_.size();
   }
   [[nodiscard]] MwuKind kind() const override { return MwuKind::kDistributed; }
+  /// Each agent's choice, as a double.
+  [[nodiscard]] std::vector<double> export_state() const override;
+  /// set_choices() over the state vector, after checking that every value
+  /// is an integer option index (the vector may come from disk).
+  void import_state(std::span<const double> state) override;
 
   [[nodiscard]] std::size_t population() const noexcept {
     return choices_.size();

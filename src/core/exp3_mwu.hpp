@@ -9,6 +9,11 @@
 // r / p_i — which makes the weight dynamics unbiased estimates of the full
 // reward vector and yields the O(sqrt(T k ln k)) adversarial regret bound.
 //
+// Its draws come from the same gamma-floored distribution as Slate's,
+// (1 - gamma) * w / sum(w) + gamma / k; that weight state, its convergence
+// test and its checkpoint layout are core/floored_weight_mwu.  Exp3 adds
+// only its sampler and its update.
+//
 // It is excluded from the paper-table benches (those reproduce the
 // published three-column layout) and compared separately in
 // bench_exp3_extension.
@@ -16,52 +21,35 @@
 
 #include <vector>
 
-#include "core/mwu.hpp"
+#include "core/floored_weight_mwu.hpp"
 #include "util/fenwick_sampler.hpp"
 
 namespace mwr::core {
 
-class Exp3Mwu final : public MwuStrategy {
+class Exp3Mwu final : public FlooredWeightMwu {
  public:
+  /// Throws std::invalid_argument on k == 0, n == 0 or gamma outside
+  /// (0, 1].
   explicit Exp3Mwu(const MwuConfig& config);
 
-  void init() override;
+  /// num_agents independent draws from the floored distribution.
   [[nodiscard]] const std::vector<std::size_t>& sample(
       util::RngStream& rng) override;
+  /// The importance-weighted exponential step, then renormalization.
   void update(std::span<const std::size_t> options,
               std::span<const double> rewards, util::RngStream& rng) override;
-  [[nodiscard]] std::vector<double> probabilities() const override;
-  [[nodiscard]] bool converged() const override;
-  [[nodiscard]] std::size_t best_option() const override;
   [[nodiscard]] std::size_t cpus_per_cycle() const override {
     return config_.num_agents;
   }
   [[nodiscard]] MwuKind kind() const override { return MwuKind::kExp3; }
 
-  /// Highest probability the gamma floor admits: (1 - gamma) + gamma / k.
-  [[nodiscard]] double max_achievable_probability() const noexcept;
-
-  /// Raw weights — exposed for checkpointing.
-  [[nodiscard]] const std::vector<double>& weights() const noexcept {
-    return weights_;
-  }
-  /// Replaces the weight state (checkpoint restore).
-  void set_weights(std::vector<double> weights);
-
  private:
-  /// Materializes the exploration-floored probabilities into `p` (resized
-  /// to k) without allocating after the first call.
-  void materialize_probabilities(std::vector<double>& p) const;
-
-  MwuConfig config_;
-  std::vector<double> weights_;
-  double total_weight_ = 0.0;
   /// Rebuilt from the exploration-floored probabilities at each sample()
   /// call; amortizes the build over the n per-agent draws.
   util::FenwickSampler sampler_;
   /// Persistent per-cycle scratch: probability vector (sample + update) and
   /// importance-weighted exponents (update, accumulated and cleared
-  /// sparsely).  Never reallocated after init().
+  /// sparsely, so all zero between cycles).  Sized once, at construction.
   std::vector<double> prob_scratch_;
   std::vector<double> exp_scratch_;
   /// The buffer sample() fills and returns.

@@ -35,6 +35,20 @@ std::size_t distributed_population(const MwuConfig& config) {
                   static_cast<std::size_t>(pop));
 }
 
+double validate_weights(std::span<const double> weights,
+                        std::size_t options) {
+  if (weights.size() != options)
+    throw std::invalid_argument("set_weights: wrong width");
+  double total = 0.0;
+  for (const double w : weights) {
+    if (!(w >= 0.0))
+      throw std::invalid_argument("set_weights: negative weight");
+    total += w;
+  }
+  if (total <= 0.0) throw std::invalid_argument("set_weights: zero total");
+  return total;
+}
+
 std::unique_ptr<MwuStrategy> make_mwu(MwuKind kind, const MwuConfig& config) {
   switch (kind) {
     case MwuKind::kStandard:
@@ -54,7 +68,6 @@ MwuResult run_mwu(MwuStrategy& strategy, const CostOracle& oracle,
                   const CycleObserver& on_cycle) {
   if (oracle.num_options() != config.num_options)
     throw std::invalid_argument("run_mwu: oracle/config option count mismatch");
-  const CountingOracle counted(oracle);
   MwuResult result;
   result.cpus_per_cycle = strategy.cpus_per_cycle();
 
@@ -71,7 +84,7 @@ MwuResult run_mwu(MwuStrategy& strategy, const CostOracle& oracle,
     const auto& probes = strategy.sample(rng);
     rewards.resize(probes.size());
     for (std::size_t j = 0; j < probes.size(); ++j) {
-      rewards[j] = counted.sample(probes[j], rng);
+      rewards[j] = oracle.sample(probes[j], rng);
     }
     strategy.update(probes, rewards, rng);
     if (on_cycle) on_cycle(probes, rewards, strategy);
@@ -85,7 +98,8 @@ MwuResult run_mwu(MwuStrategy& strategy, const CostOracle& oracle,
   }
   result.best_option = strategy.best_option();
   result.probabilities = strategy.probabilities();
-  result.evaluations = counted.evaluations();
+  // Every cycle probes cpus_per_cycle() options, one evaluation each.
+  result.evaluations = result.cpu_iterations();
   metrics.gauge("mwu.converged").set(result.converged ? 1.0 : 0.0);
   metrics.gauge("mwu.cpu_iterations").set(
       static_cast<double>(result.cpu_iterations()));

@@ -67,7 +67,9 @@ struct MwuResult {
   std::size_t iterations = 0;       ///< completed update cycles.
   std::size_t best_option = 0;      ///< highest-probability / plurality option.
   std::size_t cpus_per_cycle = 0;   ///< agents active per cycle (Table IV).
-  std::uint64_t evaluations = 0;    ///< total oracle probes.
+  /// Total oracle probes: iterations x cpus_per_cycle, because every
+  /// cycle probes one option per CPU.
+  std::uint64_t evaluations = 0;
   std::vector<double> probabilities;///< final distribution over options.
 
   /// Table IV's metric.
@@ -115,7 +117,24 @@ class MwuStrategy {
   [[nodiscard]] virtual std::size_t cpus_per_cycle() const = 0;
 
   [[nodiscard]] virtual MwuKind kind() const = 0;
+
+  /// The learned state as a flat double vector, in the variant's own
+  /// layout (weights for the global-memory variants, the choice vector for
+  /// Distributed).  core/serialization's export_state is the checkpoint
+  /// seam that calls this.
+  [[nodiscard]] virtual std::vector<double> export_state() const = 0;
+
+  /// Restores a vector captured by export_state() from a strategy of the
+  /// same kind and shape.  Throws std::invalid_argument on a vector that
+  /// does not fit; a refused import leaves the state as it was.
+  virtual void import_state(std::span<const double> state) = 0;
 };
+
+/// Checks a weight vector before it replaces a strategy's weights (a
+/// checkpoint restore): `options` entries, none negative or NaN, and a
+/// positive total.  Returns that total, folded left to right.  Throws
+/// std::invalid_argument naming the first rule the vector breaks.
+double validate_weights(std::span<const double> weights, std::size_t options);
 
 /// Instantiates one of the three realizations for the given configuration.
 /// Throws std::invalid_argument on inconsistent configuration (k == 0,

@@ -4,14 +4,13 @@
 // algorithms never see values directly; they see stochastic binary outcomes
 // through a CostOracle, mirroring the paper's formulation where "the cost
 // (reward) is 1 if the sample is correct and 0 otherwise" (§II-A).  In the
-// APR application the oracle is a real probe — patch, run the test suite —
-// which is why oracles are also where evaluation counting lives (fitness
-// evaluations are the currency of Table IV and §IV-G).
+// APR application the oracle is a real probe — patch, run the test suite.
+// Fitness evaluations are the currency of Table IV and §IV-G; the drivers
+// count them as cycles x cpus_per_cycle (MwuResult::evaluations), since
+// every cycle probes one option per CPU.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
-#include <cstdint>
 #include <span>
 #include <string>
 #include <vector>
@@ -76,30 +75,6 @@ class BernoulliOracle final : public CostOracle {
 
  private:
   const OptionSet* options_;
-};
-
-/// Decorator that counts evaluations.  The counter is a relaxed atomic so
-/// the parallel drivers can share one instance across ranks.
-class CountingOracle final : public CostOracle {
- public:
-  explicit CountingOracle(const CostOracle& inner) noexcept : inner_(&inner) {}
-
-  [[nodiscard]] std::size_t num_options() const override {
-    return inner_->num_options();
-  }
-  [[nodiscard]] double sample(std::size_t option,
-                              util::RngStream& rng) const override {
-    count_.fetch_add(1, std::memory_order_relaxed);
-    return inner_->sample(option, rng);
-  }
-
-  [[nodiscard]] std::uint64_t evaluations() const noexcept {
-    return count_.load(std::memory_order_relaxed);
-  }
-
- private:
-  const CostOracle* inner_;
-  mutable std::atomic<std::uint64_t> count_{0};
 };
 
 }  // namespace mwr::core

@@ -54,7 +54,7 @@ std::uint32_t rank_choice_hash(std::size_t rank, std::size_t choice) noexcept {
 // (rank 0 in-process; each process's lowest rank under a transport, where
 // every rank derives identical values anyway).
 void distributed_rank_body(parallel::Comm& comm, const MwuConfig& config,
-                           std::uint64_t seed, const CostOracle& counted,
+                           std::uint64_t seed, const CostOracle& oracle,
                            SpmdMetrics& metrics, std::size_t population,
                            int report_rank, ParallelMwuResult& out) {
   const auto rank = static_cast<std::size_t>(comm.rank());
@@ -99,7 +99,7 @@ void distributed_rank_body(parallel::Comm& comm, const MwuConfig& config,
 
     // --- Update: evaluate the observed option once and adopt
     // stochastically (beta on success, alpha on failure).
-    const bool success = counted.sample(observed, rng) > 0.0;
+    const bool success = oracle.sample(observed, rng) > 0.0;
     ++rank_probes;
     const double adopt_probability =
         success ? config.adopt_success : config.adopt_failure;
@@ -165,7 +165,6 @@ ParallelMwuResult run_standard_spmd(const CostOracle& oracle,
   const std::size_t n = config.num_agents;
   if (n == 0) throw std::invalid_argument("run_standard_spmd: no agents");
   parallel::CommWorld world(n, policy);
-  const CountingOracle counted(oracle);
 
   // Each rank advances an identical replica of the weight state: sampling
   // uses the rank's private stream, updates use the allreduced counts, so
@@ -186,7 +185,7 @@ ParallelMwuResult run_standard_spmd(const CostOracle& oracle,
     for (std::size_t t = 0; t < config.max_iterations; ++t) {
       const auto& probe = replica.sample(rng);
       std::vector<double> counts(config.num_options, 0.0);
-      counts[probe[0]] += counted.sample(probe[0], rng);
+      counts[probe[0]] += oracle.sample(probe[0], rng);
       ++rank_probes;
       std::vector<double> total_counts;
       {
@@ -215,7 +214,8 @@ ParallelMwuResult run_standard_spmd(const CostOracle& oracle,
     }
   });
 
-  out.result.evaluations = counted.evaluations();
+  // Every rank probes once per cycle, and all ranks run the same cycles.
+  out.result.evaluations = out.result.cpu_iterations();
   out.max_congestion_per_cycle = world.congestion().max_per_cycle();
   out.total_messages = world.congestion().total_messages();
   return out;
@@ -232,18 +232,18 @@ ParallelMwuResult run_distributed_spmd(const CostOracle& oracle,
   if (population == 0)
     throw std::invalid_argument("run_distributed_spmd: empty population");
   parallel::CommWorld world(population, policy);
-  const CountingOracle counted(oracle);
 
   ParallelMwuResult out;
   out.result.cpus_per_cycle = population;
   SpmdMetrics metrics("distributed");
 
   world.run([&](parallel::Comm& comm) {
-    distributed_rank_body(comm, config, seed, counted, metrics, population,
+    distributed_rank_body(comm, config, seed, oracle, metrics, population,
                           /*report_rank=*/0, out);
   });
 
-  out.result.evaluations = counted.evaluations();
+  // Every rank probes once per cycle, and all ranks run the same cycles.
+  out.result.evaluations = out.result.cpu_iterations();
   out.max_congestion_per_cycle = world.congestion().max_per_cycle();
   out.total_messages = world.congestion().total_messages();
   return out;
@@ -262,14 +262,14 @@ ParallelMwuResult run_distributed_spmd_multiprocess(
   const std::size_t num_options = config.num_options;
 
   // Report layout (doubles), returned by each worker's report rank:
-  //   [0] evaluations   [1] total tracked messages
-  //   [2..6] congestion count/mean/m2/min/max (identical in every process:
+  //   [0] total tracked messages
+  //   [1..5] congestion count/mean/m2/min/max (identical in every process:
   //          all of them record the same global per-cycle maxima)
-  //   [7] iterations  [8] converged  [9] best option  [10] trajectory hash
-  //   [11..11+options) final popularity fractions
-  constexpr std::size_t kEval = 0, kMsgs = 1, kCcount = 2, kCmean = 3,
-                        kCm2 = 4, kCmin = 5, kCmax = 6, kIters = 7, kConv = 8,
-                        kBest = 9, kHash = 10, kProbs = 11;
+  //   [6] iterations  [7] converged  [8] best option  [9] trajectory hash
+  //   [10..10+options) final popularity fractions
+  constexpr std::size_t kMsgs = 0, kCcount = 1, kCmean = 2, kCm2 = 3,
+                        kCmin = 4, kCmax = 5, kIters = 6, kConv = 7, kBest = 8,
+                        kHash = 9, kProbs = 10;
 
   tp::ProcessWorldConfig pw;
   pw.global_ranks = population;
@@ -281,17 +281,15 @@ ParallelMwuResult run_distributed_spmd_multiprocess(
       pw,
       [&config, seed, &oracle, population, num_options](
           parallel::CommWorld& world, const parallel::WorldLayout& layout) {
-        const CountingOracle counted(oracle);
         ParallelMwuResult local;
         SpmdMetrics metrics("distributed");
         const int report_rank = static_cast<int>(layout.local_begin());
         world.run([&](parallel::Comm& comm) {
-          distributed_rank_body(comm, config, seed, counted, metrics,
+          distributed_rank_body(comm, config, seed, oracle, metrics,
                                 population, report_rank, local);
         });
         const auto& congestion = world.congestion().max_per_cycle();
         std::vector<double> packed(kProbs + num_options, 0.0);
-        packed[kEval] = static_cast<double>(counted.evaluations());
         packed[kMsgs] =
             static_cast<double>(world.congestion().total_messages());
         packed[kCcount] = static_cast<double>(congestion.count());
@@ -323,7 +321,6 @@ ParallelMwuResult run_distributed_spmd_multiprocess(
     if (packed.size() < kProbs + num_options)
       throw std::runtime_error(
           "run_distributed_spmd_multiprocess: short worker result");
-    out.result.evaluations += static_cast<std::uint64_t>(packed[kEval]);
     out.total_messages += static_cast<std::uint64_t>(packed[kMsgs]);
   }
   // Congestion statistics and algorithm outcome are world-global and
@@ -338,6 +335,7 @@ ParallelMwuResult run_distributed_spmd_multiprocess(
   out.trajectory_hash = p0[kHash];
   out.result.probabilities.assign(p0.begin() + kProbs,
                                   p0.begin() + kProbs + num_options);
+  out.result.evaluations = out.result.cpu_iterations();
   return out;
 }
 

@@ -79,7 +79,8 @@ struct MultiprocessOptions {
 /// message pattern — executed over the socketpair fabric, one contiguous
 /// rank block per process.  Congestion statistics are the world-wide
 /// per-cycle maxima (every process records the same reduction),
-/// evaluations and total_messages are summed across processes, and the
+/// total_messages is summed across processes, evaluations is iterations x
+/// population as in-process, and the
 /// trajectory_hash is pinned equal to the in-process run by test.  The
 /// oracle must be process-independent (pure function of (option, rng)) —
 /// each worker holds its own copy-on-write instance.

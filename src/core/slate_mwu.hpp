@@ -2,8 +2,10 @@
 //
 // Global-memory variant specialized for choosing a fixed-size subset of
 // options per cycle.  The mixing parameter gamma both floors exploration
-// (probabilities are (1 - gamma) * w / sum(w) + gamma / k) and fixes the
-// slate size as a fraction of the option set — the paper observes that the
+// (probabilities are (1 - gamma) * w / sum(w) + gamma / k; that floored
+// weight state, its convergence test and its checkpoint layout are
+// core/floored_weight_mwu, shared with Exp3) and fixes the slate size as a
+// fraction of the option set — the paper observes that the
 // fixed gamma "sets the k/n ratio to a constant" (§IV-F), which is why the
 // CPU count of Slate grows with instance size in Table IV.
 //
@@ -28,22 +30,22 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/mwu.hpp"
+#include "core/floored_weight_mwu.hpp"
 
 namespace mwr::core {
 
-class SlateMwu final : public MwuStrategy {
+class SlateMwu final : public FlooredWeightMwu {
  public:
+  /// Throws std::invalid_argument on k == 0, gamma outside (0, 1] or eta
+  /// outside (0, 1/2].
   explicit SlateMwu(const MwuConfig& config);
 
-  void init() override;
   [[nodiscard]] const std::vector<std::size_t>& sample(
       util::RngStream& rng) override;
+  /// Multiplies each rewarded slate member's weight by (1 + eta), then
+  /// renormalizes.
   void update(std::span<const std::size_t> options,
               std::span<const double> rewards, util::RngStream& rng) override;
-  [[nodiscard]] std::vector<double> probabilities() const override;
-  [[nodiscard]] bool converged() const override;
-  [[nodiscard]] std::size_t best_option() const override;
   [[nodiscard]] std::size_t cpus_per_cycle() const override {
     return slate_size_;
   }
@@ -56,26 +58,8 @@ class SlateMwu final : public MwuStrategy {
   [[nodiscard]] static std::size_t slate_size_for(std::size_t num_options,
                                                   double gamma);
 
-  /// Highest probability any single option can reach given the gamma floor:
-  /// (1 - gamma) + gamma / k.  Convergence is measured against this.
-  [[nodiscard]] double max_achievable_probability() const noexcept;
-
-  /// Raw weights — exposed for checkpointing.
-  [[nodiscard]] const std::vector<double>& weights() const noexcept {
-    return weights_;
-  }
-  /// Replaces the weight state (checkpoint restore).
-  void set_weights(std::vector<double> weights);
-
  private:
-  /// Materializes the exploration-floored probabilities into `p` (resized
-  /// to k) without allocating after the first call.
-  void materialize_probabilities(std::vector<double>& p) const;
-
-  MwuConfig config_;
   std::size_t slate_size_ = 1;
-  std::vector<double> weights_;
-  double total_weight_ = 0.0;
   /// Per-cycle scratch for sample(): the probabilities, the capped
   /// marginals, the fixpoint's uncapped-index list and the returned slate.
   /// Never serialized; sized on the first cycle and reused after it.

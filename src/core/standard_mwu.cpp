@@ -64,17 +64,12 @@ void StandardMwu::apply_reward_counts(std::span<const double> counts) {
 }
 
 void StandardMwu::set_weights(std::vector<double> weights) {
-  if (weights.size() != config_.num_options)
-    throw std::invalid_argument("StandardMwu::set_weights: wrong width");
-  double total = 0.0;
-  for (const double w : weights) {
-    if (!(w >= 0.0))
-      throw std::invalid_argument("StandardMwu::set_weights: negative weight");
-    total += w;
-  }
-  if (total <= 0.0)
-    throw std::invalid_argument("StandardMwu::set_weights: zero total");
+  validate_weights(weights, config_.num_options);
   sampler_.rebuild(weights);
+}
+
+void StandardMwu::import_state(std::span<const double> state) {
+  set_weights(std::vector<double>(state.begin(), state.end()));
 }
 
 std::vector<double> StandardMwu::probabilities() const {

@@ -39,6 +39,12 @@ class StandardMwu final : public MwuStrategy {
     return config_.num_agents;
   }
   [[nodiscard]] MwuKind kind() const override { return MwuKind::kStandard; }
+  /// The raw weights.
+  [[nodiscard]] std::vector<double> export_state() const override {
+    return weights();
+  }
+  /// set_weights() over the state vector.
+  void import_state(std::span<const double> state) override;
 
   /// Raw (renormalized) weights — exposed for tests and the parallel driver.
   /// The sampler owns the canonical SoA array; there is no duplicate copy.
@@ -47,7 +53,7 @@ class StandardMwu final : public MwuStrategy {
   }
 
   /// Replaces the weight state (checkpoint restore).  Throws
-  /// std::invalid_argument on wrong width or non-positive total.
+  /// std::invalid_argument as validate_weights() does.
   void set_weights(std::vector<double> weights);
 
   /// Applies one cycle's aggregated per-option reward counts directly.

@@ -23,6 +23,7 @@
 #include "baselines/rsrepair.hpp"     // IWYU pragma: export
 #include "core/distributed_mwu.hpp"   // IWYU pragma: export
 #include "core/exp3_mwu.hpp"          // IWYU pragma: export
+#include "core/floored_weight_mwu.hpp" // IWYU pragma: export
 #include "core/mwu.hpp"               // IWYU pragma: export
 #include "core/option_set.hpp"        // IWYU pragma: export
 #include "core/parallel_driver.hpp"   // IWYU pragma: export

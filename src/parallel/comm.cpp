@@ -506,10 +506,8 @@ void CommWorld::run_thread_per_rank(const std::function<void(Comm&)>& body) {
 }
 
 void CommWorld::run_superstep(const std::function<void(Comm&)>& body) {
-  SuperstepEngine::Config config;
-  config.workers = policy_.workers;
-  config.stack_bytes = policy_.stack_bytes;
-  SuperstepEngine engine(layout_.local_count(), config);
+  SuperstepEngine engine(layout_.local_count(),
+                         SuperstepEngine::Config{policy_.workers});
   const std::size_t begin = layout_.local_begin();
   engine.run([this, begin, &body](int rank) {
     Comm comm(*this, static_cast<int>(begin) + rank);

@@ -49,7 +49,6 @@
 
 #include "parallel/barrier.hpp"
 #include "parallel/congestion.hpp"
-#include "parallel/fiber.hpp"
 #include "parallel/mailbox.hpp"
 
 namespace mwr::parallel {
@@ -103,16 +102,15 @@ struct RunPolicy {
   };
 
   Mode mode = Mode::kSuperstep;
-  /// Superstep worker threads; 0 = hardware_concurrency.
+  /// Superstep worker threads; 0 = hardware_concurrency.  Every fiber
+  /// gets parallel/fiber.hpp's kFiberStackBytes of stack.
   std::size_t workers = 0;
-  /// Per-fiber stack reservation (committed lazily by the kernel).
-  std::size_t stack_bytes = kDefaultFiberStackBytes;
 
   [[nodiscard]] static RunPolicy thread_per_rank() {
-    return RunPolicy{Mode::kThreadPerRank, 0, kDefaultFiberStackBytes};
+    return RunPolicy{Mode::kThreadPerRank, 0};
   }
   [[nodiscard]] static RunPolicy superstep(std::size_t workers = 0) {
-    return RunPolicy{Mode::kSuperstep, workers, kDefaultFiberStackBytes};
+    return RunPolicy{Mode::kSuperstep, workers};
   }
 };
 

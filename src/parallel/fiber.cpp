@@ -109,13 +109,6 @@ void* seed_fast_stack(char* stack, std::size_t stack_bytes, void (*entry)()) {
 
 }  // namespace
 
-Fiber::Fiber(std::function<void()> entry, std::size_t stack_bytes)
-    : entry_(std::move(entry)),
-      stack_bytes_(stack_bytes < 16 * 1024 ? 16 * 1024 : stack_bytes),
-      stack_(new char[stack_bytes_]) {
-  stack_base_ = stack_.get();
-}
-
 Fiber::Fiber(std::function<void()> entry, char* stack, std::size_t stack_bytes)
     : entry_(std::move(entry)), stack_bytes_(stack_bytes), stack_base_(stack) {
   if (stack == nullptr || stack_bytes < 16 * 1024)
@@ -153,16 +146,6 @@ void Fiber::yield() {
 }
 
 #else  // ucontext substrate
-
-Fiber::Fiber(std::function<void()> entry, std::size_t stack_bytes)
-    : entry_(std::move(entry)),
-      stack_bytes_(stack_bytes < 16 * 1024 ? 16 * 1024 : stack_bytes),
-      stack_(new char[stack_bytes_]) {
-  stack_base_ = stack_.get();
-#if defined(MWR_FIBER_TSAN)
-  tsan_fiber_ = __tsan_create_fiber(0);
-#endif
-}
 
 Fiber::Fiber(std::function<void()> entry, char* stack, std::size_t stack_bytes)
     : entry_(std::move(entry)), stack_bytes_(stack_bytes), stack_base_(stack) {

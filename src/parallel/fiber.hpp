@@ -11,9 +11,10 @@
 //    configuration, and always under TSan/ASan so the sanitizer fiber
 //    annotations run against the path they were validated on.
 //
-// Stacks are reserved up-front but the kernel commits pages lazily, so
-// thousands of fibers cost resident memory only for the few KiB each one
-// actually touches.
+// A fiber runs on a stack its caller owns: the superstep engine reserves
+// one kFiberStackBytes stack per rank and recycles it across runs.
+// The kernel commits the pages lazily, so thousands of fibers cost
+// resident memory only for the few KiB each one actually touches.
 //
 // Sanitizer support: under ThreadSanitizer each fiber registers with
 // __tsan_create_fiber and every switch is announced via
@@ -33,24 +34,21 @@
 
 #include <cstddef>
 #include <functional>
-#include <memory>
 
 namespace mwr::parallel {
 
-/// Default fiber stack reservation.  Driver bodies keep bulk data on the
-/// heap (vectors, MWU state), so 128 KiB leaves an order of magnitude of
-/// headroom over observed use while staying cheap to reserve by the
-/// thousand.
-inline constexpr std::size_t kDefaultFiberStackBytes = 128 * 1024;
+/// The stack the superstep engine reserves for every fiber.  Driver
+/// bodies keep bulk data on the heap (vectors, MWU state), so 128 KiB
+/// leaves an order of magnitude of headroom over observed use while
+/// staying cheap to reserve by the thousand.
+inline constexpr std::size_t kFiberStackBytes = 128 * 1024;
 
 class Fiber {
  public:
-  /// Prepares (but does not start) a fiber executing `entry`, allocating
-  /// a private stack.
-  Fiber(std::function<void()> entry, std::size_t stack_bytes);
-  /// Same, but on a caller-owned stack (recycled across runs by the
-  /// persistent superstep engine).  The stack must stay valid for the
-  /// fiber's lifetime and must not be shared with a live fiber.
+  /// Prepares (but does not start) a fiber executing `entry` on a
+  /// caller-owned stack of `stack_bytes` (>= 16 KiB; the superstep engine
+  /// recycles one per rank across runs).  The stack must stay valid for
+  /// the fiber's lifetime and must not be shared with a live fiber.
   Fiber(std::function<void()> entry, char* stack, std::size_t stack_bytes);
   ~Fiber();
 
@@ -78,8 +76,7 @@ class Fiber {
 
   std::function<void()> entry_;
   std::size_t stack_bytes_;
-  std::unique_ptr<char[]> stack_;   // owned storage; null for external stacks.
-  char* stack_base_ = nullptr;      // the stack in use, owned or external.
+  char* stack_base_ = nullptr;      // the caller-owned stack.
   ucontext_t context_{};
   ucontext_t* return_context_ = nullptr;
   // Fast-switch substrate: the fiber's saved stack pointer and the worker

@@ -66,7 +66,6 @@ struct SuperstepEngine::Impl {
 
   std::size_t nranks;
   std::size_t nworkers;
-  std::size_t stack_bytes;
 
   // Engine shutdown lock ordering: `mutex` is the innermost lock — no
   // fiber body code runs while a worker holds it (fibers resume only
@@ -242,7 +241,6 @@ SuperstepEngine::SuperstepEngine(std::size_t ranks, Config config)
     throw std::invalid_argument("SuperstepEngine needs >= 1 rank");
   impl_->nranks = ranks;
   impl_->nworkers = resolve_workers(config.workers);
-  impl_->stack_bytes = config.stack_bytes;
 }
 
 SuperstepEngine::~SuperstepEngine() {
@@ -278,8 +276,11 @@ void SuperstepEngine::run(const std::function<void(int)>& body) {
     impl.first_error = nullptr;
     for (std::size_t r = 0; r < impl.nranks; ++r) {
       Impl::RankSlot& slot = impl.slots[r];
+      // Not value-initialized: zeroing would commit every page of every
+      // stack up front, where a fiber touches only the few KiB it uses.
       if (!impl.rank_stacks[r])
-        impl.rank_stacks[r] = std::make_unique<char[]>(impl.stack_bytes);
+        impl.rank_stacks[r] =
+            std::make_unique_for_overwrite<char[]>(kFiberStackBytes);
       slot.token = CoopToken{this, static_cast<int>(r)};
       slot.state = Impl::State::kRunnable;
       slot.wake_pending = false;
@@ -296,7 +297,7 @@ void SuperstepEngine::run(const std::function<void(int)>& body) {
                 impl.first_error = std::current_exception();
             }
           },
-          impl.rank_stacks[r].get(), impl.stack_bytes);
+          impl.rank_stacks[r].get(), kFiberStackBytes);
       impl.runnable.push_back(static_cast<int>(r));
     }
     impl.unfinished = impl.nranks;

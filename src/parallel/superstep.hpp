@@ -28,6 +28,7 @@
 
 #include <cstddef>
 #include <functional>
+#include <memory>
 
 #include "parallel/coop.hpp"
 #include "parallel/fiber.hpp"
@@ -44,7 +45,6 @@ class SuperstepEngine : public CoopScheduler {
  public:
   struct Config {
     std::size_t workers = 0;  ///< 0 = hardware_concurrency.
-    std::size_t stack_bytes = kDefaultFiberStackBytes;
   };
 
   SuperstepEngine(std::size_t ranks, Config config);

@@ -8,6 +8,7 @@
 
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/stat.h>
 #include <sys/un.h>
 #include <unistd.h>
 
@@ -199,9 +200,17 @@ StreamListener::StreamListener(const std::string& path) : path_(path) {
   // MSG_DONTWAIT per call).
   sockaddr_un addr;
   fill_addr(path, addr);
+  // A socket left at the path by a killed owner is replaced; anything else
+  // there (a file named by mistake) is never deleted.
+  struct stat existing;
+  if (::lstat(path.c_str(), &existing) == 0) {
+    if (!S_ISSOCK(existing.st_mode))
+      throw TransportError("bind " + path +
+                           ": path exists and is not a socket");
+    ::unlink(path.c_str());
+  }
   fd_ = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC | SOCK_NONBLOCK, 0);
   if (fd_ < 0) raise_errno("socket");
-  ::unlink(path.c_str());  // stale socket from a killed owner
   if (::bind(fd_, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) !=
           0 ||
       ::listen(fd_, 128) != 0) {

@@ -108,9 +108,10 @@ class FrameStream {
   std::size_t sent_ = 0;  ///< outbound_ bytes already written.
 };
 
-/// A listening AF_UNIX socket at `path`.  Binding unlinks whatever file
-/// is at `path` first (meant for a stale socket); the destructor unlinks
-/// it again.
+/// A listening AF_UNIX socket at `path`.  A socket already at `path` (a
+/// stale one from a killed owner) is unlinked and replaced; any other
+/// file there is left alone and construction throws TransportError naming
+/// the path.  The destructor unlinks the listener's socket.
 class StreamListener {
  public:
   explicit StreamListener(const std::string& path);

@@ -2,17 +2,24 @@
 // run_process_world's result channels: its read buffer stays bounded while
 // every frame arrives split across writes, and its read and write halves
 // can be driven by different threads — a drain thread reading while ranks
-// write under a peer lock, the way Endpoint uses it.
+// write under a peer lock, the way Endpoint uses it.  StreamListener
+// replaces a stale socket at its path but never deletes any other file.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
+#include <sys/un.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <exception>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <optional>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -40,6 +47,63 @@ WireFrame numbered_frame(std::uint64_t i) {
   frame.bytes.assign(1 + (i * 2654435761u) % 12000,
                      static_cast<std::uint8_t>(i));
   return frame;
+}
+
+std::string unique_path(const std::string& tag) {
+  return (std::filesystem::temp_directory_path() /
+          ("mwr-" + tag + "-" + std::to_string(::getpid()) + ".sock"))
+      .string();
+}
+
+TEST(StreamListener, ReplacesAStaleSocketAndServes) {
+  const std::string path = unique_path("listener-stale");
+  std::filesystem::remove(path);
+  // A socket bound and closed without unlinking leaves its file behind,
+  // as a killed owner's does.
+  const int stale = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  ASSERT_GE(stale, 0);
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  ASSERT_LT(path.size(), sizeof(addr.sun_path));
+  std::copy(path.begin(), path.end(), addr.sun_path);
+  ASSERT_EQ(::bind(stale, reinterpret_cast<const sockaddr*>(&addr),
+                   sizeof(addr)),
+            0);
+  ::close(stale);
+  ASSERT_TRUE(std::filesystem::is_socket(path));
+
+  StreamListener listener(path);
+  FrameStream client(connect_stream(path, 1000));
+  ASSERT_TRUE(wait_ready({}, 1000, &listener));
+  const int served_fd = listener.accept_fd();
+  ASSERT_GE(served_fd, 0);
+  FrameStream served(served_fd);
+  const WireFrame frame = numbered_frame(7);
+  ASSERT_TRUE(client.send_frame(frame));
+  const auto got = served.recv_frame(1000);
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(*got, frame);
+}
+
+TEST(StreamListener, LeavesARegularFileAtThePathUntouched) {
+  const std::string path = unique_path("listener-regular");
+  const std::string contents = "precious bytes\n\x01\x02";
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << contents;
+  }
+  try {
+    const StreamListener listener(path);
+    ADD_FAILURE() << "bound over a regular file";
+  } catch (const TransportError& error) {
+    EXPECT_NE(std::string(error.what()).find(path), std::string::npos)
+        << error.what();
+  }
+  std::ifstream in(path, std::ios::binary);
+  const std::string kept((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  EXPECT_EQ(kept, contents);
+  std::filesystem::remove(path);
 }
 
 TEST(FrameStream, ReadBufferStaysBoundedWhileEveryFrameArrivesSplit) {

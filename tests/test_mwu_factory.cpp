@@ -3,7 +3,11 @@
 // Tables II-IV.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdint>
+
 #include "core/mwu.hpp"
+#include "core/parallel_driver.hpp"
 #include "datasets/distributions.hpp"
 
 namespace mwr::core {
@@ -79,6 +83,89 @@ TEST(RunMwu, DistributedIntractablePathSkipsExecution) {
   EXPECT_FALSE(result.converged);
   EXPECT_EQ(result.iterations, 0u);
   EXPECT_EQ(result.evaluations, 0u);
+}
+
+// Table IV's cost is cycles x CPUs per cycle: every cycle probes
+// cpus_per_cycle() options, one evaluation each, and every SPMD rank
+// probes once per cycle.  A decorator that counts the probes a run really
+// makes (from any rank's thread) pins the reported evaluations to both.
+class ProbeCounter final : public CostOracle {
+ public:
+  explicit ProbeCounter(const CostOracle& inner) : inner_(&inner) {}
+  [[nodiscard]] std::size_t num_options() const override {
+    return inner_->num_options();
+  }
+  [[nodiscard]] double sample(std::size_t option,
+                              util::RngStream& rng) const override {
+    probes.fetch_add(1, std::memory_order_relaxed);
+    return inner_->sample(option, rng);
+  }
+  mutable std::atomic<std::uint64_t> probes{0};
+
+ private:
+  const CostOracle* inner_;
+};
+
+TEST(RunMwu, EvaluationsAreCyclesTimesCpusForEveryKind) {
+  const auto options = datasets::make_unimodal(16, 3);
+  const BernoulliOracle oracle(options);
+  auto config = config_for(16);
+  config.max_iterations = 300;
+  for (const MwuKind kind : {MwuKind::kStandard, MwuKind::kSlate,
+                             MwuKind::kDistributed, MwuKind::kExp3}) {
+    const ProbeCounter counter(oracle);
+    const auto result = run_mwu(kind, counter, config, util::RngStream(9));
+    EXPECT_GT(result.iterations, 0u) << to_string(kind);
+    EXPECT_EQ(result.evaluations, result.iterations * result.cpus_per_cycle)
+        << to_string(kind);
+    EXPECT_EQ(result.evaluations, counter.probes.load()) << to_string(kind);
+  }
+
+  // The intractable short-circuit runs no cycle and probes nothing.
+  const auto wide = datasets::make_random(16384, 4);
+  const BernoulliOracle wide_oracle(wide);
+  const ProbeCounter wide_counter(wide_oracle);
+  const auto skipped = run_mwu(MwuKind::kDistributed, wide_counter,
+                               config_for(16384), util::RngStream(5));
+  ASSERT_TRUE(skipped.intractable);
+  EXPECT_EQ(skipped.evaluations, skipped.iterations * skipped.cpus_per_cycle);
+  EXPECT_EQ(skipped.evaluations, 0u);
+  EXPECT_EQ(wide_counter.probes.load(), 0u);
+}
+
+TEST(SpmdEvaluations, AreCyclesTimesCpusForEveryDriver) {
+  OptionSet options("easy", {0.2, 0.3, 0.8, 0.25});
+  const BernoulliOracle oracle(options);
+  MwuConfig config;
+  config.num_options = 4;
+  config.num_agents = 8;
+  config.max_iterations = 60;
+
+  const ProbeCounter standard_counter(oracle);
+  const auto standard = run_standard_spmd(standard_counter, config, 3);
+  EXPECT_GT(standard.result.iterations, 0u);
+  EXPECT_EQ(standard.result.evaluations,
+            standard.result.iterations * standard.result.cpus_per_cycle);
+  EXPECT_EQ(standard.result.evaluations, standard_counter.probes.load());
+
+  const ProbeCounter distributed_counter(oracle);
+  const auto distributed =
+      run_distributed_spmd(distributed_counter, config, 3, 24);
+  EXPECT_GT(distributed.result.iterations, 0u);
+  EXPECT_EQ(distributed.result.evaluations,
+            distributed.result.iterations * distributed.result.cpus_per_cycle);
+  EXPECT_EQ(distributed.result.evaluations, distributed_counter.probes.load());
+
+  // Across two processes the probes happen in the workers; the identity
+  // and the in-process run's count still hold.
+  MultiprocessOptions mp;
+  mp.processes = 2;
+  const auto mirrored =
+      run_distributed_spmd_multiprocess(oracle, config, 3, 24, mp);
+  EXPECT_EQ(mirrored.result.iterations, distributed.result.iterations);
+  EXPECT_EQ(mirrored.result.evaluations,
+            mirrored.result.iterations * mirrored.result.cpus_per_cycle);
+  EXPECT_EQ(mirrored.result.evaluations, distributed.result.evaluations);
 }
 
 TEST(RunMwu, DeterministicForFixedSeed) {

@@ -1,9 +1,8 @@
 // Unit tests for core/option_set: validation, best-in-hindsight, the
-// Table III accuracy metric, and the oracle decorators.
+// Table III accuracy metric, and the Bernoulli oracle.
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <thread>
 
 #include "core/option_set.hpp"
 
@@ -75,32 +74,6 @@ TEST(BernoulliOracle, DegenerateValuesAreDeterministic) {
     EXPECT_DOUBLE_EQ(oracle.sample(0, rng), 0.0);
     EXPECT_DOUBLE_EQ(oracle.sample(1, rng), 1.0);
   }
-}
-
-TEST(CountingOracle, CountsEveryEvaluation) {
-  OptionSet options("demo", {0.5});
-  BernoulliOracle inner(options);
-  CountingOracle oracle(inner);
-  util::RngStream rng(3);
-  EXPECT_EQ(oracle.evaluations(), 0u);
-  for (int i = 0; i < 37; ++i) (void)oracle.sample(0, rng);
-  EXPECT_EQ(oracle.evaluations(), 37u);
-  EXPECT_EQ(oracle.num_options(), 1u);
-}
-
-TEST(CountingOracle, ThreadSafeCounting) {
-  OptionSet options("demo", {0.5});
-  BernoulliOracle inner(options);
-  CountingOracle oracle(inner);
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&oracle, t] {
-      util::RngStream rng(10 + t);
-      for (int i = 0; i < 1000; ++i) (void)oracle.sample(0, rng);
-    });
-  }
-  for (auto& th : threads) th.join();
-  EXPECT_EQ(oracle.evaluations(), 4000u);
 }
 
 }  // namespace

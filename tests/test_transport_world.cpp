@@ -86,8 +86,8 @@ INSTANTIATE_TEST_SUITE_P(FabricsAndPopulations, CrossBackendIdentity,
                          });
 
 // Paper Table II's largest datasets have k = 256 options: each worker's
-// result (eleven statistics plus k popularity fractions) must fit its
-// result slot.
+// report (ten statistics plus k popularity fractions) comes back whole as
+// one frame on its result stream, whatever k is.
 TEST(CrossBackendIdentity, TableTwoWidthOptionSetMatchesInProcess) {
   expect_multiprocess_matches_in_process(bimodal_options(256), 64);
 }
