@@ -6,11 +6,17 @@
 //   ./build/examples/repair_tool --all --pool 4000 --agents 32
 //   ./build/examples/repair_tool --scenario gzip-2009-08-16 --campaign 5
 //       (multi-bug campaign with pool reuse)
+//
+// Exit codes: 0 every bug repaired, 1 a bug left unrepaired or an error
+// (a bad flag, a failed --outcome-out or --metrics-out write), reported
+// on stderr.
+#include <exception>
 #include <iostream>
 
 #include "apr/campaign.hpp"
 #include "apr/outcome_json.hpp"
 #include "datasets/scenario.hpp"
+#include "obs/serialization.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
 #include "util/timer.hpp"
@@ -50,10 +56,7 @@ core::MwuKind parse_mwu(const std::string& name) {
   return outcome;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  using namespace mwr;
+int run(int argc, char** argv) {
   util::Cli cli("repair_tool — run MWRepair on the paper's bug scenarios");
   cli.add_string("scenario", "units", "scenario name (see DESIGN.md)");
   cli.add_flag("all", "run every C and Java scenario");
@@ -112,7 +115,7 @@ int main(int argc, char** argv) {
               << util::fmt_fixed(campaign.amortized_bug_cost(), 0)
               << " suite runs/bug\n";
     if (!outcome_out.empty())
-      apr::write_outcome_json(apr::outcome_to_json(campaign), outcome_out);
+      obs::write_json_file(apr::outcome_to_json(campaign), outcome_out);
     util::write_metrics_if_requested(cli);
     return campaign.repaired() == campaign.bugs.size() ? 0 : 1;
   }
@@ -135,10 +138,21 @@ int main(int argc, char** argv) {
                    campaign_config, master, table);
     all_repaired = outcome.repaired() == 1;
     if (!outcome_out.empty())
-      apr::write_outcome_json(apr::outcome_to_json(outcome, "single"),
-                              outcome_out);
+      obs::write_json_file(apr::outcome_to_json(outcome, "single"),
+                           outcome_out);
   }
   table.emit(std::cout);
   util::write_metrics_if_requested(cli);
   return all_repaired ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& error) {
+    std::cerr << "repair_tool: " << error.what() << "\n";
+    return 1;
+  }
 }

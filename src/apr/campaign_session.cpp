@@ -14,32 +14,13 @@ namespace {
 using util::fnv_fold;
 using util::fnv_fold_double;
 
-/// Folds a string as its length and then its raw bytes.
-std::uint64_t fnv_fold_string(std::uint64_t h, const std::string& s) noexcept {
-  return util::fnv_fold_bytes(fnv_fold(h, s.size()), s);
-}
-
 /// Identity of the campaign definition: every field of the base spec and
 /// of the configuration that influences the trajectory.  A checkpoint
 /// resumed against a different definition would silently diverge; the
 /// fingerprint turns that into a loud error.
 std::uint64_t campaign_fingerprint(const datasets::ScenarioSpec& spec,
                                    const CampaignConfig& config) {
-  std::uint64_t h = util::kFnvOffset;
-  h = fnv_fold_string(h, spec.name);
-  h = fnv_fold_string(h, spec.language);
-  h = fnv_fold(h, static_cast<std::uint64_t>(spec.options));
-  h = fnv_fold(h, static_cast<std::uint64_t>(spec.statements));
-  h = fnv_fold(h, static_cast<std::uint64_t>(spec.tests));
-  h = fnv_fold_double(h, spec.coverage);
-  h = fnv_fold_double(h, spec.safe_rate);
-  h = fnv_fold_double(h, spec.repair_rate);
-  h = fnv_fold(h, static_cast<std::uint64_t>(spec.optimum));
-  h = fnv_fold(h, static_cast<std::uint64_t>(spec.min_repair_edits));
-  h = fnv_fold_double(h, spec.value_noise);
-  h = fnv_fold(h, spec.seed);
-  h = fnv_fold(h, static_cast<std::uint64_t>(spec.bug_id));
-  h = fnv_fold(h, static_cast<std::uint64_t>(spec.relevance_localized));
+  std::uint64_t h = spec.fingerprint();
   h = fnv_fold(h, static_cast<std::uint64_t>(config.bugs));
   h = fnv_fold(h, static_cast<std::uint64_t>(config.grow_suite));
   h = fnv_fold(h, static_cast<std::uint64_t>(config.pool.target_size));

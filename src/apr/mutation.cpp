@@ -70,12 +70,13 @@ Patch random_patch(const ProgramModel& program, std::size_t size,
 
 Patch sample_from_pool(std::span<const Mutation> pool, std::size_t size,
                        util::RngStream& rng) {
-  const std::size_t take = std::min(size, pool.size());
+  std::vector<std::uint32_t> indices;
+  sample_from_pool_indexed(pool.size(), size, rng, indices);
   Patch patch;
-  patch.reserve(take);
-  for (std::size_t index : rng.sample_without_replacement(pool.size(), take)) {
-    patch.push_back(pool[index]);
-  }
+  patch.reserve(indices.size());
+  for (const std::uint32_t index : indices) patch.push_back(pool[index]);
+  // A key-sorted pool yields the canonical patch already; an arbitrary
+  // span needs the key sort and dedup.
   canonicalize(patch);
   return patch;
 }
@@ -108,10 +109,10 @@ void sample_from_pool_indexed(std::size_t pool_size, std::size_t size,
   const std::size_t words = (pool_size + 63) / 64;
   t_selected.assign(words, 0);
   t_touched.clear();
-  // The exact partial Fisher–Yates draw sequence of
-  // RngStream::sample_without_replacement — one uniform_index(pool - i)
-  // per output — so RNG consumption and the selected set are
-  // bit-identical to sample_from_pool's, with no allocation.
+  // Partial Fisher–Yates: one uniform_index(pool - i) per output, so every
+  // seeded draw sequence is reproducible across versions.  (Floyd's
+  // algorithm has the same cost but a different draw sequence, which
+  // would silently re-randomize every seeded experiment.)
   for (std::size_t i = 0; i < take; ++i) {
     const std::size_t j =
         i + static_cast<std::size_t>(rng.uniform_index(pool_size - i));

@@ -52,19 +52,19 @@ void canonicalize(Patch& patch);
                                  util::RngStream& rng);
 
 /// Draws `size` distinct mutations uniformly from a pool (without
-/// replacement; size is clamped to the pool size).
+/// replacement; size is clamped to the pool size): the members at
+/// sample_from_pool_indexed's indices, canonicalized.
 [[nodiscard]] Patch sample_from_pool(std::span<const Mutation> pool,
                                      std::size_t size, util::RngStream& rng);
 
-/// Index-space twin of sample_from_pool for key-sorted, deduplicated pools
-/// (the MutationPool invariant): draws the identical without-replacement
-/// index sequence from `rng`, then emits the *indices* ascending into
-/// `out` (via a selection bitmap — no allocation, no sort; scratch is
-/// per-thread).  Because pool order is key order, the indexed result names
-/// exactly the canonical patch sample_from_pool would build — same RNG
-/// consumption, same patch bytes — without materializing Mutations or
-/// paying the per-patch canonicalize sort.  The probe wave's sampling
-/// primitive (DESIGN.md §14).
+/// The one without-replacement draw: `min(size, pool_size)` distinct
+/// indices of [0, pool_size), uniform over subsets, by partial
+/// Fisher–Yates (one uniform_index(pool_size - i) per output).  The
+/// indices are emitted ascending into `out` via a selection bitmap — no
+/// allocation, no sort; scratch is per-thread.  Over a key-sorted,
+/// deduplicated pool (the MutationPool invariant) ascending indices name
+/// the canonical patch, so the probe wave samples in index space without
+/// materializing Mutations or paying the canonicalize sort (DESIGN.md §14).
 void sample_from_pool_indexed(std::size_t pool_size, std::size_t size,
                               util::RngStream& rng,
                               std::vector<std::uint32_t>& out);

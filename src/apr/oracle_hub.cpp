@@ -1,7 +1,6 @@
 #include "apr/oracle_hub.hpp"
 
 #include <stdexcept>
-#include <string>
 #include <utility>
 
 #include "obs/registry.hpp"
@@ -12,44 +11,16 @@ namespace mwr::apr {
 
 namespace {
 
-using util::fnv_fold;
-using util::fnv_fold_double;
-
-/// Folds a string as its length and then each byte as a whole u64.
-std::uint64_t fnv_fold_string(std::uint64_t h, const std::string& s) noexcept {
-  h = fnv_fold(h, s.size());
-  for (const char c : s) h = fnv_fold(h, static_cast<unsigned char>(c));
-  return h;
-}
-
 /// Identity of the *program*: every spec field except the bug targeted
 /// and the suite size.  Pools precomputed for any bug of the program can
 /// warm an oracle for any other bug of the same program (coverage,
 /// safety, and interference are program properties — the invariant the
 /// whole amortization story rests on).
 std::uint64_t program_fingerprint(const datasets::ScenarioSpec& spec) {
-  std::uint64_t h = util::kFnvOffset;
-  h = fnv_fold_string(h, spec.name);
-  h = fnv_fold_string(h, spec.language);
-  h = fnv_fold(h, spec.options);
-  h = fnv_fold(h, spec.statements);
-  h = fnv_fold_double(h, spec.coverage);
-  h = fnv_fold_double(h, spec.safe_rate);
-  h = fnv_fold_double(h, spec.repair_rate);
-  h = fnv_fold(h, spec.optimum);
-  h = fnv_fold(h, spec.min_repair_edits);
-  h = fnv_fold_double(h, spec.value_noise);
-  h = fnv_fold(h, spec.seed);
-  h = fnv_fold(h, spec.relevance_localized ? 1u : 0u);
-  return h;
-}
-
-/// Identity of one oracle: the program plus (suite size, bug).
-std::uint64_t oracle_fingerprint(const datasets::ScenarioSpec& spec) {
-  std::uint64_t h = program_fingerprint(spec);
-  h = fnv_fold(h, spec.tests);
-  h = fnv_fold(h, spec.bug_id);
-  return h;
+  datasets::ScenarioSpec program = spec;
+  program.tests = 0;
+  program.bug_id = 0;
+  return program.fingerprint();
 }
 
 /// Identity of one precomputed base pool: the oracle it was validated
@@ -58,11 +29,11 @@ std::uint64_t oracle_fingerprint(const datasets::ScenarioSpec& spec) {
 /// rounds by it, so its attempts (the lease's precompute_runs) are not.
 std::uint64_t pool_fingerprint(const datasets::ScenarioSpec& spec,
                                const PoolConfig& config) {
-  std::uint64_t h = oracle_fingerprint(spec);
-  h = fnv_fold(h, config.target_size);
-  h = fnv_fold(h, config.max_attempts);
-  h = fnv_fold(h, config.seed);
-  h = fnv_fold(h, config.threads);
+  std::uint64_t h = spec.fingerprint();
+  h = util::fnv_fold(h, config.target_size);
+  h = util::fnv_fold(h, config.max_attempts);
+  h = util::fnv_fold(h, config.seed);
+  h = util::fnv_fold(h, config.threads);
   return h;
 }
 
@@ -84,7 +55,8 @@ OracleHub::Stats OracleHub::stats() const {
 
 OracleHub::OracleLease OracleHub::oracle_for(
     const datasets::ScenarioSpec& spec) {
-  const std::uint64_t key = oracle_fingerprint(spec);
+  // Identity of one oracle: the exact (program, suite size, bug).
+  const std::uint64_t key = spec.fingerprint();
   std::shared_ptr<OracleEntry> entry;
   PoolLease warm;
   bool builder = false;

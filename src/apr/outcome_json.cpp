@@ -1,7 +1,5 @@
 #include "apr/outcome_json.hpp"
 
-#include <fstream>
-#include <stdexcept>
 #include <utility>
 
 namespace mwr::apr {
@@ -39,16 +37,6 @@ obs::JsonValue outcome_to_json(const CampaignOutcome& outcome,
   for (const BugOutcome& bug : outcome.bugs) bugs.push_back(bug_to_json(bug));
   root.set("bugs", std::move(bugs));
   return root;
-}
-
-void write_outcome_json(const obs::JsonValue& outcome,
-                        const std::string& path) {
-  std::ofstream file(path);
-  if (!file)
-    throw std::runtime_error("write_outcome_json: cannot open " + path);
-  file << outcome.dump(/*indent=*/2) << "\n";
-  if (!file)
-    throw std::runtime_error("write_outcome_json: write failed: " + path);
 }
 
 }  // namespace mwr::apr

@@ -16,10 +16,10 @@
 // Every field is a deterministic function of (scenario, config, seed) —
 // no wall times — so the export is golden-testable byte for byte.
 // Single-shot mode (repair_tool without --campaign) is a one-bug
-// campaign; only its "mode" label differs.
+// campaign; only its "mode" label differs.  repair_tool's --outcome-out
+// writes it with obs::write_json_file (2-space indent, trailing newline),
+// the bytes tests/golden/ pins.
 #pragma once
-
-#include <string>
 
 #include "apr/campaign.hpp"
 #include "obs/serialization.hpp"
@@ -30,10 +30,5 @@ namespace mwr::apr {
 /// repair_tool's single-shot run.
 [[nodiscard]] obs::JsonValue outcome_to_json(const CampaignOutcome& outcome,
                                              const char* mode = "campaign");
-
-/// Pretty-prints (2-space indent, trailing newline) to `path`; throws
-/// std::runtime_error on I/O failure.  This is what --outcome-out writes.
-void write_outcome_json(const obs::JsonValue& outcome,
-                        const std::string& path);
 
 }  // namespace mwr::apr

@@ -12,24 +12,17 @@
 namespace mwr::core {
 
 namespace {
-// SPMD telemetry: total probes across ranks, the per-worker probe-count
-// distribution (each rank contributes one observation per run — skew here
-// means load imbalance), and time spent waiting in collectives (the
+// SPMD telemetry: cycles run, and time spent waiting in collectives (the
 // synchronized-iteration stall the paper's §III-A analysis is about).
+// Probe counts need no telemetry of their own: every rank probes once per
+// cycle, so a run's evaluations are iterations × ranks.
 struct SpmdMetrics {
   obs::Counter& cycles;
-  obs::Counter& probes;
-  obs::Histogram& worker_probes;
   obs::Histogram& collective_wait_seconds;
 
   explicit SpmdMetrics(const char* driver)
       : cycles(obs::MetricsRegistry::global().counter(
             std::string("spmd.") + driver + ".cycles")),
-        probes(obs::MetricsRegistry::global().counter(
-            std::string("spmd.") + driver + ".probes")),
-        worker_probes(obs::MetricsRegistry::global().histogram(
-            std::string("spmd.") + driver + ".worker_probes",
-            obs::Histogram::exponential_bounds(1.0, 2.0, 16))),
         collective_wait_seconds(obs::MetricsRegistry::global().histogram(
             std::string("spmd.") + driver + ".collective_wait_seconds")) {}
 };
@@ -63,7 +56,6 @@ void distributed_rank_body(parallel::Comm& comm, const MwuConfig& config,
   std::size_t choice = rank % config.num_options;
 
   std::size_t iterations = 0;
-  std::uint64_t rank_probes = 0;
   bool converged = false;
   for (std::size_t t = 0; t < config.max_iterations; ++t) {
     // --- Sample: pick a random option, or request a random neighbor's
@@ -100,7 +92,6 @@ void distributed_rank_body(parallel::Comm& comm, const MwuConfig& config,
     // --- Update: evaluate the observed option once and adopt
     // stochastically (beta on success, alpha on failure).
     const bool success = oracle.sample(observed, rng) > 0.0;
-    ++rank_probes;
     const double adopt_probability =
         success ? config.adopt_success : config.adopt_failure;
     if (rng.bernoulli(adopt_probability)) choice = observed;
@@ -142,9 +133,6 @@ void distributed_rank_body(parallel::Comm& comm, const MwuConfig& config,
       break;
     }
   }
-  metrics.probes.add(rank_probes);
-  metrics.worker_probes.observe(static_cast<double>(rank_probes));
-
   // Trajectory fingerprint: one more untracked tree reduction after the
   // last cycle closed — it adds no tracked messages, no RNG draws, and no
   // congestion, so the trajectory itself is untouched.
@@ -180,13 +168,11 @@ ParallelMwuResult run_standard_spmd(const CostOracle& oracle,
     util::RngStream rng(seed + 0x9e37 * static_cast<std::uint64_t>(comm.rank()));
     StandardMwu replica(rank_config);
     std::size_t iterations = 0;
-    std::uint64_t rank_probes = 0;
     bool converged = false;
     for (std::size_t t = 0; t < config.max_iterations; ++t) {
       const auto& probe = replica.sample(rng);
       std::vector<double> counts(config.num_options, 0.0);
       counts[probe[0]] += oracle.sample(probe[0], rng);
-      ++rank_probes;
       std::vector<double> total_counts;
       {
         const obs::ScopedTimer wait(metrics.collective_wait_seconds);
@@ -204,8 +190,6 @@ ParallelMwuResult run_standard_spmd(const CostOracle& oracle,
         break;
       }
     }
-    metrics.probes.add(rank_probes);
-    metrics.worker_probes.observe(static_cast<double>(rank_probes));
     if (comm.rank() == 0) {
       out.result.converged = converged;
       out.result.iterations = iterations;

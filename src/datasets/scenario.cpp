@@ -4,6 +4,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "util/fnv.hpp"
+
 namespace mwr::datasets {
 
 double pass_probability(double x, double interference) {
@@ -67,6 +69,30 @@ std::size_t ScenarioSpec::count_for_option(std::size_t option) const {
       static_cast<double>(option) / static_cast<double>(options - 1);
   return 1 + static_cast<std::size_t>(
                  std::lround(t * static_cast<double>(span - 1)));
+}
+
+std::uint64_t ScenarioSpec::fingerprint() const noexcept {
+  using util::fnv_fold;
+  using util::fnv_fold_double;
+  const auto fold_string = [](std::uint64_t h, const std::string& s) {
+    return util::fnv_fold_bytes(fnv_fold(h, s.size()), s);
+  };
+  std::uint64_t h = util::kFnvOffset;
+  h = fold_string(h, name);
+  h = fold_string(h, language);
+  h = fnv_fold(h, options);
+  h = fnv_fold(h, statements);
+  h = fnv_fold(h, tests);
+  h = fnv_fold_double(h, coverage);
+  h = fnv_fold_double(h, safe_rate);
+  h = fnv_fold_double(h, repair_rate);
+  h = fnv_fold(h, optimum);
+  h = fnv_fold(h, min_repair_edits);
+  h = fnv_fold_double(h, value_noise);
+  h = fnv_fold(h, seed);
+  h = fnv_fold(h, bug_id);
+  h = fnv_fold(h, relevance_localized ? 1u : 0u);
+  return h;
 }
 
 core::OptionSet ScenarioSpec::option_set() const {

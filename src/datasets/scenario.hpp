@@ -91,6 +91,13 @@ struct ScenarioSpec {
   /// Mutation count that MWU option i stands for.  Counts cover
   /// [1, 4 * optimum] (the unimodal support) across k options.
   [[nodiscard]] std::size_t count_for_option(std::size_t option) const;
+
+  /// FNV-1a fold of every field above, in declaration order: a string as
+  /// its length and then one FNV step per byte, a count or flag as a u64,
+  /// a rate as its bit pattern.  The campaign checkpoint fingerprint
+  /// starts from it, so its bytes are pinned by every checkpoint; the
+  /// OracleHub keys its programs, oracles and pools on it.
+  [[nodiscard]] std::uint64_t fingerprint() const noexcept;
 };
 
 /// The five C scenarios (ManyBugs + units) of §IV-A.

@@ -1,11 +1,5 @@
 #include "datasets/suite.hpp"
 
-#include <fstream>
-#include <iomanip>
-#include <limits>
-#include <sstream>
-#include <stdexcept>
-
 #include "datasets/distributions.hpp"
 #include "datasets/scenario.hpp"
 
@@ -31,34 +25,6 @@ std::vector<Dataset> standard_suite(std::uint64_t seed, std::size_t max_size) {
     suite.push_back({"Java", spec.option_set()});
   }
   return suite;
-}
-
-void save_csv(const core::OptionSet& options, const std::string& path) {
-  std::ofstream f(path);
-  if (!f) throw std::runtime_error("save_csv: cannot open " + path);
-  f << std::setprecision(std::numeric_limits<double>::max_digits10);
-  f << "option,value\n";
-  for (std::size_t i = 0; i < options.size(); ++i) {
-    f << i << "," << options.value(i) << "\n";
-  }
-  if (!f) throw std::runtime_error("save_csv: write failed for " + path);
-}
-
-core::OptionSet load_csv(const std::string& name, const std::string& path) {
-  std::ifstream f(path);
-  if (!f) throw std::runtime_error("load_csv: cannot open " + path);
-  std::string line;
-  if (!std::getline(f, line))
-    throw std::runtime_error("load_csv: empty file " + path);
-  std::vector<double> values;
-  while (std::getline(f, line)) {
-    if (line.empty()) continue;
-    const auto comma = line.find(',');
-    if (comma == std::string::npos)
-      throw std::runtime_error("load_csv: malformed row in " + path);
-    values.push_back(std::stod(line.substr(comma + 1)));
-  }
-  return core::OptionSet(name, std::move(values));
 }
 
 }  // namespace mwr::datasets

@@ -1,5 +1,4 @@
-// The twenty-dataset evaluation suite of Tables II-IV, plus CSV
-// round-tripping so reproduced option sets can be archived and replotted.
+// The twenty-dataset evaluation suite of Tables II-IV.
 #pragma once
 
 #include <cstdint>
@@ -22,13 +21,5 @@ struct Dataset {
 /// default configuration of the benches; --full passes 16384).
 [[nodiscard]] std::vector<Dataset> standard_suite(std::uint64_t seed,
                                                   std::size_t max_size = 16384);
-
-/// Writes an option set as two-column CSV (option,value).
-void save_csv(const core::OptionSet& options, const std::string& path);
-
-/// Reads an option set back from save_csv output.  Throws
-/// std::runtime_error on I/O or parse failure.
-[[nodiscard]] core::OptionSet load_csv(const std::string& name,
-                                       const std::string& path);
 
 }  // namespace mwr::datasets

@@ -1,7 +1,5 @@
 #include "obs/registry.hpp"
 
-#include <fstream>
-#include <stdexcept>
 #include <utility>
 
 namespace mwr::obs {
@@ -95,19 +93,8 @@ JsonValue MetricsRegistry::to_json_filtered(const std::string& prefix) const {
   return root;
 }
 
-std::string MetricsRegistry::to_json_string() const {
-  return to_json().dump(/*indent=*/2);
-}
-
 void MetricsRegistry::write_json(const std::string& path) const {
-  std::ofstream file(path);
-  if (!file)
-    throw std::runtime_error("MetricsRegistry::write_json: cannot open " +
-                             path);
-  file << to_json_string() << "\n";
-  if (!file)
-    throw std::runtime_error("MetricsRegistry::write_json: write failed: " +
-                             path);
+  write_json_file(to_json(), path);
 }
 
 MetricsRegistry& MetricsRegistry::global() {

@@ -63,9 +63,8 @@ class MetricsRegistry {
   ///    "histograms": {name: {"le": [bounds...], "counts": [... overflow],
   ///                          "count": n, "sum": s, "min": m, "max": M}}}
   [[nodiscard]] JsonValue to_json() const MWR_EXCLUDES(mutex_);
-  [[nodiscard]] std::string to_json_string() const;  ///< pretty-printed.
-  /// Writes the pretty-printed snapshot; throws std::runtime_error on I/O
-  /// failure.
+  /// Writes the pretty-printed snapshot through write_json_file; throws
+  /// std::runtime_error on I/O failure.
   void write_json(const std::string& path) const;
 
   /// Snapshot restricted to names starting with `prefix` (same shape as

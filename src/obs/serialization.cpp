@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <fstream>
 #include <limits>
 #include <stdexcept>
 
@@ -398,6 +399,15 @@ JsonValue JsonValue::parse(const std::string& text) {
   parser.skip_whitespace();
   if (parser.pos != text.size()) parser.fail("trailing garbage");
   return value;
+}
+
+void write_json_file(const JsonValue& doc, const std::string& path) {
+  std::ofstream file(path);
+  if (!file) throw std::runtime_error("cannot open " + path);
+  file << doc.dump(/*indent=*/2) << "\n";
+  // close() flushes; a full disk often shows only here.
+  file.close();
+  if (!file) throw std::runtime_error("write failed: " + path);
 }
 
 }  // namespace mwr::obs

@@ -2,11 +2,12 @@
 //
 // Metrics snapshots leave the process as JSON (the CI pipeline gates on
 // them), and the test suite round-trips snapshots back in, so both a
-// writer and a reader live here.  The model is deliberately small: the
-// six JSON kinds, insertion-ordered objects (stable, diffable output),
-// and full-precision doubles that survive dump -> parse -> dump.  It is
-// not a general-purpose JSON library — no comments, no trailing commas,
-// no \u surrogate pairs beyond the BMP — just the subset metrics need.
+// writer and a reader live here, with the one checked file writer.  The
+// model is deliberately small: the six JSON kinds, insertion-ordered
+// objects (stable, diffable output), and full-precision doubles that
+// survive dump -> parse -> dump.  It is not a general-purpose JSON
+// library — no comments, no trailing commas, no \u surrogate pairs beyond
+// the BMP — just the subset metrics need.
 #pragma once
 
 #include <cstddef>
@@ -78,5 +79,12 @@ class JsonValue {
   std::variant<std::nullptr_t, bool, double, std::string, Array, Object>
       value_;
 };
+
+/// Writes `doc` pretty-printed (2-space indent, trailing newline) to
+/// `path`, then closes the file so the buffered bytes are flushed before
+/// the check: a failed open, write, flush or close throws
+/// std::runtime_error naming `path`.  Metrics snapshots and outcome
+/// documents are written through here.
+void write_json_file(const JsonValue& doc, const std::string& path);
 
 }  // namespace mwr::obs

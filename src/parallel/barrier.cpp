@@ -17,7 +17,6 @@ void CountingBarrier::arrive_and_wait(
 
 void CountingBarrier::arrive_impl(
     const std::function<void()>* on_completion) {
-  const auto arrival = std::chrono::steady_clock::now();
   const CoopToken* coop = coop_current();
   util::MutexLock lock(mutex_);
   const std::uint64_t my_generation = generation_;
@@ -29,10 +28,6 @@ void CountingBarrier::arrive_impl(
     ++generation_;
     std::vector<CoopToken> waiters = std::move(fiber_waiters_);
     fiber_waiters_.clear();
-    total_wait_seconds_ +=
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      arrival)
-            .count();
     if (coop != nullptr) coop->scheduler->note_superstep_boundary();
     lock.unlock();
     for (const CoopToken& waiter : waiters) waiter.wake();
@@ -51,19 +46,11 @@ void CountingBarrier::arrive_impl(
   } else {
     while (generation_ == my_generation) cv_.wait(mutex_);
   }
-  total_wait_seconds_ +=
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - arrival)
-          .count();
 }
 
 std::uint64_t CountingBarrier::generations() const {
   util::MutexLock lock(mutex_);
   return generation_;
-}
-
-double CountingBarrier::total_wait_seconds() const {
-  util::MutexLock lock(mutex_);
-  return total_wait_seconds_;
 }
 
 }  // namespace mwr::parallel

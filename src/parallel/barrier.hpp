@@ -4,8 +4,9 @@
 // synchronization before the weight update (paper §II-A/B); the cost model
 // charges one "update cycle" per barrier generation.  std::barrier covers
 // the synchronization itself, but the experiments also need to *count*
-// generations and measure how long agents wait — CountingBarrier wraps a
-// central (mutex + condvar) barrier with those counters.
+// generations — CountingBarrier is a central (mutex + condvar) barrier with
+// that counter.  Time spent waiting is measured by the callers that care
+// (the SPMD drivers' spmd.<driver>.collective_wait_seconds histograms).
 //
 // Parties may be OS threads (thread-per-rank CommWorld) or superstep-engine
 // fibers: a fiber party suspends cooperatively through parallel/coop.hpp,
@@ -17,7 +18,6 @@
 // of paying a second synchronization for it.
 #pragma once
 
-#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -30,7 +30,7 @@
 namespace mwr::parallel {
 
 /// A reusable N-party barrier that records the number of completed
-/// generations and the cumulative wait time across all parties.
+/// generations.
 class CountingBarrier {
  public:
   explicit CountingBarrier(std::size_t parties);
@@ -50,11 +50,6 @@ class CountingBarrier {
   /// Number of fully-completed generations (synchronization rounds).
   [[nodiscard]] std::uint64_t generations() const MWR_EXCLUDES(mutex_);
 
-  /// Sum over all arrive_and_wait calls of the time spent blocked, in
-  /// seconds.  This is the "threads wait for the slowest one" cost that
-  /// motivates safe-mutation precomputation (paper §III-C).
-  [[nodiscard]] double total_wait_seconds() const MWR_EXCLUDES(mutex_);
-
   [[nodiscard]] std::size_t parties() const noexcept { return parties_; }
 
  private:
@@ -70,7 +65,6 @@ class CountingBarrier {
   util::CondVar cv_;
   std::size_t arrived_ MWR_GUARDED_BY(mutex_) = 0;
   std::uint64_t generation_ MWR_GUARDED_BY(mutex_) = 0;
-  double total_wait_seconds_ MWR_GUARDED_BY(mutex_) = 0.0;
   std::vector<CoopToken> fiber_waiters_ MWR_GUARDED_BY(mutex_);
 };
 

@@ -144,35 +144,6 @@ void Comm::barrier_close_cycle() {
   w->throw_if_aborted();
 }
 
-std::vector<double> Comm::broadcast(int root, std::vector<double> payload) {
-  // Checked on every rank: non-roots only recv(root), so a bad root would
-  // otherwise leave them blocked on a sender that does not exist.
-  if (root < 0 || root >= size())
-    throw std::out_of_range("broadcast: bad root");
-  if (rank_ == root) {
-    for (int r = 0; r < size(); ++r) {
-      if (r != root) send(r, kTagBroadcast, payload);
-    }
-    return payload;
-  }
-  return recv(root, kTagBroadcast).payload;
-}
-
-std::vector<std::vector<double>> Comm::gather(int root,
-                                              std::vector<double> payload) {
-  if (rank_ != root) {
-    send(root, kTagGather, std::move(payload));
-    return {};
-  }
-  std::vector<std::vector<double>> all(world_->size());
-  all[static_cast<std::size_t>(root)] = std::move(payload);
-  for (int r = 0; r < size(); ++r) {
-    if (r == root) continue;
-    all[static_cast<std::size_t>(r)] = recv(r, kTagGather).payload;
-  }
-  return all;
-}
-
 std::vector<double> Comm::allreduce_sum(std::vector<double> payload) {
   // Gather-to-0 then broadcast: O(n) congestion at the root, exactly the
   // centralized communication pattern the paper charges Standard MWU for.

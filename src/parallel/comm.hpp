@@ -8,10 +8,10 @@
 // ranks as cooperative fibers over a fixed worker pool and scales to
 // thousands of ranks on a handful of hardware threads.  Classic
 // one-OS-thread-per-rank survives only as an explicit reference policy:
-// point-to-point send/recv (non-overtaking per channel), barrier,
-// broadcast, gather, and allreduce(sum) behave identically on both, and
-// seeded SPMD trajectories are bit-identical, pinned by tests.  Every
-// delivered message is attributed to its destination in a
+// point-to-point send/recv (non-overtaking per channel), barrier and
+// allreduce(sum) — all that Table I's algorithms need — behave identically
+// on both, and seeded SPMD trajectories are bit-identical, pinned by
+// tests.  Every delivered message is attributed to its destination in a
 // CongestionTracker, which is the quantity the paper's communication
 // analysis is actually about.
 //
@@ -151,16 +151,6 @@ class Comm {
   /// one.  All ranks call this once per cycle.
   void barrier_close_cycle();
 
-  /// Root's payload is distributed to every rank; all ranks return it.
-  /// Throws std::out_of_range on every rank when `root` is not a rank.
-  [[nodiscard]] std::vector<double> broadcast(int root,
-                                              std::vector<double> payload);
-
-  /// Every rank contributes a payload; root returns all of them indexed by
-  /// rank, non-roots return an empty vector.
-  [[nodiscard]] std::vector<std::vector<double>> gather(
-      int root, std::vector<double> payload);
-
   /// Elementwise sum across ranks; every rank returns the reduced vector.
   /// All contributions must have identical length.  Centralized (gather to
   /// rank 0 + broadcast): the root absorbs n-1 messages per call — the
@@ -290,8 +280,6 @@ class CommWorld {
 };
 
 // Tags reserved by the collectives; user tags should stay below 1 << 20.
-inline constexpr int kTagBroadcast = 1 << 20;
-inline constexpr int kTagGather = (1 << 20) + 1;
 inline constexpr int kTagAllreduce = (1 << 20) + 2;
 inline constexpr int kTagTreeReduce = (1 << 20) + 3;
 inline constexpr int kTagTreeBcast = (1 << 20) + 4;

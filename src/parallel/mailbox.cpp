@@ -159,9 +159,4 @@ std::optional<Message> Mailbox::try_recv(int source, int tag) {
   return taken;
 }
 
-std::size_t Mailbox::pending() const {
-  util::MutexLock lock(mutex_);
-  return queue_.size();
-}
-
 }  // namespace mwr::parallel

@@ -168,9 +168,6 @@ class Mailbox {
   /// dead peer will never send.
   void poison(std::string reason) MWR_EXCLUDES(mutex_);
 
-  /// Messages currently queued (racy by nature; for diagnostics).
-  [[nodiscard]] std::size_t pending() const MWR_EXCLUDES(mutex_);
-
   /// Declares that pushes can originate outside the fiber world (a
   /// transport drain thread).  A fiber blocking on such a mailbox brackets
   /// its suspension with CoopScheduler::note_external_wait so the engine's

@@ -1,6 +1,7 @@
 // FNV-1a, the one fold behind every fingerprint and trajectory hash in the
-// repository: campaign and oracle fingerprints, the per-cycle trajectory
-// hash, the wire HELLO's geometry check and the SPMD rank-choice hash.
+// repository: the scenario fingerprint (campaign checkpoints and OracleHub
+// keys), the per-cycle trajectory hash, the wire HELLO's geometry check and
+// the SPMD rank-choice hash.
 //
 // fnv_fold mixes a 64-bit value one little-endian byte at a time (eight
 // FNV steps); fnv_fold_bytes mixes a byte string one byte per step.  The

@@ -1,7 +1,6 @@
 #include "util/rng.hpp"
 
 #include <numeric>
-#include <unordered_map>
 
 namespace mwr::util {
 
@@ -25,53 +24,6 @@ std::size_t RngStream::weighted_choice(const std::vector<double>& weights,
     if (weights[i] > 0.0) return i;
   }
   return weights.size();
-}
-
-std::vector<std::size_t> RngStream::sample_without_replacement(
-    std::size_t population, std::size_t count) noexcept {
-  if (count > population) count = population;
-  // Both branches run the same partial Fisher–Yates — identical draw
-  // sequence (one uniform_index(population - i) per output), identical
-  // result — they differ only in how the permutation is materialized.
-  //
-  // When the sample is a small fraction of the population, a dense pool
-  // would spend O(population) allocating and iota-filling a vector just to
-  // read `count` slots of it (the dominant cost of phase-2 patch draws:
-  // count <= 64 from pools of thousands).  The sparse branch instead keeps
-  // only the displaced entries in a hash map — an untouched slot j simply
-  // *is* the value j — giving O(count) time and memory.  (Floyd's
-  // algorithm has the same complexity but a different draw sequence, which
-  // would silently re-randomize every seeded experiment.)
-  if (count * 8 <= population) {
-    std::vector<std::size_t> sample;
-    sample.reserve(count);
-    std::unordered_map<std::size_t, std::size_t> displaced;
-    displaced.reserve(count * 2);
-    for (std::size_t i = 0; i < count; ++i) {
-      const std::size_t j =
-          i + static_cast<std::size_t>(uniform_index(population - i));
-      const auto at_j = displaced.find(j);
-      const std::size_t value_j = at_j != displaced.end() ? at_j->second : j;
-      const auto at_i = displaced.find(i);
-      const std::size_t value_i = at_i != displaced.end() ? at_i->second : i;
-      // The swap half landing in slot i is emitted immediately; slot i is
-      // never revisited (future j >= future i > i), so only slot j needs
-      // to be recorded.
-      displaced[j] = value_i;
-      sample.push_back(value_j);
-    }
-    return sample;
-  }
-  std::vector<std::size_t> pool(population);
-  std::iota(pool.begin(), pool.end(), std::size_t{0});
-  // Partial Fisher–Yates: only the first `count` positions are shuffled.
-  for (std::size_t i = 0; i < count && i < population; ++i) {
-    const std::size_t j =
-        i + static_cast<std::size_t>(uniform_index(population - i));
-    std::swap(pool[i], pool[j]);
-  }
-  pool.resize(count);
-  return pool;
 }
 
 }  // namespace mwr::util

@@ -129,12 +129,6 @@ class RngStream {
     return static_cast<std::uint64_t>(m >> 64);
   }
 
-  /// Uniform integer in [lo, hi] inclusive.
-  std::int64_t uniform_int(std::int64_t lo, std::int64_t hi) noexcept {
-    return lo + static_cast<std::int64_t>(
-                    uniform_index(static_cast<std::uint64_t>(hi - lo + 1)));
-  }
-
   /// Bernoulli trial: true with probability p (clamped to [0,1]).
   bool bernoulli(double p) noexcept { return uniform() < p; }
 
@@ -147,28 +141,11 @@ class RngStream {
   std::size_t weighted_choice(const std::vector<double>& weights,
                               double total) noexcept;
 
-  /// Sample of `count` distinct indices from [0, population), uniform over
-  /// count-subsets.  Always the partial-Fisher–Yates draw sequence (so
-  /// seeded experiments are reproducible across versions); when
-  /// count << population the permutation is kept sparsely in a hash map —
-  /// O(count) time and memory instead of an O(population) iota vector per
-  /// call.  count is clamped to population.
-  std::vector<std::size_t> sample_without_replacement(std::size_t population,
-                                                      std::size_t count) noexcept;
-
   /// Derives an independent child stream.  Children of the same parent are
   /// pairwise independent (distinct SplitMix64 outputs of the parent seed
   /// sequence), so handing one to each worker thread is safe.
   [[nodiscard]] RngStream split() noexcept {
     return RngStream(gen_() ^ 0xa5a5a5a5a5a5a5a5ULL);
-  }
-
-  /// Derives `n` child streams at once (convenience for fan-out).
-  [[nodiscard]] std::vector<RngStream> split_n(std::size_t n) noexcept {
-    std::vector<RngStream> out;
-    out.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) out.push_back(split());
-    return out;
   }
 
   /// Mid-run checkpoint: the generator's 256-bit state plus the original

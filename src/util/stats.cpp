@@ -56,16 +56,4 @@ double percentile(std::span<const double> xs, double q) {
   return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
 }
 
-double mean_of(std::span<const double> xs) noexcept {
-  RunningStats rs;
-  for (double x : xs) rs.add(x);
-  return rs.mean();
-}
-
-double stddev_of(std::span<const double> xs) noexcept {
-  RunningStats rs;
-  for (double x : xs) rs.add(x);
-  return rs.stddev();
-}
-
 }  // namespace mwr::util

@@ -58,10 +58,4 @@ class RunningStats {
 /// q in [0, 1].  The input span is copied; the original order is preserved.
 [[nodiscard]] double percentile(std::span<const double> xs, double q);
 
-/// Arithmetic mean of a span (0 for empty input).
-[[nodiscard]] double mean_of(std::span<const double> xs) noexcept;
-
-/// Sample standard deviation of a span (0 for fewer than two samples).
-[[nodiscard]] double stddev_of(std::span<const double> xs) noexcept;
-
 }  // namespace mwr::util

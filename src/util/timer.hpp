@@ -7,7 +7,6 @@
 #pragma once
 
 #include <chrono>
-#include <cstdint>
 
 namespace mwr::util {
 
@@ -20,12 +19,6 @@ class WallTimer {
 
   [[nodiscard]] double elapsed_seconds() const noexcept {
     return std::chrono::duration<double>(Clock::now() - start_).count();
-  }
-
-  [[nodiscard]] std::int64_t elapsed_ms() const noexcept {
-    return std::chrono::duration_cast<std::chrono::milliseconds>(Clock::now() -
-                                                                 start_)
-        .count();
   }
 
  private:

@@ -174,6 +174,45 @@ TEST(Campaign, OneBugCampaignMatchesMwRepairRun) {
   }
 }
 
+TEST(CampaignSession, FingerprintBytesArePinned) {
+  // Checkpoints carry this fingerprint and resume() refuses a mismatch,
+  // so the fold over the spec and config must not change its bytes: a
+  // spec and config with every field off its default, and the value the
+  // fold has always produced for them.
+  datasets::ScenarioSpec spec;
+  spec.name = "fingerprint-pin";
+  spec.language = "Java";
+  spec.options = 256;
+  spec.statements = 3000;
+  spec.tests = 17;
+  spec.coverage = 0.65;
+  spec.safe_rate = 0.5;
+  spec.repair_rate = 0.025;
+  spec.optimum = 40;
+  spec.min_repair_edits = 2;
+  spec.value_noise = 0.03;
+  spec.seed = 99;
+  spec.bug_id = 3;
+  spec.relevance_localized = true;
+  CampaignConfig config;
+  config.bugs = 6;
+  config.grow_suite = false;
+  config.pool.target_size = 700;
+  config.pool.max_attempts = 9000;
+  config.pool.seed = 5;
+  config.repair.mwu = core::MwuKind::kSlate;
+  config.repair.arms = 12;
+  config.repair.max_count = 90;
+  config.repair.agents = 24;
+  config.repair.max_iterations = 150;
+  config.repair.reward = RewardMode::kFitnessNonDecrease;
+  config.repair.learning_rate = 0.3;
+  config.repair.exploration = 0.2;
+  config.repair.seed = 8;
+  const CampaignSession session(spec, config);
+  EXPECT_EQ(session.fingerprint(), 0xbd6fe347d0fec237ull);
+}
+
 TEST(Campaign, ZeroBugCampaignFinalizesInsteadOfRunningForever) {
   // bugs == 0 must reach kDone after precompute: the finish_bug boundary
   // check (`bug_index_ >= bugs`) can never fire for it, so without the

@@ -64,61 +64,6 @@ TEST(Comm, BodyExceptionPropagatesToCaller) {
                std::runtime_error);
 }
 
-TEST(Comm, BroadcastDeliversRootPayloadEverywhere) {
-  CommWorld world(5);
-  world.run([&](Comm& comm) {
-    std::vector<double> payload;
-    if (comm.rank() == 2) payload = {4.0, 5.0};
-    const auto result = comm.broadcast(2, std::move(payload));
-    ASSERT_EQ(result.size(), 2u);
-    EXPECT_DOUBLE_EQ(result[0], 4.0);
-    EXPECT_DOUBLE_EQ(result[1], 5.0);
-
-    // 16 doubles overflow PayloadVec's inline buffer, so every destination
-    // receives its own heap copy of the root's payload.
-    std::vector<double> wide;
-    if (comm.rank() == 2) {
-      for (int i = 0; i < 16; ++i) wide.push_back(0.5 * i);
-    }
-    const auto wide_result = comm.broadcast(2, std::move(wide));
-    ASSERT_EQ(wide_result.size(), 16u);
-    for (int i = 0; i < 16; ++i) {
-      EXPECT_DOUBLE_EQ(wide_result[static_cast<std::size_t>(i)], 0.5 * i);
-    }
-  });
-}
-
-TEST(Comm, BroadcastFromBadRootThrowsOnEveryPolicy) {
-  // Non-roots only recv(root): without an up-front check a root outside
-  // [0, size) leaves every rank blocked on a sender that does not exist.
-  for (const RunPolicy policy :
-       {RunPolicy::superstep(), RunPolicy::thread_per_rank()}) {
-    for (const int root : {99, 4, -1}) {
-      CommWorld world(4, policy);
-      EXPECT_THROW(world.run([&](Comm& comm) {
-        (void)comm.broadcast(root, {1.0});
-      }),
-                   std::out_of_range);
-    }
-  }
-}
-
-TEST(Comm, GatherCollectsByRank) {
-  CommWorld world(4);
-  world.run([&](Comm& comm) {
-    const auto all =
-        comm.gather(0, {static_cast<double>(comm.rank() * 10)});
-    if (comm.rank() == 0) {
-      ASSERT_EQ(all.size(), 4u);
-      for (int r = 0; r < 4; ++r) {
-        EXPECT_DOUBLE_EQ(all[static_cast<std::size_t>(r)].at(0), r * 10.0);
-      }
-    } else {
-      EXPECT_TRUE(all.empty());
-    }
-  });
-}
-
 TEST(Comm, AllreduceSumsElementwiseOnEveryRank) {
   CommWorld world(4);
   world.run([&](Comm& comm) {
@@ -127,6 +72,16 @@ TEST(Comm, AllreduceSumsElementwiseOnEveryRank) {
     ASSERT_EQ(sum.size(), 2u);
     EXPECT_DOUBLE_EQ(sum[0], 0.0 + 1.0 + 2.0 + 3.0);
     EXPECT_DOUBLE_EQ(sum[1], 4.0);
+
+    // 16 doubles overflow PayloadVec's inline buffer, so every
+    // contribution and every copy of the root's sum travels spilled.
+    std::vector<double> wide;
+    for (int i = 0; i < 16; ++i) wide.push_back(0.5 * i + r);
+    const auto wide_sum = comm.allreduce_sum(std::move(wide));
+    ASSERT_EQ(wide_sum.size(), 16u);
+    for (int i = 0; i < 16; ++i) {
+      EXPECT_DOUBLE_EQ(wide_sum[static_cast<std::size_t>(i)], 2.0 * i + 6.0);
+    }
   });
 }
 

@@ -25,7 +25,9 @@ TEST(Mailbox, TagFilterSkipsNonMatching) {
   box.push({0, 2, {2.0}});
   const Message m = box.recv(kAnySource, 2);
   EXPECT_DOUBLE_EQ(m.payload[0], 2.0);
-  EXPECT_EQ(box.pending(), 1u);
+  // The skipped message stays queued.
+  EXPECT_DOUBLE_EQ(box.recv().payload[0], 1.0);
+  EXPECT_FALSE(box.try_recv().has_value());
 }
 
 TEST(Mailbox, SourceFilterSkipsNonMatching) {
@@ -93,7 +95,7 @@ TEST(Mailbox, ConcurrentProducersLoseNothing) {
     EXPECT_EQ(static_cast<int>(m.payload[0]), next[m.source]);
     ++next[static_cast<std::size_t>(m.source)];
   }
-  EXPECT_EQ(box.pending(), 0u);
+  EXPECT_FALSE(box.try_recv().has_value());
 }
 
 TEST(PayloadVec, SmallPayloadsStayInline) {

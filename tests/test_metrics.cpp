@@ -4,9 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -236,7 +238,8 @@ TEST(Registry, SnapshotRoundTripsThroughJson) {
   h.observe(0.5);
   h.observe(10.0);
 
-  const JsonValue parsed = JsonValue::parse(registry.to_json_string());
+  const JsonValue parsed =
+      JsonValue::parse(registry.to_json().dump(/*indent=*/2));
   EXPECT_EQ(parsed.at("schema").as_string(), "mwr-metrics-v1");
   EXPECT_DOUBLE_EQ(
       parsed.at("counters").at("repair.online.probes").as_double(), 192.0);
@@ -265,6 +268,33 @@ TEST(Registry, WriteJsonProducesAParsableFile) {
   buffer << file.rdbuf();
   const JsonValue parsed = JsonValue::parse(buffer.str());
   EXPECT_DOUBLE_EQ(parsed.at("counters").at("c").as_double(), 7.0);
+  std::remove(path.c_str());
+}
+
+TEST(JsonFile, WriteFailuresThrow) {
+  // /dev/full accepts the open and the buffered write; ENOSPC surfaces
+  // only when the bytes are flushed, so the writer must flush and close
+  // before it checks.
+  const JsonValue doc = JsonValue::object();
+  if (std::ifstream("/dev/full").good()) {
+    EXPECT_THROW(write_json_file(doc, "/dev/full"), std::runtime_error);
+    MetricsRegistry registry;
+    EXPECT_THROW(registry.write_json("/dev/full"), std::runtime_error);
+  }
+  EXPECT_THROW(write_json_file(doc, "/nonexistent-dir/out.json"),
+               std::runtime_error);
+}
+
+TEST(JsonFile, WritesThePrettyPrintedDocument) {
+  JsonValue doc = JsonValue::object();
+  doc.set("hash", std::uint64_t{70491398494473});
+  const std::string path = ::testing::TempDir() + "mwr_json_file_test.json";
+  write_json_file(doc, path);
+  std::ifstream file(path);
+  std::stringstream buffer;
+  buffer << file.rdbuf();
+  EXPECT_EQ(buffer.str(), doc.dump(/*indent=*/2) + "\n");
+  EXPECT_NE(buffer.str().find("70491398494473"), std::string::npos);
   std::remove(path.c_str());
 }
 
@@ -303,7 +333,8 @@ TEST(Registry, SnapshotWhileRegisteringStaysConsistent) {
   std::thread snapshotter([&] {
     double last_shared = 0.0;
     while (!done.load(std::memory_order_relaxed)) {
-      const JsonValue parsed = JsonValue::parse(registry.to_json_string());
+      const JsonValue parsed =
+          JsonValue::parse(registry.to_json().dump(/*indent=*/2));
       if (parsed.at("schema").as_string() != "mwr-metrics-v1") {
         bad_snapshots.fetch_add(1, std::memory_order_relaxed);
         continue;

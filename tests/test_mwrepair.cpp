@@ -4,6 +4,7 @@
 
 #include "apr/campaign.hpp"
 #include "apr/mwrepair.hpp"
+#include "apr/oracle_cache.hpp"
 
 namespace mwr::apr {
 namespace {
@@ -198,6 +199,48 @@ TEST(MwRepair, ParallelEvaluationIsBitIdenticalToSerial) {
   EXPECT_EQ(a.iterations, b.iterations);
   EXPECT_EQ(a.patch, b.patch);
   EXPECT_EQ(a.preferred_count, b.preferred_count);
+}
+
+TEST(MwRepair, PoolAboveTheWaveCapMatchesTheUncachedReference) {
+  // repair_tool's default --pool 12000 runs here: past kMaxWavePool the
+  // oracle builds no wave table, and every probe materializes its patch
+  // for evaluate().  That path must still equal the uncached reference
+  // field for field.  A scarce, two-edit repair takes the search through
+  // a few dozen cycles before it lands.
+  datasets::ScenarioSpec spec = easy_spec();
+  spec.repair_rate = 0.004;
+  spec.min_repair_edits = 2;
+  const ProgramModel program(spec);
+  const TestOracle reference(program, /*enable_cache=*/false);
+  const TestOracle cached(program);
+  PoolConfig pool_config;
+  pool_config.target_size = OracleCache::kMaxWavePool + 52;
+  pool_config.seed = 17;
+  const auto pool = MutationPool::precompute(reference, pool_config);
+  ASSERT_GT(pool.size(), OracleCache::kMaxWavePool);
+
+  MwRepairConfig config;
+  config.agents = 16;
+  config.max_iterations = 80;
+  config.seed = 18;
+  config.eval_threads = 2;
+  const MwRepair repair(config);
+  const std::uint64_t reference_before = reference.suite_runs();
+  const std::uint64_t cached_before = cached.suite_runs();
+  const auto a = repair.run(reference, pool);
+  const auto b = repair.run(cached, pool);
+  EXPECT_FALSE(cached.wave_ready());
+
+  EXPECT_EQ(a.repaired, b.repaired);
+  EXPECT_EQ(a.patch, b.patch);
+  EXPECT_EQ(a.iterations, b.iterations);
+  EXPECT_EQ(a.probes, b.probes);
+  EXPECT_EQ(a.preferred_count, b.preferred_count);
+  EXPECT_EQ(a.arm_probabilities, b.arm_probabilities);
+  EXPECT_EQ(reference.suite_runs() - reference_before,
+            cached.suite_runs() - cached_before);
+  EXPECT_TRUE(a.repaired);
+  EXPECT_GT(a.iterations, 1u);
 }
 
 TEST(RepairScenario, EndToEndPipelineRepairsAndAccounts) {

@@ -190,7 +190,7 @@ TEST(OracleCache, CountersTrackHitsAndAppearInMetricsJson) {
                 metrics.counter("oracle.pair_cache_misses").value(),
             0u);
 
-  const std::string json = metrics.to_json_string();
+  const std::string json = metrics.to_json().dump(/*indent=*/2);
   EXPECT_NE(json.find("oracle.mask_cache_hits"), std::string::npos);
   EXPECT_NE(json.find("oracle.mask_cache_misses"), std::string::npos);
   EXPECT_NE(json.find("oracle.pair_cache_hits"), std::string::npos);

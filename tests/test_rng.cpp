@@ -1,13 +1,15 @@
 // Unit tests for util/rng: determinism, range contracts, statistical
 // sanity, and stream independence — the foundation every experiment's
-// reproducibility rests on.
+// reproducibility rests on — plus the without-replacement draw over it.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <numeric>
 #include <set>
 #include <utility>
 
+#include "apr/mutation.hpp"
 #include "util/rng.hpp"
 
 namespace mwr::util {
@@ -87,21 +89,6 @@ TEST(RngStream, UniformIndexIsUnbiased) {
   }
 }
 
-TEST(RngStream, UniformIntIsInclusive) {
-  RngStream rng(9);
-  bool saw_lo = false;
-  bool saw_hi = false;
-  for (int i = 0; i < 10000; ++i) {
-    const auto v = rng.uniform_int(-3, 3);
-    EXPECT_GE(v, -3);
-    EXPECT_LE(v, 3);
-    saw_lo |= (v == -3);
-    saw_hi |= (v == 3);
-  }
-  EXPECT_TRUE(saw_lo);
-  EXPECT_TRUE(saw_hi);
-}
-
 TEST(RngStream, BernoulliEdgeProbabilities) {
   RngStream rng(10);
   for (int i = 0; i < 1000; ++i) {
@@ -141,34 +128,48 @@ TEST(RngStream, WeightedChoiceSingleOption) {
   for (int i = 0; i < 100; ++i) EXPECT_EQ(rng.weighted_choice(weights), 0u);
 }
 
+// The without-replacement draw lives in one place,
+// apr::sample_from_pool_indexed (ascending indices); these pin its draw
+// sequence and distribution over an RngStream.
+std::vector<std::uint32_t> sample_without_replacement(RngStream& rng,
+                                                      std::size_t population,
+                                                      std::size_t count) {
+  std::vector<std::uint32_t> out;
+  apr::sample_from_pool_indexed(population, count, rng, out);
+  return out;
+}
+
 TEST(RngStream, SampleWithoutReplacementIsDistinct) {
   RngStream rng(15);
   for (int trial = 0; trial < 100; ++trial) {
-    const auto sample = rng.sample_without_replacement(50, 20);
+    const auto sample = sample_without_replacement(rng, 50, 20);
     ASSERT_EQ(sample.size(), 20u);
-    const std::set<std::size_t> unique(sample.begin(), sample.end());
+    const std::set<std::uint32_t> unique(sample.begin(), sample.end());
     EXPECT_EQ(unique.size(), 20u);
     for (const auto s : sample) EXPECT_LT(s, 50u);
   }
 }
 
 TEST(RngStream, SparseSampleMatchesDensePartialFisherYates) {
-  // count * 8 <= population takes the hash-map branch; it must emit
-  // exactly the permutation prefix the dense branch would (identical
-  // draws, identical output), so seeded experiments are branch-invariant.
+  // The scratch permutation is restored to the identity after every call
+  // and only its touched slots move, so each draw must select exactly the
+  // prefix a dense iota-and-swap partial Fisher–Yates selects, from the
+  // same draws — for small and large samples of small and large pools.
   for (const std::uint64_t seed : {1ull, 22ull, 333ull}) {
     for (const auto& [population, count] :
          {std::pair<std::size_t, std::size_t>{10000, 16},
           {4096, 64},
           {129, 16},
-          {200, 1}}) {
+          {200, 1},
+          {64, 40},
+          {10, 10}}) {
       RngStream sparse_rng(seed);
-      const auto sparse = sparse_rng.sample_without_replacement(population,
-                                                               count);
+      const auto sparse =
+          sample_without_replacement(sparse_rng, population, count);
       // Dense reference with a duplicated stream.
       RngStream dense_rng(seed);
-      std::vector<std::size_t> pool(population);
-      std::iota(pool.begin(), pool.end(), std::size_t{0});
+      std::vector<std::uint32_t> pool(population);
+      std::iota(pool.begin(), pool.end(), 0u);
       for (std::size_t i = 0; i < count; ++i) {
         const std::size_t j =
             i + static_cast<std::size_t>(
@@ -176,7 +177,10 @@ TEST(RngStream, SparseSampleMatchesDensePartialFisherYates) {
         std::swap(pool[i], pool[j]);
       }
       pool.resize(count);
+      std::sort(pool.begin(), pool.end());
       EXPECT_EQ(sparse, pool) << "seed=" << seed << " n=" << population;
+      // Same RNG consumption: both streams continue in lockstep.
+      EXPECT_EQ(sparse_rng.next_u64(), dense_rng.next_u64());
     }
   }
 }
@@ -184,22 +188,22 @@ TEST(RngStream, SparseSampleMatchesDensePartialFisherYates) {
 TEST(RngStream, SparseSampleIsDistinctAndInRange) {
   RngStream rng(23);
   for (int trial = 0; trial < 200; ++trial) {
-    const auto sample = rng.sample_without_replacement(10000, 16);
+    const auto sample = sample_without_replacement(rng, 10000, 16);
     ASSERT_EQ(sample.size(), 16u);
-    const std::set<std::size_t> unique(sample.begin(), sample.end());
+    const std::set<std::uint32_t> unique(sample.begin(), sample.end());
     EXPECT_EQ(unique.size(), 16u);
     for (const auto s : sample) EXPECT_LT(s, 10000u);
   }
 }
 
 TEST(RngStream, SparseSampleIsUniform) {
-  // Population 64, count 4 exercises the sparse branch (4 * 8 <= 64);
-  // every index should appear with frequency count / population.
+  // A small sample of a larger population: every index should appear with
+  // frequency count / population.
   RngStream rng(29);
   std::vector<int> counts(64, 0);
   constexpr int kTrials = 30000;
   for (int t = 0; t < kTrials; ++t) {
-    for (const auto i : rng.sample_without_replacement(64, 4)) ++counts[i];
+    for (const auto i : sample_without_replacement(rng, 64, 4)) ++counts[i];
   }
   for (const int c : counts) {
     EXPECT_NEAR(static_cast<double>(c) / kTrials, 4.0 / 64.0, 0.01);
@@ -208,9 +212,17 @@ TEST(RngStream, SparseSampleIsUniform) {
 
 TEST(RngStream, SampleWithoutReplacementFullPopulation) {
   RngStream rng(16);
-  const auto sample = rng.sample_without_replacement(10, 10);
-  std::set<std::size_t> unique(sample.begin(), sample.end());
+  const auto sample = sample_without_replacement(rng, 10, 10);
+  std::set<std::uint32_t> unique(sample.begin(), sample.end());
   EXPECT_EQ(unique.size(), 10u);
+}
+
+TEST(RngStream, SampleWithoutReplacementClampsToPopulation) {
+  RngStream rng(24);
+  const auto sample = sample_without_replacement(rng, 7, 50);
+  const std::vector<std::uint32_t> all = {0, 1, 2, 3, 4, 5, 6};
+  EXPECT_EQ(sample, all);
+  EXPECT_TRUE(sample_without_replacement(rng, 0, 5).empty());
 }
 
 TEST(RngStream, SampleWithoutReplacementIsUniform) {
@@ -218,7 +230,7 @@ TEST(RngStream, SampleWithoutReplacementIsUniform) {
   std::vector<int> counts(10, 0);
   constexpr int kTrials = 30000;
   for (int t = 0; t < kTrials; ++t) {
-    for (const auto i : rng.sample_without_replacement(10, 3)) ++counts[i];
+    for (const auto i : sample_without_replacement(rng, 10, 3)) ++counts[i];
   }
   for (const int c : counts) {
     EXPECT_NEAR(static_cast<double>(c) / kTrials, 0.3, 0.02);
@@ -236,12 +248,6 @@ TEST(RngStream, SplitProducesIndependentStreams) {
     if (child1.next_u64() == child2.next_u64()) ++matches;
   }
   EXPECT_EQ(matches, 0);
-}
-
-TEST(RngStream, SplitNProducesRequestedCount) {
-  RngStream parent(19);
-  const auto children = parent.split_n(8);
-  EXPECT_EQ(children.size(), 8u);
 }
 
 TEST(RngStream, SplitIsDeterministicFromParentSeed) {

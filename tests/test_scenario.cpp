@@ -61,6 +61,40 @@ TEST(CalibrateInterference, RejectsZeroTarget) {
   EXPECT_THROW((void)calibrate_interference(0.01, 0), std::invalid_argument);
 }
 
+TEST(ScenarioSpec, FingerprintCoversEveryField) {
+  const ScenarioSpec base;
+  const std::uint64_t h = base.fingerprint();
+  EXPECT_EQ(h, ScenarioSpec{}.fingerprint());
+  const auto differs = [&](auto&& edit) {
+    ScenarioSpec spec;
+    edit(spec);
+    return spec.fingerprint() != h;
+  };
+  EXPECT_TRUE(differs([](ScenarioSpec& s) { s.name = "x"; }));
+  EXPECT_TRUE(differs([](ScenarioSpec& s) { s.language = "C"; }));
+  EXPECT_TRUE(differs([](ScenarioSpec& s) { ++s.options; }));
+  EXPECT_TRUE(differs([](ScenarioSpec& s) { ++s.statements; }));
+  EXPECT_TRUE(differs([](ScenarioSpec& s) { ++s.tests; }));
+  EXPECT_TRUE(differs([](ScenarioSpec& s) { s.coverage += 0.01; }));
+  EXPECT_TRUE(differs([](ScenarioSpec& s) { s.safe_rate += 0.01; }));
+  EXPECT_TRUE(differs([](ScenarioSpec& s) { s.repair_rate += 0.01; }));
+  EXPECT_TRUE(differs([](ScenarioSpec& s) { ++s.optimum; }));
+  EXPECT_TRUE(differs([](ScenarioSpec& s) { ++s.min_repair_edits; }));
+  EXPECT_TRUE(differs([](ScenarioSpec& s) { s.value_noise += 0.01; }));
+  EXPECT_TRUE(differs([](ScenarioSpec& s) { ++s.seed; }));
+  EXPECT_TRUE(differs([](ScenarioSpec& s) { ++s.bug_id; }));
+  EXPECT_TRUE(differs([](ScenarioSpec& s) { s.relevance_localized = true; }));
+  // A string is its length and then its bytes, so moving a byte from one
+  // string to the next changes the fold.
+  ScenarioSpec ab_c;
+  ab_c.name = "ab";
+  ab_c.language = "c";
+  ScenarioSpec a_bc;
+  a_bc.name = "a";
+  a_bc.language = "bc";
+  EXPECT_NE(ab_c.fingerprint(), a_bc.fingerprint());
+}
+
 TEST(Scenarios, FiveCAndFiveJava) {
   EXPECT_EQ(c_scenarios().size(), 5u);
   EXPECT_EQ(java_scenarios().size(), 5u);

@@ -842,7 +842,7 @@ TEST(CampaignServer, ScopedMetricsExposePerCampaignViews) {
   EXPECT_NE(dumped.find(prefix + "done"), std::string::npos);
   // The unfiltered snapshot still carries the serve-level counters.
   const std::string all =
-      obs::MetricsRegistry::global().to_json_string();
+      obs::MetricsRegistry::global().to_json().dump(/*indent=*/2);
   EXPECT_NE(all.find("serve.epochs"), std::string::npos);
   EXPECT_NE(all.find("serve.starved_epochs"), std::string::npos);
 }

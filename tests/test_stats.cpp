@@ -101,14 +101,6 @@ TEST(Percentile, RejectsEmptyAndBadQ) {
   EXPECT_THROW((void)percentile(xs, 1.1), std::invalid_argument);
 }
 
-TEST(SpanHelpers, MeanAndStddev) {
-  const std::vector<double> xs = {1.0, 2.0, 3.0, 4.0};
-  EXPECT_DOUBLE_EQ(mean_of(xs), 2.5);
-  EXPECT_NEAR(stddev_of(xs), std::sqrt(5.0 / 3.0), 1e-12);
-  EXPECT_EQ(mean_of({}), 0.0);
-  EXPECT_EQ(stddev_of({}), 0.0);
-}
-
 // Property: Welford mean/stddev of uniform samples converge to theory.
 class StatsConvergence : public ::testing::TestWithParam<int> {};
 

@@ -1,8 +1,5 @@
-// Unit tests for datasets/suite: the twenty-dataset evaluation suite and
-// CSV round-tripping.
+// Unit tests for datasets/suite: the twenty-dataset evaluation suite.
 #include <gtest/gtest.h>
-
-#include <cstdio>
 
 #include "datasets/suite.hpp"
 
@@ -59,29 +56,6 @@ TEST(StandardSuite, DeterministicPerSeed) {
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].options.values()[0], b[i].options.values()[0]);
   }
-}
-
-TEST(CsvRoundTrip, PreservesValues) {
-  const auto original = standard_suite(3, 64).front().options;
-  const std::string path = ::testing::TempDir() + "/mwr_dataset.csv";
-  save_csv(original, path);
-  const auto loaded = load_csv("reloaded", path);
-  ASSERT_EQ(loaded.size(), original.size());
-  for (std::size_t i = 0; i < loaded.size(); ++i) {
-    EXPECT_NEAR(loaded.value(i), original.value(i), 1e-9);
-  }
-  EXPECT_EQ(loaded.name(), "reloaded");
-  std::remove(path.c_str());
-}
-
-TEST(CsvRoundTrip, LoadRejectsMissingFile) {
-  EXPECT_THROW(load_csv("x", "/nonexistent/file.csv"), std::runtime_error);
-}
-
-TEST(CsvRoundTrip, SaveRejectsUnwritablePath) {
-  const auto options = standard_suite(3, 64).front().options;
-  EXPECT_THROW(save_csv(options, "/nonexistent-dir/out.csv"),
-               std::runtime_error);
 }
 
 }  // namespace

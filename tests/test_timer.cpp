@@ -11,7 +11,6 @@ namespace {
 TEST(WallTimer, MeasuresElapsedTime) {
   WallTimer timer;
   std::this_thread::sleep_for(std::chrono::milliseconds(30));
-  EXPECT_GE(timer.elapsed_ms(), 25);
   EXPECT_GE(timer.elapsed_seconds(), 0.025);
   EXPECT_LT(timer.elapsed_seconds(), 5.0);
 }
@@ -20,7 +19,7 @@ TEST(WallTimer, RestartResets) {
   WallTimer timer;
   std::this_thread::sleep_for(std::chrono::milliseconds(30));
   timer.restart();
-  EXPECT_LT(timer.elapsed_ms(), 25);
+  EXPECT_LT(timer.elapsed_seconds(), 0.025);
 }
 
 TEST(WallTimer, IsMonotone) {

@@ -156,14 +156,14 @@ TEST(MessageSerialization, SameSeedYieldsIdenticalByteStreams) {
     std::vector<std::uint8_t> bytes;
     for (int i = 0; i < 64; ++i) {
       Message message;
-      message.source = static_cast<int>(rng.uniform_int(0, 511));
-      message.tag = static_cast<int>(rng.uniform_int(0, 63));
+      message.source = static_cast<int>(rng.uniform_index(512));
+      message.tag = static_cast<int>(rng.uniform_index(64));
       std::vector<double> payload(
-          static_cast<std::size_t>(rng.uniform_int(0, 8)));
+          static_cast<std::size_t>(rng.uniform_index(9)));
       for (double& x : payload) x = rng.uniform();
       message.payload = PayloadVec(std::move(payload));
       const auto frame = message_frame(
-          message, static_cast<int>(rng.uniform_int(0, 511)),
+          message, static_cast<int>(rng.uniform_index(512)),
           rng.bernoulli(0.5));
       bytes.insert(bytes.end(), frame.begin(), frame.end());
     }

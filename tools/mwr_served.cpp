@@ -17,15 +17,13 @@
 // checkpoint, never the trajectory's identity.
 //
 // Exit codes: 0 orderly shutdown (drain command or idle timeout),
-// 1 configuration or runtime failure.
+// 1 configuration or runtime failure, a failed --metrics-out write included.
 #include <cstdint>
 #include <cstdio>
 #include <exception>
-#include <fstream>
 #include <stdexcept>
 #include <string>
 
-#include "obs/registry.hpp"
 #include "serve/control_loop.hpp"
 #include "serve/control_socket.hpp"
 #include "serve/server.hpp"
@@ -54,7 +52,7 @@ int run(int argc, char** argv) {
               "stop advancing campaigns after N epochs but keep serving "
               "the control plane (0 = never; CI uses this to kill -9 a "
               "daemon that is deterministically mid-campaign)");
-  cli.add_string("metrics-out", "", "write a JSON metrics snapshot on exit");
+  util::add_metrics_flag(cli);
   if (!cli.parse(argc, argv)) return 0;
 
   const std::string socket_path = cli.get_string("socket");
@@ -92,11 +90,7 @@ int run(int argc, char** argv) {
       server.completed(), static_cast<unsigned long long>(server.epochs()),
       static_cast<unsigned long long>(server.starved_epochs()));
 
-  if (!cli.get_string("metrics-out").empty()) {
-    std::ofstream out(cli.get_string("metrics-out"));
-    if (!out) throw std::runtime_error("cannot open --metrics-out path");
-    out << obs::MetricsRegistry::global().to_json_string() << "\n";
-  }
+  util::write_metrics_if_requested(cli);
   return 0;
 }
 

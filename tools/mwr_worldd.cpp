@@ -14,15 +14,14 @@
 // each probe simulates one test-suite run against a precomputed
 // safe-mutation pool — the repair search, distributed across processes.
 //
-// Exit codes: 0 success, 1 launch/worker failure, 2 congestion-bound
-// violation.
+// Exit codes: 0 success, 1 launch/worker failure or a failed --metrics-out
+// write, 2 congestion-bound violation.
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <exception>
-#include <fstream>
-#include <iomanip>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "apr/arm_oracle.hpp"
@@ -138,23 +137,21 @@ int run(int argc, char** argv) {
     // Run summary first (the fields CI greps), then the parent process's
     // metrics registry snapshot.  The hash is a sum of 32-bit values, an
     // integer-valued double, so it is written as the exact integer stdout
-    // prints; the other doubles round-trip at 17 significant digits.
-    std::ofstream out(cli.get_string("metrics-out"));
-    if (!out) throw std::runtime_error("cannot open --metrics-out path");
-    out << std::setprecision(17) << "{\n  \"run\": {\n"
-        << "    \"ranks\": " << ranks << ",\n"
-        << "    \"processes\": " << processes << ",\n"
-        << "    \"cycles\": " << result.result.iterations << ",\n"
-        << "    \"converged\": " << (result.result.converged ? "true" : "false")
-        << ",\n"
-        << "    \"tracked_messages\": " << result.total_messages << ",\n"
-        << "    \"trajectory_hash\": "
-        << static_cast<std::uint64_t>(result.trajectory_hash) << ",\n"
-        << "    \"congestion_mean\": " << congestion.mean() << ",\n"
-        << "    \"congestion_max\": " << congestion.max() << ",\n"
-        << "    \"balls_into_bins_bound\": " << bound << "\n  },\n"
-        << "  \"launcher_metrics\": "
-        << mwr::obs::MetricsRegistry::global().to_json_string() << "\n}\n";
+    // prints.
+    obs::JsonValue run_doc = obs::JsonValue::object();
+    run_doc.set("ranks", ranks);
+    run_doc.set("processes", processes);
+    run_doc.set("cycles", result.result.iterations);
+    run_doc.set("converged", result.result.converged);
+    run_doc.set("tracked_messages", result.total_messages);
+    run_doc.set("trajectory_hash", result.trajectory_hash);
+    run_doc.set("congestion_mean", congestion.mean());
+    run_doc.set("congestion_max", congestion.max());
+    run_doc.set("balls_into_bins_bound", bound);
+    obs::JsonValue doc = obs::JsonValue::object();
+    doc.set("run", std::move(run_doc));
+    doc.set("launcher_metrics", obs::MetricsRegistry::global().to_json());
+    obs::write_json_file(doc, cli.get_string("metrics-out"));
   }
 
   if (cli.get_flag("check-congestion")) {
