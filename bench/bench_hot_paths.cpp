@@ -13,7 +13,15 @@
 //   slate_cycle   — one full Slate-MWU cycle at k = 256, gamma = 0.05
 //                   (slate size 13): the capping fixpoint that allocates
 //                   and re-walks all k entries every round vs
-//                   SlateMwu::sample's compacted, allocation-free one.
+//                   SlateMwu::sample's allocation-free one-pass cap.
+//   distributed_cycle — one full Distributed-MWU cycle at k = 256 (a
+//                   population of 5,405 agents): run_mwu's old per-agent
+//                   loop of virtual oracle calls vs one
+//                   CostOracle::sample_batch call per cycle.  It reads
+//                   about 1x under gcc, which devirtualizes the per-agent
+//                   loop speculatively here because this file constructs
+//                   the BernoulliOracle; run_mwu, which cannot see the
+//                   oracle's type, made a true virtual call per agent.
 //
 // Plus one row per SoA weight kernel (DESIGN.md §12), measuring the scalar
 // implementation against the runtime-dispatched one over the same k-element
@@ -37,20 +45,21 @@
 // sums are folded into the JSON so the optimizer cannot delete the loops.
 #include <algorithm>
 #include <cstdint>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <iostream>
 #include <span>
 #include <vector>
 
 #include "apr/mutation_pool.hpp"
 #include "apr/test_oracle.hpp"
+#include "core/distributed_mwu.hpp"
 #include "core/slate_mwu.hpp"
 #include "core/slate_projection.hpp"
 #include "core/standard_mwu.hpp"
+#include "datasets/distributions.hpp"
 #include "datasets/scenario.hpp"
+#include "obs/serialization.hpp"
 #include "util/cli.hpp"
 #include "util/fenwick_sampler.hpp"
 #include "util/simd/weight_kernels.hpp"
@@ -368,6 +377,61 @@ Section bench_slate_cycle(std::size_t cycles, std::uint64_t seed) {
   return out;
 }
 
+// --- distributed_cycle: full Distributed-MWU cycle at k = 256 -----------
+
+constexpr std::size_t kDistributedOptions = 256;
+constexpr std::size_t kDistributedCycles = 500;
+
+Section bench_distributed_cycle(const core::CostOracle& oracle,
+                                std::uint64_t seed) {
+  core::MwuConfig config;
+  config.num_options = kDistributedOptions;
+
+  // Both sides run the same trajectory; the checksum adds the leader after
+  // every update and every final choice, then mixes in the stream's next
+  // draw, and stays below 2^53 so the JSON double holds it exactly.
+  const auto side = [&](auto&& probe, double& timing) {
+    core::DistributedMwu mwu(config);
+    util::RngStream rng(seed ^ 0x7777);
+    std::vector<double> rewards;
+    util::WallTimer timer;
+    std::uint64_t acc = 0;
+    for (std::size_t c = 0; c < kDistributedCycles; ++c) {
+      const std::vector<std::size_t>& probes = mwu.sample(rng);
+      rewards.resize(probes.size());
+      probe(probes, rewards, rng);
+      mwu.update(probes, rewards, rng);
+      acc += mwu.best_option();
+    }
+    timing = timer.elapsed_seconds() * 1e9 /
+             static_cast<double>(kDistributedCycles);
+    for (const auto choice : mwu.choices()) acc += choice;
+    return acc ^ (rng.next_u64() >> 11);
+  };
+
+  Section out;
+  // Before: run_mwu's old per-agent loop, one virtual sample() per agent.
+  const std::uint64_t before = side(
+      [&](const std::vector<std::size_t>& probes, std::vector<double>& rewards,
+          util::RngStream& rng) {
+        for (std::size_t j = 0; j < probes.size(); ++j) {
+          rewards[j] = oracle.sample(probes[j], rng);
+        }
+      },
+      out.before_ns);
+  // After: one sample_batch() per cycle, as run_mwu calls it.
+  const std::uint64_t after = side(
+      [&](const std::vector<std::size_t>& probes, std::vector<double>& rewards,
+          util::RngStream& rng) { oracle.sample_batch(probes, rewards, rng); },
+      out.after_ns);
+  if (before != after) {
+    std::cerr << "FATAL: distributed_cycle diverged from the per-agent loop\n";
+    std::exit(1);
+  }
+  out.checksum = before;
+  return out;
+}
+
 // --- per-kernel rows: scalar implementation vs runtime dispatch ---------
 
 namespace simd = util::simd;
@@ -488,48 +552,39 @@ Section bench_kernel_materialize(std::size_t k, std::size_t iters,
   return out;
 }
 
-void emit_json(const std::string& path, std::size_t k, std::size_t agents,
-               std::size_t pool_size, std::size_t patch_size,
-               std::size_t repeat, const Section& sampler,
-               const Section& oracle, const Section& cycle,
-               const Section& slate_cycle, const Section& kernel_update,
-               const Section& kernel_normalize,
-               const Section& kernel_materialize) {
-  const auto section = [](std::ostream& os, const char* name,
-                          const Section& s, bool last) {
-    char buf[256];
-    std::snprintf(buf, sizeof buf,
-                  "  \"%s\": {\"before_ns_per_op\": %.1f, "
-                  "\"after_ns_per_op\": %.1f, \"speedup\": %.2f, "
-                  "\"checksum\": %llu}%s\n",
-                  name, s.before_ns, s.after_ns, s.speedup(),
-                  static_cast<unsigned long long>(s.checksum),
-                  last ? "" : ",");
-    os << buf;
-  };
-  std::ofstream os(path);
-  os << "{\n"
-     << "  \"schema\": \"mwr-bench-hot-paths-v2\",\n"
-     << "  \"params\": {\"options\": " << k << ", \"agents\": " << agents
-     << ", \"pool\": " << pool_size << ", \"patch\": " << patch_size
-     << ", \"slate_options\": " << kSlateOptions << ", \"repeat\": " << repeat
-     << "},\n";
-  section(os, "sampler", sampler, false);
-  section(os, "oracle", oracle, false);
-  section(os, "table2_cycle", cycle, false);
-  section(os, "slate_cycle", slate_cycle, false);
-  section(os, "kernel_update", kernel_update, false);
-  section(os, "kernel_normalize", kernel_normalize, false);
-  section(os, "kernel_materialize", kernel_materialize, true);
-  os << "}\n";
+/// One reported row: its JSON key, its table label and its timings.
+struct Row {
+  const char* name;
+  const char* label;
+  Section section;
+};
+
+obs::JsonValue json_document(std::size_t k, std::size_t agents,
+                             std::size_t pool_size, std::size_t patch_size,
+                             std::size_t repeat, const std::vector<Row>& rows) {
+  using Object = obs::JsonValue::Object;
+  Object doc{{"schema", "mwr-bench-hot-paths-v2"},
+             {"params", Object{{"options", k},
+                               {"agents", agents},
+                               {"pool", pool_size},
+                               {"patch", patch_size},
+                               {"slate_options", kSlateOptions},
+                               {"distributed_options", kDistributedOptions},
+                               {"repeat", repeat}}}};
+  for (const Row& row : rows) {
+    doc.emplace_back(row.name,
+                     Object{{"before_ns_per_op", row.section.before_ns},
+                            {"after_ns_per_op", row.section.after_ns},
+                            {"speedup", row.section.speedup()},
+                            {"checksum", row.section.checksum}});
+  }
+  return doc;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   util::Cli cli("bench_hot_paths — before/after ns-per-op for the Fenwick "
-                "sampler, the oracle cache, and the Standard and Slate "
-                "Table-II cycles");
+                "sampler, the oracle cache, and the Standard, Slate and "
+                "Distributed Table-II cycles");
   util::add_standard_bench_flags(cli);
   cli.add_int("options", 1 << 14, "weighted-draw options (k)");
   cli.add_int("agents", 64, "agents per cycle (n)");
@@ -554,48 +609,78 @@ int main(int argc, char** argv) {
   const auto repeat =
       std::max<std::size_t>(1, static_cast<std::size_t>(cli.get_int("repeat")));
 
-  const Section sampler = median_of(repeat, [&] {
-    return bench_sampler(k, static_cast<std::size_t>(cli.get_int("draws")),
-                         seed);
-  });
-  const Section oracle = median_of(repeat, [&] {
-    return bench_oracle(pool_size, patch_size,
-                        static_cast<std::size_t>(cli.get_int("probes")), seed);
-  });
-  const Section cycle = median_of(repeat, [&] {
-    return bench_table2_cycle(
-        k, agents, static_cast<std::size_t>(cli.get_int("cycles")), seed);
-  });
-  const Section slate_cycle = median_of(
-      repeat, [&] { return bench_slate_cycle(kSlateCycles, seed); });
-  const Section kernel_update = median_of(
-      repeat, [&] { return bench_kernel_update(k, kernel_iters, seed); });
-  const Section kernel_normalize = median_of(
-      repeat, [&] { return bench_kernel_normalize(k, kernel_iters, seed); });
-  const Section kernel_materialize = median_of(
-      repeat, [&] { return bench_kernel_materialize(k, kernel_iters, seed); });
+  const auto distributed_options =
+      datasets::make_random(kDistributedOptions, seed);
+  const core::BernoulliOracle distributed_oracle(distributed_options);
+  const std::vector<Row> rows = {
+      {"sampler", "weighted draw (linear -> Fenwick)",
+       median_of(repeat,
+                 [&] {
+                   return bench_sampler(
+                       k, static_cast<std::size_t>(cli.get_int("draws")),
+                       seed);
+                 })},
+      {"oracle", "phase-2 probe (uncached -> cached)",
+       median_of(repeat,
+                 [&] {
+                   return bench_oracle(
+                       pool_size, patch_size,
+                       static_cast<std::size_t>(cli.get_int("probes")), seed);
+                 })},
+      {"table2_cycle", "Standard-MWU cycle",
+       median_of(repeat,
+                 [&] {
+                   return bench_table2_cycle(
+                       k, agents,
+                       static_cast<std::size_t>(cli.get_int("cycles")), seed);
+                 })},
+      {"slate_cycle", "Slate-MWU cycle (full walk -> one-pass cap)",
+       median_of(repeat,
+                 [&] { return bench_slate_cycle(kSlateCycles, seed); })},
+      {"distributed_cycle", "Distributed-MWU cycle (per agent -> batched)",
+       median_of(repeat,
+                 [&] {
+                   return bench_distributed_cycle(distributed_oracle, seed);
+                 })},
+      {"kernel_update", "kernel pow_update (scalar -> simd)",
+       median_of(repeat,
+                 [&] { return bench_kernel_update(k, kernel_iters, seed); })},
+      {"kernel_normalize", "kernel fenwick_rebuild (scalar -> simd)",
+       median_of(repeat,
+                 [&] {
+                   return bench_kernel_normalize(k, kernel_iters, seed);
+                 })},
+      {"kernel_materialize", "kernel materialize (scalar -> simd)",
+       median_of(repeat, [&] {
+         return bench_kernel_materialize(k, kernel_iters, seed);
+       })},
+  };
 
   util::Table table("Hot-path before/after (k=" + std::to_string(k) +
                     ", n=" + std::to_string(agents) + ", dispatch=" +
                     util::simd::dispatch_name() + ")");
   table.set_header({"path", "before ns/op", "after ns/op", "speedup"});
-  const auto row = [&](const char* name, const Section& s) {
-    table.add_row({name, util::fmt_fixed(s.before_ns, 1),
-                   util::fmt_fixed(s.after_ns, 1),
-                   util::fmt_fixed(s.speedup(), 2) + "x"});
-  };
-  row("weighted draw (linear -> Fenwick)", sampler);
-  row("phase-2 probe (uncached -> cached)", oracle);
-  row("Standard-MWU cycle", cycle);
-  row("Slate-MWU cycle (full walk -> compacted)", slate_cycle);
-  row("kernel pow_update (scalar -> simd)", kernel_update);
-  row("kernel fenwick_rebuild (scalar -> simd)", kernel_normalize);
-  row("kernel materialize (scalar -> simd)", kernel_materialize);
+  for (const Row& row : rows) {
+    table.add_row({row.label, util::fmt_fixed(row.section.before_ns, 1),
+                   util::fmt_fixed(row.section.after_ns, 1),
+                   util::fmt_fixed(row.section.speedup(), 2) + "x"});
+  }
   table.emit(std::cout, cli.get_string("csv"));
 
-  emit_json(cli.get_string("json"), k, agents, pool_size, patch_size, repeat,
-            sampler, oracle, cycle, slate_cycle, kernel_update,
-            kernel_normalize, kernel_materialize);
+  obs::write_json_file(
+      json_document(k, agents, pool_size, patch_size, repeat, rows),
+      cli.get_string("json"));
   std::cout << "wrote " << cli.get_string("json") << "\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& error) {
+    std::cerr << "bench_hot_paths: " << error.what() << "\n";
+    return 1;
+  }
 }

@@ -28,8 +28,11 @@
 #include "util/table.hpp"
 #include "util/timer.hpp"
 
-int main(int argc, char** argv) {
-  using namespace mwr;
+namespace {
+
+using namespace mwr;
+
+int run(int argc, char** argv) {
   util::Cli cli("bench_regret — cumulative expected regret per realization");
   util::add_standard_bench_flags(cli);
   cli.add_int("options", 64, "option-set size k");
@@ -87,4 +90,15 @@ int main(int argc, char** argv) {
             << traces[3].probes_per_cycle << "\n"
             << "(" << timer.elapsed_seconds() << "s)\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& error) {
+    std::cerr << "bench_regret: " << error.what() << "\n";
+    return 1;
+  }
 }

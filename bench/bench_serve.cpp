@@ -36,12 +36,12 @@
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "obs/serialization.hpp"
 #include "serve/client.hpp"
 #include "serve/control.hpp"
 #include "serve/server.hpp"
@@ -365,36 +365,32 @@ int run(int argc, char** argv) {
   table.add_row({"resume bit-identical", checkpoint.resume_ok ? "yes" : "NO"});
   table.emit(std::cout, cli.get_string("csv"));
 
-  std::ofstream os(cli.get_string("json"));
-  char buf[64];
-  os << "{\n  \"schema\": \"mwr-bench-serve-v2\",\n"
-     << "  \"params\": {\"campaigns\": " << load.campaigns
-     << ", \"families\": " << kFamilies.size() << ", \"quantum\": " << quantum
-     << ", \"workers\": " << workers << "},\n";
-  std::snprintf(buf, sizeof buf, "%.2f", load.campaigns_per_sec);
-  os << "  \"load\": {\"campaigns\": " << load.campaigns
-     << ", \"completed\": " << load.completed
-     << ", \"families\": " << kFamilies.size()
-     << ", \"campaigns_per_sec\": " << buf
-     << ", \"admission_rejects\": " << load.rejects << "},\n";
-  std::snprintf(buf, sizeof buf, "%.3f", p50_us);
-  os << "  \"probes\": {\"count\": " << load.probe_latency_us.size()
-     << ", \"p50_us\": " << buf;
-  std::snprintf(buf, sizeof buf, "%.3f", p99_us);
-  os << ", \"p99_us\": " << buf << "},\n"
-     << "  \"checkpoint\": {\"total_bytes\": " << checkpoint.total_bytes;
-  std::snprintf(buf, sizeof buf, "%.1f", checkpoint.critical_path_us);
-  os << ", \"critical_path_us\": " << buf;
-  std::snprintf(buf, sizeof buf, "%.1f", checkpoint.writer_us);
-  os << ", \"writer_us\": " << buf
-     << ", \"resume_ok\": " << (checkpoint.resume_ok ? "true" : "false")
-     << "},\n"
-     << "  \"fairness\": {\"epochs\": " << load.epochs;
-  std::snprintf(buf, sizeof buf, "%.1f", epoch_p50_us);
-  os << ", \"epoch_p50_us\": " << buf;
-  std::snprintf(buf, sizeof buf, "%.1f", epoch_p99_us);
-  os << ", \"epoch_p99_us\": " << buf
-     << ", \"starved_epochs\": " << load.starved << "}\n}\n";
+  using Object = obs::JsonValue::Object;
+  const std::size_t families = kFamilies.size();
+  const obs::JsonValue doc = Object{
+      {"schema", "mwr-bench-serve-v2"},
+      {"params", Object{{"campaigns", load.campaigns},
+                        {"families", families},
+                        {"quantum", quantum},
+                        {"workers", workers}}},
+      {"load", Object{{"campaigns", load.campaigns},
+                      {"completed", load.completed},
+                      {"families", families},
+                      {"campaigns_per_sec", load.campaigns_per_sec},
+                      {"admission_rejects", load.rejects}}},
+      {"probes", Object{{"count", load.probe_latency_us.size()},
+                        {"p50_us", p50_us},
+                        {"p99_us", p99_us}}},
+      {"checkpoint", Object{{"total_bytes", checkpoint.total_bytes},
+                            {"critical_path_us", checkpoint.critical_path_us},
+                            {"writer_us", checkpoint.writer_us},
+                            {"resume_ok", checkpoint.resume_ok}}},
+      {"fairness", Object{{"epochs", load.epochs},
+                          {"epoch_p50_us", epoch_p50_us},
+                          {"epoch_p99_us", epoch_p99_us},
+                          {"starved_epochs", load.starved}}},
+  };
+  obs::write_json_file(doc, cli.get_string("json"));
   std::cout << "wrote " << cli.get_string("json") << "\n";
   return checkpoint.resume_ok && load.starved == 0 ? 0 : 1;
 }

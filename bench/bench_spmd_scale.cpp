@@ -26,7 +26,7 @@
 // BENCH_spmd_scale.json) with schema "mwr-bench-spmd-scale-v1"; CI's
 // bench-smoke job gates on the file via .github/check_bench.py.
 #include <cstdint>
-#include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -36,6 +36,7 @@
 #include "core/parallel_driver.hpp"
 #include "datasets/distributions.hpp"
 #include "obs/registry.hpp"
+#include "obs/serialization.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
 #include "util/timer.hpp"
@@ -105,9 +106,7 @@ bool same_trajectory(const core::ParallelMwuResult& a,
          a.total_messages == b.total_messages;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   util::Cli cli(
       "bench_spmd_scale — Distributed-SPMD throughput and memory, superstep "
       "engine vs one OS thread per rank, with bit-identity verification");
@@ -220,34 +219,41 @@ int main(int argc, char** argv) {
             << ", spilled (alloc kept): " << payload_spilled << "\n";
 
   // --- JSON artifact ------------------------------------------------------
-  std::ofstream os(cli.get_string("json"));
-  os << "{\n"
-     << "  \"schema\": \"mwr-bench-spmd-scale-v1\",\n"
-     << "  \"params\": {\"cycles\": " << cycles << ", \"workers\": " << workers
-     << ", \"min_population\": " << (std::size_t{1} << min_exp)
-     << ", \"max_population\": " << (std::size_t{1} << max_exp)
-     << ", \"crossover_population\": " << (std::size_t{1} << tpr_max_exp)
-     << "},\n"
-     << "  \"bit_identical\": " << (bit_identical ? "true" : "false") << ",\n"
-     << "  \"speedup_at_crossover\": ";
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.2f", speedup_at_crossover);
-  os << buf << ",\n"
-     << "  \"payload\": {\"inline_msgs\": " << payload_inline
-     << ", \"spilled_msgs\": " << payload_spilled << "},\n"
-     << "  \"scale\": [\n";
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    const auto& point = points[i];
-    std::snprintf(buf, sizeof buf, "%.0f", point.engine_ranks_per_sec);
-    os << "    {\"population\": " << point.population
-       << ", \"engine_ranks_per_sec\": " << buf;
-    std::snprintf(buf, sizeof buf, "%.0f", point.tpr_ranks_per_sec);
-    os << ", \"tpr_ranks_per_sec\": " << buf;
-    std::snprintf(buf, sizeof buf, "%.0f", point.peak_rss_kb);
-    os << ", \"peak_rss_kb\": " << buf << "}"
-       << (i + 1 < points.size() ? "," : "") << "\n";
+  using Object = obs::JsonValue::Object;
+  obs::JsonValue::Array scale;
+  for (const auto& point : points) {
+    scale.emplace_back(
+        Object{{"population", point.population},
+               {"engine_ranks_per_sec", point.engine_ranks_per_sec},
+               {"tpr_ranks_per_sec", point.tpr_ranks_per_sec},
+               {"peak_rss_kb", point.peak_rss_kb}});
   }
-  os << "  ]\n}\n";
+  const obs::JsonValue doc = Object{
+      {"schema", "mwr-bench-spmd-scale-v1"},
+      {"params",
+       Object{{"cycles", cycles},
+              {"workers", workers},
+              {"min_population", std::size_t{1} << min_exp},
+              {"max_population", std::size_t{1} << max_exp},
+              {"crossover_population", std::size_t{1} << tpr_max_exp}}},
+      {"bit_identical", bit_identical},
+      {"speedup_at_crossover", speedup_at_crossover},
+      {"payload", Object{{"inline_msgs", payload_inline},
+                         {"spilled_msgs", payload_spilled}}},
+      {"scale", std::move(scale)},
+  };
+  obs::write_json_file(doc, cli.get_string("json"));
   std::cout << "wrote " << cli.get_string("json") << "\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& error) {
+    std::cerr << "bench_spmd_scale: " << error.what() << "\n";
+    return 1;
+  }
 }

@@ -16,12 +16,12 @@
 // schema "mwr-bench-transport-v1"; CI's bench-smoke job gates the file
 // against bench/BENCH_transport.baseline.json via .github/check_bench.py.
 #include <cstdint>
-#include <cstdio>
-#include <fstream>
+#include <cstdlib>
 #include <iostream>
 #include <string>
 #include <vector>
 
+#include "obs/serialization.hpp"
 #include "parallel/comm.hpp"
 #include "parallel/transport/process_world.hpp"
 #include "util/cli.hpp"
@@ -118,18 +118,7 @@ BackendResult bench_uds(std::size_t burst, std::size_t pingpong) {
   return result;
 }
 
-void emit_json_section(std::ofstream& os, const BackendResult& result,
-                       bool last) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.0f", result.msgs_per_sec);
-  os << "  \"" << result.name << "\": {\"msgs_per_sec\": " << buf;
-  std::snprintf(buf, sizeof buf, "%.2f", result.p99_latency_us);
-  os << ", \"p99_latency_us\": " << buf << "}" << (last ? "" : ",") << "\n";
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   util::Cli cli(
       "bench_transport — message throughput and round-trip latency across "
       "the in-process and UDS Comm backends");
@@ -158,14 +147,26 @@ int main(int argc, char** argv) {
   }
   table.emit(std::cout, cli.get_string("csv"));
 
-  std::ofstream os(cli.get_string("json"));
-  os << "{\n  \"schema\": \"mwr-bench-transport-v1\",\n"
-     << "  \"params\": {\"burst\": " << burst << ", \"pingpong\": " << pingpong
-     << "},\n";
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    emit_json_section(os, results[i], i + 1 == results.size());
+  using Object = obs::JsonValue::Object;
+  Object doc{{"schema", "mwr-bench-transport-v1"},
+             {"params", Object{{"burst", burst}, {"pingpong", pingpong}}}};
+  for (const auto& result : results) {
+    doc.emplace_back(result.name,
+                     Object{{"msgs_per_sec", result.msgs_per_sec},
+                            {"p99_latency_us", result.p99_latency_us}});
   }
-  os << "}\n";
+  obs::write_json_file(doc, cli.get_string("json"));
   std::cout << "wrote " << cli.get_string("json") << "\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& error) {
+    std::cerr << "bench_transport: " << error.what() << "\n";
+    return 1;
+  }
 }

@@ -68,8 +68,13 @@ void DistributedMwu::import_state(std::span<const double> state) {
   set_choices(choices);
 }
 
-const std::vector<std::size_t>& DistributedMwu::sample(util::RngStream& rng) {
+const std::vector<std::size_t>& DistributedMwu::sample(
+    util::RngStream& stream) {
   probes_.resize(choices_.size());
+  // A local copy of the stream (see util/rng.hpp): a probe is a size_t,
+  // the generator's state type, so drawing through the reference would
+  // reload and store the state around every probe written.
+  util::RngStream rng = stream;
   for (auto& option : probes_) {
     if (rng.bernoulli(config_.exploration)) {
       option = rng.uniform_index(config_.num_options);  // random option
@@ -78,14 +83,16 @@ const std::vector<std::size_t>& DistributedMwu::sample(util::RngStream& rng) {
       option = choices_[neighbor];  // observe a random neighbor
     }
   }
+  stream = rng;
   return probes_;
 }
 
 void DistributedMwu::update(std::span<const std::size_t> options,
                             std::span<const double> rewards,
-                            util::RngStream& rng) {
+                            util::RngStream& stream) {
   if (options.size() != choices_.size() || rewards.size() != choices_.size())
     throw std::invalid_argument("DistributedMwu::update: size mismatch");
+  util::RngStream rng = stream;
   for (std::size_t j = 0; j < choices_.size(); ++j) {
     const bool success = rewards[j] > 0.0;
     const double adopt_probability =
@@ -96,6 +103,7 @@ void DistributedMwu::update(std::span<const std::size_t> options,
       ++popularity_[choices_[j]];
     }
   }
+  stream = rng;
 }
 
 std::vector<double> DistributedMwu::probabilities() const {

@@ -1,6 +1,9 @@
 #include "core/mwu.hpp"
 
+#include <array>
 #include <cmath>
+#include <cstdint>
+#include <span>
 #include <stdexcept>
 
 #include "core/distributed_mwu.hpp"
@@ -78,24 +81,41 @@ MwuResult run_mwu(MwuStrategy& strategy, const CostOracle& oracle,
   obs::Counter& probe_counter = metrics.counter("mwu.probes");
   obs::Histogram& cycle_seconds = metrics.histogram("mwu.cycle_seconds");
 
+  // The registry is shared by every thread running an MWU, so the cycle
+  // telemetry is flushed once per batch of cycles, and a cycle touches no
+  // cache line another thread writes.
+  constexpr std::size_t kFlushCycles = 256;
+  std::array<double, kFlushCycles> pending_seconds{};
+  std::size_t pending_cycles = 0;
+  std::uint64_t pending_probes = 0;
+  const auto flush = [&] {
+    cycle_seconds.observe(
+        std::span<const double>(pending_seconds.data(), pending_cycles));
+    cycle_counter.add(pending_cycles);
+    probe_counter.add(pending_probes);
+    pending_cycles = 0;
+    pending_probes = 0;
+  };
+
   std::vector<double> rewards;
   for (std::size_t t = 0; t < config.max_iterations; ++t) {
-    const obs::ScopedTimer cycle_timer(cycle_seconds);
+    // Cancelled, the timer is a plain stopwatch (the one clock core may
+    // read); the cycle's time goes into the pending batch.
+    obs::ScopedTimer cycle_timer(cycle_seconds);
+    cycle_timer.cancel();
     const auto& probes = strategy.sample(rng);
     rewards.resize(probes.size());
-    for (std::size_t j = 0; j < probes.size(); ++j) {
-      rewards[j] = oracle.sample(probes[j], rng);
-    }
+    oracle.sample_batch(probes, rewards, rng);
     strategy.update(probes, rewards, rng);
     if (on_cycle) on_cycle(probes, rewards, strategy);
     ++result.iterations;
-    cycle_counter.add(1);
-    probe_counter.add(probes.size());
-    if (strategy.converged()) {
-      result.converged = true;
-      break;
-    }
+    pending_probes += probes.size();
+    result.converged = strategy.converged();
+    pending_seconds[pending_cycles++] = cycle_timer.elapsed_seconds();
+    if (pending_cycles == kFlushCycles) flush();
+    if (result.converged) break;
   }
+  flush();
   result.best_option = strategy.best_option();
   result.probabilities = strategy.probabilities();
   // Every cycle probes cpus_per_cycle() options, one evaluation each.

@@ -26,4 +26,22 @@ double OptionSet::accuracy_percent(std::size_t chosen) const {
   return 100.0 * (1.0 - err);
 }
 
+void CostOracle::sample_batch(std::span<const std::size_t> probes,
+                              std::span<double> rewards,
+                              util::RngStream& rng) const {
+  for (std::size_t j = 0; j < probes.size(); ++j) {
+    rewards[j] = sample(probes[j], rng);
+  }
+}
+
+void BernoulliOracle::sample_batch(std::span<const std::size_t> probes,
+                                   std::span<double> rewards,
+                                   util::RngStream& rng) const {
+  util::RngStream local = rng;
+  for (std::size_t j = 0; j < probes.size(); ++j) {
+    rewards[j] = local.bernoulli(options_->value(probes[j])) ? 1.0 : 0.0;
+  }
+  rng = local;
+}
+
 }  // namespace mwr::core

@@ -7,7 +7,10 @@
 // APR application the oracle is a real probe — patch, run the test suite.
 // Fitness evaluations are the currency of Table IV and §IV-G; the drivers
 // count them as cycles x cpus_per_cycle (MwuResult::evaluations), since
-// every cycle probes one option per CPU.
+// every cycle probes one option per CPU.  run_mwu hands a cycle's probes to
+// the oracle in one sample_batch call, whose contract is the draw order of
+// the per-probe sample() loop: an oracle that overrides it (BernoulliOracle,
+// to avoid one virtual call per probe) leaves every trajectory unchanged.
 #pragma once
 
 #include <cstddef>
@@ -57,6 +60,16 @@ class CostOracle {
   /// One stochastic evaluation of `option`; 1.0 = success, 0.0 = failure.
   [[nodiscard]] virtual double sample(std::size_t option,
                                       util::RngStream& rng) const = 0;
+
+  /// Evaluates every probe of one cycle: rewards[j] = sample(probes[j]),
+  /// drawing from `rng` in exactly the order of that loop over j, so the
+  /// rewards and the stream's final state are the loop's.  An override
+  /// may only make the loop cheaper (one virtual call per cycle instead
+  /// of one per probe), never change what it draws.  Requires
+  /// rewards.size() == probes.size().
+  virtual void sample_batch(std::span<const std::size_t> probes,
+                            std::span<double> rewards,
+                            util::RngStream& rng) const;
 };
 
 /// Bernoulli oracle over an OptionSet: sample(i) ~ Bernoulli(value_i).
@@ -72,6 +85,10 @@ class BernoulliOracle final : public CostOracle {
                               util::RngStream& rng) const override {
     return rng.bernoulli(options_->value(option)) ? 1.0 : 0.0;
   }
+  /// The sample() loop over a local copy of the stream.
+  void sample_batch(std::span<const std::size_t> probes,
+                    std::span<double> rewards,
+                    util::RngStream& rng) const override;
 
  private:
   const OptionSet* options_;

@@ -17,9 +17,9 @@
 // sample() draws the slate by systematic sampling of the capped marginals
 // (core/slate_projection), O(k) per cycle.  It runs the buffer-taking forms
 // of cap_to_slate_marginals and systematic_sample over member scratch, so
-// after the first cycle it allocates nothing; the capping fixpoint walks a
-// compacted, index-ordered list of the uncapped entries, which keeps every
-// sum's terms and order, hence the trajectory, bit-identical.
+// after the first cycle it allocates nothing; the cap replays its fixpoint
+// from one pass over the entries, keeping every sum's terms and order,
+// hence the trajectory, bit-identical.
 //
 // The paper's §II-C construction, an explicit O(k^2) convex decomposition
 // into slates, realizes the same marginals; it stays as
@@ -61,7 +61,7 @@ class SlateMwu final : public FlooredWeightMwu {
  private:
   std::size_t slate_size_ = 1;
   /// Per-cycle scratch for sample(): the probabilities, the capped
-  /// marginals, the fixpoint's uncapped-index list and the returned slate.
+  /// marginals, the cap's uncapped-index list and the returned slate.
   /// Never serialized; sized on the first cycle and reused after it.
   std::vector<double> p_;
   std::vector<double> q_;

@@ -41,13 +41,25 @@ struct SlateComponent {
 /// inclusion marginals `q` (resized to k): q_i in [0, 1], sum(q) = s, and q
 /// proportional to p below the cap.  Requires 1 <= s <= p.size() <= 2^32-1.
 ///
-/// Iterates the cap-and-rescale fixpoint, which terminates in at most k
-/// rounds.  `uncapped` is scratch: the compacted list of still-uncapped
-/// indices, in ascending order.  Each round sums, scales and caps only the
-/// entries on it, then drops the newly capped ones, so a round costs the
-/// live entries rather than all k.  Because the list keeps index order,
-/// every sum adds exactly the terms a full walk skipping capped entries
-/// would add, in the same order, and q is bit-identical to that walk's.
+/// q is defined by the cap-and-rescale fixpoint: sum the uncapped entries
+/// left to right, scale them to fill the slots the capped ones leave, cap
+/// any that reach 1, repeat.  Each round's sum is a strict left-to-right
+/// fold, and those dependent folds are what a call waits on.  So the call
+/// computes q in one pass instead of one fold per round:
+///   - it finds the five largest entries, then, in one walk in index
+///     order, the five sums that skip the j largest of them (j = 0..4) as
+///     independent accumulators;
+///   - a round always caps the largest live entries, and after j of them
+///     are capped the round's sum is exactly the sum that skips j, so it
+///     replays the rounds on those five entries alone and ends with one
+///     elementwise scale.
+/// A round it cannot finish that way (the fifth-largest entry caps, or the
+/// capped entries leave no slot or no mass) goes on in the fixpoint itself,
+/// from that round and with that round's sum, over a compacted, ascending
+/// list of the uncapped indices (`uncapped` is its scratch); so does the
+/// whole call when k <= 5.  Either way every sum adds the same terms in
+/// the same order as a full walk skipping capped entries, so q is
+/// bit-identical to that walk's.  DESIGN.md §8.4 gives the argument.
 void cap_to_slate_marginals(std::span<const double> p, std::size_t slate_size,
                             std::vector<double>& q,
                             std::vector<std::uint32_t>& uncapped);

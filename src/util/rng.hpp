@@ -90,7 +90,10 @@ class Xoshiro256StarStar {
 /// xoshiro256** with the sampling helpers the MWU algorithms need
 /// (unit-interval doubles, bounded integers, Bernoulli trials, weighted
 /// choice) and supports splitting off independent child streams for worker
-/// threads.
+/// threads.  A hot loop that draws through an `RngStream&` while storing
+/// 64-bit integers copies the stream into a local and writes it back after
+/// the loop: such a store may alias the generator's state, so through the
+/// reference every draw reloads and stores that state.
 class RngStream {
  public:
   explicit RngStream(std::uint64_t seed = 0x9e3779b97f4a7c15ULL) noexcept

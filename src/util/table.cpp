@@ -100,6 +100,9 @@ void Table::emit(std::ostream& os, const std::string& csv_path) const {
     std::ofstream f(csv_path);
     if (!f) throw std::runtime_error("cannot open CSV output: " + csv_path);
     f << to_csv();
+    // close() flushes; a full disk often shows only here.
+    f.close();
+    if (!f) throw std::runtime_error("CSV write failed: " + csv_path);
   }
 }
 

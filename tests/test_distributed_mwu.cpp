@@ -2,7 +2,9 @@
 // (alpha/beta/mu), the implicit weight vector, and plurality convergence.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <numeric>
+#include <vector>
 
 #include "core/distributed_mwu.hpp"
 
@@ -175,6 +177,72 @@ TEST(DistributedMwu, ExplorationKeepsDiversity) {
     if (o != mwu.best_option()) ++non_plurality;
   }
   EXPECT_GT(non_plurality, next.size() / 4);
+}
+
+// sample() and update() as they drew before they copied the stream into a
+// local: straight through the caller's reference.  The reference for where
+// the stream must be left.
+struct ByReferencePopulation {
+  MwuConfig config;
+  std::vector<std::uint32_t> choices;
+
+  std::vector<std::size_t> sample(util::RngStream& rng) const {
+    std::vector<std::size_t> probes(choices.size());
+    for (auto& option : probes) {
+      if (rng.bernoulli(config.exploration)) {
+        option = rng.uniform_index(config.num_options);
+      } else {
+        option = choices[rng.uniform_index(choices.size())];
+      }
+    }
+    return probes;
+  }
+
+  void update(const std::vector<std::size_t>& options,
+              const std::vector<double>& rewards, util::RngStream& rng) {
+    for (std::size_t j = 0; j < choices.size(); ++j) {
+      const double adopt = rewards[j] > 0.0 ? config.adopt_success
+                                            : config.adopt_failure;
+      if (rng.bernoulli(adopt)) {
+        choices[j] = static_cast<std::uint32_t>(options[j]);
+      }
+    }
+  }
+};
+
+TEST(DistributedMwu, SampleAndUpdateLeaveTheStreamWhereByReferenceLoopsDo) {
+  const auto config = config_for(64);
+  DistributedMwu mwu(config);
+  ByReferencePopulation reference{config, mwu.choices()};
+  std::vector<double> values(64);
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    values[i] = static_cast<double>(i) / 63.0;
+  }
+  const OptionSet options("ramp", values);
+  const BernoulliOracle oracle(options);
+  util::RngStream rng(21);
+  util::RngStream reference_rng(21);
+  const auto next_draw = [](util::RngStream stream) {
+    return stream.next_u64();
+  };
+  std::vector<double> rewards;
+  std::vector<double> reference_rewards;
+  for (int cycle = 0; cycle < 40; ++cycle) {
+    const auto& probes = mwu.sample(rng);
+    const auto reference_probes = reference.sample(reference_rng);
+    ASSERT_EQ(probes, reference_probes) << "cycle " << cycle;
+    ASSERT_EQ(next_draw(rng), next_draw(reference_rng)) << "cycle " << cycle;
+    rewards.resize(probes.size());
+    oracle.sample_batch(probes, rewards, rng);
+    reference_rewards.resize(probes.size());
+    for (std::size_t j = 0; j < probes.size(); ++j) {
+      reference_rewards[j] = oracle.sample(reference_probes[j], reference_rng);
+    }
+    mwu.update(probes, rewards, rng);
+    reference.update(reference_probes, reference_rewards, reference_rng);
+    ASSERT_EQ(mwu.choices(), reference.choices) << "cycle " << cycle;
+    ASSERT_EQ(next_draw(rng), next_draw(reference_rng)) << "cycle " << cycle;
+  }
 }
 
 TEST(DistributedMwu, KindIsDistributed) {

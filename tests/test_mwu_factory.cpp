@@ -9,6 +9,7 @@
 #include "core/mwu.hpp"
 #include "core/parallel_driver.hpp"
 #include "datasets/distributions.hpp"
+#include "obs/registry.hpp"
 
 namespace mwr::core {
 namespace {
@@ -71,6 +72,28 @@ TEST(RunMwu, HitsIterationCapWithoutConverging) {
       run_mwu(MwuKind::kSlate, oracle, config, util::RngStream(3));
   EXPECT_FALSE(result.converged);
   EXPECT_EQ(result.iterations, 20u);
+}
+
+TEST(RunMwu, TelemetryCountsEveryCycleAcrossFlushes) {
+  // run_mwu flushes its cycle telemetry in batches; a run longer than a
+  // batch, ended by the iteration cap, must still count every cycle.
+  OptionSet options("flat", std::vector<double>(16, 0.5));
+  const BernoulliOracle oracle(options);
+  auto config = config_for(16);
+  config.max_iterations = 600;
+  auto& metrics = obs::MetricsRegistry::global();
+  const std::uint64_t cycles_before = metrics.counter("mwu.cycles").value();
+  const std::uint64_t probes_before = metrics.counter("mwu.probes").value();
+  const std::uint64_t observed_before =
+      metrics.histogram("mwu.cycle_seconds").count();
+  const auto result =
+      run_mwu(MwuKind::kSlate, oracle, config, util::RngStream(3));
+  ASSERT_EQ(result.iterations, 600u);
+  EXPECT_EQ(metrics.counter("mwu.cycles").value() - cycles_before, 600u);
+  EXPECT_EQ(metrics.counter("mwu.probes").value() - probes_before,
+            result.cpu_iterations());
+  EXPECT_EQ(metrics.histogram("mwu.cycle_seconds").count() - observed_before,
+            600u);
 }
 
 TEST(RunMwu, DistributedIntractablePathSkipsExecution) {

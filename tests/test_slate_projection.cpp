@@ -4,13 +4,18 @@
 // weight vector into a convex combination of slates).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <numeric>
 #include <set>
 
+#include "core/option_set.hpp"
+#include "core/slate_mwu.hpp"
 #include "core/slate_projection.hpp"
+#include "costmodel/evaluation.hpp"
+#include "datasets/suite.hpp"
 
 namespace mwr::core {
 namespace {
@@ -192,6 +197,151 @@ TEST(CapToSlateMarginals, MatchesReferenceFixpointBitForBit) {
   const std::vector<double> zero_tail = {0.6, 0.4, 0.0, 0.0, 0.0, 0.0};
   EXPECT_EQ(check(zero_tail, 3, "zero tail").exit,
             FixpointExit::kUniformFill);
+}
+
+// Compares both forms of cap_to_slate_marginals with the reference
+// fixpoint, bit for bit, and returns the reference's result.
+ReferenceFixpoint expect_matches_reference(
+    const std::vector<double>& p, std::size_t slate, std::vector<double>& q,
+    std::vector<std::uint32_t>& scratch) {
+  ReferenceFixpoint reference = reference_cap_to_slate_marginals(p, slate);
+  const auto returned = cap_to_slate_marginals(p, slate);
+  cap_to_slate_marginals(p, slate, q, scratch);
+  EXPECT_EQ(returned.size(), p.size());
+  EXPECT_EQ(q.size(), p.size());
+  std::size_t mismatches = 0;
+  for (std::size_t i = 0; i < p.size() && i < q.size(); ++i) {
+    const auto want = std::bit_cast<std::uint64_t>(reference.q[i]);
+    if (std::bit_cast<std::uint64_t>(q[i]) != want ||
+        std::bit_cast<std::uint64_t>(returned[i]) != want) {
+      ++mismatches;
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+  return reference;
+}
+
+std::size_t count_capped(const ReferenceFixpoint& reference) {
+  return static_cast<std::size_t>(
+      std::count(reference.q.begin(), reference.q.end(), 1.0));
+}
+
+// The one-pass cap replays the fixpoint on the few largest entries and
+// hands the rest to the compacted fixpoint.  Every p that Table II's Slate
+// runs meet must come out bit for bit as the reference fixpoint's.  The
+// runs are seeded as costmodel::run_evaluation seeds replication 0 and use
+// its iteration cap.
+TEST(CapToSlateMarginals, MatchesReferenceOnEveryTableTwoSlateCycle) {
+  const costmodel::EvalConfig defaults;
+  const auto suite =
+      datasets::standard_suite(defaults.master_seed, /*max_size=*/256);
+  std::vector<double> q;
+  std::vector<std::uint32_t> scratch;
+  std::size_t rows = 0;
+  for (const auto& dataset : suite) {
+    const std::string& name = dataset.options.name();
+    if (name != "random256" && name != "unimodal256" && name != "Chart26")
+      continue;
+    ++rows;
+    SCOPED_TRACE(name);
+    const BernoulliOracle oracle(dataset.options);
+    MwuConfig config;
+    config.num_options = dataset.options.size();
+    SlateMwu mwu(config);
+    util::RngStream rng(defaults.master_seed ^ 0x9e3779b97f4a7c15ULL ^
+                        (static_cast<std::uint64_t>(MwuKind::kSlate) << 40) ^
+                        (dataset.options.size() * 0xc2b2ae3dULL));
+    std::vector<double> rewards;
+    std::size_t cycles = 0;
+    for (; cycles < defaults.max_iterations && !mwu.converged(); ++cycles) {
+      const auto p = mwu.probabilities();
+      const ReferenceFixpoint reference =
+          expect_matches_reference(p, mwu.slate_size(), q, scratch);
+      if (::testing::Test::HasFailure()) {
+        ADD_FAILURE() << "first mismatch at cycle " << cycles << " after "
+                      << reference.rounds << " reference rounds";
+        return;
+      }
+      const auto& slate = mwu.sample(rng);
+      rewards.resize(slate.size());
+      oracle.sample_batch(slate, rewards, rng);
+      mwu.update(slate, rewards, rng);
+    }
+    EXPECT_GT(cycles, 100u);
+  }
+  EXPECT_EQ(rows, 3u);
+}
+
+// Inputs the one-pass cap cannot finish and must hand to the compacted
+// fixpoint: more capped entries than it tracks (it tracks the five largest),
+// in the first round or a later one, a capped tie across that boundary, a
+// zero target, zero remaining mass, and option sets too small for the
+// replay.  Each must still match the reference bit for bit.
+TEST(CapToSlateMarginals, TailCasesMatchReference) {
+  std::vector<double> q;
+  std::vector<std::uint32_t> scratch;
+
+  // Seven heavy entries over a light tail all cap in the first round.
+  std::vector<double> heavy(64, 0.3 / 57.0);
+  for (std::size_t i = 0; i < 7; ++i) {
+    heavy[3 + 9 * i] = 0.1 - 0.001 * static_cast<double>(i);
+  }
+  EXPECT_EQ(count_capped(expect_matches_reference(heavy, 13, q, scratch)),
+            7u);
+
+  // A geometric cascade caps four entries, then three (which hands the
+  // round on with four capped), then one.
+  std::vector<double> cascade(64, 0.0);
+  double total = 0.0;
+  for (std::size_t i = 0; i < cascade.size(); ++i) {
+    total += (cascade[i] = std::pow(0.8, static_cast<double>(i)));
+  }
+  for (auto& v : cascade) v /= total;
+  const ReferenceFixpoint cascaded =
+      expect_matches_reference(cascade, 12, q, scratch);
+  EXPECT_EQ(count_capped(cascaded), 8u);
+  EXPECT_EQ(cascaded.rounds, 4u);
+
+  // Six equal heavy entries tie across the fifth rank and cap at once.
+  std::vector<double> tied(256, 0.4 / 250.0);
+  for (std::size_t i = 0; i < 6; ++i) tied[200 - 31 * i] = 0.1;
+  EXPECT_EQ(count_capped(expect_matches_reference(tied, 13, q, scratch)), 6u);
+
+  // The same tie below the cap: no entry caps, which the replay finishes.
+  std::vector<double> tied_uncapped(256, 0.7 / 250.0);
+  for (std::size_t i = 0; i < 6; ++i) tied_uncapped[200 - 31 * i] = 0.05;
+  EXPECT_EQ(count_capped(expect_matches_reference(tied_uncapped, 13, q,
+                                                  scratch)),
+            0u);
+
+  // Two capped entries consume both slots: the zero-target exit.
+  std::vector<double> exact(10, 0.0);
+  exact[2] = 0.5;
+  exact[7] = 0.5;
+  EXPECT_EQ(expect_matches_reference(exact, 2, q, scratch).exit,
+            FixpointExit::kZeroTarget);
+
+  // Nothing left once the head is capped, and nothing at all: the
+  // uniform-fill exit.
+  std::vector<double> zero_tail(10, 0.0);
+  zero_tail[0] = 0.6;
+  zero_tail[1] = 0.4;
+  EXPECT_EQ(expect_matches_reference(zero_tail, 3, q, scratch).exit,
+            FixpointExit::kUniformFill);
+  const std::vector<double> zeros(12, 0.0);
+  EXPECT_EQ(expect_matches_reference(zeros, 4, q, scratch).exit,
+            FixpointExit::kUniformFill);
+
+  // Option sets of at most five entries, with and without caps.
+  for (std::size_t k = 1; k <= 5; ++k) {
+    const auto p = normalized_random(k, 900 + k);
+    for (std::size_t slate = 1; slate <= k; ++slate) {
+      expect_matches_reference(p, slate, q, scratch);
+    }
+  }
+  const std::vector<double> leader5 = {0.02, 0.9, 0.03, 0.03, 0.02};
+  EXPECT_EQ(count_capped(expect_matches_reference(leader5, 2, q, scratch)),
+            1u);
 }
 
 TEST(DecomposeIntoSlates, RejectsInfeasibleInput) {

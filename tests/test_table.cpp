@@ -87,6 +87,17 @@ TEST(Table, EmitThrowsOnUnwritableCsvPath) {
                std::runtime_error);
 }
 
+TEST(Table, EmitThrowsOnAFullDisk) {
+  // /dev/full accepts the open and the buffered write; ENOSPC surfaces only
+  // when the bytes are flushed, so emit must close before it checks.
+  if (!std::ifstream("/dev/full").good()) GTEST_SKIP() << "no /dev/full";
+  Table table("t");
+  table.set_header({"a"});
+  table.add_row({"1"});
+  std::ostringstream sink;
+  EXPECT_THROW(table.emit(sink, "/dev/full"), std::runtime_error);
+}
+
 TEST(Formatting, MeanSd) {
   EXPECT_EQ(fmt_mean_sd(94.53, 5.61), "94.5 (5.6)");
   EXPECT_EQ(fmt_mean_sd(1.0, 0.0, 2), "1.00 (0.00)");
