@@ -10,6 +10,7 @@
 #include <iostream>
 
 #include "apr/mwrepair.hpp"
+#include "bench_common.hpp"
 #include "datasets/scenario.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
@@ -58,9 +59,7 @@ mwr::apr::RepairOutcome run_naive_encoding(const mwr::apr::TestOracle& oracle,
   return outcome;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace mwr;
   util::Cli cli("bench_ablation_arm_encoding — D1: count-arms vs "
                 "one-arm-per-mutation");
@@ -104,4 +103,11 @@ int main(int argc, char** argv) {
   table.emit(std::cout, cli.get_string("csv"));
   std::cout << "(" << timer.elapsed_seconds() << "s)\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return mwr::bench::guarded_main("bench_ablation_arm_encoding", run, argc,
+                                  argv);
 }

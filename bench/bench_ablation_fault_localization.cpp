@@ -15,6 +15,7 @@
 
 #include "apr/fault_localization.hpp"
 #include "apr/mwrepair.hpp"
+#include "bench_common.hpp"
 #include "datasets/scenario.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
@@ -53,9 +54,7 @@ std::size_t relevant_in_pool(const apr::TestOracle& oracle,
   return count;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace mwr;
   util::Cli cli("bench_ablation_fault_localization — D5: FL-weighted vs "
                 "uniform mutation targeting");
@@ -120,4 +119,11 @@ int main(int argc, char** argv) {
   table.emit(std::cout, cli.get_string("csv"));
   std::cout << "(" << timer.elapsed_seconds() << "s)\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return mwr::bench::guarded_main("bench_ablation_fault_localization", run,
+                                  argc, argv);
 }

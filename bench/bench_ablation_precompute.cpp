@@ -15,13 +15,16 @@
 
 #include "apr/mutation_pool.hpp"
 #include "apr/test_oracle.hpp"
+#include "bench_common.hpp"
 #include "datasets/scenario.hpp"
 #include "util/cli.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
 #include "util/timer.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace mwr;
   util::Cli cli("bench_ablation_precompute — D2: pool precompute vs "
                 "on-the-fly safe-mutation discovery");
@@ -126,4 +129,10 @@ int main(int argc, char** argv) {
             << "x fewer synchronized suite runs per cycle\n"
             << "(" << timer.elapsed_seconds() << "s)\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return mwr::bench::guarded_main("bench_ablation_precompute", run, argc, argv);
 }

@@ -14,13 +14,16 @@
 #include <iostream>
 
 #include "apr/mwrepair.hpp"
+#include "bench_common.hpp"
 #include "datasets/scenario.hpp"
 #include "util/cli.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
 #include "util/timer.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace mwr;
   util::Cli cli("bench_ablation_reward_proxy — D3: literal Fig 6 reward vs "
                 "safe-density proxy");
@@ -88,4 +91,11 @@ int main(int argc, char** argv) {
   table.emit(std::cout, cli.get_string("csv"));
   std::cout << "(" << timer.elapsed_seconds() << "s)\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return mwr::bench::guarded_main("bench_ablation_reward_proxy", run, argc,
+                                  argv);
 }

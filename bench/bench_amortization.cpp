@@ -10,12 +10,15 @@
 #include <iostream>
 
 #include "apr/campaign.hpp"
+#include "bench_common.hpp"
 #include "datasets/scenario.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
 #include "util/timer.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace mwr;
   util::Cli cli("bench_amortization — Section III-C: pool reuse across a "
                 "program's bug sequence");
@@ -72,4 +75,10 @@ int main(int argc, char** argv) {
             << "x more)\n"
             << "(" << timer.elapsed_seconds() << "s)\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return mwr::bench::guarded_main("bench_amortization", run, argc, argv);
 }

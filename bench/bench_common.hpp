@@ -1,7 +1,9 @@
-// Shared scaffolding for the table benches: flag handling and the
-// family-grouped rendering the paper's tables use.
+// Shared scaffolding for the benches: the guarded entry point every bench
+// runs under, flag handling and the family-grouped rendering the paper's
+// tables use.
 #pragma once
 
+#include <exception>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -12,6 +14,19 @@
 #include "util/timer.hpp"
 
 namespace mwr::bench {
+
+/// Every bench's main: runs `body` and reports an escaping exception (a
+/// bad flag, a failed --csv or --json write) as "<name>: <what>" on stderr
+/// with exit status 1, instead of aborting.
+inline int guarded_main(const char* name, int (*body)(int, char**),
+                        int argc, char** argv) {
+  try {
+    return body(argc, argv);
+  } catch (const std::exception& error) {
+    std::cerr << name << ": " << error.what() << "\n";
+    return 1;
+  }
+}
 
 /// Builds the EvalConfig from the standard bench flags; --full overrides
 /// the reduced defaults with the paper-scale configuration.

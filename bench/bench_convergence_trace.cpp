@@ -8,6 +8,7 @@
 // exploration), which is why the paper gives it the laxer 30% criterion.
 #include <iostream>
 
+#include "bench_common.hpp"
 #include "core/regret.hpp"
 #include "core/slate_mwu.hpp"
 #include "datasets/distributions.hpp"
@@ -15,7 +16,9 @@
 #include "util/table.hpp"
 #include "util/timer.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace mwr;
   util::Cli cli("bench_convergence_trace — Section IV-C: p_max per cycle");
   util::add_standard_bench_flags(cli);
@@ -77,4 +80,10 @@ int main(int argc, char** argv) {
                "Section IV-C)\n"
             << "(" << timer.elapsed_seconds() << "s)\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return mwr::bench::guarded_main("bench_convergence_trace", run, argc, argv);
 }

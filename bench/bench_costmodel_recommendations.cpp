@@ -12,6 +12,7 @@
 //     Distributed even in communication-heavy regimes.
 #include <iostream>
 
+#include "bench_common.hpp"
 #include "costmodel/cost_model.hpp"
 #include "datasets/scenario.hpp"
 #include "util/cli.hpp"
@@ -19,7 +20,9 @@
 #include "util/table.hpp"
 #include "util/timer.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace mwr;
   util::Cli cli("bench_costmodel_recommendations — Section IV-E weighted "
                 "cost model");
@@ -124,4 +127,11 @@ int main(int argc, char** argv) {
                                                               network_regime))
             << "\n(" << timer.elapsed_seconds() << "s)\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return mwr::bench::guarded_main("bench_costmodel_recommendations", run, argc,
+                                  argv);
 }

@@ -8,12 +8,15 @@
 // the exploration floor caps the achievable concentration like Slate.
 #include <iostream>
 
+#include "bench_common.hpp"
 #include "costmodel/evaluation.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
 #include "util/timer.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace mwr;
   util::Cli cli("bench_exp3_extension — Exp3 vs the paper's three variants");
   util::add_standard_bench_flags(cli);
@@ -62,4 +65,10 @@ int main(int argc, char** argv) {
   table.emit(std::cout, cli.get_string("csv"));
   std::cout << "(" << timer.elapsed_seconds() << "s)\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return mwr::bench::guarded_main("bench_exp3_extension", run, argc, argv);
 }

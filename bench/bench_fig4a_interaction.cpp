@@ -14,12 +14,15 @@
 
 #include "apr/mutation_pool.hpp"
 #include "apr/test_oracle.hpp"
+#include "bench_common.hpp"
 #include "datasets/scenario.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
 #include "util/timer.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace mwr;
   util::Cli cli("bench_fig4a_interaction — Fig 4a, suite pass rate vs "
                 "combined mutation count");
@@ -81,4 +84,10 @@ int main(int argc, char** argv) {
             << pool.attempts() << " candidates; interference q = " << q
             << "\n(" << timer.elapsed_seconds() << "s)\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return mwr::bench::guarded_main("bench_fig4a_interaction", run, argc, argv);
 }

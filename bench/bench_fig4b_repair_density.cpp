@@ -13,12 +13,15 @@
 
 #include "apr/mutation_pool.hpp"
 #include "apr/test_oracle.hpp"
+#include "bench_common.hpp"
 #include "datasets/scenario.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
 #include "util/timer.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace mwr;
   util::Cli cli("bench_fig4b_repair_density — Fig 4b, repair density vs "
                 "combined safe mutations");
@@ -87,4 +90,11 @@ int main(int argc, char** argv) {
   optima.emit(std::cout);
   std::cout << "(" << timer.elapsed_seconds() << "s)\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return mwr::bench::guarded_main("bench_fig4b_repair_density", run, argc,
+                                  argv);
 }

@@ -53,6 +53,7 @@
 
 #include "apr/mutation_pool.hpp"
 #include "apr/test_oracle.hpp"
+#include "bench_common.hpp"
 #include "core/distributed_mwu.hpp"
 #include "core/slate_mwu.hpp"
 #include "core/slate_projection.hpp"
@@ -677,10 +678,5 @@ int run(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  try {
-    return run(argc, argv);
-  } catch (const std::exception& error) {
-    std::cerr << "bench_hot_paths: " << error.what() << "\n";
-    return 1;
-  }
+  return mwr::bench::guarded_main("bench_hot_paths", run, argc, argv);
 }

@@ -16,12 +16,15 @@
 #include <iostream>
 
 #include "baselines/comparison.hpp"
+#include "bench_common.hpp"
 #include "datasets/scenario.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
 #include "util/timer.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace mwr;
   util::Cli cli("bench_mwrepair_vs_baselines — Section IV-G repair "
                 "comparison");
@@ -108,4 +111,11 @@ int main(int argc, char** argv) {
   }
   std::cout << "(" << timer.elapsed_seconds() << "s)\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return mwr::bench::guarded_main("bench_mwrepair_vs_baselines", run, argc,
+                                  argv);
 }

@@ -22,6 +22,7 @@
 //     count and the one at its own.
 #include <iostream>
 
+#include "bench_common.hpp"
 #include "core/regret.hpp"
 #include "datasets/distributions.hpp"
 #include "util/cli.hpp"
@@ -95,10 +96,5 @@ int run(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  try {
-    return run(argc, argv);
-  } catch (const std::exception& error) {
-    std::cerr << "bench_regret: " << error.what() << "\n";
-    return 1;
-  }
+  return mwr::bench::guarded_main("bench_regret", run, argc, argv);
 }

@@ -13,6 +13,7 @@
 // erodes the plurality.
 #include <iostream>
 
+#include "bench_common.hpp"
 #include "core/mwu.hpp"
 #include "core/slate_mwu.hpp"
 #include "datasets/distributions.hpp"
@@ -50,9 +51,7 @@ Cell measure(core::MwuKind kind, const core::MwuConfig& config,
   return cell;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace mwr;
   util::Cli cli("bench_sensitivity — parameter sweeps (Section VI future "
                 "work)");
@@ -129,4 +128,10 @@ int main(int argc, char** argv) {
   beta_table.emit(std::cout);
   std::cout << "(" << timer.elapsed_seconds() << "s)\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return mwr::bench::guarded_main("bench_sensitivity", run, argc, argv);
 }

@@ -41,6 +41,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "obs/serialization.hpp"
 #include "serve/client.hpp"
 #include "serve/control.hpp"
@@ -287,12 +288,7 @@ int run_connect(const std::string& socket_path, std::size_t campaigns,
 int run(int argc, char** argv);
 
 int main(int argc, char** argv) {
-  try {
-    return run(argc, argv);
-  } catch (const std::exception& error) {
-    std::cerr << "bench_serve: fatal: " << error.what() << "\n";
-    return 1;
-  }
+  return mwr::bench::guarded_main("bench_serve", run, argc, argv);
 }
 
 int run(int argc, char** argv) {

@@ -33,6 +33,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "core/parallel_driver.hpp"
 #include "datasets/distributions.hpp"
 #include "obs/registry.hpp"
@@ -250,10 +251,5 @@ int run(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  try {
-    return run(argc, argv);
-  } catch (const std::exception& error) {
-    std::cerr << "bench_spmd_scale: " << error.what() << "\n";
-    return 1;
-  }
+  return mwr::bench::guarded_main("bench_spmd_scale", run, argc, argv);
 }

@@ -15,6 +15,7 @@
 #include <cmath>
 #include <iostream>
 
+#include "bench_common.hpp"
 #include "core/parallel_driver.hpp"
 #include "costmodel/asymptotics.hpp"
 #include "datasets/distributions.hpp"
@@ -22,7 +23,9 @@
 #include "util/table.hpp"
 #include "util/timer.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace mwr;
   util::Cli cli("bench_table1_asymptotics — Table I + empirical congestion "
                 "validation");
@@ -122,4 +125,10 @@ int main(int argc, char** argv) {
 
   std::cout << "(" << timer.elapsed_seconds() << "s)\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return mwr::bench::guarded_main("bench_table1_asymptotics", run, argc, argv);
 }

@@ -11,7 +11,9 @@
 //     converge within the 10000-iteration budget (">= 10000" cells).
 #include "bench_common.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace mwr;
   util::Cli cli("bench_table2_convergence — Table II, update cycles to "
                 "convergence");
@@ -37,4 +39,10 @@ int main(int argc, char** argv) {
             << config.max_size << ", " << timer.elapsed_seconds() << "s)\n";
   util::write_metrics_if_requested(cli);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return mwr::bench::guarded_main("bench_table2_convergence", run, argc, argv);
 }

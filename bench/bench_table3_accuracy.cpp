@@ -9,7 +9,9 @@
 // and Slate sit in the high 90s.
 #include "bench_common.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace mwr;
   util::Cli cli("bench_table3_accuracy — Table III, percent accuracy vs "
                 "best-in-hindsight");
@@ -42,4 +44,10 @@ int main(int argc, char** argv) {
   std::cout << "(" << config.seeds << " seeds/cell, max size "
             << config.max_size << ", " << timer.elapsed_seconds() << "s)\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return mwr::bench::guarded_main("bench_table3_accuracy", run, argc, argv);
 }

@@ -8,7 +8,9 @@
 // Distributed; the two largest Distributed cells are intractable.
 #include "bench_common.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace mwr;
   util::Cli cli("bench_table4_cpu_cost — Table IV, CPU-iteration cost");
   util::add_standard_bench_flags(cli);
@@ -31,4 +33,10 @@ int main(int argc, char** argv) {
             << config.max_size << ", " << timer.elapsed_seconds() << "s)\n";
   util::write_metrics_if_requested(cli);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return mwr::bench::guarded_main("bench_table4_cpu_cost", run, argc, argv);
 }

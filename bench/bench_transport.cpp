@@ -21,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "obs/serialization.hpp"
 #include "parallel/comm.hpp"
 #include "parallel/transport/process_world.hpp"
@@ -163,10 +164,5 @@ int run(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  try {
-    return run(argc, argv);
-  } catch (const std::exception& error) {
-    std::cerr << "bench_transport: " << error.what() << "\n";
-    return 1;
-  }
+  return mwr::bench::guarded_main("bench_transport", run, argc, argv);
 }

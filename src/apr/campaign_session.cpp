@@ -112,7 +112,7 @@ void CampaignSession::do_precompute(parallel::SuperstepEngine* workers) {
   outcome_.initial_pool_size = working_pool_.size();
 }
 
-void CampaignSession::start_bug() {
+void CampaignSession::start_bug(parallel::SuperstepEngine* workers) {
   bugs_attempted_->add(1);
   if (scope_) scoped_bugs_attempted_->add(1);
   current_bug_ = BugOutcome{};
@@ -131,7 +131,7 @@ void CampaignSession::start_bug() {
   if (config_.grow_suite && spec.tests != current_tests_) {
     current_bug_.maintenance_runs = working_pool_.size();
     current_bug_.pool_dropped =
-        working_pool_.revalidate(*bug_lease_.oracle, config_.pool.threads);
+        working_pool_.revalidate(*bug_lease_.oracle, workers);
     current_tests_ = spec.tests;
   }
   current_bug_.pool_size = working_pool_.size();
@@ -205,12 +205,15 @@ std::size_t CampaignSession::step(std::size_t budget,
     used += charge;
     if (!unit_staged_) continue;
     // obs::ScopedTimer is the only clock apr may touch (bit-identity lint
-    // domain); cancelled, it is a plain stopwatch.
+    // domain); cancelled, it is a plain stopwatch.  With workers the span
+    // includes the trajectory fold, which the calling thread runs while
+    // the workers evaluate; inline, complete_staged folds.
     obs::ScopedTimer wave_timer(*bug_seconds_hist_);
     wave_timer.cancel();
     if (workers != nullptr) {
-      workers->parallel_for(staged,
-                            [&](std::size_t j) { evaluate_staged(j); });
+      workers->parallel_for(
+          staged, [&](std::size_t j) { evaluate_staged(j); },
+          [&] { repair_->fold_staged(); });
     } else {
       for (std::size_t j = 0; j < staged; ++j) evaluate_staged(j);
     }
@@ -244,7 +247,7 @@ std::size_t CampaignSession::stage_unit(std::size_t& staged_probes,
           finalize();
           return 1;
         }
-        start_bug();
+        start_bug(workers);
         bug_seconds_ += unit_timer.elapsed_seconds();
         return 1;
       case Phase::kOnline:

@@ -82,9 +82,10 @@ class CampaignSession {
   /// start); the return value is the deficit-round-robin charge.
   /// The serial driver of the staged calls below: each unit is
   /// stage_unit(), then evaluate_staged() over every staged probe — fanned
-  /// out over `workers` when given, inline otherwise — then
-  /// complete_unit().  `workers` also splits the base pool's interference
-  /// graph build.
+  /// out over `workers` when given, with the calling thread folding the
+  /// unit's draws into the trajectory hash meanwhile; inline otherwise —
+  /// then complete_unit().  `workers` also runs the setup units' suite
+  /// runs and interference-graph build (see stage_unit).
   std::size_t step(std::size_t budget,
                    parallel::SuperstepEngine* workers = nullptr);
 
@@ -97,10 +98,11 @@ class CampaignSession {
 
   /// Stages the next work unit.  Setup units (precompute, bug start,
   /// finalize) execute inline and complete immediately; an online unit
-  /// begins one MWU cycle and leaves its probes staged (`staged_probes`)
-  /// for evaluate_staged() + complete_unit().  Returns the DRR charge:
-  /// 1 per unit, 0 once the campaign is done.  `workers` (may be null)
-  /// splits the base pool's interference-graph build.
+  /// makes one MWU cycle's draws and leaves its probes staged
+  /// (`staged_probes`) for evaluate_staged() + complete_unit().  Returns
+  /// the DRR charge: 1 per unit, 0 once the campaign is done.  `workers`
+  /// (may be null: inline) runs the precompute's and the bug start's pool
+  /// validation and splits the base pool's interference-graph build.
   std::size_t stage_unit(std::size_t& staged_probes,
                          parallel::SuperstepEngine* workers = nullptr);
   /// True while an online cycle is staged and awaiting complete_unit().
@@ -108,8 +110,10 @@ class CampaignSession {
   /// Evaluates staged probe `j` — safe to run concurrently for distinct j
   /// and interleaved with other campaigns' staged probes.
   void evaluate_staged(std::size_t j);
-  /// Completes the staged online unit: rewards, MWU update, and — when the
-  /// cycle ends the bug — ledger close / campaign finalization.
+  /// Completes the staged online unit: folds its draws into the trajectory
+  /// hash (step() folds them during the wave when it has workers), then
+  /// rewards, MWU update, and — when the cycle ends the bug — ledger
+  /// close / campaign finalization.
   /// `elapsed_seconds` is the caller-measured wall time of the unit's
   /// probe evaluation; the cycle's wall time (its staging time plus that)
   /// goes to the bug's and the online phase's telemetry, never to a
@@ -183,7 +187,7 @@ class CampaignSession {
   void complete_staged(double elapsed_seconds);
   void flush_telemetry();
   void do_precompute(parallel::SuperstepEngine* workers);
-  void start_bug();
+  void start_bug(parallel::SuperstepEngine* workers);
   void finish_bug();
   void finalize();
   void open_bug_oracle();  // (re)acquire program/oracle for bug_index_.

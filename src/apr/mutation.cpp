@@ -17,14 +17,6 @@ std::string to_string(MutationKind kind) {
   return "?";
 }
 
-std::uint64_t Mutation::key() const noexcept {
-  std::uint32_t a = target;
-  std::uint32_t b = (kind == MutationKind::kDelete) ? 0u : donor;
-  if (kind == MutationKind::kSwap && b < a) std::swap(a, b);
-  return (static_cast<std::uint64_t>(kind) << 62) |
-         (static_cast<std::uint64_t>(a) << 31) | static_cast<std::uint64_t>(b);
-}
-
 void canonicalize(Patch& patch) {
   std::sort(patch.begin(), patch.end(),
             [](const Mutation& x, const Mutation& y) { return x.key() < y.key(); });
@@ -97,7 +89,6 @@ void sample_from_pool_indexed(std::size_t pool_size, std::size_t size,
                               util::RngStream& rng,
                               std::vector<std::uint32_t>& out) {
   const std::size_t take = std::min(size, pool_size);
-  out.clear();
   // Keep the scratch permutation grown to the largest pool seen; the
   // restore pass below maintains the identity invariant between calls.
   if (t_perm.size() < pool_size) {
@@ -108,35 +99,46 @@ void sample_from_pool_indexed(std::size_t pool_size, std::size_t size,
   }
   const std::size_t words = (pool_size + 63) / 64;
   t_selected.assign(words, 0);
-  t_touched.clear();
+  if (t_touched.size() < take) t_touched.resize(take);
+  // The loop draws through a local copy of the stream and writes through
+  // raw pointers: a store through a vector or the caller's stream may
+  // alias the generator state or the vectors' own pointers, which would
+  // make every draw store and reload them (see util::RngStream).
+  std::uint32_t* const perm = t_perm.data();
+  std::uint32_t* const touched = t_touched.data();
+  std::uint64_t* const selected = t_selected.data();
+  util::RngStream local = rng;
   // Partial Fisher–Yates: one uniform_index(pool - i) per output, so every
   // seeded draw sequence is reproducible across versions.  (Floyd's
   // algorithm has the same cost but a different draw sequence, which
   // would silently re-randomize every seeded experiment.)
   for (std::size_t i = 0; i < take; ++i) {
     const std::size_t j =
-        i + static_cast<std::size_t>(rng.uniform_index(pool_size - i));
-    const std::uint32_t value = t_perm[j];
-    t_perm[j] = t_perm[i];
-    t_perm[i] = value;
-    t_touched.push_back(static_cast<std::uint32_t>(j));
-    t_selected[value >> 6] |= std::uint64_t{1} << (value & 63);
+        i + static_cast<std::size_t>(local.uniform_index(pool_size - i));
+    const std::uint32_t value = perm[j];
+    perm[j] = perm[i];
+    perm[i] = value;
+    touched[i] = static_cast<std::uint32_t>(j);
+    selected[value >> 6] |= std::uint64_t{1} << (value & 63);
   }
+  rng = local;
   // Restore the identity permutation (only touched slots moved).
   for (std::size_t i = 0; i < take; ++i)
-    t_perm[i] = static_cast<std::uint32_t>(i);
-  for (const std::uint32_t j : t_touched) t_perm[j] = j;
+    perm[i] = static_cast<std::uint32_t>(i);
+  for (std::size_t i = 0; i < take; ++i) perm[touched[i]] = touched[i];
   // Emit set bits in order: ascending indices over a key-sorted pool ==
   // canonicalize's key sort, and without-replacement draws are distinct,
   // so this replaces the former std::sort + unique outright.
-  out.reserve(take);
+  out.resize(take);
+  std::uint32_t* const emitted = out.data();
+  std::size_t k = 0;
   for (std::size_t w = 0; w < words; ++w) {
-    std::uint64_t bits = t_selected[w];
+    std::uint64_t bits = selected[w];
     while (bits != 0) {
       const int bit = std::countr_zero(bits);
       bits &= bits - 1;
-      out.push_back(static_cast<std::uint32_t>(w * 64 +
-                                               static_cast<std::size_t>(bit)));
+      emitted[k++] =
+          static_cast<std::uint32_t>(w * 64 + static_cast<std::size_t>(bit));
     }
   }
 }

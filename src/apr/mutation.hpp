@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "apr/program.hpp"
@@ -29,8 +30,16 @@ struct Mutation {
 
   /// Canonical 64-bit identity used for dedup and for the oracle's
   /// deterministic semantics.  Swap is symmetric, so its operands are
-  /// ordered before packing.
-  [[nodiscard]] std::uint64_t key() const noexcept;
+  /// ordered before packing.  Inline: the online cycle folds one key per
+  /// drawn member into the trajectory fingerprint.
+  [[nodiscard]] std::uint64_t key() const noexcept {
+    std::uint32_t a = target;
+    std::uint32_t b = (kind == MutationKind::kDelete) ? 0u : donor;
+    if (kind == MutationKind::kSwap && b < a) std::swap(a, b);
+    return (static_cast<std::uint64_t>(kind) << 62) |
+           (static_cast<std::uint64_t>(a) << 31) |
+           static_cast<std::uint64_t>(b);
+  }
 
   friend bool operator==(const Mutation&, const Mutation&) = default;
 };

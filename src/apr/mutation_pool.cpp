@@ -1,6 +1,7 @@
 #include "apr/mutation_pool.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <unordered_set>
 
 #include "obs/registry.hpp"
@@ -8,8 +9,23 @@
 
 namespace mwr::apr {
 
+namespace {
+
+/// fn(i) for every i in [0, count), over `workers` or inline when null.
+void sweep(parallel::SuperstepEngine* workers, std::size_t count,
+           const std::function<void(std::size_t)>& fn) {
+  if (workers != nullptr) {
+    workers->parallel_for(count, fn);
+    return;
+  }
+  for (std::size_t i = 0; i < count; ++i) fn(i);
+}
+
+}  // namespace
+
 MutationPool MutationPool::precompute(const TestOracle& oracle,
-                                      const PoolConfig& config) {
+                                      const PoolConfig& config,
+                                      parallel::SuperstepEngine* workers) {
   // Phase-1 telemetry: candidates tried vs found safe (the yield the
   // §III-C amortization argument depends on) and precompute wall time.
   auto& metrics = obs::MetricsRegistry::global();
@@ -21,9 +37,6 @@ MutationPool MutationPool::precompute(const TestOracle& oracle,
   MutationPool pool;
   std::unordered_set<std::uint64_t> seen;
   util::RngStream master(config.seed);
-  parallel::SuperstepEngine workers(
-      1, parallel::SuperstepEngine::Config{
-             std::max<std::size_t>(1, config.threads)});
 
   // Validate candidates in parallel rounds sized to overshoot the expected
   // yield slightly, then merge; duplicates are skipped *before* validation
@@ -48,7 +61,7 @@ MutationPool MutationPool::precompute(const TestOracle& oracle,
       if (seen.insert(m.key()).second) candidates.push_back(m);
     }
     std::vector<char> safe(candidates.size(), 0);
-    workers.parallel_for(candidates.size(), [&](std::size_t i) {
+    sweep(workers, candidates.size(), [&](std::size_t i) {
       const Mutation& m = candidates[i];
       const Evaluation e = oracle.evaluate({&m, 1});
       safe[i] = (e.required_passed == e.required_total) ? 1 : 0;
@@ -92,15 +105,13 @@ MutationPool MutationPool::from_mutations(std::vector<Mutation> mutations) {
 }
 
 std::size_t MutationPool::revalidate(const TestOracle& oracle,
-                                     std::size_t threads) {
+                                     parallel::SuperstepEngine* workers) {
   const std::size_t before = pool_.size();
   // Verdicts are independent per member, so fan the suite runs out over
-  // the engine (inline at one thread) and erase serially afterwards — same
-  // survivors, same order, as the historical serial erase_if.
+  // the engine and erase serially afterwards — same survivors, same
+  // order, as the historical serial erase_if.
   std::vector<char> keep(pool_.size(), 1);
-  parallel::SuperstepEngine workers(
-      1, parallel::SuperstepEngine::Config{std::max<std::size_t>(1, threads)});
-  workers.parallel_for(pool_.size(), [&](std::size_t i) {
+  sweep(workers, pool_.size(), [&](std::size_t i) {
     const Evaluation e = oracle.evaluate({&pool_[i], 1});
     keep[i] = (e.required_passed == e.required_total) ? 1 : 0;
   });

@@ -22,23 +22,31 @@
 #include "apr/mutation.hpp"
 #include "apr/test_oracle.hpp"
 
+namespace mwr::parallel {
+class SuperstepEngine;
+}  // namespace mwr::parallel
+
 namespace mwr::apr {
 
 struct PoolConfig {
   std::size_t target_size = 1000;   ///< safe mutations to collect.
   std::size_t max_attempts = 200000;///< candidate-generation budget.
-  std::size_t threads = 4;          ///< parallel validation workers.
+  /// Sizes precompute's validation rounds (so it decides attempts and
+  /// precompute_runs); the suite runs fan out over the caller's engine.
+  std::size_t threads = 4;
   std::uint64_t seed = 1;
 };
 
 class MutationPool {
  public:
   /// Phase-1 precompute: generate random candidate mutations, validate each
-  /// against the required suite in parallel, and keep the safe ones
-  /// (deduplicated) until target_size is reached or the attempt budget is
-  /// exhausted.  Each suite run is counted on the oracle.
-  [[nodiscard]] static MutationPool precompute(const TestOracle& oracle,
-                                               const PoolConfig& config);
+  /// against the required suite — fanned out over `workers`, inline when
+  /// null — and keep the safe ones (deduplicated) until target_size is
+  /// reached or the attempt budget is exhausted.  The pool is the same for
+  /// any engine.  Each suite run is counted on the oracle.
+  [[nodiscard]] static MutationPool precompute(
+      const TestOracle& oracle, const PoolConfig& config,
+      parallel::SuperstepEngine* workers = nullptr);
 
   /// Wraps already-validated mutations as a pool (deduplicated, sorted by
   /// key).  Used by callers with custom candidate generators — e.g. the
@@ -57,10 +65,11 @@ class MutationPool {
 
   /// Re-runs every pool member against (a possibly different) oracle and
   /// drops the ones that no longer pass — the incremental-update path for a
-  /// grown test suite.  Suite runs fan out over `threads` workers (order
-  /// and survivors are identical to the serial pass — each member's verdict
-  /// is independent).  Returns the number of dropped mutations.
-  std::size_t revalidate(const TestOracle& oracle, std::size_t threads = 1);
+  /// grown test suite.  Suite runs fan out over `workers`, inline when null
+  /// (order and survivors are identical to the serial pass — each member's
+  /// verdict is independent).  Returns the number of dropped mutations.
+  std::size_t revalidate(const TestOracle& oracle,
+                         parallel::SuperstepEngine* workers = nullptr);
 
  private:
   std::vector<Mutation> pool_;

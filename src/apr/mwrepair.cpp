@@ -14,20 +14,19 @@ MwRepair::MwRepair(MwRepairConfig config) : config_(config) {
   if (config_.max_count == 0)
     throw std::invalid_argument("MwRepair: max_count == 0");
   config_.arms = std::min(config_.arms, config_.max_count);
-}
-
-std::size_t MwRepair::count_for_arm(std::size_t arm) const {
-  if (config_.arms == 1) return config_.max_count;
+  counts_.resize(config_.arms, config_.max_count);
+  if (config_.arms == 1) return;
   // Geometric grid over [1, max_count]: repair-density optima range over
   // more than an order of magnitude across programs (11..271, §III-B), so
   // log spacing gives every scenario several arms near its mode instead of
   // wasting most of the grid far above small optima.
-  const double t =
-      static_cast<double>(arm) / static_cast<double>(config_.arms - 1);
-  const double count =
-      std::pow(static_cast<double>(config_.max_count), t);
-  return std::min(config_.max_count,
-                  static_cast<std::size_t>(std::lround(count)));
+  for (std::size_t arm = 0; arm < config_.arms; ++arm) {
+    const double t =
+        static_cast<double>(arm) / static_cast<double>(config_.arms - 1);
+    const double count = std::pow(static_cast<double>(config_.max_count), t);
+    counts_[arm] = std::min(config_.max_count,
+                            static_cast<std::size_t>(std::lround(count)));
+  }
 }
 
 RepairOutcome MwRepair::run(const TestOracle& oracle,

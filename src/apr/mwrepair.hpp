@@ -96,9 +96,12 @@ class MwRepair {
   [[nodiscard]] RepairOutcome run(const TestOracle& oracle,
                                   const MutationPool& pool) const;
 
-  /// The mutation count arm `arm` stands for (linear grid over
-  /// [1, max_count]).
-  [[nodiscard]] std::size_t count_for_arm(std::size_t arm) const;
+  /// The mutation count arm `arm` (< config().arms) stands for: a
+  /// geometric grid over [1, max_count], tabulated at construction
+  /// because the online cycle asks once per probe.
+  [[nodiscard]] std::size_t count_for_arm(std::size_t arm) const {
+    return counts_[arm];
+  }
 
   [[nodiscard]] const MwRepairConfig& config() const noexcept {
     return config_;
@@ -106,6 +109,7 @@ class MwRepair {
 
  private:
   MwRepairConfig config_;
+  std::vector<std::size_t> counts_;  ///< count_for_arm, one per arm.
 };
 
 // A whole repair — precompute a pool for a scenario, then search it — is a

@@ -172,7 +172,7 @@ OracleHub::PoolLease OracleHub::base_pool(const datasets::ScenarioSpec& spec,
     const ProgramModel program(spec);
     const TestOracle oracle(program);
     auto pool = std::make_shared<const MutationPool>(
-        MutationPool::precompute(oracle, config));
+        MutationPool::precompute(oracle, config, workers));
     lease.precompute_runs = oracle.suite_runs();
     if (pool->size() <= OracleCache::kMaxWavePool) {
       lease.graph = std::make_shared<const InterferenceGraph>(

@@ -93,7 +93,8 @@ class OracleHub {
   OracleLease oracle_for(const datasets::ScenarioSpec& spec);
 
   /// The precomputed base pool for (spec, config).  `workers` (may be
-  /// null) splits the interference-graph build of a pool built here.
+  /// null) runs the precompute's suite runs and splits the
+  /// interference-graph build of a pool built here.
   PoolLease base_pool(const datasets::ScenarioSpec& spec,
                       const PoolConfig& config,
                       parallel::SuperstepEngine* workers = nullptr);

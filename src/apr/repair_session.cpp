@@ -97,24 +97,31 @@ std::size_t RepairSession::begin_cycle() {
     sample_from_pool_indexed(pool_->size(), count, rng_, index_patches_[j]);
     acceptance_.push_back(rng_.uniform());
   }
-  // Fold this cycle's draws into the trajectory fingerprint before the
-  // (order-free) evaluations, so the hash pins the stochastic sequence.
-  trajectory_hash_ = fnv_fold(trajectory_hash_, outcome_.iterations);
-  for (std::size_t j = 0; j < n; ++j) {
-    trajectory_hash_ = fnv_fold(trajectory_hash_, staged_arms_[j]);
-    trajectory_hash_ = fnv_fold(trajectory_hash_,
-                                std::bit_cast<std::uint64_t>(acceptance_[j]));
-    for (const std::uint32_t w : index_patches_[j]) {
-      trajectory_hash_ =
-          fnv_fold(trajectory_hash_, pool_->mutations()[w].key());
-    }
-  }
+  fold_pending_ = true;
   evaluations_.assign(n, Evaluation{});
   if (wave_fast_path_) tallies_.assign(n, TestOracle::ProbeTally{});
   outcome_.probes += n;
   probes_last_cycle_ = n;
   pending_probes_ += n;
   return n;
+}
+
+void RepairSession::fold_staged() {
+  if (!fold_pending_) return;
+  fold_pending_ = false;
+  // Fold this cycle's draws into the trajectory fingerprint ahead of its
+  // rewards, so the hash pins the stochastic sequence.  A local hash and
+  // member pointer keep the loop in registers.
+  const Mutation* const members = pool_->mutations().data();
+  std::uint64_t h = fnv_fold(trajectory_hash_, outcome_.iterations);
+  for (std::size_t j = 0; j < staged_arms_.size(); ++j) {
+    h = fnv_fold(h, staged_arms_[j]);
+    h = fnv_fold(h, std::bit_cast<std::uint64_t>(acceptance_[j]));
+    for (const std::uint32_t w : index_patches_[j]) {
+      h = fnv_fold(h, members[w].key());
+    }
+  }
+  trajectory_hash_ = h;
 }
 
 void RepairSession::evaluate_staged(std::size_t j) {
@@ -142,6 +149,7 @@ void RepairSession::evaluate_staged(std::size_t j) {
 }
 
 bool RepairSession::finish_cycle(double elapsed_seconds) {
+  fold_staged();  // no-op when the wave's caller hook already folded.
   const MwRepairConfig& cfg = repair_.config();
   online_seconds_ += elapsed_seconds;
   pending_cycle_seconds_.push_back(elapsed_seconds);
@@ -200,7 +208,10 @@ bool RepairSession::step(parallel::SuperstepEngine* workers) {
   cycle_timer.cancel();
   const std::size_t n = begin_cycle();
   if (workers != nullptr) {
-    workers->parallel_for(n, [&](std::size_t j) { evaluate_staged(j); });
+    // The calling thread folds the draws while the workers evaluate.
+    workers->parallel_for(
+        n, [&](std::size_t j) { evaluate_staged(j); },
+        [&] { fold_staged(); });
   } else {
     for (std::size_t j = 0; j < n; ++j) evaluate_staged(j);
   }
@@ -228,6 +239,7 @@ void RepairSession::restore(const State& state) {
   outcome_.iterations = state.iterations;
   outcome_.probes = state.probes;
   trajectory_hash_ = state.trajectory_hash;
+  fold_pending_ = false;
   done_ = false;
 }
 

@@ -70,26 +70,34 @@ class RepairSession {
   /// are no-ops returning true.  `workers` optionally fans the suite runs
   /// out (bit-identical for any worker count, as in MwRepair::run).
   /// The serial driver of the staged calls below: begin_cycle, every
-  /// evaluate_staged, then finish_cycle with the cycle's wall time.
+  /// evaluate_staged — with fold_staged as the wave's caller hook when
+  /// `workers` is given — then finish_cycle with the cycle's wall time.
   bool step(parallel::SuperstepEngine* workers = nullptr);
 
   // --- staged execution (DESIGN.md §14) ---
   //
-  // A cycle splits into three phases so its probe evaluations can fan
-  // out over a worker pool between the draws and the update:
+  // A cycle splits into phases so its probe evaluations can fan out over
+  // a worker pool between the draws and the update:
   //
   //   begin_cycle()       all of the cycle's stochastic draws (arm sample,
-  //                       patch draws, acceptance) plus their trajectory
-  //                       folds — everything RNG-ordered happens here, in
-  //                       the same order as the historical loop.
+  //                       patch draws, acceptance) — everything RNG-ordered
+  //                       happens here, in the same order as the
+  //                       historical loop.
   //   evaluate_staged(j)  evaluates staged probe j.  Pure and memoized:
   //                       callable concurrently for distinct j, in any
   //                       order, interleaved with other sessions' probes.
+  //   fold_staged()       folds the staged draws into trajectory_hash().
+  //                       Reads what evaluate_staged reads and writes only
+  //                       the hash and its pending flag, so it may run
+  //                       concurrently with the evaluations (step() runs
+  //                       it as the wave's caller hook); optional —
+  //                       finish_cycle folds whatever is still unfolded.
   //   finish_cycle()      rewards, MWU update, early-repair exit, budget
   //                       check.
   //
-  // step() drives these three calls for one session; CampaignSession's
-  // staged calls wrap them one unit at a time.
+  // step() drives these calls for one session; CampaignSession's staged
+  // calls wrap them one unit at a time.  Between begin_cycle and the fold
+  // trajectory_hash() does not yet cover the staged draws.
   //
   // Telemetry: the staged calls count cycles, probes, cycle seconds and
   // the oracle's suite runs and cache hits into the session, not into
@@ -106,6 +114,10 @@ class RepairSession {
   /// Thread-safe across distinct j on one session and across sessions
   /// sharing an oracle.
   void evaluate_staged(std::size_t j);
+  /// Folds the staged cycle's draws into the trajectory hash, once per
+  /// cycle (later calls are no-ops).  May overlap evaluate_staged() on
+  /// other threads; must not overlap itself or finish_cycle().
+  void fold_staged();
   /// Completes the staged cycle; returns true when the session finished.
   /// `elapsed_seconds` is the caller-attributed wall time of the cycle,
   /// observed once into repair.online.cycle_seconds and accumulated into
@@ -164,6 +176,7 @@ class RepairSession {
   util::RngStream rng_;
   std::uint32_t baseline_;
   bool done_ = false;
+  bool fold_pending_ = false;  ///< staged draws not yet in the hash.
   std::size_t probes_last_cycle_ = 0;
   std::uint64_t trajectory_hash_;
   RepairOutcome outcome_;

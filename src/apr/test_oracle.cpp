@@ -275,15 +275,19 @@ InterferenceGraph TestOracle::interference_graph(
   }
   // Every pair hashed once; keys ascend, so (x, y) is already (lo, hi).
   // With workers the rows split into contiguous blocks of about equal pair
-  // counts (row x holds n - 1 - x pairs).  Read back in block order the
-  // edges are in the serial (x, y) order, so the graph is the same for any
-  // worker count.
+  // counts (row x holds n - 1 - x pairs), one block per participant of the
+  // sweep: every worker plus the caller, which drains alongside them (a
+  // one-worker engine runs inline on the caller alone).  Read back in block
+  // order the edges are in the serial (x, y) order, so the graph is the
+  // same for any worker count.
   struct Block {
     std::vector<std::array<std::uint32_t, 2>> edges;
     std::vector<std::uint64_t> hashes;
   };
-  const std::size_t blocks =
-      workers != nullptr && n > 1 ? workers->workers() : 1;
+  const std::size_t blocks = workers != nullptr && n > 1 &&
+                                     workers->workers() > 1
+                                 ? workers->workers() + 1
+                                 : 1;
   std::vector<std::size_t> bounds(blocks + 1, n);
   bounds[0] = 0;
   const std::size_t pairs = n * (n > 0 ? n - 1 : 0) / 2;

@@ -2,9 +2,17 @@
 // early termination, reward modes, and the end-to-end pipeline.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstddef>
+#include <string>
+#include <utility>
+
 #include "apr/campaign.hpp"
 #include "apr/mwrepair.hpp"
 #include "apr/oracle_cache.hpp"
+#include "apr/repair_session.hpp"
+#include "parallel/superstep.hpp"
 
 namespace mwr::apr {
 namespace {
@@ -61,6 +69,41 @@ TEST(MwRepair, SingleArmMeansMaxCount) {
   config.max_count = 7;
   const MwRepair repair(config);
   EXPECT_EQ(repair.count_for_arm(0), 7u);
+}
+
+TEST(MwRepair, CountTableMatchesTheGeometricGridFormula) {
+  // count_for_arm reads a table built at construction; every entry must
+  // equal the grid formula it replaced, round(max_count^(arm / (arms-1)))
+  // capped at max_count, with one arm standing for max_count.
+  for (const auto& [arms, max_count] :
+       {std::pair<std::size_t, std::size_t>{1, 7},
+        {1, 256},
+        {2, 1},      // arms clamp to max_count: one arm.
+        {100, 10},   // arms clamp to max_count: ten arms.
+        {2, 256},
+        {16, 200},
+        {64, 256},
+        {64, 150},
+        {37, 1000}}) {
+    MwRepairConfig config;
+    config.arms = arms;
+    config.max_count = max_count;
+    const MwRepair repair(config);
+    const std::size_t used = std::min(arms, max_count);
+    ASSERT_EQ(repair.config().arms, used);
+    for (std::size_t arm = 0; arm < used; ++arm) {
+      std::size_t expected = max_count;
+      if (used > 1) {
+        const double t =
+            static_cast<double>(arm) / static_cast<double>(used - 1);
+        expected = std::min(
+            max_count, static_cast<std::size_t>(std::lround(std::pow(
+                           static_cast<double>(max_count), t))));
+      }
+      EXPECT_EQ(repair.count_for_arm(arm), expected)
+          << "arms=" << arms << " max_count=" << max_count << " arm=" << arm;
+    }
+  }
 }
 
 TEST(MwRepair, ThrowsOnEmptyPool) {
@@ -199,6 +242,74 @@ TEST(MwRepair, ParallelEvaluationIsBitIdenticalToSerial) {
   EXPECT_EQ(a.iterations, b.iterations);
   EXPECT_EQ(a.patch, b.patch);
   EXPECT_EQ(a.preferred_count, b.preferred_count);
+}
+
+TEST(MwRepair, EngineStepMatchesTheStagedCallsInTrajectoryHash) {
+  // With an engine, RepairSession::step folds each cycle's draws into the
+  // trajectory hash on the calling thread while the workers evaluate (the
+  // wave's caller hook); the hand-staged calls leave the fold to
+  // finish_cycle.  Neither the hash nor the outcome may depend on which
+  // path folded or on the worker count, and MwRepair::run must agree at
+  // any eval_threads.  Two budgets: one the search exhausts, one it
+  // repairs within (a scarce two-edit repair takes a few dozen cycles).
+  datasets::ScenarioSpec spec = easy_spec();
+  spec.repair_rate = 0.004;
+  spec.min_repair_edits = 2;
+  const ProgramModel program(spec);
+  const TestOracle oracle(program);
+  PoolConfig pool_config;
+  pool_config.target_size = 500;
+  pool_config.seed = 13;
+  const auto pool = MutationPool::precompute(oracle, pool_config);
+  oracle.prime_wave(pool.mutations());
+
+  bool saw_repair = false;
+  bool saw_exhaustion = false;
+  for (const std::size_t budget : {std::size_t{4}, std::size_t{120}}) {
+    MwRepairConfig config;
+    config.agents = 16;
+    config.max_iterations = budget;
+    config.seed = 14;
+
+    RepairSession staged(config, oracle, pool);
+    while (!staged.done()) {
+      const std::size_t n = staged.begin_cycle();
+      for (std::size_t j = 0; j < n; ++j) staged.evaluate_staged(j);
+      (void)staged.finish_cycle();
+    }
+    const RepairOutcome& expected = staged.outcome();
+    ASSERT_GT(expected.iterations, 1u);
+    (expected.repaired ? saw_repair : saw_exhaustion) = true;
+
+    const auto expect_same = [&](const RepairOutcome& got,
+                                 const std::string& where) {
+      EXPECT_EQ(got.repaired, expected.repaired) << where;
+      EXPECT_EQ(got.probes, expected.probes) << where;
+      EXPECT_EQ(got.iterations, expected.iterations) << where;
+      EXPECT_EQ(got.patch, expected.patch) << where;
+      EXPECT_EQ(got.preferred_count, expected.preferred_count) << where;
+      EXPECT_EQ(got.arm_probabilities, expected.arm_probabilities) << where;
+    };
+    for (std::size_t workers = 1; workers <= 4; ++workers) {
+      parallel::SuperstepEngine engine(
+          1, parallel::SuperstepEngine::Config{workers});
+      RepairSession stepped(config, oracle, pool);
+      while (!stepped.step(&engine)) {
+      }
+      const std::string where = "budget " + std::to_string(budget) +
+                                ", workers " + std::to_string(workers);
+      EXPECT_EQ(stepped.trajectory_hash(), staged.trajectory_hash()) << where;
+      expect_same(stepped.outcome(), where);
+    }
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+      config.eval_threads = threads;
+      expect_same(MwRepair(config).run(oracle, pool),
+                  "budget " + std::to_string(budget) + ", eval_threads " +
+                      std::to_string(threads));
+    }
+  }
+  EXPECT_TRUE(saw_repair);
+  EXPECT_TRUE(saw_exhaustion);
 }
 
 TEST(MwRepair, PoolAboveTheWaveCapMatchesTheUncachedReference) {

@@ -12,6 +12,7 @@
 #include "apr/test_oracle.hpp"
 #include "datasets/scenario.hpp"
 #include "obs/registry.hpp"
+#include "parallel/superstep.hpp"
 
 namespace mwr::apr {
 namespace {
@@ -228,10 +229,12 @@ TEST(OracleCache, ParallelRevalidateMatchesSerial) {
   const ProgramModel grown_program(grown);
   const TestOracle grown_oracle(grown_program, true);
 
+  parallel::SuperstepEngine workers(1, parallel::SuperstepEngine::Config{4});
   MutationPool serial = pool;
   MutationPool parallel = pool;
-  const std::size_t dropped_serial = serial.revalidate(grown_oracle, 1);
-  const std::size_t dropped_parallel = parallel.revalidate(grown_oracle, 4);
+  const std::size_t dropped_serial = serial.revalidate(grown_oracle);
+  const std::size_t dropped_parallel =
+      parallel.revalidate(grown_oracle, &workers);
   EXPECT_EQ(dropped_serial, dropped_parallel);
   EXPECT_GT(dropped_serial, 0u);
   ASSERT_EQ(serial.size(), parallel.size());

@@ -185,6 +185,39 @@ TEST(RngStream, SparseSampleMatchesDensePartialFisherYates) {
   }
 }
 
+TEST(RngStream, SampleLeavesTheCallersStreamWhereTheReferenceDrawLeavesIt) {
+  // The draw runs on a local copy of the caller's stream and writes it
+  // back.  Against a reference that draws through its own stream, every
+  // take from 0 to the pool size must select the same indices and leave
+  // both streams in the same state — one stream per pool size, carried
+  // across calls, so each call also starts from whatever scratch the
+  // previous (differently sized) call left behind.
+  std::vector<std::uint32_t> out{99, 98, 97};  // stale contents are dropped.
+  for (const std::size_t population :
+       {std::size_t{1}, std::size_t{63}, std::size_t{64}, std::size_t{150},
+        std::size_t{1500}, std::size_t{2048}}) {
+    RngStream rng(population * 7 + 1);
+    RngStream reference_rng = rng;
+    std::vector<std::uint32_t> pool(population);
+    for (std::size_t take = 0; take <= population; ++take) {
+      apr::sample_from_pool_indexed(population, take, rng, out);
+      std::iota(pool.begin(), pool.end(), 0u);
+      for (std::size_t i = 0; i < take; ++i) {
+        const std::size_t j =
+            i + static_cast<std::size_t>(
+                    reference_rng.uniform_index(population - i));
+        std::swap(pool[i], pool[j]);
+      }
+      std::vector<std::uint32_t> expected = pool;
+      expected.resize(take);
+      std::sort(expected.begin(), expected.end());
+      ASSERT_EQ(out, expected) << "n=" << population << " take=" << take;
+      ASSERT_EQ(rng.state(), reference_rng.state())
+          << "n=" << population << " take=" << take;
+    }
+  }
+}
+
 TEST(RngStream, SparseSampleIsDistinctAndInRange) {
   RngStream rng(23);
   for (int trial = 0; trial < 200; ++trial) {

@@ -309,6 +309,59 @@ TEST(CampaignSessionServe, PooledStepMatchesTheStagedCallsAndRunCampaign) {
   }
 }
 
+TEST(CampaignSessionServe, WaveHookFoldMatchesTheStagedCallsOnAnyEngine) {
+  // step() with an engine folds each online cycle's draws into the
+  // trajectory hash on the calling thread while the workers evaluate (the
+  // wave's caller hook), and runs the setup units' pool validation on the
+  // same engine; the hand-staged calls fold in complete_unit and validate
+  // inline.  Every engine size and every budget must give the same hash
+  // and outcome as both, and as run_campaign at one thread.  Suite growth
+  // is on and the second bug is repaired, so the third bug revalidates its
+  // pool on the engine.
+  SubmitRequest request = small_request("libtiff-2005-12-14", 17);
+  request.bugs = 3;
+  const CampaignPlan plan = plan_campaign(request);
+  ASSERT_TRUE(plan.config.grow_suite);
+
+  apr::CampaignSession staged(plan.spec, plan.config);
+  while (!staged.done()) {
+    std::size_t probes = 0;
+    if (staged.stage_unit(probes) == 0) break;
+    if (!staged.unit_staged()) continue;
+    for (std::size_t j = 0; j < probes; ++j) staged.evaluate_staged(j);
+    staged.complete_unit();
+  }
+  ASSERT_TRUE(staged.done());
+  std::size_t online_cycles = 0;
+  for (const apr::BugOutcome& bug : staged.outcome().bugs)
+    online_cycles += bug.online_cycles;
+  ASSERT_GT(online_cycles, 3u);
+  ASSERT_GT(staged.outcome().bugs.back().maintenance_runs, 0u);
+  const std::string staged_json =
+      apr::outcome_to_json(staged.outcome()).dump(2);
+
+  apr::CampaignConfig one_thread = plan.config;
+  one_thread.repair.eval_threads = 1;
+  EXPECT_EQ(apr::outcome_to_json(apr::run_campaign(plan.spec, one_thread))
+                .dump(2),
+            staged_json);
+
+  for (std::size_t workers = 1; workers <= 4; ++workers) {
+    parallel::SuperstepEngine engine(
+        1, parallel::SuperstepEngine::Config{workers});
+    for (const std::size_t budget :
+         {std::size_t{1}, std::size_t{3},
+          std::numeric_limits<std::size_t>::max()}) {
+      apr::CampaignSession pooled(plan.spec, plan.config);
+      while (!pooled.done()) (void)pooled.step(budget, &engine);
+      EXPECT_EQ(pooled.trajectory_hash(), staged.trajectory_hash())
+          << "workers " << workers << ", budget " << budget;
+      EXPECT_EQ(apr::outcome_to_json(pooled.outcome()).dump(2), staged_json)
+          << "workers " << workers << ", budget " << budget;
+    }
+  }
+}
+
 // --- checkpoint codec ---------------------------------------------------
 
 TEST(Checkpoint, CodecRoundTripsAMidCampaignSnapshot) {
