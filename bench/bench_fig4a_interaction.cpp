@@ -42,6 +42,7 @@ int run(int argc, char** argv) {
   pool_config.target_size = 4000;
   pool_config.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
   const auto pool = apr::MutationPool::precompute(oracle, pool_config);
+  oracle.prime_cache(pool.mutations());
 
   util::RngStream rng(pool_config.seed ^ 0x4A);
   util::Table table("Fig 4a: fraction passing the suite vs mutations applied "

@@ -10,18 +10,16 @@
 //   table2_cycle  — one full Standard-MWU bandit cycle at Table II scale
 //                   (k = 2^14, n = 64 agents): per-agent linear scans vs
 //                   the sampler-backed StandardMwu::sample.
-//   slate_cycle   — one full Slate-MWU cycle at k = 256, gamma = 0.05
-//                   (slate size 13): the capping fixpoint that allocates
-//                   and re-walks all k entries every round vs
-//                   SlateMwu::sample's allocation-free one-pass cap.
-//   distributed_cycle — one full Distributed-MWU cycle at k = 256 (a
-//                   population of 5,405 agents): run_mwu's old per-agent
-//                   loop of virtual oracle calls vs one
-//                   CostOracle::sample_batch call per cycle.  It reads
-//                   about 1x under gcc, which devirtualizes the per-agent
-//                   loop speculatively here because this file constructs
-//                   the BernoulliOracle; run_mwu, which cannot see the
-//                   oracle's type, made a true virtual call per agent.
+//   slate_cycle   — one full Slate-MWU cycle as Table II runs it:
+//                   replications 0-19 of Slate on random256 and
+//                   unimodal256 (k = 256, gamma = 0.05, slate size 13,
+//                   BernoulliOracle rewards, the iteration cap), seeded
+//                   as run_evaluation seeds them: the capping fixpoint
+//                   that allocates and re-walks all k entries every round
+//                   vs SlateMwu::sample's allocation-free one-pass cap.
+//                   The bench also prints the share of cap calls that cap
+//                   more than four entries, the ones the one-pass cap
+//                   hands to its fixpoint tail.
 //
 // Plus one row per SoA weight kernel (DESIGN.md §12), measuring the scalar
 // implementation against the runtime-dispatched one over the same k-element
@@ -49,17 +47,19 @@
 #include <cstring>
 #include <iostream>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "apr/mutation_pool.hpp"
 #include "apr/test_oracle.hpp"
 #include "bench_common.hpp"
-#include "core/distributed_mwu.hpp"
+#include "core/option_set.hpp"
 #include "core/slate_mwu.hpp"
 #include "core/slate_projection.hpp"
 #include "core/standard_mwu.hpp"
-#include "datasets/distributions.hpp"
+#include "costmodel/evaluation.hpp"
 #include "datasets/scenario.hpp"
+#include "datasets/suite.hpp"
 #include "obs/serialization.hpp"
 #include "util/cli.hpp"
 #include "util/fenwick_sampler.hpp"
@@ -266,21 +266,23 @@ Section bench_table2_cycle(std::size_t k, std::size_t agents,
   return out;
 }
 
-// --- slate_cycle: full Slate-MWU cycle at k = 256, gamma = 0.05 ---------
+// --- slate_cycle: Table II's Slate cycle on random256 and unimodal256 ----
 
 constexpr std::size_t kSlateOptions = 256;
-constexpr std::size_t kSlateCycles = 20000;
+constexpr std::size_t kSlateReplications = 20;
 
 // The capping fixpoint before the compacted index list, kept verbatim as
 // the reference: q and a bit-packed capped mask are allocated per call,
-// and every round re-walks all k entries, capped ones included.
+// and every round re-walks all k entries, capped ones included.  Sets
+// `num_capped` to the number of entries it capped.
 std::vector<double> full_walk_cap_to_slate_marginals(std::span<const double> p,
-                                                     std::size_t slate_size) {
+                                                     std::size_t slate_size,
+                                                     std::size_t& num_capped) {
   const std::size_t k = p.size();
   const auto s = static_cast<double>(slate_size);
   std::vector<double> q(p.begin(), p.end());
   std::vector<bool> capped(k, false);
-  std::size_t num_capped = 0;
+  num_capped = 0;
   for (;;) {
     double uncapped_mass = 0.0;
     for (std::size_t i = 0; i < k; ++i) {
@@ -322,31 +324,48 @@ std::vector<double> full_walk_cap_to_slate_marginals(std::span<const double> p,
   return q;
 }
 
-Section bench_slate_cycle(std::size_t cycles, std::uint64_t seed) {
-  core::MwuConfig config;
-  config.num_options = kSlateOptions;
-  config.exploration = 0.05;
-  const auto reward = [](std::size_t option) {
-    return option * 2 < kSlateOptions ? 1.0 : 0.0;
-  };
+/// Cap calls of the slate_cycle row's before side, and how many of them
+/// capped more than four entries.
+struct SlateTail {
+  std::size_t calls = 0;
+  std::size_t tail = 0;
+};
 
-  // Both sides run the same trajectory; the checksum folds every slate
+// Runs replications 0 .. kSlateReplications - 1 of Slate on each option
+// set, each seeded and capped as run_evaluation runs it, so the row times
+// the cycles Table II's Slate column is made of at k = 256.
+Section bench_slate_cycle(std::span<const core::OptionSet> option_sets,
+                          std::uint64_t seed, SlateTail& tail) {
+  const costmodel::EvalConfig eval;
+
+  // Both sides run the same trajectories; the checksum folds every slate
   // member and the leader after every update.
   const auto side = [&](auto&& sample, double& timing) {
-    core::SlateMwu mwu(config);
-    util::RngStream rng(seed ^ 0x6666);
     std::vector<double> rewards;
-    util::WallTimer timer;
     std::uint64_t acc = 0;
-    for (std::size_t c = 0; c < cycles; ++c) {
-      const std::vector<std::size_t>& slate = sample(mwu, rng);
-      rewards.resize(slate.size());
-      for (std::size_t j = 0; j < slate.size(); ++j) {
-        rewards[j] = reward(slate[j]);
-        acc += slate[j];
+    std::size_t cycles = 0;
+    util::WallTimer timer;
+    for (const core::OptionSet& options : option_sets) {
+      const core::BernoulliOracle oracle(options);
+      core::MwuConfig config = eval.mwu;
+      config.num_options = options.size();
+      for (std::size_t r = 0; r < kSlateReplications; ++r) {
+        core::SlateMwu mwu(config);
+        util::RngStream rng(
+            seed ^ (0x9e3779b97f4a7c15ULL * (r + 1)) ^
+            (static_cast<std::uint64_t>(core::MwuKind::kSlate) << 40) ^
+            (options.size() * 0xc2b2ae3dULL));
+        for (std::size_t t = 0; t < eval.max_iterations; ++t) {
+          const std::vector<std::size_t>& slate = sample(mwu, rng);
+          rewards.resize(slate.size());
+          oracle.sample_batch(slate, rewards, rng);
+          mwu.update(slate, rewards, rng);
+          for (const std::size_t option : slate) acc += option;
+          acc += mwu.best_option();
+          ++cycles;
+          if (mwu.converged()) break;
+        }
       }
-      mwu.update(slate, rewards, rng);
-      acc += mwu.best_option();
     }
     timing = timer.elapsed_seconds() * 1e9 / static_cast<double>(cycles);
     return acc;
@@ -354,13 +373,18 @@ Section bench_slate_cycle(std::size_t cycles, std::uint64_t seed) {
 
   Section out;
   std::vector<std::size_t> held;
+  tail = SlateTail{};
   // Before: the per-call allocating pipeline — probabilities(), the full
   // walk above, then the value-returning systematic_sample.
   const std::uint64_t before = side(
       [&](core::SlateMwu& mwu, util::RngStream& rng)
           -> const std::vector<std::size_t>& {
         const auto p = mwu.probabilities();
-        const auto q = full_walk_cap_to_slate_marginals(p, mwu.slate_size());
+        std::size_t num_capped = 0;
+        const auto q =
+            full_walk_cap_to_slate_marginals(p, mwu.slate_size(), num_capped);
+        ++tail.calls;
+        if (num_capped > 4) ++tail.tail;
         held = core::systematic_sample(q, mwu.slate_size(), rng);
         return held;
       },
@@ -372,61 +396,6 @@ Section bench_slate_cycle(std::size_t cycles, std::uint64_t seed) {
       out.after_ns);
   if (before != after) {
     std::cerr << "FATAL: slate_cycle diverged from the full-walk fixpoint\n";
-    std::exit(1);
-  }
-  out.checksum = before;
-  return out;
-}
-
-// --- distributed_cycle: full Distributed-MWU cycle at k = 256 -----------
-
-constexpr std::size_t kDistributedOptions = 256;
-constexpr std::size_t kDistributedCycles = 500;
-
-Section bench_distributed_cycle(const core::CostOracle& oracle,
-                                std::uint64_t seed) {
-  core::MwuConfig config;
-  config.num_options = kDistributedOptions;
-
-  // Both sides run the same trajectory; the checksum adds the leader after
-  // every update and every final choice, then mixes in the stream's next
-  // draw, and stays below 2^53 so the JSON double holds it exactly.
-  const auto side = [&](auto&& probe, double& timing) {
-    core::DistributedMwu mwu(config);
-    util::RngStream rng(seed ^ 0x7777);
-    std::vector<double> rewards;
-    util::WallTimer timer;
-    std::uint64_t acc = 0;
-    for (std::size_t c = 0; c < kDistributedCycles; ++c) {
-      const std::vector<std::size_t>& probes = mwu.sample(rng);
-      rewards.resize(probes.size());
-      probe(probes, rewards, rng);
-      mwu.update(probes, rewards, rng);
-      acc += mwu.best_option();
-    }
-    timing = timer.elapsed_seconds() * 1e9 /
-             static_cast<double>(kDistributedCycles);
-    for (const auto choice : mwu.choices()) acc += choice;
-    return acc ^ (rng.next_u64() >> 11);
-  };
-
-  Section out;
-  // Before: run_mwu's old per-agent loop, one virtual sample() per agent.
-  const std::uint64_t before = side(
-      [&](const std::vector<std::size_t>& probes, std::vector<double>& rewards,
-          util::RngStream& rng) {
-        for (std::size_t j = 0; j < probes.size(); ++j) {
-          rewards[j] = oracle.sample(probes[j], rng);
-        }
-      },
-      out.before_ns);
-  // After: one sample_batch() per cycle, as run_mwu calls it.
-  const std::uint64_t after = side(
-      [&](const std::vector<std::size_t>& probes, std::vector<double>& rewards,
-          util::RngStream& rng) { oracle.sample_batch(probes, rewards, rng); },
-      out.after_ns);
-  if (before != after) {
-    std::cerr << "FATAL: distributed_cycle diverged from the per-agent loop\n";
     std::exit(1);
   }
   out.checksum = before;
@@ -570,7 +539,6 @@ obs::JsonValue json_document(std::size_t k, std::size_t agents,
                                {"pool", pool_size},
                                {"patch", patch_size},
                                {"slate_options", kSlateOptions},
-                               {"distributed_options", kDistributedOptions},
                                {"repeat", repeat}}}};
   for (const Row& row : rows) {
     doc.emplace_back(row.name,
@@ -584,8 +552,8 @@ obs::JsonValue json_document(std::size_t k, std::size_t agents,
 
 int run(int argc, char** argv) {
   util::Cli cli("bench_hot_paths — before/after ns-per-op for the Fenwick "
-                "sampler, the oracle cache, and the Standard, Slate and "
-                "Distributed Table-II cycles");
+                "sampler, the oracle cache, and the Standard and Slate "
+                "Table-II cycles");
   util::add_standard_bench_flags(cli);
   cli.add_int("options", 1 << 14, "weighted-draw options (k)");
   cli.add_int("agents", 64, "agents per cycle (n)");
@@ -610,9 +578,15 @@ int run(int argc, char** argv) {
   const auto repeat =
       std::max<std::size_t>(1, static_cast<std::size_t>(cli.get_int("repeat")));
 
-  const auto distributed_options =
-      datasets::make_random(kDistributedOptions, seed);
-  const core::BernoulliOracle distributed_oracle(distributed_options);
+  // Table II's two 256-option sets, as run_evaluation builds them.
+  std::vector<core::OptionSet> slate_sets;
+  for (auto& dataset : datasets::standard_suite(seed, kSlateOptions)) {
+    const std::string& name = dataset.options.name();
+    if (name == "random256" || name == "unimodal256") {
+      slate_sets.push_back(std::move(dataset.options));
+    }
+  }
+  SlateTail slate_tail;
   const std::vector<Row> rows = {
       {"sampler", "weighted draw (linear -> Fenwick)",
        median_of(repeat,
@@ -637,11 +611,8 @@ int run(int argc, char** argv) {
                  })},
       {"slate_cycle", "Slate-MWU cycle (full walk -> one-pass cap)",
        median_of(repeat,
-                 [&] { return bench_slate_cycle(kSlateCycles, seed); })},
-      {"distributed_cycle", "Distributed-MWU cycle (per agent -> batched)",
-       median_of(repeat,
                  [&] {
-                   return bench_distributed_cycle(distributed_oracle, seed);
+                   return bench_slate_cycle(slate_sets, seed, slate_tail);
                  })},
       {"kernel_update", "kernel pow_update (scalar -> simd)",
        median_of(repeat,
@@ -667,6 +638,12 @@ int run(int argc, char** argv) {
                    util::fmt_fixed(row.section.speedup(), 2) + "x"});
   }
   table.emit(std::cout, cli.get_string("csv"));
+  std::cout << "slate_cycle: " << slate_tail.tail << " of " << slate_tail.calls
+            << " cap calls ("
+            << util::fmt_fixed(100.0 * static_cast<double>(slate_tail.tail) /
+                                   static_cast<double>(slate_tail.calls),
+                               2)
+            << "%) cap more than four entries\n";
 
   obs::write_json_file(
       json_document(k, agents, pool_size, patch_size, repeat, rows),

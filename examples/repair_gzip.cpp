@@ -36,6 +36,7 @@ int main() {
   pool_config.threads = 4;
   pool_config.seed = 2021;
   const auto pool = apr::MutationPool::precompute(oracle, pool_config);
+  oracle.prime_cache(pool.mutations());
   std::printf("phase 1: %zu safe mutations from %llu candidates "
               "(%.2fs, %.0f%% yield)\n",
               pool.size(), static_cast<unsigned long long>(pool.attempts()),

@@ -81,10 +81,6 @@ MutationPool MutationPool::precompute(const TestOracle& oracle,
             [](const Mutation& a, const Mutation& b) {
               return a.key() < b.key();
             });
-  // Install the oracle's pooled fast path eagerly: phase-2 probes draw
-  // exclusively from this pool, so memoizing its semantics now makes every
-  // subsequent probe a cache hit.
-  oracle.prime_cache(pool.pool_);
   return pool;
 }
 

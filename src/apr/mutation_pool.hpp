@@ -43,7 +43,10 @@ class MutationPool {
   /// against the required suite — fanned out over `workers`, inline when
   /// null — and keep the safe ones (deduplicated) until target_size is
   /// reached or the attempt budget is exhausted.  The pool is the same for
-  /// any engine.  Each suite run is counted on the oracle.
+  /// any engine.  Each suite run is counted on the oracle.  The oracle's
+  /// cache is left as it was: a caller that evaluates pooled patches on it
+  /// primes it (TestOracle::prime_cache, or prime_wave as MwRepair::run
+  /// does).
   [[nodiscard]] static MutationPool precompute(
       const TestOracle& oracle, const PoolConfig& config,
       parallel::SuperstepEngine* workers = nullptr);

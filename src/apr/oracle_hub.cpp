@@ -165,10 +165,11 @@ OracleHub::PoolLease OracleHub::base_pool(const datasets::ScenarioSpec& spec,
 
   PoolLease lease;
   try {
-    // The build uses a private oracle: precompute primes the oracle it is
-    // given, and priming a shared one would race other tenants' probes.
-    // The analytic identity (precompute suite runs == pool attempts)
-    // makes the private counter transferable to every tenant's ledger.
+    // The build uses a private oracle, so its suite-run counter holds this
+    // precompute's runs alone; nothing evaluates on it afterwards, so it is
+    // not primed (each bug's oracle is, by oracle_for).  The analytic
+    // identity (precompute suite runs == pool attempts) makes the private
+    // counter transferable to every tenant's ledger.
     const ProgramModel program(spec);
     const TestOracle oracle(program);
     auto pool = std::make_shared<const MutationPool>(

@@ -19,12 +19,9 @@
 // of cap_to_slate_marginals and systematic_sample over member scratch, so
 // after the first cycle it allocates nothing; the cap replays its fixpoint
 // from one pass over the entries, keeping every sum's terms and order,
-// hence the trajectory, bit-identical.
-//
-// The paper's §II-C construction, an explicit O(k^2) convex decomposition
-// into slates, realizes the same marginals; it stays as
-// decompose_into_slates (tested, and timed by bench_mwu_micro), which
-// sample() does not call.
+// hence the trajectory, bit-identical.  The paper's §II-C construction, an
+// explicit O(k^2) convex decomposition into slates, realizes the same
+// marginals; systematic sampling replaces it.
 #pragma once
 
 #include <cstdint>

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <cmath>
 #include <numeric>
 #include <stdexcept>
 
@@ -182,63 +181,6 @@ std::vector<double> cap_to_slate_marginals(std::span<const double> p,
   std::vector<std::uint32_t> uncapped;
   cap_to_slate_marginals(p, slate_size, q, uncapped);
   return q;
-}
-
-std::vector<SlateComponent> decompose_into_slates(std::span<const double> q,
-                                                  std::size_t slate_size) {
-  const std::size_t k = q.size();
-  const auto s = static_cast<double>(slate_size);
-  if (slate_size == 0 || slate_size > k)
-    throw std::invalid_argument("decompose_into_slates: bad slate size");
-  double total = 0.0;
-  for (double v : q) {
-    if (v < -1e-12 || v > 1.0 + 1e-12)
-      throw std::invalid_argument("decompose_into_slates: q_i outside [0, 1]");
-    total += v;
-  }
-  if (std::abs(total - s) > 1e-6 * s)
-    throw std::invalid_argument("decompose_into_slates: sum(q) != slate size");
-
-  std::vector<double> v(q.begin(), q.end());
-  double remaining = 1.0;  // invariant: sum(v) == slate_size * remaining
-  std::vector<SlateComponent> components;
-  std::vector<std::size_t> order(k);
-
-  constexpr double kEps = 1e-12;
-  while (remaining > kEps) {
-    // Select the slate_size largest entries.
-    std::iota(order.begin(), order.end(), std::size_t{0});
-    std::partial_sort(order.begin(),
-                      order.begin() + static_cast<std::ptrdiff_t>(slate_size),
-                      order.end(),
-                      [&](std::size_t a, std::size_t b) { return v[a] > v[b]; });
-    SlateComponent component;
-    component.members.assign(order.begin(),
-                             order.begin() +
-                                 static_cast<std::ptrdiff_t>(slate_size));
-    std::sort(component.members.begin(), component.members.end());
-    // Coefficient: limited by the smallest selected entry (it may reach 0)
-    // and by keeping every unselected entry <= the new remaining mass.
-    double smallest_selected = v[component.members.front()];
-    for (std::size_t i : component.members)
-      smallest_selected = std::min(smallest_selected, v[i]);
-    double largest_unselected = 0.0;
-    for (std::size_t i = slate_size; i < k; ++i)
-      largest_unselected = std::max(largest_unselected, v[order[i]]);
-    double c = std::min(smallest_selected, remaining - largest_unselected);
-    c = std::min(c, remaining);
-    if (c <= kEps) {
-      // Numerical corner: residual mass is noise; emit the final component.
-      c = remaining;
-    }
-    component.coefficient = c;
-    for (std::size_t i : component.members) v[i] = std::max(0.0, v[i] - c);
-    remaining -= c;
-    components.push_back(std::move(component));
-    if (components.size() > 2 * k + 2)
-      throw std::logic_error("decompose_into_slates failed to terminate");
-  }
-  return components;
 }
 
 void systematic_sample(std::span<const double> q, std::size_t slate_size,

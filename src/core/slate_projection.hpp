@@ -4,17 +4,13 @@
 // (1) capping the weight distribution so no option demands inclusion
 // probability above 1, and (2) realizing those marginals with a random
 // s-subset.  The paper notes the naive projection over all C(k, s) subsets
-// is hopeless and that the capped weight vector can instead be decomposed
-// into a convex combination of slate vertices in O(k^2) time [17].
-//
-// We provide both halves:
+// is hopeless and realizes the capped weight vector as a convex combination
+// of slate vertices in O(k^2) time [17].  Circular systematic sampling
+// draws one slate with exactly those inclusion probabilities in O(k), so it
+// stands in for the decomposition:
 //   - cap_to_slate_marginals: the capping/renormalization step, producing
 //     q with 0 <= q_i <= 1 and sum(q) == s;
-//   - decompose_into_slates: the explicit O(k^2) convex decomposition
-//     (Warmuth–Kuzmin style), used by tests and by callers that need the
-//     mixture itself;
-//   - systematic_sample: the O(k) sampler equivalent to drawing one slate
-//     from that mixture, used in the hot loop.
+//   - systematic_sample: one s-subset whose inclusion probabilities are q.
 //
 // The hot-loop pair each come in a buffer-taking form, the one
 // implementation, which reuses the caller's vectors so a Slate cycle
@@ -30,12 +26,6 @@
 #include "util/rng.hpp"
 
 namespace mwr::core {
-
-/// One vertex of the slate simplex with its mixture coefficient.
-struct SlateComponent {
-  double coefficient = 0.0;              ///< convex weight, in (0, 1].
-  std::vector<std::size_t> members;      ///< exactly s distinct options.
-};
 
 /// Caps and renormalizes a probability distribution `p` (sum 1) into slate
 /// inclusion marginals `q` (resized to k): q_i in [0, 1], sum(q) = s, and q
@@ -68,16 +58,9 @@ void cap_to_slate_marginals(std::span<const double> p, std::size_t slate_size,
 [[nodiscard]] std::vector<double> cap_to_slate_marginals(
     std::span<const double> p, std::size_t slate_size);
 
-/// Decomposes marginals q (0 <= q_i <= 1, sum = s) into a convex combination
-/// of s-subsets: sum over components of coefficient * indicator(members)
-/// reproduces q, and the coefficients sum to 1.  At most 2k components;
-/// O(k^2 log k) time.  Throws std::invalid_argument on infeasible input.
-[[nodiscard]] std::vector<SlateComponent> decompose_into_slates(
-    std::span<const double> q, std::size_t slate_size);
-
 /// Draws one s-subset whose inclusion probabilities equal q, using circular
-/// systematic sampling (equivalent to sampling a component of the convex
-/// decomposition by its coefficient).  Replaces `selected` with exactly s
+/// systematic sampling (the same marginals as drawing one slate of the
+/// paper's convex decomposition).  Replaces `selected` with exactly s
 /// distinct indices, ascending, and draws one uniform from `rng`.
 void systematic_sample(std::span<const double> q, std::size_t slate_size,
                        util::RngStream& rng,

@@ -45,12 +45,6 @@ std::string symbolic(core::MwuKind kind, Property property) {
   return "?";
 }
 
-bool high_probability(core::MwuKind kind, Property property) {
-  return kind == core::MwuKind::kDistributed &&
-         (property == Property::kCommunication ||
-          property == Property::kMinAgents);
-}
-
 double delta_of(double beta) {
   if (beta <= 0.5 || beta >= 1.0)
     throw std::invalid_argument("delta_of: beta must be in (1/2, 1)");

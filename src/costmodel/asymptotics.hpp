@@ -30,11 +30,9 @@ enum class Property { kCommunication, kMemory, kConvergence, kMinAgents };
 
 [[nodiscard]] std::string to_string(Property property);
 
-/// The symbolic big-O cell of Table I for (algorithm, property).
+/// The symbolic big-O cell of Table I for (algorithm, property).  A
+/// trailing '*' marks a bound that holds with high probability.
 [[nodiscard]] std::string symbolic(core::MwuKind kind, Property property);
-
-/// Whether the bound is of the high-probability (starred) type.
-[[nodiscard]] bool high_probability(core::MwuKind kind, Property property);
 
 /// Concrete operating point for numeric evaluation.
 struct OperatingPoint {

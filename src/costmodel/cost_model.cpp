@@ -1,7 +1,6 @@
 #include "costmodel/cost_model.hpp"
 
 #include <algorithm>
-#include <sstream>
 #include <stdexcept>
 
 #include "parallel/congestion.hpp"
@@ -67,31 +66,6 @@ std::vector<CrossoverRow> crossover_sweep(const OperatingPoint& point,
     rows.push_back(row);
   }
   return rows;
-}
-
-std::string explain_recommendation(const FeatureWeights& weights,
-                                   const OperatingPoint& point) {
-  const auto ranked = rank_algorithms(weights, point);
-  std::ostringstream out;
-  out << "At k=" << point.options << " options, n=" << point.agents
-      << " agents:\n";
-  for (const auto& cost : ranked) {
-    out << "  " << core::to_string(cost.kind) << ": total " << cost.total
-        << " (comm " << cost.communication << ", conv " << cost.convergence
-        << ", cpus " << cost.cpus << ", mem " << cost.memory << ")\n";
-  }
-  out << "Recommendation: " << core::to_string(ranked.front().kind) << ". ";
-  if (weights.communication < weights.convergence) {
-    out << "Communication is cheap relative to evaluating options (as in "
-           "APR, where each probe compiles and tests a program while "
-           "messages carry a few scalars), so Distributed's congestion "
-           "advantage cannot pay for its CPU appetite — a global-memory "
-           "algorithm is preferred.";
-  } else {
-    out << "Communication dominates, so the low-congestion Distributed "
-           "variant is favored when enough agents are available.";
-  }
-  return out.str();
 }
 
 double empirical_cost(const EmpiricalObservation& observation,

@@ -17,7 +17,6 @@
 // global-memory, high-communication Standard wins — falls out of this model.
 #pragma once
 
-#include <string>
 #include <vector>
 
 #include "costmodel/asymptotics.hpp"
@@ -70,11 +69,6 @@ struct CrossoverRow {
 [[nodiscard]] std::vector<CrossoverRow> crossover_sweep(
     const OperatingPoint& point, const std::vector<double>& ratios,
     double cpu_weight = 0.0);
-
-/// §IV-E.2's prose recommendation for a described deployment, as a string
-/// (used by the algorithm_selection example).
-[[nodiscard]] std::string explain_recommendation(const FeatureWeights& weights,
-                                                 const OperatingPoint& point);
 
 // ---------------------------------------------------------------------------
 // Empirically-grounded model (§IV-E: "combine the asymptotic analysis ...

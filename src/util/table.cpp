@@ -118,13 +118,4 @@ std::string fmt_fixed(double x, int precision) {
   return out.str();
 }
 
-std::string fmt_capped(double value, double cap, int precision) {
-  if (value >= cap) {
-    std::ostringstream out;
-    out << ">= " << std::fixed << std::setprecision(0) << cap;
-    return out.str();
-  }
-  return fmt_fixed(value, precision);
-}
-
 }  // namespace mwr::util

@@ -56,8 +56,4 @@ class Table {
 /// Formats a double with fixed precision.
 [[nodiscard]] std::string fmt_fixed(double x, int precision = 1);
 
-/// Formats a count, using the paper's ">= LIMIT" style when the value hit
-/// the iteration cap.
-[[nodiscard]] std::string fmt_capped(double value, double cap, int precision = 0);
-
 }  // namespace mwr::util

@@ -29,12 +29,19 @@ TEST(Symbolic, MatchesTableOne) {
 }
 
 TEST(Symbolic, HighProbabilityStarsOnlyDistributedCommAndAgents) {
-  EXPECT_TRUE(high_probability(MwuKind::kDistributed,
-                               Property::kCommunication));
-  EXPECT_TRUE(high_probability(MwuKind::kDistributed, Property::kMinAgents));
-  EXPECT_FALSE(high_probability(MwuKind::kDistributed, Property::kMemory));
-  EXPECT_FALSE(high_probability(MwuKind::kStandard,
-                                Property::kCommunication));
+  for (const auto kind : {MwuKind::kStandard, MwuKind::kDistributed,
+                          MwuKind::kSlate, MwuKind::kExp3}) {
+    for (const auto property : {Property::kCommunication, Property::kMemory,
+                                Property::kConvergence,
+                                Property::kMinAgents}) {
+      const bool starred =
+          kind == MwuKind::kDistributed &&
+          (property == Property::kCommunication ||
+           property == Property::kMinAgents);
+      EXPECT_EQ(symbolic(kind, property).ends_with('*'), starred)
+          << symbolic(kind, property);
+    }
+  }
 }
 
 TEST(PropertyNames, MatchTableRows) {

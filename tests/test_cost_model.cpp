@@ -71,14 +71,6 @@ TEST(CrossoverSweep, ReportsEveryRatioWithCosts) {
   EXPECT_LT(rows[0].standard_cost, rows[2].standard_cost);
 }
 
-TEST(ExplainRecommendation, MentionsTheWinner) {
-  FeatureWeights weights{.communication = 0.001, .convergence = 1.0};
-  OperatingPoint point;
-  const std::string text = explain_recommendation(weights, point);
-  EXPECT_NE(text.find("Recommendation:"), std::string::npos);
-  EXPECT_NE(text.find("Standard"), std::string::npos);
-}
-
 TEST(EmpiricalCost, UsesCongestionModelPerKind) {
   EmpiricalWeights weights{.communication = 1.0, .latency = 0.0,
                            .evaluations = 0.0};

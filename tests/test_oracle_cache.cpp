@@ -176,7 +176,8 @@ TEST(OracleCache, CountersTrackHitsAndAppearInMetricsJson) {
   PoolConfig config;
   config.target_size = 120;
   config.seed = 13;
-  const auto pool = MutationPool::precompute(cached, config);  // primes
+  const auto pool = MutationPool::precompute(cached, config);
+  cached.prime_cache(pool.mutations());
   util::RngStream rng(2);
   for (int trial = 0; trial < 50; ++trial) {
     const auto patch = sample_from_pool(pool.mutations(), 8, rng);

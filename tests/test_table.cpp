@@ -108,11 +108,5 @@ TEST(Formatting, Fixed) {
   EXPECT_EQ(fmt_fixed(10.0, 0), "10");
 }
 
-TEST(Formatting, CappedUsesPaperStyle) {
-  EXPECT_EQ(fmt_capped(10000.0, 10000.0), ">= 10000");
-  EXPECT_EQ(fmt_capped(12000.0, 10000.0), ">= 10000");
-  EXPECT_EQ(fmt_capped(532.4, 10000.0, 1), "532.4");
-}
-
 }  // namespace
 }  // namespace mwr::util
