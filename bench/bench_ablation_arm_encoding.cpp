@@ -63,7 +63,8 @@ int run(int argc, char** argv) {
   using namespace mwr;
   util::Cli cli("bench_ablation_arm_encoding — D1: count-arms vs "
                 "one-arm-per-mutation");
-  util::add_standard_bench_flags(cli);
+  bench::add_seed_flag(cli);
+  bench::add_csv_flag(cli);
   if (!cli.parse(argc, argv)) return 0;
 
   util::WallTimer timer;

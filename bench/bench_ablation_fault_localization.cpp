@@ -58,7 +58,8 @@ int run(int argc, char** argv) {
   using namespace mwr;
   util::Cli cli("bench_ablation_fault_localization — D5: FL-weighted vs "
                 "uniform mutation targeting");
-  util::add_standard_bench_flags(cli);
+  bench::add_seed_flag(cli);
+  bench::add_csv_flag(cli);
   cli.add_int("pool", 2000, "safe-mutation pool size per mode");
   if (!cli.parse(argc, argv)) return 0;
 

@@ -28,7 +28,8 @@ int run(int argc, char** argv) {
   using namespace mwr;
   util::Cli cli("bench_ablation_precompute — D2: pool precompute vs "
                 "on-the-fly safe-mutation discovery");
-  util::add_standard_bench_flags(cli);
+  bench::add_seed_flag(cli);
+  bench::add_csv_flag(cli);
   cli.add_int("cycles", 40, "synchronized cycles to simulate");
   cli.add_int("agents", 64, "threads per cycle");
   if (!cli.parse(argc, argv)) return 0;

@@ -27,7 +27,8 @@ int run(int argc, char** argv) {
   using namespace mwr;
   util::Cli cli("bench_ablation_reward_proxy — D3: literal Fig 6 reward vs "
                 "safe-density proxy");
-  util::add_standard_bench_flags(cli);
+  bench::add_seed_flag(cli);
+  bench::add_csv_flag(cli);
   cli.add_int("trials", 5, "repair trials per configuration");
   if (!cli.parse(argc, argv)) return 0;
 

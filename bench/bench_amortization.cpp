@@ -22,7 +22,8 @@ int run(int argc, char** argv) {
   using namespace mwr;
   util::Cli cli("bench_amortization — Section III-C: pool reuse across a "
                 "program's bug sequence");
-  util::add_standard_bench_flags(cli);
+  bench::add_seed_flag(cli);
+  bench::add_csv_flag(cli);
   cli.add_int("bugs", 6, "defects to repair in sequence");
   cli.add_string("scenario", "gzip-2009-08-16", "program to run the campaign on");
   if (!cli.parse(argc, argv)) return 0;

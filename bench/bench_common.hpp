@@ -28,7 +28,30 @@ inline int guarded_main(const char* name, int (*body)(int, char**),
   }
 }
 
-/// Builds the EvalConfig from the standard bench flags; --full overrides
+/// Registers `--seed N`, the master seed (default 20210525).
+inline void add_seed_flag(util::Cli& cli) {
+  cli.add_int("seed", 20210525, "master seed for all replications");
+}
+
+/// Registers `--csv FILE` (default: disabled).
+inline void add_csv_flag(util::Cli& cli) {
+  cli.add_string("csv", "", "also write the table as CSV to this path");
+}
+
+/// Registers the six flags eval_config_from reads.  Only the benches that
+/// sweep the whole standard suite take them.
+inline void add_sweep_flags(util::Cli& cli) {
+  cli.add_flag("full", "run at paper scale (100 seeds, sizes to 16384)");
+  cli.add_int("seeds", 5, "replications per table cell");
+  cli.add_int("max-size", 1024, "largest dataset instance size");
+  add_seed_flag(cli);
+  cli.add_int("threads", 4, "worker threads the replications fan out over");
+  cli.add_int("max-population", 0,
+              "override the Distributed population cap (0 = paper default); "
+              "raising it makes Table II's '-' cells runnable");
+}
+
+/// Builds the EvalConfig from the add_sweep_flags flags; --full overrides
 /// the reduced defaults with the paper-scale configuration.
 inline costmodel::EvalConfig eval_config_from(const util::Cli& cli) {
   costmodel::EvalConfig config;
@@ -54,8 +77,7 @@ inline costmodel::EvalConfig eval_config_from(const util::Cli& cli) {
 /// `cell_text` renders one EvalCell into its cell string.
 template <typename CellText>
 void emit_grouped_table(const std::vector<costmodel::EvalCell>& cells,
-                        const std::string& title, CellText&& cell_text,
-                        const std::string& csv_path) {
+                        const std::string& title, CellText&& cell_text) {
   util::Table table(title);
   table.set_header({"Scenario", "Size", "Standard", "Distributed", "Slate"});
   std::string family;
@@ -67,7 +89,7 @@ void emit_grouped_table(const std::vector<costmodel::EvalCell>& cells,
                    cell_text(cells[i]), cell_text(cells[i + 1]),
                    cell_text(cells[i + 2])});
   }
-  table.emit(std::cout, csv_path);
+  table.emit(std::cout);
 }
 
 }  // namespace mwr::bench

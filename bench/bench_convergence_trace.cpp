@@ -21,7 +21,8 @@ namespace {
 int run(int argc, char** argv) {
   using namespace mwr;
   util::Cli cli("bench_convergence_trace — Section IV-C: p_max per cycle");
-  util::add_standard_bench_flags(cli);
+  bench::add_seed_flag(cli);
+  bench::add_csv_flag(cli);
   cli.add_int("options", 64, "option-set size k");
   cli.add_int("cycles", 2000, "horizon to trace");
   if (!cli.parse(argc, argv)) return 0;

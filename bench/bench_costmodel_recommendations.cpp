@@ -10,15 +10,9 @@
 //     Standard algorithm wins, the paper's "surprising result";
 //   - weighting the CPUs used per iteration flips the preference away from
 //     Distributed even in communication-heavy regimes.
-#include <iostream>
-
 #include "bench_common.hpp"
 #include "costmodel/cost_model.hpp"
 #include "datasets/scenario.hpp"
-#include "util/cli.hpp"
-#include "util/stats.hpp"
-#include "util/table.hpp"
-#include "util/timer.hpp"
 
 namespace {
 
@@ -26,7 +20,7 @@ int run(int argc, char** argv) {
   using namespace mwr;
   util::Cli cli("bench_costmodel_recommendations — Section IV-E weighted "
                 "cost model");
-  util::add_standard_bench_flags(cli);
+  bench::add_csv_flag(cli);
   cli.add_int("options", 1000, "k for the operating point");
   cli.add_int("agents", 64, "n for the operating point");
   if (!cli.parse(argc, argv)) return 0;
@@ -75,24 +69,10 @@ int run(int argc, char** argv) {
   // under both regimes.
   const auto spec = datasets::scenario_by_name("units");
   const auto options = spec.option_set();
-  const core::BernoulliOracle oracle(options);
   core::MwuConfig mwu;
   mwu.num_options = options.size();
-  std::vector<costmodel::EmpiricalObservation> observations;
-  for (const auto kind :
-       {core::MwuKind::kStandard, core::MwuKind::kDistributed,
-        core::MwuKind::kSlate}) {
-    util::RunningStats cycles;
-    std::size_t cpus = 0;
-    for (std::size_t s = 0; s < 3; ++s) {
-      const auto result =
-          core::run_mwu(kind, oracle, mwu, util::RngStream(900 + s));
-      cycles.add(static_cast<double>(result.iterations));
-      cpus = result.cpus_per_cycle;
-    }
-    observations.push_back(
-        {kind, cycles.mean(), static_cast<double>(cpus)});
-  }
+  const auto observations = costmodel::observe_variants(
+      options, mwu, /*seeds=*/3, /*first_seed=*/900);
 
   util::Table empirical("Section IV-E empirical model on the units scenario "
                         "(k=1000): total modeled cost per regime");

@@ -26,7 +26,9 @@ int run(int argc, char** argv) {
   using namespace mwr;
   util::Cli cli("bench_fig4a_interaction — Fig 4a, suite pass rate vs "
                 "combined mutation count");
-  util::add_standard_bench_flags(cli);
+  cli.add_flag("full", "paper scale: 1000 trials per point");
+  bench::add_seed_flag(cli);
+  bench::add_csv_flag(cli);
   cli.add_int("trials", 200, "random draws per point (paper: 1000)");
   cli.add_string("scenario", "gzip-2009-08-16", "bug scenario to profile");
   if (!cli.parse(argc, argv)) return 0;

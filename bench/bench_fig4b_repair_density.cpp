@@ -25,7 +25,9 @@ int run(int argc, char** argv) {
   using namespace mwr;
   util::Cli cli("bench_fig4b_repair_density — Fig 4b, repair density vs "
                 "combined safe mutations");
-  util::add_standard_bench_flags(cli);
+  cli.add_flag("full", "paper scale: 1000 trials per point");
+  bench::add_seed_flag(cli);
+  bench::add_csv_flag(cli);
   cli.add_int("trials", 400, "random draws per point (paper: 1000)");
   cli.add_string("scenario", "gzip-2009-08-16", "bug scenario to profile");
   if (!cli.parse(argc, argv)) return 0;

@@ -554,7 +554,8 @@ int run(int argc, char** argv) {
   util::Cli cli("bench_hot_paths — before/after ns-per-op for the Fenwick "
                 "sampler, the oracle cache, and the Standard and Slate "
                 "Table-II cycles");
-  util::add_standard_bench_flags(cli);
+  bench::add_seed_flag(cli);
+  bench::add_csv_flag(cli);
   cli.add_int("options", 1 << 14, "weighted-draw options (k)");
   cli.add_int("agents", 64, "agents per cycle (n)");
   cli.add_int("draws", 200000, "sampler draws to time");

@@ -28,7 +28,8 @@ int run(int argc, char** argv) {
   using namespace mwr;
   util::Cli cli("bench_mwrepair_vs_baselines — Section IV-G repair "
                 "comparison");
-  util::add_standard_bench_flags(cli);
+  bench::add_seed_flag(cli);
+  bench::add_csv_flag(cli);
   cli.add_int("budget", 10000, "per-tool online suite-run budget");
   cli.add_int("pool", 12000,
               "precomputed safe-mutation pool size (one-time, amortized)");

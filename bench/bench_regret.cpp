@@ -35,7 +35,8 @@ using namespace mwr;
 
 int run(int argc, char** argv) {
   util::Cli cli("bench_regret — cumulative expected regret per realization");
-  util::add_standard_bench_flags(cli);
+  bench::add_seed_flag(cli);
+  bench::add_csv_flag(cli);
   cli.add_int("options", 64, "option-set size k");
   cli.add_int("cycles", 400, "update cycles to trace");
   if (!cli.parse(argc, argv)) return 0;

@@ -11,51 +11,21 @@
 // (lock-in); gamma trades Slate's cycle count against its accuracy floor;
 // beta accelerates Distributed until noise adoption (relative to alpha)
 // erodes the plurality.
-#include <iostream>
-
 #include "bench_common.hpp"
-#include "core/mwu.hpp"
 #include "core/slate_mwu.hpp"
 #include "datasets/distributions.hpp"
-#include "util/cli.hpp"
-#include "util/stats.hpp"
-#include "util/table.hpp"
-#include "util/timer.hpp"
 
 namespace {
 
 using namespace mwr;
 
-struct Cell {
-  double cycles = 0.0;
-  double accuracy = 0.0;
-  std::size_t converged = 0;
-};
-
-Cell measure(core::MwuKind kind, const core::MwuConfig& config,
-             const core::OptionSet& options, std::size_t seeds,
-             std::uint64_t master_seed) {
-  const core::BernoulliOracle oracle(options);
-  util::RunningStats cycles;
-  util::RunningStats accuracy;
-  Cell cell;
-  for (std::size_t s = 0; s < seeds; ++s) {
-    const auto result = core::run_mwu(
-        kind, oracle, config, util::RngStream(master_seed + 977 * s));
-    cycles.add(static_cast<double>(result.iterations));
-    accuracy.add(options.accuracy_percent(result.best_option));
-    if (result.converged) ++cell.converged;
-  }
-  cell.cycles = cycles.mean();
-  cell.accuracy = accuracy.mean();
-  return cell;
-}
-
 int run(int argc, char** argv) {
-  using namespace mwr;
   util::Cli cli("bench_sensitivity — parameter sweeps (Section VI future "
                 "work)");
-  util::add_standard_bench_flags(cli);
+  cli.add_int("seeds", 5, "replications per setting");
+  bench::add_seed_flag(cli);
+  bench::add_csv_flag(cli);
+  cli.add_int("threads", 4, "worker threads the replications fan out over");
   cli.add_int("options", 128, "option-set size k");
   if (!cli.parse(argc, argv)) return 0;
 
@@ -63,7 +33,16 @@ int run(int argc, char** argv) {
   const auto k = static_cast<std::size_t>(cli.get_int("options"));
   const auto seeds = static_cast<std::size_t>(cli.get_int("seeds"));
   const auto master_seed = static_cast<std::uint64_t>(cli.get_int("seed"));
+  const auto threads = static_cast<std::size_t>(cli.get_int("threads"));
   const auto options = datasets::make_unimodal(k, 23);
+  const auto measure = [&](core::MwuKind kind, const core::MwuConfig& config) {
+    return costmodel::run_sweep(
+        {{&options, kind, config}}, seeds,
+        [master_seed](const costmodel::SweepCell&, std::size_t s) {
+          return master_seed + 977 * s;
+        },
+        threads)[0];
+  };
 
   // --- eta sweep (Standard and Slate).
   util::Table eta_table("Sensitivity: learning rate eta (k=" +
@@ -75,15 +54,13 @@ int run(int argc, char** argv) {
     core::MwuConfig config;
     config.num_options = k;
     config.learning_rate = eta;
-    const auto standard =
-        measure(core::MwuKind::kStandard, config, options, seeds, master_seed);
-    const auto slate =
-        measure(core::MwuKind::kSlate, config, options, seeds, master_seed);
+    const auto standard = measure(core::MwuKind::kStandard, config);
+    const auto slate = measure(core::MwuKind::kSlate, config);
     eta_table.add_row({util::fmt_fixed(eta, 3),
-                       util::fmt_fixed(standard.cycles, 0),
-                       util::fmt_fixed(standard.accuracy, 1),
-                       util::fmt_fixed(slate.cycles, 0),
-                       util::fmt_fixed(slate.accuracy, 1)});
+                       util::fmt_fixed(standard.iterations.mean(), 0),
+                       util::fmt_fixed(standard.accuracy.mean(), 1),
+                       util::fmt_fixed(slate.iterations.mean(), 0),
+                       util::fmt_fixed(slate.accuracy.mean(), 1)});
   }
   eta_table.emit(std::cout, cli.get_string("csv"));
 
@@ -96,17 +73,15 @@ int run(int argc, char** argv) {
     core::MwuConfig config;
     config.num_options = k;
     config.exploration = explore;
-    const auto distributed = measure(core::MwuKind::kDistributed, config,
-                                     options, seeds, master_seed);
-    const auto slate =
-        measure(core::MwuKind::kSlate, config, options, seeds, master_seed);
-    core::MwuConfig slate_config = config;
+    const auto distributed = measure(core::MwuKind::kDistributed, config);
+    const auto slate = measure(core::MwuKind::kSlate, config);
     explore_table.add_row(
-        {util::fmt_fixed(explore, 2), util::fmt_fixed(distributed.cycles, 0),
-         util::fmt_fixed(distributed.accuracy, 1),
-         util::fmt_fixed(slate.cycles, 0), util::fmt_fixed(slate.accuracy, 1),
-         std::to_string(
-             core::SlateMwu::slate_size_for(k, slate_config.exploration))});
+        {util::fmt_fixed(explore, 2),
+         util::fmt_fixed(distributed.iterations.mean(), 0),
+         util::fmt_fixed(distributed.accuracy.mean(), 1),
+         util::fmt_fixed(slate.iterations.mean(), 0),
+         util::fmt_fixed(slate.accuracy.mean(), 1),
+         std::to_string(core::SlateMwu::slate_size_for(k, explore))});
   }
   explore_table.emit(std::cout);
 
@@ -117,12 +92,11 @@ int run(int argc, char** argv) {
     core::MwuConfig config;
     config.num_options = k;
     config.adopt_success = beta;
-    const auto cell = measure(core::MwuKind::kDistributed, config, options,
-                              seeds, master_seed);
+    const auto cell = measure(core::MwuKind::kDistributed, config);
     beta_table.add_row({util::fmt_fixed(beta, 2),
-                        util::fmt_fixed(cell.cycles, 0),
-                        util::fmt_fixed(cell.accuracy, 1),
-                        std::to_string(cell.converged) + "/" +
+                        util::fmt_fixed(cell.iterations.mean(), 0),
+                        util::fmt_fixed(cell.accuracy.mean(), 1),
+                        std::to_string(cell.converged_runs) + "/" +
                             std::to_string(seeds)});
   }
   beta_table.emit(std::cout);

@@ -111,7 +111,8 @@ int run(int argc, char** argv) {
   util::Cli cli(
       "bench_spmd_scale — Distributed-SPMD throughput and memory, superstep "
       "engine vs one OS thread per rank, with bit-identity verification");
-  util::add_standard_bench_flags(cli);
+  bench::add_seed_flag(cli);
+  bench::add_csv_flag(cli);
   cli.add_int("min-exp", 6, "smallest population exponent (2^e ranks)");
   cli.add_int("max-exp", 13, "largest population exponent for the engine");
   cli.add_int("tpr-max-exp", 10,

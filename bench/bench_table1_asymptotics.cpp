@@ -29,7 +29,7 @@ int run(int argc, char** argv) {
   using namespace mwr;
   util::Cli cli("bench_table1_asymptotics — Table I + empirical congestion "
                 "validation");
-  util::add_standard_bench_flags(cli);
+  bench::add_csv_flag(cli);
   cli.add_int("agents", 64, "SPMD agents for the empirical validation");
   if (!cli.parse(argc, argv)) return 0;
 

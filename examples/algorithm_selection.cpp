@@ -8,13 +8,12 @@
 //   --agents N       parallel agents available.
 //
 // Build & run:  ./build/examples/algorithm_selection --probe-cost 1000
+#include <algorithm>
 #include <iostream>
 
-#include "core/mwu.hpp"
 #include "costmodel/cost_model.hpp"
 #include "datasets/distributions.hpp"
 #include "util/cli.hpp"
-#include "util/stats.hpp"
 #include "util/table.hpp"
 
 int main(int argc, char** argv) {
@@ -35,30 +34,13 @@ int main(int argc, char** argv) {
   // Measure each algorithm once on a representative unimodal instance —
   // the empirical half of the §IV-E model.
   const auto options = datasets::make_unimodal(k, 77);
-  const core::BernoulliOracle oracle(options);
   core::MwuConfig mwu;
   mwu.num_options = k;
   mwu.num_agents = n;
-
-  std::vector<costmodel::EmpiricalObservation> observations;
-  for (const auto kind :
-       {core::MwuKind::kStandard, core::MwuKind::kDistributed,
-        core::MwuKind::kSlate}) {
-    util::RunningStats cycles;
-    std::size_t cpus = 0;
-    for (std::int64_t s = 0; s < cli.get_int("seeds"); ++s) {
-      const auto result = core::run_mwu(
-          kind, oracle, mwu, util::RngStream(1234 + static_cast<std::uint64_t>(s)));
-      if (result.intractable) {
-        cycles.add(static_cast<double>(mwu.max_iterations));
-        cpus = result.cpus_per_cycle;
-        break;
-      }
-      cycles.add(static_cast<double>(result.iterations));
-      cpus = result.cpus_per_cycle;
-    }
-    observations.push_back({kind, cycles.mean(), static_cast<double>(cpus)});
-  }
+  const auto observations = costmodel::observe_variants(
+      options, mwu,
+      static_cast<std::size_t>(std::max<std::int64_t>(0, cli.get_int("seeds"))),
+      /*first_seed=*/1234);
 
   // Probe cost maps onto the model weights: expensive probes make the
   // evaluations term dominate; cheap probes leave communication in charge.

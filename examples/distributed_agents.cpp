@@ -1,6 +1,7 @@
 // Distributed MWU running for real over the message-passing substrate:
-// one thread per agent, observation requests as actual messages, and live
-// congestion accounting against the balls-into-bins bound of Table I.
+// one superstep-engine fiber per agent, observation requests as actual
+// messages, and live congestion accounting against the balls-into-bins
+// bound of Table I.
 //
 // Build & run:  ./build/examples/distributed_agents --agents 48
 #include <iostream>
@@ -14,7 +15,7 @@ int main(int argc, char** argv) {
   using namespace mwr;
   util::Cli cli("distributed_agents — SPMD Distributed MWU with congestion "
                 "measurement");
-  cli.add_int("agents", 48, "population size (one thread per agent)");
+  cli.add_int("agents", 48, "population size (one engine fiber per agent)");
   cli.add_int("options", 12, "option-set size k");
   cli.add_int("cycles", 100, "iteration cap");
   cli.add_int("seed", 99, "master seed");
@@ -29,7 +30,7 @@ int main(int argc, char** argv) {
   config.num_options = k;
   config.max_iterations = static_cast<std::size_t>(cli.get_int("cycles"));
 
-  std::cout << "running " << agents << " agent threads on " << k
+  std::cout << "running " << agents << " agents on " << k
             << " options (best option " << options.best_option()
             << ", value " << options.best_value() << ")...\n";
   const auto run = core::run_distributed_spmd(

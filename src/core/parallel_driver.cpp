@@ -258,7 +258,6 @@ ParallelMwuResult run_distributed_spmd_multiprocess(
   tp::ProcessWorldConfig pw;
   pw.global_ranks = population;
   pw.processes = options.processes;
-  pw.policy = options.policy;
   pw.timeout_seconds = options.timeout_seconds;
 
   const auto outcome = tp::run_process_world(

@@ -70,7 +70,6 @@ struct ParallelMwuResult {
 /// worker processes (over the socketpair fabric, parallel/transport/).
 struct MultiprocessOptions {
   std::size_t processes = 2;
-  parallel::RunPolicy policy{};
   double timeout_seconds = 120.0;
 };
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "costmodel/evaluation.hpp"
 #include "parallel/congestion.hpp"
 
 namespace mwr::costmodel {
@@ -66,6 +67,31 @@ std::vector<CrossoverRow> crossover_sweep(const OperatingPoint& point,
     rows.push_back(row);
   }
   return rows;
+}
+
+std::vector<EmpiricalObservation> observe_variants(
+    const core::OptionSet& options, const core::MwuConfig& mwu,
+    std::size_t seeds, std::uint64_t first_seed) {
+  std::vector<SweepCell> plan;
+  for (const auto kind : {core::MwuKind::kStandard, core::MwuKind::kDistributed,
+                          core::MwuKind::kSlate})
+    plan.push_back({&options, kind, mwu});
+  const auto cells = run_sweep(
+      plan, seeds,
+      [first_seed](const SweepCell&, std::size_t s) { return first_seed + s; },
+      /*threads=*/1);
+  std::vector<EmpiricalObservation> observations;
+  for (const EvalCell& cell : cells) {
+    if (cell.intractable) {
+      observations.push_back(
+          {cell.kind, static_cast<double>(mwu.max_iterations),
+           static_cast<double>(core::distributed_population(mwu))});
+    } else {
+      observations.push_back({cell.kind, cell.iterations.mean(),
+                              static_cast<double>(cell.cpus_per_cycle)});
+    }
+  }
+  return observations;
 }
 
 double empirical_cost(const EmpiricalObservation& observation,

@@ -17,6 +17,7 @@
 // global-memory, high-communication Standard wins — falls out of this model.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "costmodel/asymptotics.hpp"
@@ -87,6 +88,14 @@ struct EmpiricalObservation {
   double cycles = 0.0;          ///< update cycles to convergence.
   double cpus_per_cycle = 0.0;  ///< agents active each cycle.
 };
+
+/// Measures Standard, Distributed and Slate (in that order) on `options`:
+/// `seeds` replications each, replication s seeded `first_seed + s`, on one
+/// run_sweep.  An intractable Distributed cell is observed as a run that
+/// never converges: `mwu.max_iterations` cycles on its whole population.
+[[nodiscard]] std::vector<EmpiricalObservation> observe_variants(
+    const core::OptionSet& options, const core::MwuConfig& mwu,
+    std::size_t seeds, std::uint64_t first_seed);
 
 /// Weights for the empirical model.  Each term is per-run total:
 ///   communication — per-cycle congestion of the heaviest node x cycles

@@ -1,10 +1,13 @@
-// The shared experiment harness behind Tables II, III, and IV: every
-// algorithm on every dataset with `seeds` replications, collecting
-// convergence cycles, accuracy, and CPU-iteration cost in one pass so the
-// three table benches report mutually consistent numbers.
+// The shared experiment harness behind every MWU table: run_sweep runs
+// `seeds` replications of an arbitrary list of (option set, algorithm,
+// parameters) cells, and run_evaluation is its Tables II-IV caller — every
+// algorithm on every dataset, collecting convergence cycles, accuracy, and
+// CPU-iteration cost in one pass so the three tables report mutually
+// consistent numbers.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -39,6 +42,30 @@ struct EvalCell {
   std::size_t cpus_per_cycle = 0;
   std::size_t converged_runs = 0;
 };
+
+/// One cell of a sweep: `kind` run with `mwu` against a BernoulliOracle
+/// over `*options`, which must outlive the sweep.  `mwu.num_options` must
+/// equal the option count.
+struct SweepCell {
+  const core::OptionSet* options = nullptr;
+  core::MwuKind kind = core::MwuKind::kStandard;
+  core::MwuConfig mwu;
+};
+
+/// Seeds replication `s` of a cell.  It must depend on nothing but its
+/// arguments, so that the cells are identical for any thread count.
+using ReplicationSeed =
+    std::function<std::uint64_t(const SweepCell& cell, std::size_t s)>;
+
+/// Runs `seeds` replications of every cell, fanned out at (cell, seed)
+/// granularity over `threads` workers and folded serially in (cell, seed)
+/// order, so every mean and stddev is bit-identical to a serial loop of
+/// core::run_mwu.  Returns one EvalCell per cell, in order, with `family`
+/// left empty.  A Distributed cell whose population exceeds
+/// `mwu.max_population` is marked intractable and runs nothing.
+[[nodiscard]] std::vector<EvalCell> run_sweep(
+    const std::vector<SweepCell>& cells, std::size_t seeds,
+    const ReplicationSeed& seed, std::size_t threads);
 
 /// Runs the full sweep: every algorithm on every dataset of the standard
 /// suite.  Cells are ordered dataset-major (random, unimodal, C, Java),

@@ -37,7 +37,7 @@ int child_main(const ProcessWorldConfig& config, std::size_t index,
   try {
     Endpoint endpoint(fabric, index);
     const WorldLayout layout{config.global_ranks, config.processes, index};
-    CommWorld world(layout, &endpoint, config.policy);
+    CommWorld world(layout, &endpoint);
     report = WireFrame::message(0, 0, 0, body(world, layout), false);
   } catch (const std::exception& e) {
     report = failure_report(e.what());

@@ -25,10 +25,11 @@
 
 namespace mwr::parallel::transport {
 
+/// Each worker runs its rank block on the superstep engine at CommWorld's
+/// default worker count (hardware_concurrency).
 struct ProcessWorldConfig {
   std::size_t global_ranks = 2;
   std::size_t processes = 2;
-  RunPolicy policy{};
   /// Wall-clock budget for the whole world; on expiry the world fails and
   /// the workers are killed after a short grace window.
   double timeout_seconds = 120.0;

@@ -165,19 +165,6 @@ std::string Cli::usage() const {
   return out.str();
 }
 
-void add_standard_bench_flags(Cli& cli) {
-  cli.add_flag("full", "run at paper scale (100 seeds, sizes to 16384)");
-  cli.add_int("seeds", 5, "replications per table cell");
-  cli.add_int("max-size", 1024, "largest dataset instance size");
-  cli.add_string("csv", "", "also write the table as CSV to this path");
-  cli.add_int("seed", 20210525, "master seed for all replications");
-  cli.add_int("threads", 4, "worker threads for the parallel substrates");
-  cli.add_int("max-population", 0,
-              "override the Distributed population cap (0 = paper default); "
-              "raising it makes Table II's '—' cells runnable via the "
-              "superstep engine");
-}
-
 void add_metrics_flag(Cli& cli) {
   cli.add_string("metrics-out", "",
                  "write a metrics JSON snapshot to this path at exit");

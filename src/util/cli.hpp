@@ -1,13 +1,6 @@
-// Uniform command-line handling for the bench and example binaries.
-//
-// Every bench target supports the same knobs (see DESIGN.md §4):
-//   --full          paper-scale configuration (100 seeds, sizes to 16384)
-//   --seeds N       number of replications per cell
-//   --max-size N    cap on dataset instance size
-//   --csv FILE      also write the reproduced table as CSV
-//   --seed N        master seed
-//   --threads N     worker threads for the parallel substrates
-// plus per-binary extras registered through `add_*` before parse().
+// Command-line handling for the bench, example and tool binaries.  Each
+// binary registers exactly the flags it reads through `add_*` before
+// parse(); an unregistered flag is an error.
 #pragma once
 
 #include <cstdint>
@@ -64,9 +57,6 @@ class Cli {
   std::map<std::string, Entry> entries_;
   std::vector<std::string> order_;
 };
-
-/// Registers the standard bench flags listed above.
-void add_standard_bench_flags(Cli& cli);
 
 /// Registers `--metrics-out FILE` (default: disabled).  Binaries that
 /// register it must call write_metrics_if_requested() before exiting.

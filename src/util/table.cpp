@@ -96,14 +96,16 @@ std::string Table::to_csv() const {
 
 void Table::emit(std::ostream& os, const std::string& csv_path) const {
   os << to_ascii() << "\n";
-  if (!csv_path.empty()) {
-    std::ofstream f(csv_path);
-    if (!f) throw std::runtime_error("cannot open CSV output: " + csv_path);
-    f << to_csv();
-    // close() flushes; a full disk often shows only here.
-    f.close();
-    if (!f) throw std::runtime_error("CSV write failed: " + csv_path);
-  }
+  if (!csv_path.empty()) write_csv(csv_path);
+}
+
+void Table::write_csv(const std::string& path) const {
+  std::ofstream f(path);
+  if (!f) throw std::runtime_error("cannot open CSV output: " + path);
+  f << to_csv();
+  // close() flushes; a full disk often shows only here.
+  f.close();
+  if (!f) throw std::runtime_error("CSV write failed: " + path);
 }
 
 std::string fmt_mean_sd(double mean, double sd, int precision) {

@@ -40,8 +40,12 @@ class Table {
   [[nodiscard]] std::string to_csv() const;
 
   /// Prints ASCII to the stream and, when csv_path is non-empty, writes the
-  /// CSV rendering to that file (throws std::runtime_error on I/O failure).
+  /// CSV rendering to that file (see write_csv).
   void emit(std::ostream& os, const std::string& csv_path = "") const;
+
+  /// Writes the CSV rendering to `path`; throws std::runtime_error on I/O
+  /// failure, including a write that fails only when the file is closed.
+  void write_csv(const std::string& path) const;
 
  private:
   std::string title_;

@@ -1,10 +1,11 @@
-// Unit tests for util/cli: declarative flags, strict parsing, and the
-// standard bench-flag set.
+// Unit tests for util/cli: declarative flags and strict parsing; and the
+// sweep flags the suite-sweep benches build their EvalConfig from.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <string>
 
+#include "bench_common.hpp"
 #include "util/build_info.hpp"
 #include "util/cli.hpp"
 
@@ -147,16 +148,30 @@ TEST(Cli, UsageListsAllFlagsWithDefaults) {
   EXPECT_NE(usage.find("--quick"), std::string::npos);
 }
 
-TEST(Cli, StandardBenchFlagsArePresent) {
+TEST(Cli, SweepFlagsBuildTheEvalConfig) {
+  Cli defaults("bench");
+  bench::add_sweep_flags(defaults);
+  EXPECT_TRUE(parse(defaults, std::array{"prog"}));
+  const auto reduced = bench::eval_config_from(defaults);
+  EXPECT_EQ(reduced.seeds, 5u);
+  EXPECT_EQ(reduced.max_size, 1024u);
+  EXPECT_EQ(reduced.master_seed, 20210525u);
+  EXPECT_EQ(reduced.threads, 4u);
+  EXPECT_EQ(reduced.mwu.max_population, core::MwuConfig{}.max_population);
+
   Cli cli("bench");
-  add_standard_bench_flags(cli);
+  bench::add_sweep_flags(cli);
   EXPECT_TRUE(parse(cli, std::array{"prog", "--full", "--seeds", "3",
-                                    "--max-size", "64", "--csv", "out.csv",
-                                    "--seed", "1", "--threads", "2"}));
-  EXPECT_TRUE(cli.get_flag("full"));
-  EXPECT_EQ(cli.get_int("seeds"), 3);
-  EXPECT_EQ(cli.get_int("max-size"), 64);
-  EXPECT_EQ(cli.get_string("csv"), "out.csv");
+                                    "--max-population", "2000000"}));
+  const auto config = bench::eval_config_from(cli);
+  EXPECT_EQ(config.seeds, 100u);  // --full wins over --seeds
+  EXPECT_EQ(config.max_size, 16384u);
+  EXPECT_EQ(config.mwu.max_population, 2'000'000u);
+  // Only the six sweep flags are registered; --csv belongs to the bench.
+  Cli strict("bench");
+  bench::add_sweep_flags(strict);
+  EXPECT_THROW((void)parse(strict, std::array{"prog", "--csv", "out.csv"}),
+               std::invalid_argument);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "costmodel/cost_model.hpp"
+#include "datasets/distributions.hpp"
 
 namespace mwr::costmodel {
 namespace {
@@ -113,6 +114,36 @@ TEST(RecommendEmpirical, ThePapersHeadlineResult) {
 TEST(RecommendEmpirical, RejectsEmptyObservations) {
   EXPECT_THROW((void)recommend_empirical({}, EmpiricalWeights{}),
                std::invalid_argument);
+}
+
+TEST(ObserveVariants, MeasuresThePaperOrderAndCapsAnIntractableCell) {
+  const auto options = datasets::make_unimodal(16, 1);
+  core::MwuConfig mwu;
+  mwu.num_options = options.size();
+  mwu.max_iterations = 300;
+  const auto runnable = observe_variants(options, mwu, 2, 900);
+  ASSERT_EQ(runnable.size(), 3u);
+  EXPECT_EQ(runnable[0].kind, MwuKind::kStandard);
+  EXPECT_EQ(runnable[1].kind, MwuKind::kDistributed);
+  EXPECT_EQ(runnable[2].kind, MwuKind::kSlate);
+  const core::BernoulliOracle oracle(options);
+  const auto first = core::run_mwu(MwuKind::kStandard, oracle, mwu,
+                                   util::RngStream(900));
+  const auto second = core::run_mwu(MwuKind::kStandard, oracle, mwu,
+                                    util::RngStream(901));
+  EXPECT_EQ(runnable[0].cycles,
+            (static_cast<double>(first.iterations) +
+             static_cast<double>(second.iterations)) / 2.0);
+  EXPECT_EQ(runnable[0].cpus_per_cycle,
+            static_cast<double>(first.cpus_per_cycle));
+
+  // Too large a population: observed as a run that never converges.
+  mwu.max_population = 1;
+  const auto capped = observe_variants(options, mwu, 2, 900);
+  EXPECT_EQ(capped[1].cycles, 300.0);
+  EXPECT_EQ(capped[1].cpus_per_cycle,
+            static_cast<double>(core::distributed_population(mwu)));
+  EXPECT_EQ(capped[0].cycles, runnable[0].cycles);
 }
 
 }  // namespace

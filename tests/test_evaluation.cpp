@@ -1,7 +1,9 @@
-// Unit tests for costmodel/evaluation: the Tables II-IV sweep harness.
+// Unit tests for costmodel/evaluation: the replication sweep and its
+// Tables II-IV caller.
 #include <gtest/gtest.h>
 
 #include "costmodel/evaluation.hpp"
+#include "datasets/distributions.hpp"
 
 namespace mwr::costmodel {
 namespace {
@@ -87,6 +89,8 @@ TEST(RunEvaluation, ParallelSweepIsBitIdenticalToSerial) {
     const auto parallel = run_evaluation(config);
     ASSERT_EQ(parallel.size(), serial.size());
     for (std::size_t i = 0; i < serial.size(); ++i) {
+      EXPECT_EQ(parallel[i].dataset, serial[i].dataset);
+      EXPECT_EQ(parallel[i].kind, serial[i].kind);
       EXPECT_EQ(parallel[i].iterations.mean(), serial[i].iterations.mean());
       EXPECT_EQ(parallel[i].iterations.stddev(),
                 serial[i].iterations.stddev());
@@ -115,6 +119,91 @@ TEST(RunEvaluation, RaisedPopulationCapMakesFullScaleCellsTractable) {
       EXPECT_EQ(cell.iterations.count(), 1u) << cell.dataset;
     }
   }
+}
+
+TEST(RunSweep, CallerSeedsMatchAHandRolledSerialLoopAtAnyThreadCount) {
+  // Exp3, the sensitivity study and the §IV-E observations seed their own
+  // replications; run_sweep must give what a serial loop of run_mwu gives,
+  // bit for bit, at any thread count.
+  const auto unimodal = datasets::make_unimodal(24, 3);
+  const auto random = datasets::make_random(32, 4);
+  std::vector<SweepCell> plan;
+  for (const core::OptionSet* options : {&unimodal, &random}) {
+    core::MwuConfig mwu;
+    mwu.num_options = options->size();
+    mwu.max_iterations = 400;  // some runs hit the cap
+    for (const auto kind : {core::MwuKind::kStandard, core::MwuKind::kExp3,
+                            core::MwuKind::kSlate, core::MwuKind::kDistributed})
+      plan.push_back({options, kind, mwu});
+    mwu.learning_rate = 0.25;
+    plan.push_back({options, core::MwuKind::kStandard, mwu});
+  }
+  const std::size_t seeds = 3;
+  const ReplicationSeed seed = [](const SweepCell&, std::size_t s) {
+    return 20210525 + 31 * s + 7;
+  };
+
+  struct Reference {
+    util::RunningStats iterations, accuracy, cpu_iterations;
+    std::size_t converged = 0;
+  };
+  std::vector<Reference> reference(plan.size());
+  for (std::size_t i = 0; i < plan.size(); ++i) {
+    const core::BernoulliOracle oracle(*plan[i].options);
+    for (std::size_t s = 0; s < seeds; ++s) {
+      const auto result = core::run_mwu(plan[i].kind, oracle, plan[i].mwu,
+                                        util::RngStream(seed(plan[i], s)));
+      reference[i].iterations.add(static_cast<double>(result.iterations));
+      reference[i].accuracy.add(
+          plan[i].options->accuracy_percent(result.best_option));
+      reference[i].cpu_iterations.add(
+          static_cast<double>(result.cpu_iterations()));
+      if (result.converged) ++reference[i].converged;
+    }
+  }
+
+  std::size_t capped = 0;
+  for (const std::size_t threads : {1u, 2u, 4u}) {
+    const auto cells = run_sweep(plan, seeds, seed, threads);
+    ASSERT_EQ(cells.size(), plan.size());
+    for (std::size_t i = 0; i < plan.size(); ++i) {
+      const Reference& want = reference[i];
+      EXPECT_EQ(cells[i].dataset, plan[i].options->name());
+      EXPECT_EQ(cells[i].kind, plan[i].kind);
+      EXPECT_FALSE(cells[i].intractable);
+      EXPECT_EQ(cells[i].iterations.mean(), want.iterations.mean()) << i;
+      EXPECT_EQ(cells[i].iterations.stddev(), want.iterations.stddev()) << i;
+      EXPECT_EQ(cells[i].accuracy.mean(), want.accuracy.mean()) << i;
+      EXPECT_EQ(cells[i].accuracy.stddev(), want.accuracy.stddev()) << i;
+      EXPECT_EQ(cells[i].cpu_iterations.mean(), want.cpu_iterations.mean());
+      EXPECT_EQ(cells[i].converged_runs, want.converged) << i;
+      if (threads == 1 && want.converged < seeds) ++capped;
+    }
+  }
+  EXPECT_GT(capped, 0u) << "no cell exercised the iteration cap";
+}
+
+TEST(RunSweep, IntractableAndMismatchedCells) {
+  const auto options = datasets::make_unimodal(16, 1);
+  core::MwuConfig mwu;
+  mwu.num_options = options.size();
+  mwu.max_population = 1;  // below any Distributed population
+  const ReplicationSeed seed = [](const SweepCell&, std::size_t s) {
+    return s;
+  };
+  const auto cells = run_sweep(
+      {{&options, core::MwuKind::kDistributed, mwu},
+       {&options, core::MwuKind::kStandard, mwu}},
+      2, seed, 2);
+  EXPECT_TRUE(cells[0].intractable);
+  EXPECT_EQ(cells[0].iterations.count(), 0u);
+  EXPECT_FALSE(cells[1].intractable);
+  EXPECT_EQ(cells[1].iterations.count(), 2u);
+
+  mwu.num_options = options.size() + 1;
+  EXPECT_THROW((void)run_sweep({{&options, core::MwuKind::kStandard, mwu}}, 1,
+                               seed, 1),
+               std::invalid_argument);
 }
 
 TEST(FindCell, LooksUpByDatasetAndKind) {
