@@ -198,29 +198,21 @@ std::size_t CampaignSession::step(std::size_t budget,
   std::size_t used = 0;
   std::size_t probes = 0;
   double probe_seconds = 0.0;
-  while (used < budget) {
-    std::size_t staged = 0;
-    const std::size_t charge = stage_unit(staged, workers);
-    if (charge == 0) break;
-    used += charge;
-    if (!unit_staged_) continue;
-    // obs::ScopedTimer is the only clock apr may touch (bit-identity lint
-    // domain); cancelled, it is a plain stopwatch.  With workers the span
-    // includes the trajectory fold, which the calling thread runs while
-    // the workers evaluate; inline, complete_staged folds.
-    obs::ScopedTimer wave_timer(*bug_seconds_hist_);
-    wave_timer.cancel();
-    if (workers != nullptr) {
-      workers->parallel_for(
-          staged, [&](std::size_t j) { evaluate_staged(j); },
-          [&] { repair_->fold_staged(); });
-    } else {
-      for (std::size_t j = 0; j < staged; ++j) evaluate_staged(j);
+  while (used < budget && !done()) {
+    if (phase_ != Phase::kOnline) {
+      // A setup unit (it never leaves an online cycle staged).
+      std::size_t staged = 0;
+      used += stage_unit(staged, workers);
+      continue;
     }
-    const double elapsed = wave_timer.elapsed_seconds();
-    complete_staged(elapsed);
+    // obs::ScopedTimer is the only clock apr may touch (bit-identity lint
+    // domain); cancelled, it is a plain stopwatch.
+    obs::ScopedTimer cycle_timer(*bug_seconds_hist_);
+    cycle_timer.cancel();
+    probe_seconds += repair_->run_cycle(workers);
+    close_cycle(cycle_timer.elapsed_seconds());
+    ++used;
     probes += probes_last_step_;
-    probe_seconds += elapsed;
   }
   flush_telemetry();
   probes_last_step_ = probes;
@@ -279,7 +271,10 @@ void CampaignSession::complete_unit(double elapsed_seconds) {
 void CampaignSession::complete_staged(double elapsed_seconds) {
   if (!unit_staged_) return;
   unit_staged_ = false;
-  const double cycle_seconds = staged_seconds_ + elapsed_seconds;
+  close_cycle(staged_seconds_ + elapsed_seconds);
+}
+
+void CampaignSession::close_cycle(double cycle_seconds) {
   const bool finished = repair_->finish_cycle(cycle_seconds);
   probes_last_step_ = repair_->probes_last_cycle();
   if (scope_) {

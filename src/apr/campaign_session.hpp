@@ -80,20 +80,23 @@ class CampaignSession {
   /// the units consumed (>= 1 while not done; 0 once done).  One unit is
   /// one online MWU update cycle or one setup phase (precompute / bug
   /// start); the return value is the deficit-round-robin charge.
-  /// The serial driver of the staged calls below: each unit is
-  /// stage_unit(), then evaluate_staged() over every staged probe — fanned
-  /// out over `workers` when given, with the calling thread folding the
-  /// unit's draws into the trajectory hash meanwhile; inline otherwise —
-  /// then complete_unit().  `workers` also runs the setup units' suite
-  /// runs and interference-graph build (see stage_unit).
+  /// A setup unit is stage_unit(); an online unit is the bug's
+  /// RepairSession::run_cycle — with `workers`, the calling thread stages
+  /// each probe into a sweep the workers evaluate and fold; inline
+  /// otherwise — then the completion complete_unit() makes.  The draws,
+  /// the fold and the outcome are those of the staged calls below.
+  /// `workers` also runs the setup units' suite runs and
+  /// interference-graph build (see stage_unit).
   std::size_t step(std::size_t budget,
                    parallel::SuperstepEngine* workers = nullptr);
 
   // --- staged execution ---
   //
-  // The calls step() is made of.  The campaign server steps each of its
-  // campaigns on its own engine worker (DESIGN.md §14), so it runs these
-  // only through step(); they stay public for callers that drive the
+  // The units step() runs, as hand-driven calls: step() runs setup units
+  // through stage_unit and online units through RepairSession::run_cycle,
+  // which makes the same draws.  The campaign server steps each of its
+  // campaigns on its own engine worker (DESIGN.md §14), so it runs units
+  // only through step(); these stay public for callers that drive the
   // units by hand (the staged-call cross-checks and bench replays).
 
   /// Stages the next work unit.  Setup units (precompute, bug start,
@@ -111,9 +114,8 @@ class CampaignSession {
   /// and interleaved with other campaigns' staged probes.
   void evaluate_staged(std::size_t j);
   /// Completes the staged online unit: folds its draws into the trajectory
-  /// hash (step() folds them during the wave when it has workers), then
-  /// rewards, MWU update, and — when the cycle ends the bug — ledger
-  /// close / campaign finalization.
+  /// hash, then rewards, MWU update, and — when the cycle ends the bug —
+  /// ledger close / campaign finalization.
   /// `elapsed_seconds` is the caller-measured wall time of the unit's
   /// probe evaluation; the cycle's wall time (its staging time plus that)
   /// goes to the bug's and the online phase's telemetry, never to a
@@ -137,7 +139,8 @@ class CampaignSession {
     return probes_last_step_;
   }
   /// Wall seconds the most recent step() call spent evaluating its
-  /// units' probes (telemetry only, never trajectory-relevant).
+  /// units' probes (RepairSession::run_cycle's return; telemetry only,
+  /// never trajectory-relevant).
   [[nodiscard]] double probe_seconds_last_step() const noexcept {
     return probe_seconds_last_step_;
   }
@@ -185,6 +188,8 @@ class CampaignSession {
 
   /// complete_unit() without the telemetry flush (step() flushes once).
   void complete_staged(double elapsed_seconds);
+  /// The online cycle's completion: finish_cycle, counters, bug close.
+  void close_cycle(double cycle_seconds);
   void flush_telemetry();
   void do_precompute(parallel::SuperstepEngine* workers);
   void start_bug(parallel::SuperstepEngine* workers);

@@ -10,6 +10,7 @@
 // provides (b).
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -17,6 +18,26 @@
 #include "util/rng.hpp"
 
 namespace mwr::apr {
+
+/// stable_hash's input state: each part times its multiplier, xored into
+/// the seed.  A part that is 0 adds nothing, so the state splits by part —
+/// stable_hash_state(s, a, b, c) ==
+/// stable_hash_state(s, a, b) ^ stable_hash_state(0, 0, 0, c) — and a loop
+/// over many (b, c) pairs can compute each part's share once.
+[[nodiscard]] constexpr std::uint64_t stable_hash_state(
+    std::uint64_t seed, std::uint64_t a, std::uint64_t b = 0,
+    std::uint64_t c = 0) noexcept {
+  return seed ^ (a * 0x9e3779b97f4a7c15ULL) ^ (b * 0xc2b2ae3d27d4eb4fULL) ^
+         (c * 0x165667b19e3779f9ULL);
+}
+
+/// stable_hash from its input state (stable_hash_state).
+[[nodiscard]] inline std::uint64_t stable_hash_of_state(
+    std::uint64_t state) noexcept {
+  util::SplitMix64 sm(state);
+  sm.next();
+  return sm.next();
+}
 
 /// Stable hashing for the scenario's deterministic semantics: the same
 /// (seed, parts...) always produces the same 64-bit value, independent of
@@ -27,15 +48,21 @@ namespace mwr::apr {
                                                std::uint64_t a,
                                                std::uint64_t b = 0,
                                                std::uint64_t c = 0) noexcept {
-  util::SplitMix64 sm(seed ^ (a * 0x9e3779b97f4a7c15ULL) ^
-                      (b * 0xc2b2ae3d27d4eb4fULL) ^ (c * 0x165667b19e3779f9ULL));
-  sm.next();
-  return sm.next();
+  return stable_hash_of_state(stable_hash_state(seed, a, b, c));
 }
 
 /// Maps a stable hash to a uniform double in [0, 1).
 [[nodiscard]] inline double hash_to_unit(std::uint64_t h) noexcept {
   return static_cast<double>(h >> 11) * 0x1.0p-53;
+}
+
+/// The integer form of `hash_to_unit(h) < q`: `(h >> 11) < unit_threshold(q)`
+/// for every h.  h >> 11 and q * 2^53 are exact doubles, and an integer is
+/// below a real x exactly when it is below ceil(x).
+[[nodiscard]] inline std::uint64_t unit_threshold(double q) noexcept {
+  if (!(q > 0.0)) return 0;  // also NaN: no hash is below it.
+  if (q >= 1.0) return std::uint64_t{1} << 53;
+  return static_cast<std::uint64_t>(std::ceil(q * 0x1.0p53));
 }
 
 /// The mutable program under repair.

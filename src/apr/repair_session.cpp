@@ -82,46 +82,57 @@ void RepairSession::finish(bool repaired) {
   repaired_gauge_->set(repaired ? 1.0 : 0.0);
 }
 
-std::size_t RepairSession::begin_cycle() {
+std::size_t RepairSession::draw_cycle() {
   if (done_) return 0;
   staged_arms_ = strategy_->sample(rng_);  // MWU_Sample; copy reuses capacity
   const std::size_t n = staged_arms_.size();
+  // Sized up front: stage_probe(j) writes only slot j, while participants
+  // read the slots below it.
   index_patches_.resize(n);
-  acceptance_.clear();
-  for (std::size_t j = 0; j < n; ++j) {
-    const std::size_t count =
-        std::min(repair_.count_for_arm(staged_arms_[j]), pool_->size());
-    // Without-replacement draws, ascending in index space: pool order is
-    // key order, so the indices name exactly the canonical patch
-    // sample_from_pool would build, with the same RNG consumption.
-    sample_from_pool_indexed(pool_->size(), count, rng_, index_patches_[j]);
-    acceptance_.push_back(rng_.uniform());
-  }
-  fold_pending_ = true;
+  acceptance_.assign(n, 0.0);
   evaluations_.assign(n, Evaluation{});
   if (wave_fast_path_) tallies_.assign(n, TestOracle::ProbeTally{});
+  // The cycle's fold opens with its number, ahead of its draws.
+  fold_hash_ = fnv_fold(trajectory_hash_, outcome_.iterations);
+  folded_ = 0;
   outcome_.probes += n;
   probes_last_cycle_ = n;
   pending_probes_ += n;
   return n;
 }
 
-void RepairSession::fold_staged() {
-  if (!fold_pending_) return;
-  fold_pending_ = false;
-  // Fold this cycle's draws into the trajectory fingerprint ahead of its
-  // rewards, so the hash pins the stochastic sequence.  A local hash and
-  // member pointer keep the loop in registers.
+void RepairSession::stage_probe(std::size_t j) {
+  const std::size_t count =
+      std::min(repair_.count_for_arm(staged_arms_[j]), pool_->size());
+  // Without-replacement draws, ascending in index space: pool order is
+  // key order, so the indices name exactly the canonical patch
+  // sample_from_pool would build, with the same RNG consumption.
+  sample_from_pool_indexed(pool_->size(), count, rng_, index_patches_[j]);
+  acceptance_[j] = rng_.uniform();
+}
+
+std::size_t RepairSession::begin_cycle() {
+  const std::size_t n = draw_cycle();
+  for (std::size_t j = 0; j < n; ++j) stage_probe(j);
+  return n;
+}
+
+void RepairSession::fold_through(std::size_t end) {
+  // Folds the staged draws into the trajectory fingerprint ahead of the
+  // cycle's rewards, so the hash pins the stochastic sequence.  A local
+  // hash and member pointer keep the loop in registers.
   const Mutation* const members = pool_->mutations().data();
-  std::uint64_t h = fnv_fold(trajectory_hash_, outcome_.iterations);
-  for (std::size_t j = 0; j < staged_arms_.size(); ++j) {
+  std::uint64_t h = fold_hash_;
+  std::size_t j = folded_;
+  for (; j < end; ++j) {
     h = fnv_fold(h, staged_arms_[j]);
     h = fnv_fold(h, std::bit_cast<std::uint64_t>(acceptance_[j]));
     for (const std::uint32_t w : index_patches_[j]) {
       h = fnv_fold(h, members[w].key());
     }
   }
-  trajectory_hash_ = h;
+  fold_hash_ = h;
+  folded_ = j;
 }
 
 void RepairSession::evaluate_staged(std::size_t j) {
@@ -149,7 +160,8 @@ void RepairSession::evaluate_staged(std::size_t j) {
 }
 
 bool RepairSession::finish_cycle(double elapsed_seconds) {
-  fold_staged();  // no-op when the wave's caller hook already folded.
+  fold_through(staged_arms_.size());  // no-op after run_cycle's sweep.
+  trajectory_hash_ = fold_hash_;
   const MwRepairConfig& cfg = repair_.config();
   online_seconds_ += elapsed_seconds;
   pending_cycle_seconds_.push_back(elapsed_seconds);
@@ -201,20 +213,48 @@ bool RepairSession::finish_cycle(double elapsed_seconds) {
   return false;
 }
 
+double RepairSession::run_cycle(parallel::SuperstepEngine* workers) {
+  // Inline every probe is staged up front; with workers the producer
+  // below stages them into the sweep.
+  const std::size_t n = workers == nullptr ? begin_cycle() : draw_cycle();
+  // Cancelled, a timer is a plain stopwatch (the only clock apr may read).
+  obs::ScopedTimer wave_timer(*cycle_seconds_);
+  wave_timer.cancel();
+  if (workers == nullptr) {
+    for (std::size_t j = 0; j < n; ++j) evaluate_staged(j);
+    return wave_timer.elapsed_seconds();
+  }
+  // Item 0 is the fold, which trails the release mark in probe order;
+  // item j + 1 evaluates probe j.  The fold is released first, so a
+  // worker takes it while the calling thread stages.
+  workers->parallel_for(
+      n + 1,
+      [&](std::size_t i) {
+        if (i != 0) {
+          evaluate_staged(i - 1);
+          return;
+        }
+        for (std::size_t j = 0; j < n; ++j) {
+          workers->await_release(j + 2);  // probe j is staged.
+          fold_through(j + 1);
+        }
+      },
+      [&](const parallel::SuperstepEngine::Release& release) {
+        release(1);
+        for (std::size_t j = 0; j < n; ++j) {
+          stage_probe(j);
+          release(j + 2);
+        }
+      });
+  return wave_timer.elapsed_seconds();
+}
+
 bool RepairSession::step(parallel::SuperstepEngine* workers) {
   if (done_) return true;
   // Cancelled: finish_cycle() records the cycle time it is handed.
   obs::ScopedTimer cycle_timer(*cycle_seconds_);
   cycle_timer.cancel();
-  const std::size_t n = begin_cycle();
-  if (workers != nullptr) {
-    // The calling thread folds the draws while the workers evaluate.
-    workers->parallel_for(
-        n, [&](std::size_t j) { evaluate_staged(j); },
-        [&] { fold_staged(); });
-  } else {
-    for (std::size_t j = 0; j < n; ++j) evaluate_staged(j);
-  }
+  (void)run_cycle(workers);
   const bool finished = finish_cycle(cycle_timer.elapsed_seconds());
   flush_telemetry();
   return finished;
@@ -239,7 +279,6 @@ void RepairSession::restore(const State& state) {
   outcome_.iterations = state.iterations;
   outcome_.probes = state.probes;
   trajectory_hash_ = state.trajectory_hash;
-  fold_pending_ = false;
   done_ = false;
 }
 

@@ -68,36 +68,43 @@ class RepairSession {
   /// finishes early when a probe repairs.  Returns true when the session
   /// is done (repair found or iteration budget exhausted); further calls
   /// are no-ops returning true.  `workers` optionally fans the suite runs
-  /// out (bit-identical for any worker count, as in MwRepair::run).
-  /// The serial driver of the staged calls below: begin_cycle, every
-  /// evaluate_staged — with fold_staged as the wave's caller hook when
-  /// `workers` is given — then finish_cycle with the cycle's wall time.
+  /// out (bit-identical for any worker count, as in MwRepair::run).  It
+  /// is run_cycle, then finish_cycle with the cycle's wall time.
   bool step(parallel::SuperstepEngine* workers = nullptr);
+
+  /// The one online-cycle driver, shared by step() and
+  /// CampaignSession::step: draws the cycle's arms, stages and evaluates
+  /// its probes, and leaves the cycle for finish_cycle().  With `workers`
+  /// the calling thread stages probe j and releases it into the running
+  /// sweep (parallel_for's producer) while the workers evaluate the
+  /// probes already out, and one participant folds the staged draws into
+  /// the trajectory hash in probe order, trailing the release mark.
+  /// Inline it stages every probe, then evaluates them.  Returns the wall
+  /// seconds of the evaluations: from the end of the arm draw (inline: of
+  /// the staging) to the last evaluation (telemetry only).
+  double run_cycle(parallel::SuperstepEngine* workers);
 
   // --- staged execution (DESIGN.md §14) ---
   //
-  // A cycle splits into phases so its probe evaluations can fan out over
-  // a worker pool between the draws and the update:
+  // The same cycle as hand-driven calls, so a caller can fan the probe
+  // evaluations of many sessions out together:
   //
   //   begin_cycle()       all of the cycle's stochastic draws (arm sample,
-  //                       patch draws, acceptance) — everything RNG-ordered
-  //                       happens here, in the same order as the
-  //                       historical loop.
+  //                       then each probe's patch draw and acceptance) —
+  //                       everything RNG-ordered happens here, in the
+  //                       same order as the historical loop.
   //   evaluate_staged(j)  evaluates staged probe j.  Pure and memoized:
   //                       callable concurrently for distinct j, in any
   //                       order, interleaved with other sessions' probes.
-  //   fold_staged()       folds the staged draws into trajectory_hash().
-  //                       Reads what evaluate_staged reads and writes only
-  //                       the hash and its pending flag, so it may run
-  //                       concurrently with the evaluations (step() runs
-  //                       it as the wave's caller hook); optional —
-  //                       finish_cycle folds whatever is still unfolded.
-  //   finish_cycle()      rewards, MWU update, early-repair exit, budget
+  //   finish_cycle()      folds the draws into trajectory_hash() (all of
+  //                       them here; run_cycle's sweep leaves none), then
+  //                       rewards, MWU update, early-repair exit, budget
   //                       check.
   //
-  // step() drives these calls for one session; CampaignSession's staged
-  // calls wrap them one unit at a time.  Between begin_cycle and the fold
-  // trajectory_hash() does not yet cover the staged draws.
+  // run_cycle makes the same draws in the same order and folds them in
+  // the same order, so both paths give the same hash and outcome.
+  // Between the draws and finish_cycle trajectory_hash() does not yet
+  // cover the cycle.
   //
   // Telemetry: the staged calls count cycles, probes, cycle seconds and
   // the oracle's suite runs and cache hits into the session, not into
@@ -114,10 +121,6 @@ class RepairSession {
   /// Thread-safe across distinct j on one session and across sessions
   /// sharing an oracle.
   void evaluate_staged(std::size_t j);
-  /// Folds the staged cycle's draws into the trajectory hash, once per
-  /// cycle (later calls are no-ops).  May overlap evaluate_staged() on
-  /// other threads; must not overlap itself or finish_cycle().
-  void fold_staged();
   /// Completes the staged cycle; returns true when the session finished.
   /// `elapsed_seconds` is the caller-attributed wall time of the cycle,
   /// observed once into repair.online.cycle_seconds and accumulated into
@@ -168,6 +171,14 @@ class RepairSession {
 
  private:
   void finish(bool repaired);
+  /// The cycle's arm sample and per-cycle setup; returns the probe count
+  /// (0 when done).  begin_cycle = draw_cycle + stage_probe(0..n-1).
+  std::size_t draw_cycle();
+  /// Probe j's patch draw and acceptance; in j order, after draw_cycle.
+  void stage_probe(std::size_t j);
+  /// Folds staged probes [folded_, end) into fold_hash_; every probe
+  /// below `end` must be staged.
+  void fold_through(std::size_t end);
 
   MwRepair repair_;                  // validated/clamped config + arm grid.
   const TestOracle* oracle_;
@@ -176,7 +187,6 @@ class RepairSession {
   util::RngStream rng_;
   std::uint32_t baseline_;
   bool done_ = false;
-  bool fold_pending_ = false;  ///< staged draws not yet in the hash.
   std::size_t probes_last_cycle_ = 0;
   std::uint64_t trajectory_hash_;
   RepairOutcome outcome_;
@@ -197,6 +207,11 @@ class RepairSession {
   std::vector<double> acceptance_;
   std::vector<Evaluation> evaluations_;
   std::vector<double> rewards_;
+
+  // The staged cycle's fold: trajectory_hash_ extended by the cycle
+  // number and probes [0, folded_), committed by finish_cycle.
+  std::uint64_t fold_hash_ = 0;
+  std::size_t folded_ = 0;
 
   // Telemetry pending a flush_telemetry(); tallies_ holds one slot per
   // staged wave probe so concurrent evaluate_staged calls never share one.

@@ -24,7 +24,8 @@ constexpr std::uint64_t kRepairDomain = 0x4E9A;
 TestOracle::TestOracle(const ProgramModel& program, bool enable_cache)
     : program_(&program),
       required_tests_(static_cast<std::uint32_t>(program.spec().tests)),
-      interference_(program.spec().interference()) {
+      interference_(program.spec().interference()),
+      interference_threshold_(unit_threshold(interference_)) {
   if (required_tests_ == 0 || required_tests_ > 64)
     throw std::invalid_argument(
         "TestOracle: required tests must be in [1, 64] (bitmask model)");
@@ -100,9 +101,8 @@ MutationSemantics TestOracle::semantics_for(const Mutation& m) const {
   return compute_semantics(m);
 }
 
-std::uint64_t TestOracle::pair_hash(std::uint64_t lo,
-                                    std::uint64_t hi) const noexcept {
-  return stable_hash(program_->spec().seed, kPairDomain, lo, hi);
+std::uint64_t TestOracle::pair_lo_term(std::uint64_t lo) const noexcept {
+  return stable_hash_state(program_->spec().seed, kPairDomain, lo);
 }
 
 std::uint64_t TestOracle::pair_interference_mask(std::uint64_t lo,
@@ -275,19 +275,21 @@ InterferenceGraph TestOracle::interference_graph(
   }
   // Every pair hashed once; keys ascend, so (x, y) is already (lo, hi).
   // With workers the rows split into contiguous blocks of about equal pair
-  // counts (row x holds n - 1 - x pairs), one block per participant of the
-  // sweep: every worker plus the caller, which drains alongside them (a
-  // one-worker engine runs inline on the caller alone).  Read back in block
-  // order the edges are in the serial (x, y) order, so the graph is the
-  // same for any worker count.
+  // counts (row x holds n - 1 - x pairs), kBlocksPerParticipant blocks per
+  // participant of the sweep (every worker plus the caller, which drains
+  // alongside them; a one-worker engine runs inline on the caller alone),
+  // so a participant that joins late leaves no large block behind.  Read
+  // back in block order the edges are in the serial (x, y) order, so the
+  // graph is the same for any worker count.
+  constexpr std::size_t kBlocksPerParticipant = 4;
   struct Block {
     std::vector<std::array<std::uint32_t, 2>> edges;
     std::vector<std::uint64_t> hashes;
   };
-  const std::size_t blocks = workers != nullptr && n > 1 &&
-                                     workers->workers() > 1
-                                 ? workers->workers() + 1
-                                 : 1;
+  const std::size_t blocks =
+      workers != nullptr && n > 1 && workers->workers() > 1
+          ? (workers->workers() + 1) * kBlocksPerParticipant
+          : 1;
   std::vector<std::size_t> bounds(blocks + 1, n);
   bounds[0] = 0;
   const std::size_t pairs = n * (n > 0 ? n - 1 : 0) / 2;
@@ -300,12 +302,22 @@ InterferenceGraph TestOracle::interference_graph(
     }
     bounds[b] = row;
   }
+  // pair_hash(lo, hi) splits into a lo term and a hi term: each key's two
+  // terms are computed once, not once per pair, and interferes() is one
+  // integer compare.
+  std::vector<std::uint64_t> lo_terms(n);
+  std::vector<std::uint64_t> hi_terms(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    lo_terms[i] = pair_lo_term(graph.keys[i]);
+    hi_terms[i] = pair_hi_term(graph.keys[i]);
+  }
   std::vector<Block> parts(blocks);
   const auto hash_rows = [&](std::size_t b) {
     Block& part = parts[b];
     for (std::size_t x = bounds[b]; x < bounds[b + 1]; ++x) {
+      const std::uint64_t lo_term = lo_terms[x];
       for (std::size_t y = x + 1; y < n; ++y) {
-        const std::uint64_t h = pair_hash(graph.keys[x], graph.keys[y]);
+        const std::uint64_t h = stable_hash_of_state(lo_term ^ hi_terms[y]);
         if (!interferes(h)) continue;
         part.edges.push_back(
             {static_cast<std::uint32_t>(x), static_cast<std::uint32_t>(y)});

@@ -207,11 +207,20 @@ class TestOracle {
   /// From the primed index when pooled, computed otherwise; counts one
   /// mask-cache hit or miss.
   [[nodiscard]] MutationSemantics semantics_for(const Mutation& m) const;
+  /// The interference hash of the pair (lo, hi), lo < hi:
+  /// stable_hash_of_state(pair_lo_term(lo) ^ pair_hi_term(hi)).  The
+  /// graph build computes each key's two terms once instead of per pair.
   [[nodiscard]] std::uint64_t pair_hash(std::uint64_t lo,
-                                        std::uint64_t hi) const noexcept;
+                                        std::uint64_t hi) const noexcept {
+    return stable_hash_of_state(pair_lo_term(lo) ^ pair_hi_term(hi));
+  }
+  [[nodiscard]] std::uint64_t pair_lo_term(std::uint64_t lo) const noexcept;
+  [[nodiscard]] static std::uint64_t pair_hi_term(std::uint64_t hi) noexcept {
+    return stable_hash_state(0, 0, 0, hi);
+  }
   /// Whether the pair with hash `h` interferes.
   [[nodiscard]] bool interferes(std::uint64_t h) const noexcept {
-    return hash_to_unit(h) < interference_;
+    return (h >> 11) < interference_threshold_;  // hash_to_unit(h) < rate
   }
   /// The one test an interfering pair with hash `h` breaks.
   [[nodiscard]] std::uint64_t interference_test_bit(
@@ -224,6 +233,7 @@ class TestOracle {
   const ProgramModel* program_;
   std::uint32_t required_tests_;
   double interference_;
+  std::uint64_t interference_threshold_;  ///< unit_threshold(interference_)
   double per_test_break_rate_ = 0.0;
   // The relevance-hash threshold, hoisted out of is_repair_relevant: the
   // plain repair_rate, or the region-rescaled rate when relevance is

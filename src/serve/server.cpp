@@ -131,9 +131,11 @@ bool CampaignServer::run_epoch(const std::function<void()>& during_sweep) {
           errors[i] = "campaign step failed";
         }
       },
-      [&] {
-        // The epoch settles whatever the hook does; its error surfaces
-        // once the server is consistent again.
+      [&](const parallel::SuperstepEngine::Release& release) {
+        // Every campaign is steppable at once; the hook then overlaps the
+        // sweep.  The epoch settles whatever the hook does; its error
+        // surfaces once the server is consistent again.
+        release(n);
         if (!during_sweep) return;
         try {
           during_sweep();

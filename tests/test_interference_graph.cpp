@@ -5,6 +5,7 @@
 // the path that gives those answers, from one thread or several.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -172,6 +173,57 @@ TEST(OracleCache, InterferenceGraphIsTheSameOnEnginesOfOneToFourWorkers) {
       EXPECT_EQ(split.partners, serial.partners) << n << " " << workers;
       EXPECT_EQ(split.hashes, serial.hashes) << n << " " << workers;
     }
+  }
+}
+
+TEST(OracleCache, IntegerInterferenceThresholdAgreesWithHashToUnit) {
+  // interferes() and the graph build compare h >> 11 against
+  // unit_threshold(q); that must be hash_to_unit(h) < q for every h.
+  // Probed at the rates' edges and at exact multiples of 2^-53 with their
+  // neighbours, taking h on each side of every boundary.
+  std::vector<double> rates = {0.0, 1.0, 0x1.0p-53, 0.5, 0.25, 0.1, 0.03};
+  for (const std::uint64_t k :
+       {std::uint64_t{1}, std::uint64_t{2}, std::uint64_t{3},
+        std::uint64_t{12345}, std::uint64_t{1} << 40,
+        (std::uint64_t{1} << 52) + 1, (std::uint64_t{1} << 53) - 1}) {
+    rates.push_back(static_cast<double>(k) * 0x1.0p-53);
+  }
+  const std::size_t base = rates.size();
+  for (std::size_t r = 0; r < base; ++r) {
+    rates.push_back(std::nextafter(rates[r], 0.0));
+    rates.push_back(std::nextafter(rates[r], 2.0));
+  }
+  rates.push_back(-0.5);
+  rates.push_back(1.5);
+  constexpr std::uint64_t kTop = std::uint64_t{1} << 53;  // h >> 11 < kTop
+  for (const double q : rates) {
+    const std::uint64_t t = unit_threshold(q);
+    ASSERT_LE(t, kTop) << q;
+    const std::uint64_t below = t == 0 ? 0 : t - 1;
+    for (const std::uint64_t m : {below, t, t + 1, std::uint64_t{0}, kTop - 1}) {
+      if (m >= kTop) continue;
+      for (const std::uint64_t low : {std::uint64_t{0}, std::uint64_t{0x7ff}}) {
+        const std::uint64_t h = (m << 11) | low;
+        EXPECT_EQ((h >> 11) < t, hash_to_unit(h) < q)
+            << "q=" << q << " h=" << h;
+      }
+    }
+  }
+}
+
+TEST(OracleCache, StableHashStateSplitsByPart) {
+  // The graph build hashes each pair from a lo term and a hi term computed
+  // once per key (TestOracle::pair_lo_term / pair_hi_term); that equals
+  // stable_hash only because its input state splits by part.
+  util::SplitMix64 gen(99);
+  for (int i = 0; i < 1000; ++i) {
+    const std::uint64_t seed = gen.next();
+    const std::uint64_t a = gen.next();
+    const std::uint64_t b = gen.next();
+    const std::uint64_t c = gen.next();
+    EXPECT_EQ(stable_hash(seed, a, b, c),
+              stable_hash_of_state(stable_hash_state(seed, a, b) ^
+                                   stable_hash_state(0, 0, 0, c)));
   }
 }
 
@@ -382,6 +434,52 @@ TEST(MwRepair, SingleShotSessionsProbeThroughTheWaveBitIdentically) {
   EXPECT_EQ(waved.outcome().iterations, lazy.outcome().iterations);
   EXPECT_EQ(waved.outcome().probes, lazy.outcome().probes);
   EXPECT_EQ(waved.outcome().patch, lazy.outcome().patch);
+}
+
+TEST(MwRepair, StreamedCyclesPastTheWavePoolMatchTheStagedCalls) {
+  // A pool above OracleCache::kMaxWavePool gets no wave: every probe
+  // takes the reference evaluation path.  Streamed through an engine of
+  // one to four workers, the cycles must make the hand-staged calls'
+  // draws, fold and outcome.
+  datasets::ScenarioSpec spec = easy_spec();
+  spec.statements = 8000;
+  spec.repair_rate = 0.001;  // scarce two-edit repairs: several cycles.
+  spec.min_repair_edits = 2;
+  const ProgramModel program(spec);
+  const TestOracle oracle(program);
+  PoolConfig pool_config;
+  pool_config.target_size = OracleCache::kMaxWavePool + 100;
+  pool_config.seed = 13;
+  const auto pool = MutationPool::precompute(oracle, pool_config);
+  ASSERT_GT(pool.size(), OracleCache::kMaxWavePool);
+  oracle.prime_wave(pool.mutations());
+
+  MwRepairConfig config;
+  config.agents = 16;
+  config.max_iterations = 12;
+  config.seed = 14;
+  RepairSession staged(config, oracle, pool);
+  ASSERT_FALSE(staged.wave_fast_path());
+  while (!staged.done()) {
+    const std::size_t n = staged.begin_cycle();
+    for (std::size_t j = 0; j < n; ++j) staged.evaluate_staged(j);
+    (void)staged.finish_cycle();
+  }
+  ASSERT_GT(staged.outcome().iterations, 1u);
+  for (std::size_t workers = 1; workers <= 4; ++workers) {
+    parallel::SuperstepEngine engine(
+        1, parallel::SuperstepEngine::Config{workers});
+    RepairSession streamed(config, oracle, pool);
+    while (!streamed.step(&engine)) {
+    }
+    EXPECT_EQ(streamed.trajectory_hash(), staged.trajectory_hash()) << workers;
+    EXPECT_EQ(streamed.outcome().repaired, staged.outcome().repaired);
+    EXPECT_EQ(streamed.outcome().iterations, staged.outcome().iterations);
+    EXPECT_EQ(streamed.outcome().probes, staged.outcome().probes);
+    EXPECT_EQ(streamed.outcome().patch, staged.outcome().patch);
+    EXPECT_EQ(streamed.outcome().arm_probabilities,
+              staged.outcome().arm_probabilities);
+  }
 }
 
 TEST(Campaign, OneInterferenceGraphPerCampaignAndAWaveForEveryBug) {

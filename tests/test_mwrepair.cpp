@@ -245,9 +245,10 @@ TEST(MwRepair, ParallelEvaluationIsBitIdenticalToSerial) {
 }
 
 TEST(MwRepair, EngineStepMatchesTheStagedCallsInTrajectoryHash) {
-  // With an engine, RepairSession::step folds each cycle's draws into the
-  // trajectory hash on the calling thread while the workers evaluate (the
-  // wave's caller hook); the hand-staged calls leave the fold to
+  // With an engine, RepairSession::step streams each cycle: the calling
+  // thread stages the probes into the sweep, the workers evaluate them,
+  // and one participant folds the draws into the trajectory hash behind
+  // the release mark; the hand-staged calls leave the fold to
   // finish_cycle.  Neither the hash nor the outcome may depend on which
   // path folded or on the worker count, and MwRepair::run must agree at
   // any eval_threads.  Two budgets: one the search exhausts, one it

@@ -310,14 +310,14 @@ TEST(CampaignSessionServe, PooledStepMatchesTheStagedCallsAndRunCampaign) {
 }
 
 TEST(CampaignSessionServe, WaveHookFoldMatchesTheStagedCallsOnAnyEngine) {
-  // step() with an engine folds each online cycle's draws into the
-  // trajectory hash on the calling thread while the workers evaluate (the
-  // wave's caller hook), and runs the setup units' pool validation on the
-  // same engine; the hand-staged calls fold in complete_unit and validate
-  // inline.  Every engine size and every budget must give the same hash
-  // and outcome as both, and as run_campaign at one thread.  Suite growth
-  // is on and the second bug is repaired, so the third bug revalidates its
-  // pool on the engine.
+  // step() with an engine streams each online cycle through it (the
+  // calling thread stages, the workers evaluate, one participant folds
+  // the draws into the trajectory hash behind the release mark), and runs
+  // the setup units' pool validation on the same engine; the hand-staged
+  // calls fold in complete_unit and validate inline.  Every engine size
+  // and every budget must give the same hash and outcome as both, and as
+  // run_campaign at one thread.  Suite growth is on and the second bug is
+  // repaired, so the third bug revalidates its pool on the engine.
   SubmitRequest request = small_request("libtiff-2005-12-14", 17);
   request.bugs = 3;
   const CampaignPlan plan = plan_campaign(request);

@@ -356,7 +356,7 @@ TEST(ControlLoop, EngineCallerHookRunsExactlyOnce) {
       std::thread::id hook_thread;
       engine.parallel_for(
           count, [&](std::size_t) { swept.fetch_add(1); },
-          [&] {
+          [&](const parallel::SuperstepEngine::Release&) {
             calls.fetch_add(1);
             hook_thread = std::this_thread::get_id();
           });
@@ -368,7 +368,9 @@ TEST(ControlLoop, EngineCallerHookRunsExactlyOnce) {
     std::atomic<std::size_t> swept{0};
     EXPECT_THROW(engine.parallel_for(
                      64, [&](std::size_t) { swept.fetch_add(1); },
-                     [] { throw std::runtime_error("hook"); }),
+                     [](const parallel::SuperstepEngine::Release&) {
+                       throw std::runtime_error("hook");
+                     }),
                  std::runtime_error);
     EXPECT_EQ(swept.load(), 64u);
     engine.parallel_for(8, [&](std::size_t) { swept.fetch_add(1); });

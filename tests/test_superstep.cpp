@@ -5,6 +5,7 @@
 // counters.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -311,6 +312,179 @@ TEST(SuperstepEngine, NestedParallelForThrowsInsteadOfDeadlocking) {
     std::atomic<int> ran{0};
     engine.parallel_for(16, [&](std::size_t) { ran.fetch_add(1); });
     EXPECT_EQ(ran.load(), 16);
+  }
+}
+
+// --- streamed sweeps: parallel_for with a producer ---------------------
+
+TEST(SuperstepEngine, NoStreamedItemRunsBeforeItsRelease) {
+  // The producer writes item i's input, then releases it; fn reads the
+  // input (a data race TSan would report if the release did not order
+  // them) and checks the mark it saw covers i.
+  for (std::size_t workers = 1; workers <= 4; ++workers) {
+    SuperstepEngine engine(1, SuperstepEngine::Config{workers});
+    constexpr std::size_t kCount = 200;
+    for (int sweep = 0; sweep < 20; ++sweep) {
+      std::vector<std::size_t> input(kCount, 0);
+      std::vector<std::size_t> output(kCount, 0);
+      std::atomic<std::size_t> released{0};
+      std::atomic<int> early{0};
+      engine.parallel_for(
+          kCount,
+          [&](std::size_t i) {
+            if (i >= released.load(std::memory_order_acquire))
+              early.fetch_add(1, std::memory_order_relaxed);
+            output[i] = input[i];
+          },
+          [&](const SuperstepEngine::Release& release) {
+            for (std::size_t i = 0; i < kCount; ++i) {
+              input[i] = i + 1;
+              released.store(i + 1, std::memory_order_release);
+              release(i + 1);
+            }
+          });
+      EXPECT_EQ(early.load(), 0) << "workers=" << workers;
+      for (std::size_t i = 0; i < kCount; ++i)
+        ASSERT_EQ(output[i], i + 1) << "workers=" << workers << " i=" << i;
+    }
+  }
+}
+
+TEST(SuperstepEngine, AStreamedItemCanTrailTheReleaseMark) {
+  // Item 0 consumes every later item's input in order, waiting for each
+  // release, while the other items run as they come out.
+  for (std::size_t workers = 1; workers <= 4; ++workers) {
+    SuperstepEngine engine(1, SuperstepEngine::Config{workers});
+    constexpr std::size_t kCount = 100;
+    std::vector<std::uint64_t> input(kCount, 0);
+    std::uint64_t trail = 0;
+    std::atomic<int> ran{0};
+    engine.parallel_for(
+        kCount + 1,
+        [&](std::size_t i) {
+          if (i != 0) {
+            ran.fetch_add(1, std::memory_order_relaxed);
+            return;
+          }
+          for (std::size_t j = 0; j < kCount; ++j) {
+            engine.await_release(j + 2);
+            trail = trail * 31 + input[j];
+          }
+        },
+        [&](const SuperstepEngine::Release& release) {
+          release(1);
+          for (std::size_t j = 0; j < kCount; ++j) {
+            input[j] = j + 7;
+            release(j + 2);
+          }
+        });
+    std::uint64_t expected = 0;
+    for (std::size_t j = 0; j < kCount; ++j) expected = expected * 31 + j + 7;
+    EXPECT_EQ(trail, expected) << "workers=" << workers;
+    EXPECT_EQ(ran.load(), static_cast<int>(kCount)) << "workers=" << workers;
+  }
+}
+
+TEST(SuperstepEngine, AProducerThrowingMidStreamRethrowsAndFreesTheEngine) {
+  // The items the producer never released still run (everything is
+  // released when it throws), its error reaches the caller, no worker is
+  // left waiting on a release, and the engine runs the next jobs.
+  for (std::size_t workers = 1; workers <= 4; ++workers) {
+    SuperstepEngine engine(1, SuperstepEngine::Config{workers});
+    constexpr std::size_t kCount = 64;
+    std::vector<std::atomic<int>> hits(kCount);
+    for (auto& h : hits) h.store(0);
+    EXPECT_THROW(engine.parallel_for(
+                     kCount, [&](std::size_t i) { hits[i].fetch_add(1); },
+                     [&](const SuperstepEngine::Release& release) {
+                       release(kCount / 2);
+                       throw std::runtime_error("producer");
+                     }),
+                 std::runtime_error)
+        << "workers=" << workers;
+    for (std::size_t i = 0; i < kCount; ++i)
+      EXPECT_EQ(hits[i].load(), 1) << "workers=" << workers << " i=" << i;
+    std::atomic<int> ran{0};
+    engine.parallel_for(
+        16, [&](std::size_t) { ran.fetch_add(1); },
+        [](const SuperstepEngine::Release& release) { release(16); });
+    engine.parallel_for(16, [&](std::size_t) { ran.fetch_add(1); });
+    EXPECT_EQ(ran.load(), 32) << "workers=" << workers;
+  }
+}
+
+TEST(SuperstepEngine, AnFnThrowingWhileTheProducerReleasesRethrowsOnce) {
+  // A worker's fn throws while the producer is still releasing: the
+  // producer runs to its end, the caller gets the fn's error after the
+  // drain, and the engine stays usable.
+  for (std::size_t workers = 2; workers <= 4; ++workers) {
+    SuperstepEngine engine(1, SuperstepEngine::Config{workers});
+    const std::thread::id caller = std::this_thread::get_id();
+    std::atomic<bool> thrown{false};
+    std::atomic<bool> producer_finished{false};
+    const auto fn = [&](std::size_t i) {
+      if (i == 2 && std::this_thread::get_id() != caller) {
+        thrown.store(true);
+        throw std::logic_error("fn");
+      }
+    };
+    EXPECT_THROW(
+        engine.parallel_for(
+            128, fn,
+            [&](const SuperstepEngine::Release& release) {
+              release(8);
+              // Give a worker the chance to throw before the rest is out.
+              const auto deadline =
+                  std::chrono::steady_clock::now() + std::chrono::seconds(10);
+              while (!thrown.load() &&
+                     std::chrono::steady_clock::now() < deadline)
+                std::this_thread::yield();
+              release(128);
+              producer_finished.store(true);
+            }),
+        std::logic_error)
+        << "workers=" << workers;
+    EXPECT_TRUE(thrown.load()) << "workers=" << workers;
+    EXPECT_TRUE(producer_finished.load()) << "workers=" << workers;
+    std::atomic<int> ran{0};
+    engine.parallel_for(
+        32, [&](std::size_t) { ran.fetch_add(1); },
+        [](const SuperstepEngine::Release& release) { release(32); });
+    EXPECT_EQ(ran.load(), 32) << "workers=" << workers;
+  }
+}
+
+TEST(SuperstepEngine, BackToBackTinySweepsRunEveryItemOnceAndNeverAClosedOne) {
+  // Ten thousand sweeps of a few items, half of them streamed: a worker
+  // that wakes late must skip a sweep that already returned, not run an
+  // item of it (each fn checks its sweep is still open).
+  constexpr int kSweeps = 10000;
+  for (std::size_t workers = 1; workers <= 4; ++workers) {
+    SuperstepEngine engine(1, SuperstepEngine::Config{workers});
+    std::atomic<int> wrong{0};
+    for (int sweep = 0; sweep < kSweeps; ++sweep) {
+      const std::size_t count = 1 + static_cast<std::size_t>(sweep % 4);
+      std::array<std::atomic<int>, 4> hits{};
+      std::atomic<bool> closed{false};
+      const auto fn = [&](std::size_t i) {
+        if (closed.load()) wrong.fetch_add(1);
+        hits[i].fetch_add(1);
+      };
+      if (sweep % 2 == 0) {
+        engine.parallel_for(count, fn);
+      } else {
+        engine.parallel_for(count, fn,
+                            [&](const SuperstepEngine::Release& release) {
+                              for (std::size_t i = 1; i <= count; ++i)
+                                release(i);
+                            });
+      }
+      closed.store(true);
+      for (std::size_t i = 0; i < count; ++i) {
+        if (hits[i].load() != 1) wrong.fetch_add(1);
+      }
+    }
+    EXPECT_EQ(wrong.load(), 0) << "workers=" << workers;
   }
 }
 
