@@ -1,14 +1,16 @@
 // Shared scaffolding for the benches: the guarded entry point every bench
-// runs under, flag handling and the family-grouped rendering the paper's
-// tables use.
+// runs under, flag handling, the gated benches' JSON layout and the
+// family-grouped rendering the paper's tables use.
 #pragma once
 
 #include <exception>
 #include <iostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "costmodel/evaluation.hpp"
+#include "obs/serialization.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
 #include "util/timer.hpp"
@@ -70,6 +72,21 @@ inline costmodel::EvalConfig eval_config_from(const util::Cli& cli) {
     config.max_size = 16384;
   }
   return config;
+}
+
+/// Writes a gated bench's --json artifact to `path`: {"schema":
+/// "mwr-bench-v3", "bench", "params", "metrics"}, where `metrics` maps
+/// dotted names to numbers and bools.  .github/check_bench.py gates it
+/// against the bench's committed bench/BENCH_*.baseline.json.
+inline void write_bench_json(const char* bench, obs::JsonValue::Object params,
+                             obs::JsonValue::Object metrics,
+                             const std::string& path) {
+  obs::write_json_file(obs::JsonValue::Object{{"schema", "mwr-bench-v3"},
+                                              {"bench", bench},
+                                              {"params", std::move(params)},
+                                              {"metrics", std::move(metrics)}},
+                       path);
+  std::cout << "wrote " << path << "\n";
 }
 
 /// Emits one paper-style table from the evaluation cells: one row per

@@ -31,10 +31,12 @@
 //   kernel_materialize  — materialize_affine: probabilities from weights.
 //
 // Results are emitted both as a human-readable table and as machine-
-// readable JSON (--json, default BENCH_hot_paths.json) with the fixed
-// schema "mwr-bench-hot-paths-v2"; CI's bench-smoke job gates on that
-// file via .github/check_bench.py (speedup floors + absolute-regression
-// bound against the committed baseline).  --repeat N runs every section N
+// readable JSON (--json, default BENCH_hot_paths.json) in the gated
+// benches' "mwr-bench-v3" layout, one "<row>.before_ns_per_op",
+// "<row>.after_ns_per_op", "<row>.speedup" and "<row>.checksum" metric
+// per row; CI's bench-smoke job gates on that file via
+// .github/check_bench.py (speedup floors + absolute-regression bound
+// against the committed baseline).  --repeat N runs every section N
 // times and reports the median of each timing, squeezing scheduler noise
 // out of the committed baselines.
 //
@@ -529,25 +531,26 @@ struct Row {
   Section section;
 };
 
-obs::JsonValue json_document(std::size_t k, std::size_t agents,
-                             std::size_t pool_size, std::size_t patch_size,
-                             std::size_t repeat, const std::vector<Row>& rows) {
+void write_json(std::size_t k, std::size_t agents, std::size_t pool_size,
+                std::size_t patch_size, std::size_t repeat,
+                const std::vector<Row>& rows, const std::string& path) {
   using Object = obs::JsonValue::Object;
-  Object doc{{"schema", "mwr-bench-hot-paths-v2"},
-             {"params", Object{{"options", k},
-                               {"agents", agents},
-                               {"pool", pool_size},
-                               {"patch", patch_size},
-                               {"slate_options", kSlateOptions},
-                               {"repeat", repeat}}}};
+  Object metrics;
   for (const Row& row : rows) {
-    doc.emplace_back(row.name,
-                     Object{{"before_ns_per_op", row.section.before_ns},
-                            {"after_ns_per_op", row.section.after_ns},
-                            {"speedup", row.section.speedup()},
-                            {"checksum", row.section.checksum}});
+    const std::string name = row.name;
+    metrics.emplace_back(name + ".before_ns_per_op", row.section.before_ns);
+    metrics.emplace_back(name + ".after_ns_per_op", row.section.after_ns);
+    metrics.emplace_back(name + ".speedup", row.section.speedup());
+    metrics.emplace_back(name + ".checksum", row.section.checksum);
   }
-  return doc;
+  bench::write_bench_json("bench_hot_paths",
+                          Object{{"options", k},
+                                 {"agents", agents},
+                                 {"pool", pool_size},
+                                 {"patch", patch_size},
+                                 {"slate_options", kSlateOptions},
+                                 {"repeat", repeat}},
+                          std::move(metrics), path);
 }
 
 int run(int argc, char** argv) {
@@ -646,10 +649,8 @@ int run(int argc, char** argv) {
                                2)
             << "%) cap more than four entries\n";
 
-  obs::write_json_file(
-      json_document(k, agents, pool_size, patch_size, repeat, rows),
-      cli.get_string("json"));
-  std::cout << "wrote " << cli.get_string("json") << "\n";
+  write_json(k, agents, pool_size, patch_size, repeat, rows,
+             cli.get_string("json"));
   return 0;
 }
 

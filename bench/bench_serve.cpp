@@ -19,8 +19,10 @@
 // Two modes:
 //   default    — self-hosted: an in-process CampaignServer, so every
 //                section above is observable.  Emits BENCH_serve.json
-//                (schema "mwr-bench-serve-v2"); CI's bench-smoke job
-//                gates it against bench/BENCH_serve.baseline.json via
+//                in the gated benches' "mwr-bench-v3" layout, one
+//                "<section>.<field>" metric per value plus
+//                unfinished_campaigns; CI's bench-smoke job gates it
+//                against bench/BENCH_serve.baseline.json via
 //                .github/check_bench.py.
 //   --connect PATH
 //                drives an external mwr_served daemon over its UDS
@@ -363,30 +365,29 @@ int run(int argc, char** argv) {
 
   using Object = obs::JsonValue::Object;
   const std::size_t families = kFamilies.size();
-  const obs::JsonValue doc = Object{
-      {"schema", "mwr-bench-serve-v2"},
-      {"params", Object{{"campaigns", load.campaigns},
-                        {"families", families},
-                        {"quantum", quantum},
-                        {"workers", workers}}},
-      {"load", Object{{"campaigns", load.campaigns},
-                      {"completed", load.completed},
-                      {"families", families},
-                      {"campaigns_per_sec", load.campaigns_per_sec},
-                      {"admission_rejects", load.rejects}}},
-      {"probes", Object{{"count", load.probe_latency_us.size()},
-                        {"p50_us", p50_us},
-                        {"p99_us", p99_us}}},
-      {"checkpoint", Object{{"total_bytes", checkpoint.total_bytes},
-                            {"critical_path_us", checkpoint.critical_path_us},
-                            {"writer_us", checkpoint.writer_us},
-                            {"resume_ok", checkpoint.resume_ok}}},
-      {"fairness", Object{{"epochs", load.epochs},
-                          {"epoch_p50_us", epoch_p50_us},
-                          {"epoch_p99_us", epoch_p99_us},
-                          {"starved_epochs", load.starved}}},
-  };
-  obs::write_json_file(doc, cli.get_string("json"));
-  std::cout << "wrote " << cli.get_string("json") << "\n";
+  bench::write_bench_json(
+      "bench_serve",
+      Object{{"campaigns", load.campaigns},
+             {"families", families},
+             {"quantum", quantum},
+             {"workers", workers}},
+      Object{{"load.campaigns", load.campaigns},
+             {"load.completed", load.completed},
+             {"load.families", families},
+             {"load.campaigns_per_sec", load.campaigns_per_sec},
+             {"load.admission_rejects", load.rejects},
+             {"probes.count", load.probe_latency_us.size()},
+             {"probes.p50_us", p50_us},
+             {"probes.p99_us", p99_us},
+             {"checkpoint.total_bytes", checkpoint.total_bytes},
+             {"checkpoint.critical_path_us", checkpoint.critical_path_us},
+             {"checkpoint.writer_us", checkpoint.writer_us},
+             {"checkpoint.resume_ok", checkpoint.resume_ok},
+             {"fairness.epochs", load.epochs},
+             {"fairness.epoch_p50_us", epoch_p50_us},
+             {"fairness.epoch_p99_us", epoch_p99_us},
+             {"fairness.starved_epochs", load.starved},
+             {"unfinished_campaigns", load.campaigns - load.completed}},
+      cli.get_string("json"));
   return checkpoint.resume_ok && load.starved == 0 ? 0 : 1;
 }

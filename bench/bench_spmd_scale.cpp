@@ -23,7 +23,9 @@
 //    fan-out copies included: each destination gets its own heap copy.
 //
 // Results are emitted as a table and as JSON (--json, default
-// BENCH_spmd_scale.json) with schema "mwr-bench-spmd-scale-v1"; CI's
+// BENCH_spmd_scale.json) in the gated benches' "mwr-bench-v3" layout:
+// one "scale.<population>.<field>" metric per point, plus the derived
+// largest_population and engine_ranks_per_sec_at_crossover; CI's
 // bench-smoke job gates on the file via .github/check_bench.py.
 #include <cstdint>
 #include <cstdlib>
@@ -186,14 +188,15 @@ int run(int argc, char** argv) {
     points.push_back(point);
   }
 
-  double speedup_at_crossover = 0.0;
+  const std::size_t crossover = std::size_t{1} << tpr_max_exp;
+  const ScalePoint* at_crossover = nullptr;
   for (const auto& point : points) {
-    if (point.population == (std::size_t{1} << tpr_max_exp) &&
-        point.tpr_ranks_per_sec > 0.0) {
-      speedup_at_crossover =
-          point.engine_ranks_per_sec / point.tpr_ranks_per_sec;
-    }
+    if (point.population == crossover) at_crossover = &point;
   }
+  const double speedup_at_crossover =
+      at_crossover && at_crossover->tpr_ranks_per_sec > 0.0
+          ? at_crossover->engine_ranks_per_sec / at_crossover->tpr_ranks_per_sec
+          : 0.0;
 
   // --- report -------------------------------------------------------------
   util::Table table("Distributed SPMD scaling (" + std::to_string(cycles) +
@@ -222,30 +225,32 @@ int run(int argc, char** argv) {
 
   // --- JSON artifact ------------------------------------------------------
   using Object = obs::JsonValue::Object;
-  obs::JsonValue::Array scale;
+  Object metrics{{"bit_identical", bit_identical},
+                 {"speedup_at_crossover", speedup_at_crossover},
+                 {"payload.inline_msgs", payload_inline},
+                 {"payload.spilled_msgs", payload_spilled}};
   for (const auto& point : points) {
-    scale.emplace_back(
-        Object{{"population", point.population},
-               {"engine_ranks_per_sec", point.engine_ranks_per_sec},
-               {"tpr_ranks_per_sec", point.tpr_ranks_per_sec},
-               {"peak_rss_kb", point.peak_rss_kb}});
+    const std::string prefix = "scale." + std::to_string(point.population);
+    metrics.emplace_back(prefix + ".engine_ranks_per_sec",
+                         point.engine_ranks_per_sec);
+    metrics.emplace_back(prefix + ".tpr_ranks_per_sec",
+                         point.tpr_ranks_per_sec);
+    metrics.emplace_back(prefix + ".peak_rss_kb", point.peak_rss_kb);
   }
-  const obs::JsonValue doc = Object{
-      {"schema", "mwr-bench-spmd-scale-v1"},
-      {"params",
-       Object{{"cycles", cycles},
-              {"workers", workers},
-              {"min_population", std::size_t{1} << min_exp},
-              {"max_population", std::size_t{1} << max_exp},
-              {"crossover_population", std::size_t{1} << tpr_max_exp}}},
-      {"bit_identical", bit_identical},
-      {"speedup_at_crossover", speedup_at_crossover},
-      {"payload", Object{{"inline_msgs", payload_inline},
-                         {"spilled_msgs", payload_spilled}}},
-      {"scale", std::move(scale)},
-  };
-  obs::write_json_file(doc, cli.get_string("json"));
-  std::cout << "wrote " << cli.get_string("json") << "\n";
+  // Populations ascend, so the last point is the largest one run.
+  metrics.emplace_back("largest_population",
+                       points.empty() ? 0 : points.back().population);
+  if (at_crossover) {
+    metrics.emplace_back("engine_ranks_per_sec_at_crossover",
+                         at_crossover->engine_ranks_per_sec);
+  }
+  bench::write_bench_json("bench_spmd_scale",
+                          Object{{"cycles", cycles},
+                                 {"workers", workers},
+                                 {"min_population", std::size_t{1} << min_exp},
+                                 {"max_population", std::size_t{1} << max_exp},
+                                 {"crossover_population", crossover}},
+                          std::move(metrics), cli.get_string("json"));
   return 0;
 }
 

@@ -12,8 +12,9 @@
 // the in-process numbers are the mailbox-only reference the fabric is
 // compared against.
 //
-// Emits a table and JSON (--json, default BENCH_transport.json) with
-// schema "mwr-bench-transport-v1"; CI's bench-smoke job gates the file
+// Emits a table and JSON (--json, default BENCH_transport.json) in the
+// gated benches' "mwr-bench-v3" layout ("<backend>.msgs_per_sec",
+// "<backend>.p99_latency_us"); CI's bench-smoke job gates the file
 // against bench/BENCH_transport.baseline.json via .github/check_bench.py.
 #include <cstdint>
 #include <cstdlib>
@@ -149,15 +150,15 @@ int run(int argc, char** argv) {
   table.emit(std::cout, cli.get_string("csv"));
 
   using Object = obs::JsonValue::Object;
-  Object doc{{"schema", "mwr-bench-transport-v1"},
-             {"params", Object{{"burst", burst}, {"pingpong", pingpong}}}};
+  Object metrics;
   for (const auto& result : results) {
-    doc.emplace_back(result.name,
-                     Object{{"msgs_per_sec", result.msgs_per_sec},
-                            {"p99_latency_us", result.p99_latency_us}});
+    const std::string name = result.name;
+    metrics.emplace_back(name + ".msgs_per_sec", result.msgs_per_sec);
+    metrics.emplace_back(name + ".p99_latency_us", result.p99_latency_us);
   }
-  obs::write_json_file(doc, cli.get_string("json"));
-  std::cout << "wrote " << cli.get_string("json") << "\n";
+  bench::write_bench_json("bench_transport",
+                          Object{{"burst", burst}, {"pingpong", pingpong}},
+                          std::move(metrics), cli.get_string("json"));
   return 0;
 }
 

@@ -1,6 +1,7 @@
 #include "apr/oracle_hub.hpp"
 
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "obs/registry.hpp"
@@ -53,75 +54,39 @@ OracleHub::Stats OracleHub::stats() const {
   return stats_;
 }
 
-OracleHub::OracleLease OracleHub::oracle_for(
-    const datasets::ScenarioSpec& spec) {
-  // Identity of one oracle: the exact (program, suite size, bug).
-  const std::uint64_t key = spec.fingerprint();
-  std::shared_ptr<OracleEntry> entry;
-  PoolLease warm;
-  bool builder = false;
+template <typename EntryT, typename Build>
+typename EntryT::Lease OracleHub::intern(Table<EntryT> OracleHub::*table,
+                                         std::uint64_t key, EntryT fresh,
+                                         const Tally& tally,
+                                         const std::string& name,
+                                         Build&& build) {
+  std::shared_ptr<EntryT> entry;
   {
     util::MutexLock lock(mutex_);
-    auto& slot = oracles_[key];
-    if (!slot) {
-      slot = std::make_shared<OracleEntry>();
-      builder = true;
-    }
-    entry = slot;
-    if (builder) {
-      // Prime the fresh oracle from an interned base pool of the same
-      // program: one batch of cache inserts instead of per-tenant cold
-      // misses.  Fresh campaigns ran phase 1 before their first bug, and
-      // resumed ones re-intern their pool first, so a miss here is rare.
-      const std::uint64_t program = program_fingerprint(spec);
-      for (const auto& [pool_key, pool_slot] : pools_) {
-        (void)pool_key;
-        if (pool_slot.program_key == program && pool_slot.entry->ready &&
-            !pool_slot.entry->failed) {
-          warm = pool_slot.entry->lease;
-          break;
-        }
-      }
-      ++stats_.oracle_builds;
-      if (!warm.pool) {
-        ++stats_.cold_oracle_builds;
-        oracle_cold_builds_->add(1);
-      }
-    } else {
+    std::shared_ptr<EntryT>& slot = (this->*table)[key];
+    if (slot) {
+      entry = slot;
       while (!entry->ready) ready_cv_.wait(mutex_);
       if (entry->failed)
-        throw std::runtime_error("OracleHub: oracle build failed for " +
-                                 spec.name);
-      ++stats_.oracle_hits;
-      oracle_hits_->add(1);
+        throw std::runtime_error(std::string("OracleHub: ") + tally.kind +
+                                 " build failed for " + name);
+      ++(stats_.*tally.hits);
+      tally.hit_counter->add(1);
       return entry->lease;
     }
+    slot = std::make_shared<EntryT>(std::move(fresh));
+    entry = slot;
+    ++(stats_.*tally.builds);
   }
 
-  OracleLease lease;
+  typename EntryT::Lease lease;
   try {
-    auto program = std::make_shared<const ProgramModel>(spec);
-    auto oracle = std::make_shared<const TestOracle>(*program);
-    // Nothing else can see this oracle until `ready` flips below, so the
-    // prime cannot race an evaluate().  prime_wave = prime_cache plus the
-    // eager wave table (flat masks, safe/relevant bitsets, interference
-    // CSR), amortized over every tenant's probe waves.  Its pairs come
-    // from the pool's interference graph, hashed once when the pool was
-    // interned, not once per (bug, suite) oracle.
-    if (warm.pool) {
-      oracle->prime_wave(warm.pool->mutations(), warm.graph.get());
-    }
-    lease.program = std::move(program);
-    lease.oracle = std::move(oracle);
+    lease = build();
   } catch (...) {
     util::MutexLock lock(mutex_);
     entry->failed = true;
     entry->ready = true;
-    // Waiters already parked on this entry observe the failure, but the
-    // map slot is released so a later campaign retries the build instead
-    // of hitting a permanently poisoned fingerprint (the failure may
-    // have been transient — allocation pressure, say).
-    oracles_.erase(key);
+    (this->*table).erase(key);
     ready_cv_.notify_all();
     throw;
   }
@@ -131,40 +96,57 @@ OracleHub::OracleLease OracleHub::oracle_for(
     entry->ready = true;
     ready_cv_.notify_all();
   }
-  oracle_builds_->add(1);
+  tally.build_counter->add(1);
   return lease;
+}
+
+OracleHub::OracleLease OracleHub::oracle_for(
+    const datasets::ScenarioSpec& spec) {
+  const auto build = [&] {
+    // Prime the fresh oracle from an interned base pool of the same
+    // program: one batch of cache inserts instead of per-tenant cold
+    // misses.  Fresh campaigns ran phase 1 before their first bug, and
+    // resumed ones re-intern their pool first, so a miss here is rare.
+    PoolLease warm;
+    {
+      const std::uint64_t program = program_fingerprint(spec);
+      util::MutexLock lock(mutex_);
+      for (const auto& [pool_key, pool] : pools_) {
+        (void)pool_key;
+        if (pool->ready && !pool->failed && pool->program_key == program) {
+          warm = pool->lease;
+          break;
+        }
+      }
+      if (!warm.pool) {
+        ++stats_.cold_oracle_builds;
+        oracle_cold_builds_->add(1);
+      }
+    }
+    auto program = std::make_shared<const ProgramModel>(spec);
+    auto oracle = std::make_shared<const TestOracle>(*program);
+    // Nothing else can see this oracle until it is published ready, so
+    // the prime cannot race an evaluate().  prime_wave = prime_cache plus
+    // the eager wave table (flat masks, safe/relevant bitsets,
+    // interference CSR), amortized over every tenant's probe waves.  Its
+    // pairs come from the pool's interference graph, hashed once when the
+    // pool was interned, not once per (bug, suite) oracle.
+    if (warm.pool) {
+      oracle->prime_wave(warm.pool->mutations(), warm.graph.get());
+    }
+    return OracleLease{std::move(program), std::move(oracle)};
+  };
+  // Identity of one oracle: the exact (program, suite size, bug).
+  return intern(&OracleHub::oracles_, spec.fingerprint(), OracleEntry{},
+                {"oracle", &Stats::oracle_builds, &Stats::oracle_hits,
+                 oracle_builds_, oracle_hits_},
+                spec.name, build);
 }
 
 OracleHub::PoolLease OracleHub::base_pool(const datasets::ScenarioSpec& spec,
                                           const PoolConfig& config,
                                           parallel::SuperstepEngine* workers) {
-  const std::uint64_t key = pool_fingerprint(spec, config);
-  std::shared_ptr<PoolEntry> entry;
-  bool builder = false;
-  {
-    util::MutexLock lock(mutex_);
-    PoolSlot& slot = pools_[key];
-    if (!slot.entry) {
-      slot.entry = std::make_shared<PoolEntry>();
-      slot.program_key = program_fingerprint(spec);
-      builder = true;
-    }
-    entry = slot.entry;
-    if (builder) {
-      ++stats_.pool_builds;
-    } else {
-      while (!entry->ready) ready_cv_.wait(mutex_);
-      if (entry->failed)
-        throw std::runtime_error("OracleHub: pool build failed for " +
-                                 spec.name);
-      ++stats_.pool_hits;
-      pool_hits_->add(1);
-      return entry->lease;
-    }
-  }
-
-  PoolLease lease;
-  try {
+  const auto build = [&] {
     // The build uses a private oracle, so its suite-run counter holds this
     // precompute's runs alone; nothing evaluates on it afterwards, so it is
     // not primed (each bug's oracle is, by oracle_for).  The analytic
@@ -172,6 +154,7 @@ OracleHub::PoolLease OracleHub::base_pool(const datasets::ScenarioSpec& spec,
     // counter transferable to every tenant's ledger.
     const ProgramModel program(spec);
     const TestOracle oracle(program);
+    PoolLease lease;
     auto pool = std::make_shared<const MutationPool>(
         MutationPool::precompute(oracle, config, workers));
     lease.precompute_runs = oracle.suite_runs();
@@ -180,25 +163,15 @@ OracleHub::PoolLease OracleHub::base_pool(const datasets::ScenarioSpec& spec,
           oracle.interference_graph(pool->mutations(), workers));
     }
     lease.pool = std::move(pool);
-  } catch (...) {
-    util::MutexLock lock(mutex_);
-    entry->failed = true;
-    entry->ready = true;
-    // Same retry contract as oracle_for: fail the parked waiters, free
-    // the slot so the next tenant rebuilds instead of inheriting a
-    // permanently cached failure.
-    pools_.erase(key);
-    ready_cv_.notify_all();
-    throw;
-  }
-  {
-    util::MutexLock lock(mutex_);
-    entry->lease = lease;
-    entry->ready = true;
-    ready_cv_.notify_all();
-  }
-  pool_builds_->add(1);
-  return lease;
+    return lease;
+  };
+  PoolEntry fresh;
+  fresh.program_key = program_fingerprint(spec);
+  return intern(&OracleHub::pools_, pool_fingerprint(spec, config),
+                std::move(fresh),
+                {"pool", &Stats::pool_builds, &Stats::pool_hits, pool_builds_,
+                 pool_hits_},
+                spec.name, build);
 }
 
 }  // namespace mwr::apr

@@ -47,6 +47,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <string>
 
 #include "apr/interference_graph.hpp"
 #include "apr/mutation_pool.hpp"
@@ -113,23 +114,43 @@ class OracleHub {
  private:
   template <typename LeaseT>
   struct Entry {
+    using Lease = LeaseT;
     bool ready = false;
     bool failed = false;
     LeaseT lease;
   };
   using OracleEntry = Entry<OracleLease>;
-  using PoolEntry = Entry<PoolLease>;
-
-  struct PoolSlot {
+  struct PoolEntry : Entry<PoolLease> {
     std::uint64_t program_key = 0;  ///< spec identity minus (bug, suite).
-    std::shared_ptr<PoolEntry> entry;
   };
+  template <typename EntryT>
+  using Table = std::map<std::uint64_t, std::shared_ptr<EntryT>>;
+
+  /// What one table counts, and what its failures are called.
+  struct Tally {
+    const char* kind;
+    std::uint64_t Stats::*builds;
+    std::uint64_t Stats::*hits;
+    obs::Counter* build_counter;
+    obs::Counter* hit_counter;
+  };
+
+  /// The intern protocol both tables share.  A hit waits for the entry
+  /// to be ready and returns its lease.  A miss publishes `fresh` as the
+  /// pending entry, runs `build` without the lock and publishes its lease
+  /// ready.  A failed build poisons the entry for the callers already
+  /// parked on it, frees the slot so a later caller retries (the failure
+  /// may have been transient, allocation pressure say) and rethrows.
+  template <typename EntryT, typename Build>
+  typename EntryT::Lease intern(Table<EntryT> OracleHub::*table,
+                                std::uint64_t key, EntryT fresh,
+                                const Tally& tally, const std::string& name,
+                                Build&& build) MWR_EXCLUDES(mutex_);
 
   mutable util::Mutex mutex_;
   util::CondVar ready_cv_;
-  std::map<std::uint64_t, std::shared_ptr<OracleEntry>> oracles_
-      MWR_GUARDED_BY(mutex_);
-  std::map<std::uint64_t, PoolSlot> pools_ MWR_GUARDED_BY(mutex_);
+  Table<OracleEntry> oracles_ MWR_GUARDED_BY(mutex_);
+  Table<PoolEntry> pools_ MWR_GUARDED_BY(mutex_);
   Stats stats_ MWR_GUARDED_BY(mutex_);
 
   obs::Counter* oracle_builds_;

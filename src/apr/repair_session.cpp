@@ -4,7 +4,6 @@
 #include <bit>
 #include <stdexcept>
 
-#include "core/serialization.hpp"
 #include "obs/registry.hpp"
 #include "parallel/superstep.hpp"
 #include "util/fnv.hpp"
@@ -264,7 +263,7 @@ RepairSession::State RepairSession::save() const {
   if (done_)
     throw std::logic_error("RepairSession::save: session already finished");
   State state;
-  state.strategy = core::export_state(*strategy_);
+  state.strategy = strategy_->export_state();
   state.rng_seed = rng_.seed();
   state.rng_state = rng_.state();
   state.iterations = outcome_.iterations;
@@ -274,7 +273,7 @@ RepairSession::State RepairSession::save() const {
 }
 
 void RepairSession::restore(const State& state) {
-  core::import_state(*strategy_, state.strategy);
+  strategy_->import_state(state.strategy);
   rng_.restore(state.rng_seed, state.rng_state);
   outcome_.iterations = state.iterations;
   outcome_.probes = state.probes;

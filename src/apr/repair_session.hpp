@@ -14,9 +14,9 @@
 // to every prior release).
 //
 // Checkpointing: save() captures everything the next cycle depends on —
-// MWU strategy state (core::export_state), the 256-bit RNG state, cycle /
-// probe counters, and the running trajectory hash.  restore() into a
-// freshly constructed session over the same oracle + pool continues the
+// MWU strategy state (MwuStrategy::export_state), the 256-bit RNG state,
+// cycle / probe counters, and the running trajectory hash.  restore() into
+// a freshly constructed session over the same oracle + pool continues the
 // search bit-identically (pinned by tests/test_serve.cpp).  Snapshots are
 // only meaningful at cycle boundaries, which is the only place step()
 // returns control.
@@ -43,7 +43,7 @@ class RepairSession {
   /// Mid-search state between two update cycles; everything is plain
   /// numbers so checkpoint writers can encode it losslessly.
   struct State {
-    std::vector<double> strategy;          ///< core::export_state vector.
+    std::vector<double> strategy;          ///< MwuStrategy::export_state.
     std::uint64_t rng_seed = 0;
     std::array<std::uint64_t, 4> rng_state{};
     std::uint64_t iterations = 0;          ///< completed update cycles.

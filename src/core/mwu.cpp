@@ -46,6 +46,8 @@ double validate_weights(std::span<const double> weights,
   for (const double w : weights) {
     if (!(w >= 0.0))
       throw std::invalid_argument("set_weights: negative weight");
+    if (!std::isfinite(w))
+      throw std::invalid_argument("set_weights: non-finite weight");
     total += w;
   }
   if (total <= 0.0) throw std::invalid_argument("set_weights: zero total");

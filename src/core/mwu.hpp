@@ -120,8 +120,8 @@ class MwuStrategy {
 
   /// The learned state as a flat double vector, in the variant's own
   /// layout (weights for the global-memory variants, the choice vector for
-  /// Distributed).  core/serialization's export_state is the checkpoint
-  /// seam that calls this.
+  /// Distributed).  RepairSession::save and restore call this pair: it is
+  /// the checkpoint seam.
   [[nodiscard]] virtual std::vector<double> export_state() const = 0;
 
   /// Restores a vector captured by export_state() from a strategy of the
@@ -131,8 +131,8 @@ class MwuStrategy {
 };
 
 /// Checks a weight vector before it replaces a strategy's weights (a
-/// checkpoint restore): `options` entries, none negative or NaN, and a
-/// positive total.  Returns that total, folded left to right.  Throws
+/// checkpoint restore): `options` entries, none negative, NaN or infinite,
+/// and a positive total.  Returns that total, folded left to right.  Throws
 /// std::invalid_argument naming the first rule the vector breaks.
 double validate_weights(std::span<const double> weights, std::size_t options);
 

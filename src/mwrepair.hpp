@@ -28,7 +28,6 @@
 #include "core/option_set.hpp"        // IWYU pragma: export
 #include "core/parallel_driver.hpp"   // IWYU pragma: export
 #include "core/regret.hpp"            // IWYU pragma: export
-#include "core/serialization.hpp"     // IWYU pragma: export
 #include "core/slate_mwu.hpp"         // IWYU pragma: export
 #include "core/slate_projection.hpp"  // IWYU pragma: export
 #include "core/standard_mwu.hpp"      // IWYU pragma: export

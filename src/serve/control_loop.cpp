@@ -6,6 +6,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "parallel/transport/frame_stream.hpp"
 #include "serve/control.hpp"
 #include "serve/control_socket.hpp"
 #include "serve/server.hpp"
@@ -33,7 +34,8 @@ struct ControlLoop::Peer {
   bool dead = false;
 };
 
-ControlLoop::ControlLoop(CampaignServer& server, ControlListener& listener,
+ControlLoop::ControlLoop(CampaignServer& server,
+                         parallel::transport::StreamListener& listener,
                          ControlLoopOptions options)
     : server_(&server), listener_(&listener), options_(options) {}
 
@@ -115,9 +117,9 @@ bool ControlLoop::answer(Peer& peer, bool mid_sweep) {
 
 bool ControlLoop::serve(bool mid_sweep) {
   bool active = false;
-  while (auto conn = listener_->accept_one()) {
+  for (int fd; (fd = listener_->accept_fd()) >= 0;) {
     peers_.push_back(std::make_unique<Peer>());
-    peers_.back()->conn = std::move(conn);
+    peers_.back()->conn = std::make_unique<ControlConn>(fd);
     active = true;
   }
   for (const std::unique_ptr<Peer>& peer : peers_) {
@@ -196,11 +198,11 @@ void ControlLoop::run() {
     if (options_.idle_exit_seconds > 0.0 &&
         idle_timer.elapsed_seconds() >= options_.idle_exit_seconds)
       break;
-    std::vector<ControlConn*> conns;
+    std::vector<const parallel::transport::FrameStream*> conns;
     conns.reserve(peers_.size());
     for (const std::unique_ptr<Peer>& peer : peers_)
       conns.push_back(peer->conn.get());
-    (void)listener_->wait_ready(conns, kIdlePollMs);
+    (void)parallel::transport::wait_ready(conns, kIdlePollMs, listener_);
   }
   flush_before_exit();
 }
@@ -209,13 +211,13 @@ void ControlLoop::flush_before_exit() {
   const util::WallTimer timer;
   for (;;) {
     (void)serve(/*mid_sweep=*/false);
-    std::vector<ControlConn*> pending;
+    std::vector<const parallel::transport::FrameStream*> pending;
     for (const std::unique_ptr<Peer>& peer : peers_) {
       if (peer->conn->outbound_bytes() > 0) pending.push_back(peer->conn.get());
     }
     if (pending.empty() || timer.elapsed_seconds() >= kExitFlushSeconds)
       return;
-    (void)listener_->wait_ready(pending, kIdlePollMs);
+    (void)parallel::transport::wait_ready(pending, kIdlePollMs, listener_);
   }
 }
 

@@ -15,8 +15,9 @@
 // and drained on POLLOUT, so a client that stops reading one connection
 // cannot stall the others.  A peer whose queue passes
 // ControlConn::kMaxOutboundBytes is dropped, as is a peer that sends a
-// malformed stream or announces a frame larger than that bound.  Diagnostics (rejected submissions, dropped peers,
-// the stall notice) go to stderr.
+// malformed stream or announces a frame larger than that bound.
+// Diagnostics (rejected submissions, dropped peers, the stall notice) go
+// to stderr.
 #pragma once
 
 #include <cstdint>
@@ -25,10 +26,13 @@
 
 #include "parallel/transport/wire.hpp"
 
+namespace mwr::parallel::transport {
+class StreamListener;
+}  // namespace mwr::parallel::transport
+
 namespace mwr::serve {
 
 class CampaignServer;
-class ControlListener;
 
 struct ControlLoopOptions {
   /// Exit after this long with nothing resident and no control traffic
@@ -49,7 +53,8 @@ struct ControlLoopStats {
 class ControlLoop {
  public:
   /// `server` and `listener` must outlive the loop.
-  ControlLoop(CampaignServer& server, ControlListener& listener,
+  ControlLoop(CampaignServer& server,
+              parallel::transport::StreamListener& listener,
               ControlLoopOptions options = {});
   ~ControlLoop();
 
@@ -90,7 +95,7 @@ class ControlLoop {
   void flush_before_exit();
 
   CampaignServer* server_;
-  ControlListener* listener_;
+  parallel::transport::StreamListener* listener_;
   ControlLoopOptions options_;
   std::vector<std::unique_ptr<Peer>> peers_;
   bool shutting_down_ = false;

@@ -3,7 +3,8 @@
 // A control connection is a parallel::transport::FrameStream under the
 // name the serve API and its clients spell: the stream owns the framing,
 // the bounded read buffer and every socket syscall, so src/serve makes no
-// raw IPC call.  Everything above this layer (serve/control,
+// raw IPC call.  The daemon listens on a transport::StreamListener and
+// sleeps in transport::wait_ready.  Everything above this layer (serve/control,
 // serve/server, tools/mwr_served) speaks WireFrames only.
 //
 // Two ways out: clients use send_frame, a blocking write-all; the daemon
@@ -13,7 +14,6 @@
 
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "parallel/transport/frame_stream.hpp"
 
@@ -30,35 +30,6 @@ class ControlConn : public parallel::transport::FrameStream {
   /// stream's bound on one inbound frame: recv_frame and pump throw as
   /// soon as a length prefix announces more.
   static constexpr std::size_t kMaxOutboundBytes = kMaxFrameBytes;
-};
-
-/// The daemon's listening socket.  Binding unlinks any stale socket file
-/// at `path` first; the destructor unlinks it again.
-class ControlListener {
- public:
-  explicit ControlListener(const std::string& path) : listener_(path) {}
-
-  /// Accepts one pending connection, or nullptr when none is queued.
-  std::unique_ptr<ControlConn> accept_one() {
-    const int fd = listener_.accept_fd();
-    return fd < 0 ? nullptr : std::make_unique<ControlConn>(fd);
-  }
-
-  /// Sleeps until the listener or one of `conns` is readable, a
-  /// connection with queued replies is writable, or `timeout_ms`
-  /// elapses.  Returns true when anything is ready.
-  bool wait_ready(const std::vector<ControlConn*>& conns,
-                  int timeout_ms) const {
-    return parallel::transport::wait_ready({conns.begin(), conns.end()},
-                                           timeout_ms, &listener_);
-  }
-
-  [[nodiscard]] const std::string& path() const noexcept {
-    return listener_.path();
-  }
-
- private:
-  parallel::transport::StreamListener listener_;
 };
 
 /// Client side: connects to a daemon's socket.  Retries for up to

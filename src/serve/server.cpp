@@ -1,6 +1,7 @@
 #include "serve/server.hpp"
 
 #include <algorithm>
+#include <cstdio>
 #include <exception>
 #include <filesystem>
 #include <stdexcept>
@@ -12,7 +13,6 @@
 #include "parallel/superstep.hpp"
 #include "serve/checkpoint.hpp"
 #include "serve/checkpoint_writer.hpp"
-#include "util/log.hpp"
 #include "util/timer.hpp"
 
 namespace mwr::serve {
@@ -370,8 +370,8 @@ std::size_t CampaignServer::restore_from_dir() {
       campaign.session = apr::CampaignSession::resume(
           checkpoint.snapshot, std::move(plan.spec), plan.config, &hub_);
     } catch (const std::exception& e) {
-      MWR_LOG(kWarn, "serve") << "restore: skipped " << path.string()
-                              << ": " << e.what();
+      std::fprintf(stderr, "WARN serve: restore: skipped %s: %s\n",
+                   path.string().c_str(), e.what());
       restore_rejected_->add(1);
       continue;
     }

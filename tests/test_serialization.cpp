@@ -1,12 +1,13 @@
-// Unit tests for core/serialization: export_state/import_state round-trips
-// for all four strategies, and import_state's refusal of state that does
-// not fit the strategy (checkpoints are read from untrusted files).
+// Unit tests for the checkpoint seam, MwuStrategy::export_state and
+// import_state: round-trips for all four strategies, and import_state's
+// refusal of state that does not fit the strategy (checkpoints are read
+// from untrusted files).
 #include <gtest/gtest.h>
 
 #include <limits>
 
 #include "core/distributed_mwu.hpp"
-#include "core/serialization.hpp"
+#include "core/mwu.hpp"
 #include "core/standard_mwu.hpp"
 #include "datasets/distributions.hpp"
 
@@ -44,7 +45,7 @@ TEST_P(SerializationRoundTrip, RestoresProbabilitiesExactly) {
   warm_up(*original, oracle, 11);
 
   const auto restored = make_mwu(GetParam(), config);
-  import_state(*restored, export_state(*original));
+  restored->import_state(original->export_state());
 
   const auto p_original = original->probabilities();
   const auto p_restored = restored->probabilities();
@@ -64,7 +65,7 @@ TEST_P(SerializationRoundTrip, RestoredStrategyContinuesIdentically) {
   const auto a = make_mwu(GetParam(), config);
   warm_up(*a, oracle, 21);
   const auto b = make_mwu(GetParam(), config);
-  import_state(*b, export_state(*a));
+  b->import_state(a->export_state());
 
   // Same subsequent inputs => identical trajectories.
   util::RngStream rng_a(31);
@@ -96,9 +97,9 @@ TEST(Serialization, RejectsKindMismatch) {
   const auto standard = make_mwu(MwuKind::kStandard, config_for(4));
   warm_up(*standard, oracle, 5);
   const auto distributed = make_mwu(MwuKind::kDistributed, config_for(4));
-  EXPECT_THROW(import_state(*distributed, export_state(*standard)),
+  EXPECT_THROW(distributed->import_state(standard->export_state()),
                std::invalid_argument);
-  EXPECT_THROW(import_state(*standard, export_state(*distributed)),
+  EXPECT_THROW(standard->import_state(distributed->export_state()),
                std::invalid_argument);
 }
 
@@ -106,7 +107,7 @@ TEST(Serialization, RejectsOptionCountMismatch) {
   for (const MwuKind kind : {MwuKind::kStandard, MwuKind::kDistributed}) {
     const auto a = make_mwu(kind, config_for(4));
     const auto b = make_mwu(kind, config_for(8));
-    EXPECT_THROW(import_state(*b, export_state(*a)), std::invalid_argument)
+    EXPECT_THROW(b->import_state(a->export_state()), std::invalid_argument)
         << to_string(kind);
   }
 }
@@ -117,27 +118,30 @@ TEST(Serialization, RejectsOptionCountMismatch) {
 TEST(Serialization, RejectsDistributedChoicesThatAreNotOptionIndices) {
   DistributedMwu mwu(config_for(4));
   const std::vector<double> valid(mwu.population(), 3.0);
-  import_state(mwu, valid);
+  mwu.import_state(valid);
   EXPECT_EQ(mwu.choices(), std::vector<std::uint32_t>(mwu.population(), 3));
 
   for (const double bad : {std::numeric_limits<double>::quiet_NaN(), -1.0,
                            0.5, 1e300, 4.0}) {
     std::vector<double> state = valid;
     state.back() = bad;
-    EXPECT_THROW(import_state(mwu, state), std::invalid_argument) << bad;
+    EXPECT_THROW(mwu.import_state(state), std::invalid_argument) << bad;
   }
   // A refused import leaves the strategy as it was.
   EXPECT_EQ(mwu.choices(), std::vector<std::uint32_t>(mwu.population(), 3));
 }
 
 TEST(Serialization, RejectsNonFiniteWeights) {
-  StandardMwu mwu(config_for(3));
-  EXPECT_THROW(
-      import_state(mwu, {1.0, std::numeric_limits<double>::infinity(), 1.0}),
-      std::invalid_argument);
-  EXPECT_THROW(
-      import_state(mwu, {1.0, std::numeric_limits<double>::quiet_NaN(), 1.0}),
-      std::invalid_argument);
+  for (const MwuKind kind : {MwuKind::kStandard, MwuKind::kSlate,
+                             MwuKind::kExp3}) {
+    const auto mwu = make_mwu(kind, config_for(3));
+    for (const double bad : {std::numeric_limits<double>::infinity(),
+                             std::numeric_limits<double>::quiet_NaN()}) {
+      EXPECT_THROW(mwu->import_state(std::vector<double>{1.0, bad, 1.0}),
+                   std::invalid_argument)
+          << to_string(kind) << " " << bad;
+    }
+  }
 }
 
 TEST(Serialization, SetWeightsValidates) {

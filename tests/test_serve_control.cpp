@@ -31,6 +31,8 @@ namespace mwr::serve {
 namespace {
 
 using parallel::transport::FrameKind;
+using parallel::transport::StreamListener;
+using parallel::transport::wait_ready;
 using parallel::transport::WireFrame;
 
 std::string unique_socket_path(const std::string& tag) {
@@ -39,13 +41,19 @@ std::string unique_socket_path(const std::string& tag) {
       .string();
 }
 
+/// The accepted connection, or nullptr when none is queued.
+std::unique_ptr<ControlConn> accept_one(StreamListener& listener) {
+  const int fd = listener.accept_fd();
+  return fd < 0 ? nullptr : std::make_unique<ControlConn>(fd);
+}
+
 TEST(ControlSocket, FramesRoundTripIncludingLargePayloads) {
   const std::string path = unique_socket_path("ctl-roundtrip");
-  ControlListener listener(path);
+  StreamListener listener(path);
 
   std::unique_ptr<ControlConn> client = connect_control(path);
-  ASSERT_TRUE(listener.wait_ready({}, 1000));
-  std::unique_ptr<ControlConn> served = listener.accept_one();
+  ASSERT_TRUE(wait_ready({}, 1000, &listener));
+  std::unique_ptr<ControlConn> served = accept_one(listener);
   ASSERT_NE(served, nullptr);
 
   // Small control frame and a large one — wider than one 64 KiB read
@@ -75,12 +83,12 @@ TEST(ControlSocket, FramesRoundTripIncludingLargePayloads) {
 
 TEST(ControlSocket, PumpDrainsWithoutBlocking) {
   const std::string path = unique_socket_path("ctl-pump");
-  ControlListener listener(path);
+  StreamListener listener(path);
   std::unique_ptr<ControlConn> client = connect_control(path);
   std::unique_ptr<ControlConn> served;
   for (int i = 0; i < 100 && !served; ++i) {
-    (void)listener.wait_ready({}, 50);
-    served = listener.accept_one();
+    (void)wait_ready({}, 50, &listener);
+    served = accept_one(listener);
   }
   ASSERT_NE(served, nullptr);
 
@@ -91,7 +99,7 @@ TEST(ControlSocket, PumpDrainsWithoutBlocking) {
   ASSERT_TRUE(client->send_frame(encode_status_request(7)));
   ASSERT_TRUE(client->send_frame(encode_checkpoint_request()));
   for (int i = 0; i < 100 && frames.size() < 2; ++i) {
-    (void)listener.wait_ready({served.get()}, 50);
+    (void)wait_ready({served.get()}, 50, &listener);
     ASSERT_TRUE(served->pump(frames));
   }
   ASSERT_EQ(frames.size(), 2u);
@@ -101,12 +109,12 @@ TEST(ControlSocket, PumpDrainsWithoutBlocking) {
 
 TEST(ControlSocket, PumpReportsDeadPeerAfterMidFrameEof) {
   const std::string path = unique_socket_path("ctl-midframe-eof");
-  ControlListener listener(path);
+  StreamListener listener(path);
   std::unique_ptr<ControlConn> client = connect_control(path);
   std::unique_ptr<ControlConn> served;
   for (int i = 0; i < 100 && !served; ++i) {
-    (void)listener.wait_ready({}, 50);
-    served = listener.accept_one();
+    (void)wait_ready({}, 50, &listener);
+    served = accept_one(listener);
   }
   ASSERT_NE(served, nullptr);
 
@@ -129,7 +137,7 @@ TEST(ControlSocket, PumpReportsDeadPeerAfterMidFrameEof) {
   std::vector<WireFrame> frames;
   bool alive = true;
   for (int i = 0; i < 100 && alive; ++i) {
-    (void)listener.wait_ready({served.get()}, 50);
+    (void)wait_ready({served.get()}, 50, &listener);
     alive = served->pump(frames);
   }
   EXPECT_FALSE(alive);
@@ -148,10 +156,10 @@ std::vector<std::uint8_t> announce_frame(std::uint32_t body) {
 
 TEST(ControlSocket, RecvRejectsAFrameAnnouncedPastTheBound) {
   const std::string path = unique_socket_path("ctl-oversized");
-  ControlListener listener(path);
+  StreamListener listener(path);
   std::unique_ptr<ControlConn> client = connect_control(path);
-  ASSERT_TRUE(listener.wait_ready({}, 1000));
-  std::unique_ptr<ControlConn> served = listener.accept_one();
+  ASSERT_TRUE(wait_ready({}, 1000, &listener));
+  std::unique_ptr<ControlConn> served = accept_one(listener);
   ASSERT_NE(served, nullptr);
 
   // Announced one byte past the bound; only the prefix ever arrives.
@@ -177,7 +185,7 @@ void daemon_loop(const std::string& path, std::size_t workers,
     config.workers = workers;
     config.quantum = 8;
     CampaignServer server(config);
-    ControlListener listener(path);
+    StreamListener listener(path);
     ControlLoop loop(server, listener);
     loop.run();
     if (stats != nullptr) *stats = loop.stats();
@@ -556,7 +564,7 @@ TEST(ControlLoop, RepliesDuringASweepMatchRepliesBetweenEpochs) {
     config.workers = workers;
     config.quantum = 3;
     CampaignServer server(config);
-    ControlListener listener(path);
+    StreamListener listener(path);
     ControlLoop loop(server, listener);
     std::unique_ptr<ControlConn> client = connect_control(path);
     (void)loop.serve_pending();  // accepts the client
@@ -613,7 +621,7 @@ TEST(ControlLoop, CheckpointMidSweepWaitsForTheJoinInRequestOrder) {
   config.quantum = 1;
   config.checkpoint_dir = dir.string();
   CampaignServer server(config);
-  ControlListener listener(path);
+  StreamListener listener(path);
   ControlLoop loop(server, listener);
   std::unique_ptr<ControlConn> client = connect_control(path);
   (void)loop.serve_pending();

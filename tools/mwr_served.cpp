@@ -24,8 +24,8 @@
 #include <stdexcept>
 #include <string>
 
+#include "parallel/transport/frame_stream.hpp"
 #include "serve/control_loop.hpp"
-#include "serve/control_socket.hpp"
 #include "serve/server.hpp"
 #include "util/cli.hpp"
 
@@ -74,7 +74,7 @@ int run(int argc, char** argv) {
                 config.checkpoint_dir.c_str());
   }
 
-  serve::ControlListener listener(socket_path);
+  parallel::transport::StreamListener listener(socket_path);
   std::printf("mwr_served: listening on %s (max %zu campaigns, quantum %zu)\n",
               socket_path.c_str(), config.max_resident, config.quantum);
   std::fflush(stdout);
