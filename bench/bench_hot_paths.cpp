@@ -33,10 +33,10 @@
 // Results are emitted both as a human-readable table and as machine-
 // readable JSON (--json, default BENCH_hot_paths.json) in the gated
 // benches' "mwr-bench-v3" layout, one "<row>.before_ns_per_op",
-// "<row>.after_ns_per_op", "<row>.speedup" and "<row>.checksum" metric
-// per row; CI's bench-smoke job gates on that file via
-// .github/check_bench.py (speedup floors + absolute-regression bound
-// against the committed baseline).  --repeat N runs every section N
+// "<row>.after_ns_per_op", "<row>.speedup" and "<row>.checksum" (its
+// low 53 bits, which a JSON number holds exactly) metric per row; CI's
+// bench-smoke job gates on that file via .github/check_bench.py (speedup
+// floors + absolute-regression bound against the committed baseline).  --repeat N runs every section N
 // times and reports the median of each timing, squeezing scheduler noise
 // out of the committed baselines.
 //
@@ -531,6 +531,10 @@ struct Row {
   Section section;
 };
 
+/// The checksum bits --json records: a double holds any integer below
+/// 2^53 exactly, so every run reproduces the committed value.
+constexpr std::uint64_t kChecksumMask = (std::uint64_t{1} << 53) - 1;
+
 void write_json(std::size_t k, std::size_t agents, std::size_t pool_size,
                 std::size_t patch_size, std::size_t repeat,
                 const std::vector<Row>& rows, const std::string& path) {
@@ -541,7 +545,8 @@ void write_json(std::size_t k, std::size_t agents, std::size_t pool_size,
     metrics.emplace_back(name + ".before_ns_per_op", row.section.before_ns);
     metrics.emplace_back(name + ".after_ns_per_op", row.section.after_ns);
     metrics.emplace_back(name + ".speedup", row.section.speedup());
-    metrics.emplace_back(name + ".checksum", row.section.checksum);
+    metrics.emplace_back(name + ".checksum",
+                         row.section.checksum & kChecksumMask);
   }
   bench::write_bench_json("bench_hot_paths",
                           Object{{"options", k},

@@ -96,8 +96,8 @@ MwRepairConfig CampaignSession::bug_repair_config() const {
   return repair_config;
 }
 
-void CampaignSession::open_bug_oracle() {
-  bug_lease_ = hub_->oracle_for(bug_spec());
+void CampaignSession::open_bug_oracle(parallel::SuperstepEngine* workers) {
+  bug_lease_ = hub_->oracle_for(bug_spec(), workers);
 }
 
 void CampaignSession::open_repair() {
@@ -120,7 +120,7 @@ void CampaignSession::start_bug(parallel::SuperstepEngine* workers) {
   bug_seconds_ = 0.0;
 
   const datasets::ScenarioSpec spec = bug_spec();
-  open_bug_oracle();
+  open_bug_oracle(workers);
 
   // Incremental maintenance: revalidate the pool against the grown suite
   // (a no-op when nothing changed, a partial re-run otherwise).  The

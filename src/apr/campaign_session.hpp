@@ -195,7 +195,9 @@ class CampaignSession {
   void start_bug(parallel::SuperstepEngine* workers);
   void finish_bug();
   void finalize();
-  void open_bug_oracle();  // (re)acquire program/oracle for bug_index_.
+  // (Re)acquires program/oracle for bug_index_; a fresh oracle is primed
+  // over `workers` (may be null).
+  void open_bug_oracle(parallel::SuperstepEngine* workers = nullptr);
   void open_repair();      // the bug's RepairSession over working_pool_.
   [[nodiscard]] datasets::ScenarioSpec bug_spec() const;
   [[nodiscard]] MwRepairConfig bug_repair_config() const;

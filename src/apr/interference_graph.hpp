@@ -1,6 +1,7 @@
 // The interference graph of a mutation pool: which pairs of members
-// interfere under test_oracle.hpp's pairwise model, as a symmetric CSR
-// over pool positions with each edge's pair hash.
+// interfere under test_oracle.hpp's pairwise model, as an upper-triangular
+// CSR over pool positions (row x holds the partners y > x, so each pair is
+// stored once) with each pair's hash.
 //
 // Interference is a program property.  Whether a pair interferes depends
 // on the scenario seed and the calibrated rate only, never on the bug
@@ -24,7 +25,8 @@ struct InterferenceGraph {
   double interference = 0.0;     ///< the calibrated pair-interference rate.
   std::vector<std::uint64_t> keys;       ///< member keys, strictly ascending.
   std::vector<std::uint32_t> offsets;    ///< CSR row starts, size n + 1.
-  std::vector<std::uint32_t> partners;   ///< interfering partner position.
+  std::vector<std::uint32_t> partners;   ///< interfering partner position,
+                                         ///< above the row's, ascending.
   std::vector<std::uint64_t> hashes;     ///< that pair's hash.
 
   [[nodiscard]] std::size_t size() const noexcept { return keys.size(); }

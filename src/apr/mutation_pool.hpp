@@ -40,10 +40,11 @@ struct PoolConfig {
 class MutationPool {
  public:
   /// Phase-1 precompute: generate random candidate mutations, validate each
-  /// against the required suite — fanned out over `workers`, inline when
-  /// null — and keep the safe ones (deduplicated) until target_size is
-  /// reached or the attempt budget is exhausted.  The pool is the same for
-  /// any engine.  Each suite run is counted on the oracle.  The oracle's
+  /// against the required suite (TestOracle::passes_alone) — in blocks
+  /// over `workers`, inline when null — and keep the safe ones
+  /// (deduplicated) until target_size is reached or the attempt budget is
+  /// exhausted.  The pool is the same for any engine.  Each suite run is
+  /// counted on the oracle, booked once per block.  The oracle's
   /// cache is left as it was: a caller that evaluates pooled patches on it
   /// primes it (TestOracle::prime_cache, or prime_wave as MwRepair::run
   /// does).
@@ -68,9 +69,11 @@ class MutationPool {
 
   /// Re-runs every pool member against (a possibly different) oracle and
   /// drops the ones that no longer pass — the incremental-update path for a
-  /// grown test suite.  Suite runs fan out over `workers`, inline when null
-  /// (order and survivors are identical to the serial pass — each member's
-  /// verdict is independent).  Returns the number of dropped mutations.
+  /// grown test suite.  Members are checked in blocks over `workers`,
+  /// inline when null, each block booking its suite runs and cache counts
+  /// once: order, survivors and counter totals are those of a serial
+  /// per-member evaluate() pass, since each member's verdict is
+  /// independent.  Returns the number of dropped mutations.
   std::size_t revalidate(const TestOracle& oracle,
                          parallel::SuperstepEngine* workers = nullptr);
 

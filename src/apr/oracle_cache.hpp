@@ -107,9 +107,9 @@ class OracleCache {
   /// Everything a pooled-patch evaluation needs, flattened for the SIMD
   /// probe-mask kernels: per-member broken masks as a gatherable u64 array,
   /// safe / repair-relevant membership as bitsets over pool indices, and
-  /// the sparse symmetric CSR of interfering safe pairs (partner index +
-  /// interference mask per edge, both directions stored — the OR fold is
-  /// idempotent, so walking each edge twice is harmless).  Built once by
+  /// the sparse upper-triangular CSR of interfering safe pairs (partner
+  /// index + interference mask per pair, stored once in the row of its
+  /// lower member, so row i holds only partners j > i).  Built once by
   /// TestOracle::prime_wave; read lock-free by every evaluate_pooled.
   struct WaveTable {
     std::vector<Mutation> pool;                 ///< the primed members, so
@@ -120,7 +120,8 @@ class OracleCache {
     std::vector<std::uint64_t> relevant_words;  ///< bitset: counts toward
                                                 ///< the repair threshold.
     std::vector<std::uint32_t> partner_offsets; ///< CSR row starts, size n+1.
-    std::vector<std::uint32_t> partner_idx;     ///< interfering partner.
+    std::vector<std::uint32_t> partner_idx;     ///< interfering partner,
+                                                ///< above the row's member.
     std::vector<std::uint64_t> partner_masks;   ///< that pair's broken bit.
   };
 

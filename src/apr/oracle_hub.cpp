@@ -101,7 +101,7 @@ typename EntryT::Lease OracleHub::intern(Table<EntryT> OracleHub::*table,
 }
 
 OracleHub::OracleLease OracleHub::oracle_for(
-    const datasets::ScenarioSpec& spec) {
+    const datasets::ScenarioSpec& spec, parallel::SuperstepEngine* workers) {
   const auto build = [&] {
     // Prime the fresh oracle from an interned base pool of the same
     // program: one batch of cache inserts instead of per-tenant cold
@@ -130,9 +130,10 @@ OracleHub::OracleLease OracleHub::oracle_for(
     // the eager wave table (flat masks, safe/relevant bitsets,
     // interference CSR), amortized over every tenant's probe waves.  Its
     // pairs come from the pool's interference graph, hashed once when the
-    // pool was interned, not once per (bug, suite) oracle.
+    // pool was interned, not once per (bug, suite) oracle.  A campaign
+    // stepping on an engine primes over it; the served path has none.
     if (warm.pool) {
-      oracle->prime_wave(warm.pool->mutations(), warm.graph.get());
+      oracle->prime_wave(warm.pool->mutations(), warm.graph.get(), workers);
     }
     return OracleLease{std::move(program), std::move(oracle)};
   };

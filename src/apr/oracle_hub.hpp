@@ -90,8 +90,11 @@ class OracleHub {
   OracleHub& operator=(const OracleHub&) = delete;
 
   /// Program + oracle for `spec` (the full spec, bug_id and grown test
-  /// count included).
-  OracleLease oracle_for(const datasets::ScenarioSpec& spec);
+  /// count included).  `workers` (may be null) primes an oracle built
+  /// here: its pool semantics and wave rows are computed in blocks over
+  /// the engine.  The oracle is the same either way.
+  OracleLease oracle_for(const datasets::ScenarioSpec& spec,
+                         parallel::SuperstepEngine* workers = nullptr);
 
   /// The precomputed base pool for (spec, config).  `workers` (may be
   /// null) runs the precompute's suite runs and splits the

@@ -5,7 +5,8 @@
 namespace mwr::apr {
 
 ProgramModel::ProgramModel(datasets::ScenarioSpec spec)
-    : spec_(std::move(spec)) {
+    : spec_(std::move(spec)),
+      coverage_threshold_(unit_threshold(spec_.coverage)) {
   if (spec_.statements == 0)
     throw std::invalid_argument("ProgramModel: scenario has no statements");
   if (spec_.coverage <= 0.0 || spec_.coverage > 1.0)
@@ -20,8 +21,8 @@ ProgramModel::ProgramModel(datasets::ScenarioSpec spec)
 }
 
 bool ProgramModel::is_covered(std::size_t statement) const {
-  return hash_to_unit(stable_hash(spec_.seed, 0xC0FFEE, statement)) <
-         spec_.coverage;
+  return (stable_hash(spec_.seed, 0xC0FFEE, statement) >> 11) <
+         coverage_threshold_;  // hash_to_unit(h) < coverage
 }
 
 }  // namespace mwr::apr

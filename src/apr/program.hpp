@@ -90,6 +90,7 @@ class ProgramModel {
 
  private:
   datasets::ScenarioSpec spec_;
+  std::uint64_t coverage_threshold_;  ///< unit_threshold(spec_.coverage)
   std::vector<std::uint32_t> covered_;
 };
 

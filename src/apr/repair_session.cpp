@@ -57,7 +57,7 @@ RepairSession::RepairSession(const MwRepairConfig& config,
       wave_map_.push_back(static_cast<std::uint32_t>(idx));
     }
     wave_fast_path_ = mapped;
-    wave_identity_ = mapped && wave_map_.size() == oracle.wave_pool().size();
+    wave_identity_ = mapped && wave_map_.size() == oracle.wave().pool.size();
     if (!mapped) wave_map_.clear();
   }
 }

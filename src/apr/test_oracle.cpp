@@ -2,6 +2,7 @@
 
 #include "apr/fault_localization.hpp"
 #include "obs/registry.hpp"
+#include "parallel/blocks.hpp"
 #include "parallel/superstep.hpp"
 #include "util/simd/weight_kernels.hpp"
 
@@ -35,14 +36,14 @@ TestOracle::TestOracle(const ProgramModel& program, bool enable_cache)
   // suite grows, a mutation that passed every old test keeps passing them
   // under a grown suite — only the *new* tests can expose it, which is
   // exactly the incremental pool-maintenance story of §III-C.
-  per_test_break_rate_ =
+  break_threshold_ = unit_threshold(
       1.0 - std::pow(program.spec().safe_rate,
-                     1.0 / static_cast<double>(required_tests_));
+                     1.0 / static_cast<double>(required_tests_)));
   const auto& spec = program.spec();
-  relevance_rate_ =
+  relevance_threshold_ = unit_threshold(
       spec.relevance_localized
           ? std::min(1.0, spec.repair_rate / kFailingRegionFraction)
-          : spec.repair_rate;
+          : spec.repair_rate);
   if (enable_cache) {
     cache_ = std::make_unique<OracleCache>();
     auto& metrics = obs::MetricsRegistry::global();
@@ -72,8 +73,9 @@ std::uint64_t TestOracle::broken_mask_single(const Mutation& m) const {
   const auto& spec = program_->spec();
   std::uint64_t mask = 0;
   for (std::uint32_t t = 0; t < required_tests_; ++t) {
-    if (hash_to_unit(stable_hash(spec.seed, kBreakDomain, m.key(), t)) <
-        per_test_break_rate_) {
+    // hash_to_unit(h) < the per-test break rate.
+    if ((stable_hash(spec.seed, kBreakDomain, m.key(), t) >> 11) <
+        break_threshold_) {
       mask |= (std::uint64_t{1} << t);
     }
   }
@@ -85,8 +87,8 @@ MutationSemantics TestOracle::compute_semantics(const Mutation& m) const {
   MutationSemantics s;
   s.broken_mask = broken_mask_single(m);
   s.relevance_hash_pass =
-      hash_to_unit(stable_hash(spec.seed, kRepairDomain ^ (spec.bug_id << 8),
-                               m.key())) < relevance_rate_;
+      (stable_hash(spec.seed, kRepairDomain ^ (spec.bug_id << 8), m.key()) >>
+       11) < relevance_threshold_;  // hash_to_unit(h) < the relevance rate
   return s;
 }
 
@@ -99,6 +101,21 @@ MutationSemantics TestOracle::semantics_for(const Mutation& m) const {
   }
   mask_misses_->add(1);
   return compute_semantics(m);
+}
+
+bool TestOracle::passes_alone(const Mutation& m, ProbeTally& tally) const {
+  // evaluate({&m, 1}) on either path: one member, so no pair, and the
+  // verdict is its broken mask alone.  The wave's mask of a pooled member
+  // is its primed one, and both paths book a pooled member as a mask hit.
+  ++tally.runs;
+  if (!cache_) return broken_mask_single(m) == 0;
+  const std::size_t idx = cache_->pool_index(m.key());
+  if (idx != OracleCache::npos) {
+    ++tally.mask_hits;
+    return cache_->pooled(idx).broken_mask == 0;
+  }
+  ++tally.mask_misses;
+  return broken_mask_single(m) == 0;
 }
 
 std::uint64_t TestOracle::pair_lo_term(std::uint64_t lo) const noexcept {
@@ -222,9 +239,9 @@ Evaluation TestOracle::evaluate_pooled(
   // Pairwise interference: walk each safe member's precomputed partner
   // row and OR the masks of partners that are also in the patch — masked
   // by the partner's membership bit, not branched on, since membership is
-  // a coin flip the predictor cannot learn.  The CSR is symmetric, so
-  // every interfering pair is visited twice — OR is idempotent, and the
-  // double visit beats a per-edge direction test.
+  // a coin flip the predictor cannot learn.  The CSR is upper-triangular
+  // (row i holds only partners j > i), so every interfering pair of the
+  // patch is visited once, from its lower member.
   for (const std::uint32_t i : pool_indices) {
     if (((wave.safe_words[i >> 6] >> (i & 63)) & 1) == 0) continue;
     const std::uint32_t end = wave.partner_offsets[i + 1];
@@ -254,6 +271,7 @@ void TestOracle::book(ProbeTally& tally) const {
   if (tally.runs != 0)
     suite_runs_.fetch_add(tally.runs, std::memory_order_relaxed);
   if (tally.mask_hits != 0) mask_hits_->add(tally.mask_hits);
+  if (tally.mask_misses != 0) mask_misses_->add(tally.mask_misses);
   if (tally.pair_hits != 0) pair_hits_->add(tally.pair_hits);
   tally = ProbeTally{};
 }
@@ -275,21 +293,16 @@ InterferenceGraph TestOracle::interference_graph(
   }
   // Every pair hashed once; keys ascend, so (x, y) is already (lo, hi).
   // With workers the rows split into contiguous blocks of about equal pair
-  // counts (row x holds n - 1 - x pairs), kBlocksPerParticipant blocks per
-  // participant of the sweep (every worker plus the caller, which drains
-  // alongside them; a one-worker engine runs inline on the caller alone),
-  // so a participant that joins late leaves no large block behind.  Read
-  // back in block order the edges are in the serial (x, y) order, so the
-  // graph is the same for any worker count.
-  constexpr std::size_t kBlocksPerParticipant = 4;
+  // counts (row x holds n - 1 - x pairs), parallel::block_count of them,
+  // so a participant that joins late leaves no large block behind.  Each
+  // block keeps its rows' partners in (x, y) order and writes its rows'
+  // degrees, so read back in block order the blocks concatenate into the
+  // upper-triangular CSR, the same for any worker count.
   struct Block {
-    std::vector<std::array<std::uint32_t, 2>> edges;
+    std::vector<std::uint32_t> partners;
     std::vector<std::uint64_t> hashes;
   };
-  const std::size_t blocks =
-      workers != nullptr && n > 1 && workers->workers() > 1
-          ? (workers->workers() + 1) * kBlocksPerParticipant
-          : 1;
+  const std::size_t blocks = parallel::block_count(workers, n);
   std::vector<std::size_t> bounds(blocks + 1, n);
   bounds[0] = 0;
   const std::size_t pairs = n * (n > 0 ? n - 1 : 0) / 2;
@@ -311,18 +324,21 @@ InterferenceGraph TestOracle::interference_graph(
     lo_terms[i] = pair_lo_term(graph.keys[i]);
     hi_terms[i] = pair_hi_term(graph.keys[i]);
   }
+  graph.offsets.assign(n + 1, 0);
   std::vector<Block> parts(blocks);
   const auto hash_rows = [&](std::size_t b) {
     Block& part = parts[b];
     for (std::size_t x = bounds[b]; x < bounds[b + 1]; ++x) {
+      const std::size_t row_start = part.partners.size();
       const std::uint64_t lo_term = lo_terms[x];
       for (std::size_t y = x + 1; y < n; ++y) {
         const std::uint64_t h = stable_hash_of_state(lo_term ^ hi_terms[y]);
         if (!interferes(h)) continue;
-        part.edges.push_back(
-            {static_cast<std::uint32_t>(x), static_cast<std::uint32_t>(y)});
+        part.partners.push_back(static_cast<std::uint32_t>(y));
         part.hashes.push_back(h);
       }
+      graph.offsets[x + 1] =
+          static_cast<std::uint32_t>(part.partners.size() - row_start);
     }
   };
   if (blocks > 1) {
@@ -330,30 +346,14 @@ InterferenceGraph TestOracle::interference_graph(
   } else {
     hash_rows(0);
   }
-  // Symmetric CSR: count degrees, prefix-sum, fill both directions.  Rows
-  // come out with ascending partners.
-  graph.offsets.assign(n + 1, 0);
-  std::size_t edges = 0;
-  for (const Block& part : parts) {
-    edges += part.edges.size();
-    for (const auto& e : part.edges) {
-      ++graph.offsets[e[0] + 1];
-      ++graph.offsets[e[1] + 1];
-    }
-  }
   for (std::size_t i = 0; i < n; ++i) graph.offsets[i + 1] += graph.offsets[i];
-  graph.partners.resize(2 * edges);
-  graph.hashes.resize(2 * edges);
-  std::vector<std::uint32_t> cursor(graph.offsets.begin(),
-                                    graph.offsets.end() - 1);
+  graph.partners.reserve(graph.offsets[n]);
+  graph.hashes.reserve(graph.offsets[n]);
   for (const Block& part : parts) {
-    for (std::size_t e = 0; e < part.edges.size(); ++e) {
-      const auto [a, b] = part.edges[e];
-      graph.partners[cursor[a]] = b;
-      graph.hashes[cursor[a]++] = part.hashes[e];
-      graph.partners[cursor[b]] = a;
-      graph.hashes[cursor[b]++] = part.hashes[e];
-    }
+    graph.partners.insert(graph.partners.end(), part.partners.begin(),
+                          part.partners.end());
+    graph.hashes.insert(graph.hashes.end(), part.hashes.begin(),
+                        part.hashes.end());
   }
   obs::MetricsRegistry::global()
       .counter("oracle.interference_graph_builds")
@@ -362,14 +362,15 @@ InterferenceGraph TestOracle::interference_graph(
 }
 
 void TestOracle::prime_wave(std::span<const Mutation> pool,
-                            const InterferenceGraph* graph) const {
+                            const InterferenceGraph* graph,
+                            parallel::SuperstepEngine* workers) const {
   if (!cache_ || pool.empty()) return;
-  prime_cache(pool);
+  prime_cache(pool, workers);
   if (cache_->wave_ready()) return;  // same pool: prime_cache kept the wave.
   if (pool.size() > OracleCache::kMaxWavePool) return;
   InterferenceGraph own;
   if (graph == nullptr) {
-    own = interference_graph(pool);
+    own = interference_graph(pool, workers);
     graph = &own;
   } else if (graph->seed != program_->spec().seed ||
              graph->interference != interference_) {
@@ -416,29 +417,51 @@ void TestOracle::prime_wave(std::span<const Mutation> pool,
   }
   // Each safe member's row: its graph partners that are pooled and safe
   // under this suite, with the test this suite's size makes them break.
+  // Graph rows hold only partners above their member, and wave positions
+  // keep the graph's key order, so wave rows do too.  The rows are
+  // counted, prefix-summed and filled in blocks of members; a block writes
+  // only its own members' rows, so the table is the same for any engine.
   const auto safe = [&](std::size_t i) {
     return ((wave.safe_words[i >> 6] >> (i & 63)) & 1) != 0;
   };
-  wave.partner_offsets.assign(n + 1, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (safe(i)) {
-      const std::uint32_t row = graph_pos[i];
-      for (std::uint32_t o = graph->offsets[row]; o < graph->offsets[row + 1];
-           ++o) {
-        const std::uint32_t j = wave_pos[graph->partners[o]];
-        if (j == kAbsent || !safe(j)) continue;
-        wave.partner_idx.push_back(j);
-        wave.partner_masks.push_back(interference_test_bit(graph->hashes[o]));
-      }
+  const auto for_each_partner = [&](std::size_t i, auto&& visit) {
+    if (!safe(i)) return;
+    const std::uint32_t row = graph_pos[i];
+    for (std::uint32_t o = graph->offsets[row]; o < graph->offsets[row + 1];
+         ++o) {
+      const std::uint32_t j = wave_pos[graph->partners[o]];
+      if (j != kAbsent && safe(j)) visit(j, graph->hashes[o]);
     }
-    wave.partner_offsets[i + 1] =
-        static_cast<std::uint32_t>(wave.partner_idx.size());
-  }
+  };
+  wave.partner_offsets.assign(n + 1, 0);
+  parallel::for_each_block(
+      workers, n, [&](std::size_t begin, std::size_t end) {
+        for (std::size_t i = begin; i < end; ++i) {
+          std::uint32_t degree = 0;
+          for_each_partner(i, [&](std::uint32_t, std::uint64_t) { ++degree; });
+          wave.partner_offsets[i + 1] = degree;
+        }
+      });
+  for (std::size_t i = 0; i < n; ++i)
+    wave.partner_offsets[i + 1] += wave.partner_offsets[i];
+  wave.partner_idx.resize(wave.partner_offsets[n]);
+  wave.partner_masks.resize(wave.partner_offsets[n]);
+  parallel::for_each_block(
+      workers, n, [&](std::size_t begin, std::size_t end) {
+        for (std::size_t i = begin; i < end; ++i) {
+          std::uint32_t o = wave.partner_offsets[i];
+          for_each_partner(i, [&](std::uint32_t j, std::uint64_t h) {
+            wave.partner_idx[o] = j;
+            wave.partner_masks[o++] = interference_test_bit(h);
+          });
+        }
+      });
   obs::MetricsRegistry::global().counter("oracle.wave_builds").add(1);
   cache_->install_wave(std::move(wave));
 }
 
-void TestOracle::prime_cache(std::span<const Mutation> pool) const {
+void TestOracle::prime_cache(std::span<const Mutation> pool,
+                             parallel::SuperstepEngine* workers) const {
   if (!cache_ || pool.empty()) return;
   std::vector<std::uint64_t> keys;
   keys.reserve(pool.size());
@@ -453,9 +476,14 @@ void TestOracle::prime_cache(std::span<const Mutation> pool) const {
     }
   }
   if (cache_->primed_with(keys)) return;
-  std::vector<MutationSemantics> semantics;
-  semantics.reserve(pool.size());
-  for (const Mutation& m : pool) semantics.push_back(compute_semantics(m));
+  // Each member's semantics lands at its pool position, whichever block
+  // computed it.
+  std::vector<MutationSemantics> semantics(pool.size());
+  parallel::for_each_block(
+      workers, pool.size(), [&](std::size_t begin, std::size_t end) {
+        for (std::size_t i = begin; i < end; ++i)
+          semantics[i] = compute_semantics(pool[i]);
+      });
   cache_->prime(std::move(keys), std::move(semantics));
 }
 

@@ -42,7 +42,8 @@
 // paper measures APR cost (§IV-G) — via a relaxed atomic, so concurrent
 // probes from parallel sweeps can share one oracle.  The staged path of
 // a RepairSession counts its probes into a ProbeTally instead and books
-// them once per step, so suite_runs() is exact between steps.
+// them once per step, so suite_runs() is exact between steps; phase 1's
+// lone-mutation checks (passes_alone) book one tally per block of members.
 #pragma once
 
 #include <atomic>
@@ -103,22 +104,41 @@ class TestOracle {
     return required_tests_;
   }
 
+  /// Suite runs and cache traffic counted by a caller instead of on the
+  /// shared counters, then added to them at once by book().
+  struct ProbeTally {
+    std::uint64_t runs = 0;
+    std::uint64_t mask_hits = 0;
+    std::uint64_t mask_misses = 0;
+    std::uint64_t pair_hits = 0;
+  };
+
   /// Model introspection (deterministic; does not count as a suite run).
   [[nodiscard]] bool is_safe(const Mutation& m) const;
   [[nodiscard]] bool is_repair_relevant(const Mutation& m) const;
 
+  /// Whether `m` alone passes the required suite: the verdict of
+  /// evaluate({&m, 1}), counted into `tally` (one run, and the mask hit
+  /// or miss that call books) instead of on the shared counters.
+  /// MutationPool's precompute and revalidation book one tally per block
+  /// of members.
+  [[nodiscard]] bool passes_alone(const Mutation& m, ProbeTally& tally) const;
+
   /// Eagerly memoizes the pooled mutations' masks/relevance into the
-  /// lock-free primed index the reference path reads.  No-op when the
-  /// cache is disabled or the same pool is already primed.  Must not race
-  /// evaluate(); does not count suite runs.
-  void prime_cache(std::span<const Mutation> pool) const;
+  /// lock-free primed index the reference path reads, computing them in
+  /// blocks over `workers` when given (the index is the same for any
+  /// engine).  No-op when the cache is disabled or the same pool is
+  /// already primed.  Must not race evaluate(); does not count suite runs.
+  void prime_cache(std::span<const Mutation> pool,
+                   parallel::SuperstepEngine* workers = nullptr) const;
 
   /// The interference graph of `pool` (key-sorted and unique): every
   /// pair of members hashed once, C(n, 2) hashes, split over `workers`
-  /// when given (the graph is the same for any worker count).  Valid for
-  /// every oracle of this program, whatever its bug or suite size (see
-  /// interference_graph.hpp).  Counts no suite runs; bumps the obs counter
-  /// oracle.interference_graph_builds.
+  /// when given (the graph is the same for any worker count).  Row x
+  /// holds the partners y > x, so each interfering pair is stored once.
+  /// Valid for every oracle of this program, whatever its bug or suite
+  /// size (see interference_graph.hpp).  Counts no suite runs; bumps the
+  /// obs counter oracle.interference_graph_builds.
   [[nodiscard]] InterferenceGraph interference_graph(
       std::span<const Mutation> pool,
       parallel::SuperstepEngine* workers = nullptr) const;
@@ -126,27 +146,32 @@ class TestOracle {
   /// Builds the eager probe-wave table over `pool` (implies prime_cache):
   /// per-member broken masks flattened for the SIMD gather kernel,
   /// safe / repair-relevant bitsets with the localized-coverage predicate
-  /// folded in, and the sparse CSR of interfering safe pairs — every pair
-  /// the scenario can ever charge a pooled probe.  The pairs come from
-  /// `graph`, which must be this program's graph of a superset of `pool`
+  /// folded in, and the sparse upper-triangular CSR of interfering safe
+  /// pairs — every pair the scenario can ever charge a pooled probe, in
+  /// the row of its lower member.  The pairs come from `graph`, which
+  /// must be this program's graph of a superset of `pool`
   /// (std::invalid_argument otherwise), so a graph built once serves many
   /// oracles at O(n + edges) each; with no graph one is built over `pool`.
   /// Pools larger than OracleCache::kMaxWavePool skip the wave (the
   /// eager pair pass would not amortize); evaluate() works identically
-  /// either way.  Same no-race contract as prime_cache; no suite runs
+  /// either way.  The semantics and the partner rows are computed in
+  /// blocks over `workers` when given; the table is the same for any
+  /// engine.  Same no-race contract as prime_cache; no suite runs
   /// counted.  The oracle's owner calls it: the OracleHub for every
   /// campaign's oracles, MwRepair::run for a single search.
   void prime_wave(std::span<const Mutation> pool,
-                  const InterferenceGraph* graph = nullptr) const;
+                  const InterferenceGraph* graph = nullptr,
+                  parallel::SuperstepEngine* workers = nullptr) const;
 
   /// True once prime_wave has installed the table for the current pool.
   [[nodiscard]] bool wave_ready() const noexcept {
     return cache_ && cache_->wave_ready();
   }
 
-  /// The wave's primed pool members (valid only while wave_ready()).
-  [[nodiscard]] std::span<const Mutation> wave_pool() const noexcept {
-    return cache_->wave().pool;
+  /// The installed wave table: its primed pool members, masks, bitsets
+  /// and partner rows (valid only while wave_ready()).
+  [[nodiscard]] const OracleCache::WaveTable& wave() const noexcept {
+    return cache_->wave();
   }
 
   /// Pooled twin of evaluate() for wave-ready oracles: `pool_indices`
@@ -158,13 +183,6 @@ class TestOracle {
   [[nodiscard]] Evaluation evaluate_pooled(
       std::span<const std::uint32_t> pool_indices) const;
 
-  /// Suite runs and cache hits counted by a caller instead of on the
-  /// shared counters, then added to them at once by book().
-  struct ProbeTally {
-    std::uint64_t runs = 0;
-    std::uint64_t mask_hits = 0;
-    std::uint64_t pair_hits = 0;
-  };
   /// evaluate_pooled() that counts its suite run and cache hits into
   /// `tally`: suite_runs() and the cache counters see them only at
   /// book().  The hot staged path uses it so concurrent sessions do not
@@ -234,12 +252,14 @@ class TestOracle {
   std::uint32_t required_tests_;
   double interference_;
   std::uint64_t interference_threshold_;  ///< unit_threshold(interference_)
-  double per_test_break_rate_ = 0.0;
-  // The relevance-hash threshold, hoisted out of is_repair_relevant: the
-  // plain repair_rate, or the region-rescaled rate when relevance is
-  // localized (constant per scenario either way, so the hash check is a
-  // pure function of the mutation key and therefore cacheable).
-  double relevance_rate_ = 0.0;
+  /// unit_threshold of the per-test break rate.
+  std::uint64_t break_threshold_ = 0;
+  // unit_threshold of the relevance rate, hoisted out of
+  // is_repair_relevant: the plain repair_rate, or the region-rescaled rate
+  // when relevance is localized (constant per scenario either way, so the
+  // hash check is a pure function of the mutation key and therefore
+  // cacheable).
+  std::uint64_t relevance_threshold_ = 0;
   mutable std::atomic<std::uint64_t> suite_runs_{0};
 
   // Memoization (null when disabled).  The cache only ever stores pure

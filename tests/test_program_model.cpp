@@ -2,6 +2,9 @@
 // construction contracts.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+
 #include "apr/program.hpp"
 
 namespace mwr::apr {
@@ -39,6 +42,32 @@ TEST(StableHash, UnitMappingIsRoughlyUniform) {
     sum += hash_to_unit(stable_hash(11, static_cast<std::uint64_t>(i)));
   }
   EXPECT_NEAR(sum / kSamples, 0.5, 0.01);
+}
+
+TEST(StableHash, IntegerThresholdAgreesWithUnitMappingOnRandomHashes) {
+  // Coverage, breakage and relevance compare (h >> 11) < unit_threshold(q)
+  // in place of hash_to_unit(h) < q; the two must agree on every hash,
+  // at the rates' edges as well as inside.
+  const double tiny = 0x1.0p-53;
+  const double rates[] = {0.0, tiny, 3 * tiny, 0.3,
+                          std::nextafter(1.0, 0.0), 1.0};
+  util::SplitMix64 gen(2024);
+  for (const double q : rates) {
+    const std::uint64_t threshold = unit_threshold(q);
+    for (int i = 0; i < 200000; ++i) {
+      const std::uint64_t h = gen.next();
+      ASSERT_EQ((h >> 11) < threshold, hash_to_unit(h) < q)
+          << "q=" << q << " h=" << h;
+    }
+    // The hashes nearest the threshold, where a rounding slip would show.
+    for (const std::uint64_t top :
+         {threshold, threshold == 0 ? 0 : threshold - 1}) {
+      if (top >= (std::uint64_t{1} << 53)) continue;
+      const std::uint64_t h = (top << 11) | (gen.next() & 0x7ff);
+      EXPECT_EQ((h >> 11) < threshold, hash_to_unit(h) < q)
+          << "q=" << q << " h=" << h;
+    }
+  }
 }
 
 TEST(ProgramModel, RejectsDegenerateSpecs) {
