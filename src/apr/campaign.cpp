@@ -31,10 +31,12 @@ CampaignOutcome run_campaign(const datasets::ScenarioSpec& base,
                              const CampaignConfig& config) {
   // The campaign is a CampaignSession stepped to completion: the session
   // performs every phase (precompute, per-bug revalidation, online MWU
-  // cycles) in the same order — and with the same telemetry — as the
-  // historical monolithic loop, so this wrapper is bit-identical to it.
-  // Servers drive the same session a few cycles at a time instead
-  // (serve/server.hpp).
+  // cycles) in the same order as the historical monolithic loop, so this
+  // wrapper is bit-identical to it.  Servers drive the same session a few
+  // cycles at a time instead (serve/server.hpp).  The session draws from
+  // the process hub, so only the call that builds a pool records phase
+  // 1's telemetry (pool.*, phase.precompute.seconds); a repeat call
+  // counts a hit in serve.hub.pool_hits instead.
   CampaignSession session(base, config);
   parallel::SuperstepEngine workers(
       1, parallel::SuperstepEngine::Config{

@@ -63,7 +63,10 @@ struct CampaignOutcome {
 /// Runs the campaign on the program described by `base`: bug i uses
 /// bug_id = i and a suite grown by one trigger test per previously-repaired
 /// bug (when config.grow_suite).  The suite is capped at the oracle's
-/// 64-test model limit.
+/// 64-test model limit.  The pool and each bug's primed oracle come from
+/// OracleHub::process(), so a repeat call on the same program and pool
+/// configuration skips phase 1 and charges the same precompute_runs: the
+/// outcome is the same as on a fresh hub.
 [[nodiscard]] CampaignOutcome run_campaign(const datasets::ScenarioSpec& base,
                                            const CampaignConfig& config);
 

@@ -43,8 +43,7 @@ CampaignSession::CampaignSession(datasets::ScenarioSpec base,
                                  CampaignConfig config, OracleHub* hub)
     : base_(std::move(base)),
       config_(config),
-      own_hub_(hub == nullptr ? std::make_unique<OracleHub>() : nullptr),
-      hub_(hub == nullptr ? own_hub_.get() : hub),
+      hub_(hub == nullptr ? &OracleHub::process() : hub),
       fingerprint_(campaign_fingerprint(base_, config_)),
       current_tests_(base_.tests),
       trajectory_fold_(util::kFnvOffset) {
@@ -354,7 +353,7 @@ std::unique_ptr<CampaignSession> CampaignSession::resume(
       (phase == Phase::kBugStart && snap.bug_index < session->config_.bugs);
   if (opens_oracle) {
     // A resumed session skips phase 1, so a fresh hub (a restored
-    // server's, or the session's private one) would hold no interned
+    // server's) or one that evicted the pool would hold no interned
     // base pool and build this bug's oracle cold (no wave table, no
     // primed cache — for every later tenant on it too).  Re-interning
     // the pool lets the hub prime the oracle as it would have before the

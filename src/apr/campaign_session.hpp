@@ -22,8 +22,9 @@
 // graph, and each bug's warmed oracle from an OracleHub
 // (apr/oracle_hub.hpp).  A server hands all of its sessions one hub so
 // co-resident campaigns on the same scenario share them; a session
-// constructed without a hub makes a private one, so a single-shot
-// campaign takes the same path with one tenant.  Suite-run accounting is
+// constructed without a hub draws from the process hub
+// (OracleHub::process()), so repeated single-shot campaigns in one
+// process share them the same way.  Suite-run accounting is
 // analytic (precompute = pool attempts, maintenance = pool size per
 // revalidation — both exact identities of the implementations), so a
 // shared oracle's global counter never pollutes a tenant's ledger.
@@ -67,8 +68,8 @@ struct CampaignSnapshot {
 
 class CampaignSession {
  public:
-  /// `hub` must outlive the session; when null the session makes a
-  /// private hub.
+  /// `hub` must outlive the session; when null the session draws from
+  /// OracleHub::process().
   CampaignSession(datasets::ScenarioSpec base, CampaignConfig config,
                   OracleHub* hub = nullptr);
   ~CampaignSession();
@@ -204,7 +205,6 @@ class CampaignSession {
 
   datasets::ScenarioSpec base_;
   CampaignConfig config_;
-  std::unique_ptr<OracleHub> own_hub_;  // set when built without a hub.
   OracleHub* hub_;
   std::uint64_t fingerprint_;
 

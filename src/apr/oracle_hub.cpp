@@ -47,6 +47,12 @@ OracleHub::OracleHub() {
   oracle_cold_builds_ = &metrics.counter("serve.hub.oracle_cold_builds");
   pool_builds_ = &metrics.counter("serve.hub.pool_builds");
   pool_hits_ = &metrics.counter("serve.hub.pool_hits");
+  evictions_ = &metrics.counter("serve.hub.evictions");
+}
+
+OracleHub& OracleHub::process() {
+  static OracleHub hub;
+  return hub;
 }
 
 OracleHub::Stats OracleHub::stats() const {
@@ -70,6 +76,7 @@ typename EntryT::Lease OracleHub::intern(Table<EntryT> OracleHub::*table,
       if (entry->failed)
         throw std::runtime_error(std::string("OracleHub: ") + tally.kind +
                                  " build failed for " + name);
+      entry->last_use = ++use_clock_;
       ++(stats_.*tally.hits);
       tally.hit_counter->add(1);
       return entry->lease;
@@ -94,10 +101,30 @@ typename EntryT::Lease OracleHub::intern(Table<EntryT> OracleHub::*table,
     util::MutexLock lock(mutex_);
     entry->lease = lease;
     entry->ready = true;
+    entry->last_use = ++use_clock_;
     ready_cv_.notify_all();
+    evict_over_cap(this->*table, tally.cap);
   }
   tally.build_counter->add(1);
   return lease;
+}
+
+template <typename EntryT>
+void OracleHub::evict_over_cap(Table<EntryT>& table, std::size_t cap) {
+  // Each publish adds one ready entry, so one eviction restores the cap.
+  std::size_t ready = 0;
+  auto oldest = table.end();
+  for (auto it = table.begin(); it != table.end(); ++it) {
+    if (!it->second->ready) continue;
+    ++ready;
+    if (oldest == table.end() ||
+        it->second->last_use < oldest->second->last_use)
+      oldest = it;
+  }
+  if (ready <= cap) return;
+  table.erase(oldest);
+  ++stats_.evictions;
+  evictions_->add(1);
 }
 
 OracleHub::OracleLease OracleHub::oracle_for(
@@ -114,6 +141,7 @@ OracleHub::OracleLease OracleHub::oracle_for(
       for (const auto& [pool_key, pool] : pools_) {
         (void)pool_key;
         if (pool->ready && !pool->failed && pool->program_key == program) {
+          pool->last_use = ++use_clock_;
           warm = pool->lease;
           break;
         }
@@ -139,8 +167,8 @@ OracleHub::OracleLease OracleHub::oracle_for(
   };
   // Identity of one oracle: the exact (program, suite size, bug).
   return intern(&OracleHub::oracles_, spec.fingerprint(), OracleEntry{},
-                {"oracle", &Stats::oracle_builds, &Stats::oracle_hits,
-                 oracle_builds_, oracle_hits_},
+                {"oracle", kMaxOracles, &Stats::oracle_builds,
+                 &Stats::oracle_hits, oracle_builds_, oracle_hits_},
                 spec.name, build);
 }
 
@@ -170,8 +198,8 @@ OracleHub::PoolLease OracleHub::base_pool(const datasets::ScenarioSpec& spec,
   fresh.program_key = program_fingerprint(spec);
   return intern(&OracleHub::pools_, pool_fingerprint(spec, config),
                 std::move(fresh),
-                {"pool", &Stats::pool_builds, &Stats::pool_hits, pool_builds_,
-                 pool_hits_},
+                {"pool", kMaxPools, &Stats::pool_builds, &Stats::pool_hits,
+                 pool_builds_, pool_hits_},
                 spec.name, build);
 }
 

@@ -2,12 +2,14 @@
 //
 // Every CampaignSession draws its resources from an OracleHub: the
 // server hands all of its sessions one shared hub, and a session built
-// without one makes a private hub for itself.  Co-resident campaigns
+// without one draws from the process hub (OracleHub::process()), so
+// back-to-back run_campaign calls in one process reuse each other's
+// pools and primed oracles.  Co-resident campaigns
 // frequently target the same scenario family — a thousand-tenant load
 // over ten named scenarios means ~a hundred campaigns per (program,
 // suite, bug) triple — so interning per key lets the pool precompute
 // paid for by one tenant serve every other, and a single-shot campaign
-// takes exactly the same path with one tenant.
+// takes exactly the same path.
 //
 // The hub interns, keyed by a fingerprint of every spec field:
 //
@@ -36,6 +38,14 @@
 //                   pool derives its wave's pair CSR from it instead of
 //                   re-hashing C(n, 2) pairs per (bug, suite) key.
 //
+// Bounded: each table keeps at most its cap of ready entries (the process
+// hub lives as long as the process, and a server's grows with every
+// distinct SUBMIT spec).  Publishing an entry past the cap evicts the
+// least recently used ready one; a pending entry is never evicted.  A
+// lease is a set of shared_ptrs, so a holder is unaffected by eviction;
+// a later lookup of an evicted key builds it again.  Stats::evictions
+// (and the serve.hub.evictions counter) counts evictions.
+//
 // Thread model: sessions call in from engine fibers on many workers.
 // Lookups take the hub mutex; a cache miss publishes a pending entry,
 // builds outside the lock, then marks it ready under the lock. Callers
@@ -44,6 +54,7 @@
 // retire.  A build failure poisons the entry and rethrows to all waiters.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -84,10 +95,19 @@ class OracleHub {
     std::shared_ptr<const InterferenceGraph> graph;
   };
 
+  /// Ready entries each table keeps (DESIGN.md §14 sizes them from
+  /// measured bytes per entry).
+  static constexpr std::size_t kMaxOracles = 128;
+  static constexpr std::size_t kMaxPools = 32;
+
   OracleHub();
 
   OracleHub(const OracleHub&) = delete;
   OracleHub& operator=(const OracleHub&) = delete;
+
+  /// The hub of every CampaignSession built without one: one per
+  /// process, constructed on first use and kept until exit.
+  static OracleHub& process();
 
   /// Program + oracle for `spec` (the full spec, bug_id and grown test
   /// count included).  `workers` (may be null) primes an oracle built
@@ -111,6 +131,8 @@ class OracleHub {
     std::uint64_t cold_oracle_builds = 0;
     std::uint64_t pool_builds = 0;
     std::uint64_t pool_hits = 0;
+    /// Ready entries dropped, from either table, to stay within its cap.
+    std::uint64_t evictions = 0;
   };
   [[nodiscard]] Stats stats() const;
 
@@ -120,6 +142,7 @@ class OracleHub {
     using Lease = LeaseT;
     bool ready = false;
     bool failed = false;
+    std::uint64_t last_use = 0;  ///< use_clock_ at the latest publish or hit.
     LeaseT lease;
   };
   using OracleEntry = Entry<OracleLease>;
@@ -129,9 +152,11 @@ class OracleHub {
   template <typename EntryT>
   using Table = std::map<std::uint64_t, std::shared_ptr<EntryT>>;
 
-  /// What one table counts, and what its failures are called.
+  /// What one table counts, what its failures are called, and how many
+  /// ready entries it keeps.
   struct Tally {
     const char* kind;
+    std::size_t cap;
     std::uint64_t Stats::*builds;
     std::uint64_t Stats::*hits;
     obs::Counter* build_counter;
@@ -150,17 +175,25 @@ class OracleHub {
                                 const Tally& tally, const std::string& name,
                                 Build&& build) MWR_EXCLUDES(mutex_);
 
+  /// Evicts the least recently used ready entry when more than `cap`
+  /// are ready.
+  template <typename EntryT>
+  void evict_over_cap(Table<EntryT>& table, std::size_t cap)
+      MWR_REQUIRES(mutex_);
+
   mutable util::Mutex mutex_;
   util::CondVar ready_cv_;
   Table<OracleEntry> oracles_ MWR_GUARDED_BY(mutex_);
   Table<PoolEntry> pools_ MWR_GUARDED_BY(mutex_);
   Stats stats_ MWR_GUARDED_BY(mutex_);
+  std::uint64_t use_clock_ MWR_GUARDED_BY(mutex_) = 0;
 
   obs::Counter* oracle_builds_;
   obs::Counter* oracle_hits_;
   obs::Counter* oracle_cold_builds_;
   obs::Counter* pool_builds_;
   obs::Counter* pool_hits_;
+  obs::Counter* evictions_;
 };
 
 }  // namespace mwr::apr

@@ -2,12 +2,19 @@
 // reuse and incremental suite growth (§III-C amortization).
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdio>
 #include <fstream>
+#include <latch>
 #include <sstream>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "apr/campaign.hpp"
 #include "apr/campaign_session.hpp"
+#include "apr/oracle_hub.hpp"
+#include "apr/outcome_json.hpp"
 #include "datasets/scenario.hpp"
 #include "obs/registry.hpp"
 #include "obs/serialization.hpp"
@@ -228,27 +235,38 @@ TEST(Campaign, ZeroBugCampaignFinalizesInsteadOfRunningForever) {
 }
 
 TEST(Campaign, SingleShotCampaignsDrawEverythingFromOneHub) {
-  // run_campaign's session makes a private hub: one phase-1 pool, and one
-  // oracle per bug warmed from it.
-  auto& metrics = obs::MetricsRegistry::global();
-  obs::Counter& pools = metrics.counter("serve.hub.pool_builds");
-  obs::Counter& oracles = metrics.counter("serve.hub.oracle_builds");
-  obs::Counter& cold = metrics.counter("serve.hub.oracle_cold_builds");
-  const std::uint64_t pools_before = pools.value();
-  const std::uint64_t oracles_before = oracles.value();
-  const std::uint64_t cold_before = cold.value();
+  // run_campaign draws from the process hub: one pool lookup, and one
+  // oracle per bug warmed from a pool of the program.  Whatever an
+  // earlier call interned, a repeat call builds nothing, hits once per
+  // lookup and gives the same outcome.
+  const OracleHub& hub = OracleHub::process();
   const CampaignConfig config = fast_config();
-  const auto outcome = run_campaign(toy_spec(), config);
-  ASSERT_EQ(outcome.bugs.size(), config.bugs);
-  EXPECT_EQ(pools.value() - pools_before, 1u);
-  EXPECT_EQ(oracles.value() - oracles_before, config.bugs);
-  EXPECT_EQ(cold.value() - cold_before, 0u);
+  const OracleHub::Stats before = hub.stats();
+  const auto first = run_campaign(toy_spec(), config);
+  const OracleHub::Stats middle = hub.stats();
+  ASSERT_EQ(first.bugs.size(), config.bugs);
+  EXPECT_EQ(middle.pool_builds + middle.pool_hits -
+                (before.pool_builds + before.pool_hits),
+            1u);
+  EXPECT_EQ(middle.oracle_builds + middle.oracle_hits -
+                (before.oracle_builds + before.oracle_hits),
+            config.bugs);
+  EXPECT_EQ(middle.cold_oracle_builds, before.cold_oracle_builds);
+
+  const auto repeat = run_campaign(toy_spec(), config);
+  const OracleHub::Stats after = hub.stats();
+  EXPECT_EQ(after.pool_builds, middle.pool_builds);
+  EXPECT_EQ(after.pool_hits - middle.pool_hits, 1u);
+  EXPECT_EQ(after.oracle_builds, middle.oracle_builds);
+  EXPECT_EQ(after.oracle_hits - middle.oracle_hits, config.bugs);
+  EXPECT_EQ(after.cold_oracle_builds, middle.cold_oracle_builds);
+  EXPECT_EQ(outcome_to_json(repeat).dump(2), outcome_to_json(first).dump(2));
 }
 
 TEST(Campaign, ResumingWithoutAHubKeepsTheOracleWarm) {
-  // A session resumed mid-bug with no hub re-interns its base pool in its
-  // private hub, so the bug's oracle is built warm; the trajectory is
-  // the uninterrupted campaign's.
+  // A session resumed mid-bug with no hub re-interns its base pool in the
+  // process hub, where the reference campaign left it, so the bug's
+  // oracle is warm; the trajectory is the uninterrupted campaign's.
   CampaignSession reference(toy_spec(), fast_config());
   while (!reference.done()) (void)reference.step(1 << 20);
 
@@ -257,17 +275,76 @@ TEST(Campaign, ResumingWithoutAHubKeepsTheOracleWarm) {
   const CampaignSnapshot snapshot = first.snapshot();
   ASSERT_TRUE(snapshot.has_repair_state);
 
-  auto& metrics = obs::MetricsRegistry::global();
-  obs::Counter& pools = metrics.counter("serve.hub.pool_builds");
-  obs::Counter& cold = metrics.counter("serve.hub.oracle_cold_builds");
-  const std::uint64_t pools_before = pools.value();
-  const std::uint64_t cold_before = cold.value();
+  const OracleHub& hub = OracleHub::process();
+  const OracleHub::Stats before = hub.stats();
   const auto resumed =
       CampaignSession::resume(snapshot, toy_spec(), fast_config());
-  EXPECT_EQ(pools.value() - pools_before, 1u);
+  const OracleHub::Stats reinterned = hub.stats();
+  EXPECT_EQ(reinterned.pool_builds, before.pool_builds);
+  EXPECT_EQ(reinterned.pool_hits - before.pool_hits, 1u);
   while (!resumed->done()) (void)resumed->step(1 << 20);
-  EXPECT_EQ(cold.value() - cold_before, 0u);
+  EXPECT_EQ(hub.stats().cold_oracle_builds, before.cold_oracle_builds);
   EXPECT_EQ(resumed->trajectory_hash(), reference.trajectory_hash());
+}
+
+TEST(Campaign, RepeatedRunCampaignMatchesAFreshHubOnEveryPaperScenario) {
+  // The process hub changes what a campaign pays, never what it finds:
+  // on each of the ten C and Java scenarios, run_campaign twice in a row
+  // gives the document a session on a fresh hub gives.
+  std::vector<datasets::ScenarioSpec> specs = datasets::c_scenarios();
+  for (datasets::ScenarioSpec& spec : datasets::java_scenarios())
+    specs.push_back(std::move(spec));
+  ASSERT_EQ(specs.size(), 10u);
+  for (const datasets::ScenarioSpec& spec : specs) {
+    CampaignConfig config;
+    config.bugs = 2;
+    config.pool.target_size = 150;
+    config.pool.max_attempts = 8 * config.pool.target_size;
+    config.pool.threads = 2;
+    config.pool.seed = 11 ^ spec.seed;
+    config.repair.agents = 8;
+    config.repair.max_iterations = 60;
+    config.repair.eval_threads = 2;
+    config.repair.seed = 11 ^ (spec.seed * 3);
+
+    OracleHub fresh;
+    CampaignSession session(spec, config, &fresh);
+    while (!session.done()) (void)session.step(1 << 20);
+    const std::string expected = outcome_to_json(session.outcome()).dump(2);
+    EXPECT_EQ(outcome_to_json(run_campaign(spec, config)).dump(2), expected)
+        << spec.name << " first call";
+    EXPECT_EQ(outcome_to_json(run_campaign(spec, config)).dump(2), expected)
+        << spec.name << " repeat call";
+  }
+}
+
+TEST(Campaign, ConcurrentRunCampaignsShareTheProcessHub) {
+  // Two threads run the same campaign at once: one builds each pool and
+  // oracle while the other waits on or hits it, and both documents are
+  // the same.
+  const datasets::ScenarioSpec spec = datasets::scenario_by_name("gzip-2009-08-16");
+  CampaignConfig config;
+  config.bugs = 2;
+  config.pool.target_size = 300;
+  config.pool.max_attempts = 8 * config.pool.target_size;
+  config.pool.threads = 2;
+  config.pool.seed = 41;
+  config.repair.agents = 16;
+  config.repair.max_iterations = 60;
+  config.repair.eval_threads = 2;
+  config.repair.seed = 43;
+  std::array<std::string, 2> documents;
+  std::latch start(2);
+  std::vector<std::thread> threads;
+  for (std::string& document : documents) {
+    threads.emplace_back([&] {
+      start.arrive_and_wait();
+      document = outcome_to_json(run_campaign(spec, config)).dump(2);
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_FALSE(documents[0].empty());
+  EXPECT_EQ(documents[0], documents[1]);
 }
 
 TEST(Campaign, SuiteSizeIsCappedAtTheOracleLimit) {
@@ -282,10 +359,15 @@ TEST(Campaign, SuiteSizeIsCappedAtTheOracleLimit) {
 
 TEST(Campaign, MetricsSnapshotIsValidJsonWithNonzeroProbeCounts) {
   // The --metrics-out CLI path end to end: reset the global registry, run
-  // a campaign, write the snapshot, and parse it back.
+  // a campaign, write the snapshot, and parse it back.  The campaign runs
+  // on a fresh hub, so it builds its pool and records phase 1's
+  // telemetry whatever the process hub already holds.
   auto& metrics = obs::MetricsRegistry::global();
   metrics.reset();
-  const auto outcome = run_campaign(toy_spec(), fast_config());
+  OracleHub hub;
+  CampaignSession session(toy_spec(), fast_config(), &hub);
+  while (!session.done()) (void)session.step(1 << 20);
+  const CampaignOutcome& outcome = session.outcome();
   ASSERT_GT(outcome.repaired(), 0u);
 
   const std::string path = ::testing::TempDir() + "mwr_campaign_metrics.json";
@@ -302,6 +384,7 @@ TEST(Campaign, MetricsSnapshotIsValidJsonWithNonzeroProbeCounts) {
   EXPECT_GT(counters.at("repair.online.probes").as_double(), 0.0);
   EXPECT_GT(counters.at("repair.online.cycles").as_double(), 0.0);
   EXPECT_GT(counters.at("pool.candidates_tried").as_double(), 0.0);
+  EXPECT_DOUBLE_EQ(counters.at("serve.hub.pool_builds").as_double(), 1.0);
   EXPECT_DOUBLE_EQ(counters.at("campaign.bugs_attempted").as_double(), 4.0);
   EXPECT_DOUBLE_EQ(
       counters.at("campaign.bugs_repaired").as_double(),

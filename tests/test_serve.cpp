@@ -632,7 +632,8 @@ TEST(OracleHub, FailedBuildsAreRetriedNotCachedForever) {
 TEST(OracleHub, SharedServicesPreserveTheSingleTenantTrajectory) {
   const CampaignPlan plan = plan_campaign(small_request("Chart26", 13));
 
-  apr::CampaignSession isolated(plan.spec, plan.config);
+  OracleHub isolated_hub;
+  apr::CampaignSession isolated(plan.spec, plan.config, &isolated_hub);
   while (!isolated.done())
     (void)isolated.step(std::numeric_limits<std::size_t>::max());
 
@@ -715,6 +716,114 @@ TEST(OracleHub, ResumeReinternsThePoolSoRestoredOraclesStayWarm) {
   EXPECT_EQ(apr::outcome_to_json(resumed->outcome()).dump(2),
             apr::outcome_to_json(reference.outcome()).dump(2));
   EXPECT_EQ(restored_hub.stats().cold_oracle_builds, 0u);
+}
+
+/// Steps a session on `hub` to completion and returns its document.
+std::string campaign_document(const CampaignPlan& plan,
+                              const apr::CampaignConfig& config,
+                              OracleHub& hub) {
+  apr::CampaignSession session(plan.spec, config, &hub);
+  while (!session.done())
+    (void)session.step(std::numeric_limits<std::size_t>::max());
+  return apr::outcome_to_json(session.outcome()).dump(2);
+}
+
+/// A pool configuration cheap enough to build past the hub's pool cap.
+apr::PoolConfig tiny_pool(std::uint64_t seed) {
+  apr::PoolConfig config;
+  config.target_size = 4;
+  config.max_attempts = 64;
+  config.threads = 1;
+  config.seed = seed;
+  return config;
+}
+
+TEST(OracleHub, EvictsTheLeastRecentlyUsedReadyEntryPastItsCap) {
+  // Each table keeps at most its cap of ready entries.  Publishing one
+  // more evicts the least recently used (a hit counts as a use), and a
+  // lease taken before the eviction stays valid.
+  obs::Counter& evictions =
+      obs::MetricsRegistry::global().counter("serve.hub.evictions");
+  const std::uint64_t evictions_before = evictions.value();
+  OracleHub hub;
+  const datasets::ScenarioSpec spec = datasets::scenario_by_name("units");
+  (void)hub.base_pool(spec, tiny_pool(0));
+  const OracleHub::PoolLease evicted = hub.base_pool(spec, tiny_pool(1));
+  for (std::uint64_t seed = 2; seed < OracleHub::kMaxPools; ++seed)
+    (void)hub.base_pool(spec, tiny_pool(seed));
+  (void)hub.base_pool(spec, tiny_pool(0));  // seed 1 is now the oldest.
+  EXPECT_EQ(hub.stats().evictions, 0u);
+  (void)hub.base_pool(spec, tiny_pool(OracleHub::kMaxPools));  // evicts 1.
+  EXPECT_EQ(hub.stats().evictions, 1u);
+  (void)hub.base_pool(spec, tiny_pool(0));  // still interned.
+  EXPECT_EQ(hub.stats().pool_builds, OracleHub::kMaxPools + 1);
+  EXPECT_EQ(hub.stats().pool_hits, 2u);
+
+  const OracleHub::PoolLease rebuilt = hub.base_pool(spec, tiny_pool(1));
+  EXPECT_EQ(hub.stats().pool_builds, OracleHub::kMaxPools + 2);
+  EXPECT_EQ(hub.stats().evictions, 2u);  // seed 2 made room.
+  EXPECT_NE(rebuilt.pool.get(), evicted.pool.get());
+  EXPECT_EQ(rebuilt.pool->mutations().size(),
+            evicted.pool->mutations().size());
+  EXPECT_EQ(rebuilt.precompute_runs, evicted.precompute_runs);
+
+  // The oracle table has its own cap, with the same policy.
+  datasets::ScenarioSpec bug = spec;
+  const auto oracle = [&](std::size_t id) {
+    bug.bug_id = id;
+    (void)hub.oracle_for(bug);
+  };
+  for (std::size_t id = 0; id < OracleHub::kMaxOracles; ++id) oracle(id);
+  oracle(0);                       // bug 1 is now the oldest.
+  oracle(OracleHub::kMaxOracles);  // evicts bug 1.
+  EXPECT_EQ(hub.stats().evictions, 3u);
+  oracle(0);  // still interned.
+  EXPECT_EQ(hub.stats().oracle_builds, OracleHub::kMaxOracles + 1);
+  EXPECT_EQ(hub.stats().oracle_hits, 2u);
+  oracle(1);  // built again.
+  EXPECT_EQ(hub.stats().oracle_builds, OracleHub::kMaxOracles + 2);
+  EXPECT_EQ(evictions.value() - evictions_before, 4u);
+}
+
+TEST(OracleHub, ACampaignWhosePoolIsEvictedBetweenBugsMatchesTheUninterruptedOne) {
+  // A session copies its working pool, so losing the interned pool
+  // between bugs only costs speed: the next bug's oracle is built cold
+  // and the outcome is the uninterrupted campaign's.
+  const CampaignPlan plan = plan_campaign(small_request("Closure13", 7));
+  OracleHub reference_hub;
+  const std::string reference =
+      campaign_document(plan, plan.config, reference_hub);
+
+  OracleHub hub;
+  apr::CampaignSession tenant(plan.spec, plan.config, &hub);
+  while (tenant.bugs_completed() == 0) (void)tenant.step(1);
+  ASSERT_FALSE(tenant.done());
+  const datasets::ScenarioSpec other = datasets::scenario_by_name("Math80");
+  for (std::uint64_t seed = 0; seed < OracleHub::kMaxPools; ++seed)
+    (void)hub.base_pool(other, tiny_pool(seed));
+  EXPECT_EQ(hub.stats().evictions, 1u);
+  while (!tenant.done())
+    (void)tenant.step(std::numeric_limits<std::size_t>::max());
+  EXPECT_EQ(hub.stats().cold_oracle_builds, 1u);
+  EXPECT_EQ(apr::outcome_to_json(tenant.outcome()).dump(2), reference);
+}
+
+TEST(OracleHub, TwoPoolConfigsOfOneProgramMatchSeparateHubs) {
+  // Two pool configurations of one program share the program's oracles
+  // in one hub, and each campaign's outcome is the one it gets alone.
+  const CampaignPlan plan =
+      plan_campaign(small_request("lighttpd-1806-1807", 5));
+  apr::CampaignConfig second = plan.config;
+  second.pool.seed = plan.config.pool.seed + 1;
+  OracleHub shared;
+  OracleHub first_alone;
+  OracleHub second_alone;
+  EXPECT_EQ(campaign_document(plan, plan.config, shared),
+            campaign_document(plan, plan.config, first_alone));
+  EXPECT_EQ(campaign_document(plan, second, shared),
+            campaign_document(plan, second, second_alone));
+  EXPECT_EQ(shared.stats().pool_builds, 2u);
+  EXPECT_GT(shared.stats().oracle_hits, 0u);
 }
 
 TEST(OracleHub, ConcurrentTenantsShareOneBuildPerKey) {
